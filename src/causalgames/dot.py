@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import build_mechanised_graph, independent_mechanised_graph, mechanism_node
+from .graphs import build_mechanised_graph, mechanism_node
 from .model import CHANCE, DECISION, UTILITY, CausalGame
 
 _AGENT_COLORS = (
@@ -41,13 +41,11 @@ def export_dot(game: CausalGame, which: str = "object") -> str:
         for p in game.parents_of(v.name):
             lines.append(f'  "{p}" -> "{v.name}";')
     if which != "object":
-        mech_edges = []
         if which == "mechanised":
             mg = build_mechanised_graph(game)
             inter = sorted(mg.inter_mechanism_edges)
             mech_edges = list(mg.mechanism_edges)
         else:
-            graph = independent_mechanised_graph(game)
             inter = []
             mech_edges = [
                 (mechanism_node(game, v.name), v.name)

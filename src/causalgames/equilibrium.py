@@ -131,7 +131,6 @@ class BehavioralFamily:
     entries: dict
     params: tuple[FreeParam, ...]
     _contexts: dict = field(default_factory=dict, compare=False)
-    _domains: dict = field(default_factory=dict, compare=False)
     _parents: dict = field(default_factory=dict, compare=False)
 
     def instantiate(self, values: dict) -> PolicyProfile:
@@ -484,7 +483,6 @@ def behavioral_nash_small(
 
     fam_meta = {
         "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
-        "_domains": {d: game.domain(d) for d in decisions},
         "_parents": {d: game.parents_of(d) for d in decisions},
     }
 

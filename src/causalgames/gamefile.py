@@ -250,21 +250,19 @@ class Scenario:
     options: Mapping[str, object] = field(default_factory=dict)
 
 
-def _intervention_cpd(game, name, spec, parents, path, value=None):
-    domains = {v.name: v.domain for v in game.variables}
-    if value is not None:
-        dom = game.domain(name)
-        matches = [v for v in dom if str(v) == str(value)]
-        if not matches:
-            raise GameFileError(
-                f"{name}: value {value!r} not in domain", path=path
-            )
-        idx = dom.index(matches[0])
-        row = tuple(1.0 if i == idx else 0.0 for i in range(len(dom)))
-        import itertools as _it
+def _delta_cpd(game, name, domain, parents, value, path):
+    """Point mass on ``value`` in every context of ``parents``."""
+    matches = [v for v in domain if str(v) == str(value)]
+    if not matches:
+        raise GameFileError(f"{name}: value {value!r} not in domain", path=path)
+    contexts = game.with_parents(name, parents).contexts(name)
+    return TabularCPD.delta(name, matches[0], domain, parents, contexts)
 
-        contexts = [tuple(c) for c in _it.product(*[domains[p] for p in parents])]
-        return TabularCPD(name, tuple(parents), {c: row for c in contexts})
+
+def _intervention_cpd(game, name, spec, parents, path, value=None):
+    if value is not None:
+        return _delta_cpd(game, name, game.domain(name), parents, value, path)
+    domains = {v.name: v.domain for v in game.variables}
     return _parse_cpd(name, spec, parents, domains, path)
 
 
@@ -328,20 +326,7 @@ def _build_primitive(game, entry, journaled, path):
         domains[name] = domain
         cpd = None
         if "value" in entry:
-            dom = domain
-            matches = [v for v in dom if str(v) == str(entry["value"])]
-            if not matches:
-                raise GameFileError(
-                    f"{name}: value {entry['value']!r} not in domain", path=path
-                )
-            idx = dom.index(matches[0])
-            row = tuple(1.0 if i == idx else 0.0 for i in range(len(dom)))
-            import itertools as _it
-
-            contexts = [
-                tuple(c) for c in _it.product(*[domains[p] for p in parents])
-            ]
-            cpd = TabularCPD(name, parents, {c: row for c in contexts})
+            cpd = _delta_cpd(game, name, domain, parents, entry["value"], path)
         elif "rows" in entry:
             spec = entry["rows"]
             table = {}

@@ -7,13 +7,17 @@ nodes wherever the governing rationality relation makes the source mechanism
 strategically relevant.  The independent mechanised graph drops the
 inter-mechanism edges; it is the arena for all reachability computations.
 
-d-separation is implemented directly over simple paths (Pearl, Causality,
-2009): a path is blocked by a conditioning set Y when it contains a chain or
-fork node in Y, or a collider whose closure under descendants misses Y.
-Path enumeration is exponential in the worst case; path length is bounded by
-the node count (paths are non-repeating) and every bundled game completes
-instantly.  The test is valid on graphs with cycles, which matters because
-mechanised graphs may be cyclic among mechanism nodes.
+Every yes/no d-separation question (``d_separated``, and through it
+``r_relevant`` and the mechanised graph) is answered by one reachable-set
+search (Bayes-Ball: Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in
+time linear in the graph.  A trail through a collider is open when the
+collider lies in the ancestral closure of the conditioning set Y, and
+through any other node when that node is outside Y.  The search is valid on
+graphs with cycles, which matters because mechanised graphs may be cyclic
+among mechanism nodes.  ``active_paths`` enumerates simple paths (Pearl,
+*Causality*, 2009), which is exponential in the worst case; it is used only
+where the paths themselves are the answer: relevance witnesses, predicted
+edge removals and minimum intervention sets.
 """
 
 from __future__ import annotations
@@ -128,20 +132,55 @@ def _check_node_sets(graph: nx.DiGraph, *sets: Iterable[str]):
                 )
 
 
-def _descendant_cache(graph: nx.DiGraph) -> dict[str, set]:
-    return {n: nx.descendants(graph, n) for n in graph.nodes}
+def _ancestral_closure(graph: nx.DiGraph, given: set) -> set:
+    """``given`` and all its ancestors: the colliders that leave a trail open."""
+    closure = set(given)
+    stack = list(given)
+    while stack:
+        for p in graph.pred[stack.pop()]:
+            if p not in closure:
+                closure.add(p)
+                stack.append(p)
+    return closure
 
 
-def _path_is_active(nodes, arrows, given, desc) -> bool:
+def _path_is_active(nodes, arrows, given, open_colliders) -> bool:
     for i in range(1, len(nodes) - 1):
         w = nodes[i]
         collider = arrows[i - 1] == FORWARD and arrows[i] == BACKWARD
         if collider:
-            if not ({w} | desc[w]) & given:
+            if w not in open_colliders:
                 return False
         elif w in given:
             return False
     return True
+
+
+def _d_connected(graph: nx.DiGraph, xs: set, zs: set, given: set) -> bool:
+    """Reachable-set search: does an active trail join ``xs`` to ``zs``?
+
+    States are (node, direction of arrival): ``BACKWARD`` when entered from
+    a child (or at a start node), ``FORWARD`` when entered from a parent.
+    Each state is expanded at most once, so the cost is O(V + E).
+    """
+    open_colliders = _ancestral_closure(graph, given)
+    stack = [(x, BACKWARD) for x in xs]
+    seen = set()
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        node, arrived = state
+        if node in zs:
+            return True
+        if node not in given:
+            stack.extend((c, FORWARD) for c in graph.succ[node])
+            if arrived == BACKWARD:
+                stack.extend((p, BACKWARD) for p in graph.pred[node])
+        if arrived == FORWARD and node in open_colliders:
+            stack.extend((p, BACKWARD) for p in graph.pred[node])
+    return False
 
 
 def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
@@ -152,7 +191,7 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
     """
     _check_node_sets(graph, xs, zs, given)
     xs, zs, given = set(xs), set(zs), set(given)
-    desc = _descendant_cache(graph)
+    open_colliders = _ancestral_closure(graph, given)
     endpoints = xs | zs
     found = []
 
@@ -170,7 +209,7 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
             new_nodes = nodes + [nxt]
             new_arrows = arrows + [arrow]
             if nxt in zs:
-                if _path_is_active(new_nodes, new_arrows, given, desc):
+                if _path_is_active(new_nodes, new_arrows, given, open_colliders):
                     found.append(Path(new_nodes, new_arrows, given))
                 continue
             if nxt in endpoints:
@@ -185,36 +224,23 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
 
 def d_separated(graph: nx.DiGraph, xs, zs, given) -> bool:
     """True iff every path between ``xs`` and ``zs`` is blocked by ``given``."""
-    return not active_paths(graph, xs, zs, given)
+    _check_node_sets(graph, xs, zs, given)
+    return not _d_connected(graph, set(xs), set(zs), set(given))
 
 
 # -- strategic relevance ------------------------------------------------------
 
 
-def _relevance_targets(game: CausalGame, decision: str):
-    """The two d-connection tests behind best-response relevance.
+def _relevance_targets(game: CausalGame, mech: str, target: str, graph=None):
+    """The d-connection tests behind best-response relevance.
 
     A mechanism is relevant to a decision's rule node when, in the
     independent mechanised graph, it is either (a) d-connected to the
     deciding agent's utility variables downstream of the decision given the
     decision and its parents, or (b) d-connected to the decision's parents
-    given nothing.
+    given nothing.  Returns the graph and the (targets, conditioning set)
+    pairs whose target set is non-empty.
     """
-    agent = game.agent_of(decision)
-    graph = object_graph(game)
-    downstream = nx.descendants(graph, decision)
-    util_targets = frozenset(
-        u for u in game.utilities_of(agent) if u in downstream
-    )
-    observation_targets = frozenset(game.parents_of(decision))
-    cond = frozenset({decision} | set(game.parents_of(decision)))
-    return util_targets, cond, observation_targets
-
-
-def r_relevant(
-    game: CausalGame, mech: str, target: str, graph: nx.DiGraph | None = None
-) -> bool:
-    """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
     if not target.startswith("PI_"):
         raise ValidationError(f"{target!r} is not a decision-rule node")
     decision = variable_of_mechanism(target)
@@ -224,12 +250,21 @@ def r_relevant(
         graph = independent_mechanised_graph(game)
     if mech not in graph:
         raise ValidationError(f"unknown mechanism node {mech!r}")
-    util_targets, cond, obs_targets = _relevance_targets(game, decision)
-    if util_targets and not d_separated(graph, {mech}, util_targets, cond):
-        return True
-    if obs_targets and not d_separated(graph, {mech}, obs_targets, frozenset()):
-        return True
-    return False
+    downstream = nx.descendants(graph, decision)
+    util_targets = frozenset(
+        u for u in game.utilities_of(game.agent_of(decision)) if u in downstream
+    )
+    parents = frozenset(game.parents_of(decision))
+    tests = ((util_targets, parents | {decision}), (parents, frozenset()))
+    return graph, [(targets, cond) for targets, cond in tests if targets]
+
+
+def r_relevant(
+    game: CausalGame, mech: str, target: str, graph: nx.DiGraph | None = None
+) -> bool:
+    """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
+    graph, tests = _relevance_targets(game, mech, target, graph)
+    return any(not d_separated(graph, {mech}, t, cond) for t, cond in tests)
 
 
 def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
@@ -238,21 +273,8 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     Each path is annotated with the conditioning set of the test it
     witnesses.  Empty exactly when ``r_relevant`` is false.
     """
-    if not target.startswith("PI_"):
-        raise ValidationError(f"{target!r} is not a decision-rule node")
-    decision = variable_of_mechanism(target)
-    if game.kind(decision) != DECISION:
-        raise ValidationError(f"{target!r} is not a decision-rule node")
-    graph = independent_mechanised_graph(game)
-    if mech not in graph:
-        raise ValidationError(f"unknown mechanism node {mech!r}")
-    util_targets, cond, obs_targets = _relevance_targets(game, decision)
-    paths = []
-    if util_targets:
-        paths.extend(active_paths(graph, {mech}, util_targets, cond))
-    if obs_targets:
-        paths.extend(active_paths(graph, {mech}, obs_targets, frozenset()))
-    return paths
+    graph, tests = _relevance_targets(game, mech, target)
+    return [p for t, cond in tests for p in active_paths(graph, {mech}, t, cond)]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import InterventionError
 from .graphs import (
     build_mechanised_graph,
+    independent_mechanised_graph,
+    mechanism_node,
+    r_relevant,
     reachability_paths,
     rule_node,
     variable_of_mechanism,
@@ -34,6 +37,8 @@ from .model import (
     CausalGame,
     TabularCPD,
     Variable,
+    _check_cpd,
+    _dependency_order,
     games_equal,
 )
 
@@ -164,58 +169,18 @@ def as_compound(x) -> CompoundIntervention:
 # -- application ---------------------------------------------------------------
 
 
-def _contexts_for(game: CausalGame, parents: tuple) -> list[tuple]:
-    doms = [game.domain(p) for p in parents]
-    return [tuple(c) for c in itertools.product(*doms)]
+def _require_cpd(game: CausalGame, cpd: TabularCPD, name: str):
+    report = _check_cpd(game, cpd, name)
+    if report:
+        raise InterventionError("; ".join(report))
 
 
-def _validate_cpd(game, cpd, name, parents, domain):
-    if cpd.variable != name:
+def _require_acyclic(names: Sequence[str], parents: Mapping[str, tuple]):
+    _, cycle = _dependency_order(names, parents)
+    if cycle:
         raise InterventionError(
-            f"CPD for {name} declares variable {cpd.variable!r}"
+            "intervention would create a cycle through " + " -> ".join(cycle)
         )
-    if tuple(cpd.parents) != tuple(parents):
-        raise InterventionError(
-            f"CPD for {name} declares parents {cpd.parents}, expected {tuple(parents)}"
-        )
-    want = set(_contexts_for(game, tuple(parents)))
-    got = set(cpd.table.keys())
-    if want != got:
-        raise InterventionError(
-            f"CPD for {name} covers contexts {sorted(got, key=repr)}, "
-            f"expected {sorted(want, key=repr)}"
-        )
-    for ctx, row in cpd.table.items():
-        if len(row) != len(domain):
-            raise InterventionError(
-                f"CPD for {name}: row {ctx} has {len(row)} entries, "
-                f"domain has {len(domain)}"
-            )
-        if any(p < -1e-9 for p in row) or abs(sum(row) - 1.0) > 1e-9:
-            raise InterventionError(
-                f"CPD for {name}: row {ctx} is not a distribution"
-            )
-
-
-def _check_acyclic(names: Sequence[str], parents: Mapping[str, tuple]):
-    color = {n: 0 for n in names}
-
-    def visit(n, stack):
-        color[n] = 1
-        for c in names:
-            if n in parents.get(c, ()):
-                if color[c] == 1:
-                    raise InterventionError(
-                        "intervention would create a cycle through "
-                        + " -> ".join(stack + [c])
-                    )
-                if color[c] == 0:
-                    visit(c, stack + [c])
-        color[n] = 2
-
-    for n in names:
-        if color[n] == 0:
-            visit(n, [n])
 
 
 def _rule_state(game: CausalGame, decision: str) -> tuple:
@@ -236,9 +201,9 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
             raise InterventionError(f"{p.target} cannot be its own parent")
     if len(set(p.parents)) != len(p.parents):
         raise InterventionError(f"duplicate parents for {p.target}")
-    new_parents = dict(game.parents)
-    new_parents[p.target] = tuple(p.parents)
-    _check_acyclic(game.names(), new_parents)
+    # validate against the rewired game so new parent contexts resolve
+    probe = game.with_parents(p.target, p.parents)
+    _require_acyclic(game.names(), probe.parents)
 
     kind = game.kind(p.target)
     cpds = dict(game.cpds)
@@ -254,24 +219,15 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
             prev_parents=game.parents_of(p.target),
             prev_cpd=game.cpds[p.target],
         )
-        # validate against the rewired game so new parent contexts resolve
-        probe = CausalGame(
-            game.n_agents, game.variables, new_parents, cpds,
-            rule_fixes, object_fixed,
-        )
-        _validate_cpd(probe, p.cpd, p.target, p.parents, game.domain(p.target))
+        _require_cpd(probe, p.cpd, p.target)
         cpds[p.target] = p.cpd
     else:
         journal = Journal(
             prev_parents=game.parents_of(p.target),
             prev_rule_state=_rule_state(game, p.target),
         )
-        probe = CausalGame(
-            game.n_agents, game.variables, new_parents, game.cpds,
-            {}, game.object_fixed,
-        )
         if p.cpd is not None:
-            _validate_cpd(probe, p.cpd, p.target, p.parents, game.domain(p.target))
+            _require_cpd(probe, p.cpd, p.target)
             cpds[p.target] = p.cpd
             rule_fixes.pop(p.target, None)
             object_fixed.add(p.target)
@@ -279,9 +235,7 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
             cpds.pop(p.target, None)
             object_fixed.discard(p.target)
             if p.rule_fix is not None:
-                _validate_cpd(
-                    probe, p.rule_fix, p.target, p.parents, game.domain(p.target)
-                )
+                _require_cpd(probe, p.rule_fix, p.target)
                 rule_fixes[p.target] = p.rule_fix
             elif p.target in rule_fixes:
                 raise InterventionError(
@@ -289,7 +243,7 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
                     "rule first"
                 )
     new_game = CausalGame(
-        game.n_agents, game.variables, new_parents, cpds, rule_fixes,
+        game.n_agents, game.variables, probe.parents, cpds, rule_fixes,
         frozenset(object_fixed),
     )
     return new_game, journal
@@ -314,7 +268,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
                 f"{p.target}: a mechanism fix may not change the parent set; "
                 "use an object-level fix"
             )
-        _validate_cpd(game, p.cpd, var, game.parents_of(var), game.domain(var))
+        _require_cpd(game, p.cpd, var)
         journal = Journal(prev_cpd=game.cpds[var])
         cpds = dict(game.cpds)
         cpds[var] = p.cpd
@@ -339,7 +293,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
             raise InterventionError(f"{p.target}: decision rule is not fixed")
         rule_fixes.pop(var)
     else:
-        _validate_cpd(game, p.cpd, var, game.parents_of(var), game.domain(var))
+        _require_cpd(game, p.cpd, var)
         rule_fixes[var] = p.cpd
     return (
         CausalGame(
@@ -422,21 +376,19 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
 
     pos = len(game.variables) if p.index is None else p.index
     variables = game.variables[:pos] + (v,) + game.variables[pos:]
-    _check_acyclic([x.name for x in variables], new_parents)
+    _require_acyclic([x.name for x in variables], new_parents)
 
-    probe = CausalGame(
-        game.n_agents, variables, new_parents, cpds, rule_fixes, object_fixed
-    )
+    probe = CausalGame(game.n_agents, variables, new_parents, cpds)
     if v.kind == DECISION:
         if p.cpd is not None:
-            _validate_cpd(probe, p.cpd, v.name, p.parents, v.domain)
+            _require_cpd(probe, p.cpd, v.name)
             cpds[v.name] = p.cpd
             object_fixed.add(v.name)
         elif p.rule_fix is not None:
-            _validate_cpd(probe, p.rule_fix, v.name, p.parents, v.domain)
+            _require_cpd(probe, p.rule_fix, v.name)
             rule_fixes[v.name] = p.rule_fix
     else:
-        _validate_cpd(probe, p.cpd, v.name, p.parents, v.domain)
+        _require_cpd(probe, p.cpd, v.name)
         cpds[v.name] = p.cpd
 
     # re-validate overridden child CPDs against their final parent tuples
@@ -446,10 +398,7 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     )
     for child in p.children:
         if game.kind(child) != DECISION:
-            _validate_cpd(
-                final, cpds[child], child, new_parents[child],
-                game.domain(child),
-            )
+            _require_cpd(final, cpds[child], child)
     journal = Journal(
         prev_child_cpds=prev_child_cpds, prev_child_parents=prev_child_parents
     )
@@ -475,7 +424,7 @@ def _marginalise_out(game, child, y_name, remaining):
     y_pos = old_parents.index(y_name)
     y_domain = game.domain(y_name)
     table = {}
-    for ctx in _contexts_for(game, tuple(remaining)):
+    for ctx in game.with_parents(child, remaining).contexts(child):
         by_name = dict(zip(remaining, ctx))
         y_ctx = tuple(by_name[q] for q in y_cpd.parents)
         y_row = y_cpd.row(y_ctx)
@@ -546,9 +495,7 @@ def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
     )
     for child in children:
         if game.kind(child) != DECISION:
-            _validate_cpd(
-                final, cpds[child], child, new_parents[child], game.domain(child)
-            )
+            _require_cpd(final, cpds[child], child)
     journal = Journal(
         prev_parents=game.parents_of(p.target),
         prev_cpd=game.cpds.get(p.target),
@@ -709,7 +656,7 @@ def decompose_fix_object(game: CausalGame, p: FixObject) -> list[Primitive]:
             child,
             game.domain(child),
             parents=remaining,
-            contexts=_contexts_for(game, remaining),
+            contexts=game.with_parents(child, remaining).contexts(child),
         )
     remove = RemoveVariable(p.target, child_cpds=placeholder)
     add = AddVariable(
@@ -820,8 +767,8 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
     """
     intervened = apply_all(game, [intervention])
     shared = set(game.names()) & set(intervened.names())
-    from .graphs import mechanism_node  # local to avoid import noise at top
-
+    graph_before = independent_mechanised_graph(game)
+    graph_after = independent_mechanised_graph(intervened)
     for d in game.decisions():
         if d not in shared or intervened.kind(d) != DECISION:
             continue
@@ -833,8 +780,8 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
             mech_after = mechanism_node(intervened, v.name)
             if mech_before != mech_after or mech_before == target:
                 continue
-            pre = bool(reachability_paths(game, mech_before, target))
-            post = bool(reachability_paths(intervened, mech_after, target))
+            pre = r_relevant(game, mech_before, target, graph_before)
+            post = r_relevant(intervened, mech_after, target, graph_after)
             if pre != post:
                 return False
     return True

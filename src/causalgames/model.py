@@ -13,6 +13,7 @@ function of its inputs; nothing here holds shared mutable state.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -161,6 +162,17 @@ class CausalGame:
         object.__setattr__(self, "cpds", dict(self.cpds))
         object.__setattr__(self, "rule_fixes", dict(self.rule_fixes))
         object.__setattr__(self, "object_fixed", frozenset(self.object_fixed))
+        # name index, built once; the first of duplicate names wins
+        by_name: dict[str, Variable] = {}
+        children: dict[str, list[str]] = {}
+        for v in self.variables:
+            by_name.setdefault(v.name, v)
+            for p in set(self.parents.get(v.name, ())):
+                children.setdefault(p, []).append(v.name)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(
+            self, "_children", {p: tuple(cs) for p, cs in children.items()}
+        )
 
     # -- lookups ----------------------------------------------------------
 
@@ -168,13 +180,13 @@ class CausalGame:
         return tuple(v.name for v in self.variables)
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ValidationError(f"unknown variable {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValidationError(f"unknown variable {name!r}") from None
 
     def has_variable(self, name: str) -> bool:
-        return any(v.name == name for v in self.variables)
+        return name in self._by_name
 
     def kind(self, name: str) -> str:
         return self.variable(name).kind
@@ -189,9 +201,7 @@ class CausalGame:
         return self.parents.get(name, ())
 
     def children_of(self, name: str) -> tuple[str, ...]:
-        return tuple(
-            v.name for v in self.variables if name in self.parents.get(v.name, ())
-        )
+        return self._children.get(name, ())
 
     def decisions(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind == DECISION)
@@ -224,6 +234,10 @@ class CausalGame:
         """
         doms = [self.domain(p) for p in self.parents_of(name)]
         return [tuple(c) for c in itertools.product(*doms)]
+
+    def with_parents(self, name: str, parents) -> "CausalGame":
+        """A copy of the game in which ``name`` has the parent tuple ``parents``."""
+        return replace(self, parents={**self.parents, name: tuple(parents)})
 
     def delta_rule(self, decision: str, action) -> TabularCPD:
         return TabularCPD.delta(
@@ -279,43 +293,52 @@ class JointDistribution:
 # -- validation -------------------------------------------------------------
 
 
-def _object_graph_cycle(game: CausalGame) -> list[str] | None:
-    """Return one cycle among object-level variables, or None."""
-    color = {n: 0 for n in game.names()}
-    stack: list[str] = []
+def _dependency_order(names, parents) -> tuple[list[str], list[str] | None]:
+    """Parents-first order of ``names`` and one directed cycle, if any.
 
-    def visit(n):
-        color[n] = 1
-        stack.append(n)
-        for c in game.children_of(n):
-            if color[c] == 1:
-                return stack[stack.index(c):] + [c]
-            if color[c] == 0:
-                found = visit(c)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = 2
-        return None
+    Iterative depth-first search from each name in turn, through parents in
+    parent order; the order lists each node after its parents.  On a cycle
+    the search stops and the cycle is returned in edge direction, first
+    node repeated at the end.
+    """
+    order: list[str] = []
+    state: dict[str, int] = {}  # 1 on the search path, 2 done
+    for root in names:
+        if root in state:
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(parents.get(root, ()))]
+        while pending:
+            for p in pending[-1]:
+                if state.get(p) == 1:
+                    cycle = path[path.index(p):] + [p]
+                    return order, cycle[::-1]
+                if p not in state:
+                    state[p] = 1
+                    path.append(p)
+                    pending.append(iter(parents.get(p, ())))
+                    break
+            else:
+                pending.pop()
+                done = path.pop()
+                state[done] = 2
+                order.append(done)
+    return order, None
 
-    for n in game.names():
-        if color[n] == 0:
-            found = visit(n)
-            if found:
-                return found
-    return None
 
-
-def _check_cpd(game, cpd, name, expect_parents, report, eps):
+def _check_cpd(
+    game: CausalGame, cpd: TabularCPD, name: str, eps: float = PROB_EPS
+) -> list[str]:
+    """Violations of ``cpd`` as the CPD of ``name`` under the game's parents."""
     if cpd.variable != name:
-        report.append(f"{name}: CPD declares variable {cpd.variable!r}")
-        return
-    if tuple(cpd.parents) != tuple(expect_parents):
-        report.append(
+        return [f"{name}: CPD declares variable {cpd.variable!r}"]
+    if tuple(cpd.parents) != game.parents_of(name):
+        return [
             f"{name}: CPD parents {cpd.parents} do not match game parents "
-            f"{tuple(expect_parents)}"
-        )
-        return
+            f"{game.parents_of(name)}"
+        ]
+    report = []
     want = set(map(tuple, game.contexts(name)))
     got = set(cpd.table.keys())
     for missing in sorted(want - got, key=repr):
@@ -334,6 +357,7 @@ def _check_cpd(game, cpd, name, expect_parents, report, eps):
             report.append(f"{name}: row {ctx} has a negative entry")
         if abs(sum(row) - 1.0) > eps:
             report.append(f"{name}: row {ctx} sums to {sum(row)!r}, not 1")
+    return report
 
 
 def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
@@ -381,7 +405,7 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     if report:
         return report
 
-    cycle = _object_graph_cycle(game)
+    _, cycle = _dependency_order(game.names(), game.parents)
     if cycle:
         report.append("object-level graph has a cycle: " + " -> ".join(cycle))
         return report
@@ -401,18 +425,12 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
                     "object-fixed"
                 )
             if v.name in game.rule_fixes:
-                _check_cpd(
-                    game, game.rule_fixes[v.name], v.name,
-                    game.parents_of(v.name), report, eps,
-                )
+                report += _check_cpd(game, game.rule_fixes[v.name], v.name, eps)
         else:
             if not pinned:
                 report.append(f"{v.name}: missing CPD")
         if pinned:
-            _check_cpd(
-                game, game.cpds[v.name], v.name, game.parents_of(v.name),
-                report, eps,
-            )
+            report += _check_cpd(game, game.cpds[v.name], v.name, eps)
     for name in game.rule_fixes:
         if name not in seen or game.kind(name) != DECISION:
             report.append(f"rule fix on non-decision {name!r}")
@@ -454,43 +472,30 @@ def induced_joint(game: CausalGame, profile: PolicyProfile) -> JointDistribution
     names = game.names()
     domains = tuple(game.domain(n) for n in names)
     # the declared variable order need not be topological (added variables
-    # append at the end); walk in dependency order, keep keys in game order
-    order: list[int] = []
-    seen: set[str] = set()
-
-    def push(name):
-        if name in seen:
-            return
-        seen.add(name)
-        for p in game.parents_of(name):
-            push(p)
-        order.append(names.index(name))
-
-    for n in names:
-        push(n)
-    pidx = {
-        i: tuple(names.index(p) for p in game.parents_of(names[i]))
-        for i in order
-    }
-    tables = {i: factors[names[i]].table for i in order}
-    table = {}
-    assignment = [None] * len(names)
-
-    def descend(k, prob):
-        if k == len(order):
-            table[tuple(assignment)] = prob
-            return
-        i = order[k]
-        row = tables[i][tuple(assignment[j] for j in pidx[i])]
-        dom = domains[i]
-        for vi, p in enumerate(row):
-            if p == 0.0:
-                continue
-            assignment[i] = dom[vi]
-            descend(k + 1, prob * p)
-        assignment[i] = None
-
-    descend(0, 1.0)
+    # append at the end); expand rows in dependency order, one variable at
+    # a time, and key them in game order
+    order, _ = _dependency_order(names, game.parents)
+    position = {n: k for k, n in enumerate(order)}
+    rows = [((), 1.0)]
+    for name in order:
+        cpd_table = factors[name].table
+        singles = [(v,) for v in game.domain(name)]
+        at = [position[p] for p in game.parents_of(name)]
+        if len(at) > 1:
+            context_of = itemgetter(*at)
+        else:  # a slice keeps the context a tuple
+            context_of = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+        rows = [
+            (values + singles[vi], prob * p)
+            for values, prob in rows
+            for vi, p in enumerate(cpd_table[context_of(values)])
+            if p != 0.0
+        ]
+    if order == list(names):
+        table = dict(rows)
+    else:
+        key = tuple(position[n] for n in names)
+        table = {tuple(values[k] for k in key): prob for values, prob in rows}
     return JointDistribution(names, domains, table)
 
 
@@ -573,8 +578,3 @@ def games_equal(a: CausalGame, b: CausalGame, eps: float = PROB_EPS) -> bool:
         if any(not cpds_equal(ma[k], mb[k], eps) for k in ma):
             return False
     return True
-
-
-def with_updates(game: CausalGame, **changes) -> CausalGame:
-    """Convenience wrapper around dataclasses.replace."""
-    return replace(game, **changes)

@@ -9,19 +9,23 @@ Evaluation walks the stages of a visibility decomposition.  Each stage
 applies its primitives to the running game, solves the *stage-visible* game
 (every agent treated as rational in it; earlier stage fixes are realized-play
 bookkeeping, not solve constraints), and pins the stage's agents to their
-rules from a rational outcome.  A direct fix of a decision-rule node
-overrides the owner's realized rule only when some agent at the same or a
-later stage can observe it: an intervention on a rule that nobody will ever
-see cannot re-bind a policy that has already been resolved.  Object-level
+rules from a rational outcome.  A direct fix of a decision-rule node, or
+its removal, re-binds the owner's realized rule only when some agent at the
+same or a later stage can observe it: an intervention on a rule that nobody
+will ever see cannot re-bind a policy that has already been resolved.
+Stage games do not depend on earlier choices, so each is solved once and
+the evaluator branches over its outcomes.  Object-level
 fixes of decisions always bind.  The final joint combines the last game
 state with the realized rules.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .equilibrium import pure_nash, behavioral_nash_small
@@ -393,6 +397,11 @@ class QueryJob:
         return self.query
 
     def decomposition(self) -> Decomposition:
+        """The visibility decomposition, computed once per job."""
+        return self._decomposition
+
+    @cached_property
+    def _decomposition(self) -> Decomposition:
         return decompose(
             self.game,
             self.interventions,
@@ -468,8 +477,7 @@ def _prim_binds(prim, stage_idx, stages):
 def evaluate_query(job: QueryJob) -> QueryResult:
     """Run the staged evaluator and fold the leaves per the query's mode."""
     query = job.parsed_query()
-    dec = job.decomposition()
-    stages = dec.stages
+    stages = job.decomposition().stages
     rng = random.Random(job.seed)
     leaves: list[Leaf] = []
     trace: list[dict] = []
@@ -490,12 +498,11 @@ def evaluate_query(job: QueryJob) -> QueryResult:
         joint = induced_joint(stripped, PolicyProfile(rules))
         return _eval_formula(query.body, game, joint, job.epsilon), rules
 
-    def walk(idx, game, realized, choices):
-        if idx == len(stages):
-            value, rules = final_value(game, realized)
-            leaves.append(Leaf(tuple(choices), value, rules))
-            return
-        stage = stages[idx]
+    # The stage games do not depend on the branch: apply each stage's
+    # primitives and solve its game once, then branch over the outcomes.
+    game = job.game
+    plan = []  # per stage: (trace record, realized-rule edits, branches)
+    for idx, stage in enumerate(stages):
         record = {
             "stage": idx,
             "applied": [type(p).__name__ for p in stage.primitives],
@@ -503,7 +510,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             "suppressed": [],
             "a_prime": [],
         }
-        new_realized = dict(realized)
+        edits = []  # (decision, rule), or (decision, None) to forget it
         for prim in stage.primitives:
             binds, decision = _prim_binds(prim, idx, stages)
             game = apply_primitive(game, prim)
@@ -511,18 +518,15 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             if touched is not None:
                 record["a_prime"].append(touched)
             if decision is not None:
-                if binds and prim.cpd is not None:
-                    new_realized[decision] = prim.cpd
-                elif prim.cpd is not None:
-                    record["suppressed"].append(prim.target)
+                if binds:
+                    edits.append((decision, prim.cpd))
                 else:
-                    new_realized.pop(decision, None)
+                    record["suppressed"].append(prim.target)
             if isinstance(prim, (FixObject, RemoveVariable)):
-                new_realized.pop(prim.target, None)
+                edits.append((prim.target, None))
         if not stage.agents:
-            trace.append(record)
-            walk(idx + 1, game, new_realized, choices + [None])
-            return
+            plan.append((record, edits, [(None, {})]))
+            continue
         outcomes = _stage_outcomes(game, job.relation, job.include_behavioral)
         if not outcomes:
             raise SolverError(
@@ -536,30 +540,36 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             for d in game.free_decisions_of(a)
         ]
         if job.mix_ties:
-            fixed = dict(new_realized)
-            for d in to_fix:
-                fixed[d] = _mixture_rule(game, d, outcomes)
             record["choice"] = "mix-ties"
-            trace.append(record)
-            walk(idx + 1, game, fixed, choices + ["mix"])
-            return
-        if query.mode == "sampled":
-            k = rng.randrange(len(outcomes))
-            record["choice"] = k
-            trace.append(record)
-            fixed = dict(new_realized)
-            for d in to_fix:
-                fixed[d] = outcomes[k][d]
-            walk(idx + 1, game, fixed, choices + [k])
-            return
-        trace.append(record)
-        for k, outcome in enumerate(outcomes):
-            fixed = dict(new_realized)
-            for d in to_fix:
-                fixed[d] = outcome[d]
-            walk(idx + 1, game, fixed, choices + [k])
+            mixed = {d: _mixture_rule(game, d, outcomes) for d in to_fix}
+            branches = [("mix", mixed)]
+        else:
+            if query.mode == "sampled":
+                k = rng.randrange(len(outcomes))
+                record["choice"] = k
+                picked = [k]
+            else:
+                picked = range(len(outcomes))
+            branches = [(k, {d: outcomes[k][d] for d in to_fix}) for k in picked]
+        plan.append((record, edits, branches))
 
-    walk(0, job.game, {}, [])
+    def walk(idx, realized, choices):
+        if idx == len(plan):
+            value, rules = final_value(game, realized)
+            leaves.append(Leaf(tuple(choices), value, rules))
+            return
+        record, edits, branches = plan[idx]
+        trace.append(copy.deepcopy(record))
+        realized = dict(realized)
+        for decision, rule in edits:
+            if rule is None:
+                realized.pop(decision, None)
+            else:
+                realized[decision] = rule
+        for choice, rules in branches:
+            walk(idx + 1, {**realized, **rules}, choices + [choice])
+
+    walk(0, {}, [])
 
     values = [leaf.value for leaf in leaves]
     bare = not isinstance(

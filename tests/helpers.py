@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from causalgames.model import (
     CausalGame,
     PolicyProfile,
@@ -145,7 +147,37 @@ def brute_force_joint(game: CausalGame, profile: PolicyProfile) -> dict:
 def numeric_conditional_independence(
     joint: dict, names: list, domains: dict, xs, zs, given, tol=1e-7
 ) -> bool:
-    """Check P(x | y, z) == P(x | y) for all instantiations with P(y, z) > 0."""
+    """Check P(x | y, z) == P(x | y) for all instantiations with P(y, z) > 0.
+
+    The joint table becomes a dense array with one axis per variable, in
+    ``names`` order; marginals are sums over axes.
+    """
+    xs, zs, given = sorted(xs), sorted(zs), sorted(given)
+    dense = np.zeros([len(domains[n]) for n in names])
+    for inst, p in joint.items():
+        dense[tuple(domains[n].index(v) for n, v in zip(names, inst))] += p
+    keep = given + zs + xs
+    p_yzx = np.moveaxis(
+        dense.sum(axis=tuple(i for i, n in enumerate(names) if n not in keep)),
+        [sorted(keep, key=names.index).index(n) for n in keep],
+        range(len(keep)),
+    )
+    ny, nz = len(given), len(zs)
+    z_axes = tuple(range(ny, ny + nz))
+    x_axes = tuple(range(ny + nz, len(keep)))
+    p_yz = p_yzx.sum(axis=x_axes, keepdims=True)
+    p_y = p_yz.sum(axis=z_axes, keepdims=True)
+    p_yx = p_yzx.sum(axis=z_axes, keepdims=True)
+    defined = np.broadcast_to((p_y > 0.0) & (p_yz > 0.0), p_yzx.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(p_yzx / p_yz - p_yx / p_y)
+    return not np.any(gap[defined] > tol)
+
+
+def loop_conditional_independence(
+    joint: dict, names: list, domains: dict, xs, zs, given, tol=1e-7
+) -> bool:
+    """Loop form of ``numeric_conditional_independence``, its reference."""
     xs, zs, given = sorted(xs), sorted(zs), sorted(given)
 
     def marg(assign):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from causalgames import (
     CausalGame,
@@ -13,12 +15,22 @@ from causalgames import (
     apply_primitive,
     build_mechanised_graph,
     d_separated,
+    export_dot,
+    incentive_invariant,
     independent_mechanised_graph,
     object_graph,
     r_relevant,
     reachability_paths,
+    side_effects,
 )
-from helpers import numeric_conditional_independence, random_cbn
+from causalgames import graphs
+from causalgames.cli import resolve_game
+from causalgames.graphs import mechanism_node, rule_node
+from helpers import (
+    loop_conditional_independence,
+    numeric_conditional_independence,
+    random_cbn,
+)
 
 JM_EDGES_INTO_PI_D1 = {"THETA_T", "THETA_U1", "PI_D2"}
 JM_EDGES_INTO_PI_D2 = {"THETA_T", "THETA_U2", "PI_D1"}
@@ -183,3 +195,108 @@ def test_d_separation_agrees_with_numeric_oracle_small():
                             assert numeric_conditional_independence(
                                 joint.table, names, domains, {x}, {z}, set(given)
                             )
+
+
+# -- the reachable-set search against path enumeration ------------------------
+
+
+@st.composite
+def _graph_query(draw):
+    n = draw(st.integers(2, 7))
+    nodes = [f"N{i}" for i in range(n)]
+    acyclic = draw(st.booleans())
+    pairs = [
+        (a, b) for i, a in enumerate(nodes) for j, b in enumerate(nodes)
+        if (i < j if acyclic else i != j)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(nodes)
+    role = draw(st.lists(st.sampled_from("xzgr"), min_size=n, max_size=n))
+    assume("x" in role and "z" in role)
+    xs, zs, given = ({v for v, r in zip(nodes, role) if r == k} for k in "xzg")
+    return g, xs, zs, given
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_query())
+def test_d_separated_agrees_with_path_enumeration(query):
+    g, xs, zs, given = query
+    assert d_separated(g, xs, zs, given) == (not active_paths(g, xs, zs, given))
+
+
+def test_yes_no_answers_need_no_path_enumeration(monkeypatch):
+    fixtures = {
+        name: resolve_game(name)
+        for name in ("job_market", "effortville", "prisoners_dilemma", "stackelberg")
+    }
+
+    def enumerated_edges(game):
+        return {
+            (mech, rule_node(d))
+            for d in game.decisions()
+            if d not in game.rule_fixes
+            for mech in (mechanism_node(game, v.name) for v in game.variables)
+            if mech != rule_node(d) and reachability_paths(game, mech, rule_node(d))
+        }
+
+    def intervention(game):
+        d = game.decisions()[0]
+        return FixObject(d, (), TabularCPD.delta(d, game.domain(d)[0], game.domain(d)))
+
+    expected = {}
+    for name, game in fixtures.items():
+        intervened = apply_primitive(game, intervention(game))
+        before, after = enumerated_edges(game), enumerated_edges(intervened)
+        pairs = [
+            (mech, target)
+            for mech in (mechanism_node(game, v.name) for v in game.variables)
+            for target in (rule_node(d) for d in game.decisions())
+            if mech != target
+        ]
+        relevance = {p: bool(reachability_paths(game, *p)) for p in pairs}
+        # a hard fix keeps every variable and kind, so every pair is shared
+        invariant = all(
+            bool(reachability_paths(intervened, *p)) == relevance[p] for p in pairs
+        )
+        expected[name] = (
+            before,
+            relevance,
+            (before - after, after - before),
+            invariant,
+            export_dot(game, "mechanised"),
+        )
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a yes/no question enumerated paths")
+
+    monkeypatch.setattr(graphs, "active_paths", no_paths)
+    for name, game in fixtures.items():
+        edges, relevance, (removed, added), invariant, dot = expected[name]
+        assert build_mechanised_graph(game).inter_mechanism_edges == edges
+        for (mech, target), relevant in relevance.items():
+            assert r_relevant(game, mech, target) == relevant
+        report = side_effects(game, intervention(game))
+        assert (report.removed, report.added) == (removed, added)
+        assert incentive_invariant(game, intervention(game)) is invariant
+        assert export_dot(game, "mechanised") == dot
+
+
+def test_vectorised_independence_oracle_matches_loop_form():
+    rng = random.Random(17)
+    from causalgames.model import PolicyProfile, induced_joint
+
+    verdicts = set()
+    for _ in range(5):
+        game = random_cbn(rng)
+        joint = induced_joint(game, PolicyProfile({})).table
+        names = list(game.names())
+        domains = {n: game.domain(n) for n in names}
+        for x, z, *rest in itertools.permutations(names, 3):
+            for given in (set(), {rest[0]}):
+                for xs in ({x}, {x, *rest} - given):
+                    args = (joint, names, domains, xs, {z}, given)
+                    verdict = numeric_conditional_independence(*args)
+                    assert verdict == loop_conditional_independence(*args)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causalgames
 from causalgames import (
+    CausalGame,
     GameFileError,
+    PolicyProfile,
+    Variable,
+    induced_joint,
     export_dot,
     FixObject,
     TabularCPD,
@@ -94,6 +103,24 @@ query: "forall ne: E[1] >= -2"
     loaded = load_scenario(str(scenario))
     final = apply_all(loaded.game, [c for _, c in loaded.interventions])
     assert games_equal(final, prisoners)
+
+
+def test_scenario_value_fix_with_unknown_parent_is_an_error(tmp_path, prisoners, capsys):
+    (tmp_path / "pd.game.yaml").write_text(serialize_game(prisoners))
+    scenario = tmp_path / "s.scenario.yaml"
+    scenario.write_text(
+        """
+game: pd.game.yaml
+interventions:
+  - label: force
+    kind: fix_object
+    target: D1
+    parents: [NOPE]
+    value: C
+"""
+    )
+    assert main(["intervene", str(scenario)]) == 1
+    assert "error: unknown variable 'NOPE'" in capsys.readouterr().err
 
 
 # -- DOT export --------------------------------------------------------------------
@@ -283,3 +310,31 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_deep_chain_validates_and_joins_without_recursion(tmp_path):
+    n = 1200
+    names = [f"X{i}" for i in range(n)]
+    copy_row = {("a",): (1.0, 0.0), ("b",): (0.0, 1.0)}
+    game = CausalGame(
+        1,
+        tuple(Variable(x, "chance", ("a", "b")) for x in names),
+        {x: names[max(i - 1, 0):i] for i, x in enumerate(names)},
+        {
+            x: TabularCPD(x, tuple(names[max(i - 1, 0):i]), copy_row if i else {(): (1.0, 0.0)})
+            for i, x in enumerate(names)
+        },
+    )
+    path = tmp_path / "deep.game.yaml"
+    path.write_text(serialize_game(game))
+    src = str(Path(causalgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "causalgames.cli", "validate", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr
+    joint = induced_joint(game, PolicyProfile({}))
+    assert list(joint.table.values()) == [1.0]
+    assert next(iter(joint.table)) == ("a",) * n

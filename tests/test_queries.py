@@ -14,6 +14,8 @@ from causalgames import (
     parse_query,
     pure_nash,
 )
+from causalgames import queries
+from causalgames.cli import main
 from causalgames.queries import Comparison, Const, Prob, Utility
 
 
@@ -170,6 +172,67 @@ def test_exhaustive_matches_sampled_with_unique_outcomes(stackelberg):
         )
         assert exhaustive.verdict == pytest.approx(sampled.verdict)
         assert len(exhaustive.leaves) == 1
+
+
+def test_unseen_commitment_and_unfix_change_nothing(stackelberg):
+    rule = stackelberg.delta_rule("D1", "B")
+    job = QueryJob(
+        game=stackelberg,
+        interventions=(
+            ("commit", FixMechanism("PI_D1", rule)),
+            ("uncommit", FixMechanism("PI_D1", None)),
+        ),
+        visibility={},
+        query="forall ne: E[1]",
+    )
+    result = evaluate_query(job)
+    plain = evaluate_query(QueryJob(game=stackelberg, query="forall ne: E[1]"))
+    assert result.verdict == pytest.approx(plain.verdict)
+    assert result.leaf_values == pytest.approx(plain.leaf_values)
+    assert result.trace[-1]["suppressed"] == ["PI_D1", "PI_D1"]
+
+
+def test_stage_game_solved_once_per_stage(effortville, monkeypatch):
+    calls = []
+    original = queries._stage_outcomes
+
+    def counted(game, *args):
+        calls.append(game)
+        return original(game, *args)
+
+    monkeypatch.setattr(queries, "_stage_outcomes", counted)
+    u2 = TabularCPD("U2", ("T", "D2"), {("h", "j"): (1.0, 0.0), ("h", "nj"): (0.0, 1.0)})
+    job = QueryJob(
+        game=effortville,
+        interventions=(
+            ("theta_t", FixMechanism("THETA_T", effortville.cpds["T"])),
+            ("theta_u2", FixMechanism("THETA_U2", u2)),
+        ),
+        visibility={1: ("theta_t",), 2: ("theta_u2",)},
+        query="forall ne: E[1]",
+    )
+    result = evaluate_query(job)
+    assert len(calls) == 2
+    first = len(pure_nash(apply_all(effortville, [job.interventions[0][1]])).outcomes)
+    assert first == 3
+    # one trace entry per visit of a stage: the agentless stage, agent 1's
+    # stage, and agent 2's stage once per branch of agent 1's outcomes
+    assert [entry["stage"] for entry in result.trace] == [0, 1] + [2] * first
+    assert len(result.leaves) == first * result.trace[-1]["outcomes"]
+
+
+def test_cli_query_decomposes_once(monkeypatch, capsys):
+    calls = []
+    original = queries.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(queries, "decompose", counted)
+    assert main(["query", "reward_hidden"]) == 0
+    assert len(calls) == 1
+    assert "verdict:" in capsys.readouterr().out
 
 
 def test_results_replay_deterministically(stackelberg, prisoners):
