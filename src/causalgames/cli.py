@@ -194,13 +194,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mech_graph(args) -> int:
     game = resolve_game(args.game)
-    text = export_dot(game, args.which)
     if args.json:
         mg = build_mechanised_graph(game)
         _emit(
             args,
             {
-                "dot": text,
+                "dot": export_dot(game, args.which, mg),
                 "inter_mechanism_edges": sorted(
                     list(e) for e in mg.inter_mechanism_edges
                 ),
@@ -208,7 +207,7 @@ def _cmd_mech_graph(args) -> int:
             [],
         )
     else:
-        print(text, end="")
+        print(export_dot(game, args.which), end="")
     return 0
 
 

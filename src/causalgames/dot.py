@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import build_mechanised_graph, mechanism_node
+from .graphs import MechanisedGraph, build_mechanised_graph, mechanism_node
 from .model import CHANCE, DECISION, UTILITY, CausalGame
 
 _AGENT_COLORS = (
@@ -26,11 +26,14 @@ def _object_node_line(game, v):
     return f'  "{v.name}" [{", ".join(attrs)}];'
 
 
-def export_dot(game: CausalGame, which: str = "object") -> str:
+def export_dot(
+    game: CausalGame, which: str = "object", graph: MechanisedGraph | None = None
+) -> str:
     """Graph description text with stable node and edge ordering.
 
     Object nodes are styled by kind and agent, mechanism nodes are dashed,
-    and inter-mechanism edges are grey.
+    and inter-mechanism edges are grey.  ``graph``, when given, is the
+    game's mechanised graph, already built.
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
@@ -42,7 +45,7 @@ def export_dot(game: CausalGame, which: str = "object") -> str:
             lines.append(f'  "{p}" -> "{v.name}";')
     if which != "object":
         if which == "mechanised":
-            mg = build_mechanised_graph(game)
+            mg = graph if graph is not None else build_mechanised_graph(game)
             inter = sorted(mg.inter_mechanism_edges)
             mech_edges = list(mg.mechanism_edges)
         else:

@@ -34,6 +34,16 @@ from .model import (
 )
 
 EQ_EPS = 1e-7
+# affine coefficients at or below this are rounding left by cancelled terms
+COEFF_EPS = 1e-12
+# pivots and residuals of the indifference system at or below this are zero
+PIVOT_EPS = 1e-9
+# support-enumeration candidates carry solver rounding: verify with slack
+VERIFY_EPS = 1e-6
+# behavioral points closer than this in every entry are the same point
+SAME_POINT_EPS = 1e-9
+# commitment utilities are affine in one probability; smaller gaps are ties
+COMMIT_EPS = 1e-12
 
 
 def _require_best_response(relation: RationalityRelation):
@@ -186,52 +196,37 @@ def pure_nash(
 ) -> RationalOutcomeSet:
     """Exhaustive scan over pure full profiles, keeping the equilibria.
 
-    Utilities for every profile are tabulated once; a profile is kept when
-    no agent improves by more than ``eps`` through any joint deviation of
-    their own decisions.
+    Utilities for every profile are tabulated once, together with each
+    agent's best utility for every setting of the other agents' rules; a
+    profile is kept when no agent's best exceeds their utility by more than
+    ``eps``, that is, no joint deviation of their own decisions improves.
     """
     _require_best_response(relation)
     decisions = game.free_decisions()
     rule_lists = [enumerate_pure_rules(game, d) for d in decisions]
-    combos = list(itertools.product(*[range(len(r)) for r in rule_lists]))
     agents = [a for a in range(1, game.n_agents + 1) if game.free_decisions_of(a)]
-    own = {
-        a: [i for i, d in enumerate(decisions) if game.agent_of(d) == a]
+    others = {
+        a: [i for i, d in enumerate(decisions) if game.agent_of(d) != a]
         for a in agents
     }
-    eu = {}
-    for combo in combos:
+    tabulated = []
+    best = {a: {} for a in agents}
+    for combo in itertools.product(*[range(len(r)) for r in rule_lists]):
         profile = PolicyProfile(
             {d: rule_lists[i][combo[i]] for i, d in enumerate(decisions)}
         )
         joint = induced_joint(game, profile)
-        eu[combo] = {
-            a: expected_utility_from_joint(game, joint, a) for a in agents
-        }
-    outcomes = []
-    for combo in combos:
-        is_ne = True
+        eu = {a: expected_utility_from_joint(game, joint, a) for a in agents}
+        keys = {a: tuple(combo[i] for i in others[a]) for a in agents}
         for a in agents:
-            base = eu[combo][a]
-            for alt in combos:
-                if any(
-                    alt[i] != combo[i]
-                    for i in range(len(decisions))
-                    if i not in own[a]
-                ):
-                    continue
-                if eu[alt][a] > base + eps:
-                    is_ne = False
-                    break
-            if not is_ne:
-                break
-        if is_ne:
-            outcomes.append(
-                PolicyProfile(
-                    {d: rule_lists[i][combo[i]] for i, d in enumerate(decisions)}
-                )
-            )
-    return RationalOutcomeSet(tuple(outcomes), mode="pure_exhaustive")
+            best[a][keys[a]] = max(best[a].get(keys[a], eu[a]), eu[a])
+        tabulated.append((profile, eu, keys))
+    outcomes = tuple(
+        profile
+        for profile, eu, keys in tabulated
+        if not any(best[a][keys[a]] > eu[a] + eps for a in agents)
+    )
+    return RationalOutcomeSet(outcomes, mode="pure_exhaustive")
 
 
 def sample_rational_outcome(
@@ -277,7 +272,7 @@ class _Affine:
             out.coeffs[k] = out.coeffs.get(k, 0.0) - v
         return out
 
-    def pruned(self, tol=1e-12):
+    def pruned(self, tol=COEFF_EPS):
         return _Affine(
             self.const,
             {k: v for k, v in self.coeffs.items() if abs(v) > tol},
@@ -302,100 +297,65 @@ def _check_behavioral_supported(game: CausalGame):
             raise SolverError("unsupported size: more than 4 decision contexts")
 
 
-def _instantiations(game: CausalGame):
-    names = game.names()
-    domains = [game.domain(n) for n in names]
-    pidx = {n: tuple(names.index(p) for p in game.parents_of(n)) for n in names}
-    return names, domains, pidx
+def _row_terms(game: CausalGame, decisions) -> list[tuple]:
+    """Each free decision's share of every positive row of the pinned joint.
 
-
-def _action_value_affine(game, inst_data, sigma, unknown_of, decision, ctx, action):
-    """Affine form of d E[U^agent] / d pi_decision(action | ctx).
-
-    Sums, over all instantiations consistent with the decision taking
-    ``action`` in context ``ctx``, the product of every other factor (the
-    opponent's factor stays symbolic) times the agent's utility total.
+    The joint comes from one ``induced_joint`` call in which every free
+    decision weights each of its actions 1, so a row's weight is the product
+    of the pinned factors alone and rows with a zero factor are absent.  A
+    term ``(slot, action, other_slot, other_action, value)`` says that the
+    row, with the decision taking ``action`` in ``slot``, adds ``value`` (the
+    weight times the owner's utility total) to that action's value, times
+    the other free decision's probability of ``other_action`` in
+    ``other_slot``.  Without another free decision both are None.
     """
-    names, domains, pidx = inst_data
-    agent = game.agent_of(decision)
-    util_names = set(game.utilities_of(agent))
-    d_i = names.index(decision)
-    ctx_idx = pidx[decision]
-    total = _Affine()
-    for inst in itertools.product(*domains):
-        if inst[d_i] != action:
-            continue
-        if tuple(inst[j] for j in ctx_idx) != ctx:
-            continue
-        weight = 1.0
-        unknown = None
-        complement = False
-        dead = False
-        for i, n in enumerate(names):
-            if n == decision:
-                continue
-            local_ctx = tuple(inst[j] for j in pidx[n])
-            cpd = game.factor_cpd(n)
-            if cpd is not None:
-                p = cpd.row(local_ctx)[domains[i].index(inst[i])]
-                if p == 0.0:
-                    dead = True
-                    break
-                weight *= p
-                continue
-            # the opponent's free decision: symbolic
-            key = (n, local_ctx)
-            support = sigma[key]
-            a_i = domains[i].index(inst[i])
-            if len(support) == 1:
-                if a_i != support[0]:
-                    dead = True
-                    break
-                continue
-            if unknown is not None:
-                raise SolverError(
-                    "unsupported size: an agent owns more than one free decision"
-                )
-            unknown = unknown_of[key]
-            complement = a_i == 1
-        if dead:
-            continue
-        util = sum(inst[names.index(u)] for u in util_names)
-        if util == 0.0 and unknown is None:
-            continue
-        total.add_term(weight * util, unknown, complement)
-    return total.pruned()
+    weigh_all = PolicyProfile({
+        d: TabularCPD(
+            d, game.parents_of(d),
+            {c: (1.0,) * len(game.domain(d)) for c in game.contexts(d)},
+        )
+        for d in decisions
+    })
+    joint = induced_joint(game, weigh_all)
+    at = {n: i for i, n in enumerate(joint.variables)}
+    ctx_at = [[at[p] for p in game.parents_of(d)] for d in decisions]
+    util_at = [
+        [at[u] for u in game.utilities_of(game.agent_of(d))] for d in decisions
+    ]
+    terms = []
+    for inst, weight in joint.table.items():
+        placed = [
+            (
+                (d, tuple(inst[j] for j in ctx_at[k])),
+                game.domain(d).index(inst[at[d]]),
+            )
+            for k, d in enumerate(decisions)
+        ]
+        for k, (slot, action) in enumerate(placed):
+            other, a_other = placed[1 - k] if len(placed) == 2 else (None, None)
+            util = sum(inst[j] for j in util_at[k])
+            terms.append((slot, action, other, a_other, weight * util))
+    return terms
 
 
-def _context_reached(game, inst_data, sigma, decision, ctx) -> bool:
-    """Whether a decision context has positive probability under a support.
+def _slot_values(terms, sigma, unknown_of):
+    """Reached slots and their two action values under one support pattern.
 
-    True iff some instantiation consistent with the context keeps every
-    pinned factor positive and every free decision inside its support.
+    A slot is reached when some positive row puts the other free decision
+    inside its support; an action's value is an affine form in the other
+    decision's unknowns (``q`` for its first action, ``1 - q`` for its
+    second) of d E[U^agent] / d pi(action | slot).
     """
-    names, domains, pidx = inst_data
-    ctx_idx = pidx[decision]
-    for inst in itertools.product(*domains):
-        if tuple(inst[j] for j in ctx_idx) != ctx:
+    values: dict = {}
+    for slot, action, other, a_other, value in terms:
+        if other is not None and a_other not in sigma[other]:
             continue
-        ok = True
-        for i, n in enumerate(names):
-            local_ctx = tuple(inst[j] for j in pidx[n])
-            cpd = game.factor_cpd(n)
-            if cpd is not None:
-                if cpd.row(local_ctx)[domains[i].index(inst[i])] == 0.0:
-                    ok = False
-                    break
-            elif n != decision:
-                if domains[i].index(inst[i]) not in sigma[(n, local_ctx)]:
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
+        pair = values.setdefault(slot, (_Affine(), _Affine()))
+        pair[action].add_term(value, unknown_of.get(other), a_other == 1)
+    return {slot: tuple(v.pruned() for v in pair) for slot, pair in values.items()}
 
 
-def _solve_linear(equations, unknowns, tol=1e-9):
+def _solve_linear(equations, unknowns, tol=PIVOT_EPS):
     """Solve affine == 0 equations; return (pinned values, free unknowns).
 
     Returns None when inconsistent.  Raises when a pinned unknown would
@@ -474,7 +434,7 @@ def behavioral_nash_small(
     _require_best_response(relation)
     _check_behavioral_supported(game)
     decisions = game.free_decisions()
-    inst_data = _instantiations(game)
+    terms = _row_terms(game, decisions)
     slots = [(d, tuple(ctx)) for d in decisions for ctx in game.contexts(d)]
     support_options = [((0,), (1,), (0, 1))] * len(slots)
 
@@ -493,25 +453,15 @@ def behavioral_nash_small(
             if len(sigma[slot]) == 2
         }
         unknowns = [unknown_of[s] for s in slots if s in unknown_of]
-        reached = {
-            slot: _context_reached(game, inst_data, sigma, slot[0], slot[1])
-            for slot in slots
-        }
+        values = _slot_values(terms, sigma, unknown_of)
 
         equations = []
         inequalities = []  # affine forms required >= -eps
         feasible = True
         for slot in slots:
-            d, ctx = slot
-            if not reached[slot]:
+            if slot not in values:  # unreached under this support pattern
                 continue
-            domain = game.domain(d)
-            vals = [
-                _action_value_affine(
-                    game, inst_data, sigma, unknown_of, d, ctx, domain[a]
-                )
-                for a in range(2)
-            ]
+            vals = values[slot]
             if len(sigma[slot]) == 2:
                 equations.append(vals[0].minus(vals[1]))
             else:
@@ -573,7 +523,7 @@ def behavioral_nash_small(
             )
             fam = BehavioralFamily(decisions, entries, params, **fam_meta)
             ok = all(
-                verify_rational_outcome(game, prof, relation, eps=1e-6)
+                verify_rational_outcome(game, prof, relation, eps=VERIFY_EPS)
                 for prof in fam.extreme_profiles()
             )
             if ok and not any(
@@ -585,10 +535,10 @@ def behavioral_nash_small(
         else:
             fam = BehavioralFamily(decisions, entries, (), **fam_meta)
             profile = fam.instantiate({})
-            if verify_rational_outcome(game, profile, relation, eps=1e-6):
+            if verify_rational_outcome(game, profile, relation, eps=VERIFY_EPS):
                 if not any(
                     all(
-                        cpds_equal(profile[d], q[d], 1e-9)
+                        cpds_equal(profile[d], q[d], SAME_POINT_EPS)
                         for d in decisions
                     )
                     for q in points
@@ -718,7 +668,7 @@ def optimal_commitment(
             value = max(
                 la * p + lb
                 for (la, lb), (fa, fb) in zip(l_affine, f_affine)
-                if fa * p + fb >= f_best - 1e-12
+                if fa * p + fb >= f_best - COMMIT_EPS
             )
             if best_v is None or value > best_v:
                 best_p, best_v = p, value
@@ -726,7 +676,6 @@ def optimal_commitment(
     if mode != "exact":
         raise ValidationError(f"unknown commitment mode {mode!r}")
 
-    tol = 1e-12
     candidates = []
     for i, (fa, fb) in enumerate(f_affine):
         lo, hi = 0.0, 1.0
@@ -735,8 +684,8 @@ def optimal_commitment(
             if i == j:
                 continue
             da, db = fa - ga, fb - gb  # need da*p + db >= 0
-            if abs(da) <= tol:
-                if db < -tol:
+            if abs(da) <= COMMIT_EPS:
+                if db < -COMMIT_EPS:
                     empty = True
                     break
                 continue
@@ -745,7 +694,7 @@ def optimal_commitment(
                 lo = max(lo, bound)
             else:
                 hi = min(hi, bound)
-        if empty or lo > hi + tol:
+        if empty or lo > hi + COMMIT_EPS:
             continue
         lo, hi = max(0.0, min(1.0, lo)), max(0.0, min(1.0, hi))
         la, lb = l_affine[i]
@@ -753,6 +702,6 @@ def optimal_commitment(
             candidates.append((p, la * p + lb))
     best_p, best_v = candidates[0]
     for p, v in candidates[1:]:
-        if v > best_v + tol:
+        if v > best_v + COMMIT_EPS:
             best_p, best_v = p, v
     return committed_rule(best_p), best_v

@@ -65,9 +65,13 @@ def _reject_unknown(mapping, allowed, where, path):
         )
 
 
+# libyaml's parser when the platform has it; positions are the same
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(text, path):
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

@@ -101,6 +101,77 @@ def random_game(rng: random.Random, max_chance=3) -> CausalGame:
     return CausalGame(n_agents, tuple(variables), parents, cpds)
 
 
+def random_type_game(rng: random.Random, zero_type=False) -> CausalGame:
+    """A two-agent signalling-style game with a binary type ``T``.
+
+    ``D1`` observes the type; ``D2`` observes the type or ``D1``.  Both
+    utilities depend on the type and both decisions, with random rows over
+    small integer domains.  With ``zero_type`` the type ``l`` has
+    probability 0, so every context of ``D1`` that shows it is unreached.
+    """
+    prior = (1.0, 0.0) if zero_type else random_distribution(rng, 2)
+    d2_parent = rng.choice(("T", "D1"))
+    domains = {"T": ("h", "l"), "D1": ("g", "ng"), "D2": ("j", "nj")}
+    variables = [
+        Variable("T", "chance", domains["T"]),
+        Variable("D1", "decision", domains["D1"], 1),
+        Variable("D2", "decision", domains["D2"], 2),
+    ]
+    parents = {"T": (), "D1": ("T",), "D2": (d2_parent,)}
+    cpds = {"T": TabularCPD("T", (), {(): prior})}
+    for agent in (1, 2):
+        uname = f"U{agent}"
+        udom = tuple(sorted(rng.sample(range(-3, 6), 3)))
+        ps = ("T", "D1", "D2")
+        table = {}
+        for ctx in itertools.product(*[domains[p] for p in ps]):
+            if rng.random() < 0.5:
+                row = [0.0] * len(udom)
+                row[rng.randrange(len(udom))] = 1.0
+                table[ctx] = tuple(row)
+            else:
+                table[ctx] = random_distribution(rng, len(udom))
+        variables.append(Variable(uname, "utility", udom, agent))
+        parents[uname] = ps
+        cpds[uname] = TabularCPD(uname, ps, table)
+    return CausalGame(2, tuple(variables), parents, cpds)
+
+
+def random_multi_decision_game(rng: random.Random) -> CausalGame:
+    """A two-agent game in which agent 1 owns two free decisions.
+
+    Agent 2 owns one or two.  A fair coin ``X`` may be observed; each
+    decision has at most one binary parent, so a decision has 2 or 4 pure
+    rules.  Utilities are deterministic small integers, so ties between
+    profiles are common.
+    """
+    owners = [1, 1, 2] + ([2] if rng.random() < 0.5 else [])
+    variables = [Variable("X", "chance", (0, 1))]
+    parents = {"X": ()}
+    cpds = {"X": TabularCPD("X", (), {(): (0.5, 0.5)})}
+    domains = {"X": (0, 1)}
+    upstream = ["X"]
+    for k, agent in enumerate(owners):
+        name = f"D{k}"
+        domains[name] = ("a", "b")
+        parents[name] = tuple(rng.sample(upstream, rng.randint(0, 1)))
+        variables.append(Variable(name, "decision", domains[name], agent))
+        upstream.append(name)
+    udom = (0, 1, 2, 3)
+    for agent in (1, 2):
+        name = f"U{agent}"
+        ps = tuple(sorted(rng.sample(upstream, 2)))
+        table = {}
+        for ctx in itertools.product(*[domains[p] for p in ps]):
+            row = [0.0] * len(udom)
+            row[rng.randrange(len(udom))] = 1.0
+            table[ctx] = tuple(row)
+        variables.append(Variable(name, "utility", udom, agent))
+        parents[name] = ps
+        cpds[name] = TabularCPD(name, ps, table)
+    return CausalGame(2, tuple(variables), parents, cpds)
+
+
 def random_full_profile(rng: random.Random, game: CausalGame) -> PolicyProfile:
     rules = {}
     for d in game.free_decisions():
@@ -205,6 +276,94 @@ def loop_conditional_independence(
                 if abs(lhs - rhs) > tol:
                     return False
     return True
+
+
+def loop_action_values(game: CausalGame, sigma: dict, unknown_of: dict) -> dict:
+    """Instantiation-loop reference for support enumeration's action values.
+
+    For every decision slot ``(decision, context)`` reached under the support
+    pattern ``sigma`` (slot -> tuple of action indices), the two affine forms
+    d E[U^agent] / d pi(action | slot), each as ``(const, {unknown: coeff})``.
+    A slot is reached when some instantiation consistent with it keeps every
+    pinned factor positive and every other free decision inside its support.
+    An action's form sums, over the instantiations with the decision taking
+    that action in the slot, the product of every other factor times the
+    owner's utility total; the other free decision's factor stays symbolic
+    as ``unknown_of[slot]`` (first action) or its complement (second) when
+    its support has both actions.  Coefficients at or below 1e-12 are
+    dropped.
+    """
+    names = game.names()
+    domains = [game.domain(n) for n in names]
+    pidx = {n: tuple(names.index(p) for p in game.parents_of(n)) for n in names}
+
+    def reached(decision, ctx):
+        for inst in itertools.product(*domains):
+            if tuple(inst[j] for j in pidx[decision]) != ctx:
+                continue
+            ok = True
+            for i, n in enumerate(names):
+                local_ctx = tuple(inst[j] for j in pidx[n])
+                cpd = game.factor_cpd(n)
+                if cpd is not None:
+                    if cpd.row(local_ctx)[domains[i].index(inst[i])] == 0.0:
+                        ok = False
+                        break
+                elif n != decision:
+                    if domains[i].index(inst[i]) not in sigma[(n, local_ctx)]:
+                        ok = False
+                        break
+            if ok:
+                return True
+        return False
+
+    def action_value(decision, ctx, action):
+        util_at = [names.index(u) for u in game.utilities_of(game.agent_of(decision))]
+        d_i = names.index(decision)
+        const, coeffs = 0.0, {}
+        for inst in itertools.product(*domains):
+            if inst[d_i] != action or tuple(inst[j] for j in pidx[decision]) != ctx:
+                continue
+            weight, unknown, complement, dead = 1.0, None, False, False
+            for i, n in enumerate(names):
+                if n == decision:
+                    continue
+                local_ctx = tuple(inst[j] for j in pidx[n])
+                cpd = game.factor_cpd(n)
+                if cpd is not None:
+                    p = cpd.row(local_ctx)[domains[i].index(inst[i])]
+                    if p == 0.0:
+                        dead = True
+                        break
+                    weight *= p
+                    continue
+                support = sigma[(n, local_ctx)]
+                a_i = domains[i].index(inst[i])
+                if len(support) == 1:
+                    if a_i != support[0]:
+                        dead = True
+                        break
+                    continue
+                unknown = unknown_of[(n, local_ctx)]
+                complement = a_i == 1
+            if dead:
+                continue
+            term = weight * sum(inst[j] for j in util_at)
+            if unknown is None or complement:
+                const += term
+            if unknown is not None:
+                sign = -1.0 if complement else 1.0
+                coeffs[unknown] = coeffs.get(unknown, 0.0) + sign * term
+        return const, {u: c for u, c in coeffs.items() if abs(c) > 1e-12}
+
+    out = {}
+    for d in game.free_decisions():
+        for ctx in game.contexts(d):
+            if reached(d, ctx):
+                out[(d, ctx)] = tuple(
+                    action_value(d, ctx, game.domain(d)[a]) for a in range(2)
+                )
+    return out
 
 
 def is_minimum_hitting_set(chosen, sets) -> bool:

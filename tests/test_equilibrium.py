@@ -1,4 +1,6 @@
 import collections
+import itertools
+import random
 
 import pytest
 
@@ -18,7 +20,13 @@ from causalgames import (
     sample_rational_outcome,
     verify_rational_outcome,
 )
-from causalgames.model import cpds_equal
+from causalgames.equilibrium import _row_terms, _slot_values
+from causalgames.model import cpds_equal, enumerate_pure_rules
+from helpers import (
+    loop_action_values,
+    random_multi_decision_game,
+    random_type_game,
+)
 
 
 def _payoffs(game, profile):
@@ -139,6 +147,66 @@ def test_every_pure_profile_classified_correctly(prisoners, effortville):
                 )
             )
             assert verify_rational_outcome(game, profile) == (key in nash)
+
+
+def test_pure_nash_multi_decision_agents_match_verify():
+    """Kept profiles are exactly the verified ones, in enumeration order."""
+    tied = 0
+    for seed in range(12):
+        game = random_multi_decision_game(random.Random(seed))
+        assert len(game.free_decisions_of(1)) >= 2
+        decisions = game.free_decisions()
+        lists = [enumerate_pure_rules(game, d) for d in decisions]
+        expected = [
+            profile
+            for profile in (
+                PolicyProfile(dict(zip(decisions, combo)))
+                for combo in itertools.product(*lists)
+            )
+            if verify_rational_outcome(game, profile)
+        ]
+        got = pure_nash(game).outcomes
+        assert [[p[d].table for d in decisions] for p in got] == [
+            [p[d].table for d in decisions] for p in expected
+        ]
+        tied += len(got) > 1
+    assert tied  # several equilibria, so payoff ties were exercised
+
+
+def _assert_affine_close(got, want):
+    const, coeffs = want
+    assert got.const == pytest.approx(const, abs=1e-12)
+    for u in set(got.coeffs) | set(coeffs):
+        assert got.coeffs.get(u, 0.0) == pytest.approx(coeffs.get(u, 0.0), abs=1e-12)
+
+
+def test_action_values_match_instantiation_loop(
+    job_market, effortville, stackelberg, prisoners
+):
+    zero_type = random_type_game(random.Random(7), zero_type=True)
+    games = (
+        job_market, effortville, stackelberg, prisoners,
+        random_type_game(random.Random(3)), zero_type,
+    )
+    for game in games:
+        decisions = game.free_decisions()
+        slots = [(d, tuple(c)) for d in decisions for c in game.contexts(d)]
+        terms = _row_terms(game, decisions)
+        unreached = 0
+        for combo in itertools.product(((0,), (1,), (0, 1)), repeat=len(slots)):
+            sigma = dict(zip(slots, combo))
+            unknown_of = {
+                s: f"q{i}" for i, s in enumerate(slots) if len(sigma[s]) == 2
+            }
+            got = _slot_values(terms, sigma, unknown_of)
+            want = loop_action_values(game, sigma, unknown_of)
+            assert set(got) == set(want)
+            for slot, pair in got.items():
+                for g, w in zip(pair, want[slot]):
+                    _assert_affine_close(g, w)
+            unreached += len(slots) - len(want)
+        if game is zero_type:
+            assert unreached
 
 
 def test_verify_mixed_signalling_profile(job_market):

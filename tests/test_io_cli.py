@@ -78,6 +78,12 @@ def test_yaml_error_carries_position(tmp_path):
     with pytest.raises(GameFileError) as err:
         load_game(str(bad))
     assert "line" in str(err.value)
+    assert (err.value.line, err.value.column) == (2, 1)
+    bad.write_text("agents: 1\nvariables:\n  - name: T\n   kind: chance\n")
+    with pytest.raises(GameFileError) as err:
+        load_game(str(bad))
+    assert (err.value.line, err.value.column) == (4, 4)
+    assert str(err.value).startswith(f"{bad}: line 4, column 4")
 
 
 def test_scenario_unfix_round_trip(tmp_path, prisoners):
@@ -300,6 +306,26 @@ def test_cli_mech_graph(capsys):
     code, out, _ = run_cli(capsys, "mech-graph", "job_market")
     assert code == 0
     assert out.startswith("digraph G {")
+
+
+def test_cli_json_mech_graph_builds_once(monkeypatch, capsys):
+    from causalgames import cli, dot, graphs
+
+    calls = []
+    original = graphs.build_mechanised_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, dot, graphs):
+        monkeypatch.setattr(module, "build_mechanised_graph", counted)
+    code, out, _ = run_cli(capsys, "--json", "mech-graph", "job_market")
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["dot"] == export_dot(resolve_game("job_market"), "mechanised")
+    assert payload["inter_mechanism_edges"]
 
 
 def test_cli_exit_codes(capsys):
