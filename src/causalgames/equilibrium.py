@@ -1,7 +1,10 @@
 """Equilibrium computation: best responses, Nash enumeration, commitment.
 
-Pure equilibria come from an exhaustive scan over pure profiles; behavioral
-equilibria for small two-agent games come from support enumeration, solving
+Pure equilibria, best responses, verification and commitment read payoff
+tensors (``model.payoff_tensors``): each free decision's pure rules lie on
+one axis, and variable elimination gives an agent's expected utility for
+every rule choice at once, with no joint table.  Behavioral equilibria for
+small two-agent games come from support enumeration over one joint, solving
 the indifference/consistency system per support pattern and reporting
 underdetermined solutions as parametric families with interval parameters.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
@@ -29,8 +32,8 @@ from .model import (
     cpds_equal,
     enumerate_pure_rules,
     expected_utility,
-    expected_utility_from_joint,
     induced_joint,
+    payoff_tensors,
 )
 
 EQ_EPS = 1e-7
@@ -53,13 +56,15 @@ def _require_best_response(relation: RationalityRelation):
         )
 
 
-def _pure_policies(game: CausalGame, agent: int) -> list[dict]:
-    """All pure policies (joint pure rules over the agent's free decisions)."""
-    decisions = game.free_decisions_of(agent)
-    rule_lists = [enumerate_pure_rules(game, d) for d in decisions]
+def _pure_stacks(game: CausalGame, decisions) -> dict:
+    return {d: enumerate_pure_rules(game, d) for d in decisions}
+
+
+def _profiles_where(stacks: dict, mask: np.ndarray) -> list[PolicyProfile]:
+    """The pure profiles at the true entries of ``mask``, in enumeration order."""
     return [
-        dict(zip(decisions, combo))
-        for combo in itertools.product(*rule_lists)
+        PolicyProfile({d: rules[i] for (d, rules), i in zip(stacks.items(), at)})
+        for at in np.argwhere(mask)
     ]
 
 
@@ -83,12 +88,9 @@ def best_responses(
             f"profile for other agents must cover exactly {sorted(needed)}, "
             f"got {sorted(have)}"
         )
-    scored = [
-        (expected_utility(game, others.merged(PolicyProfile(p)), agent), p)
-        for p in _pure_policies(game, agent)
-    ]
-    top = max(eu for eu, _ in scored)
-    return [PolicyProfile(p) for eu, p in scored if eu >= top - eps]
+    stacks = _pure_stacks(game, game.free_decisions_of(agent))
+    [payoff] = payoff_tensors(game, others, [agent], stacks)
+    return _profiles_where(stacks, payoff >= payoff.max() - eps)
 
 
 def verify_rational_outcome(
@@ -105,17 +107,13 @@ def verify_rational_outcome(
     _require_best_response(relation)
     if not profile.is_full(game):
         raise ValidationError("profile must cover every free decision")
-    joint_eu = {
-        a: expected_utility(game, profile, a)
-        for a in range(1, game.n_agents + 1)
-    }
     for agent in range(1, game.n_agents + 1):
-        if not game.free_decisions_of(agent):
+        own = game.free_decisions_of(agent)
+        if not own:
             continue
-        for policy in _pure_policies(game, agent):
-            eu = expected_utility(game, profile.merged(PolicyProfile(policy)), agent)
-            if eu > joint_eu[agent] + eps:
-                return False
+        [payoff] = payoff_tensors(game, profile, [agent], _pure_stacks(game, own))
+        if payoff.max() > expected_utility(game, profile, agent) + eps:
+            return False
     return True
 
 
@@ -194,39 +192,28 @@ def pure_nash(
     relation: RationalityRelation = BEST_RESPONSE,
     eps: float = EQ_EPS,
 ) -> RationalOutcomeSet:
-    """Exhaustive scan over pure full profiles, keeping the equilibria.
+    """Every pure full profile that is an equilibrium, in enumeration order.
 
-    Utilities for every profile are tabulated once, together with each
-    agent's best utility for every setting of the other agents' rules; a
-    profile is kept when no agent's best exceeds their utility by more than
-    ``eps``, that is, no joint deviation of their own decisions improves.
+    Each agent's payoff tensor has one axis per free decision, stacking its
+    pure rules; a profile is kept unless, for some agent, the maximum over
+    that agent's own axes exceeds their entry by more than ``eps``, that is,
+    some joint deviation of their own decisions improves.
     """
     _require_best_response(relation)
     decisions = game.free_decisions()
-    rule_lists = [enumerate_pure_rules(game, d) for d in decisions]
-    agents = [a for a in range(1, game.n_agents + 1) if game.free_decisions_of(a)]
-    others = {
-        a: [i for i, d in enumerate(decisions) if game.agent_of(d) != a]
-        for a in agents
+    stacks = _pure_stacks(game, decisions)
+    owned = {
+        a: tuple(i for i, d in enumerate(decisions) if game.agent_of(d) == a)
+        for a in range(1, game.n_agents + 1)
     }
-    tabulated = []
-    best = {a: {} for a in agents}
-    for combo in itertools.product(*[range(len(r)) for r in rule_lists]):
-        profile = PolicyProfile(
-            {d: rule_lists[i][combo[i]] for i, d in enumerate(decisions)}
-        )
-        joint = induced_joint(game, profile)
-        eu = {a: expected_utility_from_joint(game, joint, a) for a in agents}
-        keys = {a: tuple(combo[i] for i in others[a]) for a in agents}
-        for a in agents:
-            best[a][keys[a]] = max(best[a].get(keys[a], eu[a]), eu[a])
-        tabulated.append((profile, eu, keys))
-    outcomes = tuple(
-        profile
-        for profile, eu, keys in tabulated
-        if not any(best[a][keys[a]] > eu[a] + eps for a in agents)
+    agents = [a for a, own in owned.items() if own]
+    stable = np.ones(tuple(len(rules) for rules in stacks.values()), dtype=bool)
+    payoffs = payoff_tensors(game, PolicyProfile({}), agents, stacks)
+    for a, payoff in zip(agents, payoffs):
+        stable &= ~(payoff.max(axis=owned[a], keepdims=True) > payoff + eps)
+    return RationalOutcomeSet(
+        tuple(_profiles_where(stacks, stable)), mode="pure_exhaustive"
     )
-    return RationalOutcomeSet(outcomes, mode="pure_exhaustive")
 
 
 def sample_rational_outcome(
@@ -633,31 +620,24 @@ def optimal_commitment(
         raise SolverError("commitment supports at most one follower agent")
     follower = follower_agents.pop() if follower_agents else None
 
-    def eu_affine(agent, response: PolicyProfile):
-        vals = []
-        for p in (0.0, 1.0):
-            g2 = CausalGame(
-                game.n_agents, game.variables, game.parents, game.cpds,
-                {**game.rule_fixes, dec: committed_rule(p)},
-                game.object_fixed,
-            )
-            vals.append(expected_utility(g2, response, agent))
-        return vals[1] - vals[0], vals[0]  # slope, intercept at p=0
+    # the commitment at p = 0 and p = 1, then every pure follower response
+    stacks = {dec: [committed_rule(0.0), committed_rule(1.0)]}
+    stacks.update(_pure_stacks(game, follower_decisions))
+
+    def affine(payoff):
+        """(slope, intercept at p=0) of a utility, per follower response."""
+        return [(v1 - v0, v0) for v0, v1 in zip(*payoff.reshape(2, -1).tolist())]
 
     if follower is None:
-        slope, intercept = eu_affine(leader, PolicyProfile({}))
+        [payoff] = payoff_tensors(game, PolicyProfile({}), [leader], stacks)
+        [(slope, intercept)] = affine(payoff)
         cands = [(0.0, intercept), (1.0, slope + intercept)]
         p_hat, value = max(cands, key=lambda t: (t[1], -t[0]))
         return committed_rule(p_hat), value
 
-    responses = [
-        PolicyProfile(dict(zip(follower_decisions, combo)))
-        for combo in itertools.product(
-            *[enumerate_pure_rules(game, d) for d in follower_decisions]
-        )
-    ]
-    f_affine = [eu_affine(follower, r) for r in responses]
-    l_affine = [eu_affine(leader, r) for r in responses]
+    l_affine, f_affine = map(affine, payoff_tensors(
+        game, PolicyProfile({}), [leader, follower], stacks
+    ))
 
     if mode == "grid":
         n = max(1, round(1.0 / grid_step))

@@ -4,7 +4,9 @@ A causal game is a DAG over typed variables (chance / decision / utility,
 the latter two owned by an agent) with a tabular CPD for every non-decision
 variable.  Agents choose decision rules (CPDs over actions given the
 decision's parents); a full assignment of rules induces a joint distribution
-as the product of all factors.
+as the product of all factors.  Expected utilities sum that product without
+building it, by variable elimination over each utility's ancestors
+(``payoff_tensors``).
 
 All values are immutable after construction and every operation is a pure
 function of its inputs; nothing here holds shared mutable state.
@@ -12,10 +14,14 @@ function of its inputs; nothing here holds shared mutable state.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -125,11 +131,6 @@ class PolicyProfile:
 
     def decisions(self) -> tuple[str, ...]:
         return tuple(self.rules.keys())
-
-    def merged(self, other: "PolicyProfile") -> "PolicyProfile":
-        rules = dict(self.rules)
-        rules.update(other.rules)
-        return PolicyProfile(rules)
 
     def is_full(self, game: "CausalGame") -> bool:
         return all(d in self.rules for d in game.free_decisions())
@@ -457,18 +458,7 @@ def induced_joint(game: CausalGame, profile: PolicyProfile) -> JointDistribution
     utility, and object-fixed decisions; an imposed rule for committed
     decisions; and the profile's rule for free decisions.
     """
-    factors = {}
-    for v in game.variables:
-        cpd = game.factor_cpd(v.name)
-        if cpd is None:
-            if v.name not in profile:
-                raise ValidationError(f"missing decision rule for {v.name}")
-            cpd = profile[v.name]
-        factors[v.name] = cpd
-    for d in profile.decisions():
-        if not game.has_variable(d) or game.kind(d) != DECISION:
-            raise ValidationError(f"profile names non-decision {d!r}")
-
+    factors = _factor_cpds(game, profile)
     names = game.names()
     domains = tuple(game.domain(n) for n in names)
     # the declared variable order need not be topological (added variables
@@ -499,12 +489,31 @@ def induced_joint(game: CausalGame, profile: PolicyProfile) -> JointDistribution
     return JointDistribution(names, domains, table)
 
 
+def _factor_cpds(game: CausalGame, profile: PolicyProfile, stacked=()) -> dict:
+    """The factor CPD of every variable outside ``stacked``.
+
+    A pinned CPD or an imposed rule, else the profile's rule.  Raises when
+    a rule is missing or the profile names a non-decision.
+    """
+    factors = {}
+    for name in game.names():
+        if name in stacked:
+            continue
+        cpd = game.factor_cpd(name)
+        if cpd is None:
+            if name not in profile:
+                raise ValidationError(f"missing decision rule for {name}")
+            cpd = profile[name]
+        factors[name] = cpd
+    for d in profile.decisions():
+        if not game.has_variable(d) or game.kind(d) != DECISION:
+            raise ValidationError(f"profile names non-decision {d!r}")
+    return factors
+
+
 def expected_utility(game: CausalGame, profile: PolicyProfile, agent: int) -> float:
     """Expected sum of the agent's utility variables under the profile."""
-    if not (1 <= agent <= game.n_agents):
-        raise ValidationError(f"unknown agent index {agent}")
-    joint = induced_joint(game, profile)
-    return expected_utility_from_joint(game, joint, agent)
+    return float(payoff_tensors(game, profile, [agent])[0])
 
 
 def expected_utility_from_joint(
@@ -520,6 +529,132 @@ def expected_utility_from_joint(
     for inst, p in joint.table.items():
         total += p * sum(inst[i] for i, _ in uidx)
     return total
+
+
+# -- factor contraction -------------------------------------------------------
+
+
+def payoff_tensors(
+    game: CausalGame, profile: PolicyProfile, agents, stacks=None
+) -> list[np.ndarray]:
+    """Each agent's expected utility for every choice of rules in ``stacks``.
+
+    ``stacks`` maps decisions to lists of rules.  Each becomes one axis of
+    every result, in mapping order, indexed like its list; without stacks
+    the results are 0-d.  Every other decision follows its pinned CPD, its
+    imposed rule or the profile's rule.  Each utility variable is one
+    contraction over its ancestors (every other variable sums out to 1):
+    the CPDs as tensors, the utility's CPD times its domain values.
+    """
+    for agent in agents:
+        if not (1 <= agent <= game.n_agents):
+            raise ValidationError(f"unknown agent index {agent}")
+    stacks = dict(stacks or {})
+    cpds = _factor_cpds(game, profile, stacks)
+    factors: dict[str, tuple] = {}
+
+    def factor(name):
+        if name not in factors:
+            labels = game.parents_of(name) + (name,)
+            if name in stacks:
+                stacked = [_cpd_tensor(game, name, r) for r in stacks[name]]
+                factors[name] = (("rule", name),) + labels, np.stack(stacked)
+            else:
+                factors[name] = labels, _cpd_tensor(game, name, cpds[name])
+        return factors[name]
+
+    keep = tuple(("rule", d) for d in stacks)
+    shape = tuple(len(rules) for rules in stacks.values())
+    out = []
+    for agent in agents:
+        total = np.zeros(shape)
+        for u in game.utilities_of(agent):
+            values = np.array(game.domain(u), dtype=float)
+            parts = [factor(n) for n in _ancestors(game, u)]
+            parts.append(
+                (game.parents_of(u), _cpd_tensor(game, u, cpds[u]) @ values)
+            )
+            total = total + _contract(parts, keep)
+        out.append(total)
+    return out
+
+
+def _cpd_tensor(game: CausalGame, name: str, cpd: TabularCPD) -> np.ndarray:
+    """``cpd`` as an array with one axis per parent, then one for ``name``."""
+    doms = [game.domain(p) for p in game.parents_of(name)]
+    rows = list(map(cpd.table.__getitem__, itertools.product(*doms)))
+    shape = [len(d) for d in doms] + [len(game.domain(name))]
+    return np.array(rows, dtype=float).reshape(shape)
+
+
+def _ancestors(game: CausalGame, name: str) -> list[str]:
+    """The proper ancestors of ``name``, in declaration order."""
+    seen: set[str] = set()
+    stack = list(game.parents_of(name))
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(game.parents_of(n))
+    return [n for n in game.names() if n in seen]
+
+
+def _einsum(parts, out) -> np.ndarray:
+    """Product of the labelled arrays ``parts``, summed onto the labels ``out``."""
+    ids: dict = {}
+    args = []
+    for scope, array in parts:
+        args += [array, [ids.setdefault(x, len(ids)) for x in scope]]
+    return np.einsum(*args, [ids[x] for x in out])
+
+
+def _contract(factors, keep) -> np.ndarray:
+    """Sum every label outside ``keep`` out of the product of ``factors``.
+
+    ``factors`` are ``(labels, array)`` pairs, one array axis per label.
+    Variable elimination: the labels go one at a time, each time the one
+    whose summed-out factor is smallest (greedy min-size), and one einsum
+    multiplies just the factors that carry it, so no step sees more labels
+    than that factor and the label being summed.  The result has one axis
+    per ``keep`` label, in order, of length 1 where no factor carries it.
+    """
+    live = dict(enumerate(factors))
+    holders: dict = {}  # label -> ids of the live factors carrying it, ascending
+    size = {}
+    for i, (scope, array) in live.items():
+        for x, n in zip(scope, array.shape):
+            holders.setdefault(x, []).append(i)
+            size[x] = n
+    rank = {x: k for k, x in enumerate(holders)}  # ties go to the first seen
+
+    def merged_scope(label):
+        return tuple(dict.fromkeys(
+            x for i in holders[label] for x in live[i][0] if x != label
+        ))
+
+    cost = {x: math.prod(size[y] for y in merged_scope(x))
+            for x in holders if x not in keep}
+    heap = [(c, rank[x], x) for x, c in cost.items()]
+    heapq.heapify(heap)
+    new = len(live)
+    while heap:
+        c, _, label = heapq.heappop(heap)
+        if cost.get(label) != c:  # eliminated, or stale
+            continue
+        del cost[label]
+        scope = merged_scope(label)
+        ids = holders.pop(label)
+        live[new] = scope, _einsum([live.pop(i) for i in ids], scope)
+        for x in scope:
+            holders[x] = [i for i in holders[x] if i not in ids] + [new]
+        for x in scope:
+            if x in cost:
+                cost[x] = math.prod(size[y] for y in merged_scope(x))
+                heapq.heappush(heap, (cost[x], rank[x], x))
+        new += 1
+    present = [x for x in keep if x in holders]
+    out = _einsum(list(live.values()), present)
+    return out.reshape([size[x] if x in holders else 1 for x in keep])
 
 
 def enumerate_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:

@@ -1,23 +1,31 @@
 """Shared test utilities: random game generators and independent oracles.
 
 The oracles here deliberately avoid the library's own computation paths:
-joints are rebuilt by direct nested loops over instantiations, conditional
+joints are rebuilt by direct nested loops over instantiations, expected
+utilities are summed exactly over every instantiation, conditional
 independence is checked numerically on the joint table, and hitting sets
-are verified by exhaustive subset scans.
+are verified by exhaustive subset scans.  The ``loop_*`` functions keep
+earlier forms of library code as references for the forms that replaced
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
+from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.model import (
     CausalGame,
     PolicyProfile,
     TabularCPD,
     Variable,
+    enumerate_pure_rules,
+    expected_utility_from_joint,
+    induced_joint,
 )
 
 
@@ -172,6 +180,54 @@ def random_multi_decision_game(rng: random.Random) -> CausalGame:
     return CausalGame(2, tuple(variables), parents, cpds)
 
 
+def random_rich_game(rng: random.Random) -> CausalGame:
+    """A valid three-agent game mixing every kind of factor, declared shuffled.
+
+    Chance variables with 2-3 values; free decisions ``D1`` (agent 1) and
+    ``D2`` (agent 2); ``D3`` carries an imposed rule and ``D4`` is
+    object-fixed.  About a third of all table rows are one-hot, so some
+    instantiations have probability 0.
+    Agent 1 has two utilities, agent 2 one and agent 3 none.  The variable
+    order is shuffled, so it is usually not topological.
+    """
+
+    def row(n):
+        if rng.random() < 1 / 3:
+            hot = rng.randrange(n)
+            return tuple(float(k == hot) for k in range(n))
+        return random_distribution(rng, n)
+
+    def table(name):
+        return {
+            ctx: row(len(domains[name]))
+            for ctx in itertools.product(*[domains[p] for p in parents[name]])
+        }
+
+    domains, parents, upstream = {}, {}, []
+    variables, cpds = [], {}
+    for i in range(rng.randint(2, 4)):
+        name = f"X{i}"
+        domains[name] = tuple(f"v{k}" for k in range(rng.randint(2, 3)))
+        parents[name] = tuple(rng.sample(upstream, rng.randint(0, min(2, len(upstream)))))
+        variables.append(Variable(name, "chance", domains[name]))
+        cpds[name] = TabularCPD(name, parents[name], table(name))
+        upstream.append(name)
+    for name, agent in (("D1", 1), ("D2", 2), ("D3", 1), ("D4", 2)):
+        domains[name] = ("a", "b")
+        parents[name] = tuple(rng.sample(upstream, rng.randint(0, min(2, len(upstream)))))
+        variables.append(Variable(name, "decision", domains[name], agent))
+        upstream.append(name)
+    rule_fixes = {"D3": TabularCPD("D3", parents["D3"], table("D3"))}
+    cpds["D4"] = TabularCPD("D4", parents["D4"], table("D4"))
+    for name, agent in (("U1a", 1), ("U1b", 1), ("U2", 2)):
+        domains[name] = tuple(sorted(rng.sample(range(-5, 6), rng.randint(2, 3))))
+        parents[name] = tuple(rng.sample(upstream, rng.randint(1, 3)))
+        variables.append(Variable(name, "utility", domains[name], agent))
+        cpds[name] = TabularCPD(name, parents[name], table(name))
+    rng.shuffle(variables)
+    return CausalGame(3, tuple(variables), parents, cpds, rule_fixes, {"D4"})
+
+
 def random_full_profile(rng: random.Random, game: CausalGame) -> PolicyProfile:
     rules = {}
     for d in game.free_decisions():
@@ -213,6 +269,72 @@ def brute_force_joint(game: CausalGame, profile: PolicyProfile) -> dict:
 
     recurse(0, {}, 1.0)
     return out
+
+
+def fraction_expected_utility(
+    game: CausalGame, profile: PolicyProfile, agent: int
+) -> Fraction:
+    """Exact expected utility: every instantiation, in ``Fraction`` arithmetic.
+
+    Each float probability converts to the rational it denotes, so the only
+    rounding is in the caller's comparison.
+    """
+    names = game.names()
+    domains = [game.domain(n) for n in names]
+    at = {n: i for i, n in enumerate(names)}
+    utilities = [at[u] for u in game.utilities_of(agent)]
+    tables = [
+        (
+            [at[p] for p in game.parents_of(n)],
+            (game.factor_cpd(n) or profile[n]).table,
+        )
+        for n in names
+    ]
+    total = Fraction(0)
+    for inst in itertools.product(*[range(len(d)) for d in domains]):
+        weight = Fraction(1)
+        for i, (pidx, tab) in enumerate(tables):
+            ctx = tuple(domains[j][inst[j]] for j in pidx)
+            weight *= Fraction(tab[ctx][inst[i]])
+            if not weight:
+                break
+        if weight:
+            total += weight * sum(Fraction(domains[i][inst[i]]) for i in utilities)
+    return total
+
+
+def loop_pure_nash(game: CausalGame, eps: float = 1e-7) -> RationalOutcomeSet:
+    """Tabulate-every-joint form of ``pure_nash``, its reference.
+
+    One ``induced_joint`` per pure profile, walked per agent; each agent's
+    best utility per setting of the other agents' rule indices; a profile
+    is kept unless some agent's best exceeds its utility by more than
+    ``eps``.
+    """
+    decisions = game.free_decisions()
+    rule_lists = [enumerate_pure_rules(game, d) for d in decisions]
+    agents = [a for a in range(1, game.n_agents + 1) if game.free_decisions_of(a)]
+    others = {
+        a: [i for i, d in enumerate(decisions) if game.agent_of(d) != a]
+        for a in agents
+    }
+    tabulated = []
+    best = {a: {} for a in agents}
+    for combo in itertools.product(*[range(len(r)) for r in rule_lists]):
+        profile = PolicyProfile(
+            {d: rule_lists[i][combo[i]] for i, d in enumerate(decisions)}
+        )
+        joint = induced_joint(game, profile)
+        eu = {a: expected_utility_from_joint(game, joint, a) for a in agents}
+        keys = {a: tuple(combo[i] for i in others[a]) for a in agents}
+        for a in agents:
+            best[a][keys[a]] = max(best[a].get(keys[a], eu[a]), eu[a])
+        tabulated.append((profile, eu, keys))
+    return RationalOutcomeSet(tuple(
+        profile
+        for profile, eu, keys in tabulated
+        if not any(best[a][keys[a]] > eu[a] + eps for a in agents)
+    ))
 
 
 def numeric_conditional_independence(

@@ -1,7 +1,9 @@
 import collections
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from causalgames import (
@@ -21,9 +23,16 @@ from causalgames import (
     verify_rational_outcome,
 )
 from causalgames.equilibrium import _row_terms, _slot_values
-from causalgames.model import cpds_equal, enumerate_pure_rules
+from causalgames.model import (
+    cpds_equal,
+    enumerate_pure_rules,
+    expected_utility_from_joint,
+    induced_joint,
+)
 from helpers import (
     loop_action_values,
+    loop_pure_nash,
+    random_distribution,
     random_multi_decision_game,
     random_type_game,
 )
@@ -171,6 +180,109 @@ def test_pure_nash_multi_decision_agents_match_verify():
         ]
         tied += len(got) > 1
     assert tied  # several equilibria, so payoff ties were exercised
+
+
+def _tables(outcomes):
+    return [{d: p[d].table for d in p.decisions()} for p in outcomes]
+
+
+def test_pure_nash_matches_joint_loop(job_market, effortville, prisoners, stackelberg):
+    """Payoff tensors keep the profiles the tabulated joints keep, in order."""
+    games = [random_multi_decision_game(random.Random(seed)) for seed in range(12)]
+    games += [job_market, effortville, prisoners, stackelberg]
+    pinned = PolicyProfile({
+        d: prisoners.delta_rule(d, "C") for d in prisoners.free_decisions()
+    })
+    games.append(CausalGame(  # no free decision: one empty profile
+        prisoners.n_agents, prisoners.variables, prisoners.parents,
+        prisoners.cpds, pinned.rules,
+    ))
+    for game in games:
+        assert _tables(pure_nash(game).outcomes) == _tables(
+            loop_pure_nash(game).outcomes
+        )
+    assert pure_nash(games[-1]).outcomes == (PolicyProfile({}),)
+
+
+def test_solvers_build_no_joint(monkeypatch, job_market, prisoners, stackelberg):
+    from causalgames import equilibrium, model
+
+    calls = []
+    original = model.induced_joint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (equilibrium, model):
+        monkeypatch.setattr(module, "induced_joint", counted)
+    for game in (job_market, prisoners, stackelberg):
+        for profile in pure_nash(game).outcomes:
+            assert verify_rational_outcome(game, profile)
+    others = PolicyProfile({"D2": prisoners.delta_rule("D2", "D")})
+    assert best_responses(prisoners, 1, others)
+    optimal_commitment(stackelberg, 1)
+    optimal_commitment(stackelberg, 1, mode="grid")
+    assert calls == []
+    behavioral_nash_small(job_market)  # support enumeration reads one joint
+    assert len(calls) == 1
+
+
+def _deep_chain_game(n=1200):
+    """Binary chance chain X0 -> ... -> X{n-1}, copying except at three
+    noisy links; agent 1 sees X0, agent 2 sees the end of the chain."""
+    rng = random.Random(5)
+    names = [f"X{i}" for i in range(n)]
+    binary = ("a", "b")
+    variables = [Variable(x, "chance", binary) for x in names]
+    parents = {x: tuple(names[max(i - 1, 0):i]) for i, x in enumerate(names)}
+    cpds = {"X0": TabularCPD("X0", (), {(): (0.3, 0.7)})}
+    for i, x in enumerate(names[1:], 1):
+        stay = 0.8 if i in (300, 600, 900) else 1.0
+        cpds[x] = TabularCPD(
+            x, parents[x], {("a",): (stay, 1 - stay), ("b",): (1 - stay, stay)}
+        )
+    last = names[-1]
+    for agent, seen in ((1, "X0"), (2, last)):
+        variables.append(Variable(f"D{agent}", "decision", ("u", "v"), agent))
+        parents[f"D{agent}"] = (seen,)
+    domains = {last: binary, "D1": ("u", "v"), "D2": ("u", "v")}
+    for agent, ps in ((1, (last, "D1")), (2, (last, "D1", "D2"))):
+        name = f"U{agent}"
+        udom = (-2, 0, 3)
+        variables.append(Variable(name, "utility", udom, agent))
+        parents[name] = ps
+        cpds[name] = TabularCPD(name, ps, {
+            ctx: random_distribution(rng, 3)
+            for ctx in itertools.product(*[domains[p] for p in ps])
+        })
+    return CausalGame(2, tuple(variables), parents, cpds)
+
+
+def test_deep_chain_solved_by_small_eliminations(monkeypatch):
+    """Each elimination step sees a few labels, never the 1200 variables."""
+    game = _deep_chain_game()
+    widths = []
+    einsum = np.einsum
+
+    def recorded(*args):
+        widths.append(len({x for scope in args[1::2] for x in scope}))
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    start = time.perf_counter()
+    outcomes = pure_nash(game).outcomes
+    eus = [expected_utility(game, p, a) for p in outcomes for a in (1, 2)]
+    elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+    assert outcomes and max(widths) <= 6
+    assert elapsed < 10.0  # about 0.1 s; the joint loop below takes about 1 s
+    assert _tables(outcomes) == _tables(loop_pure_nash(game).outcomes)
+    want = [
+        expected_utility_from_joint(game, induced_joint(game, p), a)
+        for p in outcomes for a in (1, 2)
+    ]
+    assert eus == pytest.approx(want, abs=1e-12)
 
 
 def _assert_affine_close(got, want):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +10,21 @@ from causalgames import (
     TabularCPD,
     ValidationError,
     Variable,
+    apply_all,
     enumerate_pure_rules,
     expected_utility,
     induced_joint,
     validate_game,
 )
-from helpers import brute_force_joint, random_full_profile, random_game
+from causalgames.cli import resolve_game, resolve_scenario
+from causalgames.model import expected_utility_from_joint
+from helpers import (
+    brute_force_joint,
+    fraction_expected_utility,
+    random_full_profile,
+    random_game,
+    random_rich_game,
+)
 
 
 def test_fixtures_validate(job_market, effortville, prisoners, stackelberg):
@@ -121,10 +132,11 @@ def test_signalling_outcome_probability(job_market):
 
 
 def test_partial_profile_rejected(job_market):
+    partial = PolicyProfile({"D1": job_market.delta_rule("D1", "g")})
     with pytest.raises(ValidationError, match="missing decision rule for D2"):
-        induced_joint(
-            job_market, PolicyProfile({"D1": job_market.delta_rule("D1", "g")})
-        )
+        induced_joint(job_market, partial)
+    with pytest.raises(ValidationError, match="missing decision rule for D2"):
+        expected_utility(job_market, partial, 1)
 
 
 def test_expected_utility_reference_values(stackelberg):
@@ -209,3 +221,62 @@ def test_rule_flags():
     mixed = TabularCPD("D", (), {(): (0.4, 0.6)})
     assert pure.is_pure and not pure.is_fully_stochastic
     assert mixed.is_fully_stochastic and not mixed.is_pure
+
+
+def test_expected_utility_matches_joint_on_rich_games():
+    """Variable elimination against the joint table it replaces.
+
+    Shuffled declaration orders, zero-probability rows, two utilities for
+    agent 1, none for agent 3, an imposed rule and an object-fixed decision.
+    """
+    for seed in range(80):
+        rng = random.Random(seed)
+        game = random_rich_game(rng)
+        assert validate_game(game) == []
+        if seed % 2:
+            profile = random_full_profile(rng, game)
+        else:  # pure rules put zeros in the free decisions' rows too
+            profile = PolicyProfile({
+                d: rng.choice(enumerate_pure_rules(game, d))
+                for d in game.free_decisions()
+            })
+        joint = induced_joint(game, profile)
+        for agent in (1, 2):
+            assert expected_utility(game, profile, agent) == pytest.approx(
+                expected_utility_from_joint(game, joint, agent), abs=1e-12
+            )
+        assert expected_utility(game, profile, 3) == 0.0
+
+
+FIXTURE_GAMES = ("effortville", "job_market", "prisoners_dilemma", "stackelberg")
+FIXTURE_SCENARIOS = (
+    "commitment_private", "commitment_revealed", "effortville_policy",
+    "reward_hidden", "reward_reversed",
+)
+
+
+def test_expected_utility_exact_on_fixtures():
+    """Every pure profile and three mixed ones of each of the nine fixtures
+    (a scenario's game with all its interventions applied), against exact
+    rational arithmetic."""
+    games = [resolve_game(name) for name in FIXTURE_GAMES]
+    for name in FIXTURE_SCENARIOS:
+        scenario = resolve_scenario(name)
+        games.append(
+            apply_all(scenario.game, [iv for _, iv in scenario.interventions])
+        )
+    rng = random.Random(9)
+    for game in games:
+        decisions = game.free_decisions()
+        profiles = [
+            PolicyProfile(dict(zip(decisions, combo)))
+            for combo in itertools.product(
+                *[enumerate_pure_rules(game, d) for d in decisions]
+            )
+        ]
+        profiles += [random_full_profile(rng, game) for _ in range(3)]
+        for profile in profiles:
+            for agent in range(1, game.n_agents + 1):
+                exact = fraction_expected_utility(game, profile, agent)
+                got = Fraction(expected_utility(game, profile, agent))
+                assert abs(got - exact) <= Fraction(1, 10**12)
