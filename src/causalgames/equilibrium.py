@@ -650,7 +650,7 @@ def optimal_commitment(
                 for (la, lb), (fa, fb) in zip(l_affine, f_affine)
                 if fa * p + fb >= f_best - COMMIT_EPS
             )
-            if best_v is None or value > best_v:
+            if best_v is None or value > best_v + COMMIT_EPS:
                 best_p, best_v = p, value
         return committed_rule(best_p), best_v
     if mode != "exact":

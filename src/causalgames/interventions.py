@@ -3,9 +3,9 @@
 Four primitive game modifications: fixing an object-level variable's CPD
 (and possibly its parent set), fixing a mechanism (a parameter node's CPD or
 a decision-rule node's imposed rule), adding a variable, and removing one.
-Edge additions/removals are derived fixes.  Every application can journal
-the replaced state, so primitives invert exactly; ordered compositions
-invert by reversing inverted steps.
+Edge additions/removals are derived fixes.  Every application records its
+inverse primitive, built from the state it replaced, so primitives invert
+exactly; ordered compositions invert by reversing inverted steps.
 
 ``decompose`` turns a set of labelled interventions plus per-agent
 visibility into an ordered list of primitive stages such that, after the
@@ -44,20 +44,6 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class Journal:
-    """Pre-image of an applied primitive, enabling exact inversion."""
-
-    prev_parents: tuple | None = None
-    prev_cpd: TabularCPD | None = None
-    prev_rule_state: tuple | None = None  # ("free",) | ("rule_fixed", r) | ("object_fixed", cpd)
-    prev_child_cpds: Mapping[str, TabularCPD] | None = None
-    prev_child_parents: Mapping[str, tuple] | None = None
-    removed_variable: Variable | None = None
-    removed_children: tuple | None = None
-    removed_index: int | None = None
-
-
-@dataclass(frozen=True)
 class FixObject:
     """Replace a variable's parent set and CPD.
 
@@ -71,7 +57,7 @@ class FixObject:
     parents: tuple[str, ...]
     cpd: TabularCPD | None = None
     rule_fix: TabularCPD | None = None
-    journal: Journal | None = None
+    inverse: Primitive | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -87,7 +73,7 @@ class FixMechanism:
 
     target: str
     cpd: TabularCPD | None = None
-    journal: Journal | None = None
+    inverse: Primitive | None = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +95,7 @@ class AddVariable:
     child_parents: Mapping[str, tuple] | None = None
     rule_fix: TabularCPD | None = None
     index: int | None = None
-    journal: Journal | None = None
+    inverse: Primitive | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -128,7 +114,7 @@ class RemoveVariable:
     target: str
     child_cpds: Mapping[str, TabularCPD] | None = None
     child_parents: Mapping[str, tuple] | None = None
-    journal: Journal | None = None
+    inverse: Primitive | None = None
 
 
 Primitive = Union[FixObject, FixMechanism, AddVariable, RemoveVariable]
@@ -144,11 +130,11 @@ class CompoundIntervention:
         object.__setattr__(self, "steps", tuple(self.steps))
 
     def apply(self, game: CausalGame) -> tuple[CausalGame, "CompoundIntervention"]:
-        journaled = []
+        applied = []
         for p in self.steps:
-            game, jp = apply_journaled(game, p)
-            journaled.append(jp)
-        return game, CompoundIntervention(tuple(journaled))
+            game, ap = apply_journaled(game, p)
+            applied.append(ap)
+        return game, CompoundIntervention(tuple(applied))
 
     def invert(self) -> "CompoundIntervention":
         return CompoundIntervention(tuple(invert(p) for p in reversed(self.steps)))
@@ -183,12 +169,9 @@ def _require_acyclic(names: Sequence[str], parents: Mapping[str, tuple]):
         )
 
 
-def _rule_state(game: CausalGame, decision: str) -> tuple:
-    if decision in game.object_fixed:
-        return ("object_fixed", game.cpds[decision])
-    if decision in game.rule_fixes:
-        return ("rule_fixed", game.rule_fixes[decision])
-    return ("free",)
+def _restoring(game: CausalGame, name: str) -> dict:
+    """The ``cpd``/``rule_fix`` fields that put ``name``'s pinning back."""
+    return {"cpd": game.cpds.get(name), "rule_fix": game.rule_fixes.get(name)}
 
 
 def _apply_fix_object(game: CausalGame, p: FixObject):
@@ -199,54 +182,52 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
             raise InterventionError(f"unknown parent {parent!r}")
         if parent == p.target:
             raise InterventionError(f"{p.target} cannot be its own parent")
+        if game.kind(parent) == UTILITY:
+            raise InterventionError(f"utility {parent} cannot be a parent")
     if len(set(p.parents)) != len(p.parents):
         raise InterventionError(f"duplicate parents for {p.target}")
     # validate against the rewired game so new parent contexts resolve
     probe = game.with_parents(p.target, p.parents)
     _require_acyclic(game.names(), probe.parents)
 
-    kind = game.kind(p.target)
     cpds = dict(game.cpds)
     rule_fixes = dict(game.rule_fixes)
     object_fixed = set(game.object_fixed)
 
-    if kind != DECISION:
+    if game.kind(p.target) != DECISION:
         if p.cpd is None:
             raise InterventionError(
                 f"object-level fix on {p.target} requires a CPD"
             )
-        journal = Journal(
-            prev_parents=game.parents_of(p.target),
-            prev_cpd=game.cpds[p.target],
-        )
         _require_cpd(probe, p.cpd, p.target)
         cpds[p.target] = p.cpd
+    elif p.cpd is not None:
+        _require_cpd(probe, p.cpd, p.target)
+        cpds[p.target] = p.cpd
+        rule_fixes.pop(p.target, None)
+        object_fixed.add(p.target)
     else:
-        journal = Journal(
-            prev_parents=game.parents_of(p.target),
-            prev_rule_state=_rule_state(game, p.target),
-        )
-        if p.cpd is not None:
-            _require_cpd(probe, p.cpd, p.target)
-            cpds[p.target] = p.cpd
-            rule_fixes.pop(p.target, None)
-            object_fixed.add(p.target)
-        else:
-            cpds.pop(p.target, None)
-            object_fixed.discard(p.target)
-            if p.rule_fix is not None:
-                _require_cpd(probe, p.rule_fix, p.target)
-                rule_fixes[p.target] = p.rule_fix
-            elif p.target in rule_fixes:
+        cpds.pop(p.target, None)
+        object_fixed.discard(p.target)
+        if p.rule_fix is not None:
+            if p.target not in rule_fixes and p.target not in game.object_fixed:
                 raise InterventionError(
-                    f"cannot rewire committed decision {p.target}; unfix the "
-                    "rule first"
+                    f"{p.target} is free; commit its rule at PI_{p.target}"
                 )
-    new_game = CausalGame(
-        game.n_agents, game.variables, probe.parents, cpds, rule_fixes,
-        frozenset(object_fixed),
+            _require_cpd(probe, p.rule_fix, p.target)
+            rule_fixes[p.target] = p.rule_fix
+        elif p.target in rule_fixes:
+            raise InterventionError(
+                f"cannot rewire committed decision {p.target}; unfix the "
+                "rule first"
+            )
+    new_game = dc_replace(
+        probe, cpds=cpds, rule_fixes=rule_fixes, object_fixed=object_fixed
     )
-    return new_game, journal
+    inverse = FixObject(
+        p.target, game.parents_of(p.target), **_restoring(game, p.target)
+    )
+    return new_game, inverse
 
 
 def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
@@ -254,6 +235,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
     if not game.has_variable(var):
         raise InterventionError(f"unknown variable behind {p.target!r}")
     kind = game.kind(var)
+    inverse = FixMechanism(p.target, game.factor_cpd(var))
     if p.target.startswith("THETA_"):
         if kind == DECISION:
             raise InterventionError(
@@ -269,16 +251,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
                 "use an object-level fix"
             )
         _require_cpd(game, p.cpd, var)
-        journal = Journal(prev_cpd=game.cpds[var])
-        cpds = dict(game.cpds)
-        cpds[var] = p.cpd
-        return (
-            CausalGame(
-                game.n_agents, game.variables, game.parents, cpds,
-                game.rule_fixes, game.object_fixed,
-            ),
-            journal,
-        )
+        return dc_replace(game, cpds={**game.cpds, var: p.cpd}), inverse
     # rule node
     if kind != DECISION:
         raise InterventionError(f"{p.target}: {var} is not a decision")
@@ -286,7 +259,6 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
         raise InterventionError(
             f"{p.target}: {var} is object-fixed; its rule no longer governs it"
         )
-    journal = Journal(prev_rule_state=_rule_state(game, var))
     rule_fixes = dict(game.rule_fixes)
     if p.cpd is None:
         if var not in rule_fixes:
@@ -295,16 +267,10 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
     else:
         _require_cpd(game, p.cpd, var)
         rule_fixes[var] = p.cpd
-    return (
-        CausalGame(
-            game.n_agents, game.variables, game.parents, game.cpds,
-            rule_fixes, game.object_fixed,
-        ),
-        journal,
-    )
+    return dc_replace(game, rule_fixes=rule_fixes), inverse
 
 
-def _extend_child_cpd(game, child, y_name, y_domain, override):
+def _extend_child_cpd(game, child, y_name, y_domain, override=None):
     """Extend a child's CPD over the new parent.
 
     With an override, the override's own parent tuple fixes the order;
@@ -338,6 +304,11 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     for n in p.parents + p.children:
         if not game.has_variable(n):
             raise InterventionError(f"unknown variable {n!r}")
+    for n in p.parents:
+        if game.kind(n) == UTILITY:
+            raise InterventionError(f"utility {n} cannot be a parent")
+    if v.kind == UTILITY and p.children:
+        raise InterventionError(f"utility {v.name} cannot have children")
     if v.kind != DECISION and p.cpd is None:
         raise InterventionError(f"adding {v.name} requires a CPD")
 
@@ -351,7 +322,7 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
 
     for child in p.children:
         prev_child_parents[child] = game.parents_of(child)
-        if game.kind(child) == DECISION:
+        if child not in game.cpds:  # a decision its rule governs
             if child in game.rule_fixes:
                 raise InterventionError(
                     f"cannot change the information set of committed "
@@ -378,31 +349,29 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     variables = game.variables[:pos] + (v,) + game.variables[pos:]
     _require_acyclic([x.name for x in variables], new_parents)
 
-    probe = CausalGame(game.n_agents, variables, new_parents, cpds)
+    # the new shape, against which every table is checked
+    shape = dc_replace(game, variables=variables, parents=new_parents)
     if v.kind == DECISION:
         if p.cpd is not None:
-            _require_cpd(probe, p.cpd, v.name)
+            _require_cpd(shape, p.cpd, v.name)
             cpds[v.name] = p.cpd
             object_fixed.add(v.name)
         elif p.rule_fix is not None:
-            _require_cpd(probe, p.rule_fix, v.name)
+            _require_cpd(shape, p.rule_fix, v.name)
             rule_fixes[v.name] = p.rule_fix
     else:
-        _require_cpd(probe, p.cpd, v.name)
+        _require_cpd(shape, p.cpd, v.name)
         cpds[v.name] = p.cpd
-
-    # re-validate overridden child CPDs against their final parent tuples
-    final = CausalGame(
-        game.n_agents, variables, new_parents, cpds, rule_fixes,
-        frozenset(object_fixed),
+    # child tables (overrides included), against their final parent tuples
+    for child in prev_child_cpds:
+        _require_cpd(shape, cpds[child], child)
+    final = dc_replace(
+        shape, cpds=cpds, rule_fixes=rule_fixes, object_fixed=object_fixed
     )
-    for child in p.children:
-        if game.kind(child) != DECISION:
-            _require_cpd(final, cpds[child], child)
-    journal = Journal(
-        prev_child_cpds=prev_child_cpds, prev_child_parents=prev_child_parents
+    inverse = RemoveVariable(
+        v.name, child_cpds=prev_child_cpds, child_parents=prev_child_parents
     )
-    return final, journal
+    return final, inverse
 
 
 def _marginalise_out(game, child, y_name, remaining):
@@ -421,18 +390,15 @@ def _marginalise_out(game, child, y_name, remaining):
         )
     old_parents = game.parents_of(child)
     old_cpd = game.cpds[child]
-    y_pos = old_parents.index(y_name)
-    y_domain = game.domain(y_name)
     table = {}
     for ctx in game.with_parents(child, remaining).contexts(child):
         by_name = dict(zip(remaining, ctx))
         y_ctx = tuple(by_name[q] for q in y_cpd.parents)
         y_row = y_cpd.row(y_ctx)
         acc = None
-        for yi, y in enumerate(y_domain):
-            full_ctx = list(ctx)
-            full_ctx.insert(y_pos, y)
-            row = old_cpd.row(tuple(full_ctx))
+        for yi, y in enumerate(game.domain(y_name)):
+            by_name[y_name] = y
+            row = old_cpd.row(tuple(by_name[q] for q in old_parents))
             if acc is None:
                 acc = [0.0] * len(row)
             for i, val in enumerate(row):
@@ -444,7 +410,6 @@ def _marginalise_out(game, child, y_name, remaining):
 def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
     if not game.has_variable(p.target):
         raise InterventionError(f"unknown variable {p.target!r}")
-    var = game.variable(p.target)
     children = game.children_of(p.target)
 
     new_parents = {
@@ -452,7 +417,6 @@ def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
     }
     cpds = {k: c for k, c in game.cpds.items() if k != p.target}
     rule_fixes = {k: r for k, r in game.rule_fixes.items() if k != p.target}
-    object_fixed = set(game.object_fixed) - {p.target}
     prev_child_cpds = {}
     prev_child_parents = {}
 
@@ -469,7 +433,7 @@ def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
                 )
             remaining = order
         new_parents[child] = remaining
-        if game.kind(child) == DECISION:
+        if child not in game.cpds:  # a decision its rule governs
             if child in game.rule_fixes:
                 raise InterventionError(
                     f"cannot change the information set of committed "
@@ -488,27 +452,26 @@ def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
         else:
             cpds[child] = _marginalise_out(game, child, p.target, remaining)
 
-    variables = tuple(x for x in game.variables if x.name != p.target)
-    final = CausalGame(
-        game.n_agents, variables, new_parents, cpds, rule_fixes,
-        frozenset(object_fixed),
+    final = dc_replace(
+        game,
+        variables=tuple(x for x in game.variables if x.name != p.target),
+        parents=new_parents,
+        cpds=cpds,
+        rule_fixes=rule_fixes,
+        object_fixed=game.object_fixed - {p.target},
     )
-    for child in children:
-        if game.kind(child) != DECISION:
-            _require_cpd(final, cpds[child], child)
-    journal = Journal(
-        prev_parents=game.parents_of(p.target),
-        prev_cpd=game.cpds.get(p.target),
-        prev_rule_state=_rule_state(game, p.target)
-        if var.kind == DECISION
-        else None,
-        prev_child_cpds=prev_child_cpds,
-        prev_child_parents=prev_child_parents,
-        removed_variable=var,
-        removed_children=children,
-        removed_index=game.names().index(p.target),
+    for child in prev_child_cpds:
+        _require_cpd(final, cpds[child], child)
+    inverse = AddVariable(
+        game.variable(p.target),
+        game.parents_of(p.target),
+        children,
+        child_cpds=prev_child_cpds,
+        child_parents=prev_child_parents,
+        index=game.names().index(p.target),
+        **_restoring(game, p.target),
     )
-    return final, journal
+    return final, inverse
 
 
 _APPLIERS = {
@@ -520,9 +483,13 @@ _APPLIERS = {
 
 
 def apply_journaled(game: CausalGame, p: Primitive):
-    """Apply a primitive; return the new game and the journaled primitive."""
-    new_game, journal = _APPLIERS[type(p)](game, p)
-    return new_game, dc_replace(p, journal=journal)
+    """Apply a primitive; return the new game and the applied primitive.
+
+    The applied primitive's ``inverse`` is the primitive that restores the
+    state this application replaced.
+    """
+    new_game, inverse = _APPLIERS[type(p)](game, p)
+    return new_game, dc_replace(p, inverse=inverse)
 
 
 def apply_primitive(game: CausalGame, p: Primitive) -> CausalGame:
@@ -537,56 +504,12 @@ def apply_all(game: CausalGame, interventions: Iterable) -> CausalGame:
 
 
 def invert(p: Primitive) -> Primitive:
-    """The primitive restoring the pre-image recorded in the journal."""
-    j = p.journal
-    if j is None:
+    """The primitive restoring the state an applied primitive replaced."""
+    if p.inverse is None:
         raise InterventionError(
             "cannot invert an intervention that was never applied (no journal)"
         )
-    if isinstance(p, FixObject):
-        if j.prev_rule_state is None:
-            return FixObject(p.target, j.prev_parents, j.prev_cpd)
-        state = j.prev_rule_state
-        if state[0] == "free":
-            return FixObject(p.target, j.prev_parents, None)
-        if state[0] == "object_fixed":
-            return FixObject(p.target, j.prev_parents, state[1])
-        return FixObject(p.target, j.prev_parents, None, rule_fix=state[1])
-    if isinstance(p, FixMechanism):
-        if j.prev_cpd is not None:
-            return FixMechanism(p.target, j.prev_cpd)
-        state = j.prev_rule_state
-        if state[0] == "free":
-            return FixMechanism(p.target, None)
-        return FixMechanism(p.target, state[1])
-    if isinstance(p, AddVariable):
-        return RemoveVariable(
-            p.variable.name,
-            child_cpds=j.prev_child_cpds,
-            child_parents=j.prev_child_parents,
-        )
-    if isinstance(p, RemoveVariable):
-        cpd = None
-        rule_fix = None
-        if j.prev_rule_state is None:
-            cpd = j.prev_cpd
-        else:
-            state = j.prev_rule_state
-            if state[0] == "object_fixed":
-                cpd = state[1]
-            elif state[0] == "rule_fixed":
-                rule_fix = state[1]
-        return AddVariable(
-            j.removed_variable,
-            j.prev_parents,
-            j.removed_children,
-            cpd=cpd,
-            child_cpds=j.prev_child_cpds,
-            child_parents=j.prev_child_parents,
-            rule_fix=rule_fix,
-            index=j.removed_index,
-        )
-    raise InterventionError(f"unknown primitive {p!r}")
+    return p.inverse
 
 
 # -- derived interventions -----------------------------------------------------
@@ -598,15 +521,9 @@ def make_add_edge(game: CausalGame, src: str, dst: str) -> FixObject:
         raise InterventionError(f"unknown edge endpoint in {src}->{dst}")
     if src in game.parents_of(dst):
         raise InterventionError(f"edge {src}->{dst} already present")
-    new_parents = game.parents_of(dst) + (src,)
     if game.kind(dst) == DECISION:
-        return FixObject(dst, new_parents, None)
-    old = game.cpds[dst]
-    table = {}
-    for ctx, row in old.table.items():
-        for v in game.domain(src):
-            table[ctx + (v,)] = row
-    return FixObject(dst, new_parents, TabularCPD(dst, new_parents, table))
+        return FixObject(dst, game.parents_of(dst) + (src,), None)
+    return FixObject(dst, *_extend_child_cpd(game, dst, src, game.domain(src)))
 
 
 def make_remove_edge(game: CausalGame, src: str, dst: str) -> FixObject:
@@ -635,7 +552,7 @@ def remove_edge(game: CausalGame, src: str, dst: str) -> CausalGame:
 def decompose_fix_object(game: CausalGame, p: FixObject) -> list[Primitive]:
     """Rewrite an object-level fix as remove-then-add.
 
-    The add step re-attaches the original children with their journaled
+    The add step re-attaches the original children with their original
     tables (including parent order), so the composition equals the direct
     fix exactly, structurally and in induced joints.
     """
@@ -648,7 +565,7 @@ def decompose_fix_object(game: CausalGame, p: FixObject) -> list[Primitive]:
     original_order = {}
     for child in children:
         original_order[child] = game.parents_of(child)
-        if game.kind(child) == DECISION:
+        if child not in game.cpds:
             continue
         original[child] = game.cpds[child]
         remaining = tuple(q for q in game.parents_of(child) if q != p.target)
@@ -666,7 +583,7 @@ def decompose_fix_object(game: CausalGame, p: FixObject) -> list[Primitive]:
         cpd=p.cpd,
         child_cpds=original,
         child_parents={
-            c: original_order[c] for c in children if game.kind(c) == DECISION
+            c: original_order[c] for c in children if c not in original
         },
         rule_fix=p.rule_fix,
         index=game.names().index(p.target),
@@ -792,11 +709,16 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage of a decomposition: primitives applied, then agents fixing."""
+    """One stage of a decomposition: primitives applied, then agents fixing.
+
+    ``game`` is the game after this stage's primitives (and every earlier
+    stage's).
+    """
 
     primitives: tuple[Primitive, ...]
     agents: frozenset
     tags: frozenset  # of (label, inverted: bool)
+    game: CausalGame
 
 
 @dataclass(frozen=True)
@@ -821,7 +743,6 @@ class Decomposition:
 
 
 def _agent_view(game, compounds, visible_labels, common, merge_common):
-    order = []
     if merge_common:
         order = [l for l in common if l in visible_labels]
         order += [l for l in visible_labels if l not in common]
@@ -897,13 +818,13 @@ def decompose(
     running = game
 
     def apply_labels(g, labs):
-        journaled = []
+        applied = []
         prims = []
         for lab in labs:
             g, jc = compounds[lab].apply(g)
-            journaled.append((lab, jc))
+            applied.append((lab, jc))
             prims.extend(jc.steps)
-        return g, journaled, prims
+        return g, applied, prims
 
     prev_extras: list[tuple[str, CompoundIntervention]] = []
 
@@ -912,9 +833,10 @@ def decompose(
         stage0_agents = frozenset(
             a for a in agents if set(vis[a]) == set(common)
         )
-        stages.append(
-            Stage(tuple(prims), stage0_agents, frozenset((l, False) for l in common))
-        )
+        stages.append(Stage(
+            tuple(prims), stage0_agents, frozenset((l, False) for l in common),
+            running,
+        ))
         for a in stage0_agents:
             agent_stage[a] = 0
         remaining = [
@@ -927,17 +849,17 @@ def decompose(
         prims = []
         tags = set()
         for lab, jc in reversed(prev_extras):
-            inv = jc.invert()
-            inv_game, jinv = inv.apply(running)
-            running = inv_game
+            running, jinv = jc.invert().apply(running)
             prims.extend(jinv.steps)
             tags.add((lab, True))
         extras = [lab for lab in labels if lab in key and lab not in common_set]
-        running, journaled, extra_prims = apply_labels(running, extras)
+        running, applied, extra_prims = apply_labels(running, extras)
         prims.extend(extra_prims)
         tags.update((lab, False) for lab in extras)
-        prev_extras = journaled
-        stages.append(Stage(tuple(prims), frozenset(members), frozenset(tags)))
+        prev_extras = applied
+        stages.append(
+            Stage(tuple(prims), frozenset(members), frozenset(tags), running)
+        )
         for a in members:
             agent_stage[a] = len(stages) - 1
 
@@ -945,21 +867,17 @@ def decompose(
     unseen = [lab for lab in labels if lab not in seen_by_someone]
     if unseen:
         running, _, prims = apply_labels(running, unseen)
-        stages.append(
-            Stage(tuple(prims), frozenset(), frozenset((l, False) for l in unseen))
-        )
+        stages.append(Stage(
+            tuple(prims), frozenset(), frozenset((l, False) for l in unseen),
+            running,
+        ))
 
     dec = Decomposition(tuple(stages), agent_stage, tuple(labels), running)
 
-    # internal consistency: replay each agent's view and compare
+    # internal consistency: each agent's stage game is the agent's view
     for a in agents:
-        j = agent_stage[a]
-        g = game
-        for s in dec.stages[: j + 1]:
-            for prim in s.primitives:
-                g = apply_primitive(g, prim)
         view = _agent_view(game, compounds, vis[a], common, merge_common)
-        if not games_equal(g, view):
+        if not games_equal(stages[agent_stage[a]].game, view):
             raise InterventionError(
                 f"decomposition failed to reproduce agent {a}'s view"
             )

@@ -354,6 +354,9 @@ def _check_cpd(
                 f"{name}: row {ctx} has {len(row)} entries, domain has {ncol}"
             )
             continue
+        if not all(math.isfinite(p) for p in row):
+            report.append(f"{name}: row {ctx} has a non-finite entry")
+            continue
         if any(p < -eps for p in row):
             report.append(f"{name}: row {ctx} has a negative entry")
         if abs(sum(row) - 1.0) > eps:
@@ -394,6 +397,8 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
         if v.kind == UTILITY:
             if not all(isinstance(u, (int, float)) for u in v.domain):
                 report.append(f"{v.name}: utility domain must be numeric")
+            elif not all(math.isfinite(u) for u in v.domain):
+                report.append(f"{v.name}: utility domain must be finite")
 
     for name, ps in game.parents.items():
         if name not in seen:

@@ -322,6 +322,7 @@ def test_criterion_11_decomposition_reproduces_agent_views(job_market):
             for stage in dec.stages[: stage_index + 1]:
                 for prim in stage.primitives:
                     staged = apply_primitive(staged, prim)
+                assert games_equal(stage.game, staged)
             view = job_market
             order = [l for l in common if l in visibility[agent]] + [
                 l for l in visibility[agent] if l not in common

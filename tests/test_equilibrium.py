@@ -22,7 +22,7 @@ from causalgames import (
     sample_rational_outcome,
     verify_rational_outcome,
 )
-from causalgames.equilibrium import _row_terms, _slot_values
+from causalgames.equilibrium import COMMIT_EPS, _row_terms, _slot_values
 from causalgames.model import (
     cpds_equal,
     enumerate_pure_rules,
@@ -33,6 +33,7 @@ from helpers import (
     loop_action_values,
     loop_pure_nash,
     random_distribution,
+    random_game,
     random_multi_decision_game,
     random_type_game,
 )
@@ -455,6 +456,24 @@ def test_optimal_commitment_grid(stackelberg):
     spread = 4.0 - 0.0
     assert exact_value >= value - 1e-3 * spread
     assert value == pytest.approx(exact_value, abs=1e-2)
+
+
+def test_optimal_commitment_grid_flat_leader_takes_lowest_p():
+    # seed 36 gives a game in which the leader's value does not depend on
+    # the commitment; its affine form still moves in the last digits
+    game = random_game(random.Random(36))
+    assert game.n_agents == 2 and game.parents_of("D1") == ()
+    grid = [i / 20 for i in range(21)]
+    values = [
+        commitment_value(game, 1, TabularCPD("D1", (), {(): (p, 1.0 - p)}))[1]
+        for p in grid
+    ]
+    best = max(values)
+    assert best - min(values) <= 1e-15
+    lowest = min(p for p, v in zip(grid, values) if v >= best - COMMIT_EPS)
+    rule, value = optimal_commitment(game, 1, mode="grid", grid_step=0.05)
+    assert rule.row(())[0] == lowest == 0.0
+    assert value == pytest.approx(best, abs=COMMIT_EPS)
 
 
 def test_optimal_commitment_constant_leader():

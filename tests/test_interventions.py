@@ -1,6 +1,16 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from causalgames import (
     AddVariable,
@@ -29,11 +39,15 @@ from causalgames import (
     reachability_paths,
     remove_edge,
     side_effects,
+    validate_game,
 )
+from causalgames.model import _dependency_order
 from helpers import (
     is_minimum_hitting_set,
+    random_distribution,
     random_full_profile,
     random_game,
+    random_rich_game,
 )
 
 
@@ -76,6 +90,15 @@ def test_mechanism_fix_cannot_change_parents(job_market):
         apply_primitive(job_market, FixMechanism("THETA_U2", cpd))
 
 
+def test_non_finite_mechanism_row_rejected(job_market):
+    nan_prior = TabularCPD("T", (), {(): (float("nan"), 1.0)})
+    with pytest.raises(InterventionError, match="non-finite"):
+        apply_primitive(job_market, FixMechanism("THETA_T", nan_prior))
+    inf_prior = TabularCPD("T", (), {(): (float("inf"), 0.0)})
+    with pytest.raises(InterventionError, match="non-finite"):
+        apply_primitive(job_market, FixObject("T", (), inf_prior))
+
+
 def test_dangling_parent_rejected(job_market):
     with pytest.raises(InterventionError, match="unknown parent"):
         apply_primitive(
@@ -87,6 +110,77 @@ def test_dangling_parent_rejected(job_market):
 def test_remove_missing_variable_rejected(job_market):
     with pytest.raises(InterventionError, match="unknown variable"):
         apply_primitive(job_market, RemoveVariable("ghost"))
+
+
+def test_utility_stays_a_leaf(job_market):
+    with pytest.raises(InterventionError, match="utility U1 cannot be a parent"):
+        add_edge(job_market, "U1", "U2")
+    coin = TabularCPD("N", ("U1",), {(u,): (0.5, 0.5) for u in job_market.domain("U1")})
+    with pytest.raises(InterventionError, match="utility U1 cannot be a parent"):
+        apply_primitive(job_market, AddVariable(Variable("N", "chance", ("u", "v")), ("U1",), (), coin))
+    bonus = Variable("B", "utility", (0, 1), 1)
+    with pytest.raises(InterventionError, match="utility B cannot have children"):
+        apply_primitive(
+            job_market,
+            AddVariable(bonus, (), ("U1",), TabularCPD("B", (), {(): (0.5, 0.5)})),
+        )
+
+
+def test_rule_fix_needs_a_committed_or_pinned_decision(job_market):
+    rule = job_market.delta_rule("D2", "j")
+    with pytest.raises(InterventionError, match="D2 is free"):
+        apply_primitive(job_market, FixObject("D2", ("D1",), rule_fix=rule))
+
+
+def test_object_fixed_decision_child_keeps_a_valid_table(job_market):
+    pinned = apply_primitive(
+        job_market, FixObject("D2", ("D1",), job_market.delta_rule("D2", "j"))
+    )
+    noise = AddVariable(
+        Variable("N", "chance", ("u", "v")), (), ("D2",),
+        cpd=TabularCPD("N", (), {(): (0.3, 0.7)}),
+    )
+    g2, applied = apply_journaled(pinned, noise)
+    assert validate_game(g2) == []
+    assert g2.cpds["D2"].parents == ("D1", "N")
+    assert games_equal(apply_primitive(g2, invert(applied)), pinned)
+    # D1 is free, so D2's table needs a replacement without it
+    u1 = TabularCPD.uniform(
+        "U1", pinned.domain("U1"), ("T", "D2"),
+        pinned.with_parents("U1", ("T", "D2")).contexts("U1"),
+    )
+    with pytest.raises(InterventionError, match="child D2 needs an explicit"):
+        apply_primitive(pinned, RemoveVariable("D1", child_cpds={"U1": u1}))
+    d2 = TabularCPD("D2", (), {(): (0.5, 0.5)})
+    g3, applied = apply_journaled(
+        pinned, RemoveVariable("D1", child_cpds={"U1": u1, "D2": d2})
+    )
+    assert validate_game(g3) == []
+    assert games_equal(apply_primitive(g3, invert(applied)), pinned)
+
+
+def test_remove_marginalises_into_a_reordered_parent_tuple():
+    variables = tuple(Variable(n, "chance", ("0", "1")) for n in ("A", "B", "Y", "C"))
+    rows = {
+        ctx: (0.1 + 0.1 * k, 0.9 - 0.1 * k)
+        for k, ctx in enumerate(itertools.product("01", repeat=3))
+    }
+    game = __import__("causalgames").CausalGame(
+        1,
+        variables,
+        {"A": (), "B": (), "Y": (), "C": ("A", "Y", "B")},
+        {
+            "A": TabularCPD("A", (), {(): (0.5, 0.5)}),
+            "B": TabularCPD("B", (), {(): (0.5, 0.5)}),
+            "Y": TabularCPD("Y", (), {(): (0.25, 0.75)}),
+            "C": TabularCPD("C", ("A", "Y", "B"), rows),
+        },
+    )
+    kept = apply_primitive(game, RemoveVariable("Y"))
+    swapped = apply_primitive(game, RemoveVariable("Y", child_parents={"C": ("B", "A")}))
+    assert swapped.parents_of("C") == ("B", "A")
+    for a, b in itertools.product("01", repeat=2):
+        assert swapped.cpds["C"].row((b, a)) == kept.cpds["C"].row((a, b))
 
 
 # -- inversion --------------------------------------------------------------------
@@ -488,6 +582,7 @@ def test_decompose_satisfies_agent_views(job_market):
             for stage in dec.stages[: j + 1]:
                 for prim in stage.primitives:
                     staged = apply_primitive(staged, prim)
+                assert games_equal(stage.game, staged)
             expected = job_market
             order = [l for l in common if l in visibility[agent]] + [
                 l for l in visibility[agent] if l not in common
@@ -495,3 +590,251 @@ def test_decompose_satisfies_agent_views(job_market):
             for lab in order:
                 expected = apply_all(expected, [dict(pool)[lab]])
             assert games_equal(staged, expected)
+
+
+# -- the algebra as a state machine ----------------------------------------------------
+
+
+def _random_cpd(rng, game, name, parents):
+    """A random table for ``name`` over ``parents`` (one-hot a third of the time)."""
+    n = len(game.domain(name))
+    table = {}
+    for ctx in game.with_parents(name, parents).contexts(name):
+        if rng.random() < 1 / 3:
+            hot = rng.randrange(n)
+            table[ctx] = tuple(float(k == hot) for k in range(n))
+        else:
+            table[ctx] = random_distribution(rng, n)
+    return TabularCPD(name, tuple(parents), table)
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    return tuple(items)
+
+
+class InterventionAlgebra(RuleBasedStateMachine):
+    """Random primitive steps on random games.
+
+    Each step is applied with its inverse recorded; the inverse must restore
+    the game exactly, every game reached must validate, an object fix must
+    equal its remove-then-add rewrite, and a decomposition of a random
+    labelled pool must reproduce every agent's view stage by stage.
+    Steps the algebra rejects (cycles, committed information sets, missing
+    replacement tables) leave the game as it was.
+    """
+
+    @initialize(seed=st.integers(0, 2**32 - 1), rich=st.booleans())
+    def start(self, seed, rich):
+        self.rng = random.Random(seed)
+        self.game = (random_rich_game if rich else random_game)(self.rng)
+        self.added = 0
+
+    def _apply(self, prim):
+        before = self.game
+        try:
+            after, applied = apply_journaled(before, prim)
+        except InterventionError:
+            return
+        assert games_equal(apply_primitive(after, invert(applied)), before)
+        if isinstance(prim, FixObject):
+            try:
+                staged = before
+                for step in decompose_fix_object(before, prim):
+                    staged = apply_primitive(staged, step)
+            except InterventionError as exc:
+                # remove-then-add cannot detach a committed decision child
+                assert "committed decision" in str(exc)
+            else:
+                assert games_equal(staged, after)
+        self.game = after
+
+    @invariant()
+    def stays_valid(self):
+        assert validate_game(self.game) == []
+
+    @rule(data=st.data())
+    def fix_object(self, data):
+        rng, game = self.rng, self.game
+        target = data.draw(st.sampled_from(game.names()))
+        pool = [n for n in game.names() if n != target and game.kind(n) != "utility"]
+        parents = [q for q in game.parents_of(target) if rng.random() < 0.7]
+        if pool and rng.random() < 0.3:
+            extra = rng.choice(pool)
+            if extra not in parents:
+                parents.append(extra)
+        parents = _shuffled(rng, parents)
+        mode = "pin"
+        if game.kind(target) == "decision":
+            mode = data.draw(st.sampled_from(["pin", "rewire", "recommit"]))
+        table = _random_cpd(rng, game, target, parents)
+        if mode == "pin":
+            self._apply(FixObject(target, parents, table))
+        elif mode == "rewire":
+            self._apply(FixObject(target, parents))
+        else:
+            self._apply(FixObject(target, parents, rule_fix=table))
+
+    @rule(data=st.data())
+    def fix_mechanism(self, data):
+        rng, game = self.rng, self.game
+        target = data.draw(st.sampled_from(game.names()))
+        if game.kind(target) != "decision":
+            cpd = _random_cpd(rng, game, target, game.parents_of(target))
+            self._apply(FixMechanism(f"THETA_{target}", cpd))
+        elif target in game.rule_fixes and data.draw(st.booleans()):
+            self._apply(FixMechanism(f"PI_{target}", None))
+        else:
+            cpd = _random_cpd(rng, game, target, game.parents_of(target))
+            self._apply(FixMechanism(f"PI_{target}", cpd))
+
+    @rule(data=st.data())
+    def add_variable(self, data):
+        rng, game = self.rng, self.game
+        self.added += 1
+        name = f"N{self.added}"
+        kind = data.draw(st.sampled_from(["chance", "decision"]))
+        state = data.draw(st.sampled_from(["free", "committed", "pinned"]))
+        agent = rng.randint(1, game.n_agents) if kind == "decision" else None
+        variable = Variable(name, kind, ("p", "q", "r")[: rng.randint(2, 3)], agent)
+        order, _ = _dependency_order(game.names(), game.parents)
+        cut = rng.randint(0, len(order))
+        upstream = [n for n in order[:cut] if game.kind(n) != "utility"]
+        parents = tuple(rng.sample(upstream, min(len(upstream), rng.randint(0, 2))))
+        downstream = order[cut:]
+        children = tuple(rng.sample(downstream, min(len(downstream), rng.randint(0, 3))))
+        shape = replace(
+            game,
+            variables=game.variables + (variable,),
+            parents={**game.parents, name: parents},
+        )
+        cpd = rule_fix = None
+        if kind == "chance" or state == "pinned":
+            cpd = _random_cpd(rng, shape, name, parents)
+        elif state == "committed":
+            rule_fix = _random_cpd(rng, shape, name, parents)
+        child_cpds, child_parents = {}, {}
+        for child in children:
+            order = _shuffled(rng, game.parents_of(child) + (name,))
+            if child in game.cpds:
+                if rng.random() < 0.5:
+                    ext = replace(shape, parents={**shape.parents, child: order})
+                    child_cpds[child] = _random_cpd(rng, ext, child, order)
+            elif rng.random() < 0.5:
+                child_parents[child] = order
+        self._apply(AddVariable(
+            variable, parents, children, cpd=cpd, child_cpds=child_cpds,
+            child_parents=child_parents, rule_fix=rule_fix,
+            index=rng.randint(0, len(game.variables)),
+        ))
+
+    @rule(data=st.data())
+    def remove_variable(self, data):
+        rng, game = self.rng, self.game
+        if len(game.variables) <= 3:
+            return
+        # decisions half the time: their rule state must survive re-adding
+        pool = game.decisions() or game.names()
+        if data.draw(st.booleans()):
+            pool = game.names()
+        self._remove(data.draw(st.sampled_from(pool)))
+
+    @rule(data=st.data())
+    def remove_observed_decision(self, data):
+        """Commit, pin or keep a decision another decision observes; remove it."""
+        if len(self.game.decisions()) < 2:
+            return
+        d, e = data.draw(st.permutations(self.game.decisions()))[:2]
+        if d not in self.game.parents_of(e):
+            self._apply(make_add_edge(self.game, d, e))
+        mode = data.draw(st.sampled_from(["commit", "pin", "keep"]))
+        table = _random_cpd(self.rng, self.game, d, self.game.parents_of(d))
+        if mode == "commit":
+            self._apply(FixMechanism(f"PI_{d}", table))
+        elif mode == "pin":
+            self._apply(FixObject(d, self.game.parents_of(d), table))
+        self._remove(d)
+
+    def _remove(self, target):
+        rng, game = self.rng, self.game
+        child_cpds, child_parents = {}, {}
+        for child in game.children_of(target):
+            remaining = tuple(q for q in game.parents_of(child) if q != target)
+            if rng.random() < 0.5:
+                remaining = _shuffled(rng, remaining)
+                child_parents[child] = remaining
+            if child in game.cpds and (target not in game.cpds or rng.random() < 0.3):
+                child_cpds[child] = _random_cpd(rng, game, child, remaining)
+        self._apply(RemoveVariable(target, child_cpds, child_parents))
+
+    @rule(data=st.data())
+    def edge(self, data):
+        game = self.game
+        src = data.draw(st.sampled_from(game.names()))
+        dst = data.draw(st.sampled_from(game.names()))
+        try:
+            if src in game.parents_of(dst):
+                prim = make_remove_edge(game, src, dst)
+            else:
+                prim = make_add_edge(game, src, dst)
+        except InterventionError:
+            return
+        self._apply(prim)
+
+    @rule(data=st.data())
+    def decompose_pool(self, data):
+        rng, game = self.rng, self.game
+        pool = []
+        for target in rng.sample(game.names(), min(3, len(game.names()))):
+            parents = tuple(q for q in game.parents_of(target) if rng.random() < 0.7)
+            if game.kind(target) != "decision":
+                if parents == game.parents_of(target):
+                    cpd = _random_cpd(rng, game, target, parents)
+                    pool.append(FixMechanism(f"THETA_{target}", cpd))
+                else:
+                    pool.append(FixObject(target, parents, _random_cpd(rng, game, target, parents)))
+            elif target in game.object_fixed or rng.random() < 0.5:
+                pool.append(FixObject(target, parents, _random_cpd(rng, game, target, parents)))
+            elif target in game.rule_fixes:
+                pool.append(FixMechanism(f"PI_{target}", None))
+            else:
+                cpd = _random_cpd(rng, game, target, game.parents_of(target))
+                pool.append(FixMechanism(f"PI_{target}", cpd))
+        labelled = [(f"i{k}", prim) for k, prim in enumerate(pool)]
+        labels = [lab for lab, _ in labelled]
+        agents = list(range(1, game.n_agents + 1))
+        visibility = {
+            a: tuple(lab for lab in labels if rng.random() < 0.5) for a in agents
+        }
+        merge_common = data.draw(st.booleans())
+        agent_order = _shuffled(rng, agents)
+        dec = decompose(game, labelled, visibility, agent_order, merge_common)
+        staged = game
+        for stage in dec.stages:
+            for prim in stage.primitives:
+                staged = apply_primitive(staged, prim)
+            assert games_equal(stage.game, staged)
+        assert games_equal(dec.final_game, staged)
+        common = [lab for lab in labels if all(lab in visibility[a] for a in agents)]
+        for agent, j in dec.agent_stage.items():
+            visible = visibility[agent]
+            if merge_common:
+                visible = [l for l in common if l in visible] + [
+                    l for l in visible if l not in common
+                ]
+            expected = apply_all(game, [dict(labelled)[lab] for lab in visible])
+            assert games_equal(dec.stages[j].game, expected)
+
+
+def test_intervention_algebra_state_machine():
+    run_state_machine_as_test(
+        InterventionAlgebra,
+        settings=settings(
+            max_examples=100,
+            stateful_step_count=15,
+            derandomize=True,
+            deadline=None,
+            suppress_health_check=list(HealthCheck),
+        ),
+    )

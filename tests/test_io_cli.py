@@ -206,6 +206,27 @@ def test_cli_solve_json_golden(capsys):
     }
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {"solve": "solve", "mech_graph": "mech-graph", "query": "query"}
+
+
+def _golden_argv(stem):
+    for prefix, command in GOLDEN_COMMANDS.items():
+        if stem.startswith(prefix + "_"):
+            return ["--json", command, stem[len(prefix) + 1:]]
+    raise ValueError(f"golden {stem!r} names no command")
+
+
+@pytest.mark.parametrize(
+    "golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem
+)
+def test_cli_json_matches_golden(capsys, golden):
+    code, out, _ = run_cli(capsys, *_golden_argv(golden.stem))
+    assert code == 0
+    pretty = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert pretty.encode() == golden.read_bytes()
+
+
 def test_cli_commit(capsys):
     code, out, _ = run_cli(capsys, "commit", "stackelberg", "--leader", "1")
     assert code == 0
@@ -238,6 +259,31 @@ def test_cli_validate_ok_and_failure(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 1
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"": [0.5, 0.5]', '"": [.nan, 1.0]', "T: row () has a non-finite entry"),
+        (
+            "domain: [-2, -1, 0, 3]\n",
+            "domain: [-2, -1, 0, 3, .inf]\n",
+            "U2: utility domain must be finite",
+        ),
+    ],
+    ids=["nan_prior", "inf_utility"],
+)
+def test_cli_validate_rejects_non_finite(capsys, tmp_path, old, new, message):
+    fixture = Path(causalgames.__file__).parent / "fixtures" / "job_market.game.yaml"
+    text = fixture.read_text()
+    assert old in text
+    bad = tmp_path / "bad.game.yaml"
+    bad.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert run_cli(capsys, "solve", str(bad))[0] == 1
 
 
 def test_cli_queries_reproduce_reference_values(capsys):
