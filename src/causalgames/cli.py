@@ -38,6 +38,7 @@ from .interventions import (
     side_effects as compute_side_effects,
     incentive_invariant,
 )
+from .model import PROB_EPS, QUERY_EPS, ROUND_DIGITS, SHOWN_EPS
 from .model import CausalGame, validate_game
 from .queries import QueryJob, classify_visibility, evaluate_query
 
@@ -84,7 +85,7 @@ def resolve_scenario(arg: str) -> Scenario:
 
 
 def _round(x: float) -> float:
-    return round(float(x), 12)
+    return round(float(x), ROUND_DIGITS)
 
 
 def _rule_dict(rule) -> dict:
@@ -100,12 +101,12 @@ def _rule_text(game, decision, rule) -> str:
     for ctx in game.contexts(decision):
         row = rule.row(ctx)
         key = ",".join(str(v) for v in ctx) or "-"
-        pure = [domain[i] for i, p in enumerate(row) if abs(p - 1.0) <= 1e-9]
+        pure = [domain[i] for i, p in enumerate(row) if abs(p - 1.0) <= PROB_EPS]
         if pure:
             parts.append(f"{key}->{pure[0]}")
         else:
             mix = "+".join(
-                f"{_round(p)}*{domain[i]}" for i, p in enumerate(row) if p > 1e-12
+                f"{_round(p)}*{domain[i]}" for i, p in enumerate(row) if p > SHOWN_EPS
             )
             parts.append(f"{key}->({mix})")
     return f"{decision}[{' '.join(parts)}]"
@@ -273,6 +274,7 @@ def _job_from_scenario(scenario: Scenario, args) -> QueryJob:
         raise GameError("scenario has no query")
     options = dict(scenario.options)
     seed = args.seed if args.seed is not None else options.get("seed", 0)
+    eps = options.get("epsilon", QUERY_EPS) if args.epsilon is None else args.epsilon
     return QueryJob(
         game=scenario.game,
         interventions=scenario.interventions,
@@ -281,9 +283,7 @@ def _job_from_scenario(scenario: Scenario, args) -> QueryJob:
         seed=int(seed),
         mix_ties=bool(options.get("mix_ties", False)),
         include_behavioral=bool(options.get("include_behavioral", False)),
-        epsilon=float(
-            args.epsilon if args.epsilon is not None else options.get("epsilon", 1e-9)
-        ),
+        epsilon=float(eps),
         agent_order=options.get("agent_order"),
         merge_common=bool(options.get("merge_common", True)),
     )

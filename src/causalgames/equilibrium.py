@@ -26,6 +26,8 @@ from .errors import SolverError, ValidationError
 from .graphs import BEST_RESPONSE, RationalityRelation, rule_node
 from .interventions import FixMechanism, apply_primitive
 from .model import (
+    COEFF_EPS, COMMIT_EPS, EQ_EPS, PIVOT_EPS, ROUND_DIGITS, SAME_POINT_EPS,
+    VERIFY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
@@ -34,19 +36,8 @@ from .model import (
     expected_utility,
     induced_joint,
     payoff_tensors,
+    require_budget,
 )
-
-EQ_EPS = 1e-7
-# affine coefficients at or below this are rounding left by cancelled terms
-COEFF_EPS = 1e-12
-# pivots and residuals of the indifference system at or below this are zero
-PIVOT_EPS = 1e-9
-# support-enumeration candidates carry solver rounding: verify with slack
-VERIFY_EPS = 1e-6
-# behavioral points closer than this in every entry are the same point
-SAME_POINT_EPS = 1e-9
-# commitment utilities are affine in one probability; smaller gaps are ties
-COMMIT_EPS = 1e-12
 
 
 def _require_best_response(relation: RationalityRelation):
@@ -57,6 +48,7 @@ def _require_best_response(relation: RationalityRelation):
 
 
 def _pure_stacks(game: CausalGame, decisions) -> dict:
+    require_budget(game, decisions)
     return {d: enumerate_pure_rules(game, d) for d in decisions}
 
 
@@ -505,7 +497,7 @@ def behavioral_nash_small(
                 entries[slot] = 1.0 if sigma[slot][0] == 0 else 0.0
         if free:
             params = tuple(
-                FreeParam(u, round(bounds[u][0], 12), round(bounds[u][1], 12))
+                FreeParam(u, *(round(b, ROUND_DIGITS) for b in bounds[u]))
                 for u in free
             )
             fam = BehavioralFamily(decisions, entries, params, **fam_meta)

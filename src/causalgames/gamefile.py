@@ -28,6 +28,7 @@ from .interventions import (
     make_remove_edge,
 )
 from .model import (
+    ROUND_DIGITS,
     UTILITY,
     CausalGame,
     TabularCPD,
@@ -219,7 +220,7 @@ def game_to_dict(game: CausalGame) -> dict:
             continue
         cpd = game.cpds[v.name]
         cpds[v.name] = {
-            _context_key(ctx): [round(p, 12) for p in cpd.row(ctx)]
+            _context_key(ctx): [round(p, ROUND_DIGITS) for p in cpd.row(ctx)]
             for ctx in sorted(cpd.table, key=repr)
         }
     return {

@@ -304,11 +304,6 @@ class MechanisedGraph:
     mechanism_edges: tuple[tuple[str, str], ...]
     inter_mechanism_edges: frozenset
 
-    def parents_of_rule(self, target: str) -> frozenset:
-        return frozenset(
-            src for src, dst in self.inter_mechanism_edges if dst == target
-        )
-
 
 def build_mechanised_graph(
     game: CausalGame, relation: RationalityRelation = BEST_RESPONSE

@@ -31,7 +31,6 @@ from .graphs import (
     variable_of_mechanism,
 )
 from .model import (
-    CHANCE,
     DECISION,
     UTILITY,
     CausalGame,
@@ -40,6 +39,7 @@ from .model import (
     _check_cpd,
     _dependency_order,
     games_equal,
+    variable_report,
 )
 
 
@@ -299,8 +299,9 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     v = p.variable
     if game.has_variable(v.name):
         raise InterventionError(f"variable {v.name!r} already exists")
-    if v.kind not in (CHANCE, DECISION, UTILITY):
-        raise InterventionError(f"{v.name}: unknown kind {v.kind!r}")
+    report = variable_report(v, game.n_agents)
+    if report:
+        raise InterventionError("; ".join(report))
     for n in p.parents + p.children:
         if not game.has_variable(n):
             raise InterventionError(f"unknown variable {n!r}")
@@ -734,12 +735,6 @@ class Decomposition:
     agent_stage: Mapping[int, int]
     labels: tuple[str, ...]
     final_game: CausalGame
-
-    def primitive_sets(self):
-        return [s.primitives for s in self.stages]
-
-    def agent_partition(self):
-        return [s.agents for s in self.stages]
 
 
 def _agent_view(game, compounds, visible_labels, common, merge_common):

@@ -4,9 +4,11 @@ A causal game is a DAG over typed variables (chance / decision / utility,
 the latter two owned by an agent) with a tabular CPD for every non-decision
 variable.  Agents choose decision rules (CPDs over actions given the
 decision's parents); a full assignment of rules induces a joint distribution
-as the product of all factors.  Expected utilities sum that product without
-building it, by variable elimination over each utility's ancestors
-(``payoff_tensors``).
+as the product of all factors.  Expected utilities and event probabilities
+are partial contractions of that product (``expectations``): variable
+elimination over the ancestors of each value factor, a utility's CPD times
+its values or an event's 0/1 indicator, for many rule choices at once.
+``induced_joint`` builds the full product only as a reference view.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs; nothing here holds shared mutable state.
@@ -23,9 +25,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 
-PROB_EPS = 1e-9
+# -- numeric policy: every tolerance, rounding and size budget ----------------
+
+PROB_EPS = 1e-9  # closer probabilities are equal: CPD rows, purity, game equality
+EQ_EPS = 1e-7  # a pure deviation must gain more than this to break an equilibrium
+COEFF_EPS = 1e-12  # smaller affine coefficients are rounding from cancelled terms
+PIVOT_EPS = 1e-9  # smaller pivots and residuals of the indifference system are 0
+VERIFY_EPS = 1e-6  # slack verifying support-enumeration candidates (solver rounding)
+SAME_POINT_EPS = 1e-9  # behavioral points this close in every entry are the same
+COMMIT_EPS = 1e-12  # smaller gaps between commitment utilities are ties
+QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
+SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
+ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
+ENUM_BUDGET = 1 << 16  # most pure rule profiles an exhaustive solver enumerates
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -214,9 +228,6 @@ class CausalGame:
             if d not in self.rule_fixes and d not in self.object_fixed
         )
 
-    def decisions_of(self, agent: int) -> tuple[str, ...]:
-        return tuple(d for d in self.decisions() if self.agent_of(d) == agent)
-
     def free_decisions_of(self, agent: int) -> tuple[str, ...]:
         return tuple(d for d in self.free_decisions() if self.agent_of(d) == agent)
 
@@ -364,6 +375,30 @@ def _check_cpd(
     return report
 
 
+def variable_report(v: Variable, n_agents: int) -> list[str]:
+    """Violations of ``v`` on its own: kind, domain and owner."""
+    if v.kind not in KINDS:
+        return [f"{v.name}: unknown kind {v.kind!r}"]
+    report = []
+    if not v.domain:
+        report.append(f"{v.name}: empty domain")
+    if len(set(v.domain)) != len(v.domain):
+        report.append(f"{v.name}: duplicate domain values")
+    if v.kind in (DECISION, UTILITY):
+        if v.agent is None or not (1 <= v.agent <= n_agents):
+            report.append(
+                f"{v.name}: {v.kind} variable needs an agent in 1..{n_agents}"
+            )
+    elif v.agent is not None:
+        report.append(f"{v.name}: chance variable must not have an agent")
+    if v.kind == UTILITY:
+        if not all(isinstance(u, (int, float)) for u in v.domain):
+            report.append(f"{v.name}: utility domain must be numeric")
+        elif not all(math.isfinite(u) for u in v.domain):
+            report.append(f"{v.name}: utility domain must be finite")
+    return report
+
+
 def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     """Check every structural invariant; return a list of violations.
 
@@ -379,26 +414,7 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
         if v.name in seen:
             report.append(f"{v.name}: duplicate variable name")
         seen.add(v.name)
-        if v.kind not in KINDS:
-            report.append(f"{v.name}: unknown kind {v.kind!r}")
-            continue
-        if not v.domain:
-            report.append(f"{v.name}: empty domain")
-        if len(set(v.domain)) != len(v.domain):
-            report.append(f"{v.name}: duplicate domain values")
-        if v.kind in (DECISION, UTILITY):
-            if v.agent is None or not (1 <= v.agent <= game.n_agents):
-                report.append(
-                    f"{v.name}: {v.kind} variable needs an agent in "
-                    f"1..{game.n_agents}"
-                )
-        elif v.agent is not None:
-            report.append(f"{v.name}: chance variable must not have an agent")
-        if v.kind == UTILITY:
-            if not all(isinstance(u, (int, float)) for u in v.domain):
-                report.append(f"{v.name}: utility domain must be numeric")
-            elif not all(math.isfinite(u) for u in v.domain):
-                report.append(f"{v.name}: utility domain must be finite")
+        report += variable_report(v, game.n_agents)
 
     for name, ps in game.parents.items():
         if name not in seen:
@@ -521,41 +537,58 @@ def expected_utility(game: CausalGame, profile: PolicyProfile, agent: int) -> fl
     return float(payoff_tensors(game, profile, [agent])[0])
 
 
-def expected_utility_from_joint(
-    game: CausalGame, joint: JointDistribution, agent: int
-) -> float:
-    if not (1 <= agent <= game.n_agents):
-        raise ValidationError(f"unknown agent index {agent}")
-    names = joint.variables
-    uidx = [
-        (names.index(u), game.domain(u)) for u in game.utilities_of(agent)
-    ]
-    total = 0.0
-    for inst, p in joint.table.items():
-        total += p * sum(inst[i] for i, _ in uidx)
-    return total
-
-
 # -- factor contraction -------------------------------------------------------
 
 
 def payoff_tensors(
     game: CausalGame, profile: PolicyProfile, agents, stacks=None
 ) -> list[np.ndarray]:
-    """Each agent's expected utility for every choice of rules in ``stacks``.
+    """Each agent's expected utility for every choice of rules in ``stacks``,
+    one axis per stacked decision (``expectations``)."""
+    values = [utility_factors(game, [agent]) for agent in agents]
+    return expectations(game, profile, values, stacks)
 
-    ``stacks`` maps decisions to lists of rules.  Each becomes one axis of
-    every result, in mapping order, indexed like its list; without stacks
-    the results are 0-d.  Every other decision follows its pinned CPD, its
-    imposed rule or the profile's rule.  Each utility variable is one
-    contraction over its ancestors (every other variable sums out to 1):
-    the CPDs as tensors, the utility's CPD times its domain values.
-    """
+
+def utility_factors(game: CausalGame, agents) -> list[tuple]:
+    """The value factors of the agents' utilities: CPD times values."""
     for agent in agents:
         if not (1 <= agent <= game.n_agents):
             raise ValidationError(f"unknown agent index {agent}")
+    return [
+        (game.parents_of(u), _cpd_tensor(game, u, game.cpds[u])
+         @ np.array(game.domain(u), dtype=float))
+        for agent in agents
+        for u in game.utilities_of(agent)
+    ]
+
+
+def event_factor(game: CausalGame, assignment: Mapping[str, object]) -> tuple:
+    """The value factor of an event: 1 where every variable takes its value."""
+    indicator = np.zeros([len(game.domain(n)) for n in assignment])
+    indicator[tuple(game.domain(n).index(v) for n, v in assignment.items())] = 1.0
+    return tuple(assignment), indicator
+
+
+def expectations(
+    game: CausalGame, profile: PolicyProfile, values, stacks=None,
+    leaf_axis: bool = False,
+) -> list[np.ndarray]:
+    """The expectation of each value for every choice of rules in ``stacks``.
+
+    A value is a list of value factors ``(labels, array)``: utilities' CPDs
+    times their values, or an event's 0/1 indicator.  Each is one contraction
+    over its labels' ancestral set.  ``stacks`` maps decisions to lists of
+    rules, each list one axis of every result (0-d without stacks); the other
+    decisions follow their pinned CPD, imposed rule or the profile's rule.
+    With ``leaf_axis`` the lists share one axis: entry ``i`` puts every
+    stacked decision on its ``i``-th rule, linear in the lists' length.
+    """
     stacks = dict(stacks or {})
     cpds = _factor_cpds(game, profile, stacks)
+    # stack axis labels are tuples, variable labels strings
+    axis = {d: ("leaf",) if leaf_axis else ("rule", d) for d in stacks}
+    size = {axis[d]: len(rules) for d, rules in stacks.items()}
+    keep, shape = tuple(size), tuple(size.values())
     factors: dict[str, tuple] = {}
 
     def factor(name):
@@ -563,22 +596,17 @@ def payoff_tensors(
             labels = game.parents_of(name) + (name,)
             if name in stacks:
                 stacked = [_cpd_tensor(game, name, r) for r in stacks[name]]
-                factors[name] = (("rule", name),) + labels, np.stack(stacked)
+                factors[name] = (axis[name],) + labels, np.stack(stacked)
             else:
                 factors[name] = labels, _cpd_tensor(game, name, cpds[name])
         return factors[name]
 
-    keep = tuple(("rule", d) for d in stacks)
-    shape = tuple(len(rules) for rules in stacks.values())
     out = []
-    for agent in agents:
+    for value in values:
         total = np.zeros(shape)
-        for u in game.utilities_of(agent):
-            values = np.array(game.domain(u), dtype=float)
-            parts = [factor(n) for n in _ancestors(game, u)]
-            parts.append(
-                (game.parents_of(u), _cpd_tensor(game, u, cpds[u]) @ values)
-            )
+        for labels, array in value:
+            parts = [factor(n) for n in _ancestral(game, labels)]
+            parts.append((labels, array))
             total = total + _contract(parts, keep)
         out.append(total)
     return out
@@ -592,10 +620,10 @@ def _cpd_tensor(game: CausalGame, name: str, cpd: TabularCPD) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(shape)
 
 
-def _ancestors(game: CausalGame, name: str) -> list[str]:
-    """The proper ancestors of ``name``, in declaration order."""
+def _ancestral(game: CausalGame, names) -> list[str]:
+    """``names`` and all their ancestors, in declaration order."""
     seen: set[str] = set()
-    stack = list(game.parents_of(name))
+    stack = list(names)
     while stack:
         n = stack.pop()
         if n not in seen:
@@ -662,6 +690,22 @@ def _contract(factors, keep) -> np.ndarray:
     return out.reshape([size[x] if x in holders else 1 for x in keep])
 
 
+def require_budget(game: CausalGame, decisions) -> None:
+    """Raise ``SolverError`` if the decisions have more pure rule profiles
+    than ``ENUM_BUDGET``: counted, not built (past 2 ** 100 a count is inf)."""
+    count = 1
+    for d in decisions:
+        n = len(game.domain(d))
+        contexts = math.prod(len(game.domain(p)) for p in game.parents_of(d))
+        count *= n ** contexts if n < 2 or contexts * math.log2(n) <= 100 else math.inf
+    if count > ENUM_BUDGET:
+        shown = f"{count:,}" if count < 10 ** 30 else "more than 10^30"
+        raise SolverError(
+            f"would enumerate {shown} pure rule profiles of "
+            f"{', '.join(decisions)}; budget {ENUM_BUDGET:,}"
+        )
+
+
 def enumerate_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:
     """All pure decision rules for ``decision``, lexicographically ordered.
 
@@ -671,6 +715,7 @@ def enumerate_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:
     """
     if game.kind(decision) != DECISION:
         raise ValidationError(f"{decision!r} is not a decision variable")
+    require_budget(game, [decision])
     contexts = game.contexts(decision)
     domain = game.domain(decision)
     rules = []
@@ -688,6 +733,8 @@ def enumerate_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:
 
 
 def cpds_equal(a: TabularCPD, b: TabularCPD, eps: float = PROB_EPS) -> bool:
+    if a is b:
+        return True
     if a.variable != b.variable or a.parents != b.parents:
         return False
     if set(a.table) != set(b.table):

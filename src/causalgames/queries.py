@@ -2,31 +2,33 @@
 
 A query quantifies over rational outcomes (``forall ne`` / ``exists ne``) or
 draws them (``sampled``) and evaluates a boolean formula — or a bare
-arithmetic expression — over probabilities and expected utilities of the
-final joint distribution.
+arithmetic expression — over probabilities and expected utilities.
 
-Evaluation walks the stages of a visibility decomposition.  Each stage
-applies its primitives to the running game, solves the *stage-visible* game
-(every agent treated as rational in it; earlier stage fixes are realized-play
-bookkeeping, not solve constraints), and pins the stage's agents to their
-rules from a rational outcome.  A direct fix of a decision-rule node, or
-its removal, re-binds the owner's realized rule only when some agent at the
-same or a later stage can observe it: an intervention on a rule that nobody
-will ever see cannot re-bind a policy that has already been resolved.
-Stage games do not depend on earlier choices, so each is solved once and
-the evaluator branches over its outcomes.  Object-level
-fixes of decisions always bind.  The final joint combines the last game
-state with the realized rules.
+Evaluation walks the stages of a visibility decomposition.  Each stage's
+game, which the decomposition holds, is solved as the *stage-visible* game
+(every agent treated as rational in it; earlier stage fixes are
+realized-play bookkeeping, not solve constraints), and the stage's agents
+are pinned to their rules from a rational outcome.  A direct fix of a
+decision-rule node, or its removal, re-binds the owner's realized rule only
+when some agent at the same or a later stage can observe it.  Object-level
+fixes of decisions always bind.  Each stage game is solved once and the
+evaluator branches over its outcomes; a leaf is the last game under one
+branch's realized rules.  No joint is built: each ``P(...)`` and ``E[...]``
+is one contraction for all leaves, with the decisions whose rule differs
+between leaves stacked on one leaf axis (``model.expectations``).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import random
 import re
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .equilibrium import pure_nash, behavioral_nash_small
 from .errors import QueryError, SolverError
@@ -38,17 +40,18 @@ from .interventions import (
     FixObject,
     RemoveVariable,
     apply_all,
-    apply_primitive,
     decompose,
 )
 from .model import (
     DECISION,
+    QUERY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
     cpds_equal,
-    expected_utility_from_joint,
-    induced_joint,
+    event_factor,
+    expectations,
+    utility_factors,
 )
 
 
@@ -318,58 +321,48 @@ def _resolve_value(game: CausalGame, variable: str, token: str):
     )
 
 
-def _eval_expr(node, game, joint):
+def _evaluate(node, atom, eps):
+    """A formula's or expression's value, reading each atom from ``atom``."""
     if isinstance(node, Const):
         return node.value
-    if isinstance(node, Prob):
-        assignment = {
-            var: _resolve_value(game, var, tok) for var, tok in node.event
-        }
-        return joint.prob(assignment)
-    if isinstance(node, Utility):
-        if node.agent == "total":
-            return sum(
-                expected_utility_from_joint(game, joint, a)
-                for a in range(1, game.n_agents + 1)
-            )
-        if not (1 <= node.agent <= game.n_agents):
-            raise QueryError(f"query references unknown agent {node.agent}")
-        return expected_utility_from_joint(game, joint, node.agent)
-    if isinstance(node, BinOp):
-        left = _eval_expr(node.left, game, joint)
-        right = _eval_expr(node.right, game, joint)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise QueryError(f"cannot evaluate {node!r} as an expression")
-
-
-def _eval_formula(node, game, joint, eps):
+    if isinstance(node, (Prob, Utility)):
+        return atom(node)
     if isinstance(node, Not):
-        return not _eval_formula(node.body, game, joint, eps)
+        return not _evaluate(node.body, atom, eps)
     if isinstance(node, And):
-        return _eval_formula(node.left, game, joint, eps) and _eval_formula(
-            node.right, game, joint, eps
-        )
+        return _evaluate(node.left, atom, eps) and _evaluate(node.right, atom, eps)
     if isinstance(node, Or):
-        return _eval_formula(node.left, game, joint, eps) or _eval_formula(
-            node.right, game, joint, eps
-        )
-    if isinstance(node, Comparison):
-        a = _eval_expr(node.left, game, joint)
-        b = _eval_expr(node.right, game, joint)
-        if node.op == "=":
-            return abs(a - b) <= eps
-        if node.op == "<=":
-            return a <= b + eps
-        if node.op == ">=":
-            return a >= b - eps
-        if node.op == "<":
-            return a < b - eps
-        return a > b + eps
-    return _eval_expr(node, game, joint)
+        return _evaluate(node.left, atom, eps) or _evaluate(node.right, atom, eps)
+    if not isinstance(node, (BinOp, Comparison)):
+        raise QueryError(f"cannot evaluate {node!r} as an expression")
+    a = _evaluate(node.left, atom, eps)
+    b = _evaluate(node.right, atom, eps)
+    return {
+        "+": a + b, "-": a - b, "*": a * b, "=": abs(a - b) <= eps,
+        "<=": a <= b + eps, ">=": a >= b - eps, "<": a < b - eps, ">": a > b + eps,
+    }[node.op]
+
+
+def _at_leaves(game, leaves, value) -> list[float]:
+    """The expectation of ``value`` at every leaf (a full rule map), from one
+    contraction: decisions whose rule object differs go on the leaf axis."""
+    stacks = {d: [rules[d] for rules in leaves] for d in leaves[0]}
+    common = {d: c[0] for d, c in stacks.items() if all(r is c[0] for r in c)}
+    stacks = {d: c for d, c in stacks.items() if d not in common}
+    [out] = expectations(game, PolicyProfile(common), [value], stacks, leaf_axis=True)
+    return np.broadcast_to(out, (len(leaves),)).tolist()
+
+
+def _atom_value(game, node) -> list:
+    """The value factors of a ``P(...)`` or ``E[...]`` atom."""
+    if isinstance(node, Prob):
+        assignment = {var: _resolve_value(game, var, tok) for var, tok in node.event}
+        return [event_factor(game, assignment)]
+    if node.agent == "total":
+        return utility_factors(game, range(1, game.n_agents + 1))
+    if not (1 <= node.agent <= game.n_agents):
+        raise QueryError(f"query references unknown agent {node.agent}")
+    return utility_factors(game, [node.agent])
 
 
 # -- jobs ------------------------------------------------------------------------
@@ -386,7 +379,7 @@ class QueryJob:
     seed: int = 0
     mix_ties: bool = False
     include_behavioral: bool = False
-    epsilon: float = 1e-9
+    epsilon: float = QUERY_EPS
     agent_order: Sequence[int] | None = None
     merge_common: bool = True
     relation: RationalityRelation = BEST_RESPONSE
@@ -479,27 +472,12 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     query = job.parsed_query()
     stages = job.decomposition().stages
     rng = random.Random(job.seed)
-    leaves: list[Leaf] = []
+    found: list[tuple] = []  # per leaf: (choices, realized rules)
     trace: list[dict] = []
 
-    def final_value(game, realized):
-        rules = dict(realized)
-        for d in game.decisions():
-            if d in game.object_fixed:
-                continue
-            if d not in rules:
-                if d in game.rule_fixes:
-                    rules[d] = game.rule_fixes[d]
-                else:
-                    raise SolverError(
-                        f"decision {d} was never resolved by any stage"
-                    )
-        stripped = dc_replace(game, rule_fixes={})
-        joint = induced_joint(stripped, PolicyProfile(rules))
-        return _eval_formula(query.body, game, joint, job.epsilon), rules
-
-    # The stage games do not depend on the branch: apply each stage's
-    # primitives and solve its game once, then branch over the outcomes.
+    # The stage games do not depend on the branch: each stage's game, held
+    # by the decomposition, is solved once and the walk branches over its
+    # outcomes.
     game = job.game
     plan = []  # per stage: (trace record, realized-rule edits, branches)
     for idx, stage in enumerate(stages):
@@ -511,10 +489,14 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             "a_prime": [],
         }
         edits = []  # (decision, rule), or (decision, None) to forget it
+        variables = {v.name: v for v in game.variables}  # kept as prims apply
         for prim in stage.primitives:
             binds, decision = _prim_binds(prim, idx, stages)
-            game = apply_primitive(game, prim)
-            touched = _intervened_owner(game, prim)
+            if isinstance(prim, AddVariable):
+                variables[prim.variable.name] = prim.variable
+            elif isinstance(prim, RemoveVariable):
+                variables.pop(prim.target, None)
+            touched = _intervened_owner(variables, prim)
             if touched is not None:
                 record["a_prime"].append(touched)
             if decision is not None:
@@ -524,6 +506,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
                     record["suppressed"].append(prim.target)
             if isinstance(prim, (FixObject, RemoveVariable)):
                 edits.append((prim.target, None))
+        game = stage.game
         if not stage.agents:
             plan.append((record, edits, [(None, {})]))
             continue
@@ -553,10 +536,23 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             branches = [(k, {d: outcomes[k][d] for d in to_fix}) for k in picked]
         plan.append((record, edits, branches))
 
+    def final_rules(realized):  # resolved against the final game
+        rules = dict(realized)
+        for d in game.decisions():
+            if d in game.object_fixed:
+                continue
+            if d not in rules:
+                if d in game.rule_fixes:
+                    rules[d] = game.rule_fixes[d]
+                else:
+                    raise SolverError(
+                        f"decision {d} was never resolved by any stage"
+                    )
+        return rules
+
     def walk(idx, realized, choices):
         if idx == len(plan):
-            value, rules = final_value(game, realized)
-            leaves.append(Leaf(tuple(choices), value, rules))
+            found.append((tuple(choices), final_rules(realized)))
             return
         record, edits, branches = plan[idx]
         trace.append(copy.deepcopy(record))
@@ -571,6 +567,19 @@ def evaluate_query(job: QueryJob) -> QueryResult:
 
     walk(0, {}, [])
 
+    # Each P(...) and E[...] is one contraction over all leaves, made when
+    # some leaf first reads it; realized rules replace imposed ones.
+    final = dc_replace(game, rule_fixes={})
+    leaf_rules = [rules for _, rules in found]
+
+    @functools.cache
+    def at_leaves(node):
+        return _at_leaves(final, leaf_rules, _atom_value(final, node))
+
+    leaves = [
+        Leaf(c, _evaluate(query.body, lambda n: at_leaves(n)[i], job.epsilon), r)
+        for i, (c, r) in enumerate(found)
+    ]
     values = [leaf.value for leaf in leaves]
     bare = not isinstance(
         query.body, (Comparison, Not, And, Or)
@@ -589,8 +598,9 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     return QueryResult(verdict, tuple(leaves), tuple(trace), job.seed)
 
 
-def _intervened_owner(game, prim):
-    """Agent whose decision or rule node the primitive directly targets."""
+def _intervened_owner(variables, prim):
+    """Agent whose decision or rule node the primitive directly targets,
+    looked up in ``variables``, the name map after the primitive."""
     name = None
     if isinstance(prim, FixMechanism) and prim.target.startswith("PI_"):
         name = prim.target[len("PI_"):]
@@ -598,11 +608,8 @@ def _intervened_owner(game, prim):
         name = prim.target
     elif isinstance(prim, AddVariable):
         name = prim.variable.name
-    if name is None or not game.has_variable(name):
-        return None
-    if game.kind(name) != DECISION:
-        return None
-    return game.agent_of(name)
+    v = variables.get(name)
+    return v.agent if v is not None and v.kind == DECISION else None
 
 
 # -- visibility classification ---------------------------------------------------
@@ -646,17 +653,11 @@ def _event_assignment(game: CausalGame, event) -> dict:
 def _event_probabilities(game, event, relation, include_behavioral):
     profiles = list(pure_nash(game, relation).outcomes)
     if include_behavioral:
-        behavioral = behavioral_nash_small(game, relation)
-        profiles.extend(behavioral.outcomes)
-        for fam in behavioral.families:
-            profiles.extend(fam.extreme_profiles())
+        profiles += behavioral_nash_small(game, relation).extreme_profiles()
     if not profiles:
         raise SolverError("no rational outcomes to evaluate the event over")
-    assignment = _event_assignment(game, event)
-    values = []
-    for profile in profiles:
-        values.append(induced_joint(game, profile).prob(assignment))
-    return values
+    value = [event_factor(game, _event_assignment(game, event))]
+    return _at_leaves(game, [p.rules for p in profiles], value)
 
 
 def check_spec_env(
@@ -666,7 +667,7 @@ def check_spec_env(
     direction: str = "raise",
     include_behavioral: bool = False,
     relation: RationalityRelation = BEST_RESPONSE,
-    eps: float = 1e-9,
+    eps: float = QUERY_EPS,
 ) -> bool:
     """Does the intervention move the event probability the right way?
 

@@ -20,11 +20,11 @@ import numpy as np
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.model import (
     CausalGame,
+    JointDistribution,
     PolicyProfile,
     TabularCPD,
     Variable,
     enumerate_pure_rules,
-    expected_utility_from_joint,
     induced_joint,
 )
 
@@ -269,6 +269,14 @@ def brute_force_joint(game: CausalGame, profile: PolicyProfile) -> dict:
 
     recurse(0, {}, 1.0)
     return out
+
+
+def expected_utility_from_joint(
+    game: CausalGame, joint: JointDistribution, agent: int
+) -> float:
+    """An agent's expected utility read off a full joint table, row by row."""
+    at = [joint.variables.index(u) for u in game.utilities_of(agent)]
+    return sum(p * sum(inst[i] for i in at) for inst, p in joint.table.items())
 
 
 def fraction_expected_utility(

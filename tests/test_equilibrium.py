@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,16 +21,18 @@ from causalgames import (
     optimal_commitment,
     pure_nash,
     sample_rational_outcome,
+    serialize_game,
     verify_rational_outcome,
 )
+from causalgames.cli import main
 from causalgames.equilibrium import COMMIT_EPS, _row_terms, _slot_values
 from causalgames.model import (
     cpds_equal,
     enumerate_pure_rules,
-    expected_utility_from_joint,
     induced_joint,
 )
 from helpers import (
+    expected_utility_from_joint,
     loop_action_values,
     loop_pure_nash,
     random_distribution,
@@ -227,6 +230,50 @@ def test_solvers_build_no_joint(monkeypatch, job_market, prisoners, stackelberg)
     assert calls == []
     behavioral_nash_small(job_market)  # support enumeration reads one joint
     assert len(calls) == 1
+
+
+def _observers_game(seen=4):
+    """Two agents, each observing its own ``seen`` binary chance variables:
+    2 ** (2 ** seen) pure rules per decision."""
+    binary = ("a", "b")
+    variables, parents, cpds = [], {}, {}
+    for agent in (1, 2):
+        names = [f"X{agent}{i}" for i in range(seen)]
+        for x in names:
+            variables.append(Variable(x, "chance", binary))
+            cpds[x] = TabularCPD(x, (), {(): (0.5, 0.5)})
+        variables.append(Variable(f"D{agent}", "decision", binary, agent))
+        parents[f"D{agent}"] = tuple(names)
+    for agent in (1, 2):
+        name = f"U{agent}"
+        variables.append(Variable(name, "utility", (0, 1), agent))
+        parents[name] = ("D1", "D2")
+        cpds[name] = TabularCPD(name, ("D1", "D2"), {
+            ctx: (0.0, 1.0) if ctx[0] == ctx[1] else (1.0, 0.0)
+            for ctx in itertools.product(binary, binary)
+        })
+    return CausalGame(2, tuple(variables), parents, cpds)
+
+
+def test_enumeration_budget_counted_before_allocating(tmp_path, capsys):
+    """65 536 pure rules per decision: the 2 ** 32 profiles are refused
+    before any rule or tensor is built, by the library and by the CLI."""
+    game = _observers_game()
+    tracemalloc.start()
+    with pytest.raises(SolverError, match=(
+        r"^would enumerate 4,294,967,296 pure rule profiles of D1, D2; "
+        r"budget 65,536$"
+    )):
+        pure_nash(game)
+    with pytest.raises(SolverError, match="pure rule profiles of D1;"):
+        enumerate_pure_rules(_observers_game(seen=5), "D1")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10 * 2**20
+    path = tmp_path / "observers.game.yaml"
+    path.write_text(serialize_game(game))
+    assert main(["solve", str(path)]) in (1, 2)
+    assert capsys.readouterr().err.startswith("error: would enumerate")
 
 
 def _deep_chain_game(n=1200):

@@ -383,6 +383,30 @@ def test_add_variable_acyclicity(job_market):
         apply_primitive(job_market, bad)
 
 
+@pytest.mark.parametrize("variable, message", [
+    (Variable("N", "decision", ("a", "b"), 7),
+     "N: decision variable needs an agent in 1..2"),
+    (Variable("N", "chance", ("a", "a")), "N: duplicate domain values"),
+    (Variable("N", "chance", ("a", "b"), 1),
+     "N: chance variable must not have an agent"),
+], ids=["decision_agent", "duplicate_domain", "chance_agent"])
+def test_add_variable_checks_the_variable(job_market, variable, message):
+    """The applier rejects what validate_game would, with the same message."""
+    cpd = None
+    if variable.kind == "chance":
+        row = (1.0,) + (0.0,) * (len(variable.domain) - 1)
+        cpd = TabularCPD("N", (), {(): row})
+    with pytest.raises(InterventionError) as err:
+        apply_primitive(job_market, AddVariable(variable, (), (), cpd=cpd))
+    assert str(err.value) == message
+    inserted = replace(
+        job_market,
+        variables=job_market.variables + (variable,),
+        cpds={**job_market.cpds, **({"N": cpd} if cpd else {})},
+    )
+    assert message in validate_game(inserted)
+
+
 # -- side effects ----------------------------------------------------------------------
 
 

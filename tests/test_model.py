@@ -17,9 +17,9 @@ from causalgames import (
     validate_game,
 )
 from causalgames.cli import resolve_game, resolve_scenario
-from causalgames.model import expected_utility_from_joint
 from helpers import (
     brute_force_joint,
+    expected_utility_from_joint,
     fraction_expected_utility,
     random_full_profile,
     random_game,

@@ -1,22 +1,41 @@
+import argparse
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalgames import (
+    AddVariable,
+    CompoundIntervention,
     FixMechanism,
+    FixObject,
+    PolicyProfile,
     QueryError,
     QueryJob,
     RemoveVariable,
     TabularCPD,
+    Variable,
     apply_all,
+    apply_primitive,
     check_spec_env,
     classify_visibility,
     evaluate_query,
     expected_utility,
+    induced_joint,
     parse_query,
     pure_nash,
 )
-from causalgames import queries
-from causalgames.cli import main
+from causalgames import equilibrium, interventions, model, queries
+from causalgames.cli import _job_from_scenario, main, resolve_scenario
+from causalgames.model import DECISION, event_factor, expectations, utility_factors
 from causalgames.queries import Comparison, Const, Prob, Utility
+from helpers import (
+    expected_utility_from_joint,
+    random_full_profile,
+    random_game,
+    random_rich_game,
+)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -371,3 +390,166 @@ def test_spec_fails_for_identity_with_behavioral(job_market):
 def test_spec_direction_lower(prisoners):
     # making defection worthless cannot lower P(D1=D) below the original
     assert check_spec_env(prisoners, [], "D1=D", direction="lower")
+
+
+# -- leaves and events on the contraction kernel ------------------------------------------
+
+SCENARIOS = (
+    "commitment_private", "commitment_revealed", "effortville_policy",
+    "reward_hidden", "reward_reversed",
+)
+
+
+def scenario_job(name):
+    no_flags = argparse.Namespace(seed=None, epsilon=None)
+    return _job_from_scenario(resolve_scenario(name), no_flags)
+
+
+def _random_game(seed, rich):
+    rng = random.Random(seed)
+    return rng, (random_rich_game(rng) if rich else random_game(rng))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.data())
+def test_event_probability_matches_joint(seed, rich, data):
+    """P(event) from one contraction with 0/1 indicators, against the
+    joint table's linear scan, for random partial assignments."""
+    rng, game = _random_game(seed, rich)
+    profile = random_full_profile(rng, game)
+    names = data.draw(st.lists(
+        st.sampled_from(game.names()), min_size=1, max_size=3, unique=True
+    ))
+    event = {n: data.draw(st.sampled_from(game.domain(n))) for n in names}
+    [got] = expectations(game, profile, [[event_factor(game, event)]])
+    want = induced_joint(game, profile).prob(event)
+    assert float(got) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 5))
+def test_leaf_stacked_atoms_match_per_leaf_joints(seed, rich, n_leaves):
+    """Every atom at every leaf from one leaf-axis contraction, against one
+    joint per leaf.  Some decisions keep one rule object at every leaf (the
+    common profile), the others differ (the leaf axis)."""
+    rng, game = _random_game(seed, rich)
+    shared = random_full_profile(rng, game).rules
+    leaves = []
+    for _ in range(n_leaves):
+        fresh = random_full_profile(rng, game).rules
+        leaves.append({d: rng.choice((shared[d], fresh[d])) for d in shared})
+    joints = [induced_joint(game, PolicyProfile(rules)) for rules in leaves]
+    for agent in range(1, game.n_agents + 1):
+        got = queries._at_leaves(game, leaves, utility_factors(game, [agent]))
+        want = [expected_utility_from_joint(game, j, agent) for j in joints]
+        assert got == pytest.approx(want, abs=1e-12)
+    event = {n: rng.choice(game.domain(n)) for n in rng.sample(game.names(), 2)}
+    got = queries._at_leaves(game, leaves, [event_factor(game, event)])
+    assert got == pytest.approx([j.prob(event) for j in joints], abs=1e-12)
+
+
+def test_leaf_axis_grows_linearly(monkeypatch, prisoners):
+    """Both decisions differ at every leaf: doubling the leaves doubles the
+    largest array, where a per-decision stack would quadruple it."""
+    largest = []
+    einsum = np.einsum
+
+    def recorded(*args):
+        out = einsum(*args)
+        largest[-1] = max([largest[-1], out.size] + [a.size for a in args[:-1:2]])
+        return out
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    rng = random.Random(3)
+    for n_leaves in (8, 16):
+        leaves = [random_full_profile(rng, prisoners).rules for _ in range(n_leaves)]
+        largest.append(0)
+        values = queries._at_leaves(prisoners, leaves, utility_factors(prisoners, [1]))
+        assert len(values) == n_leaves
+    assert largest[1] == 2 * largest[0]
+
+
+def test_queries_build_no_joint_and_replay_no_primitive(monkeypatch, job_market):
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for module in (model, equilibrium, interventions, queries):
+        for name in ("induced_joint", "apply_primitive"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, counting(name, original))
+    for name in SCENARIOS:
+        assert evaluate_query(scenario_job(name)).leaves
+    env = FixMechanism("THETA_T", job_market.delta_cpd("T", "h"))
+    assert check_spec_env(job_market, [env], "D2=j")
+    assert calls == []
+
+
+# -- the a_prime trace -----------------------------------------------------------------------
+
+
+def replayed_a_prime(job):
+    """Per stage, the owners the trace names: each primitive applied in
+    turn, its target looked up in the game after it."""
+    game, out = job.game, []
+    for stage in job.decomposition().stages:
+        owners = []
+        for prim in stage.primitives:
+            game = apply_primitive(game, prim)
+            if isinstance(prim, AddVariable):
+                name = prim.variable.name
+            elif isinstance(prim, FixMechanism):
+                name = prim.target[3:] if prim.target.startswith("PI_") else None
+            else:
+                name = prim.target
+            if name is not None and game.has_variable(name):
+                if game.kind(name) == DECISION:
+                    owners.append(game.agent_of(name))
+        out.append(owners)
+    return out
+
+
+def new_decision_jobs(job_market):
+    """Hand-made stages: a decision added then object-fixed; added then
+    removed; added, rule-fixed, then removed in the same stage."""
+    new = Variable("N", "decision", ("a", "b"), 2)
+    add = AddVariable(new, (), ())
+    pin = FixObject("N", (), TabularCPD("N", (), {(): (1.0, 0.0)}))
+    rule = FixMechanism("PI_N", TabularCPD("N", (), {(): (0.0, 1.0)}))
+    env = FixMechanism("THETA_T", job_market.delta_cpd("T", "h"))
+    compounds = {
+        "add_pin": (add, pin),
+        "add_remove": (add, RemoveVariable("N")),
+        "add_rule_remove": (add, rule, RemoveVariable("N")),
+    }
+    for label, steps in compounds.items():
+        interventions = ((label, CompoundIntervention(steps)), ("env", env))
+        for visibility, merge in (
+            ({1: (label,)}, True),
+            ({1: (label,), 2: ("env",)}, False),
+            ({2: (label, "env")}, True),
+        ):
+            yield QueryJob(
+                game=job_market, interventions=interventions,
+                visibility=visibility, query="forall ne: E[1] >= -100",
+                merge_common=merge,
+            )
+
+
+def test_a_prime_matches_primitive_replay(job_market):
+    jobs = [scenario_job(name) for name in SCENARIOS]
+    jobs += list(new_decision_jobs(job_market))
+    named = 0
+    for job in jobs:
+        want = replayed_a_prime(job)
+        trace = evaluate_query(job).trace
+        assert trace
+        for entry in trace:
+            assert entry["a_prime"] == want[entry["stage"]]
+        named += sum(map(len, want))
+    assert named > 0
