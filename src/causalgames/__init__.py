@@ -37,6 +37,7 @@ from .graphs import (
     param_node,
     r_relevant,
     reachability_paths,
+    relevant_mechanisms,
     rule_node,
 )
 from .equilibrium import (

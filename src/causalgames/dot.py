@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .graphs import MechanisedGraph, build_mechanised_graph, mechanism_node
+from .graphs import _mechanism_edges
 from .model import CHANCE, DECISION, UTILITY, CausalGame
 
 _AGENT_COLORS = (
@@ -44,23 +45,14 @@ def export_dot(
         for p in game.parents_of(v.name):
             lines.append(f'  "{p}" -> "{v.name}";')
     if which != "object":
+        inter = []
         if which == "mechanised":
             mg = graph if graph is not None else build_mechanised_graph(game)
             inter = sorted(mg.inter_mechanism_edges)
-            mech_edges = list(mg.mechanism_edges)
-        else:
-            inter = []
-            mech_edges = [
-                (mechanism_node(game, v.name), v.name)
-                for v in game.variables
-                if v.name not in game.object_fixed
-            ]
         for v in game.variables:
             m = mechanism_node(game, v.name)
             lines.append(f'  "{m}" [shape=ellipse, style=dashed, color=gray40];')
-        for src, dst in mech_edges:
-            lines.append(f'  "{src}" -> "{dst}" [color=gray];')
-        for src, dst in inter:
+        for src, dst in [*_mechanism_edges(game), *inter]:
             lines.append(f'  "{src}" -> "{dst}" [color=gray];')
     lines.append("}")
     return "\n".join(lines) + "\n"

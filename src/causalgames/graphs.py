@@ -7,17 +7,19 @@ nodes wherever the governing rationality relation makes the source mechanism
 strategically relevant.  The independent mechanised graph drops the
 inter-mechanism edges; it is the arena for all reachability computations.
 
-Every yes/no d-separation question (``d_separated``, and through it
-``r_relevant`` and the mechanised graph) is answered by one reachable-set
-search (Bayes-Ball: Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in
-time linear in the graph.  A trail through a collider is open when the
-collider lies in the ancestral closure of the conditioning set Y, and
-through any other node when that node is outside Y.  The search is valid on
-graphs with cycles, which matters because mechanised graphs may be cyclic
-among mechanism nodes.  ``active_paths`` enumerates simple paths (Pearl,
-*Causality*, 2009), which is exponential in the worst case; it is used only
-where the paths themselves are the answer: relevance witnesses, predicted
-edge removals and minimum intervention sets.
+Every yes/no question is answered by a reachable-set search (Bayes-Ball:
+Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
+graph.  A trail through a collider is open when the collider lies in the
+ancestral closure of the conditioning set Y, and through any other node when
+that node is outside Y.  d-connection is symmetric, so one search from each
+relevance test's target set (Koller & Milch 2003) finds every mechanism
+relevant to a rule node.  The search is valid on graphs with cycles, which
+matters because mechanised graphs may be cyclic among mechanism nodes.
+``active_paths`` enumerates simple paths (Pearl, *Causality*, 2009), which is
+exponential in the worst case; it is used only where the paths themselves
+are the answer: relevance witnesses, predicted edge removals and minimum
+intervention sets.  It grows paths on an explicit stack and drops a path at
+the first node that blocks it.
 """
 
 from __future__ import annotations
@@ -66,19 +68,27 @@ def object_graph(game: CausalGame) -> nx.DiGraph:
     return g
 
 
-def independent_mechanised_graph(game: CausalGame) -> nx.DiGraph:
-    """Object graph plus mechanism nodes and their edges into variables.
+def _mechanism_edges(game: CausalGame) -> tuple[tuple[str, str], ...]:
+    """Each mechanism node's edge into its variable, in variable order.
 
     The edge from a rule node into an object-fixed decision is severed: an
     object-level hard fix replaces the rule as the distribution governing
     the decision, leaving the rule node isolated above it.
     """
+    return tuple(
+        (mechanism_node(game, v.name), v.name)
+        for v in game.variables
+        if v.name not in game.object_fixed
+    )
+
+
+def independent_mechanised_graph(game: CausalGame) -> nx.DiGraph:
+    """Object graph plus mechanism nodes and their edges into variables."""
     g = object_graph(game)
     for v in game.variables:
         m = mechanism_node(game, v.name)
         g.add_node(m, kind="mechanism", agent=game.agent_of(v.name), layer="mechanism")
-        if v.name not in game.object_fixed:
-            g.add_edge(m, v.name)
+    g.add_edges_from(_mechanism_edges(game))
     return g
 
 
@@ -144,20 +154,8 @@ def _ancestral_closure(graph: nx.DiGraph, given: set) -> set:
     return closure
 
 
-def _path_is_active(nodes, arrows, given, open_colliders) -> bool:
-    for i in range(1, len(nodes) - 1):
-        w = nodes[i]
-        collider = arrows[i - 1] == FORWARD and arrows[i] == BACKWARD
-        if collider:
-            if w not in open_colliders:
-                return False
-        elif w in given:
-            return False
-    return True
-
-
-def _d_connected(graph: nx.DiGraph, xs: set, zs: set, given: set) -> bool:
-    """Reachable-set search: does an active trail join ``xs`` to ``zs``?
+def _reachable(graph: nx.DiGraph, xs: set, given: set) -> set:
+    """Reachable-set search: every node an active trail from ``xs`` reaches.
 
     States are (node, direction of arrival): ``BACKWARD`` when entered from
     a child (or at a start node), ``FORWARD`` when entered from a parent.
@@ -172,15 +170,13 @@ def _d_connected(graph: nx.DiGraph, xs: set, zs: set, given: set) -> bool:
             continue
         seen.add(state)
         node, arrived = state
-        if node in zs:
-            return True
         if node not in given:
             stack.extend((c, FORWARD) for c in graph.succ[node])
             if arrived == BACKWARD:
                 stack.extend((p, BACKWARD) for p in graph.pred[node])
         if arrived == FORWARD and node in open_colliders:
             stack.extend((p, BACKWARD) for p in graph.pred[node])
-    return False
+    return {node for node, _ in seen}
 
 
 def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
@@ -188,36 +184,35 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
 
     Paths never revisit a node and never pass through another endpoint-set
     member as an interior node.  Empty exactly when ``d_separated`` holds.
+    A path grows, on an explicit stack, only while it is open: each step
+    checks the node it leaves, which blocks as a non-collider in ``given``
+    or as a collider outside the ancestral closure of ``given``.
     """
     _check_node_sets(graph, xs, zs, given)
     xs, zs, given = set(xs), set(zs), set(given)
     open_colliders = _ancestral_closure(graph, given)
     endpoints = xs | zs
     found = []
-
-    def neighbours(n):
-        for c in graph.successors(n):
-            yield c, FORWARD
-        for p in graph.predecessors(n):
-            yield p, BACKWARD
-
-    def extend(nodes, arrows, visited):
+    stack = [((x,), ()) for x in xs]
+    while stack:
+        nodes, arrows = stack.pop()
         here = nodes[-1]
-        for nxt, arrow in neighbours(here):
-            if nxt in visited:
+        steps = [(c, FORWARD) for c in graph.succ[here]]
+        steps += [(p, BACKWARD) for p in graph.pred[here]]
+        for nxt, arrow in steps:
+            if nxt in nodes:
                 continue
-            new_nodes = nodes + [nxt]
-            new_arrows = arrows + [arrow]
+            if arrows:  # ``here`` becomes interior: does it block the path?
+                if arrows[-1] == FORWARD and arrow == BACKWARD:
+                    if here not in open_colliders:
+                        continue
+                elif here in given:
+                    continue
+            path = (nodes + (nxt,), arrows + (arrow,))
             if nxt in zs:
-                if _path_is_active(new_nodes, new_arrows, given, open_colliders):
-                    found.append(Path(new_nodes, new_arrows, given))
-                continue
-            if nxt in endpoints:
-                continue
-            extend(new_nodes, new_arrows, visited | {nxt})
-
-    for x in sorted(xs):
-        extend([x], [], {x})
+                found.append(Path(*path, given))
+            elif nxt not in endpoints:
+                stack.append(path)
     found.sort(key=lambda p: (len(p.nodes), p.nodes, p.arrows))
     return found
 
@@ -225,13 +220,13 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
 def d_separated(graph: nx.DiGraph, xs, zs, given) -> bool:
     """True iff every path between ``xs`` and ``zs`` is blocked by ``given``."""
     _check_node_sets(graph, xs, zs, given)
-    return not _d_connected(graph, set(xs), set(zs), set(given))
+    return not _reachable(graph, set(xs), set(given)) & set(zs)
 
 
 # -- strategic relevance ------------------------------------------------------
 
 
-def _relevance_targets(game: CausalGame, mech: str, target: str, graph=None):
+def _relevance_tests(game: CausalGame, target: str, graph=None):
     """The d-connection tests behind best-response relevance.
 
     A mechanism is relevant to a decision's rule node when, in the
@@ -248,8 +243,6 @@ def _relevance_targets(game: CausalGame, mech: str, target: str, graph=None):
         raise ValidationError(f"{target!r} is not a decision-rule node")
     if graph is None:
         graph = independent_mechanised_graph(game)
-    if mech not in graph:
-        raise ValidationError(f"unknown mechanism node {mech!r}")
     downstream = nx.descendants(graph, decision)
     util_targets = frozenset(
         u for u in game.utilities_of(game.agent_of(decision)) if u in downstream
@@ -259,12 +252,32 @@ def _relevance_targets(game: CausalGame, mech: str, target: str, graph=None):
     return graph, [(targets, cond) for targets, cond in tests if targets]
 
 
+def _check_mechanism(game: CausalGame, mech: str):
+    if mech not in {mechanism_node(game, v) for v in game.names()}:
+        raise ValidationError(f"unknown mechanism node {mech!r}")
+
+
+def relevant_mechanisms(
+    game: CausalGame, target: str, graph: nx.DiGraph | None = None
+) -> frozenset:
+    """Every mechanism node best-response relevant to rule node ``target``.
+
+    d-connection is symmetric, so one reachable-set search from each test's
+    target set finds every mechanism it d-connects.  The set may hold
+    ``target`` itself; callers building edges skip it.
+    """
+    graph, tests = _relevance_tests(game, target, graph)
+    reached = set().union(*(_reachable(graph, t, cond) for t, cond in tests))
+    return frozenset(mechanism_node(game, v) for v in game.names()) & reached
+
+
 def r_relevant(
     game: CausalGame, mech: str, target: str, graph: nx.DiGraph | None = None
 ) -> bool:
     """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
-    graph, tests = _relevance_targets(game, mech, target, graph)
-    return any(not d_separated(graph, {mech}, t, cond) for t, cond in tests)
+    relevant = relevant_mechanisms(game, target, graph)
+    _check_mechanism(game, mech)
+    return mech in relevant
 
 
 def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
@@ -273,7 +286,8 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     Each path is annotated with the conditioning set of the test it
     witnesses.  Empty exactly when ``r_relevant`` is false.
     """
-    graph, tests = _relevance_targets(game, mech, target)
+    graph, tests = _relevance_tests(game, target)
+    _check_mechanism(game, mech)
     return [p for t, cond in tests for p in active_paths(graph, {mech}, t, cond)]
 
 
@@ -281,17 +295,17 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
 class RationalityRelation:
     """How agents pick decision rules, with its graphical relevance test.
 
-    Represented intensionally: ``relevance`` decides whether a mechanism
-    node can matter to a rule node, and equilibrium code dispatches on
-    ``name``.  Only best response is built in; the relation is serial (a
-    best response always exists in a finite game).
+    Represented intensionally: ``relevance(game, rule_node, graph)`` returns
+    the mechanism nodes that can matter to a rule node, and equilibrium code
+    dispatches on ``name``.  Only best response is built in; the relation is
+    serial (a best response always exists in a finite game).
     """
 
     name: str
-    relevance: Callable = r_relevant
+    relevance: Callable = relevant_mechanisms
 
 
-BEST_RESPONSE = RationalityRelation("best_response", r_relevant)
+BEST_RESPONSE = RationalityRelation("best_response", relevant_mechanisms)
 
 
 @dataclass(frozen=True)
@@ -319,22 +333,14 @@ def build_mechanised_graph(
     indep = independent_mechanised_graph(game)
     full = indep.copy()
     mech_nodes = {v.name: mechanism_node(game, v.name) for v in game.variables}
-    mech_edges = tuple(
-        (mech_nodes[v.name], v.name)
-        for v in game.variables
-        if v.name not in game.object_fixed
+    inter = {
+        (mech, rule_node(d))
+        for d in game.decisions()
+        if d not in game.rule_fixes
+        for mech in relation.relevance(game, rule_node(d), indep)
+        if mech != rule_node(d)
+    }
+    full.add_edges_from(sorted(inter))
+    return MechanisedGraph(
+        base, full, mech_nodes, _mechanism_edges(game), frozenset(inter)
     )
-    inter = set()
-    for d in game.decisions():
-        if d in game.rule_fixes:
-            continue
-        target = rule_node(d)
-        for v in game.variables:
-            mech = mech_nodes[v.name]
-            if mech == target:
-                continue
-            if relation.relevance(game, mech, target, indep):
-                inter.add((mech, target))
-    for src, dst in sorted(inter):
-        full.add_edge(src, dst)
-    return MechanisedGraph(base, full, mech_nodes, mech_edges, frozenset(inter))

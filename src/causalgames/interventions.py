@@ -25,8 +25,8 @@ from .graphs import (
     build_mechanised_graph,
     independent_mechanised_graph,
     mechanism_node,
-    r_relevant,
     reachability_paths,
+    relevant_mechanisms,
     rule_node,
     variable_of_mechanism,
 )
@@ -687,21 +687,17 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
     shared = set(game.names()) & set(intervened.names())
     graph_before = independent_mechanised_graph(game)
     graph_after = independent_mechanised_graph(intervened)
+    # a mechanism is compared only where it keeps its node name
+    mechs = {mechanism_node(game, v) for v in shared}
+    mechs &= {mechanism_node(intervened, v) for v in shared}
     for d in game.decisions():
         if d not in shared or intervened.kind(d) != DECISION:
             continue
         target = rule_node(d)
-        for v in game.variables:
-            if v.name not in shared:
-                continue
-            mech_before = mechanism_node(game, v.name)
-            mech_after = mechanism_node(intervened, v.name)
-            if mech_before != mech_after or mech_before == target:
-                continue
-            pre = r_relevant(game, mech_before, target, graph_before)
-            post = r_relevant(intervened, mech_after, target, graph_after)
-            if pre != post:
-                return False
+        pre = relevant_mechanisms(game, target, graph_before)
+        post = relevant_mechanisms(intervened, target, graph_after)
+        if (pre ^ post) & (mechs - {target}):
+            return False
     return True
 
 

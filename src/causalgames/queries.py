@@ -426,17 +426,17 @@ class QueryResult:
 
 
 def _stage_outcomes(game, relation, include_behavioral):
+    """Pure equilibria; with ``include_behavioral``, also every behavioral
+    point equilibrium and family corner, each distinct profile once."""
     outcomes = list(pure_nash(game, relation).outcomes)
     if include_behavioral:
-        behavioral = behavioral_nash_small(game, relation)
-        for fam in behavioral.families:
-            for prof in fam.extreme_profiles():
-                if not any(
-                    set(prof.rules) == set(o.rules)
-                    and all(cpds_equal(prof[d], o[d]) for d in prof.rules)
-                    for o in outcomes
-                ):
-                    outcomes.append(prof)
+        for prof in behavioral_nash_small(game, relation).extreme_profiles():
+            if not any(
+                set(prof.rules) == set(o.rules)
+                and all(cpds_equal(prof[d], o[d]) for d in prof.rules)
+                for o in outcomes
+            ):
+                outcomes.append(prof)
     return outcomes
 
 
@@ -651,9 +651,7 @@ def _event_assignment(game: CausalGame, event) -> dict:
 
 
 def _event_probabilities(game, event, relation, include_behavioral):
-    profiles = list(pure_nash(game, relation).outcomes)
-    if include_behavioral:
-        profiles += behavioral_nash_small(game, relation).extreme_profiles()
+    profiles = _stage_outcomes(game, relation, include_behavioral)
     if not profiles:
         raise SolverError("no rational outcomes to evaluate the event over")
     value = [event_factor(game, _event_assignment(game, event))]
@@ -674,8 +672,8 @@ def check_spec_env(
     ``raise``: the worst (minimum) event probability over equilibria of the
     intervened game must be at least the best (maximum) over equilibria of
     the original game.  ``lower`` is the mirror image.  With
-    ``include_behavioral``, behavioral families contribute their extreme
-    points on both sides.
+    ``include_behavioral``, behavioral equilibria and the extreme points of
+    behavioral families count on both sides.
     """
     if direction not in ("raise", "lower"):
         raise QueryError(f"unknown direction {direction!r}")

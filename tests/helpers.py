@@ -15,9 +15,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 
 from causalgames.equilibrium import RationalOutcomeSet
+from causalgames.graphs import BACKWARD, FORWARD, Path
 from causalgames.model import (
     CausalGame,
     JointDistribution,
@@ -107,6 +109,29 @@ def random_game(rng: random.Random, max_chance=3) -> CausalGame:
             table[ctx] = random_distribution(rng, len(udom))
         cpds[uname] = TabularCPD(uname, ps, table)
     return CausalGame(n_agents, tuple(variables), parents, cpds)
+
+
+def chain_to_utility_game(n: int) -> CausalGame:
+    """Chance chain ``X0 -> ... -> X{n-1} -> U <- D`` for one agent."""
+    names = [f"X{i}" for i in range(n)]
+    copy_row = {("a",): (1.0, 0.0), ("b",): (0.0, 1.0)}
+    cpds = {
+        x: TabularCPD(x, tuple(names[max(i - 1, 0):i]), copy_row if i else {(): (0.5, 0.5)})
+        for i, x in enumerate(names)
+    }
+    last = names[-1]
+    cpds["U"] = TabularCPD("U", (last, "D"), {
+        (x, d): (0.0, 1.0) if x == d else (1.0, 0.0)
+        for x in ("a", "b") for d in ("a", "b")
+    })
+    return CausalGame(
+        1,
+        tuple(Variable(x, "chance", ("a", "b")) for x in names)
+        + (Variable("D", "decision", ("a", "b"), 1), Variable("U", "utility", (0, 1), 1)),
+        {**{x: tuple(names[max(i - 1, 0):i]) for i, x in enumerate(names)},
+         "D": (), "U": (last, "D")},
+        cpds,
+    )
 
 
 def random_type_game(rng: random.Random, zero_type=False) -> CausalGame:
@@ -406,6 +431,48 @@ def loop_conditional_independence(
                 if abs(lhs - rhs) > tol:
                     return False
     return True
+
+
+def full_active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
+    """Every simple path from ``xs`` to ``zs``, filtered for activity after
+    it is complete: the recursive enumerator ``active_paths`` replaced.
+
+    A path is active when each interior collider is in ``given`` or has a
+    descendant there, and no other interior node is in ``given``.
+    """
+    xs, zs, given = set(xs), set(zs), set(given)
+    open_colliders = set(given).union(*(nx.ancestors(graph, g) for g in given))
+    endpoints = xs | zs
+    found = []
+
+    def is_active(nodes, arrows):
+        for i in range(1, len(nodes) - 1):
+            w = nodes[i]
+            if arrows[i - 1] == FORWARD and arrows[i] == BACKWARD:
+                if w not in open_colliders:
+                    return False
+            elif w in given:
+                return False
+        return True
+
+    def extend(nodes, arrows, visited):
+        here = nodes[-1]
+        steps = [(c, FORWARD) for c in graph.successors(here)]
+        steps += [(p, BACKWARD) for p in graph.predecessors(here)]
+        for nxt, arrow in steps:
+            if nxt in visited:
+                continue
+            new_nodes, new_arrows = nodes + [nxt], arrows + [arrow]
+            if nxt in zs:
+                if is_active(new_nodes, new_arrows):
+                    found.append(Path(new_nodes, new_arrows, given))
+            elif nxt not in endpoints:
+                extend(new_nodes, new_arrows, visited | {nxt})
+
+    for x in sorted(xs):
+        extend([x], [], {x})
+    found.sort(key=lambda p: (len(p.nodes), p.nodes, p.arrows))
+    return found
 
 
 def loop_action_values(game: CausalGame, sigma: dict, unknown_of: dict) -> dict:

@@ -21,15 +21,20 @@ from causalgames import (
     object_graph,
     r_relevant,
     reachability_paths,
+    relevant_mechanisms,
     side_effects,
 )
 from causalgames import graphs
 from causalgames.cli import resolve_game
 from causalgames.graphs import mechanism_node, rule_node
 from helpers import (
+    chain_to_utility_game,
+    full_active_paths,
     loop_conditional_independence,
     numeric_conditional_independence,
     random_cbn,
+    random_game,
+    random_multi_decision_game,
 )
 
 JM_EDGES_INTO_PI_D1 = {"THETA_T", "THETA_U1", "PI_D2"}
@@ -223,6 +228,100 @@ def _graph_query(draw):
 def test_d_separated_agrees_with_path_enumeration(query):
     g, xs, zs, given = query
     assert d_separated(g, xs, zs, given) == (not active_paths(g, xs, zs, given))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_query())
+def test_pruned_paths_match_full_enumeration(query):
+    g, xs, zs, given = query
+    assert active_paths(g, xs, zs, given) == full_active_paths(g, xs, zs, given)
+
+
+def _per_pair_relevant(game, target):
+    """Mechanisms d-connected to a relevance test's targets, asked one by one."""
+    graph = independent_mechanised_graph(game)
+    d = target[len("PI_"):]
+    downstream = nx.descendants(graph, d)
+    utils = {u for u in game.utilities_of(game.agent_of(d)) if u in downstream}
+    parents = set(game.parents_of(d))
+    tests = [(t, cond) for t, cond in ((utils, parents | {d}), (parents, set())) if t]
+    return {
+        m
+        for m in (mechanism_node(game, v) for v in game.names())
+        if any(not d_separated(graph, {m}, t, cond) for t, cond in tests)
+    }
+
+
+def test_relevant_mechanisms_match_per_pair_tests(job_market, stackelberg):
+    rng = random.Random(23)
+    games = [job_market, stackelberg]
+    games += [random_game(rng) for _ in range(40)]
+    games += [random_multi_decision_game(rng) for _ in range(20)]
+    games += [
+        apply_primitive(g, FixObject(d, (), TabularCPD.delta(d, "a", ("a", "b"))))
+        for g in games[2:22]
+        for d in g.decisions()[:1]
+    ]
+    seen = set()
+    for game in games:
+        graph = independent_mechanised_graph(game)
+        for d in game.decisions():
+            target = rule_node(d)
+            expected = _per_pair_relevant(game, target)
+            assert relevant_mechanisms(game, target) == expected
+            assert relevant_mechanisms(game, target, graph) == expected
+            for m in (mechanism_node(game, v) for v in game.names()):
+                assert r_relevant(game, m, target, graph) == (m in expected)
+                seen.add(m in expected)
+    assert seen == {True, False}
+
+
+def test_incentive_analyses_match_per_pair_relevance(job_market, stackelberg):
+    rng = random.Random(29)
+    games = [job_market, stackelberg] + [random_game(rng) for _ in range(30)]
+
+    def per_pair_edges(game):
+        return {
+            (m, rule_node(d))
+            for d in game.decisions()
+            if d not in game.rule_fixes
+            for m in _per_pair_relevant(game, rule_node(d)) - {rule_node(d)}
+        }
+
+    verdicts = set()
+    for game in games:
+        d = rng.choice(game.decisions())
+        fix = FixObject(d, (), TabularCPD.delta(d, game.domain(d)[0], game.domain(d)))
+        after = apply_primitive(game, fix)
+        before_edges, after_edges = per_pair_edges(game), per_pair_edges(after)
+        report = side_effects(game, fix)
+        assert report.removed == before_edges - after_edges
+        assert report.added == after_edges - before_edges
+        # a hard fix keeps every variable and kind, so every pair is compared
+        invariant = all(
+            _per_pair_relevant(game, rule_node(e)) - {rule_node(e)}
+            == _per_pair_relevant(after, rule_node(e)) - {rule_node(e)}
+            for e in game.decisions()
+        )
+        assert incentive_invariant(game, fix) is invariant
+        verdicts.add(invariant)
+    assert verdicts == {True, False}
+
+
+def test_relevance_rejects_object_nodes(job_market):
+    with pytest.raises(ValidationError, match="unknown mechanism node"):
+        r_relevant(job_market, "T", "PI_D1")
+    with pytest.raises(ValidationError, match="unknown mechanism node"):
+        reachability_paths(job_market, "THETA_nope", "PI_D1")
+
+
+def test_deep_chain_witness_found_without_recursion():
+    game = chain_to_utility_game(1200)
+    paths = reachability_paths(game, "THETA_X0", "PI_D")
+    assert len(paths) == 1
+    assert paths[0].nodes[:2] == ("THETA_X0", "X0")
+    assert paths[0].nodes[-2:] == ("X1199", "U")
+    assert ("THETA_X0", "PI_D") in build_mechanised_graph(game).inter_mechanism_edges
 
 
 def test_yes_no_answers_need_no_path_enumeration(monkeypatch):

@@ -642,7 +642,8 @@ class InterventionAlgebra(RuleBasedStateMachine):
     """Random primitive steps on random games.
 
     Each step is applied with its inverse recorded; the inverse must restore
-    the game exactly, every game reached must validate, an object fix must
+    the game exactly, so must the inverse of the last k steps taken as one
+    compound, every game reached must validate, an object fix must
     equal its remove-then-add rewrite, and a decomposition of a random
     labelled pool must reproduce every agent's view stage by stage.
     Steps the algebra rejects (cycles, committed information sets, missing
@@ -654,6 +655,7 @@ class InterventionAlgebra(RuleBasedStateMachine):
         self.rng = random.Random(seed)
         self.game = (random_rich_game if rich else random_game)(self.rng)
         self.added = 0
+        self.history = []  # (game before, applied primitive) per step
 
     def _apply(self, prim):
         before = self.game
@@ -672,7 +674,21 @@ class InterventionAlgebra(RuleBasedStateMachine):
                 assert "committed decision" in str(exc)
             else:
                 assert games_equal(staged, after)
+        self.history.append((before, applied))
         self.game = after
+
+    @rule(data=st.data())
+    def invert_last_steps(self, data):
+        """Undo the last k steps at once: an ordered compound inverts in reverse."""
+        if not self.history:
+            return
+        k = data.draw(st.integers(1, len(self.history)))
+        earlier = self.history[-k][0]
+        steps = CompoundIntervention(tuple(ap for _, ap in self.history[-k:]))
+        restored = apply_all(self.game, [steps.invert()])
+        assert games_equal(restored, earlier)
+        self.game = earlier
+        del self.history[-k:]
 
     @invariant()
     def stays_valid(self):

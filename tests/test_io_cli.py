@@ -22,6 +22,7 @@ from causalgames import (
     serialize_game,
 )
 from causalgames.cli import main, resolve_game
+from helpers import chain_to_utility_game
 
 FIXTURES = ("job_market", "effortville", "prisoners_dilemma", "stackelberg")
 
@@ -410,3 +411,18 @@ def test_deep_chain_validates_and_joins_without_recursion(tmp_path):
     joint = induced_joint(game, PolicyProfile({}))
     assert list(joint.table.values()) == [1.0]
     assert next(iter(joint.table)) == ("a",) * n
+
+
+def test_deep_chain_min_set_without_recursion(tmp_path):
+    path = tmp_path / "chain.game.yaml"
+    path.write_text(serialize_game(chain_to_utility_game(1200)))
+    src = str(Path(causalgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "causalgames.cli", "min-set", str(path),
+         "--from", "THETA_X0", "--to", "PI_D"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    assert done.stdout.strip() == "{U}"

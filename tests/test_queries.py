@@ -387,6 +387,18 @@ def test_spec_fails_for_identity_with_behavioral(job_market):
     )
 
 
+def test_behavioral_queries_see_isolated_equilibria(job_market):
+    # the signalling game's isolated mixed equilibrium hires with P = 0.85
+    def verdict(query, include_behavioral):
+        job = QueryJob(game=job_market, query=query, include_behavioral=include_behavioral)
+        return evaluate_query(job).verdict
+
+    exact = "exists ne: P(D2=j) = 0.85"
+    avoided = "forall ne: P(D2=j) < 0.85 or P(D2=j) > 0.85"
+    assert verdict(exact, True) and not verdict(exact, False)
+    assert not verdict(avoided, True) and verdict(avoided, False)
+
+
 def test_spec_direction_lower(prisoners):
     # making defection worthless cannot lower P(D1=D) below the original
     assert check_spec_env(prisoners, [], "D1=D", direction="lower")
