@@ -26,8 +26,8 @@ from .errors import SolverError, ValidationError
 from .graphs import BEST_RESPONSE, RationalityRelation, rule_node
 from .interventions import FixMechanism, apply_primitive
 from .model import (
-    COEFF_EPS, COMMIT_EPS, EQ_EPS, PIVOT_EPS, ROUND_DIGITS, SAME_POINT_EPS,
-    VERIFY_EPS,
+    COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, PIVOT_EPS, ROUND_DIGITS,
+    SAME_POINT_EPS, VERIFY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
@@ -586,8 +586,11 @@ def optimal_commitment(
     per response, and maximises the leader's (affine) utility over each
     interval's closure; candidate maxima at region boundaries implement
     leader-favourable tie-breaking.  Grid mode sweeps the commitment
-    probability with the given step.
+    probability with the given step, which must lie in (0, 1]; a grid of
+    more than ``ENUM_BUDGET`` points raises ``SolverError``.
     """
+    if not 0.0 < grid_step <= 1.0:  # also rejects NaN
+        raise ValidationError(f"grid step must be in (0, 1], got {grid_step!r}")
     dec = _single_leader_decision(game, leader)
     if decision is not None and decision != dec:
         raise ValidationError(f"{decision!r} is not the leader's free decision")
@@ -632,7 +635,12 @@ def optimal_commitment(
     ))
 
     if mode == "grid":
-        n = max(1, round(1.0 / grid_step))
+        points = 1.0 / grid_step + 1  # a float: inf for the tiniest steps
+        if points > ENUM_BUDGET:
+            raise SolverError(
+                f"would evaluate {points:.3g} grid points; budget {ENUM_BUDGET:,}"
+            )
+        n = round(1.0 / grid_step)
         best_p, best_v = 0.0, None
         for i in range(n + 1):
             p = i / n

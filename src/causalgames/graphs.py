@@ -5,7 +5,9 @@ variable (``THETA_<v>`` for a CPD, ``PI_<d>`` for a decision rule), an edge
 from each mechanism to its variable, and inter-mechanism edges into rule
 nodes wherever the governing rationality relation makes the source mechanism
 strategically relevant.  The independent mechanised graph drops the
-inter-mechanism edges; it is the arena for all reachability computations.
+inter-mechanism edges; it is the arena for all reachability computations,
+read as ``pred``/``succ`` dicts built from the game's own parent and child
+index.  networkx is imported only by the ``nx.DiGraph`` views.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
@@ -24,13 +26,15 @@ the first node that blocks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
-
-import networkx as nx
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import ValidationError
 from .model import CausalGame, DECISION
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -58,16 +62,6 @@ def variable_of_mechanism(name: str) -> str:
     raise ValidationError(f"{name!r} is not a mechanism node name")
 
 
-def object_graph(game: CausalGame) -> nx.DiGraph:
-    g = nx.DiGraph()
-    for v in game.variables:
-        g.add_node(v.name, kind=v.kind, agent=v.agent, layer="object")
-    for v in game.variables:
-        for p in game.parents_of(v.name):
-            g.add_edge(p, v.name)
-    return g
-
-
 def _mechanism_edges(game: CausalGame) -> tuple[tuple[str, str], ...]:
     """Each mechanism node's edge into its variable, in variable order.
 
@@ -82,14 +76,35 @@ def _mechanism_edges(game: CausalGame) -> tuple[tuple[str, str], ...]:
     )
 
 
+class _Arena:
+    """The independent mechanised graph as ``pred``/``succ`` dicts and ``in``:
+    the part of the ``nx.DiGraph`` interface the searches read."""
+
+    def __init__(self, game: CausalGame):
+        mechanisms = {mechanism_node(game, v): () for v in game.names()}
+        self.pred = {**{v: game.parents_of(v) for v in game.names()}, **mechanisms}
+        self.succ = {**{v: game.children_of(v) for v in game.names()}, **mechanisms}
+        for m, v in _mechanism_edges(game):
+            self.succ[m] += (v,)
+            self.pred[v] += (m,)
+
+    def __contains__(self, node) -> bool:
+        return node in self.pred
+
+
+def _digraph(succ: Mapping) -> nx.DiGraph:
+    import networkx as nx
+
+    return nx.from_dict_of_lists(succ, create_using=nx.DiGraph)
+
+
+def object_graph(game: CausalGame) -> nx.DiGraph:
+    return _digraph({v: game.children_of(v) for v in game.names()})
+
+
 def independent_mechanised_graph(game: CausalGame) -> nx.DiGraph:
     """Object graph plus mechanism nodes and their edges into variables."""
-    g = object_graph(game)
-    for v in game.variables:
-        m = mechanism_node(game, v.name)
-        g.add_node(m, kind="mechanism", agent=game.agent_of(v.name), layer="mechanism")
-    g.add_edges_from(_mechanism_edges(game))
-    return g
+    return _digraph(_Arena(game).succ)
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,7 @@ class Path:
         return out
 
 
-def _check_node_sets(graph: nx.DiGraph, *sets: Iterable[str]):
+def _check_node_sets(graph: _Arena | nx.DiGraph, *sets: Iterable[str]):
     seen = []
     for s in sets:
         for n in s:
@@ -142,26 +157,27 @@ def _check_node_sets(graph: nx.DiGraph, *sets: Iterable[str]):
                 )
 
 
-def _ancestral_closure(graph: nx.DiGraph, given: set) -> set:
-    """``given`` and all its ancestors: the colliders that leave a trail open."""
-    closure = set(given)
-    stack = list(given)
+def _closure(step: Mapping, start) -> set:
+    """``start`` and every node reached from it along ``step``'s adjacency:
+    along ``pred``, the colliders that leave a trail open given ``start``."""
+    closure = set(start)
+    stack = list(start)
     while stack:
-        for p in graph.pred[stack.pop()]:
-            if p not in closure:
-                closure.add(p)
-                stack.append(p)
+        for n in step[stack.pop()]:
+            if n not in closure:
+                closure.add(n)
+                stack.append(n)
     return closure
 
 
-def _reachable(graph: nx.DiGraph, xs: set, given: set) -> set:
+def _reachable(graph: _Arena | nx.DiGraph, xs: set, given: set) -> set:
     """Reachable-set search: every node an active trail from ``xs`` reaches.
 
     States are (node, direction of arrival): ``BACKWARD`` when entered from
     a child (or at a start node), ``FORWARD`` when entered from a parent.
     Each state is expanded at most once, so the cost is O(V + E).
     """
-    open_colliders = _ancestral_closure(graph, given)
+    open_colliders = _closure(graph.pred, given)
     stack = [(x, BACKWARD) for x in xs]
     seen = set()
     while stack:
@@ -179,7 +195,7 @@ def _reachable(graph: nx.DiGraph, xs: set, given: set) -> set:
     return {node for node, _ in seen}
 
 
-def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
+def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
     """All simple paths from ``xs`` to ``zs`` left unblocked by ``given``.
 
     Paths never revisit a node and never pass through another endpoint-set
@@ -190,7 +206,7 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
     """
     _check_node_sets(graph, xs, zs, given)
     xs, zs, given = set(xs), set(zs), set(given)
-    open_colliders = _ancestral_closure(graph, given)
+    open_colliders = _closure(graph.pred, given)
     endpoints = xs | zs
     found = []
     stack = [((x,), ()) for x in xs]
@@ -217,7 +233,7 @@ def active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
     return found
 
 
-def d_separated(graph: nx.DiGraph, xs, zs, given) -> bool:
+def d_separated(graph: _Arena | nx.DiGraph, xs, zs, given) -> bool:
     """True iff every path between ``xs`` and ``zs`` is blocked by ``given``."""
     _check_node_sets(graph, xs, zs, given)
     return not _reachable(graph, set(xs), set(given)) & set(zs)
@@ -226,14 +242,14 @@ def d_separated(graph: nx.DiGraph, xs, zs, given) -> bool:
 # -- strategic relevance ------------------------------------------------------
 
 
-def _relevance_tests(game: CausalGame, target: str, graph=None):
+def _relevance_tests(game: CausalGame, target: str):
     """The d-connection tests behind best-response relevance.
 
     A mechanism is relevant to a decision's rule node when, in the
     independent mechanised graph, it is either (a) d-connected to the
     deciding agent's utility variables downstream of the decision given the
     decision and its parents, or (b) d-connected to the decision's parents
-    given nothing.  Returns the graph and the (targets, conditioning set)
+    given nothing.  Returns the arena and the (targets, conditioning set)
     pairs whose target set is non-empty.
     """
     if not target.startswith("PI_"):
@@ -241,15 +257,14 @@ def _relevance_tests(game: CausalGame, target: str, graph=None):
     decision = variable_of_mechanism(target)
     if game.kind(decision) != DECISION:
         raise ValidationError(f"{target!r} is not a decision-rule node")
-    if graph is None:
-        graph = independent_mechanised_graph(game)
-    downstream = nx.descendants(graph, decision)
+    arena = _Arena(game)
+    downstream = _closure(arena.succ, {decision})
     util_targets = frozenset(
         u for u in game.utilities_of(game.agent_of(decision)) if u in downstream
     )
     parents = frozenset(game.parents_of(decision))
     tests = ((util_targets, parents | {decision}), (parents, frozenset()))
-    return graph, [(targets, cond) for targets, cond in tests if targets]
+    return arena, [(targets, cond) for targets, cond in tests if targets]
 
 
 def _check_mechanism(game: CausalGame, mech: str):
@@ -257,25 +272,21 @@ def _check_mechanism(game: CausalGame, mech: str):
         raise ValidationError(f"unknown mechanism node {mech!r}")
 
 
-def relevant_mechanisms(
-    game: CausalGame, target: str, graph: nx.DiGraph | None = None
-) -> frozenset:
+def relevant_mechanisms(game: CausalGame, target: str) -> frozenset:
     """Every mechanism node best-response relevant to rule node ``target``.
 
     d-connection is symmetric, so one reachable-set search from each test's
     target set finds every mechanism it d-connects.  The set may hold
     ``target`` itself; callers building edges skip it.
     """
-    graph, tests = _relevance_tests(game, target, graph)
-    reached = set().union(*(_reachable(graph, t, cond) for t, cond in tests))
+    arena, tests = _relevance_tests(game, target)
+    reached = set().union(*(_reachable(arena, t, cond) for t, cond in tests))
     return frozenset(mechanism_node(game, v) for v in game.names()) & reached
 
 
-def r_relevant(
-    game: CausalGame, mech: str, target: str, graph: nx.DiGraph | None = None
-) -> bool:
+def r_relevant(game: CausalGame, mech: str, target: str) -> bool:
     """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
-    relevant = relevant_mechanisms(game, target, graph)
+    relevant = relevant_mechanisms(game, target)
     _check_mechanism(game, mech)
     return mech in relevant
 
@@ -286,16 +297,16 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     Each path is annotated with the conditioning set of the test it
     witnesses.  Empty exactly when ``r_relevant`` is false.
     """
-    graph, tests = _relevance_tests(game, target)
+    arena, tests = _relevance_tests(game, target)
     _check_mechanism(game, mech)
-    return [p for t, cond in tests for p in active_paths(graph, {mech}, t, cond)]
+    return [p for t, cond in tests for p in active_paths(arena, {mech}, t, cond)]
 
 
 @dataclass(frozen=True)
 class RationalityRelation:
     """How agents pick decision rules, with its graphical relevance test.
 
-    Represented intensionally: ``relevance(game, rule_node, graph)`` returns
+    Represented intensionally: ``relevance(game, rule_node)`` returns
     the mechanism nodes that can matter to a rule node, and equilibrium code
     dispatches on ``name``.  Only best response is built in; the relation is
     serial (a best response always exists in a finite game).
@@ -310,13 +321,19 @@ BEST_RESPONSE = RationalityRelation("best_response", relevant_mechanisms)
 
 @dataclass(frozen=True)
 class MechanisedGraph:
-    """Object graph, mechanism layer, and inter-mechanism relevance edges."""
+    """Mechanism layer and inter-mechanism relevance edges of a game."""
 
-    base: nx.DiGraph
-    graph: nx.DiGraph
     mechanism_nodes: Mapping[str, str]
     mechanism_edges: tuple[tuple[str, str], ...]
     inter_mechanism_edges: frozenset
+    _arena: _Arena = field(repr=False, compare=False)
+
+    @cached_property
+    def graph(self) -> nx.DiGraph:
+        """Independent mechanised graph plus the inter-mechanism edges."""
+        g = _digraph(self._arena.succ)
+        g.add_edges_from(sorted(self.inter_mechanism_edges))
+        return g
 
 
 def build_mechanised_graph(
@@ -329,18 +346,14 @@ def build_mechanised_graph(
     node pinned by a mechanism-level fix takes no inputs: a constant
     relation depends on nothing.
     """
-    base = object_graph(game)
-    indep = independent_mechanised_graph(game)
-    full = indep.copy()
     mech_nodes = {v.name: mechanism_node(game, v.name) for v in game.variables}
     inter = {
         (mech, rule_node(d))
         for d in game.decisions()
         if d not in game.rule_fixes
-        for mech in relation.relevance(game, rule_node(d), indep)
+        for mech in relation.relevance(game, rule_node(d))
         if mech != rule_node(d)
     }
-    full.add_edges_from(sorted(inter))
     return MechanisedGraph(
-        base, full, mech_nodes, _mechanism_edges(game), frozenset(inter)
+        mech_nodes, _mechanism_edges(game), frozenset(inter), _Arena(game)
     )

@@ -16,14 +16,12 @@ non-shared primitives before applying the next agent's.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InterventionError
 from .graphs import (
     build_mechanised_graph,
-    independent_mechanised_graph,
     mechanism_node,
     reachability_paths,
     relevant_mechanisms,
@@ -651,9 +649,10 @@ def minimum_intervention_set(
     """Smallest set of object-level variables breaking a mechanism dependency.
 
     Each reachability path contributes the set of its on-path nodes with an
-    incoming on-path edge; the answer is a minimum hitting set over those,
-    found by exhaustive search in increasing size with a lexicographic
-    tie-break over variable names.
+    incoming on-path edge (a mechanism node has none); the answer is a
+    minimum hitting set over those.  Every path starts with the edge from
+    ``mech`` into its own variable, so one node always hits every path: the
+    answer is the first name, in sort order, that all the sets share.
     """
     paths = reachability_paths(game, mech, target)
     if not paths:
@@ -661,20 +660,8 @@ def minimum_intervention_set(
             f"dependency already absent: no reachability paths from {mech} "
             f"to {target}"
         )
-    object_nodes = set(game.names())
-    hit_sets = []
-    for path in paths:
-        s = frozenset(
-            head for _, head in path.edges() if head in object_nodes
-        )
-        hit_sets.append(s)
-    universe = sorted(set().union(*hit_sets))
-    for k in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, k):
-            chosen = set(combo)
-            if all(chosen & s for s in hit_sets):
-                return tuple(combo)
-    raise InterventionError("no hitting set exists")  # unreachable: universe hits
+    shared = set.intersection(*({head for _, head in p.edges()} for p in paths))
+    return (min(shared),)
 
 
 def incentive_invariant(game: CausalGame, intervention) -> bool:
@@ -685,8 +672,6 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
     """
     intervened = apply_all(game, [intervention])
     shared = set(game.names()) & set(intervened.names())
-    graph_before = independent_mechanised_graph(game)
-    graph_after = independent_mechanised_graph(intervened)
     # a mechanism is compared only where it keeps its node name
     mechs = {mechanism_node(game, v) for v in shared}
     mechs &= {mechanism_node(intervened, v) for v in shared}
@@ -694,8 +679,8 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
         if d not in shared or intervened.kind(d) != DECISION:
             continue
         target = rule_node(d)
-        pre = relevant_mechanisms(game, target, graph_before)
-        post = relevant_mechanisms(intervened, target, graph_after)
+        pre = relevant_mechanisms(game, target)
+        post = relevant_mechanisms(intervened, target)
         if (pre ^ post) & (mechs - {target}):
             return False
     return True

@@ -462,13 +462,6 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     return report
 
 
-def require_valid(game: CausalGame, eps: float = PROB_EPS) -> CausalGame:
-    report = validate_game(game, eps)
-    if report:
-        raise ValidationError("; ".join(report))
-    return game
-
-
 # -- joint distribution and utilities ----------------------------------------
 
 

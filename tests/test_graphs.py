@@ -179,6 +179,46 @@ def test_object_restriction_matches_input(job_market):
     assert set(restricted.edges) == set(base.edges)
 
 
+def _definition_graph(game):
+    """Nodes and edges of the independent mechanised graph, read off the
+    game's definition: parent edges plus each mechanism's edge into its
+    variable, severed on object-fixed decisions."""
+    nodes = set(game.names()) | {mechanism_node(game, v) for v in game.names()}
+    edges = {(p, v) for v in game.names() for p in game.parents[v]}
+    edges |= {
+        (mechanism_node(game, v), v)
+        for v in game.names()
+        if v not in game.object_fixed
+    }
+    return nodes, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_arena_matches_graph_views(rng, multi, fix):
+    game = random_multi_decision_game(rng) if multi else random_game(rng)
+    if fix:
+        d = rng.choice(game.decisions())
+        dom = game.domain(d)
+        game = apply_primitive(game, FixObject(d, (), TabularCPD.delta(d, dom[0], dom)))
+        assert d in game.object_fixed
+    nodes, edges = _definition_graph(game)
+    arena = graphs._Arena(game)
+    view = independent_mechanised_graph(game)
+    assert set(arena.pred) == set(arena.succ) == set(view) == nodes
+    for n in nodes:
+        assert set(arena.pred[n]) == set(view.pred[n]) == {a for a, b in edges if b == n}
+        assert set(arena.succ[n]) == set(view.succ[n]) == {b for a, b in edges if a == n}
+    assert set(view.edges) == edges
+    names = set(game.names())
+    base = object_graph(game)
+    assert set(base) == names
+    assert set(base.edges) == {(a, b) for a, b in edges if a in names}
+    mg = build_mechanised_graph(game)
+    assert set(mg.graph) == nodes
+    assert set(mg.graph.edges) == edges | mg.inter_mechanism_edges
+
+
 def test_d_separation_agrees_with_numeric_oracle_small():
     rng = random.Random(99)
     from causalgames.model import PolicyProfile, induced_joint
@@ -264,14 +304,12 @@ def test_relevant_mechanisms_match_per_pair_tests(job_market, stackelberg):
     ]
     seen = set()
     for game in games:
-        graph = independent_mechanised_graph(game)
         for d in game.decisions():
             target = rule_node(d)
             expected = _per_pair_relevant(game, target)
             assert relevant_mechanisms(game, target) == expected
-            assert relevant_mechanisms(game, target, graph) == expected
             for m in (mechanism_node(game, v) for v in game.names()):
-                assert r_relevant(game, m, target, graph) == (m in expected)
+                assert r_relevant(game, m, target) == (m in expected)
                 seen.add(m in expected)
     assert seen == {True, False}
 

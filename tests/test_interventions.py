@@ -41,12 +41,14 @@ from causalgames import (
     side_effects,
     validate_game,
 )
+from causalgames.graphs import mechanism_node, rule_node
 from causalgames.model import _dependency_order
 from helpers import (
     is_minimum_hitting_set,
     random_distribution,
     random_full_profile,
     random_game,
+    random_multi_decision_game,
     random_rich_game,
 )
 
@@ -484,6 +486,30 @@ def test_minimum_set_single_path():
     game = __import__("causalgames").CausalGame(2, variables, parents, cpds)
     # single observation path PI_D1 -> D1; forced hit on its head
     assert minimum_intervention_set(game, "PI_D1", "PI_D2") == ("D1",)
+
+
+def test_minimum_set_is_the_first_minimum_hitting_set():
+    rng = random.Random(41)
+    games = [random_game(rng) for _ in range(200)]
+    games += [random_multi_decision_game(rng) for _ in range(200)]
+    pairs = 0
+    for game in games:
+        objects = set(game.names())
+        for d in game.decisions():
+            target = rule_node(d)
+            for mech in {mechanism_node(game, v) for v in game.names()} - {target}:
+                paths = reachability_paths(game, mech, target)
+                if not paths:
+                    continue
+                sets = [{h for _, h in p.edges() if h in objects} for p in paths]
+                result = minimum_intervention_set(game, mech, target)
+                assert is_minimum_hitting_set(result, sets)
+                # ties go to the first name in sort order
+                assert not any(
+                    all(u in s for s in sets) for u in objects if u < result[0]
+                )
+                pairs += 1
+    assert pairs > 1500
 
 
 def test_minimum_set_requires_paths(job_market):

@@ -244,6 +244,24 @@ def test_cli_commit_json(capsys):
     assert payload["rule"][""][0] == pytest.approx(2 / 3, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("0", "grid step must be in (0, 1]"),
+        ("nan", "grid step must be in (0, 1]"),
+        ("-1", "grid step must be in (0, 1]"),
+        ("1e-300", "grid points; budget"),
+    ],
+)
+def test_cli_commit_rejects_bad_grid_step(capsys, step, message):
+    code, out, err = run_cli(
+        capsys, "commit", "stackelberg", "--leader", "1", "--grid", "--step", step
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_min_set(capsys):
     code, out, _ = run_cli(
         capsys, "min-set", "job_market", "--from", "PI_D1", "--to", "PI_D2"
@@ -373,6 +391,35 @@ def test_cli_json_mech_graph_builds_once(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["dot"] == export_dot(resolve_game("job_market"), "mechanised")
     assert payload["inter_mechanism_edges"]
+
+
+def test_cli_commands_never_import_networkx():
+    commands = [
+        ["validate", "job_market"],
+        ["solve", "--behavioral", "effortville"],
+        ["--json", "mech-graph", "job_market"],
+        ["min-set", "job_market", "--from", "PI_D1", "--to", "PI_D2"],
+        ["side-effects", "reward_hidden"],
+        ["invariant", "reward_hidden"],
+        ["query", "commitment_revealed"],
+        ["commit", "stackelberg", "--leader", "1"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from causalgames.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    src = str(Path(causalgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_exit_codes(capsys):
