@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import MechanisedGraph, build_mechanised_graph, mechanism_node
-from .graphs import _mechanism_edges
+from .graphs import MechanisedGraph, _arena, build_mechanised_graph
 from .model import CHANCE, DECISION, UTILITY, CausalGame
 
 _AGENT_COLORS = (
@@ -49,10 +48,10 @@ def export_dot(
         if which == "mechanised":
             mg = graph if graph is not None else build_mechanised_graph(game)
             inter = sorted(mg.inter_mechanism_edges)
-        for v in game.variables:
-            m = mechanism_node(game, v.name)
+        arena = _arena(game)
+        for m in arena.mechanism.values():
             lines.append(f'  "{m}" [shape=ellipse, style=dashed, color=gray40];')
-        for src, dst in [*_mechanism_edges(game), *inter]:
+        for src, dst in [*arena.edges, *inter]:
             lines.append(f'  "{src}" -> "{dst}" [color=gray];')
     lines.append("}")
     return "\n".join(lines) + "\n"

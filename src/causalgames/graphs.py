@@ -7,7 +7,9 @@ nodes wherever the governing rationality relation makes the source mechanism
 strategically relevant.  The independent mechanised graph drops the
 inter-mechanism edges; it is the arena for all reachability computations,
 read as ``pred``/``succ`` dicts built from the game's own parent and child
-index.  networkx is imported only by the ``nx.DiGraph`` views.
+index.  A game builds its arena once, on first use, and every search on it
+shares that arena; games are immutable and every intervention makes a new
+one, so it never goes stale.  networkx is imported only by the views.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .errors import ValidationError
-from .model import CausalGame, DECISION
+from .errors import SolverError, ValidationError
+from .model import CausalGame, DECISION, ENUM_BUDGET
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -48,12 +50,6 @@ def param_node(variable: str) -> str:
     return f"THETA_{variable}"
 
 
-def mechanism_node(game: CausalGame, variable: str) -> str:
-    if game.kind(variable) == DECISION:
-        return rule_node(variable)
-    return param_node(variable)
-
-
 def variable_of_mechanism(name: str) -> str:
     """Inverse of the mechanism-node naming scheme."""
     for prefix in ("PI_", "THETA_"):
@@ -62,34 +58,43 @@ def variable_of_mechanism(name: str) -> str:
     raise ValidationError(f"{name!r} is not a mechanism node name")
 
 
-def _mechanism_edges(game: CausalGame) -> tuple[tuple[str, str], ...]:
-    """Each mechanism node's edge into its variable, in variable order.
+class _Arena:
+    """One game's independent mechanised graph: ``pred``/``succ`` dicts and
+    ``in`` (what the searches read of an ``nx.DiGraph``) and, in variable
+    order, each variable's mechanism node and that node's edge into it.
 
     The edge from a rule node into an object-fixed decision is severed: an
     object-level hard fix replaces the rule as the distribution governing
     the decision, leaving the rule node isolated above it.
     """
-    return tuple(
-        (mechanism_node(game, v.name), v.name)
-        for v in game.variables
-        if v.name not in game.object_fixed
-    )
-
-
-class _Arena:
-    """The independent mechanised graph as ``pred``/``succ`` dicts and ``in``:
-    the part of the ``nx.DiGraph`` interface the searches read."""
 
     def __init__(self, game: CausalGame):
-        mechanisms = {mechanism_node(game, v): () for v in game.names()}
-        self.pred = {**{v: game.parents_of(v) for v in game.names()}, **mechanisms}
-        self.succ = {**{v: game.children_of(v) for v in game.names()}, **mechanisms}
-        for m, v in _mechanism_edges(game):
-            self.succ[m] += (v,)
+        self.mechanism = {
+            v.name: rule_node(v.name) if v.kind == DECISION else param_node(v.name)
+            for v in game.variables
+        }
+        self.mechanisms = frozenset(self.mechanism.values())
+        self.edges = tuple(
+            (m, v) for v, m in self.mechanism.items() if v not in game.object_fixed
+        )
+        mechs = dict.fromkeys(self.mechanism.values(), ())
+        self.pred = {**{v: game.parents_of(v) for v in self.mechanism}, **mechs}
+        self.succ = {**{v: game.children_of(v) for v in self.mechanism}, **mechs}
+        for m, v in self.edges:
             self.pred[v] += (m,)
+            self.succ[m] = (v,)
+        self.tests = {}  # rule node -> its relevance tests, see _relevance_tests
 
     def __contains__(self, node) -> bool:
         return node in self.pred
+
+
+def _arena(game: CausalGame) -> _Arena:
+    """The game's arena, built on first use and kept on the game."""
+    arena = vars(game).get("_arena")
+    if arena is None:
+        arena = vars(game)["_arena"] = _Arena(game)
+    return arena
 
 
 def _digraph(succ: Mapping) -> nx.DiGraph:
@@ -104,7 +109,7 @@ def object_graph(game: CausalGame) -> nx.DiGraph:
 
 def independent_mechanised_graph(game: CausalGame) -> nx.DiGraph:
     """Object graph plus mechanism nodes and their edges into variables."""
-    return _digraph(_Arena(game).succ)
+    return _digraph(_arena(game).succ)
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,8 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
     member as an interior node.  Empty exactly when ``d_separated`` holds.
     A path grows, on an explicit stack, only while it is open: each step
     checks the node it leaves, which blocks as a non-collider in ``given``
-    or as a collider outside the ancestral closure of ``given``.
+    or as a collider outside the ancestral closure of ``given``.  Paths
+    found plus paths still open count against ``ENUM_BUDGET``.
     """
     _check_node_sets(graph, xs, zs, given)
     xs, zs, given = set(xs), set(zs), set(given)
@@ -229,6 +235,11 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
                 found.append(Path(*path, given))
             elif nxt not in endpoints:
                 stack.append(path)
+        if len(found) + len(stack) > ENUM_BUDGET:
+            raise SolverError(
+                f"would enumerate more than {len(found) + len(stack):,} "
+                f"witness paths; budget {ENUM_BUDGET:,}"
+            )
     found.sort(key=lambda p: (len(p.nodes), p.nodes, p.arrows))
     return found
 
@@ -250,25 +261,23 @@ def _relevance_tests(game: CausalGame, target: str):
     deciding agent's utility variables downstream of the decision given the
     decision and its parents, or (b) d-connected to the decision's parents
     given nothing.  Returns the arena and the (targets, conditioning set)
-    pairs whose target set is non-empty.
+    pairs whose target set is non-empty, kept on the arena.
     """
-    if not target.startswith("PI_"):
-        raise ValidationError(f"{target!r} is not a decision-rule node")
-    decision = variable_of_mechanism(target)
-    if game.kind(decision) != DECISION:
-        raise ValidationError(f"{target!r} is not a decision-rule node")
-    arena = _Arena(game)
-    downstream = _closure(arena.succ, {decision})
-    util_targets = frozenset(
-        u for u in game.utilities_of(game.agent_of(decision)) if u in downstream
-    )
-    parents = frozenset(game.parents_of(decision))
-    tests = ((util_targets, parents | {decision}), (parents, frozenset()))
-    return arena, [(targets, cond) for targets, cond in tests if targets]
+    arena = _arena(game)
+    if target not in arena.tests:
+        decision = target[3:]
+        if not target.startswith("PI_") or game.kind(decision) != DECISION:
+            raise ValidationError(f"{target!r} is not a decision-rule node")
+        downstream = _closure(arena.succ, {decision})
+        utils = frozenset(game.utilities_of(game.agent_of(decision))) & downstream
+        parents = frozenset(game.parents_of(decision))
+        tests = ((utils, parents | {decision}), (parents, frozenset()))
+        arena.tests[target] = [(t, cond) for t, cond in tests if t]
+    return arena, arena.tests[target]
 
 
 def _check_mechanism(game: CausalGame, mech: str):
-    if mech not in {mechanism_node(game, v) for v in game.names()}:
+    if mech not in _arena(game).mechanisms:
         raise ValidationError(f"unknown mechanism node {mech!r}")
 
 
@@ -281,14 +290,13 @@ def relevant_mechanisms(game: CausalGame, target: str) -> frozenset:
     """
     arena, tests = _relevance_tests(game, target)
     reached = set().union(*(_reachable(arena, t, cond) for t, cond in tests))
-    return frozenset(mechanism_node(game, v) for v in game.names()) & reached
+    return arena.mechanisms & reached
 
 
 def r_relevant(game: CausalGame, mech: str, target: str) -> bool:
     """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
-    relevant = relevant_mechanisms(game, target)
     _check_mechanism(game, mech)
-    return mech in relevant
+    return mech in relevant_mechanisms(game, target)
 
 
 def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
@@ -346,7 +354,7 @@ def build_mechanised_graph(
     node pinned by a mechanism-level fix takes no inputs: a constant
     relation depends on nothing.
     """
-    mech_nodes = {v.name: mechanism_node(game, v.name) for v in game.variables}
+    arena = _arena(game)
     inter = {
         (mech, rule_node(d))
         for d in game.decisions()
@@ -354,6 +362,4 @@ def build_mechanised_graph(
         for mech in relation.relevance(game, rule_node(d))
         if mech != rule_node(d)
     }
-    return MechanisedGraph(
-        mech_nodes, _mechanism_edges(game), frozenset(inter), _Arena(game)
-    )
+    return MechanisedGraph(dict(arena.mechanism), arena.edges, frozenset(inter), arena)

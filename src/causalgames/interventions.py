@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InterventionError
 from .graphs import (
+    _arena,
     build_mechanised_graph,
-    mechanism_node,
     reachability_paths,
     relevant_mechanisms,
     rule_node,
@@ -610,9 +610,7 @@ def side_effects(game: CausalGame, intervention) -> SideEffectReport:
     before = build_mechanised_graph(game).inter_mechanism_edges
     intervened = apply_all(game, [intervention])
     after = build_mechanised_graph(intervened).inter_mechanism_edges
-    return SideEffectReport(
-        frozenset(before - after), frozenset(after - before)
-    )
+    return SideEffectReport(before - after, after - before)
 
 
 def predicted_edge_removals(game: CausalGame, p: FixObject) -> set:
@@ -671,19 +669,15 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
     and the intervened game.
     """
     intervened = apply_all(game, [intervention])
-    shared = set(game.names()) & set(intervened.names())
+    before, after = _arena(game).mechanism, _arena(intervened).mechanism
     # a mechanism is compared only where it keeps its node name
-    mechs = {mechanism_node(game, v) for v in shared}
-    mechs &= {mechanism_node(intervened, v) for v in shared}
-    for d in game.decisions():
-        if d not in shared or intervened.kind(d) != DECISION:
-            continue
-        target = rule_node(d)
-        pre = relevant_mechanisms(game, target)
-        post = relevant_mechanisms(intervened, target)
-        if (pre ^ post) & (mechs - {target}):
-            return False
-    return True
+    mechs = {m for v, m in before.items() if after.get(v) == m}
+    return not any(
+        (relevant_mechanisms(game, t) ^ relevant_mechanisms(intervened, t))
+        & (mechs - {t})
+        for t in map(rule_node, game.decisions())
+        if t in mechs
+    )
 
 
 # -- decomposition of visible intervention sets ---------------------------------

@@ -39,7 +39,7 @@ COMMIT_EPS = 1e-12  # smaller gaps between commitment utilities are ties
 QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
 SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
-ENUM_BUDGET = 1 << 16  # most pure rule profiles an exhaustive solver enumerates
+ENUM_BUDGET = 1 << 16  # most rule profiles, grid points or witness paths enumerated
 
 CHANCE = "chance"
 DECISION = "decision"

@@ -19,8 +19,9 @@ import networkx as nx
 import numpy as np
 
 from causalgames.equilibrium import RationalOutcomeSet
-from causalgames.graphs import BACKWARD, FORWARD, Path
+from causalgames.graphs import BACKWARD, FORWARD, Path, param_node, rule_node
 from causalgames.model import (
+    DECISION,
     CausalGame,
     JointDistribution,
     PolicyProfile,
@@ -29,6 +30,13 @@ from causalgames.model import (
     enumerate_pure_rules,
     induced_joint,
 )
+
+
+def mechanism_node(game: CausalGame, variable: str) -> str:
+    """The mechanism node of ``variable``, named from its kind."""
+    if game.kind(variable) == DECISION:
+        return rule_node(variable)
+    return param_node(variable)
 
 
 def random_distribution(rng, n):
@@ -130,6 +138,32 @@ def chain_to_utility_game(n: int) -> CausalGame:
         + (Variable("D", "decision", ("a", "b"), 1), Variable("U", "utility", (0, 1), 1)),
         {**{x: tuple(names[max(i - 1, 0):i]) for i, x in enumerate(names)},
          "D": (), "U": (last, "D")},
+        cpds,
+    )
+
+
+def dense_to_utility_game(n: int) -> CausalGame:
+    """Chance nodes ``X0 .. X{n-1}``, each a parent of every later one, then
+    ``X{n-1} -> U <- D`` for one agent: ``THETA_X0`` reaches ``PI_D`` along
+    2 ** (n - 2) witness paths, one per directed path from ``X0`` to
+    ``X{n-1}``."""
+    names = [f"X{i}" for i in range(n)]
+    cpds = {
+        x: TabularCPD(x, tuple(names[:i]), {
+            ctx: (0.5, 0.5) for ctx in itertools.product(("a", "b"), repeat=i)
+        })
+        for i, x in enumerate(names)
+    }
+    cpds["U"] = TabularCPD("U", (names[-1], "D"), {
+        (x, d): (0.0, 1.0) if x == d else (1.0, 0.0)
+        for x in ("a", "b") for d in ("a", "b")
+    })
+    return CausalGame(
+        1,
+        tuple(Variable(x, "chance", ("a", "b")) for x in names)
+        + (Variable("D", "decision", ("a", "b"), 1), Variable("U", "utility", (0, 1), 1)),
+        {**{x: tuple(names[:i]) for i, x in enumerate(names)},
+         "D": (), "U": (names[-1], "D")},
         cpds,
     )
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from causalgames import (
     CausalGame,
     FixObject,
+    SolverError,
     TabularCPD,
     ValidationError,
     Variable,
@@ -19,6 +21,7 @@ from causalgames import (
     incentive_invariant,
     independent_mechanised_graph,
     object_graph,
+    predicted_edge_removals,
     r_relevant,
     reachability_paths,
     relevant_mechanisms,
@@ -26,11 +29,13 @@ from causalgames import (
 )
 from causalgames import graphs
 from causalgames.cli import resolve_game
-from causalgames.graphs import mechanism_node, rule_node
+from causalgames.graphs import rule_node
 from helpers import (
     chain_to_utility_game,
+    dense_to_utility_game,
     full_active_paths,
     loop_conditional_independence,
+    mechanism_node,
     numeric_conditional_independence,
     random_cbn,
     random_game,
@@ -437,3 +442,75 @@ def test_vectorised_independence_oracle_matches_loop_form():
                     assert verdict == loop_conditional_independence(*args)
                     verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_witness_paths_counted_against_budget(monkeypatch):
+    game = dense_to_utility_game(10)
+    assert len(reachability_paths(game, "THETA_X0", "PI_D")) == 2 ** 8
+    monkeypatch.setattr(graphs, "ENUM_BUDGET", 100)
+    with pytest.raises(SolverError, match=r"^would enumerate more than \d+ witness "
+                       r"paths; budget 100$"):
+        reachability_paths(game, "THETA_X0", "PI_D")
+    # a smaller dense graph (32 paths) stays under the same budget
+    assert len(reachability_paths(dense_to_utility_game(7), "THETA_X0", "PI_D")) == 32
+
+
+def _count_arenas(monkeypatch) -> list:
+    built = []
+
+    class Counted(graphs._Arena):
+        def __init__(self, game):
+            built.append(game)
+            super().__init__(game)
+
+    monkeypatch.setattr(graphs, "_Arena", Counted)
+    return built
+
+
+def _hard_fix(game, d="D1"):
+    return FixObject(d, (), TabularCPD.delta(d, game.domain(d)[0], game.domain(d)))
+
+
+def _pair_answers(game):
+    mechs = [mechanism_node(game, v) for v in game.names()]
+    targets = [rule_node(d) for d in game.decisions()]
+    return (
+        {t: relevant_mechanisms(game, t) for t in targets},
+        {(m, t): reachability_paths(game, m, t) for m in mechs for t in targets},
+    )
+
+
+def test_arena_built_once_per_game(monkeypatch):
+    built = _count_arenas(monkeypatch)
+    game = resolve_game("job_market")
+    assert predicted_edge_removals(game, _hard_fix(game))
+    assert built == [game]
+    game = resolve_game("job_market")
+    built.clear()
+    report = side_effects(game, _hard_fix(game))
+    assert report.removed
+    assert len(built) == 2 and built[0] is game and built[1] is not game
+
+
+def test_intervened_game_gets_its_own_arena(monkeypatch):
+    parent = resolve_game("job_market")
+    before = _pair_answers(parent)
+    child = apply_primitive(parent, _hard_fix(parent))
+    built = _count_arenas(monkeypatch)
+    answers = _pair_answers(child)
+    assert built == [child]
+    assert answers != before
+    fresh = resolve_game("job_market")
+    assert answers == _pair_answers(apply_primitive(fresh, _hard_fix(fresh)))
+
+
+def test_deep_copied_game_answers_identically(monkeypatch):
+    game = resolve_game("job_market")
+    answers = _pair_answers(game)
+    edges = build_mechanised_graph(game).inter_mechanism_edges
+    clone = copy.deepcopy(game)
+    built = _count_arenas(monkeypatch)
+    assert _pair_answers(clone) == answers
+    assert build_mechanised_graph(clone).inter_mechanism_edges == edges
+    assert export_dot(clone, "mechanised") == export_dot(game, "mechanised")
+    assert built == []

@@ -41,10 +41,11 @@ from causalgames import (
     side_effects,
     validate_game,
 )
-from causalgames.graphs import mechanism_node, rule_node
+from causalgames.graphs import rule_node
 from causalgames.model import _dependency_order
 from helpers import (
     is_minimum_hitting_set,
+    mechanism_node,
     random_distribution,
     random_full_profile,
     random_game,

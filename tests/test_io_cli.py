@@ -22,7 +22,7 @@ from causalgames import (
     serialize_game,
 )
 from causalgames.cli import main, resolve_game
-from helpers import chain_to_utility_game
+from helpers import chain_to_utility_game, dense_to_utility_game
 
 FIXTURES = ("job_market", "effortville", "prisoners_dilemma", "stackelberg")
 
@@ -473,3 +473,21 @@ def test_deep_chain_min_set_without_recursion(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.returncode == 0
     assert done.stdout.strip() == "{U}"
+
+
+def test_min_set_past_witness_path_budget_is_one_error_line(tmp_path, monkeypatch, capsys):
+    from causalgames import graphs
+
+    path = tmp_path / "dense.game.yaml"
+    path.write_text(serialize_game(dense_to_utility_game(10)))
+    argv = ("min-set", str(path), "--from", "THETA_X0", "--to", "PI_D")
+    assert run_cli(capsys, *argv)[:2] == (0, "{U}\n")
+    monkeypatch.setattr(graphs, "ENUM_BUDGET", 100)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: would enumerate more than ")
+    assert lines[0].endswith("witness paths; budget 100")
