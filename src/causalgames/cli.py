@@ -4,13 +4,14 @@ Subcommands: validate, solve, mech-graph, intervene, side-effects,
 min-set, invariant, query, commit.  Game and scenario arguments accept a
 file path or the bare name of a bundled fixture.  ``--json`` switches every
 report to a stable machine-readable schema.  Exit codes: 0 success, 1
-domain error, 2 usage error.
+domain error or a closed output pipe, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -61,8 +62,6 @@ def _fixture_game_loader(ref: str) -> CausalGame:
 
 
 def resolve_game(arg: str) -> CausalGame:
-    import os
-
     if os.path.exists(arg):
         return load_game(arg)
     text = _fixture_text(f"{arg}.game.yaml")
@@ -72,8 +71,6 @@ def resolve_game(arg: str) -> CausalGame:
 
 
 def resolve_scenario(arg: str) -> Scenario:
-    import os
-
     if os.path.exists(arg):
         return load_scenario(arg)
     text = _fixture_text(f"{arg}.scenario.yaml")
@@ -426,9 +423,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: drop what is left unwritten, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
 from .graphs import BEST_RESPONSE, RationalityRelation, rule_node
@@ -39,6 +38,9 @@ from .model import (
     require_budget,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _require_best_response(relation: RationalityRelation):
     if relation.name != "best_response":
@@ -54,6 +56,8 @@ def _pure_stacks(game: CausalGame, decisions) -> dict:
 
 def _profiles_where(stacks: dict, mask: np.ndarray) -> list[PolicyProfile]:
     """The pure profiles at the true entries of ``mask``, in enumeration order."""
+    import numpy as np
+
     return [
         PolicyProfile({d: rules[i] for (d, rules), i in zip(stacks.items(), at)})
         for at in np.argwhere(mask)
@@ -191,6 +195,8 @@ def pure_nash(
     that agent's own axes exceeds their entry by more than ``eps``, that is,
     some joint deviation of their own decisions improves.
     """
+    import numpy as np
+
     _require_best_response(relation)
     decisions = game.free_decisions()
     stacks = _pure_stacks(game, decisions)
@@ -340,6 +346,8 @@ def _solve_linear(equations, unknowns, tol=PIVOT_EPS):
     Returns None when inconsistent.  Raises when a pinned unknown would
     depend on a free one (coupled parametric solutions are out of scope).
     """
+    import numpy as np
+
     if not unknowns:
         for eq in equations:
             if abs(eq.const) > tol:

@@ -66,6 +66,17 @@ def _reject_unknown(mapping, allowed, where, path):
         )
 
 
+def _listed(entry, key, owner, path) -> list:
+    """``entry[key]``, absent meaning empty; a bare string is an error,
+    not a sequence of one-letter names."""
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise GameFileError(
+            f"{owner}: {key!r} must be a list, got {value!r}", path=path
+        )
+    return value
+
+
 # libyaml's parser when the platform has it; positions are the same
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -151,9 +162,6 @@ def parse_game(text: str, path: str | None = None) -> CausalGame:
         raise GameFileError(
             f"unsupported rationality {rationality!r}", path=path
         )
-    if not isinstance(data["agents"], int) or data["agents"] < 1:
-        raise GameFileError("'agents' must be a positive integer", path=path)
-
     variables = []
     parents = {}
     domains = {}
@@ -168,13 +176,13 @@ def parse_game(text: str, path: str | None = None) -> CausalGame:
                 )
         name = str(entry["name"])
         kind = str(entry["kind"])
-        domain = entry["domain"]
+        domain = _listed(entry, "domain", name, path)
         if kind == UTILITY:
             domain = tuple(float(v) if isinstance(v, float) else v for v in domain)
         else:
             domain = tuple(str(v) for v in domain)
         variables.append(Variable(name, kind, domain, entry.get("agent")))
-        parents[name] = tuple(str(p) for p in entry.get("parents", ()))
+        parents[name] = tuple(map(str, _listed(entry, "parents", name, path)))
         domains[name] = domain
 
     cpds = {}
@@ -293,7 +301,7 @@ def _build_primitive(game, entry, journaled, path):
 
     if kind == "fix_object":
         target = str(entry["target"])
-        parents = tuple(str(p) for p in entry.get("parents", ()))
+        parents = tuple(map(str, _listed(entry, "parents", target, path)))
         if "value" in entry:
             cpd = _intervention_cpd(game, target, None, parents, path, entry["value"])
         elif "rows" in entry:
@@ -319,14 +327,14 @@ def _build_primitive(game, entry, journaled, path):
     if kind == "add_var":
         name = str(entry["name"])
         var_kind = str(entry.get("var_kind", "chance"))
-        domain = entry["domain"]
+        domain = _listed(entry, "domain", name, path)
         if var_kind == UTILITY:
             domain = tuple(float(v) if isinstance(v, float) else v for v in domain)
         else:
             domain = tuple(str(v) for v in domain)
         variable = Variable(name, var_kind, domain, entry.get("agent"))
-        parents = tuple(str(p) for p in entry.get("parents", ()))
-        children = tuple(str(c) for c in entry.get("children", ()))
+        parents = tuple(map(str, _listed(entry, "parents", name, path)))
+        children = tuple(map(str, _listed(entry, "children", name, path)))
         domains = {v.name: v.domain for v in game.variables}
         domains[name] = domain
         cpd = None

@@ -9,6 +9,9 @@ are partial contractions of that product (``expectations``): variable
 elimination over the ancestors of each value factor, a utility's CPD times
 its values or an event's 0/1 indicator, for many rule choices at once.
 ``induced_joint`` builds the full product only as a reference view.
+numpy is imported inside the functions that build or contract arrays, on
+their first call, so a program that only reads a game's structure (its
+graphs, interventions and validation) never loads it.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs; nothing here holds shared mutable state.
@@ -21,11 +24,12 @@ import itertools
 import math
 from operator import itemgetter
 from dataclasses import dataclass, field, replace
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import SolverError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # -- numeric policy: every tolerance, rounding and size budget ----------------
 
@@ -375,6 +379,11 @@ def _check_cpd(
     return report
 
 
+def _is_int(x) -> bool:
+    """An ``int`` proper: ``True`` and ``1.5`` number no agent."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def variable_report(v: Variable, n_agents: int) -> list[str]:
     """Violations of ``v`` on its own: kind, domain and owner."""
     if v.kind not in KINDS:
@@ -385,7 +394,7 @@ def variable_report(v: Variable, n_agents: int) -> list[str]:
     if len(set(v.domain)) != len(v.domain):
         report.append(f"{v.name}: duplicate domain values")
     if v.kind in (DECISION, UTILITY):
-        if v.agent is None or not (1 <= v.agent <= n_agents):
+        if not (_is_int(v.agent) and 1 <= v.agent <= n_agents):
             report.append(
                 f"{v.name}: {v.kind} variable needs an agent in 1..{n_agents}"
             )
@@ -405,9 +414,9 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     An empty report means the game is valid.  Each violation names the
     variable or row at fault.
     """
+    if not (_is_int(game.n_agents) and game.n_agents >= 1):
+        return ["'agents' must be a positive integer"]  # no owner can be checked
     report: list[str] = []
-    if game.n_agents < 1:
-        report.append("game declares no agents")
 
     seen = set()
     for v in game.variables:
@@ -544,6 +553,8 @@ def payoff_tensors(
 
 def utility_factors(game: CausalGame, agents) -> list[tuple]:
     """The value factors of the agents' utilities: CPD times values."""
+    import numpy as np
+
     for agent in agents:
         if not (1 <= agent <= game.n_agents):
             raise ValidationError(f"unknown agent index {agent}")
@@ -557,6 +568,8 @@ def utility_factors(game: CausalGame, agents) -> list[tuple]:
 
 def event_factor(game: CausalGame, assignment: Mapping[str, object]) -> tuple:
     """The value factor of an event: 1 where every variable takes its value."""
+    import numpy as np
+
     indicator = np.zeros([len(game.domain(n)) for n in assignment])
     indicator[tuple(game.domain(n).index(v) for n, v in assignment.items())] = 1.0
     return tuple(assignment), indicator
@@ -576,6 +589,8 @@ def expectations(
     With ``leaf_axis`` the lists share one axis: entry ``i`` puts every
     stacked decision on its ``i``-th rule, linear in the lists' length.
     """
+    import numpy as np
+
     stacks = dict(stacks or {})
     cpds = _factor_cpds(game, profile, stacks)
     # stack axis labels are tuples, variable labels strings
@@ -607,6 +622,8 @@ def expectations(
 
 def _cpd_tensor(game: CausalGame, name: str, cpd: TabularCPD) -> np.ndarray:
     """``cpd`` as an array with one axis per parent, then one for ``name``."""
+    import numpy as np
+
     doms = [game.domain(p) for p in game.parents_of(name)]
     rows = list(map(cpd.table.__getitem__, itertools.product(*doms)))
     shape = [len(d) for d in doms] + [len(game.domain(name))]
@@ -627,6 +644,8 @@ def _ancestral(game: CausalGame, names) -> list[str]:
 
 def _einsum(parts, out) -> np.ndarray:
     """Product of the labelled arrays ``parts``, summed onto the labels ``out``."""
+    import numpy as np
+
     ids: dict = {}
     args = []
     for scope, array in parts:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .equilibrium import pure_nash, behavioral_nash_small
 from .errors import QueryError, SolverError
 from .graphs import BEST_RESPONSE, RationalityRelation
@@ -350,7 +348,8 @@ def _at_leaves(game, leaves, value) -> list[float]:
     common = {d: c[0] for d, c in stacks.items() if all(r is c[0] for r in c)}
     stacks = {d: c for d, c in stacks.items() if d not in common}
     [out] = expectations(game, PolicyProfile(common), [value], stacks, leaf_axis=True)
-    return np.broadcast_to(out, (len(leaves),)).tolist()
+    values = out.tolist()
+    return values if out.ndim else [values] * len(leaves)
 
 
 def _atom_value(game, node) -> list:

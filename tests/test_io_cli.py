@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,14 @@ from causalgames import (
     Variable,
     induced_joint,
     export_dot,
+    load_game,
     FixObject,
     TabularCPD,
     apply_primitive,
     games_equal,
     parse_game,
     serialize_game,
+    validate_game,
 )
 from causalgames.cli import main, resolve_game
 from helpers import chain_to_utility_game, dense_to_utility_game
@@ -305,6 +308,64 @@ def test_cli_validate_rejects_non_finite(capsys, tmp_path, old, new, message):
     assert run_cli(capsys, "solve", str(bad))[0] == 1
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("agent: 1\n", "agent: 1.5\n",
+         "D1: decision variable needs an agent in 1..2; "
+         "U1: utility variable needs an agent in 1..2"),
+        ("agents: 2\n", "agents: true\n", "'agents' must be a positive integer"),
+        ("parents: [D1]\n", "parents: D1\n", "D2: 'parents' must be a list, got 'D1'"),
+    ],
+    ids=["float_agent", "bool_agents", "string_parents"],
+)
+def test_ill_typed_game_file_is_one_error_line(capsys, tmp_path, old, new, message):
+    fixture = Path(causalgames.__file__).parent / "fixtures" / "job_market.game.yaml"
+    text = fixture.read_text()
+    assert old in text
+    bad = tmp_path / "bad.game.yaml"
+    bad.write_text(text.replace(old, new))
+    with pytest.raises(GameFileError) as info:
+        load_game(str(bad))
+    assert message in str(info.value)
+    code, out, err = run_cli(capsys, "solve", str(bad))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_validate_game_wants_int_agents():
+    game = resolve_game("job_market")
+    assert validate_game(replace(game, n_agents=True)) == [
+        "'agents' must be a positive integer"
+    ]
+    variables = tuple(
+        replace(v, agent=2.0) if v.name == "D2" else v for v in game.variables
+    )
+    assert validate_game(replace(game, variables=variables)) == [
+        "D2: decision variable needs an agent in 1..2"
+    ]
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_exits_quietly(json_mode, unbuffered):
+    argv = ["--json"] * json_mode + ["solve", "job_market", "--behavioral"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(causalgames.__file__).parents[1])
+    if unbuffered:  # each print writes at once; otherwise the last flush does
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "causalgames.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    proc.stdout.close()  # before the child can write a byte
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == ""  # no traceback
+
+
 def test_cli_queries_reproduce_reference_values(capsys):
     for scenario, expected in (
         ("commitment_revealed", "3.0"),
@@ -393,24 +454,20 @@ def test_cli_json_mech_graph_builds_once(monkeypatch, capsys):
     assert payload["inter_mechanism_edges"]
 
 
-def test_cli_commands_never_import_networkx():
-    commands = [
-        ["validate", "job_market"],
-        ["solve", "--behavioral", "effortville"],
-        ["--json", "mech-graph", "job_market"],
-        ["min-set", "job_market", "--from", "PI_D1", "--to", "PI_D2"],
-        ["side-effects", "reward_hidden"],
-        ["invariant", "reward_hidden"],
-        ["query", "commitment_revealed"],
-        ["commit", "stackelberg", "--leader", "1"],
-    ]
+LAYERS = ("gamefile", "model", "equilibrium", "graphs", "interventions",
+          "queries", "dot", "cli")
+
+
+def _loaded_after(commands, modules) -> set:
+    """Which of ``modules`` a fresh process has loaded after importing the
+    CLI and running each of ``commands`` through ``main``."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from causalgames.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('networkx' in sys.modules)\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     src = str(Path(causalgames.__file__).parents[1])
     done = subprocess.run(
@@ -419,7 +476,45 @@ def test_cli_commands_never_import_networkx():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return set(json.loads(done.stdout))
+
+
+GRAPH_ONLY_COMMANDS = [
+    ["validate", "job_market"],
+    ["--json", "mech-graph", "job_market"],
+    ["min-set", "job_market", "--from", "PI_D1", "--to", "PI_D2"],
+    ["intervene", "reward_hidden"],
+    ["side-effects", "reward_hidden"],
+    ["invariant", "reward_hidden"],
+]
+
+
+def test_cli_commands_never_import_networkx():
+    commands = GRAPH_ONLY_COMMANDS + [
+        ["solve", "--behavioral", "effortville"],
+        ["query", "commitment_revealed"],
+        ["commit", "stackelberg", "--leader", "1"],
+    ]
+    assert _loaded_after(commands, ["networkx"]) == set()
+
+
+def test_graph_only_commands_never_import_numpy():
+    assert _loaded_after(GRAPH_ONLY_COMMANDS, ["numpy"]) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "job_market"], ["query", "commitment_revealed"],
+     ["commit", "stackelberg", "--leader", "1"]],
+    ids=["solve", "query", "commit"],
+)
+def test_solver_commands_import_numpy(argv):
+    assert _loaded_after([argv], ["numpy"]) == {"numpy"}
+
+
+def test_cli_import_loads_every_layer_but_not_numpy():
+    layers = [f"causalgames.{layer}" for layer in LAYERS]
+    assert _loaded_after([], layers + ["numpy"]) == set(layers)
 
 
 def test_cli_exit_codes(capsys):
