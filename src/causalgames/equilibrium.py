@@ -1,12 +1,17 @@
 """Equilibrium computation: best responses, Nash enumeration, commitment.
 
-Pure equilibria, best responses, verification and commitment read payoff
-tensors (``model.payoff_tensors``): each free decision's pure rules lie on
-one axis, and variable elimination gives an agent's expected utility for
-every rule choice at once, with no joint table.  Behavioral equilibria for
-small two-agent games come from support enumeration over one joint, solving
-the indifference/consistency system per support pattern and reporting
-underdetermined solutions as parametric families with interval parameters.
+Every solver reads contractions of the game's factors (``model``), never
+a joint table.  Pure equilibria, best responses, verification and
+commitment read payoff tensors (``model.payoff_tensors``): each free
+decision's pure rules lie on one axis, and variable elimination gives an
+agent's expected utility for every rule choice at once.  Behavioral
+equilibria for small two-agent games come from support enumeration: one
+contraction gives every action value's coefficients, each decision's slot
+values are formed once per support of the other decision, the
+indifference/consistency system is solved per support pattern, and
+underdetermined solutions are reported as parametric families with
+interval parameters; all candidates are verified together, one
+contraction per agent.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
 only free decisions are strategic.
 
@@ -32,10 +37,11 @@ from .model import (
     TabularCPD,
     cpds_equal,
     enumerate_pure_rules,
+    expectations,
     expected_utility,
-    induced_joint,
     payoff_tensors,
     require_budget,
+    utility_factors,
 )
 
 if TYPE_CHECKING:
@@ -103,14 +109,53 @@ def verify_rational_outcome(
     _require_best_response(relation)
     if not profile.is_full(game):
         raise ValidationError("profile must cover every free decision")
+    [stable] = _stable(game, [profile], eps)
+    return stable
+
+
+def _stable(game: CausalGame, profiles, eps: float) -> list[bool]:
+    """For each full profile, whether no agent has a pure deviation gaining
+    more than ``eps``: one contraction per agent for all the profiles.
+
+    Each of the agent's free decisions stacks its pure rules, then the
+    profiles' rules; the other free decisions share one axis of the
+    profiles' rules.  Profile ``i`` is worth the entry at its own rules on
+    every axis, and its best deviation is the largest entry over the pure
+    rules at ``i`` on the shared axis.  Entries the profiles give for
+    decisions that are not free are checked and ignored, as the kernel
+    does for any profile.
+    """
+    import numpy as np
+
+    n = len(profiles)
+    if not n:
+        return []
+    decisions = game.free_decisions()
+    extra = PolicyProfile({
+        d: rule for p in profiles for d, rule in p.rules.items()
+        if d not in decisions
+    })
+    at = np.arange(n)
+    stable = np.ones(n, dtype=bool)
     for agent in range(1, game.n_agents + 1):
         own = game.free_decisions_of(agent)
         if not own:
             continue
-        [payoff] = payoff_tensors(game, profile, [agent], _pure_stacks(game, own))
-        if payoff.max() > expected_utility(game, profile, agent) + eps:
-            return False
-    return True
+        pure = _pure_stacks(game, own)
+        stacks = {d: pure[d] + [p[d] for p in profiles] for d in own}
+        others = [d for d in decisions if d not in stacks]
+        stacks.update({d: [p[d] for p in profiles] for d in others})
+        [payoff] = payoff_tensors(game, extra, [agent], stacks, others)
+        # the shared axis is absent (or of length 1) where no other
+        # decision reaches the agent's utilities
+        payoff = np.broadcast_to(
+            payoff.reshape(payoff.shape[:len(own)] + (-1,)),
+            tuple(len(stacks[d]) for d in own) + (n,),
+        )
+        best = payoff[tuple(slice(len(pure[d])) for d in own)]
+        value = payoff[tuple(len(pure[d]) + at for d in own) + (at,)]
+        stable &= ~(best.reshape(-1, n).max(axis=0) > value + eps)
+    return stable.tolist()
 
 
 @dataclass(frozen=True)
@@ -242,15 +287,6 @@ class _Affine:
         self.const = const
         self.coeffs = dict(coeffs or {})
 
-    def add_term(self, weight, unknown=None, complement=False):
-        if unknown is None:
-            self.const += weight
-        elif complement:
-            self.const += weight
-            self.coeffs[unknown] = self.coeffs.get(unknown, 0.0) - weight
-        else:
-            self.coeffs[unknown] = self.coeffs.get(unknown, 0.0) + weight
-
     def minus(self, other):
         out = _Affine(self.const - other.const, self.coeffs)
         for k, v in other.coeffs.items():
@@ -282,62 +318,92 @@ def _check_behavioral_supported(game: CausalGame):
             raise SolverError("unsupported size: more than 4 decision contexts")
 
 
-def _row_terms(game: CausalGame, decisions) -> list[tuple]:
-    """Each free decision's share of every positive row of the pinned joint.
+def _coefficients(game: CausalGame, decisions) -> list[tuple[list, list]]:
+    """Each free decision's ``(w, reach)``, all from one contraction.
 
-    The joint comes from one ``induced_joint`` call in which every free
-    decision weights each of its actions 1, so a row's weight is the product
-    of the pinned factors alone and rows with a zero factor are absent.  A
-    term ``(slot, action, other_slot, other_action, value)`` says that the
-    row, with the decision taking ``action`` in ``slot``, adds ``value`` (the
-    weight times the owner's utility total) to that action's value, times
-    the other free decision's probability of ``other_action`` in
-    ``other_slot``.  Without another free decision both are None.
+    ``w[c][a][c2][b]`` sums the decision's owner's utility total, weighted
+    by the pinned factors alone, over the instantiations in which the
+    decision plays ``a`` in its context ``c`` and the other free decision
+    ``b`` in its context ``c2``; ``reach`` says whether those instantiations
+    have any weight (the factors are non-negative, so a sum is non-zero
+    exactly when some term is).  Each decision stacks one indicator rule
+    per (context, action), and every value factor carries both decisions'
+    labels, so neither is summed out where a utility ignores it.  Without
+    another free decision the last two axes have length 1.
     """
-    weigh_all = PolicyProfile({
-        d: TabularCPD(
-            d, game.parents_of(d),
-            {c: (1.0,) * len(game.domain(d)) for c in game.contexts(d)},
-        )
-        for d in decisions
-    })
-    joint = induced_joint(game, weigh_all)
-    at = {n: i for i, n in enumerate(joint.variables)}
-    ctx_at = [[at[p] for p in game.parents_of(d)] for d in decisions]
-    util_at = [
-        [at[u] for u in game.utilities_of(game.agent_of(d))] for d in decisions
-    ]
-    terms = []
-    for inst, weight in joint.table.items():
-        placed = [
-            (
-                (d, tuple(inst[j] for j in ctx_at[k])),
-                game.domain(d).index(inst[at[d]]),
-            )
-            for k, d in enumerate(decisions)
+    import numpy as np
+
+    if not decisions:
+        return []
+    sizes = {d: len(game.domain(d)) for d in decisions}
+    stacks = {
+        d: [
+            TabularCPD(d, game.parents_of(d), {
+                c: tuple(float(c == ctx and b == a) for b in range(sizes[d]))
+                for c in game.contexts(d)
+            })
+            for ctx in game.contexts(d) for a in range(sizes[d])
         ]
-        for k, (slot, action) in enumerate(placed):
-            other, a_other = placed[1 - k] if len(placed) == 2 else (None, None)
-            util = sum(inst[j] for j in util_at[k])
-            terms.append((slot, action, other, a_other, weight * util))
-    return terms
+        for d in decisions
+    }
+
+    def over_decisions(labels, array):
+        extra = tuple(d for d in decisions if d not in labels)
+        array = array.reshape(array.shape + (1,) * len(extra))
+        shape = array.shape[:len(labels)] + tuple(sizes[d] for d in extra)
+        return labels + extra, np.broadcast_to(array, shape)
+
+    values = [
+        [over_decisions(*f) for f in utility_factors(game, [game.agent_of(d)])]
+        for d in decisions
+    ]
+    values.append([over_decisions((), np.ones(()))])
+    *totals, weight = expectations(game, PolicyProfile({}), values, stacks)
+    shape = [n for d in decisions for n in (len(game.contexts(d)), sizes[d])]
+    shape += [1, 1] * (2 - len(decisions))
+    out = []
+    for k, total in enumerate(totals):
+        w, reach = total.reshape(shape), weight.reshape(shape) != 0.0
+        if k:  # the decision's own axes first
+            w, reach = w.transpose(2, 3, 0, 1), reach.transpose(2, 3, 0, 1)
+        out.append((w.tolist(), reach.tolist()))
+    return out
 
 
-def _slot_values(terms, sigma, unknown_of):
-    """Reached slots and their two action values under one support pattern.
+def _slot_values(coefficients, slots, others):
+    """Reached slots of one free decision and their two action values.
 
-    A slot is reached when some positive row puts the other free decision
-    inside its support; an action's value is an affine form in the other
-    decision's unknowns (``q`` for its first action, ``1 - q`` for its
-    second) of d E[U^agent] / d pi(action | slot).
+    ``slots`` are the decision's slots in context order and ``others`` the
+    other free decision's ``(support, unknown)`` per context, the unknown
+    None unless the support has both actions (``[((0,), None)]`` when there
+    is no other free decision).  A slot is reached when some instantiation
+    of positive weight puts the other decision inside its support; an
+    action's value is an affine form in the other decision's unknowns
+    (``q`` for its first action, ``1 - q`` for its second) of
+    d E[U^agent] / d pi(action | slot).
     """
-    values: dict = {}
-    for slot, action, other, a_other, value in terms:
-        if other is not None and a_other not in sigma[other]:
+    w, reach = coefficients
+    values = {}
+    for c, slot in enumerate(slots):
+        if not any(
+            reach[c][a][c2][b]
+            for a in range(len(w[c]))
+            for c2, (support, _) in enumerate(others)
+            for b in support
+        ):
             continue
-        pair = values.setdefault(slot, (_Affine(), _Affine()))
-        pair[action].add_term(value, unknown_of.get(other), a_other == 1)
-    return {slot: tuple(v.pruned() for v in pair) for slot, pair in values.items()}
+        pair = []
+        for row in w[c]:  # one action: row[c2][b]
+            form = _Affine()
+            for c2, (support, unknown) in enumerate(others):
+                if unknown is None:
+                    form.const += row[c2][support[0]]
+                else:  # q * row[c2][0] + (1 - q) * row[c2][1]
+                    form.const += row[c2][1]
+                    form.coeffs[unknown] = row[c2][0] - row[c2][1]
+            pair.append(form.pruned())
+        values[slot] = tuple(pair)
+    return values
 
 
 def _solve_linear(equations, unknowns, tol=PIVOT_EPS):
@@ -421,30 +487,41 @@ def behavioral_nash_small(
     _require_best_response(relation)
     _check_behavioral_supported(game)
     decisions = game.free_decisions()
-    terms = _row_terms(game, decisions)
     slots = [(d, tuple(ctx)) for d in decisions for ctx in game.contexts(d)]
-    support_options = [((0,), (1,), (0, 1))] * len(slots)
+    options = ((0,), (1,), (0, 1))
+    name = {slot: f"q{idx}" for idx, slot in enumerate(slots)}
+    own = [[s for s in slots if s[0] == d] for d in decisions]
+    others = own[::-1] if len(own) == 2 else [[]] * len(own)
 
-    points: list[PolicyProfile] = []
-    families: list[BehavioralFamily] = []
+    # a decision's slot values depend only on the other decision's
+    # supports: one table per decision, keyed by those supports
+    tables = [
+        {
+            half: _slot_values(coefficients, slots_k, [
+                (support, name[slot] if len(support) == 2 else None)
+                for slot, support in zip(other, half)
+            ] or [((0,), None)])
+            for half in itertools.product(options, repeat=len(other))
+        }
+        for coefficients, slots_k, other
+        in zip(_coefficients(game, decisions), own, others)
+    ]
 
     fam_meta = {
         "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
         "_parents": {d: game.parents_of(d) for d in decisions},
     }
-
-    for combo in itertools.product(*support_options):
+    candidates: list[BehavioralFamily] = []
+    for combo in itertools.product(options, repeat=len(slots)):
         sigma = dict(zip(slots, combo))
-        unknown_of = {
-            slot: f"q{idx}" for idx, slot in enumerate(slots)
-            if len(sigma[slot]) == 2
-        }
-        unknowns = [unknown_of[s] for s in slots if s in unknown_of]
-        values = _slot_values(terms, sigma, unknown_of)
+        unknown_of = {s: name[s] for s in slots if len(sigma[s]) == 2}
+        unknowns = list(unknown_of.values())
+        values = {}
+        for table, other in zip(tables, others):
+            values.update(table[tuple(sigma[s] for s in other)])
 
         equations = []
         inequalities = []  # affine forms required >= -eps
-        feasible = True
         for slot in slots:
             if slot not in values:  # unreached under this support pattern
                 continue
@@ -458,15 +535,12 @@ def behavioral_nash_small(
         if solved is None:
             continue
         pinned, free = solved
-        for u, val in pinned.items():
-            if val < -eps or val > 1.0 + eps:
-                feasible = False
-                break
-        if not feasible:
+        if any(val < -eps or val > 1.0 + eps for val in pinned.values()):
             continue
         pinned = {u: min(max(v, 0.0), 1.0) for u, v in pinned.items()}
 
         bounds = {u: [0.0, 1.0] for u in free}
+        feasible = True
         for ineq in inequalities:
             expr = _Affine(ineq.const, ineq.coeffs)
             for u, val in pinned.items():
@@ -491,46 +565,44 @@ def behavioral_nash_small(
                 bounds[u][0] = max(bounds[u][0], limit)
             else:
                 bounds[u][1] = min(bounds[u][1], limit)
-        if not feasible:
-            continue
-        if any(lo > hi + eps for lo, hi in bounds.values()):
+        if not feasible or any(lo > hi + eps for lo, hi in bounds.values()):
             continue
 
-        entries = {}
-        for slot in slots:
-            if slot in unknown_of:
-                u = unknown_of[slot]
-                entries[slot] = pinned.get(u, u)
-            else:
-                entries[slot] = 1.0 if sigma[slot][0] == 0 else 0.0
-        if free:
-            params = tuple(
-                FreeParam(u, *(round(b, ROUND_DIGITS) for b in bounds[u]))
-                for u in free
-            )
-            fam = BehavioralFamily(decisions, entries, params, **fam_meta)
-            ok = all(
-                verify_rational_outcome(game, prof, relation, eps=VERIFY_EPS)
-                for prof in fam.extreme_profiles()
-            )
-            if ok and not any(
-                f.entries == fam.entries
-                and f.params == fam.params
+        entries = {
+            slot: pinned.get(unknown_of[slot], unknown_of[slot])
+            if slot in unknown_of else float(sigma[slot] == (0,))
+            for slot in slots
+        }
+        params = tuple(
+            FreeParam(u, *(round(b, ROUND_DIGITS) for b in bounds[u]))
+            for u in free
+        )
+        candidates.append(BehavioralFamily(decisions, entries, params, **fam_meta))
+
+    # every candidate's profiles (a point, or a family's corners) verified
+    # at once, then kept in pattern order unless already found
+    corners = [fam.extreme_profiles() for fam in candidates]
+    verdicts = iter(_stable(
+        game, [prof for profs in corners for prof in profs], VERIFY_EPS
+    ))
+    points: list[PolicyProfile] = []
+    families: list[BehavioralFamily] = []
+    for fam, profs in zip(candidates, corners):
+        if not all([next(verdicts) for _ in profs]):
+            continue
+        if fam.params:
+            if not any(
+                f.entries == fam.entries and f.params == fam.params
                 for f in families
             ):
                 families.append(fam)
         else:
-            fam = BehavioralFamily(decisions, entries, (), **fam_meta)
-            profile = fam.instantiate({})
-            if verify_rational_outcome(game, profile, relation, eps=VERIFY_EPS):
-                if not any(
-                    all(
-                        cpds_equal(profile[d], q[d], SAME_POINT_EPS)
-                        for d in decisions
-                    )
-                    for q in points
-                ):
-                    points.append(profile)
+            [profile] = profs
+            if not any(
+                all(cpds_equal(profile[d], q[d], SAME_POINT_EPS) for d in decisions)
+                for q in points
+            ):
+                points.append(profile)
 
     return RationalOutcomeSet(
         tuple(points), tuple(families), mode="behavioral_support_enum"

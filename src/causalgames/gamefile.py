@@ -33,6 +33,7 @@ from .model import (
     CausalGame,
     TabularCPD,
     Variable,
+    _is_int,
     validate_game,
 )
 
@@ -397,22 +398,30 @@ def parse_scenario(
         interventions.append((label, compound))
 
     visibility = {}
-    for agent, labels in (data.get("visibility", {}) or {}).items():
-        try:
-            agent_idx = int(agent)
-        except (TypeError, ValueError):
+    seen = data.get("visibility", {}) or {}
+    if not isinstance(seen, dict):
+        raise GameFileError("'visibility' must be a mapping", path=path)
+    for agent, labels in seen.items():
+        if not (_is_int(agent) and 1 <= agent <= game.n_agents):
             raise GameFileError(
-                f"visibility keys must be agent indices, got {agent!r}",
+                f"visibility keys must be agent indices in 1..{game.n_agents}, "
+                f"got {agent!r}",
                 path=path,
             )
-        labels = tuple(str(l) for l in (labels or ()))
+        if not isinstance(labels, list):
+            raise GameFileError(
+                f"visibility of agent {agent} must be a list of labels, "
+                f"got {labels!r}",
+                path=path,
+            )
+        labels = tuple(map(str, labels))
         for l in labels:
             if l not in journaled:
                 raise GameFileError(
                     f"visibility references unknown intervention {l!r}",
                     path=path,
                 )
-        visibility[agent_idx] = labels
+        visibility[agent] = labels
 
     options = dict(data.get("options", {}) or {})
     _reject_unknown(options, OPTION_KEYS, "options", path)

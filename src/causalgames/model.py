@@ -8,7 +8,8 @@ as the product of all factors.  Expected utilities and event probabilities
 are partial contractions of that product (``expectations``): variable
 elimination over the ancestors of each value factor, a utility's CPD times
 its values or an event's 0/1 indicator, for many rule choices at once.
-``induced_joint`` builds the full product only as a reference view.
+``induced_joint`` builds the full product as a reference view; no solver
+or query calls it.
 numpy is imported inside the functions that build or contract arrays, on
 their first call, so a program that only reads a game's structure (its
 graphs, interventions and validation) never loads it.
@@ -393,6 +394,13 @@ def variable_report(v: Variable, n_agents: int) -> list[str]:
         report.append(f"{v.name}: empty domain")
     if len(set(v.domain)) != len(v.domain):
         report.append(f"{v.name}: duplicate domain values")
+    for x in v.domain:
+        # CPD rows are keyed by comma-joined, stripped values in files
+        if isinstance(x, str) and ("," in x or x != x.strip() or not x):
+            report.append(
+                f"{v.name}: domain value {x!r} is empty or has a comma or "
+                "surrounding whitespace"
+            )
     if v.kind in (DECISION, UTILITY):
         if not (_is_int(v.agent) and 1 <= v.agent <= n_agents):
             report.append(
@@ -543,12 +551,12 @@ def expected_utility(game: CausalGame, profile: PolicyProfile, agent: int) -> fl
 
 
 def payoff_tensors(
-    game: CausalGame, profile: PolicyProfile, agents, stacks=None
+    game: CausalGame, profile: PolicyProfile, agents, stacks=None, leaf_axis=()
 ) -> list[np.ndarray]:
     """Each agent's expected utility for every choice of rules in ``stacks``,
     one axis per stacked decision (``expectations``)."""
     values = [utility_factors(game, [agent]) for agent in agents]
-    return expectations(game, profile, values, stacks)
+    return expectations(game, profile, values, stacks, leaf_axis)
 
 
 def utility_factors(game: CausalGame, agents) -> list[tuple]:
@@ -576,8 +584,7 @@ def event_factor(game: CausalGame, assignment: Mapping[str, object]) -> tuple:
 
 
 def expectations(
-    game: CausalGame, profile: PolicyProfile, values, stacks=None,
-    leaf_axis: bool = False,
+    game: CausalGame, profile: PolicyProfile, values, stacks=None, leaf_axis=(),
 ) -> list[np.ndarray]:
     """The expectation of each value for every choice of rules in ``stacks``.
 
@@ -586,15 +593,16 @@ def expectations(
     over its labels' ancestral set.  ``stacks`` maps decisions to lists of
     rules, each list one axis of every result (0-d without stacks); the other
     decisions follow their pinned CPD, imposed rule or the profile's rule.
-    With ``leaf_axis`` the lists share one axis: entry ``i`` puts every
-    stacked decision on its ``i``-th rule, linear in the lists' length.
+    The stacked decisions named in ``leaf_axis`` share one axis instead, at
+    the place of the first of them: entry ``i`` puts each of them on its
+    ``i``-th rule, linear in the lists' length.
     """
     import numpy as np
 
     stacks = dict(stacks or {})
     cpds = _factor_cpds(game, profile, stacks)
     # stack axis labels are tuples, variable labels strings
-    axis = {d: ("leaf",) if leaf_axis else ("rule", d) for d in stacks}
+    axis = {d: ("leaf",) if d in leaf_axis else ("rule", d) for d in stacks}
     size = {axis[d]: len(rules) for d, rules in stacks.items()}
     keep, shape = tuple(size), tuple(size.values())
     factors: dict[str, tuple] = {}

@@ -347,7 +347,7 @@ def _at_leaves(game, leaves, value) -> list[float]:
     stacks = {d: [rules[d] for rules in leaves] for d in leaves[0]}
     common = {d: c[0] for d, c in stacks.items() if all(r is c[0] for r in c)}
     stacks = {d: c for d, c in stacks.items() if d not in common}
-    [out] = expectations(game, PolicyProfile(common), [value], stacks, leaf_axis=True)
+    [out] = expectations(game, PolicyProfile(common), [value], stacks, leaf_axis=stacks)
     values = out.tolist()
     return values if out.ndim else [values] * len(leaves)
 

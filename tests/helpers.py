@@ -19,6 +19,7 @@ import networkx as nx
 import numpy as np
 
 from causalgames.equilibrium import RationalOutcomeSet
+from causalgames.errors import SolverError
 from causalgames.graphs import BACKWARD, FORWARD, Path, param_node, rule_node
 from causalgames.model import (
     DECISION,
@@ -595,6 +596,165 @@ def loop_action_values(game: CausalGame, sigma: dict, unknown_of: dict) -> dict:
                     action_value(d, ctx, game.domain(d)[a]) for a in range(2)
                 )
     return out
+
+
+def fraction_support_enumeration(game: CausalGame) -> tuple[list, list]:
+    """Exact support enumeration: the reference for ``behavioral_nash_small``.
+
+    One pass over every instantiation, in ``Fraction`` arithmetic, keeps
+    each one of positive pinned weight with the free decisions' slots and
+    actions and each decision's owner's weighted utility total.  Per support
+    pattern (same order and unknown names as the solver) the action values
+    are summed from those instantiations, the indifference equations are
+    solved by exact Gauss-Jordan elimination, and a solution is kept when
+    its pinned probabilities lie in [0, 1] and every single-action slot's
+    inequality holds, each free probability getting the interval the
+    inequalities leave.  No tolerance and no verification: in exact
+    arithmetic these are the equilibrium conditions.  Raises ``SolverError``
+    with the solver's message for the coupled families it refuses.
+
+    Returns ``(points, families)`` in pattern order without duplicates:
+    a point maps each slot to the probability of the decision's first
+    action; a family is ``(entries, bounds)``, entries holding a Fraction
+    or a parameter name per slot, bounds mapping each parameter to its
+    ``(low, high)``.
+    """
+    decisions = game.free_decisions()
+    slots = [(d, tuple(c)) for d in decisions for c in game.contexts(d)]
+    names = game.names()
+    at = {n: i for i, n in enumerate(names)}
+    domains = [game.domain(n) for n in names]
+    rows = []
+    for inst in itertools.product(*domains):
+        weight = Fraction(1)
+        for n in names:
+            cpd = game.factor_cpd(n)
+            if cpd is not None:
+                ctx = tuple(inst[at[p]] for p in game.parents_of(n))
+                weight *= Fraction(cpd.row(ctx)[game.domain(n).index(inst[at[n]])])
+        if weight == 0:
+            continue
+        placed = [
+            ((d, tuple(inst[at[p]] for p in game.parents_of(d))),
+             game.domain(d).index(inst[at[d]]))
+            for d in decisions
+        ]
+        totals = [
+            weight * sum(
+                Fraction(inst[at[u]]) for u in game.utilities_of(game.agent_of(d))
+            )
+            for d in decisions
+        ]
+        rows.append((placed, totals))
+
+    def minus(f, g):
+        return {k: f.get(k, 0) - g.get(k, 0) for k in set(f) | set(g)}
+
+    points, families = [], []
+    for combo in itertools.product(((0,), (1,), (0, 1)), repeat=len(slots)):
+        sigma = dict(zip(slots, combo))
+        unknown = {s: f"q{i}" for i, s in enumerate(slots) if len(sigma[s]) == 2}
+        values = {}  # slot -> two affine forms {None: const, name: coeff}
+        for placed, totals in rows:
+            for k, (slot, action) in enumerate(placed):
+                share = {None: 1}  # the other decision's probability
+                if len(placed) == 2:
+                    other, b = placed[1 - k]
+                    if b not in sigma[other]:
+                        continue
+                    if other in unknown:
+                        q = unknown[other]
+                        share = {q: 1} if b == 0 else {None: 1, q: -1}
+                form = values.setdefault(slot, ({}, {}))[action]
+                for key, c in share.items():
+                    form[key] = form.get(key, 0) + c * totals[k]
+        equations, inequalities = [], []
+        for slot in slots:
+            if slot in values:
+                f0, f1 = values[slot]
+                if len(sigma[slot]) == 2:
+                    equations.append(minus(f0, f1))
+                else:
+                    inside = sigma[slot] == (0,)
+                    inequalities.append(minus(f0, f1) if inside else minus(f1, f0))
+        unknowns = list(unknown.values())
+        # Gauss-Jordan on rows [coefficients..., -const]
+        m = [[eq.get(u, 0) for u in unknowns] + [-eq.get(None, 0)] for eq in equations]
+        pivots, r = [], 0
+        for c in range(len(unknowns)):
+            pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            m[r] = [x / m[r][c] for x in m[r]]
+            for i in range(len(m)):
+                if i != r and m[i][c] != 0:
+                    m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+            pivots.append(c)
+            r += 1
+        if any(row[-1] != 0 for row in m[r:]):
+            continue
+        pinned = {}
+        for i, c in enumerate(pivots):
+            if any(m[i][j] != 0 for j in range(len(unknowns)) if j != c):
+                raise SolverError(
+                    "unsupported size: coupled parametric equilibrium family"
+                )
+            pinned[unknowns[c]] = m[i][-1]
+        if any(not 0 <= v <= 1 for v in pinned.values()):
+            continue
+        bounds = {u: [Fraction(0), Fraction(1)] for u in unknowns if u not in pinned}
+        feasible = True
+        for ineq in inequalities:
+            const = ineq.get(None, 0) + sum(
+                c * pinned[u] for u, c in ineq.items() if u in pinned
+            )
+            frees = [(u, c) for u, c in ineq.items() if u in bounds and c != 0]
+            if not frees:
+                feasible = feasible and const >= 0
+                continue
+            if len(frees) > 1:
+                raise SolverError(
+                    "unsupported size: inequality couples two family parameters"
+                )
+            [(u, c)] = frees
+            if c > 0:
+                bounds[u][0] = max(bounds[u][0], -const / c)
+            else:
+                bounds[u][1] = min(bounds[u][1], -const / c)
+        if not feasible or any(lo > hi for lo, hi in bounds.values()):
+            continue
+        entries = {
+            s: pinned.get(unknown[s], unknown[s]) if s in unknown
+            else Fraction(int(sigma[s] == (0,)))
+            for s in slots
+        }
+        if bounds:
+            family = (entries, {u: tuple(b) for u, b in bounds.items()})
+            if family not in families:
+                families.append(family)
+        elif entries not in points:
+            points.append(entries)
+    return points, families
+
+
+def loop_stable(game: CausalGame, profile: PolicyProfile, eps: float) -> bool:
+    """Joint-loop reference for equilibrium verification: each agent's
+    utility read off one ``induced_joint`` of the profile, against every
+    joint pure deviation of the agent's free decisions, one joint each."""
+    for agent in range(1, game.n_agents + 1):
+        own = game.free_decisions_of(agent)
+        if not own:
+            continue
+        value = expected_utility_from_joint(game, induced_joint(game, profile), agent)
+        for rules in itertools.product(*[enumerate_pure_rules(game, d) for d in own]):
+            deviation = PolicyProfile({**profile.rules, **dict(zip(own, rules))})
+            gain = expected_utility_from_joint(
+                game, induced_joint(game, deviation), agent
+            ) - value
+            if gain > eps:
+                return False
+    return True
 
 
 def is_minimum_hitting_set(chosen, sets) -> bool:

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -25,7 +26,9 @@ from causalgames import (
     verify_rational_outcome,
 )
 from causalgames.cli import main
-from causalgames.equilibrium import COMMIT_EPS, _row_terms, _slot_values
+from causalgames.equilibrium import (
+    COMMIT_EPS, VERIFY_EPS, _coefficients, _slot_values, _stable,
+)
 from causalgames.model import (
     cpds_equal,
     enumerate_pure_rules,
@@ -33,8 +36,11 @@ from causalgames.model import (
 )
 from helpers import (
     expected_utility_from_joint,
+    fraction_support_enumeration,
     loop_action_values,
     loop_pure_nash,
+    loop_stable,
+    random_full_profile,
     random_distribution,
     random_game,
     random_multi_decision_game,
@@ -218,8 +224,8 @@ def test_solvers_build_no_joint(monkeypatch, job_market, prisoners, stackelberg)
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (equilibrium, model):
-        monkeypatch.setattr(module, "induced_joint", counted)
+    for module in (equilibrium, model):  # also where no longer imported
+        monkeypatch.setattr(module, "induced_joint", counted, raising=False)
     for game in (job_market, prisoners, stackelberg):
         for profile in pure_nash(game).outcomes:
             assert verify_rational_outcome(game, profile)
@@ -227,9 +233,10 @@ def test_solvers_build_no_joint(monkeypatch, job_market, prisoners, stackelberg)
     assert best_responses(prisoners, 1, others)
     optimal_commitment(stackelberg, 1)
     optimal_commitment(stackelberg, 1, mode="grid")
+    behavioral_nash_small(job_market)
     assert calls == []
-    behavioral_nash_small(job_market)  # support enumeration reads one joint
-    assert len(calls) == 1
+    model.induced_joint(job_market, pure_nash(job_market).outcomes[0])
+    assert len(calls) == 1  # the counting wrapper is live
 
 
 def _observers_game(seen=4):
@@ -351,14 +358,20 @@ def test_action_values_match_instantiation_loop(
     for game in games:
         decisions = game.free_decisions()
         slots = [(d, tuple(c)) for d in decisions for c in game.contexts(d)]
-        terms = _row_terms(game, decisions)
+        own = [[s for s in slots if s[0] == d] for d in decisions]
+        others = own[::-1] if len(own) == 2 else [[]]
+        coefficients = _coefficients(game, decisions)
         unreached = 0
         for combo in itertools.product(((0,), (1,), (0, 1)), repeat=len(slots)):
             sigma = dict(zip(slots, combo))
             unknown_of = {
                 s: f"q{i}" for i, s in enumerate(slots) if len(sigma[s]) == 2
             }
-            got = _slot_values(terms, sigma, unknown_of)
+            got = {}
+            for coeffs, mine, other in zip(coefficients, own, others):
+                got.update(_slot_values(coeffs, mine, [
+                    (sigma[s], unknown_of.get(s)) for s in other
+                ] or [((0,), None)]))
             want = loop_action_values(game, sigma, unknown_of)
             assert set(got) == set(want)
             for slot, pair in got.items():
@@ -367,6 +380,150 @@ def test_action_values_match_instantiation_loop(
             unreached += len(slots) - len(want)
         if game is zero_type:
             assert unreached
+
+
+def _unread_chance_variables(game, k):
+    """``game`` plus ``k`` binary chance variables that nothing reads."""
+    extra = [f"Z{i}" for i in range(k)]
+    return CausalGame(
+        game.n_agents,
+        game.variables + tuple(Variable(z, "chance", ("a", "b")) for z in extra),
+        {**game.parents, **{z: () for z in extra}},
+        {**game.cpds, **{z: TabularCPD(z, (), {(): (0.25, 0.75)}) for z in extra}},
+    )
+
+
+def _flat(outcome_set):
+    """Points and families as numbers and names, for approximate comparison."""
+    points = [
+        [p for d in q.decisions() for row in q[d].table.values() for p in row]
+        for q in outcome_set.outcomes
+    ]
+    families = [
+        (list(f.entries.items()), [(p.name, p.low, p.high) for p in f.params])
+        for f in outcome_set.families
+    ]
+    return points, families
+
+
+def test_unread_chance_variables_leave_support_enumeration_unchanged(
+    monkeypatch, job_market
+):
+    """12 chance variables that nothing reads: the same equilibria, no joint,
+    and no larger einsum operand than without them."""
+    from causalgames import model
+
+    joints = []
+    monkeypatch.setattr(model, "induced_joint", lambda *a: joints.append(a))
+    largest = []
+    einsum = np.einsum
+
+    def recorded(*args):
+        largest[-1] = max([largest[-1]] + [a.size for a in args[:-1:2]])
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    results = []
+    for k in (0, 12):
+        largest.append(0)
+        results.append(behavioral_nash_small(_unread_chance_variables(job_market, k)))
+    monkeypatch.undo()
+    assert joints == []
+    assert largest[0] == largest[1] > 0
+    (p0, f0), (p12, f12) = map(_flat, results)
+    assert len(p0) == len(p12) and len(f0) == len(f12) and p0
+    for a, b in zip(p0, p12):
+        assert a == pytest.approx(b, abs=1e-12)
+    for (entries0, params0), (entries12, params12) in zip(f0, f12):
+        assert [k for k, _ in entries0] == [k for k, _ in entries12]
+        for (_, a), (_, b) in zip(entries0, entries12):
+            assert a == b if isinstance(a, str) else a == pytest.approx(b, abs=1e-12)
+        assert [p[0] for p in params0] == [p[0] for p in params12]
+        assert [p[1:] for p in params0] == pytest.approx(
+            [p[1:] for p in params12], abs=1e-12
+        )
+
+
+def test_behavioral_matches_exact_oracle(
+    job_market, effortville, prisoners, stackelberg
+):
+    """Points within 1e-9 and family bounds against exact Fraction support
+    enumeration, on the fixtures and seeded type games (one of them with a
+    type of probability 0)."""
+    games = [job_market, effortville, prisoners, stackelberg]
+    games += [random_type_game(random.Random(seed)) for seed in range(12)]
+    games += [random_type_game(random.Random(seed), zero_type=True) for seed in (7, 8)]
+    refused = 0
+    for game in games:
+        try:
+            got = behavioral_nash_small(game)
+        except SolverError as exc:  # a coupled family: the oracle refuses it too
+            with pytest.raises(SolverError, match=f"^{exc}$"):
+                fraction_support_enumeration(game)
+            refused += 1
+            continue
+        points, families = fraction_support_enumeration(game)
+        assert len(got.outcomes) == len(points)
+        for profile, want in zip(got.outcomes, points):
+            for (d, ctx), p in want.items():
+                assert profile[d].row(ctx)[0] == pytest.approx(float(p), abs=1e-9)
+        assert len(got.families) == len(families)
+        for family, (entries, bounds) in zip(got.families, families):
+            assert list(family.entries) == list(entries)
+            for slot, want in entries.items():
+                entry = family.entries[slot]
+                if isinstance(want, str):
+                    assert entry == want
+                else:
+                    assert entry == pytest.approx(float(want), abs=1e-9)
+            assert [p.name for p in family.params] == list(bounds)
+            for p in family.params:
+                assert (p.low, p.high) == pytest.approx(
+                    tuple(map(float, bounds[p.name])), abs=1e-9
+                )
+    assert refused < len(games) // 2
+    _, families = fraction_support_enumeration(effortville)
+    assert sorted(b for _, bounds in families for b in bounds.values()) == [
+        (0, Fraction(4, 5)), (0, 1)
+    ]
+
+
+def test_batched_verification_matches_joint_loop(prisoners):
+    """All candidates checked at once against one joint per profile and
+    deviation: behavioral candidates of type games, random mixed profiles
+    and pure profiles of random games, and multi-decision agents."""
+    checked = collections.Counter()
+    cases = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        game = random_type_game(rng, zero_type=seed == 0)
+        profiles = [random_full_profile(rng, game) for _ in range(2)]
+        try:
+            profiles += behavioral_nash_small(game).extreme_profiles()
+        except SolverError:  # a coupled family
+            pass
+        cases.append((game, profiles))
+    for seed in range(20):
+        rng = random.Random(100 + seed)
+        game = random_game(rng)
+        cases.append((game, [random_full_profile(rng, game) for _ in range(3)]))
+    for seed in range(12):
+        game = random_multi_decision_game(random.Random(seed))
+        decisions = game.free_decisions()
+        lists = [enumerate_pure_rules(game, d) for d in decisions]
+        pure = [
+            PolicyProfile(dict(zip(decisions, c))) for c in itertools.product(*lists)
+        ]
+        rng = random.Random(seed)
+        cases.append((game, rng.sample(pure, 6) + [random_full_profile(rng, game)]))
+    cases.append((prisoners, []))
+    for game, profiles in cases:
+        for eps in (VERIFY_EPS, 1e-7):
+            got = _stable(game, profiles, eps)
+            assert got == [loop_stable(game, p, eps) for p in profiles]
+            checked.update(got)
+            assert got == [verify_rational_outcome(game, p, eps=eps) for p in profiles]
+    assert checked[True] > 50 and checked[False] > 50
 
 
 def test_verify_mixed_signalling_profile(job_market):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,8 +11,10 @@ import pytest
 
 import causalgames
 from causalgames import (
+    AddVariable,
     CausalGame,
     GameFileError,
+    InterventionError,
     PolicyProfile,
     Variable,
     induced_joint,
@@ -20,6 +24,7 @@ from causalgames import (
     TabularCPD,
     apply_primitive,
     games_equal,
+    load_scenario,
     parse_game,
     serialize_game,
     validate_game,
@@ -346,6 +351,103 @@ def test_validate_game_wants_int_agents():
     assert validate_game(replace(game, variables=variables)) == [
         "D2: decision variable needs an agent in 1..2"
     ]
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        ("1.5: [reward1, reward2]", "agent indices in 1..2, got 1.5"),
+        ("true: [reward1, reward2]", "agent indices in 1..2, got True"),
+        ("7: [reward1, reward2]", "agent indices in 1..2, got 7"),
+        ("1: reward1", "agent 1 must be a list of labels, got 'reward1'"),
+    ],
+    ids=["float_agent", "bool_agent", "unknown_agent", "string_labels"],
+)
+def test_ill_typed_visibility_is_one_error_line(capsys, tmp_path, new, message):
+    fixtures = Path(causalgames.__file__).parent / "fixtures"
+    text = (fixtures / "reward_hidden.scenario.yaml").read_text()
+    old = "1: [reward1, reward2]"
+    assert old in text
+    (tmp_path / "prisoners_dilemma.game.yaml").write_text(
+        (fixtures / "prisoners_dilemma.game.yaml").read_text()
+    )
+    bad = tmp_path / "bad.scenario.yaml"
+    bad.write_text(text.replace(old, new))
+    with pytest.raises(GameFileError) as info:
+        load_scenario(str(bad))
+    assert message in str(info.value)
+    code, out, err = run_cli(capsys, "query", str(bad))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_domain_value_with_comma_is_rejected(job_market, tmp_path):
+    """A value no CPD context key can name fails validation, ``AddVariable``
+    and the parser, each with a typed error."""
+    variables = tuple(
+        replace(v, domain=("j", "n,j")) if v.name == "D2" else v
+        for v in job_market.variables
+    )
+    assert validate_game(replace(job_market, variables=variables)) == [
+        "D2: domain value 'n,j' is empty or has a comma or surrounding whitespace"
+    ]
+    with pytest.raises(InterventionError, match="'b,c' is empty or has a comma"):
+        apply_primitive(job_market, AddVariable(
+            Variable("N", "chance", ("a", "b,c")), (), (),
+            TabularCPD("N", (), {(): (0.5, 0.5)}),
+        ))
+    text = serialize_game(job_market).replace("- nj\n", "- n,j\n")
+    assert "n,j" in text
+    with pytest.raises(GameFileError):
+        parse_game(text)
+
+
+NAMED_VALUES = (
+    "a", "b", "a b", "1", "true", "null", "x: y", "#c", "'q'",  # nameable
+    "n,j", ",", " a", "b ", "",  # a comma, surrounding whitespace, empty
+)
+
+
+def _named_values_game(rng):
+    """One or two chance variables, a decision and a utility, every
+    non-utility domain drawn from ``NAMED_VALUES``."""
+    def values():
+        return tuple(rng.sample(NAMED_VALUES, rng.randint(1, 3)))
+
+    names = [f"X{i}" for i in range(rng.randint(1, 2))]
+    variables, parents, cpds = [], {}, {}
+    for i, x in enumerate(names):
+        variables.append(Variable(x, "chance", values()))
+        parents[x] = tuple(rng.sample(names[:i], rng.randint(0, i)))
+    variables.append(Variable("D", "decision", values(), 1))
+    parents["D"] = tuple(rng.sample(names, rng.randint(0, len(names))))
+    variables.append(Variable("U", "utility", (0, 1), 1))
+    parents["U"] = ("D", rng.choice(names))
+    domains = {v.name: v.domain for v in variables}
+    for name in names + ["U"]:
+        n = len(domains[name])
+        cpds[name] = TabularCPD(name, parents[name], {
+            ctx: (1.0 / n,) * n
+            for ctx in itertools.product(*[domains[p] for p in parents[name]])
+        })
+    return CausalGame(1, tuple(variables), parents, cpds)
+
+
+def test_every_accepted_game_round_trips():
+    """Each game ``validate_game`` accepts parses back from what
+    ``serialize_game`` writes; domain values with a comma, surrounding
+    whitespace or no characters are refused."""
+    accepted = rejected = 0
+    for seed in range(400):
+        game = _named_values_game(random.Random(seed))
+        if validate_game(game):
+            rejected += 1
+            continue
+        accepted += 1
+        assert games_equal(parse_game(serialize_game(game)), game), seed
+    assert accepted > 20 and rejected > 20
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
