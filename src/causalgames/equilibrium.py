@@ -10,8 +10,8 @@ contraction gives every action value's coefficients, each decision's slot
 values are formed once per support of the other decision, the
 indifference/consistency system is solved per support pattern, and
 underdetermined solutions are reported as parametric families with
-interval parameters; all candidates are verified together, one
-contraction per agent.
+interval parameters; candidates are verified together, one contraction
+per agent for every ``STABLE_CHUNK`` profiles.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
 only free decisions are strategic.
 
@@ -31,7 +31,7 @@ from .graphs import BEST_RESPONSE, RationalityRelation, rule_node
 from .interventions import FixMechanism, apply_primitive
 from .model import (
     COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, PIVOT_EPS, ROUND_DIGITS,
-    SAME_POINT_EPS, VERIFY_EPS,
+    SAME_POINT_EPS, STABLE_CHUNK, VERIFY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
@@ -113,49 +113,51 @@ def verify_rational_outcome(
     return stable
 
 
-def _stable(game: CausalGame, profiles, eps: float) -> list[bool]:
-    """For each full profile, whether no agent has a pure deviation gaining
-    more than ``eps``: one contraction per agent for all the profiles.
+def _stable(game: CausalGame, profiles, eps: float):
+    """Yield, for each full profile, whether no agent has a pure deviation
+    gaining more than ``eps``: one contraction per agent for every
+    ``STABLE_CHUNK`` profiles, so memory stays bounded however many come.
 
     Each of the agent's free decisions stacks its pure rules, then the
-    profiles' rules; the other free decisions share one axis of the
-    profiles' rules.  Profile ``i`` is worth the entry at its own rules on
-    every axis, and its best deviation is the largest entry over the pure
-    rules at ``i`` on the shared axis.  Entries the profiles give for
-    decisions that are not free are checked and ignored, as the kernel
-    does for any profile.
+    chunk's rules; the other free decisions share one axis of the chunk's
+    rules.  Profile ``i`` is worth the entry at its own rules on every
+    axis, and its best deviation is the largest entry over the pure rules
+    at ``i`` on the shared axis.  Entries the profiles give for decisions
+    that are not free are checked and ignored, as the kernel does for any
+    profile.
     """
     import numpy as np
 
-    n = len(profiles)
-    if not n:
-        return []
     decisions = game.free_decisions()
-    extra = PolicyProfile({
-        d: rule for p in profiles for d, rule in p.rules.items()
-        if d not in decisions
-    })
-    at = np.arange(n)
-    stable = np.ones(n, dtype=bool)
-    for agent in range(1, game.n_agents + 1):
-        own = game.free_decisions_of(agent)
-        if not own:
-            continue
-        pure = _pure_stacks(game, own)
-        stacks = {d: pure[d] + [p[d] for p in profiles] for d in own}
-        others = [d for d in decisions if d not in stacks]
-        stacks.update({d: [p[d] for p in profiles] for d in others})
-        [payoff] = payoff_tensors(game, extra, [agent], stacks, others)
-        # the shared axis is absent (or of length 1) where no other
-        # decision reaches the agent's utilities
-        payoff = np.broadcast_to(
-            payoff.reshape(payoff.shape[:len(own)] + (-1,)),
-            tuple(len(stacks[d]) for d in own) + (n,),
-        )
-        best = payoff[tuple(slice(len(pure[d])) for d in own)]
-        value = payoff[tuple(len(pure[d]) + at for d in own) + (at,)]
-        stable &= ~(best.reshape(-1, n).max(axis=0) > value + eps)
-    return stable.tolist()
+    agents = [
+        (utility_factors(game, [agent]), own, _pure_stacks(game, own))
+        for agent in range(1, game.n_agents + 1)
+        if (own := game.free_decisions_of(agent))
+    ]
+    profiles = iter(profiles)
+    while chunk := list(itertools.islice(profiles, STABLE_CHUNK)):
+        n = len(chunk)
+        extra = PolicyProfile({
+            d: rule for p in chunk for d, rule in p.rules.items()
+            if d not in decisions
+        })
+        at = np.arange(n)
+        stable = np.ones(n, dtype=bool)
+        for utility, own, pure in agents:
+            stacks = {d: pure[d] + [p[d] for p in chunk] for d in own}
+            others = [d for d in decisions if d not in stacks]
+            stacks.update({d: [p[d] for p in chunk] for d in others})
+            [payoff] = expectations(game, extra, [utility], stacks, others)
+            # the shared axis is missing when the agent owns every free
+            # decision; the broadcast supplies it
+            payoff = np.broadcast_to(
+                payoff.reshape(payoff.shape[:len(own)] + (-1,)),
+                tuple(len(stacks[d]) for d in own) + (n,),
+            )
+            best = payoff[tuple(slice(len(pure[d])) for d in own)]
+            worth = payoff[tuple(len(pure[d]) + at for d in own) + (at,)]
+            stable &= ~(best.reshape(-1, n).max(axis=0) > worth + eps)
+        yield from stable.tolist()
 
 
 @dataclass(frozen=True)
@@ -579,22 +581,24 @@ def behavioral_nash_small(
         )
         candidates.append(BehavioralFamily(decisions, entries, params, **fam_meta))
 
-    # every candidate's profiles (a point, or a family's corners) verified
-    # at once, then kept in pattern order unless already found
-    corners = [fam.extreme_profiles() for fam in candidates]
-    verdicts = iter(_stable(
-        game, [prof for profs in corners for prof in profs], VERIFY_EPS
-    ))
+    # every candidate's profiles (a point, or a family's 2^k corners)
+    # verified a chunk at a time, then kept in pattern order unless already
+    # found; the tee holds only the profiles of the chunk being checked
+    profiles, to_check = itertools.tee(
+        prof for fam in candidates for prof in fam.extreme_profiles()
+    )
+    checked = zip(profiles, _stable(game, to_check, VERIFY_EPS))
     points: list[PolicyProfile] = []
     families: list[BehavioralFamily] = []
-    for fam, profs in zip(candidates, corners):
-        if not all([next(verdicts) for _ in profs]):
+    seen = set()  # the families' (entries, params)
+    for fam in candidates:
+        profs, verdicts = zip(*itertools.islice(checked, 2 ** len(fam.params)))
+        if not all(verdicts):
             continue
         if fam.params:
-            if not any(
-                f.entries == fam.entries and f.params == fam.params
-                for f in families
-            ):
+            key = (tuple(fam.entries.items()), fam.params)
+            if key not in seen:
+                seen.add(key)
                 families.append(fam)
         else:
             [profile] = profs

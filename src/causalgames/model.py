@@ -45,6 +45,7 @@ QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
 SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
 ENUM_BUDGET = 1 << 16  # most rule profiles, grid points or witness paths enumerated
+STABLE_CHUNK = 256  # most profiles verified in one contraction (memory ~ chunk^2)
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -551,12 +552,12 @@ def expected_utility(game: CausalGame, profile: PolicyProfile, agent: int) -> fl
 
 
 def payoff_tensors(
-    game: CausalGame, profile: PolicyProfile, agents, stacks=None, leaf_axis=()
+    game: CausalGame, profile: PolicyProfile, agents, stacks=None
 ) -> list[np.ndarray]:
     """Each agent's expected utility for every choice of rules in ``stacks``,
     one axis per stacked decision (``expectations``)."""
     values = [utility_factors(game, [agent]) for agent in agents]
-    return expectations(game, profile, values, stacks, leaf_axis)
+    return expectations(game, profile, values, stacks)
 
 
 def utility_factors(game: CausalGame, agents) -> list[tuple]:

@@ -27,7 +27,7 @@ from causalgames import (
 )
 from causalgames.cli import main
 from causalgames.equilibrium import (
-    COMMIT_EPS, VERIFY_EPS, _coefficients, _slot_values, _stable,
+    COMMIT_EPS, STABLE_CHUNK, VERIFY_EPS, _coefficients, _slot_values, _stable,
 )
 from causalgames.model import (
     cpds_equal,
@@ -519,11 +519,29 @@ def test_batched_verification_matches_joint_loop(prisoners):
     cases.append((prisoners, []))
     for game, profiles in cases:
         for eps in (VERIFY_EPS, 1e-7):
-            got = _stable(game, profiles, eps)
+            got = list(_stable(game, profiles, eps))
             assert got == [loop_stable(game, p, eps) for p in profiles]
             checked.update(got)
             assert got == [verify_rational_outcome(game, p, eps=eps) for p in profiles]
     assert checked[True] > 50 and checked[False] > 50
+
+
+def test_batched_verification_across_chunks():
+    """More profiles than one chunk holds: the verdicts, in order, are the
+    ones each profile gets alone."""
+    rng = random.Random(3)
+    game = random_type_game(rng)
+    decisions = game.free_decisions()
+    lists = [enumerate_pure_rules(game, d) for d in decisions]
+    profiles = [
+        PolicyProfile(dict(zip(decisions, c))) for c in itertools.product(*lists)
+    ] + behavioral_nash_small(game).extreme_profiles()
+    profiles = profiles * 30 + [random_full_profile(rng, game) for _ in range(100)]
+    rng.shuffle(profiles)
+    assert len(profiles) > 2 * STABLE_CHUNK
+    got = list(_stable(game, profiles, VERIFY_EPS))
+    assert got == [verify_rational_outcome(game, p, eps=VERIFY_EPS) for p in profiles]
+    assert 50 < sum(got) < len(got) - 50
 
 
 def test_verify_mixed_signalling_profile(job_market):
@@ -599,6 +617,57 @@ def test_behavioral_total_indifference_family():
     assert len(result.families) == 1
     (param,) = result.families[0].params
     assert (param.low, param.high) == (0.0, 1.0)
+
+
+def _indifferent_pair(seen1, seen2):
+    """Two agents with constant utilities; D1 reads ``seen1`` fair coins and
+    D2 reads ``seen2`` others, so every mixed slot is a free parameter."""
+    coins = [f"C{i}" for i in range(seen1 + seen2)]
+    variables = [Variable(c, "chance", ("x", "y")) for c in coins] + [
+        Variable("D1", "decision", ("a", "b"), 1),
+        Variable("D2", "decision", ("a", "b"), 2),
+        Variable("U1", "utility", (1.0,), 1),
+        Variable("U2", "utility", (1.0,), 2),
+    ]
+    parents = {c: () for c in coins}
+    parents.update({
+        "D1": tuple(coins[:seen1]), "D2": tuple(coins[seen1:]),
+        "U1": (), "U2": (),
+    })
+    cpds = {c: TabularCPD(c, (), {(): (0.5, 0.5)}) for c in coins}
+    cpds.update({u: TabularCPD(u, (), {(): (1.0,)}) for u in ("U1", "U2")})
+    return CausalGame(2, tuple(variables), parents, cpds)
+
+
+def test_family_corners_verified_in_bounded_memory():
+    """4 and 2 contexts: 3^6 patterns, 4^6 = 4 096 family corners.  Checked
+    all at once the kernel would hold two (16 + 4 096) x 4 096 tensors
+    (135 MB each); a chunk at a time it holds kilobytes."""
+    game = _indifferent_pair(2, 1)
+    tracemalloc.start()
+    result = behavioral_nash_small(game)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (len(result.outcomes), len(result.families)) == (2**6, 3**6 - 2**6)
+    assert peak < 32 * 2**20
+
+
+def test_many_family_corners_verified_a_chunk_at_a_time(monkeypatch):
+    """4 contexts per decision: 3^8 patterns and 4^8 = 65 536 family
+    corners, which at once would need a 34 GB tensor per agent.  No array
+    the kernel starts from exceeds one chunk against the pure rules."""
+    zeros = np.zeros
+
+    def bounded(shape, *args, **kwargs):
+        assert np.prod(shape) <= (16 + STABLE_CHUNK) * STABLE_CHUNK
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", bounded)
+    result = behavioral_nash_small(_indifferent_pair(2, 2))
+    monkeypatch.undo()
+    assert (len(result.outcomes), len(result.families)) == (2**8, 3**8 - 2**8)
+    for fam in result.families[:50]:
+        assert all(p.low == 0.0 and p.high == 1.0 for p in fam.params)
 
 
 def test_behavioral_size_guard():
