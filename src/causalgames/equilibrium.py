@@ -590,15 +590,22 @@ def behavioral_nash_small(
     checked = zip(profiles, _stable(game, to_check, VERIFY_EPS))
     points: list[PolicyProfile] = []
     families: list[BehavioralFamily] = []
-    seen = set()  # the families' (entries, params)
+    # kept families' pinned entries, by which slots are free and their bounds
+    seen: dict[tuple, list] = {}
     for fam in candidates:
         profs, verdicts = zip(*itertools.islice(checked, 2 ** len(fam.params)))
         if not all(verdicts):
             continue
         if fam.params:
-            key = (tuple(fam.entries.items()), fam.params)
-            if key not in seen:
-                seen.add(key)
+            entries = fam.entries.values()
+            free = tuple(e if isinstance(e, str) else None for e in entries)
+            pinned = [e for e in entries if not isinstance(e, str)]
+            kept = seen.setdefault((free, fam.params), [])
+            if not any(
+                all(abs(x - y) <= SAME_POINT_EPS for x, y in zip(pinned, other))
+                for other in kept
+            ):
+                kept.append(pinned)
                 families.append(fam)
         else:
             [profile] = profs

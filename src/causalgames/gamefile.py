@@ -78,6 +78,14 @@ def _listed(entry, key, owner, path) -> list:
     return value
 
 
+def _domain(entry, kind, name, path) -> tuple:
+    """``entry``'s domain: utility values as written, other values as text."""
+    domain = _listed(entry, "domain", name, path)
+    if kind == UTILITY:
+        return tuple(domain)
+    return tuple(str(v) for v in domain)
+
+
 # libyaml's parser when the platform has it; positions are the same
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -138,6 +146,11 @@ def _parse_cpd(name, spec, parents, domains, path):
     for key, row in spec.items():
         ctx = _parse_context(key, parents, domains, name, path)
         if isinstance(row, (list, tuple)):
+            if not all(_is_int(p) or isinstance(p, float) for p in row):
+                raise GameFileError(
+                    f"{name}: row {str(key)!r} must list numbers, got {row!r}",
+                    path=path,
+                )
             table[ctx] = tuple(float(p) for p in row)
         else:
             matches = [v for v in domain if str(v) == str(row)]
@@ -177,11 +190,7 @@ def parse_game(text: str, path: str | None = None) -> CausalGame:
                 )
         name = str(entry["name"])
         kind = str(entry["kind"])
-        domain = _listed(entry, "domain", name, path)
-        if kind == UTILITY:
-            domain = tuple(float(v) if isinstance(v, float) else v for v in domain)
-        else:
-            domain = tuple(str(v) for v in domain)
+        domain = _domain(entry, kind, name, path)
         variables.append(Variable(name, kind, domain, entry.get("agent")))
         parents[name] = tuple(map(str, _listed(entry, "parents", name, path)))
         domains[name] = domain
@@ -241,12 +250,22 @@ def game_to_dict(game: CausalGame) -> dict:
 
 
 def serialize_game(game: CausalGame) -> str:
-    """Deterministic textual form; parse(serialize(g)) equals g structurally."""
+    """Deterministic textual form; parse(serialize(g)) equals g structurally.
+
+    Refuses what the parser could not give back: rule or object fixes, and
+    chance or decision values that are not strings.
+    """
     if game.rule_fixes or game.object_fixed:
         raise GameFileError(
             "only base games serialize to the file format; intervened games "
             "carry rule or object fixes"
         )
+    for v in game.variables:
+        if v.kind != UTILITY and not all(isinstance(x, str) for x in v.domain):
+            raise GameFileError(
+                f"{v.name}: only text {v.kind} values serialize to the file "
+                f"format, got {v.domain!r}"
+            )
     return yaml.safe_dump(game_to_dict(game), sort_keys=False)
 
 
@@ -328,26 +347,16 @@ def _build_primitive(game, entry, journaled, path):
     if kind == "add_var":
         name = str(entry["name"])
         var_kind = str(entry.get("var_kind", "chance"))
-        domain = _listed(entry, "domain", name, path)
-        if var_kind == UTILITY:
-            domain = tuple(float(v) if isinstance(v, float) else v for v in domain)
-        else:
-            domain = tuple(str(v) for v in domain)
+        domain = _domain(entry, var_kind, name, path)
         variable = Variable(name, var_kind, domain, entry.get("agent"))
         parents = tuple(map(str, _listed(entry, "parents", name, path)))
         children = tuple(map(str, _listed(entry, "children", name, path)))
-        domains = {v.name: v.domain for v in game.variables}
-        domains[name] = domain
         cpd = None
         if "value" in entry:
             cpd = _delta_cpd(game, name, domain, parents, entry["value"], path)
         elif "rows" in entry:
-            spec = entry["rows"]
-            table = {}
-            for key, row in spec.items():
-                ctx = _parse_context(key, parents, domains, name, path)
-                table[ctx] = tuple(float(p) for p in row)
-            cpd = TabularCPD(name, parents, table)
+            domains = {**{v.name: v.domain for v in game.variables}, name: domain}
+            cpd = _parse_cpd(name, entry["rows"], parents, domains, path)
         return AddVariable(variable, parents, children, cpd=cpd)
     if kind == "remove_var":
         return RemoveVariable(str(entry["name"]))

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 # -- numeric policy: every tolerance, rounding and size budget ----------------
 
-PROB_EPS = 1e-9  # closer probabilities are equal: CPD rows, purity, game equality
+PROB_EPS = 1e-9  # closer probabilities are equal: CPD rows, game equality
 EQ_EPS = 1e-7  # a pure deviation must gain more than this to break an equilibrium
 COEFF_EPS = 1e-12  # smaller affine coefficients are rounding from cancelled terms
 PIVOT_EPS = 1e-9  # smaller pivots and residuals of the indifference system are 0
@@ -96,20 +96,6 @@ class TabularCPD:
 
     def contexts(self) -> list[tuple]:
         return list(self.table.keys())
-
-    @property
-    def is_pure(self) -> bool:
-        """True when every entry is 0 or 1 (within tolerance)."""
-        return all(
-            min(abs(p), abs(p - 1.0)) <= PROB_EPS
-            for row in self.table.values()
-            for p in row
-        )
-
-    @property
-    def is_fully_stochastic(self) -> bool:
-        """True when every entry is strictly positive."""
-        return all(p > PROB_EPS for row in self.table.values() for p in row)
 
     @classmethod
     def delta(cls, variable, value, domain, parents=(), contexts=((),)):
@@ -257,17 +243,13 @@ class CausalGame:
         """A copy of the game in which ``name`` has the parent tuple ``parents``."""
         return replace(self, parents={**self.parents, name: tuple(parents)})
 
-    def delta_rule(self, decision: str, action) -> TabularCPD:
-        return TabularCPD.delta(
-            decision, action, self.domain(decision),
-            parents=self.parents_of(decision), contexts=self.contexts(decision),
-        )
-
     def delta_cpd(self, name: str, value) -> TabularCPD:
         return TabularCPD.delta(
             name, value, self.domain(name),
             parents=self.parents_of(name), contexts=self.contexts(name),
         )
+
+    delta_rule = delta_cpd  # a decision's pure rule playing ``value`` everywhere
 
     def factor_cpd(self, name: str) -> TabularCPD | None:
         """The CPD governing ``name`` in the induced joint, if pinned."""
@@ -286,9 +268,6 @@ class JointDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.table))
-
-    def total(self) -> float:
-        return sum(self.table.values())
 
     def prob(self, assignment: Mapping[str, object]) -> float:
         """Marginal probability of a partial assignment."""

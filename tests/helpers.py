@@ -21,6 +21,7 @@ import numpy as np
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.errors import SolverError
 from causalgames.graphs import BACKWARD, FORWARD, Path, param_node, rule_node
+from causalgames.interventions import apply_all
 from causalgames.model import (
     DECISION,
     CausalGame,
@@ -755,6 +756,24 @@ def loop_stable(game: CausalGame, profile: PolicyProfile, eps: float) -> bool:
             if gain > eps:
                 return False
     return True
+
+
+def agent_view(game, interventions, visibility, agent, merge_common=True):
+    """The game ``agent`` sees, rebuilt from ``game`` as ``decompose`` promises.
+
+    ``interventions`` are the (label, intervention) pairs given to
+    ``decompose``.  The agent's visible labels apply in label order, one
+    application each; with ``merge_common`` those every agent sees go first.
+    """
+    pool = dict(interventions)
+    visible = [lab for lab in pool if lab in visibility.get(agent, ())]
+    if merge_common:
+        common = [
+            lab for lab in visible
+            if all(lab in visibility.get(a, ()) for a in range(1, game.n_agents + 1))
+        ]
+        visible = common + [lab for lab in visible if lab not in common]
+    return apply_all(game, [pool[lab] for lab in visible])
 
 
 def is_minimum_hitting_set(chosen, sets) -> bool:

@@ -15,7 +15,6 @@ from causalgames import (
     FixObject,
     PolicyProfile,
     TabularCPD,
-    apply_all,
     apply_journaled,
     apply_primitive,
     best_responses,
@@ -37,6 +36,7 @@ from causalgames import (
 )
 from causalgames.queries import QueryJob, evaluate_query
 from helpers import (
+    agent_view,
     numeric_conditional_independence,
     random_cbn,
     random_distribution,
@@ -314,21 +314,13 @@ def test_criterion_11_decomposition_reproduces_agent_views(job_market):
             for a in (1, 2)
         }
         dec = decompose(job_market, pool, visibility)
-        common = [
-            lab for lab in labels if all(lab in visibility[a] for a in (1, 2))
-        ]
         for agent, stage_index in dec.agent_stage.items():
             staged = job_market
             for stage in dec.stages[: stage_index + 1]:
                 for prim in stage.primitives:
                     staged = apply_primitive(staged, prim)
                 assert games_equal(stage.game, staged)
-            view = job_market
-            order = [l for l in common if l in visibility[agent]] + [
-                l for l in visibility[agent] if l not in common
-            ]
-            for lab in order:
-                view = apply_all(view, [dict(pool)[lab]])
+            view = agent_view(job_market, pool, visibility, agent)
             assert games_equal(staged, view)
     note(11, "staged games equal each agent's visible game on random maps")
 

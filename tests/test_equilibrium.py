@@ -25,6 +25,7 @@ from causalgames import (
     serialize_game,
     verify_rational_outcome,
 )
+from causalgames import equilibrium
 from causalgames.cli import main
 from causalgames.equilibrium import (
     COMMIT_EPS, STABLE_CHUNK, VERIFY_EPS, _coefficients, _slot_values, _stable,
@@ -586,6 +587,34 @@ def test_behavioral_families_hardworking_town(effortville):
     )
     assert intervals == [(0.0, 0.8), (0.0, 1.0)]
     assert len(result.families) == 2
+
+
+def test_families_within_same_point_eps_are_one(monkeypatch):
+    """A pinned entry off by rounding noise keeps no second copy of a
+    family, as points within ``SAME_POINT_EPS`` are one point."""
+    game = random_type_game(random.Random(130), zero_type=True)
+    exact = behavioral_nash_small(game)
+    solve = equilibrium._solve_linear
+
+    def nudged(equations, unknowns):  # solved 1.0s come out 7e-16 low
+        solved = solve(equations, unknowns)
+        if solved is None:
+            return None
+        pinned, free = solved
+        return {u: v - 7e-16 if v == 1.0 else v for u, v in pinned.items()}, free
+
+    monkeypatch.setattr(equilibrium, "_solve_linear", nudged)
+    noisy = behavioral_nash_small(game)
+    assert len(exact.families) == 15
+    assert len(noisy.families) == len(exact.families)
+    for got, want in zip(noisy.families, exact.families):
+        assert got.params == want.params
+        assert got.entries.keys() == want.entries.keys()
+        for slot, entry in got.entries.items():
+            if isinstance(entry, str):
+                assert entry == want.entries[slot]
+            else:
+                assert abs(entry - want.entries[slot]) <= 7e-16
 
 
 def test_behavioral_contains_pure(effortville, prisoners, stackelberg):

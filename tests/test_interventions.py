@@ -42,8 +42,10 @@ from causalgames import (
     validate_game,
 )
 from causalgames.graphs import rule_node
+from causalgames.interventions import as_compound
 from causalgames.model import _dependency_order
 from helpers import (
+    agent_view,
     is_minimum_hitting_set,
     mechanism_node,
     random_distribution,
@@ -593,6 +595,43 @@ def test_decompose_reversed_reward(prisoners):
     assert games_equal(dec.final_game, prisoners)
 
 
+def test_decompose_applies_each_label_once(prisoners, job_market, monkeypatch):
+    """One application per common label, per label of each group's extras
+    and per unseen label: undo steps are listed, never applied."""
+    applied = []
+    original = CompoundIntervention.apply
+
+    def counted(self, game):
+        applied.append(self)
+        return original(self, game)
+
+    monkeypatch.setattr(CompoundIntervention, "apply", counted)
+    reward = [("reward", _reward_compound(prisoners))]
+    decompose(prisoners, reward, {1: ("reward",), 2: ()})
+    assert applied == [reward[0][1]]
+    applied.clear()
+    reversed_ = decompose(
+        prisoners, reward, {1: ("reward",), 2: ()},
+        agent_order=[1, 2], merge_common=False,
+    )
+    assert applied == [reward[0][1]]
+    assert len(reversed_.stages[1].primitives) == 2  # the undo, listed
+
+    pool = [
+        ("env", theta_fix(job_market, "T", "h")),
+        ("force", hard_fix(job_market, "D1", "g")),
+        ("hide", make_remove_edge(job_market, "D1", "D2")),
+    ]
+    visibility = {1: ("env", "force"), 2: ("env",)}
+    for merge_common, order in (
+        (True, ["env", "force", "hide"]),  # common, agent 1's extra, unseen
+        (False, ["env", "force", "env", "hide"]),  # agent 1, agent 2, unseen
+    ):
+        applied.clear()
+        decompose(job_market, pool, visibility, merge_common=merge_common)
+        assert applied == [as_compound(dict(pool)[lab]) for lab in order]
+
+
 def test_decompose_shared_visibility_single_stage(job_market):
     env = theta_fix(job_market, "T", "h")
     dec = decompose(
@@ -622,25 +661,18 @@ def test_decompose_satisfies_agent_views(job_market):
             a: tuple(lab for lab in labels if rng.random() < 0.5)
             for a in (1, 2)
         }
-        dec = decompose(job_market, pool, visibility)
-        common = [
-            lab
-            for lab in labels
-            if all(lab in visibility[a] for a in (1, 2))
-        ]
-        for agent, j in dec.agent_stage.items():
-            staged = job_market
-            for stage in dec.stages[: j + 1]:
-                for prim in stage.primitives:
-                    staged = apply_primitive(staged, prim)
-                assert games_equal(stage.game, staged)
-            expected = job_market
-            order = [l for l in common if l in visibility[agent]] + [
-                l for l in visibility[agent] if l not in common
-            ]
-            for lab in order:
-                expected = apply_all(expected, [dict(pool)[lab]])
-            assert games_equal(staged, expected)
+        for merge_common in (True, False):
+            dec = decompose(job_market, pool, visibility, merge_common=merge_common)
+            for agent, j in dec.agent_stage.items():
+                staged = job_market
+                for stage in dec.stages[: j + 1]:
+                    for prim in stage.primitives:
+                        staged = apply_primitive(staged, prim)
+                    assert games_equal(stage.game, staged)
+                expected = agent_view(
+                    job_market, pool, visibility, agent, merge_common
+                )
+                assert games_equal(staged, expected)
 
 
 # -- the algebra as a state machine ----------------------------------------------------
@@ -883,14 +915,8 @@ class InterventionAlgebra(RuleBasedStateMachine):
                 staged = apply_primitive(staged, prim)
             assert games_equal(stage.game, staged)
         assert games_equal(dec.final_game, staged)
-        common = [lab for lab in labels if all(lab in visibility[a] for a in agents)]
         for agent, j in dec.agent_stage.items():
-            visible = visibility[agent]
-            if merge_common:
-                visible = [l for l in common if l in visible] + [
-                    l for l in visible if l not in common
-                ]
-            expected = apply_all(game, [dict(labelled)[lab] for lab in visible])
+            expected = agent_view(game, labelled, visibility, agent, merge_common)
             assert games_equal(dec.stages[j].game, expected)
 
 

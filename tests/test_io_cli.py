@@ -30,7 +30,11 @@ from causalgames import (
     validate_game,
 )
 from causalgames.cli import main, resolve_game
-from helpers import chain_to_utility_game, dense_to_utility_game
+from helpers import (
+    chain_to_utility_game,
+    dense_to_utility_game,
+    random_multi_decision_game,
+)
 
 FIXTURES = ("job_market", "effortville", "prisoners_dilemma", "stackelberg")
 
@@ -321,8 +325,13 @@ def test_cli_validate_rejects_non_finite(capsys, tmp_path, old, new, message):
          "U1: utility variable needs an agent in 1..2"),
         ("agents: 2\n", "agents: true\n", "'agents' must be a positive integer"),
         ("parents: [D1]\n", "parents: D1\n", "D2: 'parents' must be a list, got 'D1'"),
+        ('"": [0.5, 0.5]', '"": [a, 0.5]', "T: row '' must list numbers, got ['a', 0.5]"),
+        ('"": [0.5, 0.5]', '"": [null, 1]', "T: row '' must list numbers, got [None, 1]"),
+        ('"": [0.5, 0.5]', '"": [true, false]',
+         "T: row '' must list numbers, got [True, False]"),
     ],
-    ids=["float_agent", "bool_agents", "string_parents"],
+    ids=["float_agent", "bool_agents", "string_parents", "string_entry",
+         "null_entry", "bool_entry"],
 )
 def test_ill_typed_game_file_is_one_error_line(capsys, tmp_path, old, new, message):
     fixture = Path(causalgames.__file__).parent / "fixtures" / "job_market.game.yaml"
@@ -338,6 +347,49 @@ def test_ill_typed_game_file_is_one_error_line(capsys, tmp_path, old, new, messa
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+ADD_VAR_SCENARIO = """
+game: pd.game.yaml
+interventions:
+  - label: add
+    kind: add_var
+    name: N
+    domain: [x, y]
+    rows: {rows}
+"""
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ('{"": z}', "N: value 'z' not in domain"),
+        ("[1, 0]", "N: CPD must map contexts to rows or values"),
+        ('{"": [x, y]}', "N: row '' must list numbers, got ['x', 'y']"),
+    ],
+    ids=["value_not_in_domain", "rows_not_a_mapping", "string_entries"],
+)
+def test_ill_typed_add_var_rows_is_one_error_line(
+    capsys, tmp_path, prisoners, rows, message
+):
+    (tmp_path / "pd.game.yaml").write_text(serialize_game(prisoners))
+    bad = tmp_path / "bad.scenario.yaml"
+    bad.write_text(ADD_VAR_SCENARIO.format(rows=rows))
+    code, out, err = run_cli(capsys, "intervene", str(bad))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_add_var_rows_take_a_bare_value(tmp_path, prisoners):
+    """``add_var`` rows parse like game-file rows: a bare value is a point mass."""
+    (tmp_path / "pd.game.yaml").write_text(serialize_game(prisoners))
+    path = tmp_path / "s.scenario.yaml"
+    path.write_text(ADD_VAR_SCENARIO.format(rows='{"": y}'))
+    [(_, compound)] = load_scenario(str(path)).interventions
+    [add] = compound.steps
+    assert add.cpd == TabularCPD("N", (), {(): (0.0, 1.0)})
 
 
 def test_validate_game_wants_int_agents():
@@ -448,6 +500,15 @@ def test_every_accepted_game_round_trips():
         accepted += 1
         assert games_equal(parse_game(serialize_game(game)), game), seed
     assert accepted > 20 and rejected > 20
+
+
+def test_serialize_refuses_non_text_values():
+    """The parser reads chance and decision values as text, so a game with
+    other values would not round-trip."""
+    game = random_multi_decision_game(random.Random(0))
+    assert game.domain("X") == (0, 1) and not validate_game(game)
+    with pytest.raises(GameFileError, match=r"^X: only text chance values"):
+        serialize_game(game)
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])

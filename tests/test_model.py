@@ -105,7 +105,7 @@ def test_joint_normalises_and_matches_nested_loop_oracle():
         game = random_game(rng)
         profile = random_full_profile(rng, game)
         joint = induced_joint(game, profile)
-        assert joint.total() == pytest.approx(1.0, abs=1e-9)
+        assert sum(joint.table.values()) == pytest.approx(1.0, abs=1e-9)
         oracle = brute_force_joint(game, profile)
         keys = set(joint.table) | set(oracle)
         for k in keys:
@@ -211,16 +211,11 @@ def test_pure_rule_enumeration_unique_and_deterministic(job_market):
         tuple(sorted(r.table.items()))
         for r in enumerate_pure_rules(job_market, "D1")
     ]
-    assert all(r.is_pure for r in rules)
+    assert all(
+        p in (0.0, 1.0) for r in rules for row in r.table.values() for p in row
+    )
     with pytest.raises(ValidationError):
         enumerate_pure_rules(job_market, "U1")
-
-
-def test_rule_flags():
-    pure = TabularCPD("D", (), {(): (1.0, 0.0)})
-    mixed = TabularCPD("D", (), {(): (0.4, 0.6)})
-    assert pure.is_pure and not pure.is_fully_stochastic
-    assert mixed.is_fully_stochastic and not mixed.is_pure
 
 
 def test_expected_utility_matches_joint_on_rich_games():
