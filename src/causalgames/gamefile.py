@@ -86,13 +86,32 @@ def _domain(entry, kind, name, path) -> tuple:
     return tuple(str(v) for v in domain)
 
 
-# libyaml's parser when the platform has it; positions are the same
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser when the platform has it
+    (positions are the same), refusing a mapping that gives one key twice:
+    PyYAML would silently keep the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable: the base class reports it
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key {key!r} given twice", key_node.start_mark
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _load_yaml(text, path):
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -145,6 +164,10 @@ def _parse_cpd(name, spec, parents, domains, path):
     table = {}
     for key, row in spec.items():
         ctx = _parse_context(key, parents, domains, name, path)
+        if ctx in table:
+            raise GameFileError(
+                f"{name}: context {_context_key(ctx)!r} given twice", path=path
+            )
         if isinstance(row, (list, tuple)):
             if not all(_is_int(p) or isinstance(p, float) for p in row):
                 raise GameFileError(

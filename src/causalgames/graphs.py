@@ -21,9 +21,10 @@ relevant to a rule node.  The search is valid on graphs with cycles, which
 matters because mechanised graphs may be cyclic among mechanism nodes.
 ``active_paths`` enumerates simple paths (Pearl, *Causality*, 2009), which is
 exponential in the worst case; it is used only where the paths themselves
-are the answer: relevance witnesses, predicted edge removals and minimum
-intervention sets.  It grows paths on an explicit stack and drops a path at
-the first node that blocks it.
+are the answer: relevance witnesses and minimum intervention sets.  It grows
+paths on an explicit stack and drops a path at the first node that blocks
+it.  An arena keeps the open colliders of each conditioning set it has
+searched under, next to its rule nodes' relevance tests.
 """
 
 from __future__ import annotations
@@ -77,13 +78,15 @@ class _Arena:
         self.edges = tuple(
             (m, v) for v, m in self.mechanism.items() if v not in game.object_fixed
         )
+        objects = dict.fromkeys(self.mechanism, ())
         mechs = dict.fromkeys(self.mechanism.values(), ())
-        self.pred = {**{v: game.parents_of(v) for v in self.mechanism}, **mechs}
-        self.succ = {**{v: game.children_of(v) for v in self.mechanism}, **mechs}
+        self.pred = {**objects, **game.parents, **mechs}
+        self.succ = {**objects, **game._children, **mechs}
         for m, v in self.edges:
             self.pred[v] += (m,)
             self.succ[m] = (v,)
         self.tests = {}  # rule node -> its relevance tests, see _relevance_tests
+        self.open = {}  # conditioning set -> its open colliders, see _open_colliders
 
     def __contains__(self, node) -> bool:
         return node in self.pred
@@ -175,14 +178,35 @@ def _closure(step: Mapping, start) -> set:
     return closure
 
 
-def _reachable(graph: _Arena | nx.DiGraph, xs: set, given: set) -> set:
+def _open_colliders(graph: _Arena | nx.DiGraph, given: frozenset) -> set:
+    """The colliders that leave a trail open given ``given`` (its ancestral
+    closure), computed once per conditioning set of an arena."""
+    if not isinstance(graph, _Arena):
+        return _closure(graph.pred, given)
+    closure = graph.open.get(given)
+    if closure is None:
+        closure = graph.open[given] = _closure(graph.pred, given)
+    return closure
+
+
+def _reachable(
+    graph: _Arena | nx.DiGraph, xs: set, given: frozenset, severed=frozenset()
+) -> set:
     """Reachable-set search: every node an active trail from ``xs`` reaches.
 
     States are (node, direction of arrival): ``BACKWARD`` when entered from
     a child (or at a start node), ``FORWARD`` when entered from a parent.
-    Each state is expanded at most once, so the cost is O(V + E).
+    Each state is expanded at most once, so the cost is O(V + E).  Edges in
+    ``severed`` are not traversed, while colliders stay open as in the whole
+    graph: the trails found are the active trails that avoid those edges.
     """
-    open_colliders = _closure(graph.pred, given)
+    open_colliders = _open_colliders(graph, given)
+    pred, succ = graph.pred, graph.succ
+    if severed:
+        pred, succ = dict(pred), dict(succ)
+        for tail, head in severed:
+            pred[head] = tuple(p for p in pred[head] if p != tail)
+            succ[tail] = tuple(c for c in succ[tail] if c != head)
     stack = [(x, BACKWARD) for x in xs]
     seen = set()
     while stack:
@@ -192,11 +216,11 @@ def _reachable(graph: _Arena | nx.DiGraph, xs: set, given: set) -> set:
         seen.add(state)
         node, arrived = state
         if node not in given:
-            stack.extend((c, FORWARD) for c in graph.succ[node])
+            stack.extend((c, FORWARD) for c in succ[node])
             if arrived == BACKWARD:
-                stack.extend((p, BACKWARD) for p in graph.pred[node])
+                stack.extend((p, BACKWARD) for p in pred[node])
         if arrived == FORWARD and node in open_colliders:
-            stack.extend((p, BACKWARD) for p in graph.pred[node])
+            stack.extend((p, BACKWARD) for p in pred[node])
     return {node for node, _ in seen}
 
 
@@ -211,30 +235,32 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
     found plus paths still open count against ``ENUM_BUDGET``.
     """
     _check_node_sets(graph, xs, zs, given)
-    xs, zs, given = set(xs), set(zs), set(given)
-    open_colliders = _closure(graph.pred, given)
+    xs, zs, given = set(xs), set(zs), frozenset(given)
+    open_colliders = _open_colliders(graph, given)
     endpoints = xs | zs
     found = []
     stack = [((x,), ()) for x in xs]
     while stack:
         nodes, arrows = stack.pop()
         here = nodes[-1]
-        steps = [(c, FORWARD) for c in graph.succ[here]]
-        steps += [(p, BACKWARD) for p in graph.pred[here]]
-        for nxt, arrow in steps:
-            if nxt in nodes:
+        # ``here`` becomes interior unless it starts the path: leaving it
+        # backward after a forward arrival makes it a collider, open only in
+        # ``open_colliders``; any other step is blocked by ``here`` in ``given``
+        onward = not arrows or here not in given
+        back = here in open_colliders if arrows and arrows[-1] == FORWARD else onward
+        for step, arrow, ok in (
+            (graph.succ, FORWARD, onward), (graph.pred, BACKWARD, back)
+        ):
+            if not ok:
                 continue
-            if arrows:  # ``here`` becomes interior: does it block the path?
-                if arrows[-1] == FORWARD and arrow == BACKWARD:
-                    if here not in open_colliders:
-                        continue
-                elif here in given:
+            for nxt in step[here]:
+                if nxt in nodes:
                     continue
-            path = (nodes + (nxt,), arrows + (arrow,))
-            if nxt in zs:
-                found.append(Path(*path, given))
-            elif nxt not in endpoints:
-                stack.append(path)
+                path = (nodes + (nxt,), arrows + (arrow,))
+                if nxt in zs:
+                    found.append(Path(*path, given))
+                elif nxt not in endpoints:
+                    stack.append(path)
         if len(found) + len(stack) > ENUM_BUDGET:
             raise SolverError(
                 f"would enumerate more than {len(found) + len(stack):,} "
@@ -247,7 +273,7 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
 def d_separated(graph: _Arena | nx.DiGraph, xs, zs, given) -> bool:
     """True iff every path between ``xs`` and ``zs`` is blocked by ``given``."""
     _check_node_sets(graph, xs, zs, given)
-    return not _reachable(graph, set(xs), set(given)) & set(zs)
+    return not _reachable(graph, set(xs), frozenset(given)) & set(zs)
 
 
 # -- strategic relevance ------------------------------------------------------

@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import InterventionError
 from .graphs import (
     _arena,
+    _reachable,
+    _relevance_tests,
     build_mechanised_graph,
     reachability_paths,
     relevant_mechanisms,
@@ -623,6 +625,13 @@ def predicted_edge_removals(game: CausalGame, p: FixObject) -> set:
     decision).  An inter-mechanism edge is predicted to disappear when every
     one of its reachability paths crosses a severed edge.  The criterion is
     sufficient, not complete: the rebuilt graph is ground truth.
+
+    No path is enumerated: each rule node's relevance searches run once more
+    without traversing the severed edges, colliders kept open as in the
+    unsevered graph, and an edge is predicted removed when that second run
+    no longer reaches its mechanism.  The two agree because an active trail
+    that avoids the severed edges shortcuts to an active simple path that
+    avoids them too: the open colliders form an ancestral set.
     """
     if not isinstance(p, FixObject):
         raise InterventionError("the path criterion applies to object fixes")
@@ -633,14 +642,14 @@ def predicted_edge_removals(game: CausalGame, p: FixObject) -> set:
     }
     if game.kind(p.target) == DECISION and p.cpd is not None:
         severed.add((rule_node(p.target), p.target))
-    out = set()
-    for mech, target in build_mechanised_graph(game).inter_mechanism_edges:
-        paths = reachability_paths(game, mech, target)
-        if paths and all(
-            any(e in severed for e in path.edges()) for path in paths
-        ):
-            out.add((mech, target))
-    return out
+    edges = build_mechanised_graph(game).inter_mechanism_edges
+    kept = {}
+    for target in {t for _, t in edges}:
+        arena, tests = _relevance_tests(game, target)
+        kept[target] = set().union(
+            *(_reachable(arena, t, cond, severed) for t, cond in tests)
+        )
+    return {(mech, target) for mech, target in edges if mech not in kept[target]}
 
 
 def minimum_intervention_set(

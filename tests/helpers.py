@@ -20,7 +20,15 @@ import numpy as np
 
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.errors import SolverError
-from causalgames.graphs import BACKWARD, FORWARD, Path, param_node, rule_node
+from causalgames.graphs import (
+    BACKWARD,
+    FORWARD,
+    Path,
+    build_mechanised_graph,
+    param_node,
+    reachability_paths,
+    rule_node,
+)
 from causalgames.interventions import apply_all
 from causalgames.model import (
     DECISION,
@@ -509,6 +517,26 @@ def full_active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
         extend([x], [], {x})
     found.sort(key=lambda p: (len(p.nodes), p.nodes, p.arrows))
     return found
+
+
+def path_criterion_removals(game: CausalGame, fix) -> set:
+    """The severed-edge path criterion read off the witness paths themselves
+    (the form ``predicted_edge_removals`` replaced): an inter-mechanism edge
+    is removed when every one of its reachability paths crosses an edge the
+    object fix ``fix`` severs.  Enumerates every path, so it can exceed the
+    path budget."""
+    severed = {(w, fix.target) for w in game.parents_of(fix.target)}
+    severed -= {(w, fix.target) for w in fix.parents}
+    if game.kind(fix.target) == DECISION and fix.cpd is not None:
+        severed.add((rule_node(fix.target), fix.target))
+    return {
+        (mech, target)
+        for mech, target in build_mechanised_graph(game).inter_mechanism_edges
+        if all(
+            any(e in severed for e in path.edges())
+            for path in reachability_paths(game, mech, target)
+        )
+    }
 
 
 def loop_action_values(game: CausalGame, sigma: dict, unknown_of: dict) -> dict:

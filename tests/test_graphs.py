@@ -37,6 +37,7 @@ from helpers import (
     loop_conditional_independence,
     mechanism_node,
     numeric_conditional_independence,
+    path_criterion_removals,
     random_cbn,
     random_game,
     random_multi_decision_game,
@@ -282,14 +283,48 @@ def test_pruned_paths_match_full_enumeration(query):
     assert active_paths(g, xs, zs, given) == full_active_paths(g, xs, zs, given)
 
 
-def _per_pair_relevant(game, target):
-    """Mechanisms d-connected to a relevance test's targets, asked one by one."""
+def _nx_relevance_tests(game, target):
+    """The independent mechanised graph as an ``nx.DiGraph`` and the
+    relevance tests of rule node ``target``, built with networkx."""
     graph = independent_mechanised_graph(game)
     d = target[len("PI_"):]
     downstream = nx.descendants(graph, d)
     utils = {u for u in game.utilities_of(game.agent_of(d)) if u in downstream}
     parents = set(game.parents_of(d))
     tests = [(t, cond) for t, cond in ((utils, parents | {d}), (parents, set())) if t]
+    return graph, tests
+
+
+def _seeded_games(rng, n):
+    """``n`` random games, ``n // 2`` multi-decision games, and the first
+    ``n // 2`` of them with their first decision pinned by an object fix."""
+    games = [random_game(rng) for _ in range(n)]
+    games += [random_multi_decision_game(rng) for _ in range(n // 2)]
+    return games + [
+        apply_primitive(g, _hard_fix(g, g.decisions()[0])) for g in games[: n // 2]
+    ]
+
+
+def test_arena_paths_match_full_enumeration():
+    """The arena's witness paths equal the complete enumeration on the
+    ``nx.DiGraph`` of the same independent mechanised graph."""
+    found = 0
+    for game in _seeded_games(random.Random(41), 24):
+        mechs = [mechanism_node(game, v) for v in game.names()]
+        for d in game.decisions():
+            graph, tests = _nx_relevance_tests(game, rule_node(d))
+            for m in mechs:
+                expected = [
+                    p for t, cond in tests for p in full_active_paths(graph, {m}, t, cond)
+                ]
+                assert reachability_paths(game, m, rule_node(d)) == expected
+                found += len(expected)
+    assert found
+
+
+def _per_pair_relevant(game, target):
+    """Mechanisms d-connected to a relevance test's targets, asked one by one."""
+    graph, tests = _nx_relevance_tests(game, target)
     return {
         m
         for m in (mechanism_node(game, v) for v in game.names())
@@ -407,6 +442,7 @@ def test_yes_no_answers_need_no_path_enumeration(monkeypatch):
             (before - after, after - before),
             invariant,
             export_dot(game, "mechanised"),
+            path_criterion_removals(game, intervention(game)),
         )
 
     def no_paths(*args, **kwargs):
@@ -414,7 +450,7 @@ def test_yes_no_answers_need_no_path_enumeration(monkeypatch):
 
     monkeypatch.setattr(graphs, "active_paths", no_paths)
     for name, game in fixtures.items():
-        edges, relevance, (removed, added), invariant, dot = expected[name]
+        edges, relevance, (removed, added), invariant, dot, predicted = expected[name]
         assert build_mechanised_graph(game).inter_mechanism_edges == edges
         for (mech, target), relevant in relevance.items():
             assert r_relevant(game, mech, target) == relevant
@@ -422,6 +458,45 @@ def test_yes_no_answers_need_no_path_enumeration(monkeypatch):
         assert (report.removed, report.added) == (removed, added)
         assert incentive_invariant(game, intervention(game)) is invariant
         assert export_dot(game, "mechanised") == dot
+        assert predicted_edge_removals(game, intervention(game)) == predicted
+
+
+def test_predicted_removals_past_the_path_budget(monkeypatch):
+    """2 ** 18 witness paths per edge: far past ``ENUM_BUDGET``, yet the
+    prediction enumerates none."""
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("predicted removals enumerated paths")
+
+    monkeypatch.setattr(graphs, "active_paths", no_paths)
+    game = dense_to_utility_game(20)
+    fix = FixObject("X19", (), TabularCPD.uniform("X19", ("a", "b")))
+    predicted = predicted_edge_removals(game, fix)
+    assert predicted == {(f"THETA_X{i}", "PI_D") for i in range(19)}
+    assert predicted == side_effects(game, fix).removed
+
+
+def test_one_open_collider_closure_per_conditioning_set(monkeypatch):
+    calls = []
+    closure = graphs._closure
+
+    def counted(step, start):
+        calls.append((step, frozenset(start)))
+        return closure(step, start)
+
+    monkeypatch.setattr(graphs, "_closure", counted)
+    fixtures = [resolve_game(name) for name in ("job_market", "stackelberg")]
+    closures = 0
+    for game in fixtures + _seeded_games(random.Random(43), 10):
+        edges = build_mechanised_graph(game).inter_mechanism_edges
+        predicted_edge_removals(game, _hard_fix(game, game.decisions()[-1]))
+        for edge in edges:
+            reachability_paths(game, *edge)
+        pred = graphs._arena(game).pred
+        opened = [start for step, start in calls if step is pred]
+        assert len(opened) == len(set(opened))
+        closures += len(opened)
+    assert closures
 
 
 def test_vectorised_independence_oracle_matches_loop_form():

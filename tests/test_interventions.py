@@ -43,11 +43,13 @@ from causalgames import (
 )
 from causalgames.graphs import rule_node
 from causalgames.interventions import as_compound
-from causalgames.model import _dependency_order
+from causalgames.model import DECISION, _dependency_order
 from helpers import (
     agent_view,
+    dense_to_utility_game,
     is_minimum_hitting_set,
     mechanism_node,
+    path_criterion_removals,
     random_distribution,
     random_full_profile,
     random_game,
@@ -451,6 +453,35 @@ def test_path_criterion_matches_rebuild(job_market, stackelberg):
     assert predicted_edge_removals(
         job_market, hard_fix(job_market, "D1", "g")
     ) == set(side_effects(job_market, hard_fix(job_market, "D1", "g")).removed)
+
+
+def _object_fixes(game, rng):
+    """One object fix per variable keeping a random subset of its parents,
+    and a hard fix of every decision."""
+    for x in game.names():
+        kept = tuple(p for p in game.parents_of(x) if rng.random() < 0.5)
+        if game.kind(x) == DECISION:
+            yield FixObject(x, kept, None)
+            yield hard_fix(game, x, rng.choice(game.domain(x)))
+        else:
+            contexts = list(itertools.product(*map(game.domain, kept)))
+            yield FixObject(x, kept, TabularCPD.uniform(x, game.domain(x), kept, contexts))
+
+
+def test_predicted_removals_match_path_criterion(job_market, stackelberg):
+    rng = random.Random(31)
+    games = [job_market, stackelberg]
+    games += [random_game(rng) for _ in range(40)]
+    games += [random_multi_decision_game(rng) for _ in range(20)]
+    games += [apply_primitive(g, hard_fix(g, g.decisions()[0], "a")) for g in games[2:22]]
+    games += [dense_to_utility_game(n) for n in (3, 6, 9)]
+    verdicts = set()
+    for game in games:
+        for fix in _object_fixes(game, rng):
+            predicted = predicted_edge_removals(game, fix)
+            assert predicted == path_criterion_removals(game, fix)
+            verdicts.add(bool(predicted))
+    assert verdicts == {True, False}
 
 
 def test_removed_edge_side_effect(job_market):

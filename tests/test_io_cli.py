@@ -329,9 +329,15 @@ def test_cli_validate_rejects_non_finite(capsys, tmp_path, old, new, message):
         ('"": [0.5, 0.5]', '"": [null, 1]', "T: row '' must list numbers, got [None, 1]"),
         ('"": [0.5, 0.5]', '"": [true, false]',
          "T: row '' must list numbers, got [True, False]"),
+        ('"h,j": 3\n', '"h,j": 3\n    "h, j": -2\n', "U2: context 'h,j' given twice"),
+        ('"h,j": 3\n', '"h,j": 3\n    "h,j": -2\n',
+         "line 45, column 5: key 'h,j' given twice"),
+        ("agents: 2\n", "agents: 2\nagents: 3\n",
+         "line 7, column 1: key 'agents' given twice"),
     ],
     ids=["float_agent", "bool_agents", "string_parents", "string_entry",
-         "null_entry", "bool_entry"],
+         "null_entry", "bool_entry", "repeated_context", "repeated_row_key",
+         "repeated_agents"],
 )
 def test_ill_typed_game_file_is_one_error_line(capsys, tmp_path, old, new, message):
     fixture = Path(causalgames.__file__).parent / "fixtures" / "job_market.game.yaml"
@@ -412,8 +418,11 @@ def test_validate_game_wants_int_agents():
         ("true: [reward1, reward2]", "agent indices in 1..2, got True"),
         ("7: [reward1, reward2]", "agent indices in 1..2, got 7"),
         ("1: reward1", "agent 1 must be a list of labels, got 'reward1'"),
+        ("1: [reward1]\n  1: [reward1, reward2]",
+         "line 24, column 3: key 1 given twice"),
     ],
-    ids=["float_agent", "bool_agent", "unknown_agent", "string_labels"],
+    ids=["float_agent", "bool_agent", "unknown_agent", "string_labels",
+         "repeated_agent"],
 )
 def test_ill_typed_visibility_is_one_error_line(capsys, tmp_path, new, message):
     fixtures = Path(causalgames.__file__).parent / "fixtures"
