@@ -13,7 +13,6 @@ from .model import (
     DECISION,
     UTILITY,
     CausalGame,
-    DecisionRule,
     JointDistribution,
     PolicyProfile,
     TabularCPD,

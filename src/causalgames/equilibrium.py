@@ -3,15 +3,16 @@
 Every solver reads contractions of the game's factors (``model``), never
 a joint table.  Pure equilibria, best responses, verification and
 commitment read payoff tensors (``model.payoff_tensors``): each free
-decision's pure rules lie on one axis, and variable elimination gives an
-agent's expected utility for every rule choice at once.  Behavioral
-equilibria for small two-agent games come from support enumeration: one
-contraction gives every action value's coefficients, each decision's slot
-values are formed once per support of the other decision, the
-indifference/consistency system is solved per support pattern, and
-underdetermined solutions are reported as parametric families with
-interval parameters; candidates are verified together, one contraction
-per agent for every ``STABLE_CHUNK`` profiles.
+decision's pure rules lie on one axis, as one one-hot array, and variable
+elimination gives an agent's expected utility for every rule choice at
+once.  ``TabularCPD`` objects are built only for the rules a solver
+returns.  Behavioral equilibria for small two-agent games come from
+support enumeration: one contraction gives every action value's
+coefficients, each decision's slot values are formed once per support of
+the other decision, the indifference/consistency system is solved per
+support pattern, and underdetermined solutions are reported as parametric
+families with interval parameters; candidates are verified together, one
+contraction per agent for every ``STABLE_CHUNK`` profiles.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
 only free decisions are strategic.
 
@@ -21,6 +22,7 @@ index) order and sampling is a pure function of the seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -35,8 +37,10 @@ from .model import (
     CausalGame,
     PolicyProfile,
     TabularCPD,
+    _pure_rules,
+    _rule_of,
+    _rule_stack,
     cpds_equal,
-    enumerate_pure_rules,
     expectations,
     expected_utility,
     payoff_tensors,
@@ -57,16 +61,19 @@ def _require_best_response(relation: RationalityRelation):
 
 def _pure_stacks(game: CausalGame, decisions) -> dict:
     require_budget(game, decisions)
-    return {d: enumerate_pure_rules(game, d) for d in decisions}
+    return {d: _pure_rules(game, d) for d in decisions}
 
 
-def _profiles_where(stacks: dict, mask: np.ndarray) -> list[PolicyProfile]:
-    """The pure profiles at the true entries of ``mask``, in enumeration order."""
+def _profiles_where(game, stacks: dict, mask: np.ndarray) -> list[PolicyProfile]:
+    """The pure profiles at the true entries of ``mask``, in enumeration
+    order: one ``TabularCPD`` per (decision, rule index), shared by every
+    profile that plays it, so equal rules are the same object."""
     import numpy as np
 
+    rule = functools.cache(lambda d, i: _rule_of(game, d, stacks[d][i]))
     return [
-        PolicyProfile({d: rules[i] for (d, rules), i in zip(stacks.items(), at)})
-        for at in np.argwhere(mask)
+        PolicyProfile({d: rule(d, i) for d, i in zip(stacks, at)})
+        for at in np.argwhere(mask).tolist()
     ]
 
 
@@ -92,7 +99,7 @@ def best_responses(
         )
     stacks = _pure_stacks(game, game.free_decisions_of(agent))
     [payoff] = payoff_tensors(game, others, [agent], stacks)
-    return _profiles_where(stacks, payoff >= payoff.max() - eps)
+    return _profiles_where(game, stacks, payoff >= payoff.max() - eps)
 
 
 def verify_rational_outcome(
@@ -120,11 +127,11 @@ def _stable(game: CausalGame, profiles, eps: float):
 
     Each of the agent's free decisions stacks its pure rules, then the
     chunk's rules; the other free decisions share one axis of the chunk's
-    rules.  Profile ``i`` is worth the entry at its own rules on every
-    axis, and its best deviation is the largest entry over the pure rules
-    at ``i`` on the shared axis.  Entries the profiles give for decisions
-    that are not free are checked and ignored, as the kernel does for any
-    profile.
+    rules (each decision's chunk stack is built once for every agent).
+    Profile ``i`` is worth the entry at its own rules on every axis, and its
+    best deviation is the largest entry over the pure rules at ``i`` on the
+    shared axis.  Entries the profiles give for decisions that are not free
+    are checked and ignored, as the kernel does for any profile.
     """
     import numpy as np
 
@@ -141,12 +148,13 @@ def _stable(game: CausalGame, profiles, eps: float):
             d: rule for p in chunk for d, rule in p.rules.items()
             if d not in decisions
         })
+        played = {d: _rule_stack(game, d, [p[d] for p in chunk]) for d in decisions}
         at = np.arange(n)
         stable = np.ones(n, dtype=bool)
         for utility, own, pure in agents:
-            stacks = {d: pure[d] + [p[d] for p in chunk] for d in own}
+            stacks = {d: np.concatenate([pure[d], played[d]]) for d in own}
             others = [d for d in decisions if d not in stacks]
-            stacks.update({d: [p[d] for p in chunk] for d in others})
+            stacks.update({d: played[d] for d in others})
             [payoff] = expectations(game, extra, [utility], stacks, others)
             # the shared axis is missing when the agent owns every free
             # decision; the broadcast supplies it
@@ -208,12 +216,6 @@ class BehavioralFamily:
             out.append(self.instantiate(values))
         return out
 
-    def interval(self, name: str) -> tuple[float, float]:
-        for p in self.params:
-            if p.name == name:
-                return (p.low, p.high)
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class RationalOutcomeSet:
@@ -257,7 +259,7 @@ def pure_nash(
     for a, payoff in zip(agents, payoffs):
         stable &= ~(payoff.max(axis=owned[a], keepdims=True) > payoff + eps)
     return RationalOutcomeSet(
-        tuple(_profiles_where(stacks, stable)), mode="pure_exhaustive"
+        tuple(_profiles_where(game, stacks, stable)), mode="pure_exhaustive"
     )
 
 
@@ -329,30 +331,23 @@ def _coefficients(game: CausalGame, decisions) -> list[tuple[list, list]]:
     ``b`` in its context ``c2``; ``reach`` says whether those instantiations
     have any weight (the factors are non-negative, so a sum is non-zero
     exactly when some term is).  Each decision stacks one indicator rule
-    per (context, action), and every value factor carries both decisions'
-    labels, so neither is summed out where a utility ignores it.  Without
-    another free decision the last two axes have length 1.
+    per (context, action), the rows of an identity matrix, and every value
+    factor carries both decisions' labels, so neither is summed out where a
+    utility ignores it.  Without another free decision the last two axes
+    have length 1.
     """
     import numpy as np
 
     if not decisions:
         return []
-    sizes = {d: len(game.domain(d)) for d in decisions}
-    stacks = {
-        d: [
-            TabularCPD(d, game.parents_of(d), {
-                c: tuple(float(c == ctx and b == a) for b in range(sizes[d]))
-                for c in game.contexts(d)
-            })
-            for ctx in game.contexts(d) for a in range(sizes[d])
-        ]
-        for d in decisions
-    }
+    shapes = {d: [len(game.domain(x)) for x in (*game.parents_of(d), d)]
+              for d in decisions}  # parent dims, then the decision's
+    stacks = {d: np.eye(np.prod(s)).reshape(-1, *s) for d, s in shapes.items()}
 
     def over_decisions(labels, array):
         extra = tuple(d for d in decisions if d not in labels)
         array = array.reshape(array.shape + (1,) * len(extra))
-        shape = array.shape[:len(labels)] + tuple(sizes[d] for d in extra)
+        shape = array.shape[:len(labels)] + tuple(shapes[d][-1] for d in extra)
         return labels + extra, np.broadcast_to(array, shape)
 
     values = [
@@ -361,7 +356,7 @@ def _coefficients(game: CausalGame, decisions) -> list[tuple[list, list]]:
     ]
     values.append([over_decisions((), np.ones(()))])
     *totals, weight = expectations(game, PolicyProfile({}), values, stacks)
-    shape = [n for d in decisions for n in (len(game.contexts(d)), sizes[d])]
+    shape = [n for d in decisions for n in (len(game.contexts(d)), shapes[d][-1])]
     shape += [1, 1] * (2 - len(decisions))
     out = []
     for k, total in enumerate(totals):
@@ -707,7 +702,7 @@ def optimal_commitment(
     follower = follower_agents.pop() if follower_agents else None
 
     # the commitment at p = 0 and p = 1, then every pure follower response
-    stacks = {dec: [committed_rule(0.0), committed_rule(1.0)]}
+    stacks = {dec: _rule_stack(game, dec, [committed_rule(0.0), committed_rule(1.0)])}
     stacks.update(_pure_stacks(game, follower_decisions))
 
     def affine(payoff):

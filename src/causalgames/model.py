@@ -7,7 +7,8 @@ decision's parents); a full assignment of rules induces a joint distribution
 as the product of all factors.  Expected utilities and event probabilities
 are partial contractions of that product (``expectations``): variable
 elimination over the ancestors of each value factor, a utility's CPD times
-its values or an event's 0/1 indicator, for many rule choices at once.
+its values or an event's 0/1 indicator, for many rule choices at once,
+each decision's stacked in one array (a ``TabularCPD`` is built per answer).
 ``induced_joint`` builds the full product as a reference view; no solver
 or query calls it.
 numpy is imported inside the functions that build or contract arrays, on
@@ -94,9 +95,6 @@ class TabularCPD:
     def row(self, ctx: tuple) -> tuple[float, ...]:
         return self.table[tuple(ctx)]
 
-    def contexts(self) -> list[tuple]:
-        return list(self.table.keys())
-
     @classmethod
     def delta(cls, variable, value, domain, parents=(), contexts=((),)):
         """Degenerate CPD putting mass 1 on ``value`` in every context."""
@@ -114,10 +112,6 @@ class TabularCPD:
         n = len(tuple(domain))
         row = tuple(1.0 / n for _ in range(n))
         return cls(variable, tuple(parents), {tuple(c): row for c in contexts})
-
-
-# A decision rule is a CPD attached to a decision variable.
-DecisionRule = TabularCPD
 
 
 @dataclass(frozen=True)
@@ -570,12 +564,12 @@ def expectations(
 
     A value is a list of value factors ``(labels, array)``: utilities' CPDs
     times their values, or an event's 0/1 indicator.  Each is one contraction
-    over its labels' ancestral set.  ``stacks`` maps decisions to lists of
-    rules, each list one axis of every result (0-d without stacks); the other
-    decisions follow their pinned CPD, imposed rule or the profile's rule.
-    The stacked decisions named in ``leaf_axis`` share one axis instead, at
-    the place of the first of them: entry ``i`` puts each of them on its
-    ``i``-th rule, linear in the lists' length.
+    over its labels' ancestral set.  ``stacks`` maps decisions to arrays
+    ``(n_rules, *parent dims, |dom|)`` of rules, each one axis of every result
+    (0-d without stacks); the other decisions follow their pinned CPD,
+    imposed rule or the profile's rule.  The stacked decisions named in
+    ``leaf_axis`` share one axis instead, at the place of the first of them:
+    entry ``i`` puts each of them on its ``i``-th rule, linear in the rules.
     """
     import numpy as np
 
@@ -591,8 +585,7 @@ def expectations(
         if name not in factors:
             labels = game.parents_of(name) + (name,)
             if name in stacks:
-                stacked = [_cpd_tensor(game, name, r) for r in stacks[name]]
-                factors[name] = (axis[name],) + labels, np.stack(stacked)
+                factors[name] = (axis[name],) + labels, stacks[name]
             else:
                 factors[name] = labels, _cpd_tensor(game, name, cpds[name])
         return factors[name]
@@ -711,22 +704,40 @@ def enumerate_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:
 
     Order: the tuple of actions over contexts (contexts in their
     deterministic order, first context most significant, actions in domain
-    order).  Count: |dom(D)| ** |dom(Pa_D)|.
+    order).  Count: |dom(D)| ** |dom(Pa_D)|.  A view of ``_pure_rules``, one
+    ``TabularCPD`` per rule; the solvers use the stack itself.
     """
     if game.kind(decision) != DECISION:
         raise ValidationError(f"{decision!r} is not a decision variable")
     require_budget(game, [decision])
-    contexts = game.contexts(decision)
-    domain = game.domain(decision)
-    rules = []
-    for actions in itertools.product(domain, repeat=len(contexts)):
-        table = {}
-        for ctx, a in zip(contexts, actions):
-            table[ctx] = tuple(
-                1.0 if v == a else 0.0 for v in domain
-            )
-        rules.append(TabularCPD(decision, game.parents_of(decision), table))
-    return rules
+    return [_rule_of(game, decision, rule) for rule in _pure_rules(game, decision)]
+
+
+def _pure_rules(game: CausalGame, decision: str) -> np.ndarray:
+    """Every pure rule of ``decision``, one-hot, in ``enumerate_pure_rules``
+    order: rule k plays the base-|dom| digits of k over the contexts, first
+    context most significant.  The caller checks the budget."""
+    import numpy as np
+
+    n = len(game.domain(decision))
+    dims = [len(game.domain(p)) for p in game.parents_of(decision)]
+    k = math.prod(dims)
+    # digits by division, not np.indices, which stops at 64 dimensions
+    digits = np.arange(n ** k)[:, None] // n ** np.arange(k)[::-1] % n
+    return np.eye(n)[digits].reshape(-1, *dims, n)
+
+
+def _rule_stack(game: CausalGame, decision: str, rules) -> np.ndarray:
+    """The ``TabularCPD`` rules of ``decision`` as one stack."""
+    import numpy as np
+
+    return np.stack([_cpd_tensor(game, decision, r) for r in rules])
+
+
+def _rule_of(game: CausalGame, decision: str, array) -> TabularCPD:
+    """One stack entry (parent dims, then |dom|) as a ``TabularCPD``."""
+    rows = zip(game.contexts(decision), array.reshape(-1, array.shape[-1]).tolist())
+    return TabularCPD(decision, game.parents_of(decision), dict(rows))
 
 
 # -- structural equality ------------------------------------------------------

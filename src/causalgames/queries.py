@@ -46,6 +46,8 @@ from .model import (
     CausalGame,
     PolicyProfile,
     TabularCPD,
+    _rule_of,
+    _rule_stack,
     cpds_equal,
     event_factor,
     expectations,
@@ -346,7 +348,7 @@ def _at_leaves(game, leaves, value) -> list[float]:
     contraction: decisions whose rule object differs go on the leaf axis."""
     stacks = {d: [rules[d] for rules in leaves] for d in leaves[0]}
     common = {d: c[0] for d, c in stacks.items() if all(r is c[0] for r in c)}
-    stacks = {d: c for d, c in stacks.items() if d not in common}
+    stacks = {d: _rule_stack(game, d, c) for d, c in stacks.items() if d not in common}
     [out] = expectations(game, PolicyProfile(common), [value], stacks, leaf_axis=stacks)
     values = out.tolist()
     return values if out.ndim else [values] * len(leaves)
@@ -446,15 +448,7 @@ def _mixture_rule(game, decision, outcomes):
         r = o[decision]
         if not any(cpds_equal(r, q) for q in rules):
             rules.append(r)
-    contexts = game.contexts(decision)
-    table = {}
-    for ctx in contexts:
-        rows = [r.row(ctx) for r in rules]
-        table[tuple(ctx)] = tuple(
-            sum(row[i] for row in rows) / len(rows)
-            for i in range(len(rows[0]))
-        )
-    return TabularCPD(decision, game.parents_of(decision), table)
+    return _rule_of(game, decision, _rule_stack(game, decision, rules).mean(axis=0))
 
 
 def _prim_binds(prim, stage_idx, stages):

@@ -6,7 +6,8 @@ utilities are summed exactly over every instantiation, conditional
 independence is checked numerically on the joint table, and hitting sets
 are verified by exhaustive subset scans.  The ``loop_*`` functions keep
 earlier forms of library code as references for the forms that replaced
-them.
+them, and ``reference_pure_rules`` enumerates pure rules apart from the
+solvers' one-hot stacks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from causalgames.model import (
     PolicyProfile,
     TabularCPD,
     Variable,
-    enumerate_pure_rules,
     induced_joint,
 )
 
@@ -47,6 +47,21 @@ def mechanism_node(game: CausalGame, variable: str) -> str:
     if game.kind(variable) == DECISION:
         return rule_node(variable)
     return param_node(variable)
+
+
+def reference_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:
+    """Every pure rule of ``decision``, one ``TabularCPD`` each, by
+    ``itertools.product`` over the contexts' actions: the order
+    ``enumerate_pure_rules`` promises (first context most significant)."""
+    contexts = game.contexts(decision)
+    domain = game.domain(decision)
+    rules = []
+    for actions in itertools.product(domain, repeat=len(contexts)):
+        table = {}
+        for ctx, a in zip(contexts, actions):
+            table[ctx] = tuple(1.0 if v == a else 0.0 for v in domain)
+        rules.append(TabularCPD(decision, game.parents_of(decision), table))
+    return rules
 
 
 def random_distribution(rng, n):
@@ -389,7 +404,7 @@ def loop_pure_nash(game: CausalGame, eps: float = 1e-7) -> RationalOutcomeSet:
     ``eps``.
     """
     decisions = game.free_decisions()
-    rule_lists = [enumerate_pure_rules(game, d) for d in decisions]
+    rule_lists = [reference_pure_rules(game, d) for d in decisions]
     agents = [a for a in range(1, game.n_agents + 1) if game.free_decisions_of(a)]
     others = {
         a: [i for i, d in enumerate(decisions) if game.agent_of(d) != a]
@@ -776,7 +791,7 @@ def loop_stable(game: CausalGame, profile: PolicyProfile, eps: float) -> bool:
         if not own:
             continue
         value = expected_utility_from_joint(game, induced_joint(game, profile), agent)
-        for rules in itertools.product(*[enumerate_pure_rules(game, d) for d in own]):
+        for rules in itertools.product(*[reference_pure_rules(game, d) for d in own]):
             deviation = PolicyProfile({**profile.rules, **dict(zip(own, rules))})
             gain = expected_utility_from_joint(
                 game, induced_joint(game, deviation), agent

@@ -46,6 +46,7 @@ from helpers import (
     random_game,
     random_multi_decision_game,
     random_type_game,
+    reference_pure_rules,
 )
 
 
@@ -148,16 +149,13 @@ def test_pure_nash_hardworking_town(effortville):
 
 
 def test_every_pure_profile_classified_correctly(prisoners, effortville):
-    from causalgames.model import enumerate_pure_rules
-    import itertools
-
     for game in (prisoners, effortville):
         nash = {
             tuple(sorted((d, tuple(sorted(p[d].table.items()))) for d in p.decisions()))
             for p in pure_nash(game).outcomes
         }
         decisions = game.free_decisions()
-        lists = [enumerate_pure_rules(game, d) for d in decisions]
+        lists = [reference_pure_rules(game, d) for d in decisions]
         for combo in itertools.product(*lists):
             profile = PolicyProfile(dict(zip(decisions, combo)))
             key = tuple(
@@ -176,7 +174,7 @@ def test_pure_nash_multi_decision_agents_match_verify():
         game = random_multi_decision_game(random.Random(seed))
         assert len(game.free_decisions_of(1)) >= 2
         decisions = game.free_decisions()
-        lists = [enumerate_pure_rules(game, d) for d in decisions]
+        lists = [reference_pure_rules(game, d) for d in decisions]
         expected = [
             profile
             for profile in (
@@ -282,6 +280,47 @@ def test_enumeration_budget_counted_before_allocating(tmp_path, capsys):
     path.write_text(serialize_game(game))
     assert main(["solve", str(path)]) in (1, 2)
     assert capsys.readouterr().err.startswith("error: would enumerate")
+
+
+def test_pure_rules_built_only_for_answers(monkeypatch):
+    """One agent whose decision sees 4 binary chance variables: 65 536 pure
+    rules, inside the budget.  ``pure_nash`` and ``best_responses`` find the
+    one rule that copies X0, build a ``TabularCPD`` only for it, and keep
+    the traced peak far below one rule object per pure rule."""
+    binary = ("a", "b")
+    names = tuple(f"X{i}" for i in range(4))
+    variables = [Variable(x, "chance", binary) for x in names] + [
+        Variable("D", "decision", binary, 1), Variable("U", "utility", (0, 1), 1),
+    ]
+    cpds = {x: TabularCPD(x, (), {(): (0.5, 0.5)}) for x in names}
+    cpds["U"] = TabularCPD("U", ("X0", "D"), {
+        ctx: (0.0, 1.0) if ctx[0] == ctx[1] else (1.0, 0.0)
+        for ctx in itertools.product(binary, binary)
+    })
+    game = CausalGame(1, tuple(variables), {"D": names, "U": ("X0", "D")}, cpds)
+    copy_x0 = TabularCPD("D", names, {
+        ctx: (1.0, 0.0) if ctx[0] == "a" else (0.0, 1.0)
+        for ctx in game.contexts("D")
+    })
+    built = []
+    post_init = TabularCPD.__post_init__
+
+    def counted(cpd):
+        built.append(cpd.variable)
+        post_init(cpd)
+
+    monkeypatch.setattr(TabularCPD, "__post_init__", counted)
+    tracemalloc.start()
+    try:
+        outcomes = pure_nash(game).outcomes
+        responses = best_responses(game, 1, PolicyProfile({}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.rules for p in outcomes] == [{"D": copy_x0}]
+    assert [p.rules for p in responses] == [{"D": copy_x0}]
+    assert built == ["D", "D"]  # one per returned rule, not one per pure rule
+    assert peak < 64 * 2**20
 
 
 def _deep_chain_game(n=1200):
@@ -511,7 +550,7 @@ def test_batched_verification_matches_joint_loop(prisoners):
     for seed in range(12):
         game = random_multi_decision_game(random.Random(seed))
         decisions = game.free_decisions()
-        lists = [enumerate_pure_rules(game, d) for d in decisions]
+        lists = [reference_pure_rules(game, d) for d in decisions]
         pure = [
             PolicyProfile(dict(zip(decisions, c))) for c in itertools.product(*lists)
         ]
@@ -533,7 +572,7 @@ def test_batched_verification_across_chunks():
     rng = random.Random(3)
     game = random_type_game(rng)
     decisions = game.free_decisions()
-    lists = [enumerate_pure_rules(game, d) for d in decisions]
+    lists = [reference_pure_rules(game, d) for d in decisions]
     profiles = [
         PolicyProfile(dict(zip(decisions, c))) for c in itertools.product(*lists)
     ] + behavioral_nash_small(game).extreme_profiles()

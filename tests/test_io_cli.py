@@ -8,11 +8,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import causalgames
 from causalgames import (
     AddVariable,
     CausalGame,
+    GameError,
     GameFileError,
     InterventionError,
     PolicyProfile,
@@ -471,11 +473,14 @@ NAMED_VALUES = (
 )
 
 
-def _named_values_game(rng):
+def _named_values_game(rng, values=None):
     """One or two chance variables, a decision and a utility, every
-    non-utility domain drawn from ``NAMED_VALUES``."""
-    def values():
+    non-utility domain drawn from ``values()``, by default from
+    ``NAMED_VALUES``."""
+    def named():
         return tuple(rng.sample(NAMED_VALUES, rng.randint(1, 3)))
+
+    values = values or named
 
     names = [f"X{i}" for i in range(rng.randint(1, 2))]
     variables, parents, cpds = [], {}, {}
@@ -509,6 +514,21 @@ def test_every_accepted_game_round_trips():
         accepted += 1
         assert games_equal(parse_game(serialize_game(game)), game), seed
     assert accepted > 20 and rejected > 20
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_arbitrary_text_values_round_trip_or_fail_typed(rng, data):
+    """Arbitrary text domain values: a game ``validate_game`` accepts comes
+    back from ``serialize_game`` and ``parse_game`` equal, and writing and
+    reading one it refuses raises a ``GameError``, never another exception."""
+    domains = st.lists(st.text(max_size=4), min_size=1, max_size=3).map(tuple)
+    game = _named_values_game(rng, lambda: data.draw(domains))
+    if validate_game(game):
+        with pytest.raises(GameError):
+            parse_game(serialize_game(game))
+    else:
+        assert games_equal(parse_game(serialize_game(game)), game)
 
 
 def test_serialize_refuses_non_text_values():

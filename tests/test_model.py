@@ -24,6 +24,7 @@ from helpers import (
     random_full_profile,
     random_game,
     random_rich_game,
+    reference_pure_rules,
 )
 
 
@@ -218,6 +219,37 @@ def test_pure_rule_enumeration_unique_and_deterministic(job_market):
         enumerate_pure_rules(job_market, "U1")
 
 
+def _decision_game(actions, parent_domains):
+    """One decision of agent 1 with ``actions``, seeing one uniform chance
+    variable per entry of ``parent_domains``."""
+    names = tuple(f"X{i}" for i in range(len(parent_domains)))
+    variables = [Variable(x, "chance", dom) for x, dom in zip(names, parent_domains)]
+    variables.append(Variable("D", "decision", actions, 1))
+    cpds = {x: TabularCPD.uniform(x, dom) for x, dom in zip(names, parent_domains)}
+    return CausalGame(1, tuple(variables), {"D": names}, cpds)
+
+
+def test_pure_rule_enumeration_matches_reference():
+    """The solvers' one-hot stack, viewed as rules, is the product
+    enumeration in order: every decision of the four fixture games, a
+    3-action decision with two parents, a parentless decision, and a
+    one-action decision with 7 binary parents (128 contexts, more than the
+    64 dimensions ``np.indices`` allows)."""
+    cases = [
+        (resolve_game(name), d)
+        for name in FIXTURE_GAMES for d in resolve_game(name).decisions()
+    ]
+    cases += [
+        (_decision_game(("x", "y", "z"), [("a", "b"), ("c", "d", "e")]), "D"),
+        (_decision_game(("x", "y", "z"), []), "D"),
+        (_decision_game(("only",), [("a", "b")] * 7), "D"),
+    ]
+    assert len(cases) == 11
+    for game, d in cases:
+        assert enumerate_pure_rules(game, d) == reference_pure_rules(game, d)
+    assert [len(enumerate_pure_rules(g, d)) for g, d in cases[-3:]] == [729, 3, 1]
+
+
 def test_expected_utility_matches_joint_on_rich_games():
     """Variable elimination against the joint table it replaces.
 
@@ -232,7 +264,7 @@ def test_expected_utility_matches_joint_on_rich_games():
             profile = random_full_profile(rng, game)
         else:  # pure rules put zeros in the free decisions' rows too
             profile = PolicyProfile({
-                d: rng.choice(enumerate_pure_rules(game, d))
+                d: rng.choice(reference_pure_rules(game, d))
                 for d in game.free_decisions()
             })
         joint = induced_joint(game, profile)
@@ -266,7 +298,7 @@ def test_expected_utility_exact_on_fixtures():
         profiles = [
             PolicyProfile(dict(zip(decisions, combo)))
             for combo in itertools.product(
-                *[enumerate_pure_rules(game, d) for d in decisions]
+                *[reference_pure_rules(game, d) for d in decisions]
             )
         ]
         profiles += [random_full_profile(rng, game) for _ in range(3)]
