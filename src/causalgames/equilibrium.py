@@ -7,12 +7,13 @@ decision's pure rules lie on one axis, as one one-hot array, and variable
 elimination gives an agent's expected utility for every rule choice at
 once.  ``TabularCPD`` objects are built only for the rules a solver
 returns.  Behavioral equilibria for small two-agent games come from
-support enumeration: one contraction gives every action value's
-coefficients, each decision's slot values are formed once per support of
-the other decision, the indifference/consistency system is solved per
-support pattern, and underdetermined solutions are reported as parametric
-families with interval parameters; candidates are verified together, one
-contraction per agent for every ``STABLE_CHUNK`` profiles.
+support enumeration as array algebra: one contraction gives every action
+value's coefficients, every support pattern's indifference system is a
+sub-matrix of one array per decision, all of them row-reduced together,
+and underdetermined solutions are reported as parametric families with
+interval parameters; candidates' corners are stacked straight from their
+entries and verified together, one contraction per agent for every
+``STABLE_CHUNK`` profiles.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
 only free decisions are strategic.
 
@@ -40,7 +41,6 @@ from .model import (
     _pure_rules,
     _rule_of,
     _rule_stack,
-    cpds_equal,
     expectations,
     expected_utility,
     payoff_tensors,
@@ -122,16 +122,38 @@ def verify_rational_outcome(
 
 def _stable(game: CausalGame, profiles, eps: float):
     """Yield, for each full profile, whether no agent has a pure deviation
-    gaining more than ``eps``: one contraction per agent for every
-    ``STABLE_CHUNK`` profiles, so memory stays bounded however many come.
+    gaining more than ``eps``, ``STABLE_CHUNK`` profiles at a time (see
+    ``_stable_chunks``).  Entries the profiles give for decisions that are
+    not free are checked and ignored, as the kernel does for any profile.
+    """
+    decisions = game.free_decisions()
+    profiles = iter(profiles)
+
+    def chunks():
+        while chunk := list(itertools.islice(profiles, STABLE_CHUNK)):
+            extra = PolicyProfile({
+                d: rule for p in chunk for d, rule in p.rules.items()
+                if d not in decisions
+            })
+            played = {d: _rule_stack(game, d, [p[d] for p in chunk]) for d in decisions}
+            yield len(chunk), extra, played
+
+    for stable in _stable_chunks(game, chunks(), eps):
+        yield from stable.tolist()
+
+
+def _stable_chunks(game: CausalGame, chunks, eps: float):
+    """Yield, for each chunk ``(n, extra, played)`` of ``n`` full profiles,
+    a boolean array saying which have no agent with a pure deviation gaining
+    more than ``eps``: one contraction per agent, so memory stays bounded
+    however many chunks come.  ``played`` stacks each free decision's rules
+    of the chunk; ``extra`` holds rules for decisions that are not free.
 
     Each of the agent's free decisions stacks its pure rules, then the
     chunk's rules; the other free decisions share one axis of the chunk's
-    rules (each decision's chunk stack is built once for every agent).
-    Profile ``i`` is worth the entry at its own rules on every axis, and its
-    best deviation is the largest entry over the pure rules at ``i`` on the
-    shared axis.  Entries the profiles give for decisions that are not free
-    are checked and ignored, as the kernel does for any profile.
+    rules.  Profile ``i`` is worth the entry at its own rules on every axis,
+    and its best deviation is the largest entry over the pure rules at ``i``
+    on the shared axis.
     """
     import numpy as np
 
@@ -141,14 +163,7 @@ def _stable(game: CausalGame, profiles, eps: float):
         for agent in range(1, game.n_agents + 1)
         if (own := game.free_decisions_of(agent))
     ]
-    profiles = iter(profiles)
-    while chunk := list(itertools.islice(profiles, STABLE_CHUNK)):
-        n = len(chunk)
-        extra = PolicyProfile({
-            d: rule for p in chunk for d, rule in p.rules.items()
-            if d not in decisions
-        })
-        played = {d: _rule_stack(game, d, [p[d] for p in chunk]) for d in decisions}
+    for n, extra, played in chunks:
         at = np.arange(n)
         stable = np.ones(n, dtype=bool)
         for utility, own, pure in agents:
@@ -165,7 +180,7 @@ def _stable(game: CausalGame, profiles, eps: float):
             best = payoff[tuple(slice(len(pure[d])) for d in own)]
             worth = payoff[tuple(len(pure[d]) + at for d in own) + (at,)]
             stable &= ~(best.reshape(-1, n).max(axis=0) > worth + eps)
-        yield from stable.tolist()
+        yield stable
 
 
 @dataclass(frozen=True)
@@ -282,28 +297,6 @@ def sample_rational_outcome(
 # -- behavioral equilibria via support enumeration ---------------------------
 
 
-class _Affine:
-    """A scalar affine form c0 + sum(coeffs[u] * u) over named unknowns."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0.0, coeffs=None):
-        self.const = const
-        self.coeffs = dict(coeffs or {})
-
-    def minus(self, other):
-        out = _Affine(self.const - other.const, self.coeffs)
-        for k, v in other.coeffs.items():
-            out.coeffs[k] = out.coeffs.get(k, 0.0) - v
-        return out
-
-    def pruned(self, tol=COEFF_EPS):
-        return _Affine(
-            self.const,
-            {k: v for k, v in self.coeffs.items() if abs(v) > tol},
-        )
-
-
 def _check_behavioral_supported(game: CausalGame):
     agents = sorted(
         {game.agent_of(d) for d in game.free_decisions()}
@@ -322,24 +315,24 @@ def _check_behavioral_supported(game: CausalGame):
             raise SolverError("unsupported size: more than 4 decision contexts")
 
 
-def _coefficients(game: CausalGame, decisions) -> list[tuple[list, list]]:
-    """Each free decision's ``(w, reach)``, all from one contraction.
+def _coefficients(game: CausalGame, decisions) -> tuple[np.ndarray, np.ndarray]:
+    """Every free decision's ``(w, reach)``, all from one contraction.
 
-    ``w[c][a][c2][b]`` sums the decision's owner's utility total, weighted
-    by the pinned factors alone, over the instantiations in which the
-    decision plays ``a`` in its context ``c`` and the other free decision
-    ``b`` in its context ``c2``; ``reach`` says whether those instantiations
-    have any weight (the factors are non-negative, so a sum is non-zero
-    exactly when some term is).  Each decision stacks one indicator rule
-    per (context, action), the rows of an identity matrix, and every value
-    factor carries both decisions' labels, so neither is summed out where a
-    utility ignores it.  Without another free decision the last two axes
-    have length 1.
+    ``w[k, c, a, c2, b]`` sums decision ``k``'s owner's utility total,
+    weighted by the pinned factors alone, over the instantiations in which
+    the decision plays ``a`` in its context ``c`` and the other free
+    decision ``b`` in its context ``c2``; ``reach`` says whether those
+    instantiations have any weight (the factors are non-negative, so a sum
+    is non-zero exactly when some term is).  Each decision stacks one
+    indicator rule per (context, action), the rows of an identity matrix,
+    and every value factor carries both decisions' labels, so neither is
+    summed out where a utility ignores it.  Both blocks are padded with
+    zeros to the larger context count, and a missing decision has a block
+    of zeros (and one context of zeros in the other's), so padded slots are
+    never reached and padded columns add nothing.
     """
     import numpy as np
 
-    if not decisions:
-        return []
     shapes = {d: [len(game.domain(x)) for x in (*game.parents_of(d), d)]
               for d in decisions}  # parent dims, then the decision's
     stacks = {d: np.eye(np.prod(s)).reshape(-1, *s) for d, s in shapes.items()}
@@ -356,114 +349,128 @@ def _coefficients(game: CausalGame, decisions) -> list[tuple[list, list]]:
     ]
     values.append([over_decisions((), np.ones(()))])
     *totals, weight = expectations(game, PolicyProfile({}), values, stacks)
-    shape = [n for d in decisions for n in (len(game.contexts(d)), shapes[d][-1])]
-    shape += [1, 1] * (2 - len(decisions))
-    out = []
+    sizes = [len(game.contexts(d)) for d in decisions]
+    shape = [*(n for c in sizes for n in (c, 2)), 1, 1][:4]
+    size = max(sizes, default=1)
+    w = np.zeros((2, size, 2, size, 2))
+    reach = np.zeros(w.shape, dtype=bool)
     for k, total in enumerate(totals):
-        w, reach = total.reshape(shape), weight.reshape(shape) != 0.0
+        pair = total.reshape(shape), weight.reshape(shape) != 0.0
         if k:  # the decision's own axes first
-            w, reach = w.transpose(2, 3, 0, 1), reach.transpose(2, 3, 0, 1)
-        out.append((w.tolist(), reach.tolist()))
-    return out
+            pair = [x.transpose(2, 3, 0, 1) for x in pair]
+        for out, x in zip((w, reach), pair):
+            out[k, :x.shape[0], :, :x.shape[2], :x.shape[3]] = x
+    return w, reach
 
 
-def _slot_values(coefficients, slots, others):
-    """Reached slots of one free decision and their two action values.
+def _action_values(coefficients, other):
+    """Every slot of each free decision, for each support pattern of the
+    other free decision: whether it is reached, and its two action values.
 
-    ``slots`` are the decision's slots in context order and ``others`` the
-    other free decision's ``(support, unknown)`` per context, the unknown
-    None unless the support has both actions (``[((0,), None)]`` when there
-    is no other free decision).  A slot is reached when some instantiation
-    of positive weight puts the other decision inside its support; an
-    action's value is an affine form in the other decision's unknowns
-    (``q`` for its first action, ``1 - q`` for its second) of
-    d E[U^agent] / d pi(action | slot).
-    """
-    w, reach = coefficients
-    values = {}
-    for c, slot in enumerate(slots):
-        if not any(
-            reach[c][a][c2][b]
-            for a in range(len(w[c]))
-            for c2, (support, _) in enumerate(others)
-            for b in support
-        ):
-            continue
-        pair = []
-        for row in w[c]:  # one action: row[c2][b]
-            form = _Affine()
-            for c2, (support, unknown) in enumerate(others):
-                if unknown is None:
-                    form.const += row[c2][support[0]]
-                else:  # q * row[c2][0] + (1 - q) * row[c2][1]
-                    form.const += row[c2][1]
-                    form.coeffs[unknown] = row[c2][0] - row[c2][1]
-            pair.append(form.pruned())
-        values[slot] = tuple(pair)
-    return values
-
-
-def _solve_linear(equations, unknowns, tol=PIVOT_EPS):
-    """Solve affine == 0 equations; return (pinned values, free unknowns).
-
-    Returns None when inconsistent.  Raises when a pinned unknown would
-    depend on a free one (coupled parametric solutions are out of scope).
+    ``coefficients`` is ``(w, reach)`` from ``_coefficients``.  Row
+    ``other[k, p]`` gives decision ``k``'s other decision's support in
+    each of its contexts: 0 (its first action), 1 (its second) or 2 (both);
+    padded contexts, and the context standing for no other decision, are
+    0.  A slot is reached when some instantiation of positive weight puts
+    the other decision inside its support.  The value of action ``a`` at
+    slot ``c``, d E[U^agent] / d pi(a | c), is ``const[k, p, c, a] +
+    coef[k, p, c, a] @ q``, where ``q`` holds the other decision's
+    probability of its first action per context: a context with both
+    actions adds ``q * w[..., 0] + (1 - q) * w[..., 1]`` and one with a
+    single action its entry, so the coefficients of single-action contexts,
+    and those at or below ``COEFF_EPS``, are 0.
     """
     import numpy as np
 
-    if not unknowns:
-        for eq in equations:
-            if abs(eq.const) > tol:
-                return None
-        return {}, []
-    cols = {u: i for i, u in enumerate(unknowns)}
-    rows = []
-    for eq in equations:
-        row = np.zeros(len(unknowns) + 1)
-        for u, c in eq.coeffs.items():
-            row[cols[u]] = c
-        row[-1] = -eq.const
-        rows.append(row)
-    if not rows:
-        return {}, list(unknowns)
-    m = np.array(rows, dtype=float)
-    nvars = len(unknowns)
-    pivot_cols = []
-    r = 0
-    for c in range(nvars):
-        pivot = None
-        for i in range(r, len(m)):
-            if abs(m[i, c]) > tol:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        m[r] = m[r] / m[r, c]
-        for i in range(len(m)):
-            if i != r and abs(m[i, c]) > tol:
-                m[i] = m[i] - m[i, c] * m[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if abs(m[i, -1]) > tol:
-            return None
-    free = [u for u in unknowns if cols[u] not in pivot_cols]
-    pinned = {}
-    for row_i, c in enumerate(pivot_cols):
-        coeffs = {
-            unknowns[j]: m[row_i, j]
-            for j in range(nvars)
-            if j != c and abs(m[row_i, j]) > tol
+    w, reach = coefficients
+    k, c2 = np.arange(len(w))[:, None, None], np.arange(w.shape[3])
+    # the entry each support's constant reads, and the actions it allows
+    const = w[..., [0, 1, 1]][k, :, :, c2, other].sum(2)
+    allowed = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
+    hit = (reach.any(2)[..., None, :] & allowed).any(-1)  # (k, c, c2, support)
+    reached = hit[k, :, c2, other].any(2)
+    slope = w[..., 0] - w[..., 1]
+    slope = np.where(np.abs(slope) > COEFF_EPS, slope, 0.0)
+    coef = np.where((other == 2)[:, :, None, None], slope[:, None], 0.0)
+    return reached, const, coef
+
+
+def _reduce(m, tol=PIVOT_EPS):
+    """Gauss-Jordan elimination of a batch of augmented systems, in place.
+
+    ``m`` is (systems, rows, unknowns + 1), each row its coefficients, then
+    its right-hand side.  Each unknown in turn pivots on the first row not
+    yet used whose coefficient exceeds ``tol``: that row moves up to the
+    next place and is scaled to 1 there, and the unknown is eliminated from
+    every other row whose coefficient exceeds ``tol``.  Returns which
+    unknowns pivot, (systems, unknowns): a system's k-th row belongs to its
+    k-th pivot, and its rows past the last pivot are left over.
+    """
+    import numpy as np
+
+    n, rows, width = m.shape
+    at = np.arange(rows)
+    used = np.zeros(n, dtype=int)
+    pivots = []
+    for c in range(width - 1):
+        open_rows = (np.abs(m[:, :, c]) > tol) & (at >= used[:, None])
+        pivots.append(open_rows.any(1))
+        hit = np.flatnonzero(pivots[-1])
+        r, p = used[hit], open_rows[hit].argmax(1)
+        m[hit, r], m[hit, p] = m[hit, p], m[hit, r]
+        m[hit, r] /= m[hit, r, c][:, None]
+        column = m[hit, :, c]
+        factor = np.where((np.abs(column) > tol) & (at != r[:, None]), column, 0.0)
+        m[hit] -= factor[:, :, None] * m[hit, r][:, None]
+        used += pivots[-1]
+    return np.stack(pivots, axis=1)
+
+
+def _bounds(coef, const, eps):
+    """The interval each unknown's inequalities leave it in [0, 1].
+
+    Row ``r`` of ``coef`` (..., rows, unknowns) and ``const`` (..., rows)
+    requires ``coef[r] @ q + const[r] >= 0`` and has at most one non-zero
+    coefficient (a row without one bounds nothing).  Returns ``(low, high,
+    fits)``: each unknown's bounds, clipped into [0, 1] with ``low <=
+    high``, and whether no interval is empty by more than ``eps``.
+    """
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limit = -const[..., None] / coef
+    low = np.where(coef > 0, limit, 0.0).max(-2, initial=0.0)
+    high = np.where(coef < 0, limit, 1.0).min(-2, initial=1.0)
+    fits = ~(low > high + eps).any(-1)
+    high = np.maximum(high, 0.0)
+    return np.minimum(np.minimum(low, 1.0), high), high, fits
+
+
+def _corners(game: CausalGame, decisions, values, free, low, high):
+    """Every corner of every candidate as ``_stable_chunks`` chunks of
+    ``STABLE_CHUNK`` profiles, stacked without rule objects.
+
+    Candidate ``i`` plays each decision's first action with probability
+    ``values[i]`` per slot, its free slots at ``low[i]`` or ``high[i]``:
+    ``2^k`` corners in ``extreme_profiles`` order, the first free slot
+    most significant.
+    """
+    import numpy as np
+
+    count = 2 ** free.sum(1)
+    ends = np.cumsum(count)
+    later = free[:, ::-1].cumsum(1)[:, ::-1] - free  # free slots after each
+    splits = list(itertools.accumulate(len(game.contexts(d)) for d in decisions))
+    shapes = [[len(game.domain(p)) for p in game.parents_of(d)] for d in decisions]
+    for start in range(0, ends[-1], STABLE_CHUNK):
+        corner = np.arange(start, min(start + STABLE_CHUNK, ends[-1]))
+        i = np.searchsorted(ends, corner, side="right")
+        at_high = (corner - ends[i] + count[i])[:, None] >> later[i] & 1
+        p = np.where(free[i], np.where(at_high, high[i], low[i]), values[i])
+        yield len(corner), PolicyProfile({}), {
+            d: np.stack([q, 1.0 - q], -1).reshape(len(corner), *shape, 2)
+            for d, q, shape in zip(decisions, np.split(p, splits[:-1], 1), shapes)
         }
-        if coeffs:
-            raise SolverError(
-                "unsupported size: coupled parametric equilibrium family"
-            )
-        pinned[unknowns[c]] = float(m[row_i, -1])
-    return pinned, free
 
 
 def behavioral_nash_small(
@@ -480,139 +487,128 @@ def behavioral_nash_small(
     best-response inequalities are kept.  Probabilities left unconstrained
     (typically at unreached contexts) become family parameters whose
     admissible interval comes from the inequalities.
+
+    All patterns are solved together: a decision's action values are affine
+    in the other decision's probabilities only, so each pattern's system is
+    one block per decision, rows its mixed reached slots and columns the
+    other decision's mixed slots, every other entry 0.  Coupled families
+    (a consistent system pinning a probability to a free one, or a first
+    bad inequality with two free ones) are refused.
     """
+    import numpy as np
+
     _require_best_response(relation)
     _check_behavioral_supported(game)
+    mode = "behavioral_support_enum"
     decisions = game.free_decisions()
     slots = [(d, tuple(ctx)) for d in decisions for ctx in game.contexts(d)]
-    options = ((0,), (1,), (0, 1))
-    name = {slot: f"q{idx}" for idx, slot in enumerate(slots)}
-    own = [[s for s in slots if s[0] == d] for d in decisions]
-    others = own[::-1] if len(own) == 2 else [[]] * len(own)
+    n = len(slots)
+    # every pattern, in itertools.product order: per slot 0 (the first
+    # action), 1 (the second) or 2 (both), then a column n of 0s
+    powers = 3 ** np.array([*range(n)][::-1] + [n])
+    support = np.arange(3 ** n)[:, None] // powers % 3
+    coefficients = _coefficients(game, decisions)
+    size = coefficients[0].shape[1]
+    # block k: decision k's slots as rows, the other decision's as columns,
+    # padded to ``size`` with column n (a missing decision has no slots)
+    index = [[i for i, (d, _) in enumerate(slots) if d == x] for x in decisions]
+    index += [[]] * (2 - len(index))
+    own, other = (
+        support[:, [x + [n] * (size - len(x)) for x in blocks]].transpose(1, 0, 2)
+        for blocks in (index, index[::-1])
+    )
+    reached, const, coef = _action_values(coefficients, other)
+    gap = coef[..., 0, :] - coef[..., 1, :]  # first action's value minus second's
+    diff = const[..., 0] - const[..., 1]
+    m = np.where((reached & (own == 2))[..., None],
+                 np.concatenate([gap, -diff[..., None]], -1), 0.0)
+    pivots = _reduce(m.reshape(-1, size, size + 1)).reshape(other.shape)
+    left = np.arange(size) >= pivots.sum(-1, keepdims=True)
+    solvable = ~(left & (np.abs(m[..., -1]) > PIVOT_EPS)).any((0, 2))
+    coupled = (~left & ((np.abs(m[..., :-1]) > PIVOT_EPS).sum(-1) > 1)).any((0, 2))
+    value = np.take_along_axis(m[..., -1], np.maximum(pivots.cumsum(-1) - 1, 0), -1)
+    in_range = ~(pivots & ((value < -eps) | (value > 1.0 + eps))).any((0, 2))
+    value = np.clip(value, 0.0, 1.0)
+    # the single action's value minus the other's, at the pinned values,
+    # must be >= -eps
+    sign = np.where(own == 0, 1.0, -1.0)
+    a = sign[..., None] * gap
+    b = sign * diff + np.where(
+        pivots[..., None, :], a * value[..., None, :], 0.0
+    ).sum(-1)
+    unpinned = (other == 2) & ~pivots
+    a = np.where(unpinned[..., None, :] & (np.abs(a) > COEFF_EPS), a, 0.0)
+    frees = (a != 0.0).sum(-1)
+    inequality = reached & (own < 2)
+    low, high, fits = _bounds(
+        np.where((inequality & (frees == 1))[..., None], a, 0.0), b, eps
+    )
+    # each slot's row in its decision's block, and column in the other's
+    block = np.array([k for k, x in enumerate(index) for _ in x], dtype=int)
+    at = np.array([i for x in index for i in range(len(x))], dtype=int)
 
-    # a decision's slot values depend only on the other decision's
-    # supports: one table per decision, keyed by those supports
-    tables = [
-        {
-            half: _slot_values(coefficients, slots_k, [
-                (support, name[slot] if len(support) == 2 else None)
-                for slot, support in zip(other, half)
-            ] or [((0,), None)])
-            for half in itertools.product(options, repeat=len(other))
-        }
-        for coefficients, slots_k, other
-        in zip(_coefficients(game, decisions), own, others)
-    ]
+    def columns(x):
+        return x[1 - block, :, at].T
 
+    violated = (inequality & (frees == 0) & (b < -eps))[block, :, at].T
+    joint = (inequality & (frees > 1))[block, :, at].T
+    # a pattern whose first bad inequality couples two free probabilities
+    joint_first = (joint & (np.cumsum(violated | joint, axis=1) == 1)).any(1)
+    refused = solvable & (coupled | (in_range & joint_first))
+    if refused.any():
+        raise SolverError(
+            "unsupported size: coupled parametric equilibrium family"
+            if coupled[refused.argmax()] else
+            "unsupported size: inequality couples two family parameters"
+        )
+    kept = np.flatnonzero(solvable & in_range & ~violated.any(1) & fits.all(0))
+    if not len(kept):
+        return RationalOutcomeSet((), (), mode=mode)
+    pinned = columns(pivots)[kept]
+    free = (support[kept, :n] == 2) & ~pinned
+    values = np.where(pinned, columns(value)[kept], support[kept, :n] == 0)
+    low, high = columns(low)[kept], columns(high)[kept]
+    for bound in (low, high):  # the reported digits, also at the corners
+        bound[free] = [round(x, ROUND_DIGITS) for x in bound[free].tolist()]
+
+    # every candidate's corners (a point, or a family's 2^k corners)
+    # verified a chunk at a time, then kept in pattern order unless already
+    # found
+    stable = np.concatenate(list(_stable_chunks(
+        game, _corners(game, decisions, values, free, low, high), VERIFY_EPS
+    )))
+    starts = np.cumsum(2 ** free.sum(1)) - 2 ** free.sum(1)
     fam_meta = {
         "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
         "_parents": {d: game.parents_of(d) for d in decisions},
     }
-    candidates: list[BehavioralFamily] = []
-    for combo in itertools.product(options, repeat=len(slots)):
-        sigma = dict(zip(slots, combo))
-        unknown_of = {s: name[s] for s in slots if len(sigma[s]) == 2}
-        unknowns = list(unknown_of.values())
-        values = {}
-        for table, other in zip(tables, others):
-            values.update(table[tuple(sigma[s] for s in other)])
-
-        equations = []
-        inequalities = []  # affine forms required >= -eps
-        for slot in slots:
-            if slot not in values:  # unreached under this support pattern
-                continue
-            vals = values[slot]
-            if len(sigma[slot]) == 2:
-                equations.append(vals[0].minus(vals[1]))
-            else:
-                inside = sigma[slot][0]
-                inequalities.append(vals[inside].minus(vals[1 - inside]))
-        solved = _solve_linear(equations, unknowns)
-        if solved is None:
-            continue
-        pinned, free = solved
-        if any(val < -eps or val > 1.0 + eps for val in pinned.values()):
-            continue
-        pinned = {u: min(max(v, 0.0), 1.0) for u, v in pinned.items()}
-
-        bounds = {u: [0.0, 1.0] for u in free}
-        feasible = True
-        for ineq in inequalities:
-            expr = _Affine(ineq.const, ineq.coeffs)
-            for u, val in pinned.items():
-                if u in expr.coeffs:
-                    expr.const += expr.coeffs.pop(u) * val
-            expr = expr.pruned()
-            frees_in = [u for u in expr.coeffs if u in bounds]
-            if not frees_in:
-                if expr.const < -eps:
-                    feasible = False
-                    break
-                continue
-            if len(frees_in) > 1:
-                raise SolverError(
-                    "unsupported size: inequality couples two family parameters"
-                )
-            u = frees_in[0]
-            coef = expr.coeffs[u]
-            # coef * u + const >= 0
-            limit = -expr.const / coef
-            if coef > 0:
-                bounds[u][0] = max(bounds[u][0], limit)
-            else:
-                bounds[u][1] = min(bounds[u][1], limit)
-        if not feasible or any(lo > hi + eps for lo, hi in bounds.values()):
-            continue
-
-        entries = {
-            slot: pinned.get(unknown_of[slot], unknown_of[slot])
-            if slot in unknown_of else float(sigma[slot] == (0,))
-            for slot in slots
-        }
-        params = tuple(
-            FreeParam(u, *(round(b, ROUND_DIGITS) for b in bounds[u]))
-            for u in free
-        )
-        candidates.append(BehavioralFamily(decisions, entries, params, **fam_meta))
-
-    # every candidate's profiles (a point, or a family's 2^k corners)
-    # verified a chunk at a time, then kept in pattern order unless already
-    # found; the tee holds only the profiles of the chunk being checked
-    profiles, to_check = itertools.tee(
-        prof for fam in candidates for prof in fam.extreme_profiles()
-    )
-    checked = zip(profiles, _stable(game, to_check, VERIFY_EPS))
     points: list[PolicyProfile] = []
     families: list[BehavioralFamily] = []
-    # kept families' pinned entries, by which slots are free and their bounds
+    # kept candidates' pinned entries, by which slots are free and their bounds
     seen: dict[tuple, list] = {}
-    for fam in candidates:
-        profs, verdicts = zip(*itertools.islice(checked, 2 ** len(fam.params)))
-        if not all(verdicts):
+    for i in np.flatnonzero(np.logical_and.reduceat(stable, starts)).tolist():
+        names = [f"q{s}" if f else None for s, f in enumerate(free[i].tolist())]
+        params = tuple(
+            FreeParam(u, lo, hi)
+            for u, lo, hi in zip(names, low[i].tolist(), high[i].tolist()) if u
+        )
+        entries = [u or v for u, v in zip(names, values[i].tolist())]
+        fixed = [e for e in entries if not isinstance(e, str)]
+        found = seen.setdefault((tuple(names), params), [])
+        if any(
+            all(abs(x - y) <= SAME_POINT_EPS for x, y in zip(fixed, f))
+            for f in found
+        ):
             continue
-        if fam.params:
-            entries = fam.entries.values()
-            free = tuple(e if isinstance(e, str) else None for e in entries)
-            pinned = [e for e in entries if not isinstance(e, str)]
-            kept = seen.setdefault((free, fam.params), [])
-            if not any(
-                all(abs(x - y) <= SAME_POINT_EPS for x, y in zip(pinned, other))
-                for other in kept
-            ):
-                kept.append(pinned)
-                families.append(fam)
+        found.append(fixed)
+        family = BehavioralFamily(
+            decisions, dict(zip(slots, entries)), params, **fam_meta
+        )
+        if params:
+            families.append(family)
         else:
-            [profile] = profs
-            if not any(
-                all(cpds_equal(profile[d], q[d], SAME_POINT_EPS) for d in decisions)
-                for q in points
-            ):
-                points.append(profile)
-
-    return RationalOutcomeSet(
-        tuple(points), tuple(families), mode="behavioral_support_enum"
-    )
+            points.append(family.instantiate({}))
+    return RationalOutcomeSet(tuple(points), tuple(families), mode=mode)
 
 
 # -- commitment ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalgames import (
     CausalGame,
@@ -28,9 +29,11 @@ from causalgames import (
 from causalgames import equilibrium
 from causalgames.cli import main
 from causalgames.equilibrium import (
-    COMMIT_EPS, STABLE_CHUNK, VERIFY_EPS, _coefficients, _slot_values, _stable,
+    COMMIT_EPS, EQ_EPS, STABLE_CHUNK, VERIFY_EPS, _action_values, _bounds,
+    _coefficients, _corners, _stable,
 )
 from causalgames.model import (
+    _rule_stack,
     cpds_equal,
     enumerate_pure_rules,
     induced_joint,
@@ -380,46 +383,61 @@ def test_deep_chain_solved_by_small_eliminations(monkeypatch):
     assert eus == pytest.approx(want, abs=1e-12)
 
 
-def _assert_affine_close(got, want):
-    const, coeffs = want
-    assert got.const == pytest.approx(const, abs=1e-12)
-    for u in set(got.coeffs) | set(coeffs):
-        assert got.coeffs.get(u, 0.0) == pytest.approx(coeffs.get(u, 0.0), abs=1e-12)
-
-
 def test_action_values_match_instantiation_loop(
     job_market, effortville, stackelberg, prisoners
 ):
+    """Each decision's arrays, for every support pattern: the reached slots
+    and both action values' constants and coefficients, against the
+    instantiation loop."""
     zero_type = random_type_game(random.Random(7), zero_type=True)
     games = (
         job_market, effortville, stackelberg, prisoners,
         random_type_game(random.Random(3)), zero_type,
     )
+    options = ((0,), (1,), (0, 1))
     for game in games:
         decisions = game.free_decisions()
         slots = [(d, tuple(c)) for d in decisions for c in game.contexts(d)]
-        own = [[s for s in slots if s[0] == d] for d in decisions]
+        support = np.array(list(itertools.product(range(3), repeat=len(slots))))
+        own = [[i for i, s in enumerate(slots) if s[0] == d] for d in decisions]
         others = own[::-1] if len(own) == 2 else [[]]
         coefficients = _coefficients(game, decisions)
+        size = coefficients[0].shape[1]
+        blocks = np.zeros((2, len(support), size), dtype=int)
+        for block, other in zip(blocks, others):
+            block[:, :len(other)] = support[:, other]
+        arrays = list(zip(*_action_values(coefficients, blocks)))
+        for (reached, _, _), mine in zip(arrays, own + [[]]):
+            assert not reached[:, len(mine):].any()  # padded slots
         unreached = 0
-        for combo in itertools.product(((0,), (1,), (0, 1)), repeat=len(slots)):
-            sigma = dict(zip(slots, combo))
-            unknown_of = {
-                s: f"q{i}" for i, s in enumerate(slots) if len(sigma[s]) == 2
-            }
-            got = {}
-            for coeffs, mine, other in zip(coefficients, own, others):
-                got.update(_slot_values(coeffs, mine, [
-                    (sigma[s], unknown_of.get(s)) for s in other
-                ] or [((0,), None)]))
+        for p, combo in enumerate(support.tolist()):
+            sigma = {s: options[o] for s, o in zip(slots, combo)}
+            unknown_of = {s: f"q{i}" for i, s in enumerate(slots) if combo[i] == 2}
             want = loop_action_values(game, sigma, unknown_of)
-            assert set(got) == set(want)
-            for slot, pair in got.items():
-                for g, w in zip(pair, want[slot]):
-                    _assert_affine_close(g, w)
+            got = set()
+            for (reached, const, coef), mine, other in zip(arrays, own, others):
+                for c, i in enumerate(mine):
+                    if not reached[p, c]:
+                        continue
+                    got.add(slots[i])
+                    for a, (w_const, w_coeffs) in enumerate(want[slots[i]]):
+                        assert const[p, c, a] == pytest.approx(w_const, abs=1e-12)
+                        names = [unknown_of.get(slots[j]) for j in other]
+                        assert set(w_coeffs) <= set(names)
+                        names += [None] * (size - len(names))  # padding
+                        for c2, u in enumerate(names):
+                            assert coef[p, c, a, c2] == pytest.approx(
+                                w_coeffs.get(u, 0.0), abs=1e-12
+                            )
+            assert got == set(want)
             unreached += len(slots) - len(want)
         if game is zero_type:
             assert unreached
+    # a slope at or below COEFF_EPS is cancellation noise
+    w = np.zeros((1, 1, 2, 1, 2))
+    w[..., 0] = 1e-13
+    _, _, coef = _action_values((w, w != 0.0), np.full((1, 1, 1), 2))
+    assert not coef.any()
 
 
 def _unread_chance_variables(game, k):
@@ -484,6 +502,37 @@ def test_unread_chance_variables_leave_support_enumeration_unchanged(
         )
 
 
+def _assert_matches_oracle(game) -> bool:
+    """Points and families within 1e-9 of exact Fraction support
+    enumeration, or the same refusal; returns whether both refused."""
+    try:
+        points, families = fraction_support_enumeration(game)
+    except SolverError as exc:  # a coupled family: the solver refuses it too
+        with pytest.raises(SolverError, match=f"^{exc}$"):
+            behavioral_nash_small(game)
+        return True
+    got = behavioral_nash_small(game)
+    assert len(got.outcomes) == len(points)
+    for profile, want in zip(got.outcomes, points):
+        for (d, ctx), p in want.items():
+            assert profile[d].row(ctx)[0] == pytest.approx(float(p), abs=1e-9)
+    assert len(got.families) == len(families)
+    for family, (entries, bounds) in zip(got.families, families):
+        assert list(family.entries) == list(entries)
+        for slot, want in entries.items():
+            entry = family.entries[slot]
+            if isinstance(want, str):
+                assert entry == want
+            else:
+                assert entry == pytest.approx(float(want), abs=1e-9)
+        assert [p.name for p in family.params] == list(bounds)
+        for p in family.params:
+            assert (p.low, p.high) == pytest.approx(
+                tuple(map(float, bounds[p.name])), abs=1e-9
+            )
+    return False
+
+
 def test_behavioral_matches_exact_oracle(
     job_market, effortville, prisoners, stackelberg
 ):
@@ -493,34 +542,10 @@ def test_behavioral_matches_exact_oracle(
     games = [job_market, effortville, prisoners, stackelberg]
     games += [random_type_game(random.Random(seed)) for seed in range(12)]
     games += [random_type_game(random.Random(seed), zero_type=True) for seed in (7, 8)]
-    refused = 0
-    for game in games:
-        try:
-            got = behavioral_nash_small(game)
-        except SolverError as exc:  # a coupled family: the oracle refuses it too
-            with pytest.raises(SolverError, match=f"^{exc}$"):
-                fraction_support_enumeration(game)
-            refused += 1
-            continue
-        points, families = fraction_support_enumeration(game)
-        assert len(got.outcomes) == len(points)
-        for profile, want in zip(got.outcomes, points):
-            for (d, ctx), p in want.items():
-                assert profile[d].row(ctx)[0] == pytest.approx(float(p), abs=1e-9)
-        assert len(got.families) == len(families)
-        for family, (entries, bounds) in zip(got.families, families):
-            assert list(family.entries) == list(entries)
-            for slot, want in entries.items():
-                entry = family.entries[slot]
-                if isinstance(want, str):
-                    assert entry == want
-                else:
-                    assert entry == pytest.approx(float(want), abs=1e-9)
-            assert [p.name for p in family.params] == list(bounds)
-            for p in family.params:
-                assert (p.low, p.high) == pytest.approx(
-                    tuple(map(float, bounds[p.name])), abs=1e-9
-                )
+    # pinned probabilities outside [0, 1] that clipping would keep
+    games += [random_type_game(random.Random(248)),
+              random_type_game(random.Random(171), zero_type=True)]
+    refused = sum(map(_assert_matches_oracle, games))
     assert refused < len(games) // 2
     _, families = fraction_support_enumeration(effortville)
     assert sorted(b for _, bounds in families for b in bounds.values()) == [
@@ -633,16 +658,15 @@ def test_families_within_same_point_eps_are_one(monkeypatch):
     family, as points within ``SAME_POINT_EPS`` are one point."""
     game = random_type_game(random.Random(130), zero_type=True)
     exact = behavioral_nash_small(game)
-    solve = equilibrium._solve_linear
+    reduce = equilibrium._reduce
 
-    def nudged(equations, unknowns):  # solved 1.0s come out 7e-16 low
-        solved = solve(equations, unknowns)
-        if solved is None:
-            return None
-        pinned, free = solved
-        return {u: v - 7e-16 if v == 1.0 else v for u, v in pinned.items()}, free
+    def nudged(m, *args):  # solved 1.0s come out 7e-16 low
+        pivots = reduce(m, *args)
+        solved = m[..., -1]
+        solved[solved == 1.0] -= 7e-16
+        return pivots
 
-    monkeypatch.setattr(equilibrium, "_solve_linear", nudged)
+    monkeypatch.setattr(equilibrium, "_reduce", nudged)
     noisy = behavioral_nash_small(game)
     assert len(exact.families) == 15
     assert len(noisy.families) == len(exact.families)
@@ -736,6 +760,98 @@ def test_many_family_corners_verified_a_chunk_at_a_time(monkeypatch):
     assert (len(result.outcomes), len(result.families)) == (2**8, 3**8 - 2**8)
     for fam in result.families[:50]:
         assert all(p.low == 0.0 and p.high == 1.0 for p in fam.params)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(0, 10**6), st.booleans()).map(
+        lambda t: random_type_game(random.Random(t[0]), zero_type=t[1])
+    ),
+    # four coins take the exact oracle about 40 s
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda k: sum(k) < 4
+    ).map(lambda k: _indifferent_pair(*k)),
+))
+def test_support_enumeration_matches_exact_oracle_property(game):
+    """Seeded type games, with or without a type of probability 0, and
+    constant-utility pairs: the same points, families and bounds as exact
+    support enumeration within 1e-9, or the same refusal."""
+    _assert_matches_oracle(game)
+
+
+def test_family_bounds_clipped_into_unit_interval():
+    """A limit just past 1 or just below 0, or a low just above its high,
+    within ``eps``: the bounds stay in [0, 1] with low <= high.  Past
+    ``eps`` the interval is empty."""
+    cases = [
+        ([[1.0]], [-(1 + 1e-8)], [1.0], [1.0]),
+        ([[-1.0]], [-5e-8], [0.0], [0.0]),
+        ([[1.0], [-1.0]], [-(0.5 + 1e-8), 0.5], [0.5], [0.5]),
+        ([[1.0], [0.0]], [-0.25, -7.0], [0.25], [1.0]),  # a row without a coefficient
+    ]
+    for coef, const, low, high in cases:
+        got_low, got_high, fits = _bounds(np.array(coef), np.array(const), EQ_EPS)
+        assert fits and (got_low.tolist(), got_high.tolist()) == (low, high)
+    *_, fits = _bounds(np.array([[1.0]]), np.array([-(1 + 1e-6)]), EQ_EPS)
+    assert not fits
+
+
+def test_corners_stacked_as_extreme_profiles(effortville):
+    """Family corners stacked from the entries, a chunk at a time, are the
+    rules ``extreme_profiles`` builds, in the same order."""
+    for game in (effortville, _indifferent_pair(2, 1)):
+        decisions = game.free_decisions()
+        result = behavioral_nash_small(game)
+        families = result.families
+        entries = [list(f.entries.values()) for f in families]
+        bounds = [{p.name: (p.low, p.high) for p in f.params} for f in families]
+        free = np.array([[isinstance(e, str) for e in row] for row in entries])
+        values = np.array([[0.5 if f else e for e, f in zip(*x)]
+                           for x in zip(entries, free)])
+        low, high = (
+            np.array([[b[e][end] if f else 0.5 for e, f in zip(row, is_free)]
+                      for row, b, is_free in zip(entries, bounds, free)])
+            for end in (0, 1)
+        )
+        chunks = list(_corners(game, decisions, values, free, low, high))
+        assert len(chunks) > 1 or game is effortville
+        assert all(n <= STABLE_CHUNK for n, _, _ in chunks)
+        profiles = [p for f in families for p in f.extreme_profiles()]
+        for d in decisions:
+            got = np.concatenate([played[d] for _, _, played in chunks])
+            assert np.array_equal(got, _rule_stack(game, d, [p[d] for p in profiles]))
+
+
+def test_violated_inequality_ends_a_pattern_before_coupling():
+    """Where D1 plays g everywhere, its inequality at h is violated before
+    the one at l couples D2's two free probabilities (D2 is indifferent
+    after g, and ng is unreached): that pattern is dropped, so the refusal
+    comes from a later pattern whose system is coupled.  (The exact oracle
+    checks every inequality and refuses at the earlier pattern.)"""
+    dom = (0.0, 1.0, 2.0, 3.0)
+    u1 = {
+        ("h", "g"): (0, 0), ("h", "ng"): (1, 1),
+        ("l", "g"): (2, 0), ("l", "ng"): (0, 3),
+    }
+    u2 = {(t, d1): (0, 0) if d1 == "g" else (1, 0) for t, d1 in u1}
+    variables = (
+        Variable("T", "chance", ("h", "l")),
+        Variable("D1", "decision", ("g", "ng"), 1),
+        Variable("D2", "decision", ("j", "nj"), 2),
+        Variable("U1", "utility", dom, 1),
+        Variable("U2", "utility", dom, 2),
+    )
+    reads = ("T", "D1", "D2")
+    parents = {"T": (), "D1": ("T",), "D2": ("D1",), "U1": reads, "U2": reads}
+    cpds = {"T": TabularCPD("T", (), {(): (0.5, 0.5)})}
+    for u, table in (("U1", u1), ("U2", u2)):
+        cpds[u] = TabularCPD(u, reads, {
+            (t, d1, d2): tuple(float(x == v) for x in dom)
+            for (t, d1), row in table.items() for d2, v in zip(("j", "nj"), row)
+        })
+    game = CausalGame(2, variables, parents, cpds)
+    with pytest.raises(SolverError, match="coupled parametric equilibrium family"):
+        behavioral_nash_small(game)
 
 
 def test_behavioral_size_guard():
