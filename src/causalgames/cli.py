@@ -39,7 +39,7 @@ from .interventions import (
     side_effects as compute_side_effects,
     incentive_invariant,
 )
-from .model import PROB_EPS, QUERY_EPS, ROUND_DIGITS, SHOWN_EPS
+from .model import GRID_STEP, PROB_EPS, QUERY_EPS, ROUND_DIGITS, SHOWN_EPS
 from .model import CausalGame, validate_game
 from .queries import QueryJob, classify_visibility, evaluate_query
 
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--leader", type=int, required=True)
     p.add_argument("--grid", action="store_true")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=GRID_STEP)
     p.set_defaults(func=_cmd_commit)
     return parser
 

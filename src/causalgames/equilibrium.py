@@ -11,9 +11,9 @@ support enumeration as array algebra: one contraction gives every action
 value's coefficients, every support pattern's indifference system is a
 sub-matrix of one array per decision, all of them row-reduced together,
 and underdetermined solutions are reported as parametric families with
-interval parameters; candidates' corners are stacked straight from their
-entries and verified together, one contraction per agent for every
-``STABLE_CHUNK`` profiles.
+interval parameters; candidates' corners are verified from the same
+coefficients (each payoff is bilinear in the two rules), ``STABLE_CHUNK``
+corners at a time, with no further contraction.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
 only free decisions are strategic.
 
@@ -33,8 +33,8 @@ from .errors import SolverError, ValidationError
 from .graphs import BEST_RESPONSE, RationalityRelation, rule_node
 from .interventions import FixMechanism, apply_primitive
 from .model import (
-    COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, PIVOT_EPS, ROUND_DIGITS,
-    SAME_POINT_EPS, STABLE_CHUNK, VERIFY_EPS,
+    COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, GRID_STEP, PIVOT_EPS,
+    ROUND_DIGITS, SAME_POINT_EPS, STABLE_CHUNK, VERIFY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
@@ -111,76 +111,27 @@ def verify_rational_outcome(
     """True iff no agent has a pure deviation improving their utility by > eps.
 
     Pure deviations suffice in finite games: some pure policy always attains
-    the best-response value against the rest of the profile.
-    """
-    _require_best_response(relation)
-    if not profile.is_full(game):
-        raise ValidationError("profile must cover every free decision")
-    [stable] = _stable(game, [profile], eps)
-    return stable
-
-
-def _stable(game: CausalGame, profiles, eps: float):
-    """Yield, for each full profile, whether no agent has a pure deviation
-    gaining more than ``eps``, ``STABLE_CHUNK`` profiles at a time (see
-    ``_stable_chunks``).  Entries the profiles give for decisions that are
-    not free are checked and ignored, as the kernel does for any profile.
-    """
-    decisions = game.free_decisions()
-    profiles = iter(profiles)
-
-    def chunks():
-        while chunk := list(itertools.islice(profiles, STABLE_CHUNK)):
-            extra = PolicyProfile({
-                d: rule for p in chunk for d, rule in p.rules.items()
-                if d not in decisions
-            })
-            played = {d: _rule_stack(game, d, [p[d] for p in chunk]) for d in decisions}
-            yield len(chunk), extra, played
-
-    for stable in _stable_chunks(game, chunks(), eps):
-        yield from stable.tolist()
-
-
-def _stable_chunks(game: CausalGame, chunks, eps: float):
-    """Yield, for each chunk ``(n, extra, played)`` of ``n`` full profiles,
-    a boolean array saying which have no agent with a pure deviation gaining
-    more than ``eps``: one contraction per agent, so memory stays bounded
-    however many chunks come.  ``played`` stacks each free decision's rules
-    of the chunk; ``extra`` holds rules for decisions that are not free.
-
-    Each of the agent's free decisions stacks its pure rules, then the
-    chunk's rules; the other free decisions share one axis of the chunk's
-    rules.  Profile ``i`` is worth the entry at its own rules on every axis,
-    and its best deviation is the largest entry over the pure rules at ``i``
-    on the shared axis.
+    the best-response value against the rest of the profile.  One payoff
+    tensor per agent: each of the agent's free decisions stacks its pure
+    rules, then the profile's rule, so the all-played entry is the last.
     """
     import numpy as np
 
-    decisions = game.free_decisions()
-    agents = [
-        (utility_factors(game, [agent]), own, _pure_stacks(game, own))
-        for agent in range(1, game.n_agents + 1)
-        if (own := game.free_decisions_of(agent))
-    ]
-    for n, extra, played in chunks:
-        at = np.arange(n)
-        stable = np.ones(n, dtype=bool)
-        for utility, own, pure in agents:
-            stacks = {d: np.concatenate([pure[d], played[d]]) for d in own}
-            others = [d for d in decisions if d not in stacks]
-            stacks.update({d: played[d] for d in others})
-            [payoff] = expectations(game, extra, [utility], stacks, others)
-            # the shared axis is missing when the agent owns every free
-            # decision; the broadcast supplies it
-            payoff = np.broadcast_to(
-                payoff.reshape(payoff.shape[:len(own)] + (-1,)),
-                tuple(len(stacks[d]) for d in own) + (n,),
-            )
-            best = payoff[tuple(slice(len(pure[d])) for d in own)]
-            worth = payoff[tuple(len(pure[d]) + at for d in own) + (at,)]
-            stable &= ~(best.reshape(-1, n).max(axis=0) > worth + eps)
-        yield stable
+    _require_best_response(relation)
+    if not profile.is_full(game):
+        raise ValidationError("profile must cover every free decision")
+    stable = True
+    for agent in range(1, game.n_agents + 1):
+        if not (own := game.free_decisions_of(agent)):
+            continue
+        stacks = {
+            d: np.concatenate([pure, _rule_stack(game, d, [profile[d]])])
+            for d, pure in _pure_stacks(game, own).items()
+        }
+        [payoff] = payoff_tensors(game, profile, [agent], stacks)
+        best = payoff[(slice(-1),) * len(own)].max()
+        stable &= not best > payoff[(-1,) * len(own)] + eps
+    return stable
 
 
 @dataclass(frozen=True)
@@ -446,31 +397,41 @@ def _bounds(coef, const, eps):
     return np.minimum(np.minimum(low, 1.0), high), high, fits
 
 
-def _corners(game: CausalGame, decisions, values, free, low, high):
-    """Every corner of every candidate as ``_stable_chunks`` chunks of
-    ``STABLE_CHUNK`` profiles, stacked without rule objects.
+def _verified(w, blocks, values, free, low, high):
+    """Which candidates are equilibria at every corner, read off the
+    coefficients ``w`` of ``_coefficients``, ``STABLE_CHUNK`` corners at a
+    time.
 
     Candidate ``i`` plays each decision's first action with probability
     ``values[i]`` per slot, its free slots at ``low[i]`` or ``high[i]``:
-    ``2^k`` corners in ``extreme_profiles`` order, the first free slot
-    most significant.
+    ``2^k`` corners in ``extreme_profiles`` order, the first free slot most
+    significant.  ``blocks[k]`` lists decision ``k``'s slots, padded with
+    ``len(values[i])``, which plays the first action (so a missing decision
+    plays it in its one zero context, as in ``_action_values``).  At a
+    corner, action ``a`` in context ``c`` is worth ``base[k, c, a] + q @
+    slope[k, c, a]`` to decision ``k``'s owner, ``q`` the other decision's
+    first-action probabilities; the owner's best pure deviation is the sum
+    over contexts of the larger value, and the corner is stable when, for
+    each owner, it beats the played mixture by at most ``VERIFY_EPS``.
     """
     import numpy as np
 
+    base, slope = w[..., 1].sum(-1), w[..., 0] - w[..., 1]
     count = 2 ** free.sum(1)
     ends = np.cumsum(count)
     later = free[:, ::-1].cumsum(1)[:, ::-1] - free  # free slots after each
-    splits = list(itertools.accumulate(len(game.contexts(d)) for d in decisions))
-    shapes = [[len(game.domain(p)) for p in game.parents_of(d)] for d in decisions]
+    stable = []
     for start in range(0, ends[-1], STABLE_CHUNK):
         corner = np.arange(start, min(start + STABLE_CHUNK, ends[-1]))
         i = np.searchsorted(ends, corner, side="right")
         at_high = (corner - ends[i] + count[i])[:, None] >> later[i] & 1
         p = np.where(free[i], np.where(at_high, high[i], low[i]), values[i])
-        yield len(corner), PolicyProfile({}), {
-            d: np.stack([q, 1.0 - q], -1).reshape(len(corner), *shape, 2)
-            for d, q, shape in zip(decisions, np.split(p, splits[:-1], 1), shapes)
-        }
+        p = np.append(p, np.ones((len(p), 1)), 1)[:, blocks]  # (corner, k, c)
+        value = base + (p[:, ::-1, None, None] * slope).sum(-1)  # (corner, k, c, a)
+        worth = (p * value[..., 0] + (1.0 - p) * value[..., 1]).sum(-1)
+        best = value.max(-1).sum(-1)
+        stable.append(~(best > worth + VERIFY_EPS).any(1))
+    return np.logical_and.reduceat(np.concatenate(stable), ends - count)
 
 
 def behavioral_nash_small(
@@ -513,10 +474,8 @@ def behavioral_nash_small(
     # padded to ``size`` with column n (a missing decision has no slots)
     index = [[i for i, (d, _) in enumerate(slots) if d == x] for x in decisions]
     index += [[]] * (2 - len(index))
-    own, other = (
-        support[:, [x + [n] * (size - len(x)) for x in blocks]].transpose(1, 0, 2)
-        for blocks in (index, index[::-1])
-    )
+    blocks = np.array([x + [n] * (size - len(x)) for x in index], dtype=int)
+    own, other = (support[:, b].transpose(1, 0, 2) for b in (blocks, blocks[::-1]))
     reached, const, coef = _action_values(coefficients, other)
     gap = coef[..., 0, :] - coef[..., 1, :]  # first action's value minus second's
     diff = const[..., 0] - const[..., 1]
@@ -571,13 +530,9 @@ def behavioral_nash_small(
     for bound in (low, high):  # the reported digits, also at the corners
         bound[free] = [round(x, ROUND_DIGITS) for x in bound[free].tolist()]
 
-    # every candidate's corners (a point, or a family's 2^k corners)
-    # verified a chunk at a time, then kept in pattern order unless already
-    # found
-    stable = np.concatenate(list(_stable_chunks(
-        game, _corners(game, decisions, values, free, low, high), VERIFY_EPS
-    )))
-    starts = np.cumsum(2 ** free.sum(1)) - 2 ** free.sum(1)
+    # candidates stable at every corner (a point, or a family's 2^k
+    # corners), kept in pattern order unless already found
+    stable = _verified(coefficients[0], blocks, values, free, low, high)
     fam_meta = {
         "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
         "_parents": {d: game.parents_of(d) for d in decisions},
@@ -586,7 +541,7 @@ def behavioral_nash_small(
     families: list[BehavioralFamily] = []
     # kept candidates' pinned entries, by which slots are free and their bounds
     seen: dict[tuple, list] = {}
-    for i in np.flatnonzero(np.logical_and.reduceat(stable, starts)).tolist():
+    for i in np.flatnonzero(stable).tolist():
         names = [f"q{s}" if f else None for s, f in enumerate(free[i].tolist())]
         params = tuple(
             FreeParam(u, lo, hi)
@@ -659,7 +614,7 @@ def optimal_commitment(
     leader: int,
     decision: str | None = None,
     mode: str = "exact",
-    grid_step: float = 1e-3,
+    grid_step: float = GRID_STEP,
 ) -> tuple[TabularCPD, float]:
     """Best stochastic rule for the leader to commit to, and its value.
 

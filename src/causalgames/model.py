@@ -46,7 +46,8 @@ QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
 SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
 ENUM_BUDGET = 1 << 16  # most rule profiles, grid points or witness paths enumerated
-STABLE_CHUNK = 256  # most profiles verified in one contraction (memory ~ chunk^2)
+STABLE_CHUNK = 256  # most corners verified at once (memory ~ chunk)
+GRID_STEP = 1e-3  # default step of the commitment probability grid
 
 CHANCE = "chance"
 DECISION = "decision"

@@ -653,9 +653,11 @@ def fraction_support_enumeration(game: CausalGame) -> tuple[list, list]:
     solved by exact Gauss-Jordan elimination, and a solution is kept when
     its pinned probabilities lie in [0, 1] and every single-action slot's
     inequality holds, each free probability getting the interval the
-    inequalities leave.  No tolerance and no verification: in exact
-    arithmetic these are the equilibrium conditions.  Raises ``SolverError``
-    with the solver's message for the coupled families it refuses.
+    inequalities leave.  The inequalities are read in slot order and a
+    pattern ends at the first one violated.  No tolerance and no
+    verification: in exact arithmetic these are the equilibrium conditions.
+    Raises ``SolverError`` with the solver's message for the coupled
+    families it refuses.
 
     Returns ``(points, families)`` in pattern order without duplicates:
     a point maps each slot to the probability of the decision's first
@@ -755,7 +757,9 @@ def fraction_support_enumeration(game: CausalGame) -> tuple[list, list]:
             )
             frees = [(u, c) for u, c in ineq.items() if u in bounds and c != 0]
             if not frees:
-                feasible = feasible and const >= 0
+                if const < 0:  # the pattern ends here
+                    feasible = False
+                    break
                 continue
             if len(frees) > 1:
                 raise SolverError(

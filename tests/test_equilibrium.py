@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from causalgames import (
     CausalGame,
+    FixMechanism,
     PolicyProfile,
     SolverError,
     TabularCPD,
     ValidationError,
     Variable,
+    apply_primitive,
     behavioral_nash_small,
     best_responses,
     commitment_value,
@@ -26,14 +28,13 @@ from causalgames import (
     serialize_game,
     verify_rational_outcome,
 )
-from causalgames import equilibrium
+from causalgames import equilibrium, model
 from causalgames.cli import main
 from causalgames.equilibrium import (
-    COMMIT_EPS, EQ_EPS, STABLE_CHUNK, VERIFY_EPS, _action_values, _bounds,
-    _coefficients, _corners, _stable,
+    COMMIT_EPS, EQ_EPS, STABLE_CHUNK, VERIFY_EPS, BehavioralFamily, FreeParam,
+    _action_values, _bounds, _coefficients, _verified,
 )
 from causalgames.model import (
-    _rule_stack,
     cpds_equal,
     enumerate_pure_rules,
     induced_joint,
@@ -554,9 +555,10 @@ def test_behavioral_matches_exact_oracle(
 
 
 def test_batched_verification_matches_joint_loop(prisoners):
-    """All candidates checked at once against one joint per profile and
-    deviation: behavioral candidates of type games, random mixed profiles
-    and pure profiles of random games, and multi-decision agents."""
+    """``verify_rational_outcome``, one payoff tensor per agent, against one
+    joint per profile and deviation: behavioral candidates of type games,
+    random mixed profiles and pure profiles of random games, and
+    multi-decision agents."""
     checked = collections.Counter()
     cases = []
     for seed in range(6):
@@ -582,31 +584,153 @@ def test_batched_verification_matches_joint_loop(prisoners):
         rng = random.Random(seed)
         cases.append((game, rng.sample(pure, 6) + [random_full_profile(rng, game)]))
     cases.append((prisoners, []))
+    # a deviation gaining 5e-7: within VERIFY_EPS, past 1e-7
+    cases.append((single_agent_game(), [PolicyProfile(
+        {"D1": TabularCPD("D1", (), {(): (1.0 - 2.5e-7, 2.5e-7)})}
+    )]))
     for game, profiles in cases:
         for eps in (VERIFY_EPS, 1e-7):
-            got = list(_stable(game, profiles, eps))
+            got = [verify_rational_outcome(game, p, eps=eps) for p in profiles]
             assert got == [loop_stable(game, p, eps) for p in profiles]
             checked.update(got)
-            assert got == [verify_rational_outcome(game, p, eps=eps) for p in profiles]
     assert checked[True] > 50 and checked[False] > 50
 
 
-def test_batched_verification_across_chunks():
-    """More profiles than one chunk holds: the verdicts, in order, are the
-    ones each profile gets alone."""
-    rng = random.Random(3)
-    game = random_type_game(rng)
+def _as_families(game, profiles):
+    """Each full profile as a ``BehavioralFamily`` without parameters."""
     decisions = game.free_decisions()
-    lists = [reference_pure_rules(game, d) for d in decisions]
-    profiles = [
-        PolicyProfile(dict(zip(decisions, c))) for c in itertools.product(*lists)
-    ] + behavioral_nash_small(game).extreme_profiles()
-    profiles = profiles * 30 + [random_full_profile(rng, game) for _ in range(100)]
-    rng.shuffle(profiles)
-    assert len(profiles) > 2 * STABLE_CHUNK
-    got = list(_stable(game, profiles, VERIFY_EPS))
-    assert got == [verify_rational_outcome(game, p, eps=VERIFY_EPS) for p in profiles]
-    assert 50 < sum(got) < len(got) - 50
+    return [
+        BehavioralFamily(decisions, {
+            (d, tuple(c)): p[d].row(c)[0] for d in decisions for c in game.contexts(d)
+        }, (), **_family_meta(game))
+        for p in profiles
+    ]
+
+
+def _family_meta(game):
+    decisions = game.free_decisions()
+    return {
+        "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
+        "_parents": {d: game.parents_of(d) for d in decisions},
+    }
+
+
+def _random_families(rng, game, count, free_share):
+    """Families with random entries, each slot a parameter with probability
+    ``free_share``; ends and entries are often 0 or 1, so ties are common."""
+    decisions = game.free_decisions()
+    slots = [(d, tuple(c)) for d in decisions for c in game.contexts(d)]
+    out = []
+    for _ in range(count):
+        entries, params = {}, []
+        for i, slot in enumerate(slots):
+            if rng.random() < free_share:
+                low, high = sorted(rng.choice((0.0, 1.0, rng.random())) for _ in "lh")
+                params.append(FreeParam(f"q{i}", low, high))
+                entries[slot] = f"q{i}"
+            else:
+                entries[slot] = rng.choice((0.0, 1.0, rng.random()))
+        out.append(BehavioralFamily(
+            decisions, entries, tuple(params), **_family_meta(game)
+        ))
+    return out
+
+
+def _verifier_inputs(game, families):
+    """``_verified``'s arguments for ``families``, laid out as the solver
+    lays out its candidates: each decision's slots padded to the larger
+    context count, then per candidate and slot its value, whether it is a
+    parameter, and the parameter's bounds."""
+    decisions = game.free_decisions()
+    slots = [(d, tuple(c)) for d in decisions for c in game.contexts(d)]
+    n = len(slots)
+    size = max((len(game.contexts(d)) for d in decisions), default=1)
+    index = [[i for i, (d, _) in enumerate(slots) if d == x] for x in decisions]
+    index += [[]] * (2 - len(index))
+    blocks = np.array([x + [n] * (size - len(x)) for x in index], dtype=int)
+    rows = [[f.entries[s] for s in slots] for f in families]
+    ends = [{p.name: (p.low, p.high) for p in f.params} for f in families]
+
+    def table(cell, dtype=float):
+        return np.array(
+            [[cell(e, b) for e in row] for row, b in zip(rows, ends)], dtype=dtype
+        ).reshape(len(families), n)
+
+    return (
+        _coefficients(game, decisions)[0],
+        blocks,
+        table(lambda e, b: 0.0 if isinstance(e, str) else e),
+        table(lambda e, b: isinstance(e, str), bool),
+        table(lambda e, b: b[e][0] if isinstance(e, str) else 0.0),
+        table(lambda e, b: b[e][1] if isinstance(e, str) else 0.0),
+    )
+
+
+def test_verified_matches_kernel_verification():
+    """Candidates verified off the coefficient array are kept exactly when
+    the kernel's ``verify_rational_outcome`` accepts every corner that
+    ``extreme_profiles`` builds: the solver's answers, every pure profile
+    and random families, on seeded type games, a game with one free
+    decision, one with none, a one-context game with deviations either side
+    of ``VERIFY_EPS``, and candidates of more than two chunks of corners in
+    all."""
+    base = random_type_game(random.Random(40))
+    one = apply_primitive(base, FixMechanism("PI_D1", TabularCPD(
+        "D1", ("T",), {("h",): (0.3, 0.7), ("l",): (1.0, 0.0)}
+    )))
+    none = apply_primitive(one, FixMechanism("PI_D2", TabularCPD.uniform(
+        "D2", one.domain("D2"), one.parents_of("D2"), one.contexts("D2")
+    )))
+    # deviations gaining 5e-7 and 5e-6, either side of VERIFY_EPS
+    near = [PolicyProfile({"D1": TabularCPD("D1", (), {(): (1.0 - x, x)})})
+            for x in (2.5e-7, 2.5e-6)]
+    cases = [(random_type_game(random.Random(s), zero_type=s % 4 == 0), [], 8, 0.3)
+             for s in range(12)]
+    cases += [(one, [], 8, 0.3), (none, [], 1, 0.0),
+              (single_agent_game(), near, 4, 0.5), (base, [], 60, 0.9)]
+    checked = collections.Counter()
+    for seed, (game, extra, count, free_share) in enumerate(cases):
+        decisions = game.free_decisions()
+        pure = itertools.product(*[reference_pure_rules(game, d) for d in decisions])
+        pure = [PolicyProfile(dict(zip(decisions, r))) for r in pure]
+        families = _as_families(game, pure + extra)
+        try:
+            result = behavioral_nash_small(game)
+            families += _as_families(game, result.outcomes) + list(result.families)
+        except SolverError:  # a coupled family
+            pass
+        families += _random_families(random.Random(seed), game, count, free_share)
+        w, blocks, values, free, low, high = _verifier_inputs(game, families)
+        got = _verified(w, blocks, values, free, low, high).tolist()
+        want = [
+            all(verify_rational_outcome(game, p, eps=VERIFY_EPS)
+                for p in f.extreme_profiles())
+            for f in families
+        ]
+        assert got == want
+        checked.update(got)
+        if free_share > 0.5:
+            assert (2 ** free.sum(1)).sum() > 2 * STABLE_CHUNK
+    assert checked[True] > 50 and checked[False] > 50
+
+
+def test_behavioral_solve_contracts_once(monkeypatch, job_market, effortville):
+    """A support enumeration makes one contraction, the coefficients'; its
+    candidates are verified from the same coefficients."""
+    calls = []
+    expectations = model.expectations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expectations(*args, **kwargs)
+
+    monkeypatch.setattr(model, "expectations", counted)
+    monkeypatch.setattr(equilibrium, "expectations", counted)
+    games = [job_market, effortville, _indifferent_pair(2, 1)]
+    for game in games + [random_type_game(random.Random(s)) for s in range(4)]:
+        calls.clear()
+        assert behavioral_nash_small(game).extreme_profiles()
+        assert len(calls) == 1
 
 
 def test_verify_mixed_signalling_profile(job_market):
@@ -796,38 +920,12 @@ def test_family_bounds_clipped_into_unit_interval():
     assert not fits
 
 
-def test_corners_stacked_as_extreme_profiles(effortville):
-    """Family corners stacked from the entries, a chunk at a time, are the
-    rules ``extreme_profiles`` builds, in the same order."""
-    for game in (effortville, _indifferent_pair(2, 1)):
-        decisions = game.free_decisions()
-        result = behavioral_nash_small(game)
-        families = result.families
-        entries = [list(f.entries.values()) for f in families]
-        bounds = [{p.name: (p.low, p.high) for p in f.params} for f in families]
-        free = np.array([[isinstance(e, str) for e in row] for row in entries])
-        values = np.array([[0.5 if f else e for e, f in zip(*x)]
-                           for x in zip(entries, free)])
-        low, high = (
-            np.array([[b[e][end] if f else 0.5 for e, f in zip(row, is_free)]
-                      for row, b, is_free in zip(entries, bounds, free)])
-            for end in (0, 1)
-        )
-        chunks = list(_corners(game, decisions, values, free, low, high))
-        assert len(chunks) > 1 or game is effortville
-        assert all(n <= STABLE_CHUNK for n, _, _ in chunks)
-        profiles = [p for f in families for p in f.extreme_profiles()]
-        for d in decisions:
-            got = np.concatenate([played[d] for _, _, played in chunks])
-            assert np.array_equal(got, _rule_stack(game, d, [p[d] for p in profiles]))
-
-
 def test_violated_inequality_ends_a_pattern_before_coupling():
     """Where D1 plays g everywhere, its inequality at h is violated before
     the one at l couples D2's two free probabilities (D2 is indifferent
     after g, and ng is unreached): that pattern is dropped, so the refusal
-    comes from a later pattern whose system is coupled.  (The exact oracle
-    checks every inequality and refuses at the earlier pattern.)"""
+    comes from a later pattern whose system is coupled.  The exact oracle
+    ends the pattern at the same inequality and refuses the same way."""
     dom = (0.0, 1.0, 2.0, 3.0)
     u1 = {
         ("h", "g"): (0, 0), ("h", "ng"): (1, 1),
@@ -852,6 +950,7 @@ def test_violated_inequality_ends_a_pattern_before_coupling():
     game = CausalGame(2, variables, parents, cpds)
     with pytest.raises(SolverError, match="coupled parametric equilibrium family"):
         behavioral_nash_small(game)
+    assert _assert_matches_oracle(game)
 
 
 def test_behavioral_size_guard():
