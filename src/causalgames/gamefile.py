@@ -11,13 +11,15 @@ the YAML parser provides them.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import yaml
 
-from .errors import GameFileError
+from .errors import GameFileError, ValidationError
+from .graphs import variable_of_mechanism
 from .interventions import (
     AddVariable,
     FixMechanism,
@@ -48,14 +50,19 @@ OPTION_KEYS = {
     "epsilon",
     "seed",
 }
-INTERVENTION_KINDS = {
-    "fix_object",
-    "fix_mechanism",
-    "add_var",
-    "remove_var",
-    "add_edge",
-    "del_edge",
-    "unfix",
+# intervention kind -> (required keys, optional keys); "label" and "kind" go
+# with every kind
+INTERVENTION_KEYS = {
+    "fix_object": (("target",), {"parents", "rows", "value"}),
+    "fix_mechanism": (("target",), {"rows", "value"}),
+    "add_var": (
+        ("name",),
+        {"var_kind", "agent", "domain", "parents", "children", "rows", "value"},
+    ),
+    "remove_var": (("name",), set()),
+    "add_edge": (("from", "to"), set()),
+    "del_edge": (("from", "to"), set()),
+    "unfix": (("of",), set()),
 }
 
 
@@ -306,66 +313,57 @@ class Scenario:
     options: Mapping[str, object] = field(default_factory=dict)
 
 
-def _delta_cpd(game, name, domain, parents, value, path):
-    """Point mass on ``value`` in every context of ``parents``."""
-    matches = [v for v in domain if str(v) == str(value)]
-    if not matches:
-        raise GameFileError(f"{name}: value {value!r} not in domain", path=path)
-    contexts = game.with_parents(name, parents).contexts(name)
-    return TabularCPD.delta(name, matches[0], domain, parents, contexts)
-
-
-def _intervention_cpd(game, name, spec, parents, path, value=None):
-    if value is not None:
-        return _delta_cpd(game, name, game.domain(name), parents, value, path)
+def _intervention_cpd(game, name, entry, parents, path, domain=None):
+    """The table an intervention entry sets for ``name`` over ``parents``:
+    a point mass on its ``value``, its ``rows``, or None.  ``domain`` is
+    given when the entry adds ``name``."""
     domains = {v.name: v.domain for v in game.variables}
-    return _parse_cpd(name, spec, parents, domains, path)
+    if domain is not None:
+        domains[name] = domain
+    for n in (name, *parents):
+        if n not in domains:
+            raise ValidationError(f"unknown variable {n!r}")
+    if "value" in entry:
+        value = entry["value"]
+        matches = [v for v in domains[name] if str(v) == str(value)]
+        if not matches:
+            raise GameFileError(f"{name}: value {value!r} not in domain", path=path)
+        contexts = itertools.product(*(domains[p] for p in parents))
+        return TabularCPD.delta(name, matches[0], domains[name], parents, contexts)
+    if "rows" in entry:
+        return _parse_cpd(name, entry["rows"], parents, domains, path)
+    return None
 
 
 def _build_primitive(game, entry, journaled, path):
     kind = entry.get("kind")
-    if kind not in INTERVENTION_KINDS:
+    if not isinstance(kind, str) or kind not in INTERVENTION_KEYS:
         raise GameFileError(
             f"unknown intervention kind {kind!r}", path=path
         )
-    allowed = {
-        "fix_object": {"label", "kind", "target", "parents", "rows", "value"},
-        "fix_mechanism": {"label", "kind", "target", "rows", "value"},
-        "add_var": {
-            "label", "kind", "name", "var_kind", "agent", "domain",
-            "parents", "children", "rows", "value",
-        },
-        "remove_var": {"label", "kind", "name"},
-        "add_edge": {"label", "kind", "from", "to"},
-        "del_edge": {"label", "kind", "from", "to"},
-        "unfix": {"label", "kind", "of"},
-    }[kind]
+    required, optional = INTERVENTION_KEYS[kind]
+    allowed = {"label", "kind", *required, *optional}
     _reject_unknown(entry, allowed, f"{kind} intervention", path)
+    for key in required:
+        if key not in entry:
+            raise GameFileError(f"{kind} intervention needs {key!r}", path=path)
 
     if kind == "fix_object":
         target = str(entry["target"])
         parents = tuple(map(str, _listed(entry, "parents", target, path)))
-        if "value" in entry:
-            cpd = _intervention_cpd(game, target, None, parents, path, entry["value"])
-        elif "rows" in entry:
-            cpd = _intervention_cpd(game, target, entry["rows"], parents, path)
-        else:
-            cpd = None
+        cpd = _intervention_cpd(game, target, entry, parents, path)
         return FixObject(target, parents, cpd)
     if kind == "fix_mechanism":
         target = str(entry["target"])
-        var = target.split("_", 1)[1] if "_" in target else target
+        try:
+            var = variable_of_mechanism(target)
+        except ValidationError as exc:
+            raise GameFileError(str(exc), path=path) from None
         if not game.has_variable(var):
             raise GameFileError(
                 f"mechanism target {target!r} names no variable", path=path
             )
-        parents = game.parents_of(var)
-        if "value" in entry:
-            cpd = _intervention_cpd(game, var, None, parents, path, entry["value"])
-        elif "rows" in entry:
-            cpd = _intervention_cpd(game, var, entry["rows"], parents, path)
-        else:
-            cpd = None
+        cpd = _intervention_cpd(game, var, entry, game.parents_of(var), path)
         return FixMechanism(target, cpd)
     if kind == "add_var":
         name = str(entry["name"])
@@ -374,12 +372,7 @@ def _build_primitive(game, entry, journaled, path):
         variable = Variable(name, var_kind, domain, entry.get("agent"))
         parents = tuple(map(str, _listed(entry, "parents", name, path)))
         children = tuple(map(str, _listed(entry, "children", name, path)))
-        cpd = None
-        if "value" in entry:
-            cpd = _delta_cpd(game, name, domain, parents, entry["value"], path)
-        elif "rows" in entry:
-            domains = {**{v.name: v.domain for v in game.variables}, name: domain}
-            cpd = _parse_cpd(name, entry["rows"], parents, domains, path)
+        cpd = _intervention_cpd(game, name, entry, parents, path, domain)
         return AddVariable(variable, parents, children, cpd=cpd)
     if kind == "remove_var":
         return RemoveVariable(str(entry["name"]))

@@ -3,9 +3,12 @@
 Four primitive game modifications: fixing an object-level variable's CPD
 (and possibly its parent set), fixing a mechanism (a parameter node's CPD or
 a decision-rule node's imposed rule), adding a variable, and removing one.
-Edge additions/removals are derived fixes.  Every application records its
-inverse primitive, built from the state it replaced, so primitives invert
-exactly; ordered compositions invert by reversing inverted steps.
+Edge additions/removals are derived fixes.  Every application builds the
+new game and checks it with ``model.violations`` on the variables it
+changed, so a primitive maps a valid game to a valid one or refuses.  Every
+application records its inverse primitive, built from the state it
+replaced, so primitives invert exactly; ordered compositions invert by
+reversing inverted steps.
 
 ``decompose`` turns a set of labelled interventions plus per-agent
 visibility into an ordered list of primitive stages such that, after the
@@ -19,6 +22,7 @@ prefix (the common stage's game, or the base game).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -33,16 +37,7 @@ from .graphs import (
     rule_node,
     variable_of_mechanism,
 )
-from .model import (
-    DECISION,
-    UTILITY,
-    CausalGame,
-    TabularCPD,
-    Variable,
-    _check_cpd,
-    _dependency_order,
-    variable_report,
-)
+from .model import DECISION, CausalGame, TabularCPD, Variable, violations
 
 
 @dataclass(frozen=True)
@@ -157,18 +152,16 @@ def as_compound(x) -> CompoundIntervention:
 # -- application ---------------------------------------------------------------
 
 
-def _require_cpd(game: CausalGame, cpd: TabularCPD, name: str):
-    report = _check_cpd(game, cpd, name)
+def _checked(game: CausalGame, names) -> CausalGame:
+    """``game`` if the variables ``names`` break no rule of ``validate_game``.
+
+    ``names`` are the variables whose parents, table, rule or existence the
+    primitive changed; ``violations`` checks exactly what that can break.
+    """
+    report = violations(game, names)
     if report:
         raise InterventionError("; ".join(report))
-
-
-def _require_acyclic(names: Sequence[str], parents: Mapping[str, tuple]):
-    _, cycle = _dependency_order(names, parents)
-    if cycle:
-        raise InterventionError(
-            "intervention would create a cycle through " + " -> ".join(cycle)
-        )
+    return game
 
 
 def _restoring(game: CausalGame, name: str) -> dict:
@@ -177,59 +170,30 @@ def _restoring(game: CausalGame, name: str) -> dict:
 
 
 def _apply_fix_object(game: CausalGame, p: FixObject):
-    if not game.has_variable(p.target):
-        raise InterventionError(f"unknown variable {p.target!r}")
-    for parent in p.parents:
-        if not game.has_variable(parent):
-            raise InterventionError(f"unknown parent {parent!r}")
-        if parent == p.target:
-            raise InterventionError(f"{p.target} cannot be its own parent")
-        if game.kind(parent) == UTILITY:
-            raise InterventionError(f"utility {parent} cannot be a parent")
-    if len(set(p.parents)) != len(p.parents):
-        raise InterventionError(f"duplicate parents for {p.target}")
-    # validate against the rewired game so new parent contexts resolve
-    probe = game.with_parents(p.target, p.parents)
-    _require_acyclic(game.names(), probe.parents)
-
-    cpds = dict(game.cpds)
-    rule_fixes = dict(game.rule_fixes)
-    object_fixed = set(game.object_fixed)
-
-    if game.kind(p.target) != DECISION:
-        if p.cpd is None:
-            raise InterventionError(
-                f"object-level fix on {p.target} requires a CPD"
-            )
-        _require_cpd(probe, p.cpd, p.target)
-        cpds[p.target] = p.cpd
-    elif p.cpd is not None:
-        _require_cpd(probe, p.cpd, p.target)
-        cpds[p.target] = p.cpd
-        rule_fixes.pop(p.target, None)
-        object_fixed.add(p.target)
-    else:
-        cpds.pop(p.target, None)
-        object_fixed.discard(p.target)
-        if p.rule_fix is not None:
-            if p.target not in rule_fixes and p.target not in game.object_fixed:
-                raise InterventionError(
-                    f"{p.target} is free; commit its rule at PI_{p.target}"
-                )
-            _require_cpd(probe, p.rule_fix, p.target)
-            rule_fixes[p.target] = p.rule_fix
-        elif p.target in rule_fixes:
-            raise InterventionError(
-                f"cannot rewire committed decision {p.target}; unfix the "
-                "rule first"
-            )
+    t = p.target
+    if not game.has_variable(t):
+        raise InterventionError(f"unknown variable {t!r}")
+    cpds = {k: c for k, c in game.cpds.items() if k != t}
+    rule_fixes = {k: r for k, r in game.rule_fixes.items() if k != t}
+    object_fixed = game.object_fixed - {t}
+    if p.cpd is not None:
+        cpds[t] = p.cpd
+        if game.kind(t) == DECISION:
+            object_fixed |= {t}
+    elif p.rule_fix is not None:
+        if t not in game.rule_fixes and t not in game.object_fixed:
+            raise InterventionError(f"{t} is free; commit its rule at PI_{t}")
+        rule_fixes[t] = p.rule_fix
+    elif t in game.rule_fixes:
+        raise InterventionError(
+            f"cannot rewire committed decision {t}; unfix the rule first"
+        )
     new_game = dc_replace(
-        probe, cpds=cpds, rule_fixes=rule_fixes, object_fixed=object_fixed
+        game, parents={**game.parents, t: p.parents}, cpds=cpds,
+        rule_fixes=rule_fixes, object_fixed=object_fixed,
     )
-    inverse = FixObject(
-        p.target, game.parents_of(p.target), **_restoring(game, p.target)
-    )
-    return new_game, inverse
+    inverse = FixObject(t, game.parents_of(t), **_restoring(game, t))
+    return _checked(new_game, (t,)), inverse
 
 
 def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
@@ -252,8 +216,8 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
                 f"{p.target}: a mechanism fix may not change the parent set; "
                 "use an object-level fix"
             )
-        _require_cpd(game, p.cpd, var)
-        return dc_replace(game, cpds={**game.cpds, var: p.cpd}), inverse
+        new_game = dc_replace(game, cpds={**game.cpds, var: p.cpd})
+        return _checked(new_game, (var,)), inverse
     # rule node
     if kind != DECISION:
         raise InterventionError(f"{p.target}: {var} is not a decision")
@@ -267,114 +231,96 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
             raise InterventionError(f"{p.target}: decision rule is not fixed")
         rule_fixes.pop(var)
     else:
-        _require_cpd(game, p.cpd, var)
         rule_fixes[var] = p.cpd
-    return dc_replace(game, rule_fixes=rule_fixes), inverse
+    return _checked(dc_replace(game, rule_fixes=rule_fixes), (var,)), inverse
 
 
-def _extend_child_cpd(game, child, y_name, y_domain, override=None):
-    """Extend a child's CPD over the new parent.
+def _rewire_children(game, p, children, parents, cpds, default, derive):
+    """Give each child of an added or removed variable its new parent tuple
+    in ``parents`` and its new table in ``cpds``; return the tables and
+    tuples replaced (the inverse's ``child_cpds`` and ``child_parents``).
 
-    With an override, the override's own parent tuple fixes the order;
-    otherwise the new parent is appended and rows are duplicated across its
-    values, leaving the induced joint unchanged until re-parameterised.
+    A child's order is its ``p.child_parents`` entry, else the parents of
+    its replacement table in ``p.child_cpds``, else ``default(child)``; any
+    order must hold exactly the parents of ``default(child)``.  Its table is
+    the replacement, else ``derive(child, order)`` when it had one.
     """
-    old_parents = game.parents_of(child)
-    old_cpd = game.cpds[child]
-    if override is not None:
-        new_parents = tuple(override.parents)
-        if set(new_parents) != set(old_parents) | {y_name}:
+    orders, tables = p.child_parents or {}, p.child_cpds or {}
+    old_orders, old_tables = {}, {}
+    for child in children:
+        if child in game.rule_fixes:
             raise InterventionError(
-                f"replacement CPD for {child} must cover parents "
-                f"{sorted(set(old_parents) | {y_name})}"
+                f"cannot change the information set of committed decision "
+                f"{child}"
             )
-        return new_parents, override
-    new_parents = old_parents + (y_name,)
-    table = {}
-    for ctx, row in old_cpd.table.items():
-        for y in y_domain:
-            table[ctx + (y,)] = row
-    return new_parents, TabularCPD(child, new_parents, table)
+        want = default(child)
+        table = tables.get(child)
+        order = orders.get(child)
+        if order is None:
+            order = want if table is None else table.parents
+        order = tuple(order)
+        if set(order) != set(want):
+            raise InterventionError(
+                f"parent order for {child} must cover {sorted(want)}"
+            )
+        old_orders[child] = game.parents_of(child)
+        parents[child] = order
+        if child in game.cpds:
+            old_tables[child] = game.cpds[child]
+            if table is None:
+                table = derive(child, order)
+        if table is not None:
+            cpds[child] = table
+    return old_tables, old_orders
+
+
+def _extend_child_cpd(game, child, y_name, y_domain, order=None):
+    """A child's CPD with the new parent ``y_name`` in its parent ``order``
+    (default: appended last), each old row copied across y's values, which
+    leaves the induced joint unchanged until re-parameterised."""
+    old_parents = game.parents_of(child)
+    order = old_parents + (y_name,) if order is None else order
+    at = [order.index(q) for q in old_parents]
+    doms = [y_domain if q == y_name else game.domain(q) for q in order]
+    rows = game.cpds[child].table
+    table = {
+        ctx: rows[tuple(ctx[i] for i in at)] for ctx in itertools.product(*doms)
+    }
+    return TabularCPD(child, order, table)
 
 
 def _apply_add_variable(game: CausalGame, p: AddVariable):
     v = p.variable
     if game.has_variable(v.name):
         raise InterventionError(f"variable {v.name!r} already exists")
-    report = variable_report(v, game.n_agents)
-    if report:
-        raise InterventionError("; ".join(report))
-    for n in p.parents + p.children:
+    for n in p.children:
         if not game.has_variable(n):
             raise InterventionError(f"unknown variable {n!r}")
-    for n in p.parents:
-        if game.kind(n) == UTILITY:
-            raise InterventionError(f"utility {n} cannot be a parent")
-    if v.kind == UTILITY and p.children:
-        raise InterventionError(f"utility {v.name} cannot have children")
-    if v.kind != DECISION and p.cpd is None:
-        raise InterventionError(f"adding {v.name} requires a CPD")
-
-    new_parents = {k: tuple(ps) for k, ps in game.parents.items()}
-    new_parents[v.name] = tuple(p.parents)
+    parents = {**game.parents, v.name: p.parents}
     cpds = dict(game.cpds)
     rule_fixes = dict(game.rule_fixes)
-    object_fixed = set(game.object_fixed)
-    prev_child_cpds = {}
-    prev_child_parents = {}
-
-    for child in p.children:
-        prev_child_parents[child] = game.parents_of(child)
-        if child not in game.cpds:  # a decision its rule governs
-            if child in game.rule_fixes:
-                raise InterventionError(
-                    f"cannot change the information set of committed "
-                    f"decision {child}"
-                )
-            if p.child_parents and child in p.child_parents:
-                order = tuple(p.child_parents[child])
-                if set(order) != set(game.parents_of(child)) | {v.name}:
-                    raise InterventionError(
-                        f"parent order for {child} must cover its parents plus "
-                        f"{v.name}"
-                    )
-                new_parents[child] = order
-            else:
-                new_parents[child] = game.parents_of(child) + (v.name,)
-        else:
-            prev_child_cpds[child] = game.cpds[child]
-            override = (p.child_cpds or {}).get(child)
-            nps, ncpd = _extend_child_cpd(game, child, v.name, v.domain, override)
-            new_parents[child] = nps
-            cpds[child] = ncpd
-
-    pos = len(game.variables) if p.index is None else p.index
-    variables = game.variables[:pos] + (v,) + game.variables[pos:]
-    _require_acyclic([x.name for x in variables], new_parents)
-
-    # the new shape, against which every table is checked
-    shape = dc_replace(game, variables=variables, parents=new_parents)
-    if v.kind == DECISION:
-        if p.cpd is not None:
-            _require_cpd(shape, p.cpd, v.name)
-            cpds[v.name] = p.cpd
-            object_fixed.add(v.name)
-        elif p.rule_fix is not None:
-            _require_cpd(shape, p.rule_fix, v.name)
-            rule_fixes[v.name] = p.rule_fix
-    else:
-        _require_cpd(shape, p.cpd, v.name)
+    object_fixed = game.object_fixed
+    old_tables, old_orders = _rewire_children(
+        game, p, p.children, parents, cpds,
+        lambda child: game.parents_of(child) + (v.name,),
+        lambda child, order: _extend_child_cpd(game, child, v.name, v.domain, order),
+    )
+    if p.cpd is not None:
         cpds[v.name] = p.cpd
-    # child tables (overrides included), against their final parent tuples
-    for child in prev_child_cpds:
-        _require_cpd(shape, cpds[child], child)
-    final = dc_replace(
-        shape, cpds=cpds, rule_fixes=rule_fixes, object_fixed=object_fixed
+        if v.kind == DECISION:
+            object_fixed |= {v.name}
+    elif p.rule_fix is not None:
+        rule_fixes[v.name] = p.rule_fix
+    pos = len(game.variables) if p.index is None else p.index
+    new_game = dc_replace(
+        game, variables=game.variables[:pos] + (v,) + game.variables[pos:],
+        parents=parents, cpds=cpds, rule_fixes=rule_fixes,
+        object_fixed=object_fixed,
     )
     inverse = RemoveVariable(
-        v.name, child_cpds=prev_child_cpds, child_parents=prev_child_parents
+        v.name, child_cpds=old_tables, child_parents=old_orders
     )
-    return final, inverse
+    return _checked(new_game, (v.name, *p.children)), inverse
 
 
 def _marginalise_out(game, child, y_name, remaining):
@@ -394,16 +340,13 @@ def _marginalise_out(game, child, y_name, remaining):
     old_parents = game.parents_of(child)
     old_cpd = game.cpds[child]
     table = {}
-    for ctx in game.with_parents(child, remaining).contexts(child):
+    for ctx in itertools.product(*(game.domain(q) for q in remaining)):
         by_name = dict(zip(remaining, ctx))
-        y_ctx = tuple(by_name[q] for q in y_cpd.parents)
-        y_row = y_cpd.row(y_ctx)
-        acc = None
+        y_row = y_cpd.row(tuple(by_name[q] for q in y_cpd.parents))
+        acc = [0.0] * len(game.domain(child))
         for yi, y in enumerate(game.domain(y_name)):
             by_name[y_name] = y
             row = old_cpd.row(tuple(by_name[q] for q in old_parents))
-            if acc is None:
-                acc = [0.0] * len(row)
             for i, val in enumerate(row):
                 acc[i] += y_row[yi] * val
         table[ctx] = tuple(acc)
@@ -411,70 +354,35 @@ def _marginalise_out(game, child, y_name, remaining):
 
 
 def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
-    if not game.has_variable(p.target):
-        raise InterventionError(f"unknown variable {p.target!r}")
-    children = game.children_of(p.target)
-
-    new_parents = {
-        k: tuple(ps) for k, ps in game.parents.items() if k != p.target
-    }
-    cpds = {k: c for k, c in game.cpds.items() if k != p.target}
-    rule_fixes = {k: r for k, r in game.rule_fixes.items() if k != p.target}
-    prev_child_cpds = {}
-    prev_child_parents = {}
-
-    for child in children:
-        prev_child_parents[child] = game.parents_of(child)
-        remaining = tuple(
-            q for q in game.parents_of(child) if q != p.target
-        )
-        if p.child_parents and child in p.child_parents:
-            order = tuple(p.child_parents[child])
-            if set(order) != set(remaining):
-                raise InterventionError(
-                    f"parent order for {child} must cover {sorted(remaining)}"
-                )
-            remaining = order
-        new_parents[child] = remaining
-        if child not in game.cpds:  # a decision its rule governs
-            if child in game.rule_fixes:
-                raise InterventionError(
-                    f"cannot change the information set of committed "
-                    f"decision {child}"
-                )
-            continue
-        prev_child_cpds[child] = game.cpds[child]
-        override = (p.child_cpds or {}).get(child)
-        if override is not None:
-            if tuple(override.parents) != remaining:
-                raise InterventionError(
-                    f"replacement CPD for {child} must declare parents "
-                    f"{remaining}"
-                )
-            cpds[child] = override
-        else:
-            cpds[child] = _marginalise_out(game, child, p.target, remaining)
-
-    final = dc_replace(
+    t = p.target
+    if not game.has_variable(t):
+        raise InterventionError(f"unknown variable {t!r}")
+    children = game.children_of(t)
+    parents = {k: ps for k, ps in game.parents.items() if k != t}
+    cpds = {k: c for k, c in game.cpds.items() if k != t}
+    old_tables, old_orders = _rewire_children(
+        game, p, children, parents, cpds,
+        lambda child: tuple(q for q in game.parents_of(child) if q != t),
+        lambda child, order: _marginalise_out(game, child, t, order),
+    )
+    new_game = dc_replace(
         game,
-        variables=tuple(x for x in game.variables if x.name != p.target),
-        parents=new_parents,
+        variables=tuple(x for x in game.variables if x.name != t),
+        parents=parents,
         cpds=cpds,
-        rule_fixes=rule_fixes,
-        object_fixed=game.object_fixed - {p.target},
+        rule_fixes={k: r for k, r in game.rule_fixes.items() if k != t},
+        object_fixed=game.object_fixed - {t},
     )
-    for child in prev_child_cpds:
-        _require_cpd(final, cpds[child], child)
     inverse = AddVariable(
-        game.variable(p.target),
-        game.parents_of(p.target),
+        game.variable(t),
+        game.parents_of(t),
         children,
-        child_cpds=prev_child_cpds,
-        child_parents=prev_child_parents,
-        index=game.names().index(p.target),
-        **_restoring(game, p.target),
+        child_cpds=old_tables,
+        child_parents=old_orders,
+        index=game.names().index(t),
+        **_restoring(game, t),
     )
-    return final, inverse
+    return _checked(new_game, (t, *children)), inverse
 
 
 _APPLIERS = {
@@ -526,7 +434,8 @@ def make_add_edge(game: CausalGame, src: str, dst: str) -> FixObject:
         raise InterventionError(f"edge {src}->{dst} already present")
     if game.kind(dst) == DECISION:
         return FixObject(dst, game.parents_of(dst) + (src,), None)
-    return FixObject(dst, *_extend_child_cpd(game, dst, src, game.domain(src)))
+    cpd = _extend_child_cpd(game, dst, src, game.domain(src))
+    return FixObject(dst, cpd.parents, cpd)
 
 
 def make_remove_edge(game: CausalGame, src: str, dst: str) -> FixObject:

@@ -166,15 +166,13 @@ class CausalGame:
         object.__setattr__(self, "object_fixed", frozenset(self.object_fixed))
         # name index, built once; the first of duplicate names wins
         by_name: dict[str, Variable] = {}
-        children: dict[str, list[str]] = {}
+        children: dict[str, tuple[str, ...]] = {}
         for v in self.variables:
             by_name.setdefault(v.name, v)
-            for p in set(self.parents.get(v.name, ())):
-                children.setdefault(p, []).append(v.name)
+            for p in self.parents.get(v.name, ()):
+                children[p] = children.get(p, ()) + (v.name,)
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(
-            self, "_children", {p: tuple(cs) for p, cs in children.items()}
-        )
+        object.__setattr__(self, "_children", children)
 
     # -- lookups ----------------------------------------------------------
 
@@ -232,7 +230,7 @@ class CausalGame:
         varying fastest.
         """
         doms = [self.domain(p) for p in self.parents_of(name)]
-        return [tuple(c) for c in itertools.product(*doms)]
+        return list(itertools.product(*doms))
 
     def with_parents(self, name: str, parents) -> "CausalGame":
         """A copy of the game in which ``name`` has the parent tuple ``parents``."""
@@ -322,7 +320,11 @@ def _dependency_order(names, parents) -> tuple[list[str], list[str] | None]:
 def _check_cpd(
     game: CausalGame, cpd: TabularCPD, name: str, eps: float = PROB_EPS
 ) -> list[str]:
-    """Violations of ``cpd`` as the CPD of ``name`` under the game's parents."""
+    """Violations of ``cpd`` as the CPD of ``name`` under the game's parents.
+
+    A table holding exactly one distribution per context returns at once;
+    only a faulty one is sorted into a report.
+    """
     if cpd.variable != name:
         return [f"{name}: CPD declares variable {cpd.variable!r}"]
     if tuple(cpd.parents) != game.parents_of(name):
@@ -330,16 +332,28 @@ def _check_cpd(
             f"{name}: CPD parents {cpd.parents} do not match game parents "
             f"{game.parents_of(name)}"
         ]
+    contexts = game.contexts(name)
+    ncol = len(game.domain(name))
+    rows = cpd.table
+    if ncol and 0 < len(rows) == len(contexts) and all(map(rows.__contains__, contexts)):
+        values = rows.values()
+        sums = list(map(sum, values))
+        if (
+            set(map(len, values)) == {ncol}
+            and all(map(math.isfinite, sums))  # a non-finite entry makes its sum so
+            and min(map(min, values)) >= -eps
+            and max(map(abs, map((1.0).__rsub__, sums))) <= eps  # |sum - 1|
+        ):
+            return []
     report = []
-    want = set(map(tuple, game.contexts(name)))
-    got = set(cpd.table.keys())
+    want = set(contexts)
+    got = set(rows)
     for missing in sorted(want - got, key=repr):
         report.append(f"{name}: missing CPD row for context {missing}")
     for extra in sorted(got - want, key=repr):
         report.append(f"{name}: CPD row for unknown context {extra}")
-    ncol = len(game.domain(name))
     for ctx in sorted(got & want, key=repr):
-        row = cpd.table[ctx]
+        row = rows[ctx]
         if len(row) != ncol:
             report.append(
                 f"{name}: row {ctx} has {len(row)} entries, domain has {ncol}"
@@ -395,40 +409,78 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     """Check every structural invariant; return a list of violations.
 
     An empty report means the game is valid.  Each violation names the
-    variable or row at fault.
+    variable or row at fault.  The rules are those of ``violations``, run
+    over every name the game mentions.
     """
     if not (_is_int(game.n_agents) and game.n_agents >= 1):
         return ["'agents' must be a positive integer"]  # no owner can be checked
-    report: list[str] = []
+    names = dict.fromkeys(
+        [*game.parents, *game.names(), *game.rule_fixes, *game.object_fixed]
+    )
+    return _report(game, game.variables, names, eps)
 
+
+def violations(game: CausalGame, names, eps: float = PROB_EPS) -> list[str]:
+    """The rules of ``validate_game`` where they concern ``names``.
+
+    Each named variable on its own, its parent list, a cycle through it,
+    parents that are utilities, its CPD or imposed rule, and pinnings of a
+    name that is no decision.  A name that is no variable brings its
+    children along: a lost parent is a fault of the child.  When a valid
+    game changes only the parents, tables, rules or existence of ``names``,
+    the result is valid exactly when this report is empty.  The work is
+    per name through the game's index, plus one look at each pinning; the
+    cycle search starts at ``names``, since a new cycle passes through a
+    changed parent list.
+    """
+    by_name = game._by_name
+    names = dict.fromkeys(names)
+    for name in tuple(names):
+        if name not in by_name:
+            names.update(dict.fromkeys(game.children_of(name)))
+    return _report(game, [by_name[n] for n in names if n in by_name], names, eps)
+
+
+def _report(game: CausalGame, variables, names, eps) -> list[str]:
+    """The violations of ``variables`` (each ``Variable`` once per entry)
+    and of ``names``, rule by rule in a fixed order; the structural rules
+    end the report before the cycle, and a cycle before the tables."""
+    by_name = game._by_name
+    report: list[str] = []
     seen = set()
-    for v in game.variables:
+    for v in variables:
         if v.name in seen:
             report.append(f"{v.name}: duplicate variable name")
         seen.add(v.name)
         report += variable_report(v, game.n_agents)
 
-    for name, ps in game.parents.items():
-        if name not in seen:
+    for name in names:
+        ps = game.parents.get(name)
+        if ps is None:
+            continue
+        if name not in by_name:
             report.append(f"parent list for unknown variable {name!r}")
         for p in ps:
-            if p not in seen:
+            if p not in by_name:
                 report.append(f"{name}: unknown parent {p!r}")
         if len(set(ps)) != len(ps):
             report.append(f"{name}: duplicate parents")
     if report:
         return report
 
-    _, cycle = _dependency_order(game.names(), game.parents)
+    _, cycle = _dependency_order([v.name for v in variables], game.parents)
     if cycle:
-        report.append("object-level graph has a cycle: " + " -> ".join(cycle))
-        return report
+        return ["object-level graph has a cycle: " + " -> ".join(cycle)]
 
-    for v in game.variables:
-        if v.kind == UTILITY and game.children_of(v.name):
-            report.append(f"{v.name}: utility variables must be leaves")
+    for v in variables:
+        for p in game.parents_of(v.name):
+            if by_name[p].kind == UTILITY:
+                report.append(
+                    f"{v.name}: utility {p} cannot be a parent (utility "
+                    "variables must be leaves)"
+                )
 
-    for v in game.variables:
+    for v in variables:
         pinned = v.name in game.cpds
         if v.kind == DECISION:
             if v.name in game.object_fixed and not pinned:
@@ -446,10 +498,10 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
         if pinned:
             report += _check_cpd(game, game.cpds[v.name], v.name, eps)
     for name in game.rule_fixes:
-        if name not in seen or game.kind(name) != DECISION:
+        if name in names and getattr(by_name.get(name), "kind", None) != DECISION:
             report.append(f"rule fix on non-decision {name!r}")
     for name in game.object_fixed:
-        if name not in seen or game.kind(name) != DECISION:
+        if name in names and getattr(by_name.get(name), "kind", None) != DECISION:
             report.append(f"object fix recorded for non-decision {name!r}")
     return report
 

@@ -597,7 +597,7 @@ def _intervened_owner(variables, prim):
     name = None
     if isinstance(prim, FixMechanism) and prim.target.startswith("PI_"):
         name = prim.target[len("PI_"):]
-    elif isinstance(prim, (FixObject, RemoveVariable)):
+    elif isinstance(prim, FixObject):
         name = prim.target
     elif isinstance(prim, AddVariable):
         name = prim.variable.name

@@ -126,7 +126,7 @@ def test_utility_stays_a_leaf(job_market):
     with pytest.raises(InterventionError, match="utility U1 cannot be a parent"):
         apply_primitive(job_market, AddVariable(Variable("N", "chance", ("u", "v")), ("U1",), (), coin))
     bonus = Variable("B", "utility", (0, 1), 1)
-    with pytest.raises(InterventionError, match="utility B cannot have children"):
+    with pytest.raises(InterventionError, match="U1: utility B cannot be a parent"):
         apply_primitive(
             job_market,
             AddVariable(bonus, (), ("U1",), TabularCPD("B", (), {(): (0.5, 0.5)})),
@@ -166,13 +166,14 @@ def test_object_fixed_decision_child_keeps_a_valid_table(job_market):
     assert games_equal(apply_primitive(g3, invert(applied)), pinned)
 
 
-def test_remove_marginalises_into_a_reordered_parent_tuple():
+def _three_parent_child():
+    """Chance ``C`` with parents ``A``, ``Y``, ``B``, each root binary."""
     variables = tuple(Variable(n, "chance", ("0", "1")) for n in ("A", "B", "Y", "C"))
     rows = {
         ctx: (0.1 + 0.1 * k, 0.9 - 0.1 * k)
         for k, ctx in enumerate(itertools.product("01", repeat=3))
     }
-    game = __import__("causalgames").CausalGame(
+    return __import__("causalgames").CausalGame(
         1,
         variables,
         {"A": (), "B": (), "Y": (), "C": ("A", "Y", "B")},
@@ -183,11 +184,39 @@ def test_remove_marginalises_into_a_reordered_parent_tuple():
             "C": TabularCPD("C", ("A", "Y", "B"), rows),
         },
     )
+
+
+def test_remove_marginalises_into_a_reordered_parent_tuple():
+    game = _three_parent_child()
     kept = apply_primitive(game, RemoveVariable("Y"))
     swapped = apply_primitive(game, RemoveVariable("Y", child_parents={"C": ("B", "A")}))
     assert swapped.parents_of("C") == ("B", "A")
     for a, b in itertools.product("01", repeat=2):
         assert swapped.cpds["C"].row((b, a)) == kept.cpds["C"].row((a, b))
+
+
+def test_removal_replacement_table_sets_the_parent_order():
+    """A removal's replacement table may order the child's remaining
+    parents itself; the inverse restores the game exactly, and an order
+    that drops or adds a parent is refused."""
+    game = _three_parent_child()
+    permuted = TabularCPD("C", ("B", "A"), {
+        (b, a): (0.2 + 0.2 * int(a), 0.8 - 0.2 * int(a))
+        for a, b in itertools.product("01", repeat=2)
+    })
+    removed, applied = apply_journaled(
+        game, RemoveVariable("Y", child_cpds={"C": permuted})
+    )
+    assert removed.parents_of("C") == ("B", "A")
+    assert removed.cpds["C"] is permuted
+    assert validate_game(removed) == []
+    assert games_equal(apply_primitive(removed, invert(applied)), game)
+    for order in (("A",), ("B", "A", "Y")):
+        short = TabularCPD.uniform(
+            "C", ("0", "1"), order, itertools.product("01", repeat=len(order))
+        )
+        with pytest.raises(InterventionError, match="parent order for C must cover"):
+            apply_primitive(game, RemoveVariable("Y", child_cpds={"C": short}))
 
 
 # -- inversion --------------------------------------------------------------------

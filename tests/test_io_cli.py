@@ -24,6 +24,7 @@ from causalgames import (
     load_game,
     FixObject,
     TabularCPD,
+    ValidationError,
     apply_primitive,
     games_equal,
     load_scenario,
@@ -142,6 +143,25 @@ interventions:
     )
     assert main(["intervene", str(scenario)]) == 1
     assert "error: unknown variable 'NOPE'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        'kind: fix_object\ntarget: ghost\nrows: {"": C}',
+        'kind: fix_object\ntarget: D1\nparents: [ghost]\nrows: {x: C}',
+        "kind: add_var\nname: N\ndomain: [a, b]\nparents: [ghost]\nrows: {x: a}",
+    ],
+    ids=["rows_target", "rows_parent", "add_var_rows_parent"],
+)
+def test_scenario_rows_on_unknown_variable_is_an_error(tmp_path, capsys, entry):
+    """A table given over an unknown variable fails as the value sugar does,
+    not with a ``KeyError``."""
+    path = _one_entry_scenario(tmp_path, entry)
+    with pytest.raises(ValidationError, match="^unknown variable 'ghost'$"):
+        load_scenario(str(path))
+    code, out, err = run_cli(capsys, "intervene", str(path))
+    assert (code, out, err) == (1, "", "error: unknown variable 'ghost'\n")
 
 
 # -- DOT export --------------------------------------------------------------------
@@ -444,6 +464,69 @@ def test_ill_typed_visibility_is_one_error_line(capsys, tmp_path, new, message):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+def _one_entry_scenario(tmp_path, entry):
+    """A scenario on the prisoners' dilemma whose one intervention is
+    ``entry`` (YAML lines of the list item after its label)."""
+    fixtures = Path(causalgames.__file__).parent / "fixtures"
+    (tmp_path / "prisoners_dilemma.game.yaml").write_text(
+        (fixtures / "prisoners_dilemma.game.yaml").read_text()
+    )
+    path = tmp_path / "bad.scenario.yaml"
+    path.write_text(
+        "game: prisoners_dilemma.game.yaml\n"
+        "interventions:\n"
+        "  - label: bad\n"
+        + "".join(f"    {line}\n" for line in entry.splitlines())
+        + 'query: "sampled: E[total]"\n'
+    )
+    return path
+
+
+def _assert_one_error_line(capsys, path, message):
+    with pytest.raises(GameFileError) as info:
+        load_scenario(str(path))
+    assert str(info.value) == f"{path}: {message}"
+    code, out, err = run_cli(capsys, "query", str(path))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line == f"error: {path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("kind: fix_object\nparents: []", "fix_object intervention needs 'target'"),
+        ("kind: fix_mechanism\nvalue: C", "fix_mechanism intervention needs 'target'"),
+        ("kind: add_var\ndomain: [a, b]", "add_var intervention needs 'name'"),
+        ("kind: remove_var", "remove_var intervention needs 'name'"),
+        ("kind: add_edge\nto: D1", "add_edge intervention needs 'from'"),
+        ("kind: del_edge\nfrom: D1", "del_edge intervention needs 'to'"),
+        ("kind: unfix", "unfix intervention needs 'of'"),
+        ("kind: [fix_object]", "unknown intervention kind ['fix_object']"),
+        ("kind: {fix_object: 1}", "unknown intervention kind {'fix_object': 1}"),
+    ],
+    ids=["fix_object", "fix_mechanism", "add_var", "remove_var", "add_edge",
+         "del_edge", "unfix", "list_kind", "mapping_kind"],
+)
+def test_malformed_intervention_entry_is_one_error_line(capsys, tmp_path, entry, message):
+    _assert_one_error_line(capsys, _one_entry_scenario(tmp_path, entry), message)
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("X_D1", "'X_D1' is not a mechanism node name"),
+        ("D1", "'D1' is not a mechanism node name"),
+        ("PIX_D1", "'PIX_D1' is not a mechanism node name"),
+        ("PI_D1_", "mechanism target 'PI_D1_' names no variable"),
+    ],
+)
+def test_mechanism_target_is_resolved_by_its_prefix(capsys, tmp_path, target, message):
+    entry = f"kind: fix_mechanism\ntarget: {target}\nvalue: C"
+    _assert_one_error_line(capsys, _one_entry_scenario(tmp_path, entry), message)
 
 
 def test_domain_value_with_comma_is_rejected(job_market, tmp_path):

@@ -1,8 +1,10 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalgames import (
     CausalGame,
@@ -17,6 +19,7 @@ from causalgames import (
     validate_game,
 )
 from causalgames.cli import resolve_game, resolve_scenario
+from causalgames.model import _check_cpd, violations
 from helpers import (
     brute_force_joint,
     expected_utility_from_joint,
@@ -307,3 +310,156 @@ def test_expected_utility_exact_on_fixtures():
                 exact = fraction_expected_utility(game, profile, agent)
                 got = Fraction(expected_utility(game, profile, agent))
                 assert abs(got - exact) <= Fraction(1, 10**12)
+
+
+# -- per-name validation --------------------------------------------------------
+
+
+def _descendants(game, name):
+    seen, stack = set(), [name]
+    while stack:
+        for child in game.children_of(stack.pop()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def _values(game, name):
+    """``name``'s domain; an unknown name (an edited-in parent) has one value."""
+    return game.domain(name) if game.has_variable(name) else ("?",)
+
+
+def _with_parent(game, name, extra):
+    """``extra`` appended to ``name``'s parents; a table of ``name`` is
+    re-keyed with its rows copied across ``extra``'s values, so only the
+    edge itself can be at fault."""
+    parents = game.parents_of(name) + (extra,)
+    values = _values(game, extra)
+
+    def extended(cpd):
+        rows = {ctx + (x,): row for ctx, row in cpd.table.items() for x in values}
+        return TabularCPD(name, parents, rows)
+
+    pinned = {
+        attr: {**getattr(game, attr), name: extended(getattr(game, attr)[name])}
+        for attr in ("cpds", "rule_fixes")
+        if name in getattr(game, attr)
+    }
+    return replace(game, parents={**game.parents, name: parents}, **pinned)
+
+
+def _edit(rng, game):
+    """One unchecked edit of ``game`` and the name it touches (or None when
+    no variable suits the edit drawn)."""
+    names = game.names()
+    name = rng.choice(names)
+    kind = rng.choice([
+        "utility_parent", "unknown_parent", "duplicate_parent", "cycle_parent",
+        "valid_parent", "corrupt_row", "missing_row", "free_decision_cpd",
+        "valid_table",
+    ])
+    if kind == "utility_parent":
+        pool = [u for u in names if game.kind(u) == "utility" and u != name]
+        return (_with_parent(game, name, rng.choice(pool)), name) if pool else None
+    if kind == "unknown_parent":
+        return _with_parent(game, name, "ghost"), name
+    if kind == "duplicate_parent":
+        if not game.parents_of(name):
+            return None
+        return _with_parent(game, name, rng.choice(game.parents_of(name))), name
+    if kind in ("cycle_parent", "valid_parent"):
+        below = _descendants(game, name) | {name}
+        if kind == "cycle_parent":
+            pool = sorted(below)
+        else:
+            pool = [
+                n for n in names
+                if n not in below and n not in game.parents_of(name)
+                and game.kind(n) != "utility"
+            ]
+        return (_with_parent(game, name, rng.choice(pool)), name) if pool else None
+    if kind == "free_decision_cpd":
+        free = game.free_decisions()
+        if not free:
+            return None
+        d = rng.choice(free)
+        contexts = itertools.product(*(_values(game, p) for p in game.parents_of(d)))
+        cpd = TabularCPD.uniform(d, game.domain(d), game.parents_of(d), contexts)
+        return replace(game, cpds={**game.cpds, d: cpd}), d
+    attr = "rule_fixes" if name in game.rule_fixes else "cpds"
+    if name not in getattr(game, attr) or not getattr(game, attr)[name].table:
+        return None
+    cpd = getattr(game, attr)[name]
+    rows = dict(cpd.table)
+    ctx = rng.choice(sorted(rows, key=repr))
+    n = len(game.domain(name))
+    if kind == "missing_row":
+        del rows[ctx]
+    elif kind == "valid_table":
+        rows = {c: (0.0,) * (n - 1) + (1.0,) for c in rows}
+    else:
+        rows[ctx] = rng.choice([
+            (rows[ctx][0] + 0.5,) + rows[ctx][1:],
+            (float("nan"),) + rows[ctx][1:],
+            (-0.25, 1.25) + (0.0,) * (n - 2),
+            rows[ctx][:-1],
+        ])
+    table = TabularCPD(name, cpd.parents, rows)
+    return replace(game, **{attr: {**getattr(game, attr), name: table}}), name
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3))
+def test_violations_on_edited_names_agree_with_validate_game(seed, rich, edits):
+    """Unchecked edits to one to three variables of a valid game: the
+    report on the edited names is empty exactly when the whole game's is."""
+    rng = random.Random(seed)
+    game = (random_rich_game if rich else random_game)(rng)
+    assert validate_game(game) == [] and violations(game, game.names()) == []
+    names = []
+    for _ in range(edits):
+        edited = _edit(rng, game)
+        if edited is not None:
+            game, name = edited
+            names.append(name)
+    assert (violations(game, names) == []) == (validate_game(game) == [])
+
+
+def test_violations_report_the_rule_at_fault(job_market):
+    assert violations(_with_parent(job_market, "U2", "U1"), ["U2"]) == [
+        "U2: utility U1 cannot be a parent (utility variables must be leaves)"
+    ]
+    assert violations(_with_parent(job_market, "T", "D2"), ["T"]) == [
+        "object-level graph has a cycle: T -> D1 -> D2 -> T"
+    ]
+    gone = replace(
+        job_market, variables=job_market.variables[1:],
+        parents={k: ps for k, ps in job_market.parents.items() if k != "T"},
+    )
+    assert violations(gone, ["T"]) == [
+        "D1: unknown parent 'T'", "U1: unknown parent 'T'", "U2: unknown parent 'T'",
+    ]
+
+
+@pytest.mark.parametrize("rows, report", [
+    ({}, []),
+    ({("l", "nj"): (-0.25, 0.0, 1.25, 0.0)},
+     ["U2: row ('l', 'nj') has a negative entry"]),
+    ({("l", "nj"): (0.0, float("nan"), 1.0, 0.0)},
+     ["U2: row ('l', 'nj') has a non-finite entry"]),
+    ({("l", "j"): (float("inf"), 0.0, 0.0, 0.0)},
+     ["U2: row ('l', 'j') has a non-finite entry"]),
+    ({("l", "nj"): (0.5, 0.5)}, ["U2: row ('l', 'nj') has 2 entries, domain has 4"]),
+    ({("l", "nj"): (0.5, 0.5, 0.5, 0.5), ("h", "nj"): (-0.5, 1.5, 0.0, 0.0)},
+     ["U2: row ('h', 'nj') has a negative entry",
+      "U2: row ('l', 'nj') sums to 2.0, not 1"]),
+    ({("l", "x"): (1.0, 0.0, 0.0, 0.0)}, ["U2: CPD row for unknown context ('l', 'x')"]),
+], ids=["valid", "negative", "nan", "inf", "short", "two_faults", "unknown_context"])
+def test_check_cpd_reports_each_faulty_row(job_market, rows, report):
+    """Rows a one-pass gate would let through (a row summing to 1 with a
+    negative entry, a NaN that ``max`` skips, a short row) are still
+    reported, one line per fault in context order."""
+    table = {**job_market.cpds["U2"].table, **rows}
+    cpd = TabularCPD("U2", ("T", "D2"), table)
+    assert _check_cpd(job_market, cpd, "U2") == report
