@@ -317,12 +317,14 @@ def _intervention_cpd(game, name, entry, parents, path, domain=None):
     """The table an intervention entry sets for ``name`` over ``parents``:
     a point mass on its ``value``, its ``rows``, or None.  ``domain`` is
     given when the entry adds ``name``."""
+    if "value" not in entry and "rows" not in entry:
+        return None
     domains = {v.name: v.domain for v in game.variables}
     if domain is not None:
         domains[name] = domain
     for n in (name, *parents):
         if n not in domains:
-            raise ValidationError(f"unknown variable {n!r}")
+            raise GameFileError(f"unknown variable {n!r}", path=path)
     if "value" in entry:
         value = entry["value"]
         matches = [v for v in domains[name] if str(v) == str(value)]
@@ -330,9 +332,7 @@ def _intervention_cpd(game, name, entry, parents, path, domain=None):
             raise GameFileError(f"{name}: value {value!r} not in domain", path=path)
         contexts = itertools.product(*(domains[p] for p in parents))
         return TabularCPD.delta(name, matches[0], domains[name], parents, contexts)
-    if "rows" in entry:
-        return _parse_cpd(name, entry["rows"], parents, domains, path)
-    return None
+    return _parse_cpd(name, entry["rows"], parents, domains, path)
 
 
 def _build_primitive(game, entry, journaled, path):

@@ -180,7 +180,7 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
         cpds[t] = p.cpd
         if game.kind(t) == DECISION:
             object_fixed |= {t}
-    elif p.rule_fix is not None:
+    elif p.rule_fix is not None and game.kind(t) == DECISION:
         if t not in game.rule_fixes and t not in game.object_fixed:
             raise InterventionError(f"{t} is free; commit its rule at PI_{t}")
         rule_fixes[t] = p.rule_fix

@@ -166,13 +166,15 @@ class CausalGame:
         object.__setattr__(self, "object_fixed", frozenset(self.object_fixed))
         # name index, built once; the first of duplicate names wins
         by_name: dict[str, Variable] = {}
-        children: dict[str, tuple[str, ...]] = {}
+        children: dict[str, list[str]] = {}
         for v in self.variables:
             by_name.setdefault(v.name, v)
-            for p in self.parents.get(v.name, ()):
-                children[p] = children.get(p, ()) + (v.name,)
+            for p in set(self.parents.get(v.name, ())):
+                children.setdefault(p, []).append(v.name)
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_children", children)
+        object.__setattr__(
+            self, "_children", {p: tuple(cs) for p, cs in children.items()}
+        )
 
     # -- lookups ----------------------------------------------------------
 
@@ -322,8 +324,8 @@ def _check_cpd(
 ) -> list[str]:
     """Violations of ``cpd`` as the CPD of ``name`` under the game's parents.
 
-    A table holding exactly one distribution per context returns at once;
-    only a faulty one is sorted into a report.
+    One pass over the rows collects the faulty contexts; only those are
+    sorted into the report.
     """
     if cpd.variable != name:
         return [f"{name}: CPD declares variable {cpd.variable!r}"]
@@ -332,41 +334,33 @@ def _check_cpd(
             f"{name}: CPD parents {cpd.parents} do not match game parents "
             f"{game.parents_of(name)}"
         ]
-    contexts = game.contexts(name)
+    want = set(game.contexts(name))
     ncol = len(game.domain(name))
     rows = cpd.table
-    if ncol and 0 < len(rows) == len(contexts) and all(map(rows.__contains__, contexts)):
-        values = rows.values()
-        sums = list(map(sum, values))
-        if (
-            set(map(len, values)) == {ncol}
-            and all(map(math.isfinite, sums))  # a non-finite entry makes its sum so
-            and min(map(min, values)) >= -eps
-            and max(map(abs, map((1.0).__rsub__, sums))) <= eps  # |sum - 1|
-        ):
-            return []
-    report = []
-    want = set(contexts)
-    got = set(rows)
-    for missing in sorted(want - got, key=repr):
-        report.append(f"{name}: missing CPD row for context {missing}")
-    for extra in sorted(got - want, key=repr):
-        report.append(f"{name}: CPD row for unknown context {extra}")
-    for ctx in sorted(got & want, key=repr):
-        row = rows[ctx]
+    extra, faults = [], []
+    for ctx, row in rows.items():
+        if ctx not in want:
+            extra.append(ctx)
+            continue
         if len(row) != ncol:
-            report.append(
-                f"{name}: row {ctx} has {len(row)} entries, domain has {ncol}"
-            )
+            faults.append((ctx, f"has {len(row)} entries, domain has {ncol}"))
             continue
-        if not all(math.isfinite(p) for p in row):
-            report.append(f"{name}: row {ctx} has a non-finite entry")
+        total = sum(row)  # not finite when an entry is not
+        if not math.isfinite(total) and not all(map(math.isfinite, row)):
+            faults.append((ctx, "has a non-finite entry"))
             continue
-        if any(p < -eps for p in row):
-            report.append(f"{name}: row {ctx} has a negative entry")
-        if abs(sum(row) - 1.0) > eps:
-            report.append(f"{name}: row {ctx} sums to {sum(row)!r}, not 1")
-    return report
+        if ncol and min(row) < -eps:
+            faults.append((ctx, "has a negative entry"))
+        if abs(total - 1.0) > eps:
+            faults.append((ctx, f"sums to {total!r}, not 1"))
+    missing = want.difference(rows) if len(rows) - len(extra) < len(want) else ()
+    if not (missing or extra or faults):
+        return []
+    return (
+        [f"{name}: missing CPD row for context {c}" for c in sorted(missing, key=repr)]
+        + [f"{name}: CPD row for unknown context {c}" for c in sorted(extra, key=repr)]
+        + [f"{name}: row {c} {m}" for c, m in sorted(faults, key=lambda f: repr(f[0]))]
+    )
 
 
 def _is_int(x) -> bool:
@@ -420,7 +414,7 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     return _report(game, game.variables, names, eps)
 
 
-def violations(game: CausalGame, names, eps: float = PROB_EPS) -> list[str]:
+def violations(game: CausalGame, names) -> list[str]:
     """The rules of ``validate_game`` where they concern ``names``.
 
     Each named variable on its own, its parent list, a cycle through it,
@@ -438,7 +432,9 @@ def violations(game: CausalGame, names, eps: float = PROB_EPS) -> list[str]:
     for name in tuple(names):
         if name not in by_name:
             names.update(dict.fromkeys(game.children_of(name)))
-    return _report(game, [by_name[n] for n in names if n in by_name], names, eps)
+    return _report(
+        game, [by_name[n] for n in names if n in by_name], names, PROB_EPS
+    )
 
 
 def _report(game: CausalGame, variables, names, eps) -> list[str]:

@@ -139,6 +139,14 @@ def test_rule_fix_needs_a_committed_or_pinned_decision(job_market):
         apply_primitive(job_market, FixObject("D2", ("D1",), rule_fix=rule))
 
 
+def test_rule_fix_on_a_chance_variable_is_a_missing_cpd(job_market):
+    """Only a decision has a rule; a chance variable given one and no
+    table is refused as a table-less variable, not pointed at a rule node."""
+    rule = TabularCPD("T", (), {(): (0.5, 0.5)})
+    with pytest.raises(InterventionError, match="^T: missing CPD$"):
+        apply_primitive(job_market, FixObject("T", (), rule_fix=rule))
+
+
 def test_object_fixed_decision_child_keeps_a_valid_table(job_market):
     pinned = apply_primitive(
         job_market, FixObject("D2", ("D1",), job_market.delta_rule("D2", "j"))

@@ -24,7 +24,6 @@ from causalgames import (
     load_game,
     FixObject,
     TabularCPD,
-    ValidationError,
     apply_primitive,
     games_equal,
     load_scenario,
@@ -142,7 +141,7 @@ interventions:
 """
     )
     assert main(["intervene", str(scenario)]) == 1
-    assert "error: unknown variable 'NOPE'" in capsys.readouterr().err
+    assert f"error: {scenario}: unknown variable 'NOPE'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -156,12 +155,13 @@ interventions:
 )
 def test_scenario_rows_on_unknown_variable_is_an_error(tmp_path, capsys, entry):
     """A table given over an unknown variable fails as the value sugar does,
-    not with a ``KeyError``."""
+    naming the file, not with a ``KeyError``."""
     path = _one_entry_scenario(tmp_path, entry)
-    with pytest.raises(ValidationError, match="^unknown variable 'ghost'$"):
+    with pytest.raises(GameFileError, match="unknown variable 'ghost'$") as exc:
         load_scenario(str(path))
+    assert exc.value.path == str(path)
     code, out, err = run_cli(capsys, "intervene", str(path))
-    assert (code, out, err) == (1, "", "error: unknown variable 'ghost'\n")
+    assert (code, out, err) == (1, "", f"error: {path}: unknown variable 'ghost'\n")
 
 
 # -- DOT export --------------------------------------------------------------------

@@ -455,11 +455,21 @@ def test_violations_report_the_rule_at_fault(job_market):
      ["U2: row ('h', 'nj') has a negative entry",
       "U2: row ('l', 'nj') sums to 2.0, not 1"]),
     ({("l", "x"): (1.0, 0.0, 0.0, 0.0)}, ["U2: CPD row for unknown context ('l', 'x')"]),
-], ids=["valid", "negative", "nan", "inf", "short", "two_faults", "unknown_context"])
+    ({("l", "nj"): (1e308, 1e308, 0.0, 0.0)}, ["U2: row ('l', 'nj') sums to inf, not 1"]),
+    ({("l", "nj"): None}, ["U2: missing CPD row for context ('l', 'nj')"]),
+    ({("l", "nj"): None, ("l", "x"): (1.0, 0.0, 0.0, 0.0)},
+     ["U2: missing CPD row for context ('l', 'nj')",
+      "U2: CPD row for unknown context ('l', 'x')"]),
+], ids=[
+    "valid", "negative", "nan", "inf", "short", "two_faults", "unknown_context",
+    "overflowing_sum", "missing", "missing_for_unknown",
+])
 def test_check_cpd_reports_each_faulty_row(job_market, rows, report):
-    """Rows a one-pass gate would let through (a row summing to 1 with a
-    negative entry, a NaN that ``max`` skips, a short row) are still
-    reported, one line per fault in context order."""
+    """A row summing to 1 with a negative entry, a non-finite entry, a short
+    row, a finite row whose sum overflows, a missing row (``None`` drops it)
+    and an unknown one are each reported, one line per fault in context
+    order."""
     table = {**job_market.cpds["U2"].table, **rows}
+    table = {ctx: row for ctx, row in table.items() if row is not None}
     cpd = TabularCPD("U2", ("T", "D2"), table)
     assert _check_cpd(job_market, cpd, "U2") == report
