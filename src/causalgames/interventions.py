@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InterventionError
+from .errors import InterventionError, ValidationError
 from .graphs import (
     _arena,
     _reachable,
@@ -197,7 +197,10 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
 
 
 def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
-    var = variable_of_mechanism(p.target)
+    try:
+        var = variable_of_mechanism(p.target)
+    except ValidationError as exc:
+        raise InterventionError(str(exc)) from None
     if not game.has_variable(var):
         raise InterventionError(f"unknown variable behind {p.target!r}")
     kind = game.kind(var)

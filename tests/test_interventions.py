@@ -139,6 +139,12 @@ def test_rule_fix_needs_a_committed_or_pinned_decision(job_market):
         apply_primitive(job_market, FixObject("D2", ("D1",), rule_fix=rule))
 
 
+@pytest.mark.parametrize("target", ["X_D1", "D1", "PIX_D1"])
+def test_malformed_mechanism_target_is_an_intervention_error(job_market, target):
+    with pytest.raises(InterventionError, match="is not a mechanism node name"):
+        apply_primitive(job_market, FixMechanism(target, None))
+
+
 def test_rule_fix_on_a_chance_variable_is_a_missing_cpd(job_market):
     """Only a decision has a rule; a chance variable given one and no
     table is refused as a table-less variable, not pointed at a rule node."""
