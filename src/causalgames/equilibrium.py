@@ -13,9 +13,12 @@ sub-matrix of one array per decision, all of them row-reduced together,
 and underdetermined solutions are reported as parametric families with
 interval parameters; candidates' corners are verified from the same
 coefficients (each payoff is bilinear in the two rules), ``STABLE_CHUNK``
-corners at a time, with no further contraction.
+corners at a time, with no further contraction.  Exact commitment reads
+the same interval routine (``_bounds``): a follower response's
+best-response inequalities are affine in the one commitment probability.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
-only free decisions are strategic.
+only free decisions are strategic, and every solver's rationality relation
+is best response.
 
 Results are deterministic: profiles enumerate in (decision order, rule
 index) order and sampling is a pure function of the seed.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
-from .graphs import BEST_RESPONSE, RationalityRelation, rule_node
+from .graphs import rule_node
 from .interventions import FixMechanism, apply_primitive
 from .model import (
     COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, GRID_STEP, PIVOT_EPS,
@@ -50,13 +53,6 @@ from .model import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _require_best_response(relation: RationalityRelation):
-    if relation.name != "best_response":
-        raise SolverError(
-            f"rationality relation {relation.name!r} has no solver"
-        )
 
 
 def _pure_stacks(game: CausalGame, decisions) -> dict:
@@ -105,7 +101,6 @@ def best_responses(
 def verify_rational_outcome(
     game: CausalGame,
     profile: PolicyProfile,
-    relation: RationalityRelation = BEST_RESPONSE,
     eps: float = EQ_EPS,
 ) -> bool:
     """True iff no agent has a pure deviation improving their utility by > eps.
@@ -117,7 +112,6 @@ def verify_rational_outcome(
     """
     import numpy as np
 
-    _require_best_response(relation)
     if not profile.is_full(game):
         raise ValidationError("profile must cover every free decision")
     stable = True
@@ -198,11 +192,7 @@ class RationalOutcomeSet:
         return out
 
 
-def pure_nash(
-    game: CausalGame,
-    relation: RationalityRelation = BEST_RESPONSE,
-    eps: float = EQ_EPS,
-) -> RationalOutcomeSet:
+def pure_nash(game: CausalGame, eps: float = EQ_EPS) -> RationalOutcomeSet:
     """Every pure full profile that is an equilibrium, in enumeration order.
 
     Each agent's payoff tensor has one axis per free decision, stacking its
@@ -212,7 +202,6 @@ def pure_nash(
     """
     import numpy as np
 
-    _require_best_response(relation)
     decisions = game.free_decisions()
     stacks = _pure_stacks(game, decisions)
     owned = {
@@ -229,13 +218,9 @@ def pure_nash(
     )
 
 
-def sample_rational_outcome(
-    game: CausalGame,
-    relation: RationalityRelation = BEST_RESPONSE,
-    seed: int = 0,
-) -> PolicyProfile:
+def sample_rational_outcome(game: CausalGame, seed: int = 0) -> PolicyProfile:
     """Uniform draw over the pure equilibria; deterministic given the seed."""
-    outcomes = pure_nash(game, relation).outcomes
+    outcomes = pure_nash(game).outcomes
     if not outcomes:
         raise SolverError(
             "no rational outcome found: the pure-profile solver found no "
@@ -434,11 +419,7 @@ def _verified(w, blocks, values, free, low, high):
     return np.logical_and.reduceat(np.concatenate(stable), ends - count)
 
 
-def behavioral_nash_small(
-    game: CausalGame,
-    relation: RationalityRelation = BEST_RESPONSE,
-    eps: float = EQ_EPS,
-) -> RationalOutcomeSet:
+def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutcomeSet:
     """Behavioral equilibria of a small game via support enumeration.
 
     Supported games: at most two strategic agents, one free decision each,
@@ -458,7 +439,6 @@ def behavioral_nash_small(
     """
     import numpy as np
 
-    _require_best_response(relation)
     _check_behavioral_supported(game)
     mode = "behavioral_support_enum"
     decisions = game.free_decisions()
@@ -577,27 +557,21 @@ def commitment_value(
     Followers best-respond to the committed rule; among tied follower
     responses the leader-preferred one is chosen.
     """
-    decision = _single_leader_decision(game, leader)
+    decision, follower = _leader_and_follower(game, leader)
     committed = apply_primitive(game, FixMechanism(rule_node(decision), rule))
-    follower_decisions = committed.free_decisions()
-    if not follower_decisions:
+    if follower is None:
         return PolicyProfile({}), expected_utility(
             committed, PolicyProfile({}), leader
         )
-    follower_agents = {committed.agent_of(d) for d in follower_decisions}
-    if len(follower_agents) > 1:
-        raise SolverError("commitment supports at most one follower agent")
-    follower = follower_agents.pop()
     responses = best_responses(committed, follower, PolicyProfile({}), eps)
-    best_profile, best_eu = None, None
-    for resp in responses:
-        eu = expected_utility(committed, resp, leader)
-        if best_eu is None or eu > best_eu:
-            best_profile, best_eu = resp, eu
-    return best_profile, best_eu
+    values = [expected_utility(committed, r, leader) for r in responses]
+    best = values.index(max(values))
+    return responses[best], values[best]
 
 
-def _single_leader_decision(game: CausalGame, leader: int) -> str:
+def _leader_and_follower(game: CausalGame, leader: int) -> tuple[str, int | None]:
+    """The leader's one free decision and the one agent owning the other
+    free decisions (``None`` when there are none)."""
     if not (1 <= leader <= game.n_agents):
         raise ValidationError(f"unknown agent index {leader}")
     decisions = game.free_decisions_of(leader)
@@ -606,7 +580,10 @@ def _single_leader_decision(game: CausalGame, leader: int) -> str:
             "commitment optimisation requires the leader to own exactly one "
             f"free decision, found {len(decisions)}"
         )
-    return decisions[0]
+    followers = {game.agent_of(d) for d in game.free_decisions()} - {leader}
+    if len(followers) > 1:
+        raise SolverError("commitment supports at most one follower agent")
+    return decisions[0], (followers.pop() if followers else None)
 
 
 def optimal_commitment(
@@ -618,9 +595,11 @@ def optimal_commitment(
 ) -> tuple[TabularCPD, float]:
     """Best stochastic rule for the leader to commit to, and its value.
 
-    Exact mode enumerates follower pure responses, intersects the
-    best-response inequalities into an interval of commitment probabilities
-    per response, and maximises the leader's (affine) utility over each
+    Exact mode is the multiple-LP method of Conitzer & Sandholm (EC 2006)
+    for a one-parameter leader: for each follower pure response, ``_bounds``
+    (the interval routine of support enumeration) intersects its
+    best-response inequalities, affine in the commitment probability, into
+    an interval, and the leader's affine utility is maximised over each
     interval's closure; candidate maxima at region boundaries implement
     leader-favourable tie-breaking.  Grid mode sweeps the commitment
     probability with the given step, which must lie in (0, 1]; a grid of
@@ -628,7 +607,7 @@ def optimal_commitment(
     """
     if not 0.0 < grid_step <= 1.0:  # also rejects NaN
         raise ValidationError(f"grid step must be in (0, 1], got {grid_step!r}")
-    dec = _single_leader_decision(game, leader)
+    dec, follower = _leader_and_follower(game, leader)
     if decision is not None and decision != dec:
         raise ValidationError(f"{decision!r} is not the leader's free decision")
     domain = game.domain(dec)
@@ -644,14 +623,7 @@ def optimal_commitment(
     def committed_rule(p: float) -> TabularCPD:
         return TabularCPD(dec, parents, {ctx: (p, 1.0 - p)})
 
-    follower_decisions = tuple(
-        d for d in game.free_decisions() if d != dec
-    )
-    follower_agents = {game.agent_of(d) for d in follower_decisions}
-    if len(follower_agents) > 1:
-        raise SolverError("commitment supports at most one follower agent")
-    follower = follower_agents.pop() if follower_agents else None
-
+    follower_decisions = tuple(d for d in game.free_decisions() if d != dec)
     # the commitment at p = 0 and p = 1, then every pure follower response
     stacks = {dec: _rule_stack(game, dec, [committed_rule(0.0), committed_rule(1.0)])}
     stacks.update(_pure_stacks(game, follower_decisions))
@@ -693,30 +665,21 @@ def optimal_commitment(
     if mode != "exact":
         raise ValidationError(f"unknown commitment mode {mode!r}")
 
-    candidates = []
-    for i, (fa, fb) in enumerate(f_affine):
-        lo, hi = 0.0, 1.0
-        empty = False
-        for j, (ga, gb) in enumerate(f_affine):
-            if i == j:
-                continue
-            da, db = fa - ga, fb - gb  # need da*p + db >= 0
-            if abs(da) <= COMMIT_EPS:
-                if db < -COMMIT_EPS:
-                    empty = True
-                    break
-                continue
-            bound = -db / da
-            if da > 0:
-                lo = max(lo, bound)
-            else:
-                hi = min(hi, bound)
-        if empty or lo > hi + COMMIT_EPS:
-            continue
-        lo, hi = max(0.0, min(1.0, lo)), max(0.0, min(1.0, hi))
-        la, lb = l_affine[i]
-        for p in (lo, hi):
-            candidates.append((p, la * p + lb))
+    import numpy as np  # here, so a refused game never loads numpy
+
+    # response i is a best response where (f_i - f_j)(p) >= 0 for every j
+    f = np.array(f_affine)
+    gap = f[:, None] - f[None]
+    slope = np.where(np.abs(gap[..., 0]) <= COMMIT_EPS, 0.0, gap[..., 0])
+    low, high, fits = _bounds(slope[..., None], gap[..., 1], COMMIT_EPS)
+    fits &= ~((slope == 0.0) & (gap[..., 1] < -COMMIT_EPS)).any(-1)
+    ends = np.concatenate([low, high], 1) + 0.0  # no -0.0 from a -0.0 / slope bound
+    candidates = [
+        (p, la * p + lb)
+        for (la, lb), kept, pair in zip(l_affine, fits.tolist(), ends.tolist())
+        if kept
+        for p in pair
+    ]
     best_p, best_v = candidates[0]
     for p, v in candidates[1:]:
         if v > best_v + COMMIT_EPS:

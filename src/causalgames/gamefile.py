@@ -18,7 +18,7 @@ from typing import Mapping
 
 import yaml
 
-from .errors import GameFileError, ValidationError
+from .errors import GameFileError, InterventionError, ValidationError
 from .graphs import variable_of_mechanism
 from .interventions import (
     AddVariable,
@@ -416,9 +416,11 @@ def parse_scenario(
             raise GameFileError(
                 f"duplicate intervention label {label!r}", path=path
             )
-        prim = _build_primitive(running, entry, journaled, path)
-        compound = as_compound(prim)
-        running, jc = compound.apply(running)
+        try:
+            compound = as_compound(_build_primitive(running, entry, journaled, path))
+            running, jc = compound.apply(running)
+        except InterventionError as exc:
+            raise GameFileError(str(exc), path=path) from None
         journaled[label] = jc
         interventions.append((label, compound))
 

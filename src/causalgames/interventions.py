@@ -32,6 +32,7 @@ from .graphs import (
     _reachable,
     _relevance_tests,
     build_mechanised_graph,
+    param_node,
     reachability_paths,
     relevant_mechanisms,
     rule_node,
@@ -205,7 +206,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
         raise InterventionError(f"unknown variable behind {p.target!r}")
     kind = game.kind(var)
     inverse = FixMechanism(p.target, game.factor_cpd(var))
-    if p.target.startswith("THETA_"):
+    if p.target == param_node(var):
         if kind == DECISION:
             raise InterventionError(
                 f"{p.target}: decisions have rule nodes, not parameter nodes"

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .equilibrium import pure_nash, behavioral_nash_small
 from .errors import QueryError, SolverError
-from .graphs import BEST_RESPONSE, RationalityRelation
+from .graphs import rule_node, variable_of_mechanism
 from .interventions import (
     AddVariable,
     Decomposition,
@@ -383,7 +383,6 @@ class QueryJob:
     epsilon: float = QUERY_EPS
     agent_order: Sequence[int] | None = None
     merge_common: bool = True
-    relation: RationalityRelation = BEST_RESPONSE
 
     def parsed_query(self) -> Query:
         if isinstance(self.query, str):
@@ -426,12 +425,12 @@ class QueryResult:
         return [leaf.value for leaf in self.leaves]
 
 
-def _stage_outcomes(game, relation, include_behavioral):
+def _stage_outcomes(game, include_behavioral):
     """Pure equilibria; with ``include_behavioral``, also every behavioral
     point equilibrium and family corner, each distinct profile once."""
-    outcomes = list(pure_nash(game, relation).outcomes)
+    outcomes = list(pure_nash(game).outcomes)
     if include_behavioral:
-        for prof in behavioral_nash_small(game, relation).extreme_profiles():
+        for prof in behavioral_nash_small(game).extreme_profiles():
             if not any(
                 set(prof.rules) == set(o.rules)
                 and all(cpds_equal(prof[d], o[d]) for d in prof.rules)
@@ -451,13 +450,13 @@ def _mixture_rule(game, decision, outcomes):
     return _rule_of(game, decision, _rule_stack(game, decision, rules).mean(axis=0))
 
 
-def _prim_binds(prim, stage_idx, stages):
-    """Whether a primitive rebinding a rule can take effect on realized play."""
-    if not (isinstance(prim, FixMechanism) and prim.target.startswith("PI_")):
-        return True, None
-    decision = prim.target[len("PI_"):]
-    observed = any(stages[k].agents for k in range(stage_idx, len(stages)))
-    return observed, decision
+def _rule_decision(prim):
+    """The decision whose rule node the primitive fixes, or None."""
+    if isinstance(prim, FixMechanism):
+        decision = variable_of_mechanism(prim.target)
+        if prim.target == rule_node(decision):
+            return decision
+    return None
 
 
 def evaluate_query(job: QueryJob) -> QueryResult:
@@ -483,17 +482,19 @@ def evaluate_query(job: QueryJob) -> QueryResult:
         }
         edits = []  # (decision, rule), or (decision, None) to forget it
         variables = {v.name: v for v in game.variables}  # kept as prims apply
+        # a rule rebinding takes effect on realized play only when observed
+        observed = any(s.agents for s in stages[idx:])
         for prim in stage.primitives:
-            binds, decision = _prim_binds(prim, idx, stages)
+            decision = _rule_decision(prim)
             if isinstance(prim, AddVariable):
                 variables[prim.variable.name] = prim.variable
             elif isinstance(prim, RemoveVariable):
                 variables.pop(prim.target, None)
-            touched = _intervened_owner(variables, prim)
+            touched = _intervened_owner(variables, prim, decision)
             if touched is not None:
                 record["a_prime"].append(touched)
             if decision is not None:
-                if binds:
+                if observed:
                     edits.append((decision, prim.cpd))
                 else:
                     record["suppressed"].append(prim.target)
@@ -503,7 +504,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
         if not stage.agents:
             plan.append((record, edits, [(None, {})]))
             continue
-        outcomes = _stage_outcomes(game, job.relation, job.include_behavioral)
+        outcomes = _stage_outcomes(game, job.include_behavioral)
         if not outcomes:
             raise SolverError(
                 f"no rational outcome found at stage {idx}: the configured "
@@ -591,13 +592,12 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     return QueryResult(verdict, tuple(leaves), tuple(trace), job.seed)
 
 
-def _intervened_owner(variables, prim):
+def _intervened_owner(variables, prim, decision):
     """Agent whose decision or rule node the primitive directly targets,
-    looked up in ``variables``, the name map after the primitive."""
-    name = None
-    if isinstance(prim, FixMechanism) and prim.target.startswith("PI_"):
-        name = prim.target[len("PI_"):]
-    elif isinstance(prim, FixObject):
+    looked up in ``variables``, the name map after the primitive;
+    ``decision`` is the primitive's ``_rule_decision``."""
+    name = decision
+    if isinstance(prim, FixObject):
         name = prim.target
     elif isinstance(prim, AddVariable):
         name = prim.variable.name
@@ -643,8 +643,8 @@ def _event_assignment(game: CausalGame, event) -> dict:
     return {var: _resolve_value(game, var, tok) for var, tok in atoms}
 
 
-def _event_probabilities(game, event, relation, include_behavioral):
-    profiles = _stage_outcomes(game, relation, include_behavioral)
+def _event_probabilities(game, event, include_behavioral):
+    profiles = _stage_outcomes(game, include_behavioral)
     if not profiles:
         raise SolverError("no rational outcomes to evaluate the event over")
     value = [event_factor(game, _event_assignment(game, event))]
@@ -657,7 +657,6 @@ def check_spec_env(
     event,
     direction: str = "raise",
     include_behavioral: bool = False,
-    relation: RationalityRelation = BEST_RESPONSE,
     eps: float = QUERY_EPS,
 ) -> bool:
     """Does the intervention move the event probability the right way?
@@ -670,10 +669,9 @@ def check_spec_env(
     """
     if direction not in ("raise", "lower"):
         raise QueryError(f"unknown direction {direction!r}")
-    base = _event_probabilities(game, event, relation, include_behavioral)
-    intervened_game = apply_all(game, interventions)
+    base = _event_probabilities(game, event, include_behavioral)
     new = _event_probabilities(
-        intervened_game, event, relation, include_behavioral
+        apply_all(game, interventions), event, include_behavioral
     )
     if direction == "raise":
         return min(new) >= max(base) - eps

@@ -32,6 +32,7 @@ from causalgames.graphs import (
 )
 from causalgames.interventions import apply_all
 from causalgames.model import (
+    COMMIT_EPS,
     DECISION,
     CausalGame,
     JointDistribution,
@@ -803,6 +804,41 @@ def loop_stable(game: CausalGame, profile: PolicyProfile, eps: float) -> bool:
             if gain > eps:
                 return False
     return True
+
+
+def breakpoint_commitment(game: CausalGame, leader: int, eps: float = COMMIT_EPS):
+    """Breakpoint reference for exact commitment: the leader's best value,
+    and the function giving the value of committing to each probability.
+
+    The leader's one free decision has one context; each pure response of
+    the other free decisions gives the follower's and the leader's expected
+    utility, read off ``induced_joint`` at p = 0 and p = 1, as lines in the
+    probability p of the decision's first action.  The optimum lies at 0, 1
+    or where two follower lines cross; at each p the follower responses
+    tied within ``eps`` of the best are played in the leader's favour.
+    """
+    [decision] = game.free_decisions_of(leader)
+    others = [d for d in game.free_decisions() if d != decision]
+    follower = game.agent_of(others[0]) if others else leader
+    [ctx] = game.contexts(decision)
+    lines = []  # per response: the follower's and the leader's (slope, intercept)
+    for rules in itertools.product(*[reference_pure_rules(game, d) for d in others]):
+        at = []
+        for p in (0.0, 1.0):
+            rule = TabularCPD(decision, game.parents_of(decision), {tuple(ctx): (p, 1.0 - p)})
+            joint = induced_joint(game, PolicyProfile({decision: rule, **dict(zip(others, rules))}))
+            at.append([expected_utility_from_joint(game, joint, a) for a in (follower, leader)])
+        lines.append([(v1 - v0, v0) for v0, v1 in zip(*at)])
+
+    def value_at(p):
+        top = max(fa * p + fb for (fa, fb), _ in lines)
+        return max(la * p + lb for (fa, fb), (la, lb) in lines if fa * p + fb >= top - eps)
+
+    points = {0.0, 1.0}
+    for ((fa, fb), _), ((ga, gb), _) in itertools.combinations(lines, 2):
+        if fa != ga and 0.0 <= (p := (gb - fb) / (fa - ga)) <= 1.0:
+            points.add(p)
+    return max(map(value_at, points)), value_at
 
 
 def agent_view(game, interventions, visibility, agent, merge_common=True):

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 import time
@@ -40,6 +41,7 @@ from causalgames.model import (
     induced_joint,
 )
 from helpers import (
+    breakpoint_commitment,
     expected_utility_from_joint,
     fraction_support_enumeration,
     loop_action_values,
@@ -1049,6 +1051,48 @@ def test_optimal_commitment_constant_leader():
     game = CausalGame(2, variables, parents, cpds)
     rule, value = optimal_commitment(game, 1)
     assert value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_exact_commitment_matches_breakpoint_oracle():
+    """On every seeded game commitment applies to, the exact optimum is the
+    breakpoint oracle's, the returned probability earns it and reads as a
+    non-negative zero where it is 0, and no grid point beats it."""
+    checked = 0
+    for gen, seed in itertools.product((random_game, random_multi_decision_game), range(170)):
+        game = gen(random.Random(seed))
+        for leader in range(1, game.n_agents + 1):
+            try:
+                rule, value = optimal_commitment(game, leader)
+            except SolverError:
+                continue
+            checked += 1
+            best, value_at = breakpoint_commitment(game, leader)
+            p = rule.row(())[0]
+            assert 0.0 <= p <= 1.0 and math.copysign(1.0, p) > 0, (gen, seed, p)
+            assert value == pytest.approx(best, abs=1e-9), (gen, seed)
+            assert value_at(p) == pytest.approx(value, abs=1e-9), (gen, seed)
+            _, grid = optimal_commitment(game, leader, mode="grid", grid_step=0.01)
+            assert grid <= value + 1e-9, (gen, seed)
+    assert checked >= 150
+
+
+def test_commitment_refuses_a_second_follower_agent():
+    variables = (
+        Variable("D1", "decision", ("a", "b"), 1),
+        Variable("D2", "decision", ("a", "b"), 2),
+        Variable("D3", "decision", ("a", "b"), 3),
+        *(Variable(f"U{i}", "utility", (0.0,), i) for i in (1, 2, 3)),
+    )
+    parents = {"D1": (), "D2": (), "D3": (), "U1": (), "U2": (), "U3": ()}
+    cpds = {f"U{i}": TabularCPD(f"U{i}", (), {(): (1.0,)}) for i in (1, 2, 3)}
+    game = CausalGame(3, variables, parents, cpds)
+    half = TabularCPD("D1", (), {(): (0.5, 0.5)})
+    for solve in (lambda: optimal_commitment(game, 1),
+                  lambda: commitment_value(game, 1, half)):
+        with pytest.raises(SolverError, match="at most one follower agent"):
+            solve()
+    with pytest.raises(ValidationError, match="unknown agent index 4"):
+        optimal_commitment(game, 4)
 
 
 def test_optimal_commitment_rejects_multiple_decisions(job_market):

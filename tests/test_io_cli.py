@@ -529,6 +529,20 @@ def test_mechanism_target_is_resolved_by_its_prefix(capsys, tmp_path, target, me
     _assert_one_error_line(capsys, _one_entry_scenario(tmp_path, entry), message)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("kind: fix_mechanism\ntarget: THETA_D1\nvalue: C",
+         "THETA_D1: decisions have rule nodes, not parameter nodes"),
+        ("kind: fix_object\ntarget: ghost", "unknown variable 'ghost'"),
+        ("kind: add_edge\nfrom: ghost\nto: D1", "unknown edge endpoint in ghost->D1"),
+    ],
+    ids=["theta_of_decision", "unknown_object", "unknown_edge_endpoint"],
+)
+def test_applier_refusal_names_the_scenario_file(capsys, tmp_path, entry, message):
+    _assert_one_error_line(capsys, _one_entry_scenario(tmp_path, entry), message)
+
+
 def test_domain_value_with_comma_is_rejected(job_market, tmp_path):
     """A value no CPD context key can name fails validation, ``AddVariable``
     and the parser, each with a typed error."""
@@ -733,15 +747,16 @@ LAYERS = ("gamefile", "model", "equilibrium", "graphs", "interventions",
           "queries", "dot", "cli")
 
 
-def _loaded_after(commands, modules) -> set:
+def _loaded_after(commands, modules, code=0) -> set:
     """Which of ``modules`` a fresh process has loaded after importing the
-    CLI and running each of ``commands`` through ``main``."""
+    CLI and running each of ``commands`` through ``main``, each exiting
+    with ``code``."""
     script = (
         "import contextlib, io, json, sys\n"
         "from causalgames.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
+        f"        assert main(argv) == {code}, argv\n"
         f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     src = str(Path(causalgames.__file__).parents[1])
@@ -775,6 +790,11 @@ def test_cli_commands_never_import_networkx():
 
 def test_graph_only_commands_never_import_numpy():
     assert _loaded_after(GRAPH_ONLY_COMMANDS, ["numpy"]) == set()
+
+
+def test_refused_commitment_never_imports_numpy():
+    argv = ["commit", "job_market", "--leader", "1"]  # D1 has two contexts
+    assert _loaded_after([argv], ["numpy"], code=1) == set()
 
 
 @pytest.mark.parametrize(
