@@ -16,7 +16,8 @@ their first call, so a program that only reads a game's structure (its
 graphs, interventions and validation) never loads it.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs; nothing here holds shared mutable state.
+function of its inputs; nothing here holds shared mutable state.  A CPD
+keeps the arrays built from it (``_cpd_tensor``), and those are read-only.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
 SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
 ENUM_BUDGET = 1 << 16  # most rule profiles, grid points or witness paths enumerated
+DIRECT_SPACE = 1 << 12  # most index entries a contraction sums in one einsum, unplanned
 STABLE_CHUNK = 256  # most corners verified at once (memory ~ chunk)
 GRID_STEP = 1e-3  # default step of the commitment probability grid
 
@@ -88,13 +90,16 @@ class TabularCPD:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
-        norm = {}
-        for ctx, row in self.table.items():
-            norm[tuple(ctx)] = tuple(float(p) for p in row)
-        object.__setattr__(self, "table", norm)
+        object.__setattr__(self, "table", {
+            tuple(ctx): tuple(map(float, row)) for ctx, row in self.table.items()
+        })
 
     def row(self, ctx: tuple) -> tuple[float, ...]:
         return self.table[tuple(ctx)]
+
+    def __getstate__(self):
+        # copies and pickles leave the kept arrays (``_cpd_tensor``) behind
+        return {k: v for k, v in vars(self).items() if k != "_arrays"}
 
     @classmethod
     def delta(cls, variable, value, domain, parents=(), contexts=((),)):
@@ -584,14 +589,11 @@ def payoff_tensors(
 
 def utility_factors(game: CausalGame, agents) -> list[tuple]:
     """The value factors of the agents' utilities: CPD times values."""
-    import numpy as np
-
     for agent in agents:
         if not (1 <= agent <= game.n_agents):
             raise ValidationError(f"unknown agent index {agent}")
     return [
-        (game.parents_of(u), _cpd_tensor(game, u, game.cpds[u])
-         @ np.array(game.domain(u), dtype=float))
+        (game.parents_of(u), _cpd_tensor(game, u, game.cpds[u], values=True))
         for agent in agents
         for u in game.utilities_of(agent)
     ]
@@ -650,14 +652,32 @@ def expectations(
     return out
 
 
-def _cpd_tensor(game: CausalGame, name: str, cpd: TabularCPD) -> np.ndarray:
-    """``cpd`` as an array with one axis per parent, then one for ``name``."""
+def _cpd_tensor(
+    game: CausalGame, name: str, cpd: TabularCPD, values: bool = False
+) -> np.ndarray:
+    """``cpd`` as an array with one axis per parent, then one for ``name``;
+    with ``values``, that axis is summed against ``name``'s domain values (a
+    utility's value factor).
+
+    Each array is built once per layout, the domains it is laid out over,
+    and kept read-only on the CPD, as the game keeps its arena; a copy of
+    the CPD starts without them.
+    """
     import numpy as np
 
-    doms = [game.domain(p) for p in game.parents_of(name)]
-    rows = list(map(cpd.table.__getitem__, itertools.product(*doms)))
-    shape = [len(d) for d in doms] + [len(game.domain(name))]
-    return np.array(rows, dtype=float).reshape(shape)
+    doms = tuple(game.domain(n) for n in (*game.parents_of(name), name))
+    kept = vars(cpd).setdefault("_arrays", {})
+    array = kept.get((doms, values))
+    if array is None:
+        if values:  # without parents, a 0-d array rather than a numpy scalar
+            domain_values = np.array(doms[-1], dtype=float)
+            array = np.asarray(_cpd_tensor(game, name, cpd) @ domain_values)
+        else:
+            rows = list(map(cpd.table.__getitem__, itertools.product(*doms[:-1])))
+            array = np.array(rows, dtype=float).reshape([len(d) for d in doms])
+        array.flags.writeable = False
+        kept[doms, values] = array
+    return array
 
 
 def _ancestral(game: CausalGame, names) -> list[str]:
@@ -687,19 +707,33 @@ def _contract(factors, keep) -> np.ndarray:
     """Sum every label outside ``keep`` out of the product of ``factors``.
 
     ``factors`` are ``(labels, array)`` pairs, one array axis per label.
-    Variable elimination: the labels go one at a time, each time the one
-    whose summed-out factor is smallest (greedy min-size), and one einsum
+    When the labels span at most ``DIRECT_SPACE`` index entries, one einsum
+    multiplies all factors at once: planning an order costs more than it
+    saves on so little arithmetic.  numpy caps an einsum at 31 operands (1.x)
+    and 52 labels, so larger sets are planned too.  Otherwise variable
+    elimination: the labels go one at a time, each time the one whose
+    summed-out factor is smallest (greedy min-size), and one einsum
     multiplies just the factors that carry it, so no step sees more labels
     than that factor and the label being summed.  The result has one axis
     per ``keep`` label, in order, of length 1 where no factor carries it.
     """
+    size = {}
+    for scope, array in factors:
+        size.update(zip(scope, array.shape))
+    if len(factors) > 31 or len(size) > 52 or math.prod(size.values()) > DIRECT_SPACE:
+        factors = _eliminate(factors, keep, size)
+    out = _einsum(factors, [x for x in keep if x in size])
+    return out.reshape([size.get(x, 1) for x in keep])
+
+
+def _eliminate(factors, keep, size) -> list[tuple]:
+    """``factors`` with every label outside ``keep`` summed out, in greedy
+    min-size order (see ``_contract``); ``size`` is each label's length."""
     live = dict(enumerate(factors))
     holders: dict = {}  # label -> ids of the live factors carrying it, ascending
-    size = {}
-    for i, (scope, array) in live.items():
-        for x, n in zip(scope, array.shape):
+    for i, (scope, _) in live.items():
+        for x in scope:
             holders.setdefault(x, []).append(i)
-            size[x] = n
     rank = {x: k for k, x in enumerate(holders)}  # ties go to the first seen
 
     def merged_scope(label):
@@ -727,9 +761,7 @@ def _contract(factors, keep) -> np.ndarray:
                 cost[x] = math.prod(size[y] for y in merged_scope(x))
                 heapq.heappush(heap, (cost[x], rank[x], x))
         new += 1
-    present = [x for x in keep if x in holders]
-    out = _einsum(list(live.values()), present)
-    return out.reshape([size[x] if x in holders else 1 for x in keep])
+    return list(live.values())
 
 
 def require_budget(game: CausalGame, decisions) -> None:

@@ -1,8 +1,12 @@
+import argparse
+import copy
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +18,14 @@ from causalgames import (
     Variable,
     apply_all,
     enumerate_pure_rules,
+    evaluate_query,
     expected_utility,
     induced_joint,
+    pure_nash,
     validate_game,
 )
-from causalgames.cli import resolve_game, resolve_scenario
+from causalgames import model
+from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
 from causalgames.model import _check_cpd, violations
 from helpers import (
     brute_force_joint,
@@ -473,3 +480,176 @@ def test_check_cpd_reports_each_faulty_row(job_market, rows, report):
     table = {ctx: row for ctx, row in table.items() if row is not None}
     cpd = TabularCPD("U2", ("T", "D2"), table)
     assert _check_cpd(job_market, cpd, "U2") == report
+
+
+# -- the contraction kernel -------------------------------------------------------
+
+
+def _reference_contraction(factors, keep):
+    """One ``np.einsum`` over every factor: the product summed onto ``keep``,
+    length 1 where no factor carries a kept label."""
+    ids, args, size = {}, [], {}
+    for scope, array in factors:
+        args += [array, [ids.setdefault(x, len(ids)) for x in scope]]
+        size.update(zip(scope, array.shape))
+    out = np.einsum(*args, [ids[x] for x in keep if x in ids])
+    return out.reshape([size.get(x, 1) for x in keep])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_planned_and_direct_contractions_agree(data):
+    """Random factor sets, with labels of size 1 and kept labels that no
+    factor carries: the greedy plan (``DIRECT_SPACE`` 0) and the single
+    einsum (``DIRECT_SPACE`` unbounded) both match one einsum over all
+    factors."""
+    labels = ["a", "b", "c", "d", "e", ("rule", "d"), ("leaf",), "f"]
+    n = data.draw(st.integers(1, len(labels)))
+    labels = labels[:n]
+    size = {x: data.draw(st.integers(1, 3)) for x in labels}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    factors = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        scope = tuple(data.draw(st.lists(st.sampled_from(labels), unique=True)))
+        factors.append((scope, rng.random([size[x] for x in scope]) + 0.5))
+    keep = tuple(data.draw(st.lists(st.sampled_from(labels), unique=True)))
+    want = _reference_contraction(factors, keep)
+    for space in (0, 1 << 62):
+        with mock.patch.object(model, "DIRECT_SPACE", space):
+            got = model._contract(factors, keep)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _one_value_chain_game(links):
+    """``X0 -> ... -> X{links-1} -> U <- D``: one-value chance variables, so
+    the index space is tiny while the factors number ``links + 2``."""
+    xs = [f"X{i}" for i in range(links)]
+    parents = {x: tuple(xs[i - 1:i]) for i, x in enumerate(xs)}
+    cpds = {x: TabularCPD(x, parents[x], {("x",) * len(parents[x]): (1.0,)}) for x in xs}
+    cpds["U"] = TabularCPD("U", (xs[-1], "D"), {
+        ("x", "a"): (1.0, 0.0), ("x", "b"): (0.0, 1.0),
+    })
+    return CausalGame(
+        1,
+        tuple(Variable(x, "chance", ("x",)) for x in xs)
+        + (Variable("D", "decision", ("a", "b"), 1), Variable("U", "utility", (0, 1), 1)),
+        {**parents, "D": (), "U": (xs[-1], "D")},
+        cpds,
+    )
+
+
+def _one_value_decisions_game(count):
+    """``count`` one-value decisions, all parents of one utility: each is a
+    stacked factor with two labels, its rule axis and itself."""
+    ds = [f"D{i}" for i in range(count)]
+    return CausalGame(
+        1,
+        tuple(Variable(d, "decision", ("only",), 1) for d in ds)
+        + (Variable("U", "utility", (0, 2), 1),),
+        {**{d: () for d in ds}, "U": tuple(ds)},
+        {"U": TabularCPD("U", tuple(ds), {("only",) * count: (0.25, 0.75)})},
+    )
+
+
+def test_contractions_past_numpys_einsum_limits_are_planned():
+    """numpy takes at most 52 labels and 31 operands (1.x; 63 in 2.x) in one
+    einsum.  An 80-link chain carries 82 factors and 82 labels over an index
+    space of 4; 27 stacked one-value decisions carry 54 labels on 28
+    factors; 70 factors split between two labels.  Each is contracted."""
+    chain = _one_value_chain_game(80)
+    assert validate_game(chain) == []
+    [eq] = pure_nash(chain).outcomes
+    assert eq["D"].table == {(): (0.0, 1.0)}
+    assert expected_utility(chain, eq, 1) == 1.0
+    wide = _one_value_decisions_game(27)
+    assert validate_game(wide) == []
+    [eq] = pure_nash(wide).outcomes
+    assert expected_utility(wide, eq, 1) == 1.5
+    many = [((x,), np.array([1.0, 0.5])) for x in "ab" for _ in range(35)]
+    assert model._contract(many, ()) == pytest.approx((1.0 + 0.5 ** 35) ** 2, rel=1e-12)
+
+
+def _two_layouts():
+    """Two games sharing one CPD object for ``Y``, whose parent ``X`` lists
+    its domain in opposite orders; ``Y`` copies ``X`` and ``U`` pays 1 when
+    ``Y`` is ``a``, so each game's expected utility is ``P(X = a) = 0.8``."""
+    shared = TabularCPD("Y", ("X",), {("a",): (1.0, 0.0), ("b",): (0.0, 1.0)})
+    u = TabularCPD("U", ("Y",), {("a",): (0.0, 1.0), ("b",): (1.0, 0.0)})
+    games = []
+    for dom, row in ((("a", "b"), (0.8, 0.2)), (("b", "a"), (0.2, 0.8))):
+        games.append(CausalGame(
+            1,
+            (Variable("X", "chance", dom), Variable("Y", "chance", ("a", "b")),
+             Variable("U", "utility", (0, 1), 1)),
+            {"X": (), "Y": ("X",), "U": ("Y",)},
+            {"X": TabularCPD("X", (), {(): row}), "Y": shared, "U": u},
+        ))
+    return shared, games
+
+
+def test_a_shared_cpd_gets_one_array_per_layout():
+    shared, games = _two_layouts()
+    for order in (games, games[::-1]):
+        for game in order:
+            assert expected_utility(game, PolicyProfile({}), 1) == pytest.approx(0.8)
+    first, second = (model._cpd_tensor(g, "Y", shared) for g in games)
+    assert first.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert second.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert len(vars(shared)["_arrays"]) == 2
+
+
+def test_kept_arrays_are_read_only(job_market):
+    pure_nash(job_market)
+    kept = [a for cpd in job_market.cpds.values() for a in vars(cpd)["_arrays"].values()]
+    kept += [array for _, array in model.utility_factors(job_market, [1, 2])]
+    assert kept and not any(a.flags.writeable for a in kept)
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0][...] = 0.0
+
+
+def test_a_copy_made_after_a_solve_answers_alike():
+    game = resolve_game("job_market")
+    solved = pure_nash(game).outcomes
+    copied = copy.deepcopy(game)
+    assert not any("_arrays" in vars(cpd) for cpd in copied.cpds.values())
+    again = pure_nash(copied).outcomes
+    assert [repr(p) for p in again] == [repr(p) for p in solved]
+    for profile in solved:
+        for agent in (1, 2):
+            assert expected_utility(copied, profile, agent) == expected_utility(
+                game, profile, agent
+            )
+
+
+def test_no_kept_array_crosses_operations(monkeypatch):
+    """One query on each of two fresh deep copies of a scenario, as the
+    benchmark runs each operation: the second builds every table again,
+    and within one query the tables are reused."""
+    scenario = resolve_scenario("reward_hidden")
+    built, calls = [], []
+    tensor = model._cpd_tensor
+
+    def counted(*args, **kwargs):
+        array = tensor(*args, **kwargs)
+        calls.append(array)
+        if not any(array is b for b in built):
+            built.append(array)
+        return array
+
+    monkeypatch.setattr(model, "_cpd_tensor", counted)
+    answers, per_copy = [], []
+    for _ in range(2):
+        job = _job_from_scenario(copy.deepcopy(scenario), argparse.Namespace(
+            seed=None, epsilon=None))
+        before = len(built)
+        answers.append(evaluate_query(job))
+        per_copy.append(built[before:])
+    first, second = per_copy
+    assert first and len(first) == len(second)
+    assert not {id(a) for a in first} & {id(a) for a in second}
+    assert len(calls) > len(built)
+    assert answers[0].verdict == answers[1].verdict
+    assert [leaf.value for leaf in answers[0].leaves] == [
+        leaf.value for leaf in answers[1].leaves
+    ]
