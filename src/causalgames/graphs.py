@@ -6,19 +6,23 @@ from each mechanism to its variable, and inter-mechanism edges into rule
 nodes wherever the governing rationality relation makes the source mechanism
 strategically relevant.  The independent mechanised graph drops the
 inter-mechanism edges; it is the arena for all reachability computations,
-read as ``pred``/``succ`` dicts built from the game's own parent and child
-index.  A game builds its arena once, on first use, and every search on it
-shares that arena; games are immutable and every intervention makes a new
-one, so it never goes stale.  networkx is imported only by the views.
+read as ``pred``/``succ`` dicts built in one pass over the variables from
+the game's own parent and child index.  A game builds its arena once, on
+first use, and every search on it shares that arena; games are immutable
+and every intervention makes a new one, so it never goes stale.  networkx
+is imported only by the views.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
-graph.  A trail through a collider is open when the collider lies in the
-ancestral closure of the conditioning set Y, and through any other node when
-that node is outside Y.  d-connection is symmetric, so one search from each
-relevance test's target set (Koller & Milch 2003) finds every mechanism
-relevant to a rule node.  The search is valid on graphs with cycles, which
-matters because mechanised graphs may be cyclic among mechanism nodes.
+graph.  It keeps Bayes-Ball's two marks, one set of nodes entered from a
+child and one of nodes entered from a parent, so each node is expanded at
+most once from each side.  A trail through a collider is open when the
+collider lies in the ancestral closure of the conditioning set Y, and
+through any other node when that node is outside Y.  d-connection is
+symmetric, so one search from each relevance test's target set (Koller &
+Milch 2003) finds every mechanism relevant to a rule node.  The search is
+valid on graphs with cycles, which matters because mechanised graphs may be
+cyclic among mechanism nodes.
 ``active_paths`` enumerates simple paths (Pearl, *Causality*, 2009), which is
 exponential in the worst case; it is used only where the paths themselves
 are the answer: relevance witnesses and minimum intervention sets.  It grows
@@ -60,9 +64,9 @@ def variable_of_mechanism(name: str) -> str:
 
 
 class _Arena:
-    """One game's independent mechanised graph: ``pred``/``succ`` dicts and
-    ``in`` (what the searches read of an ``nx.DiGraph``) and, in variable
-    order, each variable's mechanism node and that node's edge into it.
+    """One game's independent mechanised graph: ``pred``/``succ`` dicts (what
+    the searches read of an ``nx.DiGraph``) and, in variable order, each
+    variable's mechanism node and that node's edge into it.
 
     The edge from a rule node into an object-fixed decision is severed: an
     object-level hard fix replaces the rule as the distribution governing
@@ -70,26 +74,30 @@ class _Arena:
     """
 
     def __init__(self, game: CausalGame):
-        self.mechanism = {
-            v.name: rule_node(v.name) if v.kind == DECISION else param_node(v.name)
-            for v in game.variables
-        }
-        self.mechanisms = frozenset(self.mechanism.values())
-        self.edges = tuple(
-            (m, v) for v, m in self.mechanism.items() if v not in game.object_fixed
-        )
-        objects = dict.fromkeys(self.mechanism, ())
-        mechs = dict.fromkeys(self.mechanism.values(), ())
-        self.pred = {**objects, **game.parents, **mechs}
-        self.succ = {**objects, **game._children, **mechs}
-        for m, v in self.edges:
-            self.pred[v] += (m,)
-            self.succ[m] = (v,)
+        self.mechanism = mechanism = {}
+        edges, pred, succ, mechs = [], {}, {}, {}
+        parents, children, fixed = game.parents, game._children, game.object_fixed
+        for v in game.variables:
+            name = v.name
+            m = rule_node(name) if v.kind == DECISION else param_node(name)
+            mechanism[name] = m
+            succ[name] = children.get(name, ())
+            if name in fixed:
+                pred[name] = parents.get(name, ())
+                mechs[m] = ()
+            else:
+                pred[name] = parents.get(name, ()) + (m,)
+                mechs[m] = (name,)
+                edges.append((m, name))
+        # variables in declaration order, then their mechanism nodes: the
+        # node and edge order of the networkx views
+        pred.update(dict.fromkeys(mechs, ()))
+        succ.update(mechs)
+        self.pred, self.succ = pred, succ
+        self.mechanisms = frozenset(mechs)
+        self.edges = tuple(edges)
         self.tests = {}  # rule node -> its relevance tests, see _relevance_tests
         self.open = {}  # conditioning set -> its open colliders, see _open_colliders
-
-    def __contains__(self, node) -> bool:
-        return node in self.pred
 
 
 def _arena(game: CausalGame) -> _Arena:
@@ -151,10 +159,10 @@ class Path:
 
 
 def _check_node_sets(graph: _Arena | nx.DiGraph, *sets: Iterable[str]):
-    seen = []
+    known, seen = graph.pred, []
     for s in sets:
         for n in s:
-            if n not in graph:
+            if n not in known:
                 raise ValidationError(f"unknown node {n!r}")
         seen.append(set(s))
     for i in range(len(seen)):
@@ -194,11 +202,15 @@ def _reachable(
 ) -> set:
     """Reachable-set search: every node an active trail from ``xs`` reaches.
 
-    States are (node, direction of arrival): ``BACKWARD`` when entered from
-    a child (or at a start node), ``FORWARD`` when entered from a parent.
-    Each state is expanded at most once, so the cost is O(V + E).  Edges in
-    ``severed`` are not traversed, while colliders stay open as in the whole
-    graph: the trails found are the active trails that avoid those edges.
+    Bayes-Ball's two marks: a node is marked ``up`` when entered from a
+    child (or as a start node) and ``down`` when entered from a parent, and
+    it is pushed only when it lacks the mark of the side it is entered
+    from, so each node is expanded at most twice and the cost is O(V + E).
+    A node passes the ball to its children when it is outside ``given``,
+    and to its parents when it was entered from below outside ``given`` or
+    from above as an open collider.  Edges in ``severed`` are not traversed,
+    while colliders stay open as in the whole graph: the trails found are
+    the active trails that avoid those edges.
     """
     open_colliders = _open_colliders(graph, given)
     pred, succ = graph.pred, graph.succ
@@ -207,21 +219,26 @@ def _reachable(
         for tail, head in severed:
             pred[head] = tuple(p for p in pred[head] if p != tail)
             succ[tail] = tuple(c for c in succ[tail] if c != head)
-    stack = [(x, BACKWARD) for x in xs]
-    seen = set()
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        node, arrived = state
+    up, down = set(xs), set()
+    rising, falling = list(up), []
+    while rising or falling:
+        if rising:
+            node = rising.pop()
+            climb = node not in given
+        else:
+            node = falling.pop()
+            climb = node in open_colliders
+        if climb:
+            for p in pred[node]:
+                if p not in up:
+                    up.add(p)
+                    rising.append(p)
         if node not in given:
-            stack.extend((c, FORWARD) for c in succ[node])
-            if arrived == BACKWARD:
-                stack.extend((p, BACKWARD) for p in pred[node])
-        if arrived == FORWARD and node in open_colliders:
-            stack.extend((p, BACKWARD) for p in pred[node])
-    return {node for node, _ in seen}
+            for c in succ[node]:
+                if c not in down:
+                    down.add(c)
+                    falling.append(c)
+    return up | down
 
 
 def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:

@@ -22,6 +22,7 @@ keeps the arrays built from it (``_cpd_tensor``), and those are read-only.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -669,6 +670,7 @@ def _cpd_tensor(
     kept = vars(cpd).setdefault("_arrays", {})
     array = kept.get((doms, values))
     if array is None:
+        _check_axes(len(doms), f"the table of {name}")
         if values:  # without parents, a 0-d array rather than a numpy scalar
             domain_values = np.array(doms[-1], dtype=float)
             array = np.asarray(_cpd_tensor(game, name, cpd) @ domain_values)
@@ -692,14 +694,54 @@ def _ancestral(game: CausalGame, names) -> list[str]:
     return [n for n in game.names() if n in seen]
 
 
+@functools.cache
+def _max_axes() -> int:
+    """numpy's most axes per array: 32 in numpy 1.x, 64 in 2.x.  One einsum
+    takes one operand fewer, its output being the last."""
+    try:
+        from numpy._core.multiarray import MAXDIMS
+    except ImportError:  # numpy 1.x
+        from numpy.core.multiarray import MAXDIMS
+    return MAXDIMS
+
+
+def _max_labels() -> int:
+    """Most labels one einsum carries: an axis each, and its sublist
+    subscripts stop at 52."""
+    return min(52, _max_axes())
+
+
+def _check_axes(count: int, what: str) -> None:
+    if count > _max_axes():
+        raise SolverError(
+            f"{what} needs {count} axes; numpy arrays have at most {_max_axes()}"
+        )
+
+
 def _einsum(parts, out) -> np.ndarray:
-    """Product of the labelled arrays ``parts``, summed onto the labels ``out``."""
+    """Product of the labelled arrays ``parts``, summed onto the labels ``out``.
+
+    Past numpy's operand cap the first operands are multiplied apart, onto
+    the labels that the rest or ``out`` still carry.  A product over more
+    labels than one einsum takes is a ``SolverError``.
+    """
     import numpy as np
 
+    most = _max_axes() - 1
+    while len(parts) > most:
+        head, parts = parts[:most], parts[most:]
+        need = set(out).union(*(scope for scope, _ in parts))
+        scope = tuple(dict.fromkeys(x for s, _ in head for x in s if x in need))
+        parts = [(scope, _einsum(head, scope)), *parts]
     ids: dict = {}
     args = []
     for scope, array in parts:
         args += [array, [ids.setdefault(x, len(ids)) for x in scope]]
+    if len(ids) > _max_labels():
+        raise SolverError(
+            f"a contraction step spans {len(ids)} variables; numpy's einsum "
+            f"takes at most {_max_labels()}"
+        )
     return np.einsum(*args, [ids[x] for x in out])
 
 
@@ -709,8 +751,8 @@ def _contract(factors, keep) -> np.ndarray:
     ``factors`` are ``(labels, array)`` pairs, one array axis per label.
     When the labels span at most ``DIRECT_SPACE`` index entries, one einsum
     multiplies all factors at once: planning an order costs more than it
-    saves on so little arithmetic.  numpy caps an einsum at 31 operands (1.x)
-    and 52 labels, so larger sets are planned too.  Otherwise variable
+    saves on so little arithmetic.  numpy caps the labels of an einsum (see
+    ``_max_labels``), so larger sets are planned too.  Otherwise variable
     elimination: the labels go one at a time, each time the one whose
     summed-out factor is smallest (greedy min-size), and one einsum
     multiplies just the factors that carry it, so no step sees more labels
@@ -720,7 +762,7 @@ def _contract(factors, keep) -> np.ndarray:
     size = {}
     for scope, array in factors:
         size.update(zip(scope, array.shape))
-    if len(factors) > 31 or len(size) > 52 or math.prod(size.values()) > DIRECT_SPACE:
+    if len(size) > _max_labels() or math.prod(size.values()) > DIRECT_SPACE:
         factors = _eliminate(factors, keep, size)
     out = _einsum(factors, [x for x in keep if x in size])
     return out.reshape([size.get(x, 1) for x in keep])
@@ -802,6 +844,7 @@ def _pure_rules(game: CausalGame, decision: str) -> np.ndarray:
 
     n = len(game.domain(decision))
     dims = [len(game.domain(p)) for p in game.parents_of(decision)]
+    _check_axes(len(dims) + 2, f"the rule stack of {decision}")
     k = math.prod(dims)
     # digits by division, not np.indices, which stops at 64 dimensions
     digits = np.arange(n ** k)[:, None] // n ** np.arange(k)[::-1] % n

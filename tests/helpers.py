@@ -168,6 +168,32 @@ def chain_to_utility_game(n: int) -> CausalGame:
     )
 
 
+def fan_game(n: int, decision: bool = False) -> CausalGame:
+    """A chance ``X`` with ``n`` one-value children ``Y0 .. Y{n-1}``, all
+    parents of one utility ``U``; with ``decision``, a binary ``D`` that
+    ``U`` also reads, so that the game has something to solve.  ``U``'s
+    table has ``n + 1`` axes (one more with ``D``), and summing out ``X``
+    multiplies ``n + 1`` factors over ``n + 1`` labels."""
+    ys = [f"Y{i}" for i in range(n)]
+    reads = tuple(ys) + (("D",) if decision else ())
+    variables = [Variable("X", "chance", ("a", "b"))]
+    variables += [Variable(y, "chance", ("y",)) for y in ys]
+    variables += [Variable("D", "decision", ("a", "b"), 1)] if decision else []
+    variables.append(Variable("U", "utility", (0, 1), 1))
+    parents = {"X": (), **{y: ("X",) for y in ys}, "U": reads}
+    if decision:
+        parents["D"] = ()
+    cpds = {
+        "X": TabularCPD("X", (), {(): (0.5, 0.5)}),
+        **{y: TabularCPD(y, ("X",), {("a",): (1.0,), ("b",): (1.0,)}) for y in ys},
+        "U": TabularCPD("U", reads, {
+            ("y",) * n + d: (0.0, 1.0) if d == ("b",) else (1.0, 0.0)
+            for d in ((("a",), ("b",)) if decision else ((),))
+        }),
+    }
+    return CausalGame(1, tuple(variables), parents, cpds)
+
+
 def dense_to_utility_game(n: int) -> CausalGame:
     """Chance nodes ``X0 .. X{n-1}``, each a parent of every later one, then
     ``X{n-1} -> U <- D`` for one agent: ``THETA_X0`` reaches ``PI_D`` along
@@ -533,6 +559,35 @@ def full_active_paths(graph: nx.DiGraph, xs, zs, given) -> list[Path]:
         extend([x], [], {x})
     found.sort(key=lambda p: (len(p.nodes), p.nodes, p.arrows))
     return found
+
+
+def state_reachable(graph, xs, given, severed=frozenset()) -> set:
+    """The reachable-set search over ``(node, direction)`` states: the form
+    the two-mark search of ``graphs._reachable`` replaced.
+
+    ``BACKWARD`` marks a node entered from a child (or a start node),
+    ``FORWARD`` one entered from a parent; colliders open on the ancestral
+    closure of ``given`` in the whole graph, and ``severed`` edges are not
+    traversed.
+    """
+    pred = {n: [p for p in graph.pred[n] if (p, n) not in severed] for n in graph}
+    succ = {n: [c for c in graph.succ[n] if (n, c) not in severed] for n in graph}
+    open_colliders = set(given).union(*(nx.ancestors(graph, g) for g in given))
+    stack = [(x, BACKWARD) for x in xs]
+    seen = set()
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        node, arrived = state
+        if node not in given:
+            stack.extend((c, FORWARD) for c in succ[node])
+            if arrived == BACKWARD:
+                stack.extend((p, BACKWARD) for p in pred[node])
+        if arrived == FORWARD and node in open_colliders:
+            stack.extend((p, BACKWARD) for p in pred[node])
+    return {node for node, _ in seen}
 
 
 def path_criterion_removals(game: CausalGame, fix) -> set:

@@ -41,6 +41,8 @@ from helpers import (
     random_cbn,
     random_game,
     random_multi_decision_game,
+    random_rich_game,
+    state_reachable,
 )
 
 JM_EDGES_INTO_PI_D1 = {"THETA_T", "THETA_U1", "PI_D2"}
@@ -199,6 +201,29 @@ def _definition_graph(game):
     return nodes, edges
 
 
+def test_arena_and_views_keep_declaration_order():
+    """Variables in declaration order, then each one's mechanism node in the
+    same order: the arena's keys and the node order of both networkx views,
+    on seeded games with object-fixed decisions."""
+    for seed in range(60):
+        rng = random.Random(f"order:{seed}")
+        game = random_rich_game(rng) if seed % 2 else random_multi_decision_game(rng)
+        if not game.object_fixed:
+            d = rng.choice(game.decisions())
+            dom = game.domain(d)
+            game = apply_primitive(game, FixObject(d, (), TabularCPD.delta(d, dom[0], dom)))
+        names = list(game.names())
+        order = names + [mechanism_node(game, v) for v in names]
+        arena = graphs._Arena(game)
+        assert list(arena.pred) == list(arena.succ) == order
+        view = independent_mechanised_graph(game)
+        assert list(view) == order
+        assert list(view.edges) == [
+            (v, c) for v in names for c in game.children_of(v)
+        ] + [(mechanism_node(game, v), v) for v in names if v not in game.object_fixed]
+        assert list(build_mechanised_graph(game).graph) == order
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
 def test_arena_matches_graph_views(rng, multi, fix):
@@ -281,6 +306,18 @@ def test_d_separated_agrees_with_path_enumeration(query):
 def test_pruned_paths_match_full_enumeration(query):
     g, xs, zs, given = query
     assert active_paths(g, xs, zs, given) == full_active_paths(g, xs, zs, given)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_query(), st.data())
+def test_two_mark_search_matches_the_state_search(query, data):
+    """``_reachable``'s two marks reach exactly the nodes of the search over
+    ``(node, direction)`` states, with a random subset of edges severed."""
+    g, xs, _, given = query
+    severed = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges)))
+                                  if g.number_of_edges() else st.just(set())))
+    want = state_reachable(g, xs, given, severed)
+    assert graphs._reachable(g, xs, frozenset(given), severed) == want
 
 
 def _nx_relevance_tests(game, target):

@@ -35,6 +35,7 @@ from causalgames.cli import main, resolve_game
 from helpers import (
     chain_to_utility_game,
     dense_to_utility_game,
+    fan_game,
     random_multi_decision_game,
 )
 
@@ -820,6 +821,20 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_cli_solve_past_numpys_limits_is_one_error_line(capsys, tmp_path):
+    """A valid game whose contraction numpy cannot represent: ``validate``
+    passes, ``solve`` prints one ``error:`` line naming the limit."""
+    path = tmp_path / "fan.game.yaml"
+    path.write_text(serialize_game(fan_game(62, decision=True)))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and "ok" in out
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "numpy" in line
 
 
 def test_deep_chain_validates_and_joins_without_recursion(tmp_path):

@@ -26,10 +26,12 @@ from causalgames import (
 )
 from causalgames import model
 from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
+from causalgames.errors import SolverError
 from causalgames.model import _check_cpd, violations
 from helpers import (
     brute_force_joint,
     expected_utility_from_joint,
+    fan_game,
     fraction_expected_utility,
     random_full_profile,
     random_game,
@@ -568,6 +570,48 @@ def test_contractions_past_numpys_einsum_limits_are_planned():
     assert expected_utility(wide, eq, 1) == 1.5
     many = [((x,), np.array([1.0, 0.5])) for x in "ab" for _ in range(35)]
     assert model._contract(many, ()) == pytest.approx((1.0 + 0.5 ** 35) ** 2, rel=1e-12)
+
+
+def test_a_step_past_einsums_label_cap_is_a_solver_error():
+    """Summing out ``X`` of a 62-child fan multiplies 63 factors over 63
+    labels, past the 52 one einsum takes (numpy 1.x refuses ``U``'s
+    63-axis table first)."""
+    game = fan_game(62)
+    assert validate_game(game) == []
+    with pytest.raises(SolverError, match="numpy"):
+        expected_utility(game, PolicyProfile({}), 1)
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_a_table_past_numpys_axis_cap_is_a_solver_error(n):
+    game = fan_game(n)
+    assert validate_game(game) == []
+    with pytest.raises(SolverError, match=r"the table of U needs \d+ axes"):
+        expected_utility(game, PolicyProfile({}), 1)
+
+
+def test_a_rule_stack_past_numpys_axis_cap_is_a_solver_error():
+    """A decision reading 63 one-value variables has two pure rules, but
+    their stack has 65 axes."""
+    ys = [f"Y{i}" for i in range(63)]
+    game = CausalGame(
+        1,
+        tuple(Variable(y, "chance", ("y",)) for y in ys)
+        + (Variable("D", "decision", ("a", "b"), 1), Variable("U", "utility", (0, 1), 1)),
+        {**{y: () for y in ys}, "D": tuple(ys), "U": ("D",)},
+        {**{y: TabularCPD(y, (), {(): (1.0,)}) for y in ys},
+         "U": TabularCPD("U", ("D",), {("a",): (1.0, 0.0), ("b",): (0.0, 1.0)})},
+    )
+    assert validate_game(game) == []
+    with pytest.raises(SolverError, match="the rule stack of D needs 65 axes"):
+        pure_nash(game)
+
+
+def test_a_step_past_einsums_operand_cap_is_multiplied_in_chunks():
+    assert model._contract([(("a",), np.ones(2))] * 70, ()) == 2.0
+    scaled = [(("a",), np.array([1.0, 0.9]))] * 70 + [(("b",), np.arange(3.0))]
+    got = model._contract(scaled, ("b",))
+    np.testing.assert_allclose(got, (1.0 + 0.9 ** 70) * np.arange(3.0), rtol=1e-12)
 
 
 def _two_layouts():
