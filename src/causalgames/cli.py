@@ -10,6 +10,7 @@ domain error or a closed output pipe, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .equilibrium import (
 )
 from .errors import GameError
 from .gamefile import (
+    OPTIONS,
     Scenario,
     game_to_dict,
     load_game,
@@ -39,7 +41,7 @@ from .interventions import (
     side_effects as compute_side_effects,
     incentive_invariant,
 )
-from .model import GRID_STEP, PROB_EPS, QUERY_EPS, ROUND_DIGITS, SHOWN_EPS
+from .model import GRID_STEP, PROB_EPS, ROUND_DIGITS, SHOWN_EPS
 from .model import CausalGame, validate_game
 from .queries import QueryJob, classify_visibility, evaluate_query
 
@@ -109,11 +111,15 @@ def _rule_text(game, decision, rule) -> str:
     return f"{decision}[{' '.join(parts)}]"
 
 
-def _profile_payoffs(game, profile) -> list[float]:
-    return [
-        _round(expected_utility(game, profile, a))
-        for a in range(1, game.n_agents + 1)
-    ]
+def _point(game, profile) -> dict:
+    """A profile's rules and every agent's expected utility, as reported."""
+    return {
+        "rules": {d: _rule_dict(profile[d]) for d in profile.decisions()},
+        "payoffs": [
+            _round(expected_utility(game, profile, a))
+            for a in range(1, game.n_agents + 1)
+        ],
+    }
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -140,29 +146,15 @@ def _cmd_solve(args) -> int:
     game = resolve_game(args.game)
     result = pure_nash(game)
     lines = [f"{len(result.outcomes)} pure rational outcome(s):"]
-    payload_outcomes = []
-    for i, profile in enumerate(result.outcomes, 1):
+    payload = {"outcomes": [_point(game, p) for p in result.outcomes]}
+    for i, (profile, point) in enumerate(zip(result.outcomes, payload["outcomes"]), 1):
         rules_text = " | ".join(
             _rule_text(game, d, profile[d]) for d in game.free_decisions()
         )
-        payoffs = _profile_payoffs(game, profile)
-        lines.append(f"  {i}. {rules_text}  EU={tuple(payoffs)}")
-        payload_outcomes.append(
-            {
-                "rules": {d: _rule_dict(profile[d]) for d in profile.decisions()},
-                "payoffs": payoffs,
-            }
-        )
-    payload = {"outcomes": payload_outcomes}
+        lines.append(f"  {i}. {rules_text}  EU={tuple(point['payoffs'])}")
     if args.behavioral:
         beh = behavioral_nash_small(game)
-        payload["behavioral_points"] = [
-            {
-                "rules": {d: _rule_dict(p[d]) for d in p.decisions()},
-                "payoffs": _profile_payoffs(game, p),
-            }
-            for p in beh.outcomes
-        ]
+        payload["behavioral_points"] = [_point(game, p) for p in beh.outcomes]
         payload["families"] = []
         lines.append(f"{len(beh.families)} behavioral famil(ies):")
         for fam in beh.families:
@@ -269,20 +261,12 @@ def _cmd_invariant(args) -> int:
 def _job_from_scenario(scenario: Scenario, args) -> QueryJob:
     if scenario.query is None:
         raise GameError("scenario has no query")
-    options = dict(scenario.options)
-    seed = args.seed if args.seed is not None else options.get("seed", 0)
-    eps = options.get("epsilon", QUERY_EPS) if args.epsilon is None else args.epsilon
+    # parse_scenario typed each option; each sets the job field of its name
+    flags = {"seed": args.seed, "epsilon": args.epsilon}
+    options = {**scenario.options, **{k: v for k, v in flags.items() if v is not None}}
     return QueryJob(
-        game=scenario.game,
-        interventions=scenario.interventions,
-        visibility=scenario.visibility,
-        query=scenario.query,
-        seed=int(seed),
-        mix_ties=bool(options.get("mix_ties", False)),
-        include_behavioral=bool(options.get("include_behavioral", False)),
-        epsilon=float(eps),
-        agent_order=options.get("agent_order"),
-        merge_common=bool(options.get("merge_common", True)),
+        scenario.game, scenario.interventions, scenario.visibility, scenario.query,
+        **options,
     )
 
 
@@ -353,6 +337,15 @@ def _cmd_commit(args) -> int:
     return 0
 
 
+def _epsilon(text: str) -> float:
+    """``--epsilon``'s value, held to the rule of the scenario option."""
+    what, valid = OPTIONS["epsilon"]
+    with contextlib.suppress(ValueError):
+        if valid(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalgames",
@@ -360,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
-        "--epsilon", type=float, default=None, help="comparison tolerance"
+        "--epsilon", type=_epsilon, default=None, help="comparison tolerance"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

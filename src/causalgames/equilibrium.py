@@ -74,10 +74,7 @@ def _profiles_where(game, stacks: dict, mask: np.ndarray) -> list[PolicyProfile]
 
 
 def best_responses(
-    game: CausalGame,
-    agent: int,
-    others: PolicyProfile,
-    eps: float = EQ_EPS,
+    game: CausalGame, agent: int, others: PolicyProfile
 ) -> list[PolicyProfile]:
     """All pure policies maximising the agent's expected utility.
 
@@ -95,7 +92,7 @@ def best_responses(
         )
     stacks = _pure_stacks(game, game.free_decisions_of(agent))
     [payoff] = payoff_tensors(game, others, [agent], stacks)
-    return _profiles_where(game, stacks, payoff >= payoff.max() - eps)
+    return _profiles_where(game, stacks, payoff >= payoff.max() - EQ_EPS)
 
 
 def verify_rational_outcome(
@@ -141,40 +138,32 @@ class FreeParam:
 class BehavioralFamily:
     """A parametric family of equilibria.
 
-    ``entries`` maps (decision, context) to either a float (the probability
-    of the decision's first action) or a parameter name.  Instantiating at a
-    parameter assignment yields a concrete profile.
+    ``entries`` maps (decision, context), each decision's contexts in the
+    game's order, to either a float (the probability of the decision's first
+    action) or a parameter name.  Instantiating at a parameter assignment
+    yields a concrete profile, its tables' rows in that order.
     """
 
     decisions: tuple[str, ...]
     entries: dict
     params: tuple[FreeParam, ...]
-    _contexts: dict = field(default_factory=dict, compare=False)
     _parents: dict = field(default_factory=dict, compare=False)
 
     def instantiate(self, values: dict) -> PolicyProfile:
-        rules = {}
-        for d in self.decisions:
-            table = {}
-            for ctx in self._contexts[d]:
-                entry = self.entries[(d, ctx)]
-                p = values[entry] if isinstance(entry, str) else entry
-                table[ctx] = (p, 1.0 - p)
-            rules[d] = TabularCPD(d, self._parents[d], table)
-        return PolicyProfile(rules)
+        tables = {d: {} for d in self.decisions}
+        for (d, ctx), entry in self.entries.items():
+            p = values[entry] if isinstance(entry, str) else entry
+            tables[d][ctx] = (p, 1.0 - p)
+        return PolicyProfile(
+            {d: TabularCPD(d, self._parents[d], t) for d, t in tables.items()}
+        )
 
     def extreme_profiles(self) -> list[PolicyProfile]:
-        """Profiles at every corner of the parameter box."""
-        if not self.params:
-            return [self.instantiate({})]
-        corners = itertools.product(
-            *[(p.low, p.high) for p in self.params]
-        )
-        out = []
-        for corner in corners:
-            values = {p.name: v for p, v in zip(self.params, corner)}
-            out.append(self.instantiate(values))
-        return out
+        """Profiles at every corner of the parameter box (one without
+        parameters), the first parameter most significant."""
+        names = [p.name for p in self.params]
+        corners = itertools.product(*[(p.low, p.high) for p in self.params])
+        return [self.instantiate(dict(zip(names, c))) for c in corners]
 
 
 @dataclass(frozen=True)
@@ -192,13 +181,13 @@ class RationalOutcomeSet:
         return out
 
 
-def pure_nash(game: CausalGame, eps: float = EQ_EPS) -> RationalOutcomeSet:
+def pure_nash(game: CausalGame) -> RationalOutcomeSet:
     """Every pure full profile that is an equilibrium, in enumeration order.
 
     Each agent's payoff tensor has one axis per free decision, stacking its
     pure rules; a profile is kept unless, for some agent, the maximum over
-    that agent's own axes exceeds their entry by more than ``eps``, that is,
-    some joint deviation of their own decisions improves.
+    that agent's own axes exceeds their entry by more than ``EQ_EPS``, that
+    is, some joint deviation of their own decisions improves.
     """
     import numpy as np
 
@@ -212,7 +201,7 @@ def pure_nash(game: CausalGame, eps: float = EQ_EPS) -> RationalOutcomeSet:
     stable = np.ones(tuple(len(rules) for rules in stacks.values()), dtype=bool)
     payoffs = payoff_tensors(game, PolicyProfile({}), agents, stacks)
     for a, payoff in zip(agents, payoffs):
-        stable &= ~(payoff.max(axis=owned[a], keepdims=True) > payoff + eps)
+        stable &= ~(payoff.max(axis=owned[a], keepdims=True) > payoff + EQ_EPS)
     return RationalOutcomeSet(
         tuple(_profiles_where(game, stacks, stable)), mode="pure_exhaustive"
     )
@@ -331,16 +320,16 @@ def _action_values(coefficients, other):
     return reached, const, coef
 
 
-def _reduce(m, tol=PIVOT_EPS):
+def _reduce(m):
     """Gauss-Jordan elimination of a batch of augmented systems, in place.
 
     ``m`` is (systems, rows, unknowns + 1), each row its coefficients, then
     its right-hand side.  Each unknown in turn pivots on the first row not
-    yet used whose coefficient exceeds ``tol``: that row moves up to the
-    next place and is scaled to 1 there, and the unknown is eliminated from
-    every other row whose coefficient exceeds ``tol``.  Returns which
-    unknowns pivot, (systems, unknowns): a system's k-th row belongs to its
-    k-th pivot, and its rows past the last pivot are left over.
+    yet used whose coefficient exceeds ``PIVOT_EPS``: that row moves up to
+    the next place and is scaled to 1 there, and the unknown is eliminated
+    from every other row whose coefficient exceeds ``PIVOT_EPS``.  Returns
+    which unknowns pivot, (systems, unknowns): a system's k-th row belongs to
+    its k-th pivot, and its rows past the last pivot are left over.
     """
     import numpy as np
 
@@ -349,15 +338,15 @@ def _reduce(m, tol=PIVOT_EPS):
     used = np.zeros(n, dtype=int)
     pivots = []
     for c in range(width - 1):
-        open_rows = (np.abs(m[:, :, c]) > tol) & (at >= used[:, None])
+        open_rows = (np.abs(m[:, :, c]) > PIVOT_EPS) & (at >= used[:, None])
         pivots.append(open_rows.any(1))
         hit = np.flatnonzero(pivots[-1])
         r, p = used[hit], open_rows[hit].argmax(1)
         m[hit, r], m[hit, p] = m[hit, p], m[hit, r]
         m[hit, r] /= m[hit, r, c][:, None]
         column = m[hit, :, c]
-        factor = np.where((np.abs(column) > tol) & (at != r[:, None]), column, 0.0)
-        m[hit] -= factor[:, :, None] * m[hit, r][:, None]
+        rest = (np.abs(column) > PIVOT_EPS) & (at != r[:, None])
+        m[hit] -= np.where(rest, column, 0.0)[:, :, None] * m[hit, r][:, None]
         used += pivots[-1]
     return np.stack(pivots, axis=1)
 
@@ -419,7 +408,7 @@ def _verified(w, blocks, values, free, low, high):
     return np.logical_and.reduceat(np.concatenate(stable), ends - count)
 
 
-def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutcomeSet:
+def behavioral_nash_small(game: CausalGame) -> RationalOutcomeSet:
     """Behavioral equilibria of a small game via support enumeration.
 
     Supported games: at most two strategic agents, one free decision each,
@@ -466,10 +455,10 @@ def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutc
     solvable = ~(left & (np.abs(m[..., -1]) > PIVOT_EPS)).any((0, 2))
     coupled = (~left & ((np.abs(m[..., :-1]) > PIVOT_EPS).sum(-1) > 1)).any((0, 2))
     value = np.take_along_axis(m[..., -1], np.maximum(pivots.cumsum(-1) - 1, 0), -1)
-    in_range = ~(pivots & ((value < -eps) | (value > 1.0 + eps))).any((0, 2))
+    in_range = ~(pivots & ((value < -EQ_EPS) | (value > 1.0 + EQ_EPS))).any((0, 2))
     value = np.clip(value, 0.0, 1.0)
     # the single action's value minus the other's, at the pinned values,
-    # must be >= -eps
+    # must be >= -EQ_EPS
     sign = np.where(own == 0, 1.0, -1.0)
     a = sign[..., None] * gap
     b = sign * diff + np.where(
@@ -480,7 +469,7 @@ def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutc
     frees = (a != 0.0).sum(-1)
     inequality = reached & (own < 2)
     low, high, fits = _bounds(
-        np.where((inequality & (frees == 1))[..., None], a, 0.0), b, eps
+        np.where((inequality & (frees == 1))[..., None], a, 0.0), b, EQ_EPS
     )
     # each slot's row in its decision's block, and column in the other's
     block = np.array([k for k, x in enumerate(index) for _ in x], dtype=int)
@@ -489,7 +478,7 @@ def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutc
     def columns(x):
         return x[1 - block, :, at].T
 
-    violated = (inequality & (frees == 0) & (b < -eps))[block, :, at].T
+    violated = (inequality & (frees == 0) & (b < -EQ_EPS))[block, :, at].T
     joint = (inequality & (frees > 1))[block, :, at].T
     # a pattern whose first bad inequality couples two free probabilities
     joint_first = (joint & (np.cumsum(violated | joint, axis=1) == 1)).any(1)
@@ -513,10 +502,7 @@ def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutc
     # candidates stable at every corner (a point, or a family's 2^k
     # corners), kept in pattern order unless already found
     stable = _verified(coefficients[0], blocks, values, free, low, high)
-    fam_meta = {
-        "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
-        "_parents": {d: game.parents_of(d) for d in decisions},
-    }
+    parents = {d: game.parents_of(d) for d in decisions}
     points: list[PolicyProfile] = []
     families: list[BehavioralFamily] = []
     # kept candidates' pinned entries, by which slots are free and their bounds
@@ -537,7 +523,7 @@ def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutc
             continue
         found.append(fixed)
         family = BehavioralFamily(
-            decisions, dict(zip(slots, entries)), params, **fam_meta
+            decisions, dict(zip(slots, entries)), params, _parents=parents
         )
         if params:
             families.append(family)
@@ -550,7 +536,7 @@ def behavioral_nash_small(game: CausalGame, eps: float = EQ_EPS) -> RationalOutc
 
 
 def commitment_value(
-    game: CausalGame, leader: int, rule: TabularCPD, eps: float = EQ_EPS
+    game: CausalGame, leader: int, rule: TabularCPD
 ) -> tuple[PolicyProfile, float]:
     """Leader's expected utility after committing to ``rule``.
 
@@ -563,7 +549,7 @@ def commitment_value(
         return PolicyProfile({}), expected_utility(
             committed, PolicyProfile({}), leader
         )
-    responses = best_responses(committed, follower, PolicyProfile({}), eps)
+    responses = best_responses(committed, follower, PolicyProfile({}))
     values = [expected_utility(committed, r, leader) for r in responses]
     best = values.index(max(values))
     return responses[best], values[best]
@@ -589,7 +575,6 @@ def _leader_and_follower(game: CausalGame, leader: int) -> tuple[str, int | None
 def optimal_commitment(
     game: CausalGame,
     leader: int,
-    decision: str | None = None,
     mode: str = "exact",
     grid_step: float = GRID_STEP,
 ) -> tuple[TabularCPD, float]:
@@ -608,8 +593,6 @@ def optimal_commitment(
     if not 0.0 < grid_step <= 1.0:  # also rejects NaN
         raise ValidationError(f"grid step must be in (0, 1], got {grid_step!r}")
     dec, follower = _leader_and_follower(game, leader)
-    if decision is not None and decision != dec:
-        raise ValidationError(f"{decision!r} is not the leader's free decision")
     domain = game.domain(dec)
     contexts = game.contexts(dec)
     if len(domain) != 2 or len(contexts) != 1:

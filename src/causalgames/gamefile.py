@@ -12,6 +12,7 @@ the YAML parser provides them.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -42,13 +43,25 @@ from .model import (
 GAME_KEYS = {"agents", "variables", "cpds", "rationality"}
 VARIABLE_KEYS = {"name", "kind", "agent", "domain", "parents"}
 SCENARIO_KEYS = {"game", "interventions", "visibility", "query", "options"}
-OPTION_KEYS = {
-    "mix_ties",
-    "merge_common",
-    "agent_order",
-    "include_behavioral",
-    "epsilon",
-    "seed",
+
+
+def _is_tolerance(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 <= x < math.inf
+
+
+BOOLEAN = ("a boolean", lambda x: isinstance(x, bool))
+# option -> (what its value must be, the test a value passes); each option
+# sets the ``QueryJob`` field of its name
+OPTIONS = {
+    "mix_ties": BOOLEAN,
+    "merge_common": BOOLEAN,
+    "agent_order": (
+        "a list of agent indices",
+        lambda x: isinstance(x, list) and all(map(_is_int, x)),
+    ),
+    "include_behavioral": BOOLEAN,
+    "epsilon": ("a finite number of at least 0", _is_tolerance),
+    "seed": ("an integer", _is_int),
 }
 # intervention kind -> (required keys, optional keys); "label" and "kind" go
 # with every kind
@@ -450,8 +463,16 @@ def parse_scenario(
                 )
         visibility[agent] = labels
 
-    options = dict(data.get("options", {}) or {})
-    _reject_unknown(options, OPTION_KEYS, "options", path)
+    options = data.get("options", {}) or {}
+    if not isinstance(options, dict):
+        raise GameFileError("'options' must be a mapping", path=path)
+    _reject_unknown(options, OPTIONS.keys(), "options", path)
+    for key, value in options.items():
+        what, valid = OPTIONS[key]
+        if not valid(value):
+            raise GameFileError(
+                f"option {key!r} must be {what}, got {value!r}", path=path
+            )
     query = data.get("query")
     return Scenario(
         game,

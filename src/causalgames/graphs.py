@@ -3,14 +3,14 @@
 The mechanised graph extends a game's DAG with one mechanism node per
 variable (``THETA_<v>`` for a CPD, ``PI_<d>`` for a decision rule), an edge
 from each mechanism to its variable, and inter-mechanism edges into rule
-nodes wherever the governing rationality relation makes the source mechanism
-strategically relevant.  The independent mechanised graph drops the
-inter-mechanism edges; it is the arena for all reachability computations,
-read as ``pred``/``succ`` dicts built in one pass over the variables from
-the game's own parent and child index.  A game builds its arena once, on
-first use, and every search on it shares that arena; games are immutable
-and every intervention makes a new one, so it never goes stale.  networkx
-is imported only by the views.
+nodes wherever the source mechanism is strategically relevant under best
+response.  The independent mechanised graph drops the inter-mechanism
+edges; it is the arena for all reachability computations, read as
+``pred``/``succ`` dicts built in one pass over the variables from the
+game's own parent and child index.  A game builds its arena once, on first
+use, and every search on it shares that arena; games are immutable and
+every intervention makes a new one, so it never goes stale.  networkx is
+imported only by the views.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
@@ -355,12 +355,13 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
 
 @dataclass(frozen=True)
 class RationalityRelation:
-    """How agents pick decision rules, with its graphical relevance test.
+    """Best response as a named relation with its relevance test.
 
-    Represented intensionally: ``relevance(game, rule_node)`` returns
-    the mechanism nodes that can matter to a rule node, and equilibrium code
-    dispatches on ``name``.  Only best response is built in; the relation is
-    serial (a best response always exists in a finite game).
+    Nothing in the library reads it: every solver and
+    ``build_mechanised_graph`` use best response and call
+    ``relevant_mechanisms`` directly.  The class and ``BEST_RESPONSE`` stay
+    exported only for the benchmark tracer, which patches
+    ``BEST_RESPONSE.relevance``.
     """
 
     name: str
@@ -387,22 +388,20 @@ class MechanisedGraph:
         return g
 
 
-def build_mechanised_graph(
-    game: CausalGame, relation: RationalityRelation = BEST_RESPONSE
-) -> MechanisedGraph:
-    """Construct the full mechanised graph under a rationality relation.
+def build_mechanised_graph(game: CausalGame) -> MechanisedGraph:
+    """Construct the full mechanised graph under best response.
 
     Inter-mechanism edges run into each free or object-fixed decision's rule
-    node from every other mechanism the relation deems relevant.  A rule
-    node pinned by a mechanism-level fix takes no inputs: a constant
-    relation depends on nothing.
+    node from every other mechanism ``relevant_mechanisms`` finds.  A rule
+    node pinned by a mechanism-level fix takes no inputs: a constant rule
+    depends on nothing.
     """
     arena = _arena(game)
     inter = {
         (mech, rule_node(d))
         for d in game.decisions()
         if d not in game.rule_fixes
-        for mech in relation.relevance(game, rule_node(d))
+        for mech in relevant_mechanisms(game, rule_node(d))
         if mech != rule_node(d)
     }
     return MechanisedGraph(dict(arena.mechanism), arena.edges, frozenset(inter), arena)

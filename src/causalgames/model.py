@@ -325,9 +325,7 @@ def _dependency_order(names, parents) -> tuple[list[str], list[str] | None]:
     return order, None
 
 
-def _check_cpd(
-    game: CausalGame, cpd: TabularCPD, name: str, eps: float = PROB_EPS
-) -> list[str]:
+def _check_cpd(game: CausalGame, cpd: TabularCPD, name: str) -> list[str]:
     """Violations of ``cpd`` as the CPD of ``name`` under the game's parents.
 
     One pass over the rows collects the faulty contexts; only those are
@@ -355,9 +353,9 @@ def _check_cpd(
         if not math.isfinite(total) and not all(map(math.isfinite, row)):
             faults.append((ctx, "has a non-finite entry"))
             continue
-        if ncol and min(row) < -eps:
+        if ncol and min(row) < -PROB_EPS:
             faults.append((ctx, "has a negative entry"))
-        if abs(total - 1.0) > eps:
+        if abs(total - 1.0) > PROB_EPS:
             faults.append((ctx, f"sums to {total!r}, not 1"))
     missing = want.difference(rows) if len(rows) - len(extra) < len(want) else ()
     if not (missing or extra or faults):
@@ -405,7 +403,7 @@ def variable_report(v: Variable, n_agents: int) -> list[str]:
     return report
 
 
-def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
+def validate_game(game: CausalGame) -> list[str]:
     """Check every structural invariant; return a list of violations.
 
     An empty report means the game is valid.  Each violation names the
@@ -417,7 +415,7 @@ def validate_game(game: CausalGame, eps: float = PROB_EPS) -> list[str]:
     names = dict.fromkeys(
         [*game.parents, *game.names(), *game.rule_fixes, *game.object_fixed]
     )
-    return _report(game, game.variables, names, eps)
+    return _report(game, game.variables, names)
 
 
 def violations(game: CausalGame, names) -> list[str]:
@@ -438,12 +436,10 @@ def violations(game: CausalGame, names) -> list[str]:
     for name in tuple(names):
         if name not in by_name:
             names.update(dict.fromkeys(game.children_of(name)))
-    return _report(
-        game, [by_name[n] for n in names if n in by_name], names, PROB_EPS
-    )
+    return _report(game, [by_name[n] for n in names if n in by_name], names)
 
 
-def _report(game: CausalGame, variables, names, eps) -> list[str]:
+def _report(game: CausalGame, variables, names) -> list[str]:
     """The violations of ``variables`` (each ``Variable`` once per entry)
     and of ``names``, rule by rule in a fixed order; the structural rules
     end the report before the cycle, and a cycle before the tables."""
@@ -493,12 +489,12 @@ def _report(game: CausalGame, variables, names, eps) -> list[str]:
                     "object-fixed"
                 )
             if v.name in game.rule_fixes:
-                report += _check_cpd(game, game.rule_fixes[v.name], v.name, eps)
+                report += _check_cpd(game, game.rule_fixes[v.name], v.name)
         else:
             if not pinned:
                 report.append(f"{v.name}: missing CPD")
         if pinned:
-            report += _check_cpd(game, game.cpds[v.name], v.name, eps)
+            report += _check_cpd(game, game.cpds[v.name], v.name)
     for name in game.rule_fixes:
         if name in names and getattr(by_name.get(name), "kind", None) != DECISION:
             report.append(f"rule fix on non-decision {name!r}")
@@ -867,7 +863,7 @@ def _rule_of(game: CausalGame, decision: str, array) -> TabularCPD:
 # -- structural equality ------------------------------------------------------
 
 
-def cpds_equal(a: TabularCPD, b: TabularCPD, eps: float = PROB_EPS) -> bool:
+def cpds_equal(a: TabularCPD, b: TabularCPD) -> bool:
     if a is b:
         return True
     if a.variable != b.variable or a.parents != b.parents:
@@ -878,13 +874,13 @@ def cpds_equal(a: TabularCPD, b: TabularCPD, eps: float = PROB_EPS) -> bool:
         other = b.table[ctx]
         if len(row) != len(other):
             return False
-        if any(abs(x - y) > eps for x, y in zip(row, other)):
+        if any(abs(x - y) > PROB_EPS for x, y in zip(row, other)):
             return False
     return True
 
 
-def games_equal(a: CausalGame, b: CausalGame, eps: float = PROB_EPS) -> bool:
-    """Structural equality: same variables, edges, and tables within eps."""
+def games_equal(a: CausalGame, b: CausalGame) -> bool:
+    """Structural equality: same variables, edges, and tables within PROB_EPS."""
     if a.n_agents != b.n_agents:
         return False
     if a.variables != b.variables:
@@ -897,6 +893,6 @@ def games_equal(a: CausalGame, b: CausalGame, eps: float = PROB_EPS) -> bool:
         ma, mb = getattr(a, attr), getattr(b, attr)
         if set(ma) != set(mb):
             return False
-        if any(not cpds_equal(ma[k], mb[k], eps) for k in ma):
+        if any(not cpds_equal(ma[k], mb[k]) for k in ma):
             return False
     return True

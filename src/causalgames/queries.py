@@ -657,15 +657,14 @@ def check_spec_env(
     event,
     direction: str = "raise",
     include_behavioral: bool = False,
-    eps: float = QUERY_EPS,
 ) -> bool:
     """Does the intervention move the event probability the right way?
 
     ``raise``: the worst (minimum) event probability over equilibria of the
     intervened game must be at least the best (maximum) over equilibria of
-    the original game.  ``lower`` is the mirror image.  With
-    ``include_behavioral``, behavioral equilibria and the extreme points of
-    behavioral families count on both sides.
+    the original game, less ``QUERY_EPS``.  ``lower`` is the mirror image.
+    With ``include_behavioral``, behavioral equilibria and the extreme
+    points of behavioral families count on both sides.
     """
     if direction not in ("raise", "lower"):
         raise QueryError(f"unknown direction {direction!r}")
@@ -674,5 +673,5 @@ def check_spec_env(
         apply_all(game, interventions), event, include_behavioral
     )
     if direction == "raise":
-        return min(new) >= max(base) - eps
-    return max(new) <= min(base) + eps
+        return min(new) >= max(base) - QUERY_EPS
+    return max(new) <= min(base) + QUERY_EPS

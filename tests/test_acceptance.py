@@ -114,11 +114,9 @@ def test_criterion_04_environment_modification(job_market, effortville):
     multiset = sorted(payoffs(effortville, p) for p in outcomes)
     assert multiset == [(4.0, 3.0), (5.0, 3.0), (5.0, 3.0)]
     env = FixMechanism("THETA_T", job_market.delta_cpd("T", "h"))
-    assert check_spec_env(job_market, [env], "D2=j", eps=1e-9)
-    assert check_spec_env(job_market, [], "D2=j", eps=1e-9)
-    assert not check_spec_env(
-        job_market, [], "D2=j", include_behavioral=True, eps=1e-9
-    )
+    assert check_spec_env(job_market, [env], "D2=j")
+    assert check_spec_env(job_market, [], "D2=j")
+    assert not check_spec_env(job_market, [], "D2=j", include_behavioral=True)
     note(4, "three equilibria with the listed payoffs; spec check behaves")
 
 

@@ -610,11 +610,7 @@ def _as_families(game, profiles):
 
 
 def _family_meta(game):
-    decisions = game.free_decisions()
-    return {
-        "_contexts": {d: [tuple(c) for c in game.contexts(d)] for d in decisions},
-        "_parents": {d: game.parents_of(d) for d in decisions},
-    }
+    return {"_parents": {d: game.parents_of(d) for d in game.free_decisions()}}
 
 
 def _random_families(rng, game, count, free_share):

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -31,7 +32,7 @@ from causalgames import (
     serialize_game,
     validate_game,
 )
-from causalgames.cli import main, resolve_game
+from causalgames.cli import _job_from_scenario, main, resolve_game
 from helpers import (
     chain_to_utility_game,
     dense_to_utility_game,
@@ -542,6 +543,83 @@ def test_mechanism_target_is_resolved_by_its_prefix(capsys, tmp_path, target, me
 )
 def test_applier_refusal_names_the_scenario_file(capsys, tmp_path, entry, message):
     _assert_one_error_line(capsys, _one_entry_scenario(tmp_path, entry), message)
+
+
+def _options_scenario(tmp_path, options):
+    """A scenario on stackelberg asking ``forall ne: E[1] >= 2`` (True at the
+    default tolerance) under ``options``, the YAML text of its value."""
+    fixtures = Path(causalgames.__file__).parent / "fixtures"
+    (tmp_path / "stackelberg.game.yaml").write_text(
+        (fixtures / "stackelberg.game.yaml").read_text()
+    )
+    path = tmp_path / "opts.scenario.yaml"
+    path.write_text(
+        'game: stackelberg.game.yaml\nquery: "forall ne: E[1] >= 2"\n'
+        f"options: {options}\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ("{epsilon: abc}", "option 'epsilon' must be a finite number of at least 0, got 'abc'"),
+        ("{epsilon: .nan}", "option 'epsilon' must be a finite number of at least 0, got nan"),
+        ("{epsilon: .inf}", "option 'epsilon' must be a finite number of at least 0, got inf"),
+        ("{epsilon: -1}", "option 'epsilon' must be a finite number of at least 0, got -1"),
+        ("{epsilon: true}", "option 'epsilon' must be a finite number of at least 0, got True"),
+        ("{seed: abc}", "option 'seed' must be an integer, got 'abc'"),
+        ("{seed: [1]}", "option 'seed' must be an integer, got [1]"),
+        ("{seed: 1.5}", "option 'seed' must be an integer, got 1.5"),
+        ("{seed: true}", "option 'seed' must be an integer, got True"),
+        ("{agent_order: 5}", "option 'agent_order' must be a list of agent indices, got 5"),
+        ("{agent_order: [1.0, 2]}",
+         "option 'agent_order' must be a list of agent indices, got [1.0, 2]"),
+        ('{mix_ties: "no"}', "option 'mix_ties' must be a boolean, got 'no'"),
+        ("{merge_common: [1]}", "option 'merge_common' must be a boolean, got [1]"),
+        ("{include_behavioral: 1}", "option 'include_behavioral' must be a boolean, got 1"),
+        ("[1]", "'options' must be a mapping"),
+    ],
+    ids=["epsilon_text", "epsilon_nan", "epsilon_inf", "epsilon_negative",
+         "epsilon_bool", "seed_text", "seed_list", "seed_float", "seed_bool",
+         "agent_order_int", "agent_order_float", "mix_ties_text",
+         "merge_common_list", "include_behavioral_int", "options_list"],
+)
+def test_ill_typed_option_is_one_error_line(capsys, tmp_path, options, message):
+    _assert_one_error_line(capsys, _options_scenario(tmp_path, options), message)
+
+
+def test_options_set_the_job_fields_of_their_names(capsys, tmp_path):
+    """Each option reaches the ``QueryJob`` field of its name as written; an
+    absent one keeps the field's default, and ``--seed``/``--epsilon`` win."""
+    path = _options_scenario(
+        tmp_path, "{epsilon: 0, seed: 3, mix_ties: true, agent_order: [2, 1]}"
+    )
+    no_flags = argparse.Namespace(seed=None, epsilon=None)
+    job = _job_from_scenario(load_scenario(str(path)), no_flags)
+    assert (job.epsilon, job.seed, job.mix_ties, job.agent_order) == (0, 3, True, [2, 1])
+    assert (job.merge_common, job.include_behavioral) == (True, False)
+    flags = argparse.Namespace(seed=5, epsilon=0.5)
+    job = _job_from_scenario(load_scenario(str(path)), flags)
+    assert (job.seed, job.epsilon) == (5, 0.5)
+    code, out, _ = run_cli(capsys, "--json", "query", str(path))
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-9"])
+def test_cli_epsilon_must_be_a_tolerance(capsys, tmp_path, value):
+    """``--epsilon`` keeps the scenario option's rule: at ``nan`` or ``-1``
+    the verdict of ``forall ne: E[1] >= 2`` would flip to False."""
+    path = _options_scenario(tmp_path, "{}")
+    assert run_cli(capsys, "query", str(path))[1].startswith("verdict: True")
+    code, out, err = run_cli(capsys, f"--epsilon={value}", "query", str(path))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(
+        f"argument --epsilon: must be a finite number of at least 0, got {value!r}"
+    )
 
 
 def test_domain_value_with_comma_is_rejected(job_market, tmp_path):

@@ -1,6 +1,9 @@
 import argparse
 import copy
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -697,3 +700,54 @@ def test_no_kept_array_crosses_operations(monkeypatch):
     assert [leaf.value for leaf in answers[0].leaves] == [
         leaf.value for leaf in answers[1].leaves
     ]
+
+
+# -- the numeric policy -----------------------------------------------------------
+
+
+def _public_callables():
+    """Each public function and class of the package and its modules, and
+    each class's public methods, by qualified name."""
+    import causalgames
+
+    modules = [causalgames] + [
+        importlib.import_module(f"causalgames.{m.name}")
+        for m in pkgutil.iter_modules(causalgames.__path__)
+    ]
+    found = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("causalgames"):
+                continue
+            found[obj.__qualname__] = obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        found[member.__qualname__] = member
+    return found
+
+
+def test_no_public_callable_overrides_the_numeric_policy():
+    """Every tolerance is a constant at the top of ``model``: no public
+    callable takes one per call, nor a ``relation``, nor an optional
+    ``decision`` that only restates what its other arguments fix.
+    ``verify_rational_outcome`` keeps ``eps``: the tests check candidates
+    with it at ``VERIFY_EPS`` and at other values."""
+    callables = _public_callables()
+    assert "verify_rational_outcome" in callables and "cpds_equal" in callables
+    knobs = set()
+    for name, obj in callables.items():
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # a builtin with no signature
+            continue
+        for p in params:
+            optional = p.default is not inspect.Parameter.empty
+            if p.name in ("eps", "tol", "relation") or (
+                p.name == "decision" and optional
+            ):
+                knobs.add(f"{name}.{p.name}")
+    assert knobs == {"verify_rational_outcome.eps"}
