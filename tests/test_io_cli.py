@@ -244,13 +244,22 @@ def test_cli_solve_json_golden(capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_COMMANDS = {"solve": "solve", "mech_graph": "mech-graph", "query": "query"}
+GOLDEN_COMMANDS = {
+    "solve": "solve",
+    "mech_graph": "mech-graph",
+    "query": "query",
+    "intervene": "intervene",
+}
+# scenarios that only the tests use; a golden names one by its stem
+SCENARIOS = Path(__file__).parent / "scenarios"
 
 
 def _golden_argv(stem):
     for prefix, command in GOLDEN_COMMANDS.items():
         if stem.startswith(prefix + "_"):
-            return ["--json", command, stem[len(prefix) + 1:]]
+            name = stem[len(prefix) + 1:]
+            local = SCENARIOS / f"{name}.scenario.yaml"
+            return ["--json", command, str(local) if local.exists() else name]
     raise ValueError(f"golden {stem!r} names no command")
 
 
