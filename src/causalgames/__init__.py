@@ -21,6 +21,7 @@ from .model import (
     expected_utility,
     games_equal,
     induced_joint,
+    tabulate,
     validate_game,
 )
 from .graphs import (

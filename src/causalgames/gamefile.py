@@ -11,7 +11,6 @@ the YAML parser provides them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,16 +36,13 @@ from .model import (
     TabularCPD,
     Variable,
     _is_int,
+    _is_real,
     validate_game,
 )
 
 GAME_KEYS = {"agents", "variables", "cpds", "rationality"}
 VARIABLE_KEYS = {"name", "kind", "agent", "domain", "parents"}
 SCENARIO_KEYS = {"game", "interventions", "visibility", "query", "options"}
-
-
-def _is_tolerance(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 <= x < math.inf
 
 
 BOOLEAN = ("a boolean", lambda x: isinstance(x, bool))
@@ -60,7 +56,9 @@ OPTIONS = {
         lambda x: isinstance(x, list) and all(map(_is_int, x)),
     ),
     "include_behavioral": BOOLEAN,
-    "epsilon": ("a finite number of at least 0", _is_tolerance),
+    "epsilon": (
+        "a finite number of at least 0", lambda x: _is_real(x) and 0 <= x < math.inf
+    ),
     "seed": ("an integer", _is_int),
 }
 # intervention kind -> (required keys, optional keys); "label" and "kind" go
@@ -189,7 +187,7 @@ def _parse_cpd(name, spec, parents, domains, path):
                 f"{name}: context {_context_key(ctx)!r} given twice", path=path
             )
         if isinstance(row, (list, tuple)):
-            if not all(_is_int(p) or isinstance(p, float) for p in row):
+            if not all(map(_is_real, row)):
                 raise GameFileError(
                     f"{name}: row {str(key)!r} must list numbers, got {row!r}",
                     path=path,
@@ -343,8 +341,9 @@ def _intervention_cpd(game, name, entry, parents, path, domain=None):
         matches = [v for v in domains[name] if str(v) == str(value)]
         if not matches:
             raise GameFileError(f"{name}: value {value!r} not in domain", path=path)
-        contexts = itertools.product(*(domains[p] for p in parents))
-        return TabularCPD.delta(name, matches[0], domains[name], parents, contexts)
+        return TabularCPD.delta(
+            name, matches[0], domains[name], parents, domains.__getitem__
+        )
     return _parse_cpd(name, entry["rows"], parents, domains, path)
 
 
@@ -424,7 +423,11 @@ def parse_scenario(
     for i, entry in enumerate(data.get("interventions", ()) or ()):
         if not isinstance(entry, dict):
             raise GameFileError("each intervention must be a mapping", path=path)
-        label = str(entry.get("label", f"i{i}"))
+        label = entry.get("label", f"i{i}")
+        if not isinstance(label, str):
+            raise GameFileError(
+                f"intervention labels must be strings, got {label!r}", path=path
+            )
         if label in journaled:
             raise GameFileError(
                 f"duplicate intervention label {label!r}", path=path
@@ -448,13 +451,13 @@ def parse_scenario(
                 f"got {agent!r}",
                 path=path,
             )
-        if not isinstance(labels, list):
+        if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
             raise GameFileError(
                 f"visibility of agent {agent} must be a list of labels, "
                 f"got {labels!r}",
                 path=path,
             )
-        labels = tuple(map(str, labels))
+        labels = tuple(labels)
         for l in labels:
             if l not in journaled:
                 raise GameFileError(

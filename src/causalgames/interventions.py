@@ -22,7 +22,6 @@ prefix (the common stage's game, or the base game).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -38,7 +37,7 @@ from .graphs import (
     rule_node,
     variable_of_mechanism,
 )
-from .model import DECISION, CausalGame, TabularCPD, Variable, violations
+from .model import DECISION, CausalGame, TabularCPD, Variable, tabulate, violations
 
 
 @dataclass(frozen=True)
@@ -284,13 +283,11 @@ def _extend_child_cpd(game, child, y_name, y_domain, order=None):
     leaves the induced joint unchanged until re-parameterised."""
     old_parents = game.parents_of(child)
     order = old_parents + (y_name,) if order is None else order
-    at = [order.index(q) for q in old_parents]
-    doms = [y_domain if q == y_name else game.domain(q) for q in order]
     rows = game.cpds[child].table
-    table = {
-        ctx: rows[tuple(ctx[i] for i in at)] for ctx in itertools.product(*doms)
-    }
-    return TabularCPD(child, order, table)
+    return tabulate(
+        child, order, lambda q: y_domain if q == y_name else game.domain(q),
+        lambda at: rows[tuple(at[q] for q in old_parents)],
+    )
 
 
 def _apply_add_variable(game: CausalGame, p: AddVariable):
@@ -343,18 +340,17 @@ def _marginalise_out(game, child, y_name, remaining):
         )
     old_parents = game.parents_of(child)
     old_cpd = game.cpds[child]
-    table = {}
-    for ctx in itertools.product(*(game.domain(q) for q in remaining)):
-        by_name = dict(zip(remaining, ctx))
-        y_row = y_cpd.row(tuple(by_name[q] for q in y_cpd.parents))
+
+    def row(at):
+        y_row = y_cpd.row(tuple(at[q] for q in y_cpd.parents))
         acc = [0.0] * len(game.domain(child))
         for yi, y in enumerate(game.domain(y_name)):
-            by_name[y_name] = y
-            row = old_cpd.row(tuple(by_name[q] for q in old_parents))
-            for i, val in enumerate(row):
+            ctx = tuple(y if q == y_name else at[q] for q in old_parents)
+            for i, val in enumerate(old_cpd.row(ctx)):
                 acc[i] += y_row[yi] * val
-        table[ctx] = tuple(acc)
-    return TabularCPD(child, tuple(remaining), table)
+        return acc
+
+    return tabulate(child, remaining, game.domain, row)
 
 
 def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
@@ -431,12 +427,14 @@ def invert(p: Primitive) -> Primitive:
 
 
 def make_add_edge(game: CausalGame, src: str, dst: str) -> FixObject:
-    """The object-level fix realising a new dependency ``src -> dst``."""
+    """The object-level fix realising a new dependency ``src -> dst``: a
+    table of ``dst`` (an object-fixed decision's too, which stays pinned) is
+    copied across ``src``'s values; a decision without one gains the edge."""
     if not game.has_variable(src) or not game.has_variable(dst):
         raise InterventionError(f"unknown edge endpoint in {src}->{dst}")
     if src in game.parents_of(dst):
         raise InterventionError(f"edge {src}->{dst} already present")
-    if game.kind(dst) == DECISION:
+    if dst not in game.cpds:
         return FixObject(dst, game.parents_of(dst) + (src,), None)
     cpd = _extend_child_cpd(game, dst, src, game.domain(src))
     return FixObject(dst, cpd.parents, cpd)
@@ -445,13 +443,13 @@ def make_add_edge(game: CausalGame, src: str, dst: str) -> FixObject:
 def make_remove_edge(game: CausalGame, src: str, dst: str) -> FixObject:
     """The object-level fix deleting the dependency ``src -> dst``.
 
-    Non-decision targets get the source marginalised out of their CPD under
-    its current distribution; decision targets just lose the observation.
-    """
+    A table of ``dst`` (an object-fixed decision's too, which stays pinned)
+    has ``src`` marginalised out under ``src``'s current distribution; a
+    decision without one just loses the observation."""
     if src not in game.parents_of(dst):
         raise InterventionError(f"edge {src}->{dst} not present")
     remaining = tuple(q for q in game.parents_of(dst) if q != src)
-    if game.kind(dst) == DECISION:
+    if dst not in game.cpds:
         return FixObject(dst, remaining, None)
     cpd = _marginalise_out(game, dst, src, remaining)
     return FixObject(dst, remaining, cpd)
@@ -472,39 +470,23 @@ def decompose_fix_object(game: CausalGame, p: FixObject) -> list[Primitive]:
     tables (including parent order), so the composition equals the direct
     fix exactly, structurally and in induced joints.
     """
-    if not game.has_variable(p.target):
-        raise InterventionError(f"unknown variable {p.target!r}")
-    var = game.variable(p.target)
-    children = game.children_of(p.target)
-    placeholder = {}
-    original = {}
-    original_order = {}
-    for child in children:
-        original_order[child] = game.parents_of(child)
-        if child not in game.cpds:
-            continue
-        original[child] = game.cpds[child]
-        remaining = tuple(q for q in game.parents_of(child) if q != p.target)
-        placeholder[child] = TabularCPD.uniform(
-            child,
-            game.domain(child),
-            parents=remaining,
-            contexts=game.with_parents(child, remaining).contexts(child),
+    t = p.target
+    if not game.has_variable(t):
+        raise InterventionError(f"unknown variable {t!r}")
+    children = game.children_of(t)
+    tables = {c: game.cpds[c] for c in children if c in game.cpds}
+    placeholder = {
+        c: TabularCPD.uniform(
+            c, game.domain(c), [q for q in game.parents_of(c) if q != t], game.domain
         )
-    remove = RemoveVariable(p.target, child_cpds=placeholder)
+        for c in tables
+    }
     add = AddVariable(
-        var,
-        p.parents,
-        children,
-        cpd=p.cpd,
-        child_cpds=original,
-        child_parents={
-            c: original_order[c] for c in children if c not in original
-        },
-        rule_fix=p.rule_fix,
-        index=game.names().index(p.target),
+        game.variable(t), p.parents, children, cpd=p.cpd, child_cpds=tables,
+        child_parents={c: game.parents_of(c) for c in children if c not in tables},
+        rule_fix=p.rule_fix, index=game.names().index(t),
     )
-    return [remove, add]
+    return [RemoveVariable(t, child_cpds=placeholder), add]
 
 
 # -- side effects and structural analyses ---------------------------------------

@@ -27,7 +27,7 @@ import heapq
 import itertools
 import math
 from operator import itemgetter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import SolverError, ValidationError
@@ -102,8 +102,8 @@ class TabularCPD:
         # copies and pickles leave the kept arrays (``_cpd_tensor``) behind
         return {k: v for k, v in vars(self).items() if k != "_arrays"}
 
-    @classmethod
-    def delta(cls, variable, value, domain, parents=(), contexts=((),)):
+    @staticmethod
+    def delta(variable, value, domain, parents=(), domain_of=None):
         """Degenerate CPD putting mass 1 on ``value`` in every context."""
         domain = tuple(domain)
         if value not in domain:
@@ -112,13 +112,22 @@ class TabularCPD:
             )
         idx = domain.index(value)
         row = tuple(1.0 if i == idx else 0.0 for i in range(len(domain)))
-        return cls(variable, tuple(parents), {tuple(c): row for c in contexts})
+        return tabulate(variable, parents, domain_of, lambda _: row)
 
-    @classmethod
-    def uniform(cls, variable, domain, parents=(), contexts=((),)):
+    @staticmethod
+    def uniform(variable, domain, parents=(), domain_of=None):
         n = len(tuple(domain))
-        row = tuple(1.0 / n for _ in range(n))
-        return cls(variable, tuple(parents), {tuple(c): row for c in contexts})
+        return tabulate(variable, parents, domain_of, lambda _: (1.0 / n,) * n)
+
+
+def tabulate(variable: str, parents, domain_of, row) -> TabularCPD:
+    """The CPD of ``variable`` over ``parents`` (``domain_of(p)`` gives their
+    domains) with the row ``row({parent: value})`` in each context, contexts
+    in ``CausalGame.contexts`` order."""
+    parents = tuple(parents)
+    contexts = itertools.product(*map(domain_of, parents))
+    table = {c: row(dict(zip(parents, c))) for c in contexts}
+    return TabularCPD(variable, parents, table)
 
 
 @dataclass(frozen=True)
@@ -237,17 +246,11 @@ class CausalGame:
         The product runs over parent domains in parent order, last parent
         varying fastest.
         """
-        doms = [self.domain(p) for p in self.parents_of(name)]
-        return list(itertools.product(*doms))
-
-    def with_parents(self, name: str, parents) -> "CausalGame":
-        """A copy of the game in which ``name`` has the parent tuple ``parents``."""
-        return replace(self, parents={**self.parents, name: tuple(parents)})
+        return list(itertools.product(*map(self.domain, self.parents_of(name))))
 
     def delta_cpd(self, name: str, value) -> TabularCPD:
         return TabularCPD.delta(
-            name, value, self.domain(name),
-            parents=self.parents_of(name), contexts=self.contexts(name),
+            name, value, self.domain(name), self.parents_of(name), self.domain
         )
 
     delta_rule = delta_cpd  # a decision's pure rule playing ``value`` everywhere
@@ -372,6 +375,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """An ``int`` or ``float`` proper: ``True`` is no number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def variable_report(v: Variable, n_agents: int) -> list[str]:
     """Violations of ``v`` on its own: kind, domain and owner."""
     if v.kind not in KINDS:
@@ -396,7 +404,7 @@ def variable_report(v: Variable, n_agents: int) -> list[str]:
     elif v.agent is not None:
         report.append(f"{v.name}: chance variable must not have an agent")
     if v.kind == UTILITY:
-        if not all(isinstance(u, (int, float)) for u in v.domain):
+        if not all(map(_is_real, v.domain)):
             report.append(f"{v.name}: utility domain must be numeric")
         elif not all(math.isfinite(u) for u in v.domain):
             report.append(f"{v.name}: utility domain must be finite")
@@ -671,7 +679,7 @@ def _cpd_tensor(
             domain_values = np.array(doms[-1], dtype=float)
             array = np.asarray(_cpd_tensor(game, name, cpd) @ domain_values)
         else:
-            rows = list(map(cpd.table.__getitem__, itertools.product(*doms[:-1])))
+            rows = list(map(cpd.table.__getitem__, game.contexts(name)))
             array = np.array(rows, dtype=float).reshape([len(d) for d in doms])
         array.flags.writeable = False
         kept[doms, values] = array

@@ -677,7 +677,7 @@ def test_verified_matches_kernel_verification():
         "D1", ("T",), {("h",): (0.3, 0.7), ("l",): (1.0, 0.0)}
     )))
     none = apply_primitive(one, FixMechanism("PI_D2", TabularCPD.uniform(
-        "D2", one.domain("D2"), one.parents_of("D2"), one.contexts("D2")
+        "D2", one.domain("D2"), one.parents_of("D2"), one.domain
     )))
     # deviations gaining 5e-7 and 5e-6, either side of VERIFY_EPS
     near = [PolicyProfile({"D1": TabularCPD("D1", (), {(): (1.0 - x, x)})})

@@ -39,6 +39,7 @@ from causalgames import (
     reachability_paths,
     remove_edge,
     side_effects,
+    tabulate,
     validate_game,
 )
 from causalgames.graphs import rule_node
@@ -166,10 +167,7 @@ def test_object_fixed_decision_child_keeps_a_valid_table(job_market):
     assert g2.cpds["D2"].parents == ("D1", "N")
     assert games_equal(apply_primitive(g2, invert(applied)), pinned)
     # D1 is free, so D2's table needs a replacement without it
-    u1 = TabularCPD.uniform(
-        "U1", pinned.domain("U1"), ("T", "D2"),
-        pinned.with_parents("U1", ("T", "D2")).contexts("U1"),
-    )
+    u1 = TabularCPD.uniform("U1", pinned.domain("U1"), ("T", "D2"), pinned.domain)
     with pytest.raises(InterventionError, match="child D2 needs an explicit"):
         apply_primitive(pinned, RemoveVariable("D1", child_cpds={"U1": u1}))
     d2 = TabularCPD("D2", (), {(): (0.5, 0.5)})
@@ -226,9 +224,7 @@ def test_removal_replacement_table_sets_the_parent_order():
     assert validate_game(removed) == []
     assert games_equal(apply_primitive(removed, invert(applied)), game)
     for order in (("A",), ("B", "A", "Y")):
-        short = TabularCPD.uniform(
-            "C", ("0", "1"), order, itertools.product("01", repeat=len(order))
-        )
+        short = TabularCPD.uniform("C", ("0", "1"), order, lambda _: "01")
         with pytest.raises(InterventionError, match="parent order for C must cover"):
             apply_primitive(game, RemoveVariable("Y", child_cpds={"C": short}))
 
@@ -353,6 +349,22 @@ def test_add_existing_edge_rejected(job_market):
 def test_remove_edge_from_decision_source_needs_replacement(job_market):
     with pytest.raises(InterventionError, match="replacement"):
         make_remove_edge(job_market, "D1", "U1")
+
+
+def test_edge_edits_keep_an_object_fixed_decision_pinned(stackelberg):
+    pinned = apply_primitive(stackelberg, hard_fix(stackelberg, "D2", "R"))
+    seeing = add_edge(pinned, "D1", "D2")
+    assert seeing.object_fixed == {"D2"}
+    assert seeing.free_decisions() == ("D1",)
+    assert seeing.cpds["D2"].table == {("T",): (0.0, 1.0), ("B",): (0.0, 1.0)}
+    # a source with a table marginalises out, and the pin survives both edits
+    both = apply_primitive(
+        pinned, FixObject("D1", (), TabularCPD.uniform("D1", ("T", "B")))
+    )
+    assert games_equal(remove_edge(add_edge(both, "D1", "D2"), "D1", "D2"), both)
+    # a free source has no distribution to marginalise over
+    with pytest.raises(InterventionError, match="needs an explicit replacement CPD"):
+        make_remove_edge(seeing, "D1", "D2")
 
 
 # -- remove-then-add decomposition ---------------------------------------------------
@@ -507,8 +519,7 @@ def _object_fixes(game, rng):
             yield FixObject(x, kept, None)
             yield hard_fix(game, x, rng.choice(game.domain(x)))
         else:
-            contexts = list(itertools.product(*map(game.domain, kept)))
-            yield FixObject(x, kept, TabularCPD.uniform(x, game.domain(x), kept, contexts))
+            yield FixObject(x, kept, TabularCPD.uniform(x, game.domain(x), kept, game.domain))
 
 
 def test_predicted_removals_match_path_criterion(job_market, stackelberg):
@@ -755,14 +766,14 @@ def test_decompose_satisfies_agent_views(job_market):
 def _random_cpd(rng, game, name, parents):
     """A random table for ``name`` over ``parents`` (one-hot a third of the time)."""
     n = len(game.domain(name))
-    table = {}
-    for ctx in game.with_parents(name, parents).contexts(name):
+
+    def row(_):
         if rng.random() < 1 / 3:
             hot = rng.randrange(n)
-            table[ctx] = tuple(float(k == hot) for k in range(n))
-        else:
-            table[ctx] = random_distribution(rng, n)
-    return TabularCPD(name, tuple(parents), table)
+            return tuple(float(k == hot) for k in range(n))
+        return random_distribution(rng, n)
+
+    return tabulate(name, parents, game.domain, row)
 
 
 def _shuffled(rng, items):

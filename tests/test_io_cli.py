@@ -334,8 +334,13 @@ def test_cli_validate_ok_and_failure(capsys, tmp_path):
             "domain: [-2, -1, 0, 3, .inf]\n",
             "U2: utility domain must be finite",
         ),
+        (  # a bool in the domain, used by no row
+            "domain: [-2, -1, 0, 3]\n",
+            "domain: [-2, -1, 0, 3, true]\n",
+            "U2: utility domain must be numeric",
+        ),
     ],
-    ids=["nan_prior", "inf_utility"],
+    ids=["nan_prior", "inf_utility", "bool_utility"],
 )
 def test_cli_validate_rejects_non_finite(capsys, tmp_path, old, new, message):
     fixture = Path(causalgames.__file__).parent / "fixtures" / "job_market.game.yaml"
@@ -451,11 +456,12 @@ def test_validate_game_wants_int_agents():
         ("true: [reward1, reward2]", "agent indices in 1..2, got True"),
         ("7: [reward1, reward2]", "agent indices in 1..2, got 7"),
         ("1: reward1", "agent 1 must be a list of labels, got 'reward1'"),
+        ("1: [reward1, 2]", "agent 1 must be a list of labels, got ['reward1', 2]"),
         ("1: [reward1]\n  1: [reward1, reward2]",
          "line 24, column 3: key 1 given twice"),
     ],
     ids=["float_agent", "bool_agent", "unknown_agent", "string_labels",
-         "repeated_agent"],
+         "int_label", "repeated_agent"],
 )
 def test_ill_typed_visibility_is_one_error_line(capsys, tmp_path, new, message):
     fixtures = Path(causalgames.__file__).parent / "fixtures"
@@ -552,6 +558,15 @@ def test_mechanism_target_is_resolved_by_its_prefix(capsys, tmp_path, target, me
 )
 def test_applier_refusal_names_the_scenario_file(capsys, tmp_path, entry, message):
     _assert_one_error_line(capsys, _one_entry_scenario(tmp_path, entry), message)
+
+
+def test_non_text_label_is_one_error_line(capsys, tmp_path):
+    """A label is matched as written, not turned into text: ``[a]`` is no
+    label, even where a visibility list names ``"['a']"``."""
+    path = _one_entry_scenario(tmp_path, "kind: fix_object\ntarget: D1\nvalue: C")
+    text = path.read_text().replace("label: bad", "label: [a]")
+    path.write_text(text + "visibility:\n  1: [\"['a']\"]\n")
+    _assert_one_error_line(capsys, path, "intervention labels must be strings, got ['a']")
 
 
 def _options_scenario(tmp_path, options):
@@ -805,6 +820,26 @@ interventions:
     assert reparsed.cpds["T"].row(()) == (1.0, 0.0)
 
 
+def test_cli_edge_edit_keeps_a_pinned_decision(capsys, tmp_path):
+    (tmp_path / "st.game.yaml").write_text(
+        serialize_game(resolve_game("stackelberg"))
+    )
+    scenario = tmp_path / "see.scenario.yaml"
+    scenario.write_text(
+        """
+game: st.game.yaml
+interventions:
+  - {label: pin, kind: fix_object, target: D2, value: R}
+  - {label: see, kind: add_edge, from: D1, to: D2}
+"""
+    )
+    code, out, _ = run_cli(capsys, "--json", "intervene", str(scenario))
+    assert code == 0
+    game = json.loads(out)["game"]
+    assert game["object_fixed"] == ["D2"]
+    assert game["cpds"]["D2"] == {"B": [0.0, 1.0], "T": [0.0, 1.0]}
+
+
 def test_cli_mech_graph(capsys):
     code, out, _ = run_cli(capsys, "mech-graph", "job_market")
     assert code == 0
@@ -983,3 +1018,21 @@ def test_min_set_past_witness_path_budget_is_one_error_line(tmp_path, monkeypatc
     assert len(lines) == 1
     assert lines[0].startswith("error: would enumerate more than ")
     assert lines[0].endswith("witness paths; budget 100")
+
+
+# -- README ----------------------------------------------------------------------
+
+
+def test_readme_library_example_runs():
+    """The README's library example runs as printed and ends with ``True``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(causalgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True"

@@ -25,6 +25,7 @@ from causalgames import (
     expected_utility,
     induced_joint,
     pure_nash,
+    tabulate,
     validate_game,
 )
 from causalgames import model
@@ -38,6 +39,7 @@ from helpers import (
     fraction_expected_utility,
     random_full_profile,
     random_game,
+    random_multi_decision_game,
     random_rich_game,
     reference_pure_rules,
 )
@@ -265,6 +267,32 @@ def test_pure_rule_enumeration_matches_reference():
     assert [len(enumerate_pure_rules(g, d)) for g, d in cases[-3:]] == [729, 3, 1]
 
 
+def test_tabulate_lays_contexts_out_as_the_game_and_the_kernel_do():
+    """``tabulate`` visits contexts in ``CausalGame.contexts`` order, hands
+    each row function its parent values by name, and its rows read in that
+    order are the rows of ``_cpd_tensor``'s array."""
+    games = [gen(random.Random(seed)) for seed in range(20)
+             for gen in (random_game, random_multi_decision_game, random_rich_game)]
+    checked = 0
+    for game in games:
+        for name, cpd in game.cpds.items():
+            parents = game.parents_of(name)
+            seen = []
+
+            def row(at):
+                seen.append(at)
+                return cpd.row(tuple(at[p] for p in parents))
+
+            again = tabulate(name, parents, game.domain, row)
+            assert list(again.table) == game.contexts(name)
+            assert seen == [dict(zip(parents, c)) for c in game.contexts(name)]
+            array = model._cpd_tensor(game, name, cpd)
+            rows = array.reshape(-1, len(game.domain(name))).tolist()
+            assert rows == [list(r) for r in again.table.values()]
+            checked += bool(parents)
+    assert checked > 100
+
+
 def test_expected_utility_matches_joint_on_rich_games():
     """Variable elimination against the joint table it replaces.
 
@@ -396,8 +424,9 @@ def _edit(rng, game):
         if not free:
             return None
         d = rng.choice(free)
-        contexts = itertools.product(*(_values(game, p) for p in game.parents_of(d)))
-        cpd = TabularCPD.uniform(d, game.domain(d), game.parents_of(d), contexts)
+        cpd = TabularCPD.uniform(
+            d, game.domain(d), game.parents_of(d), lambda p: _values(game, p)
+        )
         return replace(game, cpds={**game.cpds, d: cpd}), d
     attr = "rule_fixes" if name in game.rule_fixes else "cpds"
     if name not in getattr(game, attr) or not getattr(game, attr)[name].table:
