@@ -325,6 +325,21 @@ def test_cli_validate_ok_and_failure(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_cli_validate_refuses_a_decision_table(capsys, tmp_path):
+    """The file format gives decisions no table: a pin is an intervention."""
+    fixture = Path(causalgames.__file__).parent / "fixtures" / "stackelberg.game.yaml"
+    text = fixture.read_text()
+    assert "cpds:\n" in text
+    bad = tmp_path / "pinned.game.yaml"
+    bad.write_text(text.replace("cpds:\n", 'cpds:\n  D1: {"": T}\n'))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(bad) in lines[0] and "D1" in lines[0]
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
