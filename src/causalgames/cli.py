@@ -32,7 +32,6 @@ from .gamefile import (
     load_scenario,
     parse_game,
     parse_scenario,
-    serialize_game,
 )
 from .graphs import build_mechanised_graph
 from .interventions import (
@@ -214,12 +213,9 @@ def _cmd_intervene(args) -> int:
     if args.json:
         _emit(args, {"game": data}, [])
     else:
-        if game.rule_fixes or game.object_fixed:
-            import yaml
+        import yaml
 
-            print(yaml.safe_dump(data, sort_keys=False), end="")
-        else:
-            print(serialize_game(game), end="")
+        print(yaml.safe_dump(data, sort_keys=False), end="")
     return 0
 
 

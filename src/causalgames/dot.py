@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .graphs import MechanisedGraph, _arena, build_mechanised_graph
 from .model import CHANCE, DECISION, UTILITY, CausalGame
 
@@ -36,7 +37,7 @@ def export_dot(
     game's mechanised graph, already built.
     """
     if which not in WHICH:
-        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
+        raise ValidationError(f"which must be one of {WHICH}, got {which!r}")
     lines = ["digraph G {"]
     for v in game.variables:
         lines.append(_object_node_line(game, v))

@@ -1,7 +1,8 @@
 """Game and scenario files.
 
 Games are YAML documents with four sections: ``agents`` (count),
-``variables`` (name/kind/agent/domain/parents), ``cpds`` (rows keyed by a
+``variables`` (name/kind/agent/domain/parents), ``cpds`` (a table per
+chance and utility variable, none for a decision; rows keyed by a
 comma-joined parent instantiation, with a bare value as sugar for a
 degenerate row), and ``rationality``.  Scenarios reference a game file and
 add labelled interventions, a visibility map, a query, and options.
@@ -30,6 +31,7 @@ from .interventions import (
     make_remove_edge,
 )
 from .model import (
+    DECISION,
     ROUND_DIGITS,
     UTILITY,
     CausalGame,
@@ -236,6 +238,7 @@ def parse_game(text: str, path: str | None = None) -> CausalGame:
         parents[name] = tuple(map(str, _listed(entry, "parents", name, path)))
         domains[name] = domain
 
+    decisions = {v.name for v in variables if v.kind == DECISION}
     cpds = {}
     if not isinstance(data["cpds"], dict):
         raise GameFileError("'cpds' must be a mapping", path=path)
@@ -243,6 +246,12 @@ def parse_game(text: str, path: str | None = None) -> CausalGame:
         name = str(name)
         if name not in parents:
             raise GameFileError(f"CPD for unknown variable {name!r}", path=path)
+        if name in decisions:
+            raise GameFileError(
+                f"{name}: a decision takes no CPD in a game file; pin it with "
+                "a fix_object intervention",
+                path=path,
+            )
         cpds[name] = _parse_cpd(name, spec, parents[name], domains, path)
 
     game = CausalGame(data["agents"], tuple(variables), parents, cpds)

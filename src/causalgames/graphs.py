@@ -76,13 +76,13 @@ class _Arena:
     def __init__(self, game: CausalGame):
         self.mechanism = mechanism = {}
         edges, pred, succ, mechs = [], {}, {}, {}
-        parents, children, fixed = game.parents, game._children, game.object_fixed
+        parents, children, cpds = game.parents, game._children, game.cpds
         for v in game.variables:
             name = v.name
             m = rule_node(name) if v.kind == DECISION else param_node(name)
             mechanism[name] = m
             succ[name] = children.get(name, ())
-            if name in fixed:
+            if v.kind == DECISION and name in cpds:
                 pred[name] = parents.get(name, ())
                 mechs[m] = ()
             else:
@@ -373,10 +373,9 @@ BEST_RESPONSE = RationalityRelation("best_response", relevant_mechanisms)
 
 @dataclass(frozen=True)
 class MechanisedGraph:
-    """Mechanism layer and inter-mechanism relevance edges of a game."""
+    """Inter-mechanism relevance edges of a game; ``graph`` adds them to
+    the game's arena (its independent mechanised graph)."""
 
-    mechanism_nodes: Mapping[str, str]
-    mechanism_edges: tuple[tuple[str, str], ...]
     inter_mechanism_edges: frozenset
     _arena: _Arena = field(repr=False, compare=False)
 
@@ -404,4 +403,4 @@ def build_mechanised_graph(game: CausalGame) -> MechanisedGraph:
         for mech in relevant_mechanisms(game, rule_node(d))
         if mech != rule_node(d)
     }
-    return MechanisedGraph(dict(arena.mechanism), arena.edges, frozenset(inter), arena)
+    return MechanisedGraph(frozenset(inter), arena)

@@ -103,9 +103,9 @@ class AddVariable:
 class RemoveVariable:
     """Delete a variable, marginalising it out of its children's CPDs.
 
-    Auto-marginalisation needs the removed variable to carry a CPD whose
-    parents are nested in the child's remaining parents; otherwise an
-    explicit replacement in ``child_cpds`` is required.
+    Auto-marginalisation needs the removed variable to carry a CPD or an
+    imposed rule whose parents are nested in the child's remaining parents;
+    otherwise an explicit replacement in ``child_cpds`` is required.
     """
 
     target: str
@@ -175,13 +175,10 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
         raise InterventionError(f"unknown variable {t!r}")
     cpds = {k: c for k, c in game.cpds.items() if k != t}
     rule_fixes = {k: r for k, r in game.rule_fixes.items() if k != t}
-    object_fixed = game.object_fixed - {t}
     if p.cpd is not None:
         cpds[t] = p.cpd
-        if game.kind(t) == DECISION:
-            object_fixed |= {t}
     elif p.rule_fix is not None and game.kind(t) == DECISION:
-        if t not in game.rule_fixes and t not in game.object_fixed:
+        if t not in game.rule_fixes and t not in game.cpds:
             raise InterventionError(f"{t} is free; commit its rule at PI_{t}")
         rule_fixes[t] = p.rule_fix
     elif t in game.rule_fixes:
@@ -190,7 +187,7 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
         )
     new_game = dc_replace(
         game, parents={**game.parents, t: p.parents}, cpds=cpds,
-        rule_fixes=rule_fixes, object_fixed=object_fixed,
+        rule_fixes=rule_fixes,
     )
     inverse = FixObject(t, game.parents_of(t), **_restoring(game, t))
     return _checked(new_game, (t,)), inverse
@@ -224,7 +221,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
     # rule node
     if kind != DECISION:
         raise InterventionError(f"{p.target}: {var} is not a decision")
-    if var in game.object_fixed:
+    if var in game.cpds:
         raise InterventionError(
             f"{p.target}: {var} is object-fixed; its rule no longer governs it"
         )
@@ -245,8 +242,9 @@ def _rewire_children(game, p, children, parents, cpds, default, derive):
 
     A child's order is its ``p.child_parents`` entry, else the parents of
     its replacement table in ``p.child_cpds``, else ``default(child)``; any
-    order must hold exactly the parents of ``default(child)``.  Its table is
-    the replacement, else ``derive(child, order)`` when it had one.
+    order must hold exactly the parents of ``default(child)``.  A child with
+    a table gets the replacement, else ``derive(child, order)``; a free
+    decision takes no replacement, which would pin it.
     """
     orders, tables = p.child_parents or {}, p.child_cpds or {}
     old_orders, old_tables = {}, {}
@@ -270,10 +268,12 @@ def _rewire_children(game, p, children, parents, cpds, default, derive):
         parents[child] = order
         if child in game.cpds:
             old_tables[child] = game.cpds[child]
-            if table is None:
-                table = derive(child, order)
-        if table is not None:
-            cpds[child] = table
+            cpds[child] = derive(child, order) if table is None else table
+        elif table is not None:
+            raise InterventionError(
+                f"cannot give free decision {child} a replacement table; "
+                "pin it with an object fix"
+            )
     return old_tables, old_orders
 
 
@@ -300,7 +300,6 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     parents = {**game.parents, v.name: p.parents}
     cpds = dict(game.cpds)
     rule_fixes = dict(game.rule_fixes)
-    object_fixed = game.object_fixed
     old_tables, old_orders = _rewire_children(
         game, p, p.children, parents, cpds,
         lambda child: game.parents_of(child) + (v.name,),
@@ -308,15 +307,12 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     )
     if p.cpd is not None:
         cpds[v.name] = p.cpd
-        if v.kind == DECISION:
-            object_fixed |= {v.name}
     elif p.rule_fix is not None:
         rule_fixes[v.name] = p.rule_fix
     pos = len(game.variables) if p.index is None else p.index
     new_game = dc_replace(
         game, variables=game.variables[:pos] + (v,) + game.variables[pos:],
         parents=parents, cpds=cpds, rule_fixes=rule_fixes,
-        object_fixed=object_fixed,
     )
     inverse = RemoveVariable(
         v.name, child_cpds=old_tables, child_parents=old_orders
@@ -325,18 +321,19 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
 
 
 def _marginalise_out(game, child, y_name, remaining):
-    """Marginalise the removed parent out of a child's CPD."""
-    y_cpd = game.cpds.get(y_name)
+    """Marginalise the parent ``y_name`` out of a child's CPD under its
+    table or imposed rule; the child keeps the parents ``remaining``."""
+    y_cpd = game.factor_cpd(y_name)
     if y_cpd is None:
         raise InterventionError(
-            f"removing {y_name}: child {child} needs an explicit replacement "
-            "CPD (the removed variable has no pinned distribution)"
+            f"cannot marginalise {y_name} out of {child}: {y_name} is a free "
+            f"decision; child {child} needs an explicit replacement CPD"
         )
     if not set(y_cpd.parents) <= set(remaining):
         raise InterventionError(
-            f"removing {y_name}: cannot marginalise it out of {child} because "
-            f"its CPD conditions on {sorted(set(y_cpd.parents) - set(remaining))}; "
-            "provide an explicit replacement CPD"
+            f"cannot marginalise {y_name} out of {child}: its CPD conditions "
+            f"on {sorted(set(y_cpd.parents) - set(remaining))}; child {child} "
+            "needs an explicit replacement CPD"
         )
     old_parents = game.parents_of(child)
     old_cpd = game.cpds[child]
@@ -371,7 +368,6 @@ def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
         parents=parents,
         cpds=cpds,
         rule_fixes={k: r for k, r in game.rule_fixes.items() if k != t},
-        object_fixed=game.object_fixed - {t},
     )
     inverse = AddVariable(
         game.variable(t),
@@ -444,8 +440,9 @@ def make_remove_edge(game: CausalGame, src: str, dst: str) -> FixObject:
     """The object-level fix deleting the dependency ``src -> dst``.
 
     A table of ``dst`` (an object-fixed decision's too, which stays pinned)
-    has ``src`` marginalised out under ``src``'s current distribution; a
-    decision without one just loses the observation."""
+    has ``src`` marginalised out under ``src``'s table or imposed rule (a
+    free decision has neither, so that deletion is refused); a decision
+    without a table just loses the observation."""
     if src not in game.parents_of(dst):
         raise InterventionError(f"edge {src}->{dst} not present")
     remaining = tuple(q for q in game.parents_of(dst) if q != src)

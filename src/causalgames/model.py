@@ -156,9 +156,9 @@ class PolicyProfile:
 class CausalGame:
     """A causal game: agents, a typed DAG, and tabular parameters.
 
-    ``cpds`` holds one CPD per chance/utility variable, plus one per decision
-    listed in ``object_fixed`` (a decision pinned by an object-level
-    intervention, which also severs its rule node's edge to it).
+    ``cpds`` holds one CPD per chance/utility variable, plus one per
+    object-fixed decision: a decision with a table is pinned by an
+    object-level intervention, which also severs its rule node's edge to it.
     ``rule_fixes`` holds externally imposed decision rules (commitments);
     those decisions are no longer strategic but their rule node still governs
     them.  Remaining decisions are "free": rational agents pick their rules.
@@ -169,7 +169,6 @@ class CausalGame:
     parents: Mapping[str, tuple[str, ...]]
     cpds: Mapping[str, TabularCPD]
     rule_fixes: Mapping[str, TabularCPD] = field(default_factory=dict)
-    object_fixed: frozenset = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -178,7 +177,6 @@ class CausalGame:
         )
         object.__setattr__(self, "cpds", dict(self.cpds))
         object.__setattr__(self, "rule_fixes", dict(self.rule_fixes))
-        object.__setattr__(self, "object_fixed", frozenset(self.object_fixed))
         # name index, built once; the first of duplicate names wins
         by_name: dict[str, Variable] = {}
         children: dict[str, list[str]] = {}
@@ -223,11 +221,16 @@ class CausalGame:
     def decisions(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind == DECISION)
 
+    @property
+    def object_fixed(self) -> frozenset:
+        """The decisions pinned to a table in ``cpds``."""
+        return frozenset(d for d in self.decisions() if d in self.cpds)
+
     def free_decisions(self) -> tuple[str, ...]:
         return tuple(
             d
             for d in self.decisions()
-            if d not in self.rule_fixes and d not in self.object_fixed
+            if d not in self.rule_fixes and d not in self.cpds
         )
 
     def free_decisions_of(self, agent: int) -> tuple[str, ...]:
@@ -420,9 +423,7 @@ def validate_game(game: CausalGame) -> list[str]:
     """
     if not (_is_int(game.n_agents) and game.n_agents >= 1):
         return ["'agents' must be a positive integer"]  # no owner can be checked
-    names = dict.fromkeys(
-        [*game.parents, *game.names(), *game.rule_fixes, *game.object_fixed]
-    )
+    names = dict.fromkeys([*game.parents, *game.names(), *game.rule_fixes])
     return _report(game, game.variables, names)
 
 
@@ -430,14 +431,14 @@ def violations(game: CausalGame, names) -> list[str]:
     """The rules of ``validate_game`` where they concern ``names``.
 
     Each named variable on its own, its parent list, a cycle through it,
-    parents that are utilities, its CPD or imposed rule, and pinnings of a
-    name that is no decision.  A name that is no variable brings its
-    children along: a lost parent is a fault of the child.  When a valid
+    parents that are utilities, its CPD or imposed rule, and an imposed
+    rule on a name that is no decision.  A name that is no variable brings
+    its children along: a lost parent is a fault of the child.  When a valid
     game changes only the parents, tables, rules or existence of ``names``,
     the result is valid exactly when this report is empty.  The work is
-    per name through the game's index, plus one look at each pinning; the
-    cycle search starts at ``names``, since a new cycle passes through a
-    changed parent list.
+    per name through the game's index, plus one look at each imposed rule;
+    the cycle search starts at ``names``, since a new cycle passes through
+    a changed parent list.
     """
     by_name = game._by_name
     names = dict.fromkeys(names)
@@ -487,28 +488,15 @@ def _report(game: CausalGame, variables, names) -> list[str]:
                 )
 
     for v in variables:
-        pinned = v.name in game.cpds
-        if v.kind == DECISION:
-            if v.name in game.object_fixed and not pinned:
-                report.append(f"{v.name}: object-fixed decision lacks a CPD")
-            if v.name not in game.object_fixed and pinned:
-                report.append(
-                    f"{v.name}: decision variable carries a CPD but is not "
-                    "object-fixed"
-                )
-            if v.name in game.rule_fixes:
-                report += _check_cpd(game, game.rule_fixes[v.name], v.name)
-        else:
-            if not pinned:
-                report.append(f"{v.name}: missing CPD")
-        if pinned:
+        if v.kind == DECISION and v.name in game.rule_fixes:
+            report += _check_cpd(game, game.rule_fixes[v.name], v.name)
+        if v.name in game.cpds:
             report += _check_cpd(game, game.cpds[v.name], v.name)
+        elif v.kind != DECISION:
+            report.append(f"{v.name}: missing CPD")
     for name in game.rule_fixes:
         if name in names and getattr(by_name.get(name), "kind", None) != DECISION:
             report.append(f"rule fix on non-decision {name!r}")
-    for name in game.object_fixed:
-        if name in names and getattr(by_name.get(name), "kind", None) != DECISION:
-            report.append(f"object fix recorded for non-decision {name!r}")
     return report
 
 
@@ -894,8 +882,6 @@ def games_equal(a: CausalGame, b: CausalGame) -> bool:
     if a.variables != b.variables:
         return False
     if a.parents != b.parents:
-        return False
-    if a.object_fixed != b.object_fixed:
         return False
     for attr in ("cpds", "rule_fixes"):
         ma, mb = getattr(a, attr), getattr(b, attr)

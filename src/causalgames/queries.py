@@ -533,7 +533,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     def final_rules(realized):  # resolved against the final game
         rules = dict(realized)
         for d in game.decisions():
-            if d in game.object_fixed:
+            if d in game.cpds:
                 continue
             if d not in rules:
                 if d in game.rule_fixes:

@@ -336,7 +336,7 @@ def random_rich_game(rng: random.Random) -> CausalGame:
         variables.append(Variable(name, "utility", domains[name], agent))
         cpds[name] = TabularCPD(name, parents[name], table(name))
     rng.shuffle(variables)
-    return CausalGame(3, tuple(variables), parents, cpds, rule_fixes, {"D4"})
+    return CausalGame(3, tuple(variables), parents, cpds, rule_fixes)
 
 
 def random_full_profile(rng: random.Random, game: CausalGame) -> PolicyProfile:

@@ -165,13 +165,12 @@ def test_relevance_iff_paths(job_market, stackelberg):
 
     games = [job_market, stackelberg] + [random_game(rng) for _ in range(20)]
     for game in games:
-        mg = build_mechanised_graph(game)
         for d in game.decisions():
             target = f"PI_{d}"
             if d in game.rule_fixes:
                 continue
             for v in game.variables:
-                mech = mg.mechanism_nodes[v.name]
+                mech = mechanism_node(game, v.name)
                 if mech == target:
                     continue
                 assert r_relevant(game, mech, target) == bool(

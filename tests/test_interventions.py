@@ -363,8 +363,67 @@ def test_edge_edits_keep_an_object_fixed_decision_pinned(stackelberg):
     )
     assert games_equal(remove_edge(add_edge(both, "D1", "D2"), "D1", "D2"), both)
     # a free source has no distribution to marginalise over
-    with pytest.raises(InterventionError, match="needs an explicit replacement CPD"):
+    with pytest.raises(
+        InterventionError, match="cannot marginalise D1 out of D2: D1 is a free decision"
+    ):
         make_remove_edge(seeing, "D1", "D2")
+
+
+def test_edge_deletion_refusals_speak_of_the_edge():
+    """Deleting an edge removes no variable, so its refusal names none."""
+    free = random_rich_game(random.Random(2))
+    assert "D2" in free.free_decisions() and "D4" in free.object_fixed
+    with pytest.raises(InterventionError) as exc:
+        make_remove_edge(free, "D2", "D4")
+    assert str(exc.value) == (
+        "cannot marginalise D2 out of D4: D2 is a free decision; "
+        "child D4 needs an explicit replacement CPD"
+    )
+    # a committed source has a distribution, its rule, but here that rule
+    # conditions on D1, which U1b does not see
+    committed = random_rich_game(random.Random(1))
+    assert committed.rule_fixes["D3"].parents == ("X1", "D1")
+    with pytest.raises(InterventionError) as exc:
+        make_remove_edge(committed, "D3", "U1b")
+    assert str(exc.value) == (
+        "cannot marginalise D3 out of U1b: its CPD conditions on ['D1']; "
+        "child U1b needs an explicit replacement CPD"
+    )
+
+
+def test_committed_source_marginalises_under_its_rule():
+    game = random_rich_game(random.Random(14))
+    rule = game.rule_fixes["D3"]
+    assert rule.parents == ("D1",) and game.parents_of("U1a") == ("D3", "D1", "X1")
+    old = game.cpds["U1a"]
+    cut = remove_edge(game, "D3", "U1a")
+    assert cut.parents_of("U1a") == ("D1", "X1") and cut.rule_fixes == game.rule_fixes
+    assert validate_game(cut) == []
+    for d1, x1 in itertools.product(game.domain("D1"), game.domain("X1")):
+        want = [
+            sum(rule.row((d1,))[k] * old.row((y, d1, x1))[i]
+                for k, y in enumerate(game.domain("D3")))
+            for i in range(len(game.domain("U1a")))
+        ]
+        assert cut.cpds["U1a"].row((d1, x1)) == pytest.approx(want, abs=1e-15)
+    # removing the committed decision marginalises it out of the children
+    # that see D1, given a replacement for D4, which does not see it; the
+    # inverse puts back the rule and every table
+    assert set(game.children_of("D3")) == {"U1a", "U2", "D4"}
+    assert game.parents_of("D4") == ("D3", "X1")
+    d4 = TabularCPD.uniform("D4", game.domain("D4"), ("X1",), game.domain)
+    gone, applied = apply_journaled(game, RemoveVariable("D3", {"D4": d4}))
+    assert not gone.has_variable("D3") and "D3" not in gone.rule_fixes
+    assert gone.cpds["U1a"] == cut.cpds["U1a"] and gone.cpds["D4"] == d4
+    assert games_equal(apply_primitive(gone, invert(applied)), game)
+
+
+def test_free_decision_child_takes_no_replacement_table(job_market):
+    """A replacement table would pin the free decision D1, and the inverse
+    could not unpin it; an object fix is the way to pin it."""
+    table = TabularCPD.uniform("D1", job_market.domain("D1"))
+    with pytest.raises(InterventionError, match="cannot give free decision D1"):
+        apply_primitive(job_market, RemoveVariable("T", child_cpds={"D1": table}))
 
 
 # -- remove-then-add decomposition ---------------------------------------------------
@@ -837,6 +896,14 @@ class InterventionAlgebra(RuleBasedStateMachine):
     @invariant()
     def stays_valid(self):
         assert validate_game(self.game) == []
+
+    @invariant()
+    def each_decision_is_free_committed_or_pinned(self):
+        game = self.game
+        free = set(game.free_decisions())
+        for d in game.decisions():
+            states = (d in free, d in game.rule_fixes, d in game.object_fixed)
+            assert sum(states) == 1, (d, states)
 
     @rule(data=st.data())
     def fix_object(self, data):

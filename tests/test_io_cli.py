@@ -25,6 +25,7 @@ from causalgames import (
     load_game,
     FixObject,
     TabularCPD,
+    ValidationError,
     apply_primitive,
     games_equal,
     load_scenario,
@@ -200,6 +201,11 @@ def test_dot_empty_game_is_header_only():
 
     empty = CausalGame(0, (), {}, {})
     assert export_dot(empty, "object") == "digraph G {\n}\n"
+
+
+def test_dot_unknown_view_is_a_validation_error(job_market):
+    with pytest.raises(ValidationError, match="which must be one of"):
+        export_dot(job_market, "bad")
 
 
 def test_dot_deterministic(job_market):

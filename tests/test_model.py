@@ -31,6 +31,7 @@ from causalgames import (
 from causalgames import model
 from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
 from causalgames.errors import SolverError
+from causalgames.graphs import _arena
 from causalgames.model import _check_cpd, violations
 from helpers import (
     brute_force_joint,
@@ -186,6 +187,36 @@ def test_constant_utility_gives_zero():
     game = CausalGame(1, variables, parents, cpds)
     profile = PolicyProfile({"D1": game.delta_rule("D1", "a")})
     assert expected_utility(game, profile, 1) == 0.0
+
+
+def test_a_decision_with_a_table_is_object_fixed():
+    """A table for a decision pins it: the one fact is stored in ``cpds``."""
+    variables = (
+        Variable("D", "decision", ("a", "b"), 1),
+        Variable("E", "decision", ("x", "y"), 1),
+        Variable("U", "utility", (0, 1), 1),
+    )
+    parents = {"D": (), "E": (), "U": ("D", "E")}
+    matched = {("a", "x"), ("b", "y")}
+    domains = {v.name: v.domain for v in variables}
+    cpds = {
+        "D": TabularCPD("D", (), {(): (0.0, 1.0)}),
+        "U": tabulate(
+            "U", ("D", "E"), domains.__getitem__,
+            lambda at: (0.0, 1.0) if (at["D"], at["E"]) in matched else (1.0, 0.0),
+        ),
+    }
+    game = CausalGame(1, variables, parents, cpds)
+    assert validate_game(game) == []
+    assert game.object_fixed == {"D"} and game.free_decisions() == ("E",)
+    assert ("PI_D", "D") not in _arena(game).edges
+    assert ("PI_E", "E") in _arena(game).edges
+    # D is the constant b, so only E = y is an equilibrium; were D free,
+    # (a, x) would be one too
+    [eq] = pure_nash(game).outcomes
+    assert eq.decisions() == ("E",) and eq["E"].table == {(): (0.0, 1.0)}
+    free = CausalGame(1, variables, parents, {"U": cpds["U"]})
+    assert len(pure_nash(free).outcomes) == 2
 
 
 def test_unknown_agent_rejected(prisoners):
