@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ValidationError
-from .graphs import MechanisedGraph, _arena, build_mechanised_graph
+from .graphs import MechanisedGraph, _mechanisms, build_mechanised_graph
 from .model import CHANCE, DECISION, UTILITY, CausalGame
 
 _AGENT_COLORS = (
@@ -49,10 +49,10 @@ def export_dot(
         if which == "mechanised":
             mg = graph if graph is not None else build_mechanised_graph(game)
             inter = sorted(mg.inter_mechanism_edges)
-        arena = _arena(game)
-        for m in arena.mechanism.values():
+        mechs = _mechanisms(game)
+        for m in mechs:
             lines.append(f'  "{m}" [shape=ellipse, style=dashed, color=gray40];')
-        for src, dst in [*arena.edges, *inter]:
+        for src, dst in [*((m, v) for m, vs in mechs.items() for v in vs), *inter]:
             lines.append(f'  "{src}" -> "{dst}" [color=gray];')
     lines.append("}")
     return "\n".join(lines) + "\n"

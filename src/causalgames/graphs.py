@@ -5,12 +5,13 @@ variable (``THETA_<v>`` for a CPD, ``PI_<d>`` for a decision rule), an edge
 from each mechanism to its variable, and inter-mechanism edges into rule
 nodes wherever the source mechanism is strategically relevant under best
 response.  The independent mechanised graph drops the inter-mechanism
-edges; it is the arena for all reachability computations, read as
-``pred``/``succ`` dicts built in one pass over the variables from the
-game's own parent and child index.  A game builds its arena once, on first
-use, and every search on it shares that arena; games are immutable and
-every intervention makes a new one, so it never goes stale.  networkx is
-imported only by the views.
+edges.  Every search runs on a game's arena, its object graph, built once
+per game on first use; games are immutable, so it never goes stale.  A
+mechanism node has no parents and at most one child, its own variable, so
+it stays implicit: a search reaches it exactly when the ball at that
+variable passes on to the variable's parents, and a path out of it starts
+with its edge into the variable.  Mechanism nodes are named only in answers
+and in the networkx and DOT views; networkx is imported only by the views.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
@@ -21,8 +22,7 @@ collider lies in the ancestral closure of the conditioning set Y, and
 through any other node when that node is outside Y.  d-connection is
 symmetric, so one search from each relevance test's target set (Koller &
 Milch 2003) finds every mechanism relevant to a rule node.  The search is
-valid on graphs with cycles, which matters because mechanised graphs may be
-cyclic among mechanism nodes.
+also valid on graphs with cycles, such as full mechanised graphs.
 ``active_paths`` enumerates simple paths (Pearl, *Causality*, 2009), which is
 exponential in the worst case; it is used only where the paths themselves
 are the answer: relevance witnesses and minimum intervention sets.  It grows
@@ -64,38 +64,17 @@ def variable_of_mechanism(name: str) -> str:
 
 
 class _Arena:
-    """One game's independent mechanised graph: ``pred``/``succ`` dicts (what
-    the searches read of an ``nx.DiGraph``) and, in variable order, each
-    variable's mechanism node and that node's edge into it.
-
-    The edge from a rule node into an object-fixed decision is severed: an
-    object-level hard fix replaces the rule as the distribution governing
-    the decision, leaving the rule node isolated above it.
-    """
+    """One game's object graph as ``pred``/``succ`` dicts over the variables
+    (what the searches read of an ``nx.DiGraph``), in variable order, and
+    the caches its searches fill.  Mechanism nodes are left implicit: see
+    ``_reachable`` and ``active_paths`` for how a search reaches them."""
 
     def __init__(self, game: CausalGame):
-        self.mechanism = mechanism = {}
-        edges, pred, succ, mechs = [], {}, {}, {}
-        parents, children, cpds = game.parents, game._children, game.cpds
+        self.pred, self.succ = pred, succ = {}, {}
+        parents, children = game.parents, game._children
         for v in game.variables:
-            name = v.name
-            m = rule_node(name) if v.kind == DECISION else param_node(name)
-            mechanism[name] = m
-            succ[name] = children.get(name, ())
-            if v.kind == DECISION and name in cpds:
-                pred[name] = parents.get(name, ())
-                mechs[m] = ()
-            else:
-                pred[name] = parents.get(name, ()) + (m,)
-                mechs[m] = (name,)
-                edges.append((m, name))
-        # variables in declaration order, then their mechanism nodes: the
-        # node and edge order of the networkx views
-        pred.update(dict.fromkeys(mechs, ()))
-        succ.update(mechs)
-        self.pred, self.succ = pred, succ
-        self.mechanisms = frozenset(mechs)
-        self.edges = tuple(edges)
+            pred[v.name] = parents.get(v.name, ())
+            succ[v.name] = children.get(v.name, ())
         self.tests = {}  # rule node -> its relevance tests, see _relevance_tests
         self.open = {}  # conditioning set -> its open colliders, see _open_colliders
 
@@ -108,6 +87,19 @@ def _arena(game: CausalGame) -> _Arena:
     return arena
 
 
+def _mechanisms(game: CausalGame, names: Iterable[str] | None = None) -> dict:
+    """The mechanism node of each variable in ``names`` (all by default), in
+    that order, with the variables it has an edge into: none for an
+    object-fixed decision, whose rule an object-level hard fix replaces."""
+    out = {}
+    for v in game.variables if names is None else map(game.variable, names):
+        if v.kind != DECISION:
+            out[param_node(v.name)] = (v.name,)
+        else:
+            out[rule_node(v.name)] = () if v.name in game.cpds else (v.name,)
+    return out
+
+
 def _digraph(succ: Mapping) -> nx.DiGraph:
     import networkx as nx
 
@@ -115,12 +107,13 @@ def _digraph(succ: Mapping) -> nx.DiGraph:
 
 
 def object_graph(game: CausalGame) -> nx.DiGraph:
-    return _digraph({v: game.children_of(v) for v in game.names()})
+    return _digraph(_arena(game).succ)
 
 
 def independent_mechanised_graph(game: CausalGame) -> nx.DiGraph:
-    """Object graph plus mechanism nodes and their edges into variables."""
-    return _digraph(_arena(game).succ)
+    """Object graph plus mechanism nodes and their edges into variables:
+    the variables in declaration order, then their mechanism nodes."""
+    return _digraph({**_arena(game).succ, **_mechanisms(game)})
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,7 @@ class Path:
         return out
 
 
-def _check_node_sets(graph: _Arena | nx.DiGraph, *sets: Iterable[str]):
+def _check_node_sets(graph: nx.DiGraph, *sets: Iterable[str]):
     known, seen = graph.pred, []
     for s in sets:
         for n in s:
@@ -199,18 +192,21 @@ def _open_colliders(graph: _Arena | nx.DiGraph, given: frozenset) -> set:
 
 def _reachable(
     graph: _Arena | nx.DiGraph, xs: set, given: frozenset, severed=frozenset()
-) -> set:
-    """Reachable-set search: every node an active trail from ``xs`` reaches.
+) -> tuple[set, set]:
+    """Reachable-set search: every node an active trail from ``xs`` reaches,
+    and those of them that pass the ball on to their parents.
 
     Bayes-Ball's two marks: a node is marked ``up`` when entered from a
     child (or as a start node) and ``down`` when entered from a parent, and
     it is pushed only when it lacks the mark of the side it is entered
     from, so each node is expanded at most twice and the cost is O(V + E).
     A node passes the ball to its children when it is outside ``given``,
-    and to its parents when it was entered from below outside ``given`` or
-    from above as an open collider.  Edges in ``severed`` are not traversed,
-    while colliders stay open as in the whole graph: the trails found are
-    the active trails that avoid those edges.
+    and climbs, passing it to its parents, when it was entered from below
+    outside ``given`` or from above as an open collider.  On a game's arena
+    a variable's implicit mechanism node is reached exactly when the
+    variable climbs.  Edges in ``severed`` are not traversed, while
+    colliders stay open as in the whole graph: the trails found are the
+    active trails that avoid those edges.
     """
     open_colliders = _open_colliders(graph, given)
     pred, succ = graph.pred, graph.succ
@@ -218,7 +214,8 @@ def _reachable(
         pred, succ = dict(pred), dict(succ)
         for tail, head in severed:
             pred[head] = tuple(p for p in pred[head] if p != tail)
-            succ[tail] = tuple(c for c in succ[tail] if c != head)
+            # a severed mechanism edge has no tail in an arena
+            succ[tail] = tuple(c for c in succ.get(tail, ()) if c != head)
     up, down = set(xs), set()
     rising, falling = list(up), []
     while rising or falling:
@@ -238,7 +235,7 @@ def _reachable(
                 if c not in down:
                     down.add(c)
                     falling.append(c)
-    return up | down
+    return up | down, (up - given) | (down & open_colliders)
 
 
 def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
@@ -249,17 +246,24 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
     A path grows, on an explicit stack, only while it is open: each step
     checks the node it leaves, which blocks as a non-collider in ``given``
     or as a collider outside the ancestral closure of ``given``.  Paths
-    found plus paths still open count against ``ENUM_BUDGET``.
+    found plus paths still open count against ``ENUM_BUDGET``.  On a game's
+    arena ``xs`` holds edges out of implicit mechanism nodes, where the
+    paths start; such sets are built in this module and go unchecked.
     """
-    _check_node_sets(graph, xs, zs, given)
+    if isinstance(graph, _Arena):
+        stack, xs = [(edge, (FORWARD,)) for edge in xs], ()
+    else:
+        _check_node_sets(graph, xs, zs, given)
+        stack = [((x,), ()) for x in xs]
     xs, zs, given = set(xs), set(zs), frozenset(given)
     open_colliders = _open_colliders(graph, given)
-    endpoints = xs | zs
     found = []
-    stack = [((x,), ()) for x in xs]
     while stack:
         nodes, arrows = stack.pop()
         here = nodes[-1]
+        if here in zs:
+            found.append(Path(nodes, arrows, given))
+            continue
         # ``here`` becomes interior unless it starts the path: leaving it
         # backward after a forward arrival makes it a collider, open only in
         # ``open_colliders``; any other step is blocked by ``here`` in ``given``
@@ -268,16 +272,10 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
         for step, arrow, ok in (
             (graph.succ, FORWARD, onward), (graph.pred, BACKWARD, back)
         ):
-            if not ok:
-                continue
-            for nxt in step[here]:
-                if nxt in nodes:
-                    continue
-                path = (nodes + (nxt,), arrows + (arrow,))
-                if nxt in zs:
-                    found.append(Path(*path, given))
-                elif nxt not in endpoints:
-                    stack.append(path)
+            if ok:
+                for nxt in step[here]:
+                    if nxt not in nodes and nxt not in xs:
+                        stack.append((nodes + (nxt,), arrows + (arrow,)))
         if len(found) + len(stack) > ENUM_BUDGET:
             raise SolverError(
                 f"would enumerate more than {len(found) + len(stack):,} "
@@ -287,10 +285,10 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
     return found
 
 
-def d_separated(graph: _Arena | nx.DiGraph, xs, zs, given) -> bool:
+def d_separated(graph: nx.DiGraph, xs, zs, given) -> bool:
     """True iff every path between ``xs`` and ``zs`` is blocked by ``given``."""
     _check_node_sets(graph, xs, zs, given)
-    return not _reachable(graph, set(xs), frozenset(given)) & set(zs)
+    return not _reachable(graph, set(xs), frozenset(given))[0] & set(zs)
 
 
 # -- strategic relevance ------------------------------------------------------
@@ -319,9 +317,27 @@ def _relevance_tests(game: CausalGame, target: str):
     return arena, arena.tests[target]
 
 
-def _check_mechanism(game: CausalGame, mech: str):
-    if mech not in _arena(game).mechanisms:
+def _relevant(game: CausalGame, target: str, severed=frozenset()) -> frozenset:
+    """The mechanism nodes relevant to rule node ``target`` by trails that
+    avoid the edges in ``severed``: those of the variables whose searches
+    climb, except an object-fixed decision's and any with a severed edge."""
+    arena, tests = _relevance_tests(game, target)
+    climbed = set().union(*(_reachable(arena, t, cond, severed)[1] for t, cond in tests))
+    return frozenset(
+        m for m, vs in _mechanisms(game, climbed).items()
+        if vs and (m, vs[0]) not in severed
+    )
+
+
+def _start_edges(game: CausalGame, mech: str) -> list:
+    """Mechanism node ``mech``'s edge into its variable, as the start edges
+    of ``active_paths`` on the game's arena: none for an object-fixed
+    decision's rule node."""
+    v = mech.partition("_")[2]  # PI_<d> or THETA_<v>; any other name fails below
+    edges = _mechanisms(game, [v]) if game.has_variable(v) else {}
+    if mech not in edges:
         raise ValidationError(f"unknown mechanism node {mech!r}")
+    return [(mech, w) for w in edges[mech]]
 
 
 def relevant_mechanisms(game: CausalGame, target: str) -> frozenset:
@@ -331,26 +347,25 @@ def relevant_mechanisms(game: CausalGame, target: str) -> frozenset:
     target set finds every mechanism it d-connects.  The set may hold
     ``target`` itself; callers building edges skip it.
     """
-    arena, tests = _relevance_tests(game, target)
-    reached = set().union(*(_reachable(arena, t, cond) for t, cond in tests))
-    return arena.mechanisms & reached
+    return _relevant(game, target)
 
 
 def r_relevant(game: CausalGame, mech: str, target: str) -> bool:
     """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
-    _check_mechanism(game, mech)
+    _start_edges(game, mech)
     return mech in relevant_mechanisms(game, target)
 
 
 def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     """Every path witnessing the relevance of ``mech`` to ``target``.
 
-    Each path is annotated with the conditioning set of the test it
-    witnesses.  Empty exactly when ``r_relevant`` is false.
+    Each path starts with ``mech``'s edge into its variable and is annotated
+    with the conditioning set of the test it witnesses.  Empty exactly when
+    ``r_relevant`` is false.
     """
     arena, tests = _relevance_tests(game, target)
-    _check_mechanism(game, mech)
-    return [p for t, cond in tests for p in active_paths(arena, {mech}, t, cond)]
+    start = _start_edges(game, mech)
+    return [p for t, cond in tests for p in active_paths(arena, start, t, cond)]
 
 
 @dataclass(frozen=True)
@@ -374,15 +389,15 @@ BEST_RESPONSE = RationalityRelation("best_response", relevant_mechanisms)
 @dataclass(frozen=True)
 class MechanisedGraph:
     """Inter-mechanism relevance edges of a game; ``graph`` adds them to
-    the game's arena (its independent mechanised graph)."""
+    the game's independent mechanised graph."""
 
     inter_mechanism_edges: frozenset
-    _arena: _Arena = field(repr=False, compare=False)
+    _game: CausalGame = field(repr=False, compare=False)
 
     @cached_property
     def graph(self) -> nx.DiGraph:
         """Independent mechanised graph plus the inter-mechanism edges."""
-        g = _digraph(self._arena.succ)
+        g = independent_mechanised_graph(self._game)
         g.add_edges_from(sorted(self.inter_mechanism_edges))
         return g
 
@@ -395,7 +410,6 @@ def build_mechanised_graph(game: CausalGame) -> MechanisedGraph:
     node pinned by a mechanism-level fix takes no inputs: a constant rule
     depends on nothing.
     """
-    arena = _arena(game)
     inter = {
         (mech, rule_node(d))
         for d in game.decisions()
@@ -403,4 +417,4 @@ def build_mechanised_graph(game: CausalGame) -> MechanisedGraph:
         for mech in relevant_mechanisms(game, rule_node(d))
         if mech != rule_node(d)
     }
-    return MechanisedGraph(frozenset(inter), arena)
+    return MechanisedGraph(frozenset(inter), game)

@@ -27,9 +27,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InterventionError, ValidationError
 from .graphs import (
-    _arena,
-    _reachable,
-    _relevance_tests,
+    _mechanisms,
+    _relevant,
     build_mechanised_graph,
     param_node,
     reachability_paths,
@@ -535,12 +534,7 @@ def predicted_edge_removals(game: CausalGame, p: FixObject) -> set:
     if game.kind(p.target) == DECISION and p.cpd is not None:
         severed.add((rule_node(p.target), p.target))
     edges = build_mechanised_graph(game).inter_mechanism_edges
-    kept = {}
-    for target in {t for _, t in edges}:
-        arena, tests = _relevance_tests(game, target)
-        kept[target] = set().union(
-            *(_reachable(arena, t, cond, severed) for t, cond in tests)
-        )
+    kept = {t: _relevant(game, t, severed) for t in {t for _, t in edges}}
     return {(mech, target) for mech, target in edges if mech not in kept[target]}
 
 
@@ -572,9 +566,8 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
     and the intervened game.
     """
     intervened = apply_all(game, [intervention])
-    before, after = _arena(game).mechanism, _arena(intervened).mechanism
     # a mechanism is compared only where it keeps its node name
-    mechs = {m for v, m in before.items() if after.get(v) == m}
+    mechs = _mechanisms(game).keys() & _mechanisms(intervened).keys()
     return not any(
         (relevant_mechanisms(game, t) ^ relevant_mechanisms(intervened, t))
         & (mechs - {t})

@@ -423,7 +423,7 @@ def validate_game(game: CausalGame) -> list[str]:
     """
     if not (_is_int(game.n_agents) and game.n_agents >= 1):
         return ["'agents' must be a positive integer"]  # no owner can be checked
-    names = dict.fromkeys([*game.parents, *game.names(), *game.rule_fixes])
+    names = dict.fromkeys([*game.parents, *game.names(), *game.rule_fixes, *game.cpds])
     return _report(game, game.variables, names)
 
 
@@ -431,8 +431,9 @@ def violations(game: CausalGame, names) -> list[str]:
     """The rules of ``validate_game`` where they concern ``names``.
 
     Each named variable on its own, its parent list, a cycle through it,
-    parents that are utilities, its CPD or imposed rule, and an imposed
-    rule on a name that is no decision.  A name that is no variable brings
+    parents that are utilities, its CPD or imposed rule (a decision has at
+    most one of the two), a table on a name that is no variable, and an
+    imposed rule on a name that is no decision.  A name that is no variable brings
     its children along: a lost parent is a fault of the child.  When a valid
     game changes only the parents, tables, rules or existence of ``names``,
     the result is valid exactly when this report is empty.  The work is
@@ -490,6 +491,8 @@ def _report(game: CausalGame, variables, names) -> list[str]:
     for v in variables:
         if v.kind == DECISION and v.name in game.rule_fixes:
             report += _check_cpd(game, game.rule_fixes[v.name], v.name)
+            if v.name in game.cpds:
+                report.append(f"{v.name}: decision has both a table and an imposed rule")
         if v.name in game.cpds:
             report += _check_cpd(game, game.cpds[v.name], v.name)
         elif v.kind != DECISION:
@@ -497,6 +500,9 @@ def _report(game: CausalGame, variables, names) -> list[str]:
     for name in game.rule_fixes:
         if name in names and getattr(by_name.get(name), "kind", None) != DECISION:
             report.append(f"rule fix on non-decision {name!r}")
+    for name in names:
+        if name in game.cpds and name not in by_name:
+            report.append(f"table for unknown variable {name!r}")
     return report
 
 

@@ -30,7 +30,7 @@ from causalgames.graphs import (
     reachability_paths,
     rule_node,
 )
-from causalgames.interventions import apply_all
+from causalgames.interventions import FixObject, apply_all
 from causalgames.model import (
     COMMIT_EPS,
     DECISION,
@@ -588,6 +588,19 @@ def state_reachable(graph, xs, given, severed=frozenset()) -> set:
         if arrived == FORWARD and node in open_colliders:
             stack.extend((p, BACKWARD) for p in pred[node])
     return {node for node, _ in seen}
+
+
+def object_fixes(game: CausalGame, rng: random.Random):
+    """One object fix per variable keeping a random subset of its parents,
+    and a hard fix of every decision."""
+    for x in game.names():
+        kept = tuple(p for p in game.parents_of(x) if rng.random() < 0.5)
+        if game.kind(x) == DECISION:
+            yield FixObject(x, kept, None)
+            value = rng.choice(game.domain(x))
+            yield FixObject(x, (), TabularCPD.delta(x, value, game.domain(x)))
+        else:
+            yield FixObject(x, kept, TabularCPD.uniform(x, game.domain(x), kept, game.domain))
 
 
 def path_criterion_removals(game: CausalGame, fix) -> set:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from causalgames import (
     CausalGame,
+    FixMechanism,
     FixObject,
     SolverError,
     TabularCPD,
@@ -37,6 +38,7 @@ from helpers import (
     loop_conditional_independence,
     mechanism_node,
     numeric_conditional_independence,
+    object_fixes,
     path_criterion_removals,
     random_cbn,
     random_game,
@@ -200,10 +202,23 @@ def _definition_graph(game):
     return nodes, edges
 
 
+def _dot_mechanism_lines(game):
+    """The mechanism nodes of the independent mechanised DOT text, in order,
+    and its mechanism edges, in order."""
+    lines = export_dot(game, "independent_mechanised").splitlines()
+    nodes = [ln.split('"')[1] for ln in lines if "style=dashed" in ln]
+    edges = [
+        tuple(ln.split('"')[1::2]) for ln in lines
+        if "->" in ln and ln.split('"')[1] in nodes
+    ]
+    return nodes, edges
+
+
 def test_arena_and_views_keep_declaration_order():
     """Variables in declaration order, then each one's mechanism node in the
-    same order: the arena's keys and the node order of both networkx views,
-    on seeded games with object-fixed decisions."""
+    same order: the node order of both networkx views and of the DOT text,
+    on seeded games with object-fixed decisions.  The arena's keys are the
+    variables alone, in declaration order."""
     for seed in range(60):
         rng = random.Random(f"order:{seed}")
         game = random_rich_game(rng) if seed % 2 else random_multi_decision_game(rng)
@@ -212,20 +227,22 @@ def test_arena_and_views_keep_declaration_order():
             dom = game.domain(d)
             game = apply_primitive(game, FixObject(d, (), TabularCPD.delta(d, dom[0], dom)))
         names = list(game.names())
-        order = names + [mechanism_node(game, v) for v in names]
-        arena = graphs._Arena(game)
-        assert list(arena.pred) == list(arena.succ) == order
+        mechs = [mechanism_node(game, v) for v in names]
+        arena = graphs._arena(game)
+        assert list(arena.pred) == list(arena.succ) == names
         view = independent_mechanised_graph(game)
-        assert list(view) == order
-        assert list(view.edges) == [
-            (v, c) for v in names for c in game.children_of(v)
-        ] + [(mechanism_node(game, v), v) for v in names if v not in game.object_fixed]
-        assert list(build_mechanised_graph(game).graph) == order
+        assert list(view) == names + mechs
+        mech_edges = [(mechanism_node(game, v), v) for v in names if v not in game.object_fixed]
+        assert list(view.edges) == [(v, c) for v in names for c in game.children_of(v)] + mech_edges
+        assert list(build_mechanised_graph(game).graph) == names + mechs
+        assert _dot_mechanism_lines(game) == (mechs, mech_edges)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
 def test_arena_matches_graph_views(rng, multi, fix):
+    """The arena holds the object graph; the views add every mechanism node
+    and its edge, none into an object-fixed decision."""
     game = random_multi_decision_game(rng) if multi else random_game(rng)
     if fix:
         d = rng.choice(game.decisions())
@@ -233,17 +250,21 @@ def test_arena_matches_graph_views(rng, multi, fix):
         game = apply_primitive(game, FixObject(d, (), TabularCPD.delta(d, dom[0], dom)))
         assert d in game.object_fixed
     nodes, edges = _definition_graph(game)
-    arena = graphs._Arena(game)
-    view = independent_mechanised_graph(game)
-    assert set(arena.pred) == set(arena.succ) == set(view) == nodes
-    for n in nodes:
-        assert set(arena.pred[n]) == set(view.pred[n]) == {a for a, b in edges if b == n}
-        assert set(arena.succ[n]) == set(view.succ[n]) == {b for a, b in edges if a == n}
-    assert set(view.edges) == edges
     names = set(game.names())
     base = object_graph(game)
-    assert set(base) == names
+    arena = graphs._arena(game)
+    assert set(arena.pred) == set(arena.succ) == set(base) == names
+    for n in names:
+        assert set(arena.pred[n]) == set(base.pred[n]) == {a for a, b in edges if b == n and a in names}
+        assert set(arena.succ[n]) == set(base.succ[n]) == {b for a, b in edges if a == n}
     assert set(base.edges) == {(a, b) for a, b in edges if a in names}
+    view = independent_mechanised_graph(game)
+    assert set(view) == nodes
+    for n in nodes:
+        assert set(view.pred[n]) == {a for a, b in edges if b == n}
+        assert set(view.succ[n]) == {b for a, b in edges if a == n}
+    assert set(view.edges) == edges
+    assert not any(view.has_edge(rule_node(d), d) for d in game.object_fixed)
     mg = build_mechanised_graph(game)
     assert set(mg.graph) == nodes
     assert set(mg.graph.edges) == edges | mg.inter_mechanism_edges
@@ -311,12 +332,23 @@ def test_pruned_paths_match_full_enumeration(query):
 @given(_graph_query(), st.data())
 def test_two_mark_search_matches_the_state_search(query, data):
     """``_reachable``'s two marks reach exactly the nodes of the search over
-    ``(node, direction)`` states, with a random subset of edges severed."""
+    ``(node, direction)`` states, with a random subset of edges severed.  The
+    nodes it says climb are those whose implicit mechanism node the state
+    search reaches once each node gets a parentless node of its own, with
+    a random subset of those new edges severed too."""
     g, xs, _, given = query
     severed = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges)))
                                   if g.number_of_edges() else st.just(set())))
-    want = state_reachable(g, xs, given, severed)
-    assert graphs._reachable(g, xs, frozenset(given), severed) == want
+    reached, climbed = graphs._reachable(g, xs, frozenset(given), severed)
+    assert reached == state_reachable(g, xs, given, severed)
+    mechanised = g.copy()
+    mechanised.add_edges_from((("M", n), n) for n in g)
+    cut = data.draw(st.sets(st.sampled_from(sorted(g))))
+    severed |= {(("M", n), n) for n in cut}
+    want = state_reachable(mechanised, xs, given, severed)
+    assert reached == want & set(g)
+    assert climbed - cut == {n for n in g if ("M", n) in want}
+    assert graphs._reachable(g, xs, frozenset(given), severed) == (reached, climbed)
 
 
 def _nx_relevance_tests(game, target):
@@ -366,6 +398,41 @@ def _per_pair_relevant(game, target):
         for m in (mechanism_node(game, v) for v in game.names())
         if any(not d_separated(graph, {m}, t, cond) for t, cond in tests)
     }
+
+
+_GENERATORS = {
+    "game": random_game, "multi": random_multi_decision_game, "rich": random_rich_game,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(_GENERATORS)),
+       st.booleans(), st.booleans())
+def test_implicit_mechanisms_match_the_networkx_view(rng, generator, pin, commit):
+    """The searches leave mechanism nodes implicit; on the networkx view
+    ``independent_mechanised_graph``, where every one is a node, each
+    (mechanism, rule node) pair gets the same answers: relevance is per-pair
+    d-connection, the witness paths are the complete enumeration, and the
+    predicted removals of every object fix are the path criterion.  Games
+    carry object-fixed and committed decisions."""
+    game = _GENERATORS[generator](rng)
+    for wanted, make in ((pin, _hard_fix), (commit, _commitment)):
+        free = game.free_decisions()
+        if wanted and free:
+            game = apply_primitive(game, make(game, rng.choice(free)))
+    graph = independent_mechanised_graph(game)
+    mechs = [mechanism_node(game, v) for v in game.names()]
+    for d in game.decisions():
+        target = rule_node(d)
+        _, tests = _nx_relevance_tests(game, target)
+        relevant = relevant_mechanisms(game, target)
+        for m in mechs:
+            paths = [p for t, cond in tests for p in full_active_paths(graph, {m}, t, cond)]
+            assert reachability_paths(game, m, target) == paths
+            connected = any(not d_separated(graph, {m}, t, cond) for t, cond in tests)
+            assert (m in relevant) == connected == bool(paths)
+    for fix in object_fixes(game, rng):
+        assert predicted_edge_removals(game, fix) == path_criterion_removals(game, fix)
 
 
 def test_relevant_mechanisms_match_per_pair_tests(job_market, stackelberg):
@@ -568,18 +635,25 @@ def test_witness_paths_counted_against_budget(monkeypatch):
 
 def _count_arenas(monkeypatch) -> list:
     built = []
+    init = graphs._Arena.__init__
 
-    class Counted(graphs._Arena):
-        def __init__(self, game):
-            built.append(game)
-            super().__init__(game)
+    def counted(self, game):
+        built.append(game)
+        init(self, game)
 
-    monkeypatch.setattr(graphs, "_Arena", Counted)
+    # patched in place: the searches tell an arena from a networkx graph by
+    # its class
+    monkeypatch.setattr(graphs._Arena, "__init__", counted)
     return built
 
 
 def _hard_fix(game, d="D1"):
     return FixObject(d, (), TabularCPD.delta(d, game.domain(d)[0], game.domain(d)))
+
+
+def _commitment(game, d):
+    rule = TabularCPD.uniform(d, game.domain(d), game.parents_of(d), game.domain)
+    return FixMechanism(rule_node(d), rule)
 
 
 def _pair_answers(game):

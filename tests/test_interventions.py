@@ -44,12 +44,13 @@ from causalgames import (
 )
 from causalgames.graphs import rule_node
 from causalgames.interventions import as_compound
-from causalgames.model import DECISION, _dependency_order
+from causalgames.model import _dependency_order
 from helpers import (
     agent_view,
     dense_to_utility_game,
     is_minimum_hitting_set,
     mechanism_node,
+    object_fixes,
     path_criterion_removals,
     random_distribution,
     random_full_profile,
@@ -569,18 +570,6 @@ def test_path_criterion_matches_rebuild(job_market, stackelberg):
     ) == set(side_effects(job_market, hard_fix(job_market, "D1", "g")).removed)
 
 
-def _object_fixes(game, rng):
-    """One object fix per variable keeping a random subset of its parents,
-    and a hard fix of every decision."""
-    for x in game.names():
-        kept = tuple(p for p in game.parents_of(x) if rng.random() < 0.5)
-        if game.kind(x) == DECISION:
-            yield FixObject(x, kept, None)
-            yield hard_fix(game, x, rng.choice(game.domain(x)))
-        else:
-            yield FixObject(x, kept, TabularCPD.uniform(x, game.domain(x), kept, game.domain))
-
-
 def test_predicted_removals_match_path_criterion(job_market, stackelberg):
     rng = random.Random(31)
     games = [job_market, stackelberg]
@@ -590,7 +579,7 @@ def test_predicted_removals_match_path_criterion(job_market, stackelberg):
     games += [dense_to_utility_game(n) for n in (3, 6, 9)]
     verdicts = set()
     for game in games:
-        for fix in _object_fixes(game, rng):
+        for fix in object_fixes(game, rng):
             predicted = predicted_edge_removals(game, fix)
             assert predicted == path_criterion_removals(game, fix)
             verdicts.add(bool(predicted))

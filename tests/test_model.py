@@ -23,6 +23,7 @@ from causalgames import (
     enumerate_pure_rules,
     evaluate_query,
     expected_utility,
+    independent_mechanised_graph,
     induced_joint,
     pure_nash,
     tabulate,
@@ -31,7 +32,6 @@ from causalgames import (
 from causalgames import model
 from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
 from causalgames.errors import SolverError
-from causalgames.graphs import _arena
 from causalgames.model import _check_cpd, violations
 from helpers import (
     brute_force_joint,
@@ -209,8 +209,8 @@ def test_a_decision_with_a_table_is_object_fixed():
     game = CausalGame(1, variables, parents, cpds)
     assert validate_game(game) == []
     assert game.object_fixed == {"D"} and game.free_decisions() == ("E",)
-    assert ("PI_D", "D") not in _arena(game).edges
-    assert ("PI_E", "E") in _arena(game).edges
+    edges = independent_mechanised_graph(game).edges
+    assert ("PI_D", "D") not in edges and ("PI_E", "E") in edges
     # D is the constant b, so only E = y is an equilibrium; were D free,
     # (a, x) would be one too
     [eq] = pure_nash(game).outcomes
@@ -428,7 +428,7 @@ def _edit(rng, game):
     kind = rng.choice([
         "utility_parent", "unknown_parent", "duplicate_parent", "cycle_parent",
         "valid_parent", "corrupt_row", "missing_row", "free_decision_cpd",
-        "valid_table",
+        "committed_decision_cpd", "ghost_table", "valid_table",
     ])
     if kind == "utility_parent":
         pool = [u for u in names if game.kind(u) == "utility" and u != name]
@@ -450,15 +450,19 @@ def _edit(rng, game):
                 and game.kind(n) != "utility"
             ]
         return (_with_parent(game, name, rng.choice(pool)), name) if pool else None
-    if kind == "free_decision_cpd":
-        free = game.free_decisions()
-        if not free:
+    if kind in ("free_decision_cpd", "committed_decision_cpd"):
+        pool = game.free_decisions() if kind == "free_decision_cpd" else [
+            d for d in game.rule_fixes if d not in game.cpds
+        ]
+        if not pool:
             return None
-        d = rng.choice(free)
+        d = rng.choice(sorted(pool))
         cpd = TabularCPD.uniform(
             d, game.domain(d), game.parents_of(d), lambda p: _values(game, p)
         )
         return replace(game, cpds={**game.cpds, d: cpd}), d
+    if kind == "ghost_table":
+        return replace(game, cpds={**game.cpds, "ghost": game.cpds[rng.choice(sorted(game.cpds))]}), "ghost"
     attr = "rule_fixes" if name in game.rule_fixes else "cpds"
     if name not in getattr(game, attr) or not getattr(game, attr)[name].table:
         return None
@@ -512,6 +516,33 @@ def test_violations_report_the_rule_at_fault(job_market):
     assert violations(gone, ["T"]) == [
         "D1: unknown parent 'T'", "U1: unknown parent 'T'", "U2: unknown parent 'T'",
     ]
+
+
+def test_a_table_for_an_unknown_name_is_refused(stackelberg):
+    """Every key of ``cpds`` is checked: a table keyed by a name that is no
+    variable is a violation of that name."""
+    ghost = replace(stackelberg, cpds={**stackelberg.cpds, "ghost": stackelberg.cpds["U1"]})
+    report = ["table for unknown variable 'ghost'"]
+    assert validate_game(ghost) == report
+    assert violations(ghost, ["ghost"]) == report
+    assert violations(ghost, ["D1"]) == []
+
+
+def test_a_decision_is_free_committed_or_object_fixed(stackelberg):
+    """A decision with both a table and an imposed rule is refused by
+    ``validate_game`` and by ``violations`` on the decision; either one
+    alone is valid."""
+    rule = TabularCPD.uniform(
+        "D1", stackelberg.domain("D1"), stackelberg.parents_of("D1"), stackelberg.domain
+    )
+    pinned = replace(stackelberg, cpds={**stackelberg.cpds, "D1": rule})
+    committed = replace(stackelberg, rule_fixes={"D1": rule})
+    assert validate_game(pinned) == validate_game(committed) == []
+    assert violations(pinned, ["D1"]) == violations(committed, ["D1"]) == []
+    both = replace(pinned, rule_fixes={"D1": rule})
+    report = ["D1: decision has both a table and an imposed rule"]
+    assert validate_game(both) == report
+    assert violations(both, ["D1"]) == report
 
 
 @pytest.mark.parametrize("rows, report", [
