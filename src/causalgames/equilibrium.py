@@ -41,9 +41,9 @@ from .model import (
     CausalGame,
     PolicyProfile,
     TabularCPD,
+    _cpd_tensor,
     _pure_rules,
     _rule_of,
-    _rule_stack,
     expectations,
     expected_utility,
     payoff_tensors,
@@ -60,17 +60,12 @@ def _pure_stacks(game: CausalGame, decisions) -> dict:
     return {d: _pure_rules(game, d) for d in decisions}
 
 
-def _profiles_where(game, stacks: dict, mask: np.ndarray) -> list[PolicyProfile]:
-    """The pure profiles at the true entries of ``mask``, in enumeration
-    order: one ``TabularCPD`` per (decision, rule index), shared by every
-    profile that plays it, so equal rules are the same object."""
-    import numpy as np
-
+def _profiles(game, stacks: dict, at) -> list[PolicyProfile]:
+    """The pure profiles playing the rule indices ``at`` (one per decision of
+    ``stacks``): one ``TabularCPD`` per (decision, rule index), shared by
+    every profile that plays it, so equal rules are the same object."""
     rule = functools.cache(lambda d, i: _rule_of(game, d, stacks[d][i]))
-    return [
-        PolicyProfile({d: rule(d, i) for d, i in zip(stacks, at)})
-        for at in np.argwhere(mask).tolist()
-    ]
+    return [PolicyProfile({d: rule(d, i) for d, i in zip(stacks, ix)}) for ix in at]
 
 
 def best_responses(
@@ -90,9 +85,12 @@ def best_responses(
             f"profile for other agents must cover exactly {sorted(needed)}, "
             f"got {sorted(have)}"
         )
+    import numpy as np
+
     stacks = _pure_stacks(game, game.free_decisions_of(agent))
     [payoff] = payoff_tensors(game, others, [agent], stacks)
-    return _profiles_where(game, stacks, payoff >= payoff.max() - EQ_EPS)
+    best = np.argwhere(payoff >= payoff.max() - EQ_EPS)
+    return _profiles(game, stacks, best.tolist())
 
 
 def verify_rational_outcome(
@@ -116,7 +114,7 @@ def verify_rational_outcome(
         if not (own := game.free_decisions_of(agent)):
             continue
         stacks = {
-            d: np.concatenate([pure, _rule_stack(game, d, [profile[d]])])
+            d: np.concatenate([pure, _cpd_tensor(game, d, profile[d])[None]])
             for d, pure in _pure_stacks(game, own).items()
         }
         [payoff] = payoff_tensors(game, profile, [agent], stacks)
@@ -181,8 +179,9 @@ class RationalOutcomeSet:
         return out
 
 
-def pure_nash(game: CausalGame) -> RationalOutcomeSet:
-    """Every pure full profile that is an equilibrium, in enumeration order.
+def _pure_equilibria(game: CausalGame) -> tuple[dict, list[list[int]]]:
+    """Every free decision's read-only pure-rule stack and, for each pure
+    equilibrium in enumeration order, the rule index it plays per decision.
 
     Each agent's payoff tensor has one axis per free decision, stacking its
     pure rules; a profile is kept unless, for some agent, the maximum over
@@ -202,8 +201,15 @@ def pure_nash(game: CausalGame) -> RationalOutcomeSet:
     payoffs = payoff_tensors(game, PolicyProfile({}), agents, stacks)
     for a, payoff in zip(agents, payoffs):
         stable &= ~(payoff.max(axis=owned[a], keepdims=True) > payoff + EQ_EPS)
+    return stacks, np.argwhere(stable).tolist()
+
+
+def pure_nash(game: CausalGame) -> RationalOutcomeSet:
+    """Every pure full profile that is an equilibrium, in enumeration order
+    (``_pure_equilibria``)."""
+    stacks, at = _pure_equilibria(game)
     return RationalOutcomeSet(
-        tuple(_profiles_where(game, stacks, stable)), mode="pure_exhaustive"
+        tuple(_profiles(game, stacks, at)), mode="pure_exhaustive"
     )
 
 
@@ -600,6 +606,8 @@ def optimal_commitment(
             "commitment optimisation supports binary single-context "
             "leader decisions only"
         )
+    import numpy as np  # here, so a refused game never loads numpy
+
     ctx = tuple(contexts[0])
     parents = game.parents_of(dec)
 
@@ -608,7 +616,8 @@ def optimal_commitment(
 
     follower_decisions = tuple(d for d in game.free_decisions() if d != dec)
     # the commitment at p = 0 and p = 1, then every pure follower response
-    stacks = {dec: _rule_stack(game, dec, [committed_rule(0.0), committed_rule(1.0)])}
+    committed = [_cpd_tensor(game, dec, committed_rule(p)) for p in (0.0, 1.0)]
+    stacks = {dec: np.stack(committed)}
     stacks.update(_pure_stacks(game, follower_decisions))
 
     def affine(payoff):
@@ -647,8 +656,6 @@ def optimal_commitment(
         return committed_rule(best_p), best_v
     if mode != "exact":
         raise ValidationError(f"unknown commitment mode {mode!r}")
-
-    import numpy as np  # here, so a refused game never loads numpy
 
     # response i is a best response where (f_i - f_j)(p) >= 0 for every j
     f = np.array(f_affine)

@@ -617,7 +617,8 @@ def expectations(
     over its labels' ancestral set.  ``stacks`` maps decisions to arrays
     ``(n_rules, *parent dims, |dom|)`` of rules, each one axis of every result
     (0-d without stacks); the other decisions follow their pinned CPD,
-    imposed rule or the profile's rule.  The stacked decisions named in
+    imposed rule or the profile's rule, which may also be an array laid out
+    as ``_cpd_tensor`` lays out a table.  The stacked decisions named in
     ``leaf_axis`` share one axis instead, at the place of the first of them:
     entry ``i`` puts each of them on its ``i``-th rule, linear in the rules.
     """
@@ -636,8 +637,10 @@ def expectations(
             labels = game.parents_of(name) + (name,)
             if name in stacks:
                 factors[name] = (axis[name],) + labels, stacks[name]
+            elif isinstance(cpd := cpds[name], np.ndarray):
+                factors[name] = labels, cpd
             else:
-                factors[name] = labels, _cpd_tensor(game, name, cpds[name])
+                factors[name] = labels, _cpd_tensor(game, name, cpd)
         return factors[name]
 
     out = []
@@ -835,9 +838,10 @@ def enumerate_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:
 
 
 def _pure_rules(game: CausalGame, decision: str) -> np.ndarray:
-    """Every pure rule of ``decision``, one-hot, in ``enumerate_pure_rules``
-    order: rule k plays the base-|dom| digits of k over the contexts, first
-    context most significant.  The caller checks the budget."""
+    """Every pure rule of ``decision``, one-hot and read-only, in
+    ``enumerate_pure_rules`` order: rule k plays the base-|dom| digits of k
+    over the contexts, first context most significant.  The caller checks
+    the budget."""
     import numpy as np
 
     n = len(game.domain(decision))
@@ -846,14 +850,9 @@ def _pure_rules(game: CausalGame, decision: str) -> np.ndarray:
     k = math.prod(dims)
     # digits by division, not np.indices, which stops at 64 dimensions
     digits = np.arange(n ** k)[:, None] // n ** np.arange(k)[::-1] % n
-    return np.eye(n)[digits].reshape(-1, *dims, n)
-
-
-def _rule_stack(game: CausalGame, decision: str, rules) -> np.ndarray:
-    """The ``TabularCPD`` rules of ``decision`` as one stack."""
-    import numpy as np
-
-    return np.stack([_cpd_tensor(game, decision, r) for r in rules])
+    rules = np.eye(n)[digits].reshape(-1, *dims, n)
+    rules.flags.writeable = False
+    return rules
 
 
 def _rule_of(game: CausalGame, decision: str, array) -> TabularCPD:

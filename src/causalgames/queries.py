@@ -15,12 +15,13 @@ fixes of decisions always bind.  Each stage game is solved once and the
 evaluator branches over its outcomes; a leaf is the last game under one
 branch's realized rules.  No joint is built: each ``P(...)`` and ``E[...]``
 is one contraction for all leaves, with the decisions whose rule differs
-between leaves stacked on one leaf axis (``model.expectations``).
+between leaves stacked on one leaf axis (``model.expectations``).  Stage
+rules travel as arrays from the stage solve to that contraction; a
+``TabularCPD`` is built only for the rules a leaf reports.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import random
 import re
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .equilibrium import pure_nash, behavioral_nash_small
+from .equilibrium import _pure_equilibria, behavioral_nash_small
 from .errors import QueryError, SolverError
 from .graphs import rule_node, variable_of_mechanism
 from .interventions import (
@@ -42,13 +43,13 @@ from .interventions import (
 )
 from .model import (
     DECISION,
+    PROB_EPS,
     QUERY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
+    _cpd_tensor,
     _rule_of,
-    _rule_stack,
-    cpds_equal,
     event_factor,
     expectations,
     utility_factors,
@@ -345,10 +346,20 @@ def _evaluate(node, atom, eps):
 
 def _at_leaves(game, leaves, value) -> list[float]:
     """The expectation of ``value`` at every leaf (a full rule map), from one
-    contraction: decisions whose rule object differs go on the leaf axis."""
+    contraction: decisions whose rule object differs go on the leaf axis.  A
+    rule is a ``TabularCPD`` (a rule fix) or an array in ``_cpd_tensor``'s
+    layout (``_stage_outcomes``, ``_mixture_rule``)."""
+    import numpy as np
+
+    def array(d, rule):
+        return rule if isinstance(rule, np.ndarray) else _cpd_tensor(game, d, rule)
+
     stacks = {d: [rules[d] for rules in leaves] for d in leaves[0]}
     common = {d: c[0] for d, c in stacks.items() if all(r is c[0] for r in c)}
-    stacks = {d: _rule_stack(game, d, c) for d, c in stacks.items() if d not in common}
+    stacks = {
+        d: np.stack([array(d, r) for r in c])
+        for d, c in stacks.items() if d not in common
+    }
     [out] = expectations(game, PolicyProfile(common), [value], stacks, leaf_axis=stacks)
     values = out.tolist()
     return values if out.ndim else [values] * len(leaves)
@@ -426,28 +437,39 @@ class QueryResult:
 
 
 def _stage_outcomes(game, include_behavioral):
-    """Pure equilibria; with ``include_behavioral``, also every behavioral
-    point equilibrium and family corner, each distinct profile once."""
-    outcomes = list(pure_nash(game).outcomes)
+    """The stage game's equilibria as maps from free decision to rule array,
+    in ``_cpd_tensor``'s layout.  First the pure ones in enumeration order,
+    each rule a view into its decision's read-only pure-rule stack, one view
+    object per (decision, rule index); with ``include_behavioral``, then each
+    behavioral point and family corner not within ``PROB_EPS`` of an earlier
+    outcome in every entry."""
+    stacks, at = _pure_equilibria(game)
+    view = functools.cache(lambda d, i: stacks[d][i])
+    outcomes = [{d: view(d, i) for d, i in zip(stacks, ix)} for ix in at]
     if include_behavioral:
         for prof in behavioral_nash_small(game).extreme_profiles():
-            if not any(
-                set(prof.rules) == set(o.rules)
-                and all(cpds_equal(prof[d], o[d]) for d in prof.rules)
-                for o in outcomes
-            ):
-                outcomes.append(prof)
+            rules = {d: _cpd_tensor(game, d, r) for d, r in prof.rules.items()}
+            if not any(all(_same_rule(r, o[d]) for d, r in rules.items())
+                       for o in outcomes):
+                outcomes.append(rules)
     return outcomes
 
 
-def _mixture_rule(game, decision, outcomes):
-    """Entrywise uniform mixture of a decision's distinct rules at a stage."""
+def _same_rule(a, b) -> bool:
+    """Whether two rule arrays agree within ``PROB_EPS`` in every entry."""
+    return a is b or bool((abs(a - b) <= PROB_EPS).all())
+
+
+def _mixture_rule(decision, outcomes):
+    """Entrywise uniform mixture of a decision's distinct rule arrays at a
+    stage (``_same_rule``), an array in the same layout."""
+    import numpy as np
+
     rules = []
     for o in outcomes:
-        r = o[decision]
-        if not any(cpds_equal(r, q) for q in rules):
-            rules.append(r)
-    return _rule_of(game, decision, _rule_stack(game, decision, rules).mean(axis=0))
+        if not any(_same_rule(o[decision], q) for q in rules):
+            rules.append(o[decision])
+    return np.stack(rules).mean(axis=0)
 
 
 def _rule_decision(prim):
@@ -466,6 +488,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     rng = random.Random(job.seed)
     found: list[tuple] = []  # per leaf: (choices, realized rules)
     trace: list[dict] = []
+    layout: dict = {}  # id of a stage rule array -> the stage game it fits
 
     # The stage games do not depend on the branch: each stage's game, held
     # by the decomposition, is solved once and the walk branches over its
@@ -518,7 +541,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
         ]
         if job.mix_ties:
             record["choice"] = "mix-ties"
-            mixed = {d: _mixture_rule(game, d, outcomes) for d in to_fix}
+            mixed = {d: _mixture_rule(d, outcomes) for d in to_fix}
             branches = [("mix", mixed)]
         else:
             if query.mode == "sampled":
@@ -528,6 +551,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             else:
                 picked = range(len(outcomes))
             branches = [(k, {d: outcomes[k][d] for d in to_fix}) for k in picked]
+        layout.update((id(r), game) for _, rules in branches for r in rules.values())
         plan.append((record, edits, branches))
 
     def final_rules(realized):  # resolved against the final game
@@ -549,7 +573,8 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             found.append((tuple(choices), final_rules(realized)))
             return
         record, edits, branches = plan[idx]
-        trace.append(copy.deepcopy(record))
+        # the record's lists hold strings and ints: copying each list suffices
+        trace.append({k: v[:] if isinstance(v, list) else v for k, v in record.items()})
         realized = dict(realized)
         for decision, rule in edits:
             if rule is None:
@@ -570,8 +595,20 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     def at_leaves(node):
         return _at_leaves(final, leaf_rules, _atom_value(final, node))
 
+    tables: dict = {}  # id of a stage rule array -> its TabularCPD
+
+    def table(decision, rule):  # a rule fix is a TabularCPD already
+        if isinstance(rule, TabularCPD):
+            return rule
+        if id(rule) not in tables:
+            tables[id(rule)] = _rule_of(layout[id(rule)], decision, rule)
+        return tables[id(rule)]
+
     leaves = [
-        Leaf(c, _evaluate(query.body, lambda n: at_leaves(n)[i], job.epsilon), r)
+        Leaf(
+            c, _evaluate(query.body, lambda n: at_leaves(n)[i], job.epsilon),
+            {d: table(d, rule) for d, rule in r.items()},
+        )
         for i, (c, r) in enumerate(found)
     ]
     values = [leaf.value for leaf in leaves]
@@ -648,7 +685,7 @@ def _event_probabilities(game, event, include_behavioral):
     if not profiles:
         raise SolverError("no rational outcomes to evaluate the event over")
     value = [event_factor(game, _event_assignment(game, event))]
-    return _at_leaves(game, [p.rules for p in profiles], value)
+    return _at_leaves(game, profiles, value)
 
 
 def check_spec_env(

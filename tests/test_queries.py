@@ -1,5 +1,7 @@
 import argparse
+import copy
 import random
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from causalgames import (
     QueryError,
     QueryJob,
     RemoveVariable,
+    SolverError,
     TabularCPD,
     Variable,
     apply_all,
@@ -28,12 +31,15 @@ from causalgames import (
 )
 from causalgames import equilibrium, interventions, model, queries
 from causalgames.cli import _job_from_scenario, main, resolve_scenario
+from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.model import DECISION, event_factor, expectations, utility_factors
 from causalgames.queries import Comparison, Const, Prob, Utility
 from helpers import (
+    brute_force_joint,
     expected_utility_from_joint,
     random_full_profile,
     random_game,
+    random_multi_decision_game,
     random_rich_game,
 )
 
@@ -211,6 +217,20 @@ def test_unseen_commitment_and_unfix_change_nothing(stackelberg):
     assert result.trace[-1]["suppressed"] == ["PI_D1", "PI_D1"]
 
 
+def two_stage_job(effortville):
+    """Agent 1 sees one intervention, agent 2 a later one."""
+    u2 = TabularCPD("U2", ("T", "D2"), {("h", "j"): (1.0, 0.0), ("h", "nj"): (0.0, 1.0)})
+    return QueryJob(
+        game=effortville,
+        interventions=(
+            ("theta_t", FixMechanism("THETA_T", effortville.cpds["T"])),
+            ("theta_u2", FixMechanism("THETA_U2", u2)),
+        ),
+        visibility={1: ("theta_t",), 2: ("theta_u2",)},
+        query="forall ne: E[1]",
+    )
+
+
 def test_stage_game_solved_once_per_stage(effortville, monkeypatch):
     calls = []
     original = queries._stage_outcomes
@@ -220,16 +240,7 @@ def test_stage_game_solved_once_per_stage(effortville, monkeypatch):
         return original(game, *args)
 
     monkeypatch.setattr(queries, "_stage_outcomes", counted)
-    u2 = TabularCPD("U2", ("T", "D2"), {("h", "j"): (1.0, 0.0), ("h", "nj"): (0.0, 1.0)})
-    job = QueryJob(
-        game=effortville,
-        interventions=(
-            ("theta_t", FixMechanism("THETA_T", effortville.cpds["T"])),
-            ("theta_u2", FixMechanism("THETA_U2", u2)),
-        ),
-        visibility={1: ("theta_t",), 2: ("theta_u2",)},
-        query="forall ne: E[1]",
-    )
+    job = two_stage_job(effortville)
     result = evaluate_query(job)
     assert len(calls) == 2
     first = len(pure_nash(apply_all(effortville, [job.interventions[0][1]])).outcomes)
@@ -238,6 +249,18 @@ def test_stage_game_solved_once_per_stage(effortville, monkeypatch):
     # stage, and agent 2's stage once per branch of agent 1's outcomes
     assert [entry["stage"] for entry in result.trace] == [0, 1] + [2] * first
     assert len(result.leaves) == first * result.trace[-1]["outcomes"]
+
+
+def test_trace_entries_share_no_lists(effortville):
+    """Each visit of a stage records its own lists: changing one trace entry
+    leaves the next visit's entry alone."""
+    trace = evaluate_query(two_stage_job(effortville)).trace
+    assert [entry["stage"] for entry in trace[-2:]] == [2, 2]
+    last = copy.deepcopy(trace[-1])
+    for value in trace[-2].values():
+        if isinstance(value, list):
+            value.append("changed")
+    assert trace[-1] == last
 
 
 def test_cli_query_decomposes_once(monkeypatch, capsys):
@@ -500,6 +523,123 @@ def test_queries_build_no_joint_and_replay_no_primitive(monkeypatch, job_market)
     env = FixMechanism("THETA_T", job_market.delta_cpd("T", "h"))
     assert check_spec_env(job_market, [env], "D2=j")
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make", [random_game, random_multi_decision_game, random_rich_game]
+)
+def test_stage_outcomes_are_pure_nash_tables(make):
+    """A stage's outcomes are ``pure_nash``'s profiles, in order, each rule
+    an array holding exactly its table's rows; a rule object two profiles
+    share is one read-only array object."""
+    for seed in range(30):
+        game = make(random.Random(seed))
+        try:
+            profiles = pure_nash(game).outcomes
+        except SolverError:  # past the enumeration budget
+            with pytest.raises(SolverError, match="budget"):
+                queries._stage_outcomes(game, False)
+            continue
+        outcomes = queries._stage_outcomes(game, False)
+        assert len(outcomes) == len(profiles)
+        for rules, profile in zip(outcomes, profiles):
+            assert list(rules) == list(profile.decisions())
+            for d, array in rules.items():
+                assert not array.flags.writeable
+                rows = array.reshape(-1, len(game.domain(d))).tolist()
+                assert rows == [list(profile[d].row(c)) for c in game.contexts(d)]
+        for d in game.free_decisions():
+            pairs = {(id(p[d]), id(a[d])) for a, p in zip(outcomes, profiles)}
+            assert len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
+
+
+def _brute_force_atom(game, rules, node):
+    """A ``P(...)`` or ``E[...]`` atom read off ``brute_force_joint``."""
+    joint = brute_force_joint(game, PolicyProfile(rules))
+    names = list(game.names())
+    if isinstance(node, Prob):
+        event = [(names.index(v), tok) for v, tok in node.event]
+        return sum(
+            p for inst, p in joint.items()
+            if all(str(inst[i]) == tok for i, tok in event)
+        )
+    agents = range(1, game.n_agents + 1) if node.agent == "total" else [node.agent]
+    at = [names.index(u) for a in agents for u in game.utilities_of(a)]
+    return sum(p * sum(inst[i] for i in at) for inst, p in joint.items())
+
+
+def test_scenario_leaf_values_match_brute_force_joints():
+    """Each leaf's value, with every atom recomputed from a joint built by
+    nested loops over the leaf's reported rules."""
+    for name in SCENARIOS:
+        job = scenario_job(name)
+        final = dc_replace(job.decomposition().final_game, rule_fixes={})
+        body = job.parsed_query().body
+        for leaf in evaluate_query(job).leaves:
+            want = queries._evaluate(
+                body, lambda n: _brute_force_atom(final, leaf.rules, n), job.epsilon
+            )
+            if isinstance(want, bool):
+                assert leaf.value is want, name
+            else:
+                assert leaf.value == pytest.approx(want, abs=1e-9), name
+
+
+def test_queries_make_rule_tables_for_leaves_only(monkeypatch, job_market):
+    """A query makes at most one ``TabularCPD`` per distinct leaf rule and
+    compares no two rule tables; a spec check makes none."""
+    made = []
+    rule_of = model._rule_of
+
+    def counted(*args):
+        made.append(rule_of(*args))
+        return made[-1]
+
+    def no_comparison(*args):
+        raise AssertionError("a query compared two rule tables")
+
+    for module in (model, equilibrium, queries):
+        if hasattr(module, "_rule_of"):
+            monkeypatch.setattr(module, "_rule_of", counted)
+        if hasattr(module, "cpds_equal"):
+            monkeypatch.setattr(module, "cpds_equal", no_comparison)
+    jobs = [scenario_job(name) for name in SCENARIOS]
+    jobs += [
+        QueryJob(game=job_market, query="forall ne: P(D2=j) >= 0",
+                 include_behavioral=True, mix_ties=mix)
+        for mix in (False, True)
+    ]
+    for job in jobs:
+        made.clear()
+        leaves = evaluate_query(job).leaves
+        rules = {id(r) for leaf in leaves for r in leaf.rules.values()}
+        assert made and len(made) <= len(rules)
+        assert {id(r) for r in made} <= rules
+    made.clear()
+    assert check_spec_env(job_market, [env_fix(job_market)], "D2=j")
+    assert not check_spec_env(job_market, [], "D2=j", include_behavioral=True)
+    assert made == []
+
+
+def test_behavioral_corner_near_a_pure_outcome_is_merged(monkeypatch, prisoners):
+    """A behavioral outcome within ``PROB_EPS`` of the pure equilibrium
+    (D, D) in every entry is that outcome; one further off is a second
+    outcome, and mixing ties averages each decision's distinct rules."""
+    def profile(p1, p2):
+        return PolicyProfile({
+            d: TabularCPD(d, (), {(): (p, 1.0 - p)})
+            for d, p in (("D1", p1), ("D2", p2))
+        })
+
+    corners = RationalOutcomeSet((profile(1e-12, 0.0), profile(0.5, 0.0)))
+    monkeypatch.setattr(queries, "behavioral_nash_small", lambda game: corners)
+    result = evaluate_query(QueryJob(
+        game=prisoners, query="sampled: E[1]", mix_ties=True, include_behavioral=True,
+    ))
+    assert result.trace[-1]["outcomes"] == 2
+    [leaf] = result.leaves
+    assert leaf.rules["D1"].row(()) == (0.25, 0.75)
+    assert leaf.rules["D2"].row(()) == (0.0, 1.0)
 
 
 # -- the a_prime trace -----------------------------------------------------------------------
