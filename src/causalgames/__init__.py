@@ -19,7 +19,6 @@ from .model import (
     Variable,
     enumerate_pure_rules,
     expected_utility,
-    games_equal,
     induced_joint,
     tabulate,
     validate_game,
@@ -29,13 +28,8 @@ from .graphs import (
     MechanisedGraph,
     Path,
     RationalityRelation,
-    active_paths,
     build_mechanised_graph,
-    d_separated,
-    independent_mechanised_graph,
-    object_graph,
     param_node,
-    r_relevant,
     reachability_paths,
     relevant_mechanisms,
     rule_node,
@@ -45,10 +39,8 @@ from .equilibrium import (
     RationalOutcomeSet,
     behavioral_nash_small,
     best_responses,
-    commitment_value,
     optimal_commitment,
     pure_nash,
-    sample_rational_outcome,
     verify_rational_outcome,
 )
 from .interventions import (
@@ -59,19 +51,16 @@ from .interventions import (
     FixObject,
     RemoveVariable,
     SideEffectReport,
-    add_edge,
     apply_all,
     apply_journaled,
     apply_primitive,
     decompose,
-    decompose_fix_object,
     incentive_invariant,
     invert,
     make_add_edge,
     make_remove_edge,
     minimum_intervention_set,
     predicted_edge_removals,
-    remove_edge,
     side_effects,
 )
 from .queries import (

@@ -19,7 +19,6 @@ from importlib import resources
 from .dot import export_dot
 from .equilibrium import (
     behavioral_nash_small,
-    expected_utility,
     optimal_commitment,
     pure_nash,
 )
@@ -41,7 +40,7 @@ from .interventions import (
     incentive_invariant,
 )
 from .model import GRID_STEP, PROB_EPS, ROUND_DIGITS, SHOWN_EPS
-from .model import CausalGame, validate_game
+from .model import CausalGame, expected_utility, validate_game
 from .queries import QueryJob, classify_visibility, evaluate_query
 
 JSON_SCHEMA = "causalgames/1"

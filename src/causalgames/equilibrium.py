@@ -21,20 +21,17 @@ only free decisions are strategic, and every solver's rationality relation
 is best response.
 
 Results are deterministic: profiles enumerate in (decision order, rule
-index) order and sampling is a pure function of the seed.
+index) order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
-from .graphs import rule_node
-from .interventions import FixMechanism, apply_primitive
 from .model import (
     COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, GRID_STEP, PIVOT_EPS,
     ROUND_DIGITS, SAME_POINT_EPS, STABLE_CHUNK, VERIFY_EPS,
@@ -45,7 +42,6 @@ from .model import (
     _pure_rules,
     _rule_of,
     expectations,
-    expected_utility,
     payoff_tensors,
     require_budget,
     utility_factors,
@@ -211,18 +207,6 @@ def pure_nash(game: CausalGame) -> RationalOutcomeSet:
     return RationalOutcomeSet(
         tuple(_profiles(game, stacks, at)), mode="pure_exhaustive"
     )
-
-
-def sample_rational_outcome(game: CausalGame, seed: int = 0) -> PolicyProfile:
-    """Uniform draw over the pure equilibria; deterministic given the seed."""
-    outcomes = pure_nash(game).outcomes
-    if not outcomes:
-        raise SolverError(
-            "no rational outcome found: the pure-profile solver found no "
-            "equilibrium (the game may only have mixed equilibria)"
-        )
-    rng = random.Random(seed)
-    return outcomes[rng.randrange(len(outcomes))]
 
 
 # -- behavioral equilibria via support enumeration ---------------------------
@@ -539,26 +523,6 @@ def behavioral_nash_small(game: CausalGame) -> RationalOutcomeSet:
 
 
 # -- commitment ----------------------------------------------------------------
-
-
-def commitment_value(
-    game: CausalGame, leader: int, rule: TabularCPD
-) -> tuple[PolicyProfile, float]:
-    """Leader's expected utility after committing to ``rule``.
-
-    Followers best-respond to the committed rule; among tied follower
-    responses the leader-preferred one is chosen.
-    """
-    decision, follower = _leader_and_follower(game, leader)
-    committed = apply_primitive(game, FixMechanism(rule_node(decision), rule))
-    if follower is None:
-        return PolicyProfile({}), expected_utility(
-            committed, PolicyProfile({}), leader
-        )
-    responses = best_responses(committed, follower, PolicyProfile({}))
-    values = [expected_utility(committed, r, leader) for r in responses]
-    best = values.index(max(values))
-    return responses[best], values[best]
 
 
 def _leader_and_follower(game: CausalGame, leader: int) -> tuple[str, int | None]:

@@ -1,4 +1,4 @@
-"""Graph analysis: d-separation, mechanised graphs, relevance, reachability.
+"""Graph analysis: mechanised graphs, relevance, reachability.
 
 The mechanised graph extends a game's DAG with one mechanism node per
 variable (``THETA_<v>`` for a CPD, ``PI_<d>`` for a decision rule), an edge
@@ -11,7 +11,7 @@ mechanism node has no parents and at most one child, its own variable, so
 it stays implicit: a search reaches it exactly when the ball at that
 variable passes on to the variable's parents, and a path out of it starts
 with its edge into the variable.  Mechanism nodes are named only in answers
-and in the networkx and DOT views; networkx is imported only by the views.
+and in the DOT export.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
@@ -21,27 +21,23 @@ most once from each side.  A trail through a collider is open when the
 collider lies in the ancestral closure of the conditioning set Y, and
 through any other node when that node is outside Y.  d-connection is
 symmetric, so one search from each relevance test's target set (Koller &
-Milch 2003) finds every mechanism relevant to a rule node.  The search is
-also valid on graphs with cycles, such as full mechanised graphs.
+Milch 2003) finds every mechanism relevant to a rule node.
 ``active_paths`` enumerates simple paths (Pearl, *Causality*, 2009), which is
 exponential in the worst case; it is used only where the paths themselves
 are the answer: relevance witnesses and minimum intervention sets.  It grows
-paths on an explicit stack and drops a path at the first node that blocks
-it.  An arena keeps the open colliders of each conditioning set it has
-searched under, next to its rule nodes' relevance tests.
+paths, each from a mechanism's edge into its variable, on an explicit stack
+and drops a path at the first node that blocks it.  An arena keeps the open
+colliders of each conditioning set it has searched under, next to its rule
+nodes' relevance tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from .errors import SolverError, ValidationError
 from .model import CausalGame, DECISION, ENUM_BUDGET
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -64,10 +60,10 @@ def variable_of_mechanism(name: str) -> str:
 
 
 class _Arena:
-    """One game's object graph as ``pred``/``succ`` dicts over the variables
-    (what the searches read of an ``nx.DiGraph``), in variable order, and
-    the caches its searches fill.  Mechanism nodes are left implicit: see
-    ``_reachable`` and ``active_paths`` for how a search reaches them."""
+    """One game's object graph as ``pred``/``succ`` dicts over the variables,
+    in variable order, and the caches its searches fill.  Mechanism nodes
+    are left implicit: see ``_reachable`` and ``active_paths`` for how a
+    search reaches them."""
 
     def __init__(self, game: CausalGame):
         self.pred, self.succ = pred, succ = {}, {}
@@ -98,22 +94,6 @@ def _mechanisms(game: CausalGame, names: Iterable[str] | None = None) -> dict:
         else:
             out[rule_node(v.name)] = () if v.name in game.cpds else (v.name,)
     return out
-
-
-def _digraph(succ: Mapping) -> nx.DiGraph:
-    import networkx as nx
-
-    return nx.from_dict_of_lists(succ, create_using=nx.DiGraph)
-
-
-def object_graph(game: CausalGame) -> nx.DiGraph:
-    return _digraph(_arena(game).succ)
-
-
-def independent_mechanised_graph(game: CausalGame) -> nx.DiGraph:
-    """Object graph plus mechanism nodes and their edges into variables:
-    the variables in declaration order, then their mechanism nodes."""
-    return _digraph({**_arena(game).succ, **_mechanisms(game)})
 
 
 @dataclass(frozen=True)
@@ -151,21 +131,6 @@ class Path:
         return out
 
 
-def _check_node_sets(graph: nx.DiGraph, *sets: Iterable[str]):
-    known, seen = graph.pred, []
-    for s in sets:
-        for n in s:
-            if n not in known:
-                raise ValidationError(f"unknown node {n!r}")
-        seen.append(set(s))
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            if seen[i] & seen[j]:
-                raise ValidationError(
-                    f"node sets must be disjoint; share {sorted(seen[i] & seen[j])}"
-                )
-
-
 def _closure(step: Mapping, start) -> set:
     """``start`` and every node reached from it along ``step``'s adjacency:
     along ``pred``, the colliders that leave a trail open given ``start``."""
@@ -179,19 +144,17 @@ def _closure(step: Mapping, start) -> set:
     return closure
 
 
-def _open_colliders(graph: _Arena | nx.DiGraph, given: frozenset) -> set:
+def _open_colliders(arena: _Arena, given: frozenset) -> set:
     """The colliders that leave a trail open given ``given`` (its ancestral
     closure), computed once per conditioning set of an arena."""
-    if not isinstance(graph, _Arena):
-        return _closure(graph.pred, given)
-    closure = graph.open.get(given)
+    closure = arena.open.get(given)
     if closure is None:
-        closure = graph.open[given] = _closure(graph.pred, given)
+        closure = arena.open[given] = _closure(arena.pred, given)
     return closure
 
 
 def _reachable(
-    graph: _Arena | nx.DiGraph, xs: set, given: frozenset, severed=frozenset()
+    arena: _Arena, xs: set, given: frozenset, severed=frozenset()
 ) -> tuple[set, set]:
     """Reachable-set search: every node an active trail from ``xs`` reaches,
     and those of them that pass the ball on to their parents.
@@ -202,14 +165,14 @@ def _reachable(
     from, so each node is expanded at most twice and the cost is O(V + E).
     A node passes the ball to its children when it is outside ``given``,
     and climbs, passing it to its parents, when it was entered from below
-    outside ``given`` or from above as an open collider.  On a game's arena
-    a variable's implicit mechanism node is reached exactly when the
-    variable climbs.  Edges in ``severed`` are not traversed, while
-    colliders stay open as in the whole graph: the trails found are the
-    active trails that avoid those edges.
+    outside ``given`` or from above as an open collider.  A variable's
+    implicit mechanism node is reached exactly when the variable climbs.
+    Edges in ``severed`` are not traversed, while colliders stay open as in
+    the whole graph: the trails found are the active trails that avoid those
+    edges.
     """
-    open_colliders = _open_colliders(graph, given)
-    pred, succ = graph.pred, graph.succ
+    open_colliders = _open_colliders(arena, given)
+    pred, succ = arena.pred, arena.succ
     if severed:
         pred, succ = dict(pred), dict(succ)
         for tail, head in severed:
@@ -238,25 +201,20 @@ def _reachable(
     return up | down, (up - given) | (down & open_colliders)
 
 
-def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
-    """All simple paths from ``xs`` to ``zs`` left unblocked by ``given``.
+def active_paths(arena: _Arena, starts, zs, given) -> list[Path]:
+    """All simple paths from the edges ``starts`` to ``zs`` left unblocked
+    by ``given``.
 
-    Paths never revisit a node and never pass through another endpoint-set
-    member as an interior node.  Empty exactly when ``d_separated`` holds.
+    Each start edge leaves an implicit mechanism node, so every path opens
+    with a forward arrow into a variable, and paths never revisit a node.
     A path grows, on an explicit stack, only while it is open: each step
     checks the node it leaves, which blocks as a non-collider in ``given``
     or as a collider outside the ancestral closure of ``given``.  Paths
-    found plus paths still open count against ``ENUM_BUDGET``.  On a game's
-    arena ``xs`` holds edges out of implicit mechanism nodes, where the
-    paths start; such sets are built in this module and go unchecked.
+    found plus paths still open count against ``ENUM_BUDGET``.
     """
-    if isinstance(graph, _Arena):
-        stack, xs = [(edge, (FORWARD,)) for edge in xs], ()
-    else:
-        _check_node_sets(graph, xs, zs, given)
-        stack = [((x,), ()) for x in xs]
-    xs, zs, given = set(xs), set(zs), frozenset(given)
-    open_colliders = _open_colliders(graph, given)
+    stack = [(edge, (FORWARD,)) for edge in starts]
+    zs, given = set(zs), frozenset(given)
+    open_colliders = _open_colliders(arena, given)
     found = []
     while stack:
         nodes, arrows = stack.pop()
@@ -264,17 +222,17 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
         if here in zs:
             found.append(Path(nodes, arrows, given))
             continue
-        # ``here`` becomes interior unless it starts the path: leaving it
-        # backward after a forward arrival makes it a collider, open only in
-        # ``open_colliders``; any other step is blocked by ``here`` in ``given``
-        onward = not arrows or here not in given
-        back = here in open_colliders if arrows and arrows[-1] == FORWARD else onward
+        # leaving ``here`` backward after a forward arrival makes it a
+        # collider, open only in ``open_colliders``; any other step is
+        # blocked by ``here`` in ``given``
+        onward = here not in given
+        back = here in open_colliders if arrows[-1] == FORWARD else onward
         for step, arrow, ok in (
-            (graph.succ, FORWARD, onward), (graph.pred, BACKWARD, back)
+            (arena.succ, FORWARD, onward), (arena.pred, BACKWARD, back)
         ):
             if ok:
                 for nxt in step[here]:
-                    if nxt not in nodes and nxt not in xs:
+                    if nxt not in nodes:
                         stack.append((nodes + (nxt,), arrows + (arrow,)))
         if len(found) + len(stack) > ENUM_BUDGET:
             raise SolverError(
@@ -283,12 +241,6 @@ def active_paths(graph: _Arena | nx.DiGraph, xs, zs, given) -> list[Path]:
             )
     found.sort(key=lambda p: (len(p.nodes), p.nodes, p.arrows))
     return found
-
-
-def d_separated(graph: nx.DiGraph, xs, zs, given) -> bool:
-    """True iff every path between ``xs`` and ``zs`` is blocked by ``given``."""
-    _check_node_sets(graph, xs, zs, given)
-    return not _reachable(graph, set(xs), frozenset(given))[0] & set(zs)
 
 
 # -- strategic relevance ------------------------------------------------------
@@ -350,18 +302,12 @@ def relevant_mechanisms(game: CausalGame, target: str) -> frozenset:
     return _relevant(game, target)
 
 
-def r_relevant(game: CausalGame, mech: str, target: str) -> bool:
-    """Best-response relevance of mechanism ``mech`` to rule node ``target``."""
-    _start_edges(game, mech)
-    return mech in relevant_mechanisms(game, target)
-
-
 def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     """Every path witnessing the relevance of ``mech`` to ``target``.
 
     Each path starts with ``mech``'s edge into its variable and is annotated
     with the conditioning set of the test it witnesses.  Empty exactly when
-    ``r_relevant`` is false.
+    ``mech`` is not in ``relevant_mechanisms(game, target)``.
     """
     arena, tests = _relevance_tests(game, target)
     start = _start_edges(game, mech)
@@ -388,18 +334,10 @@ BEST_RESPONSE = RationalityRelation("best_response", relevant_mechanisms)
 
 @dataclass(frozen=True)
 class MechanisedGraph:
-    """Inter-mechanism relevance edges of a game; ``graph`` adds them to
-    the game's independent mechanised graph."""
+    """Inter-mechanism relevance edges of a game: with the game's own edges
+    and each mechanism's edge into its variable, its mechanised graph."""
 
     inter_mechanism_edges: frozenset
-    _game: CausalGame = field(repr=False, compare=False)
-
-    @cached_property
-    def graph(self) -> nx.DiGraph:
-        """Independent mechanised graph plus the inter-mechanism edges."""
-        g = independent_mechanised_graph(self._game)
-        g.add_edges_from(sorted(self.inter_mechanism_edges))
-        return g
 
 
 def build_mechanised_graph(game: CausalGame) -> MechanisedGraph:
@@ -417,4 +355,4 @@ def build_mechanised_graph(game: CausalGame) -> MechanisedGraph:
         for mech in relevant_mechanisms(game, rule_node(d))
         if mech != rule_node(d)
     }
-    return MechanisedGraph(frozenset(inter), game)
+    return MechanisedGraph(frozenset(inter))

@@ -451,40 +451,6 @@ def make_remove_edge(game: CausalGame, src: str, dst: str) -> FixObject:
     return FixObject(dst, remaining, cpd)
 
 
-def add_edge(game: CausalGame, src: str, dst: str) -> CausalGame:
-    return apply_primitive(game, make_add_edge(game, src, dst))
-
-
-def remove_edge(game: CausalGame, src: str, dst: str) -> CausalGame:
-    return apply_primitive(game, make_remove_edge(game, src, dst))
-
-
-def decompose_fix_object(game: CausalGame, p: FixObject) -> list[Primitive]:
-    """Rewrite an object-level fix as remove-then-add.
-
-    The add step re-attaches the original children with their original
-    tables (including parent order), so the composition equals the direct
-    fix exactly, structurally and in induced joints.
-    """
-    t = p.target
-    if not game.has_variable(t):
-        raise InterventionError(f"unknown variable {t!r}")
-    children = game.children_of(t)
-    tables = {c: game.cpds[c] for c in children if c in game.cpds}
-    placeholder = {
-        c: TabularCPD.uniform(
-            c, game.domain(c), [q for q in game.parents_of(c) if q != t], game.domain
-        )
-        for c in tables
-    }
-    add = AddVariable(
-        game.variable(t), p.parents, children, cpd=p.cpd, child_cpds=tables,
-        child_parents={c: game.parents_of(c) for c in children if c not in tables},
-        rule_fix=p.rule_fix, index=game.names().index(t),
-    )
-    return [RemoveVariable(t, child_cpds=placeholder), add]
-
-
 # -- side effects and structural analyses ---------------------------------------
 
 

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 # -- numeric policy: every tolerance, rounding and size budget ----------------
 
-PROB_EPS = 1e-9  # closer probabilities are equal: CPD rows, game equality
+PROB_EPS = 1e-9  # closer probabilities are equal: CPD rows, stage rules
 EQ_EPS = 1e-7  # a pure deviation must gain more than this to break an equilibrium
 COEFF_EPS = 1e-12  # smaller affine coefficients are rounding from cancelled terms
 PIVOT_EPS = 1e-9  # smaller pivots and residuals of the indifference system are 0
@@ -860,38 +860,3 @@ def _rule_of(game: CausalGame, decision: str, array) -> TabularCPD:
     rows = zip(game.contexts(decision), array.reshape(-1, array.shape[-1]).tolist())
     return TabularCPD(decision, game.parents_of(decision), dict(rows))
 
-
-# -- structural equality ------------------------------------------------------
-
-
-def cpds_equal(a: TabularCPD, b: TabularCPD) -> bool:
-    if a is b:
-        return True
-    if a.variable != b.variable or a.parents != b.parents:
-        return False
-    if set(a.table) != set(b.table):
-        return False
-    for ctx, row in a.table.items():
-        other = b.table[ctx]
-        if len(row) != len(other):
-            return False
-        if any(abs(x - y) > PROB_EPS for x, y in zip(row, other)):
-            return False
-    return True
-
-
-def games_equal(a: CausalGame, b: CausalGame) -> bool:
-    """Structural equality: same variables, edges, and tables within PROB_EPS."""
-    if a.n_agents != b.n_agents:
-        return False
-    if a.variables != b.variables:
-        return False
-    if a.parents != b.parents:
-        return False
-    for attr in ("cpds", "rule_fixes"):
-        ma, mb = getattr(a, attr), getattr(b, attr)
-        if set(ma) != set(mb):
-            return False
-        if any(not cpds_equal(ma[k], mb[k]) for k in ma):
-            return False
-    return True

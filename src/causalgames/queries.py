@@ -495,6 +495,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     # outcomes.
     game = job.game
     plan = []  # per stage: (trace record, realized-rule edits, branches)
+    held = {}  # decision -> parents of the rule the walk holds for it
     for idx, stage in enumerate(stages):
         record = {
             "stage": idx,
@@ -521,9 +522,20 @@ def evaluate_query(job: QueryJob) -> QueryResult:
                     edits.append((decision, prim.cpd))
                 else:
                     record["suppressed"].append(prim.target)
-            if isinstance(prim, (FixObject, RemoveVariable)):
-                edits.append((prim.target, None))
         game = stage.game
+        # a held rule is forgotten once its decision is gone, pinned by an
+        # object fix (which binds), or given other parents than the rule's
+        for d, rule in edits:
+            if rule is None:
+                held.pop(d, None)
+            else:
+                held[d] = rule.parents
+        stale = [
+            d for d, ps in held.items() if d in game.cpds or game.parents.get(d) != ps
+        ]
+        for d in stale:
+            del held[d]
+        edits += [(d, None) for d in stale]
         if not stage.agents:
             plan.append((record, edits, [(None, {})]))
             continue
@@ -551,6 +563,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             else:
                 picked = range(len(outcomes))
             branches = [(k, {d: outcomes[k][d] for d in to_fix}) for k in picked]
+        held.update((d, game.parents_of(d)) for d in to_fix)
         layout.update((id(r), game) for _, rules in branches for r in rules.values())
         plan.append((record, edits, branches))
 
@@ -673,8 +686,10 @@ def classify_visibility(job: QueryJob) -> dict[int, str]:
 
 def _event_assignment(game: CausalGame, event) -> dict:
     if isinstance(event, str):
-        parsed = _Parser(f"sampled: P({event}) >= 0").parse()
-        atoms = parsed.body.left.event
+        parser = _Parser(event)
+        atoms = parser.event()
+        if parser.peek()[0] != "eof":
+            parser.fail("',' or end of event")
     else:
         atoms = tuple((k, str(v)) for k, v in event.items())
     return {var: _resolve_value(game, var, tok) for var, tok in atoms}

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own computation paths:
 joints are rebuilt by direct nested loops over instantiations, expected
 utilities are summed exactly over every instantiation, conditional
-independence is checked numerically on the joint table, and hitting sets
+independence is checked numerically on the joint table, d-separation by
+``networkx`` on graphs rebuilt from a game's definition, and hitting sets
 are verified by exhaustive subset scans.  The ``loop_*`` functions keep
 earlier forms of library code as references for the forms that replaced
 them, and ``reference_pure_rules`` enumerates pure rules apart from the
@@ -20,7 +21,7 @@ import networkx as nx
 import numpy as np
 
 from causalgames.equilibrium import RationalOutcomeSet
-from causalgames.errors import SolverError
+from causalgames.errors import InterventionError, SolverError
 from causalgames.graphs import (
     BACKWARD,
     FORWARD,
@@ -30,10 +31,16 @@ from causalgames.graphs import (
     reachability_paths,
     rule_node,
 )
-from causalgames.interventions import FixObject, apply_all
+from causalgames.interventions import (
+    AddVariable,
+    FixObject,
+    RemoveVariable,
+    apply_all,
+)
 from causalgames.model import (
     COMMIT_EPS,
     DECISION,
+    PROB_EPS,
     CausalGame,
     JointDistribution,
     PolicyProfile,
@@ -48,6 +55,77 @@ def mechanism_node(game: CausalGame, variable: str) -> str:
     if game.kind(variable) == DECISION:
         return rule_node(variable)
     return param_node(variable)
+
+
+def object_view(game: CausalGame) -> nx.DiGraph:
+    """The game's object graph as an ``nx.DiGraph``, read off its parent
+    tuples: the variables in declaration order."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(game.names())
+    graph.add_edges_from((p, v) for v in game.names() for p in game.parents_of(v))
+    return graph
+
+
+def independent_view(game: CausalGame) -> nx.DiGraph:
+    """The independent mechanised graph as an ``nx.DiGraph``: the object
+    graph, then each variable's mechanism node with its edge into the
+    variable, none into a decision the game gives a table."""
+    graph = object_view(game)
+    for v in game.names():
+        graph.add_node(mechanism_node(game, v))
+    graph.add_edges_from(
+        (mechanism_node(game, v), v) for v in game.names()
+        if not (game.kind(v) == DECISION and v in game.cpds)
+    )
+    return graph
+
+
+def cpds_equal(a: TabularCPD, b: TabularCPD) -> bool:
+    """Same variable, parent order and contexts, rows within ``PROB_EPS``."""
+    if (a.variable, a.parents, set(a.table)) != (b.variable, b.parents, set(b.table)):
+        return False
+    return all(
+        len(row) == len(b.table[ctx])
+        and all(abs(x - y) <= PROB_EPS for x, y in zip(row, b.table[ctx]))
+        for ctx, row in a.table.items()
+    )
+
+
+def games_equal(a: CausalGame, b: CausalGame) -> bool:
+    """Structural equality: same variables, edges, and tables within PROB_EPS."""
+    if (a.n_agents, a.variables, a.parents) != (b.n_agents, b.variables, b.parents):
+        return False
+    return all(
+        set(ma) == set(mb) and all(cpds_equal(ma[k], mb[k]) for k in ma)
+        for ma, mb in ((a.cpds, b.cpds), (a.rule_fixes, b.rule_fixes))
+    )
+
+
+def decompose_fix_object(game: CausalGame, p: FixObject) -> list:
+    """An object-level fix rewritten as remove-then-add: the constructive
+    witness that a fix equals a removal followed by an addition.
+
+    The add step re-attaches the original children with their original
+    tables (including parent order), so the composition equals the direct
+    fix exactly, structurally and in induced joints.
+    """
+    t = p.target
+    if not game.has_variable(t):
+        raise InterventionError(f"unknown variable {t!r}")
+    children = game.children_of(t)
+    tables = {c: game.cpds[c] for c in children if c in game.cpds}
+    placeholder = {
+        c: TabularCPD.uniform(
+            c, game.domain(c), [q for q in game.parents_of(c) if q != t], game.domain
+        )
+        for c in tables
+    }
+    add = AddVariable(
+        game.variable(t), p.parents, children, cpd=p.cpd, child_cpds=tables,
+        child_parents={c: game.parents_of(c) for c in children if c not in tables},
+        rule_fix=p.rule_fix, index=game.names().index(t),
+    )
+    return [RemoveVariable(t, child_cpds=placeholder), add]
 
 
 def reference_pure_rules(game: CausalGame, decision: str) -> list[TabularCPD]:

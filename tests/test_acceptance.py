@@ -7,6 +7,7 @@ Each test prints one [criterion N] PASS line after its assertions; run with
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from causalgames import (
@@ -21,23 +22,23 @@ from causalgames import (
     build_mechanised_graph,
     check_spec_env,
     decompose,
-    decompose_fix_object,
     expected_utility,
-    games_equal,
     induced_joint,
     invert,
     make_remove_edge,
     minimum_intervention_set,
-    object_graph,
     optimal_commitment,
     pure_nash,
     verify_rational_outcome,
-    d_separated,
 )
+from causalgames.graphs import _arena, _reachable
 from causalgames.queries import QueryJob, evaluate_query
 from helpers import (
     agent_view,
+    decompose_fix_object,
+    games_equal,
     numeric_conditional_independence,
+    object_view,
     random_cbn,
     random_distribution,
     random_full_profile,
@@ -246,12 +247,14 @@ def test_criterion_08_fix_equals_remove_then_add():
 
 
 def test_criterion_09_d_separation_vs_numeric_oracle():
+    """The reachable-set search separates exactly where networkx does, and
+    each separation holds in the joint."""
     rng = random.Random(909)
     checked = 0
     for _ in range(200):
         game = random_cbn(rng)
         joint = induced_joint(game, PolicyProfile({}))
-        graph = object_graph(game)
+        arena, view = _arena(game), object_view(game)
         names = list(game.names())
         domains = {n: game.domain(n) for n in names}
         for i, x in enumerate(names):
@@ -259,7 +262,10 @@ def test_criterion_09_d_separation_vs_numeric_oracle():
                 rest = [n for n in names if n not in (x, z)]
                 for r in range(len(rest) + 1):
                     for given in itertools.combinations(rest, r):
-                        if d_separated(graph, {x}, {z}, set(given)):
+                        reached = _reachable(arena, {x}, frozenset(given))[0]
+                        separated = z not in reached
+                        assert separated == nx.is_d_separator(view, {x}, {z}, set(given))
+                        if separated:
                             checked += 1
                             assert numeric_conditional_independence(
                                 joint.table,

@@ -21,11 +21,10 @@ from causalgames import (
     apply_primitive,
     behavioral_nash_small,
     best_responses,
-    commitment_value,
     expected_utility,
     optimal_commitment,
     pure_nash,
-    sample_rational_outcome,
+    rule_node,
     serialize_game,
     verify_rational_outcome,
 )
@@ -36,12 +35,12 @@ from causalgames.equilibrium import (
     _action_values, _bounds, _coefficients, _verified,
 )
 from causalgames.model import (
-    cpds_equal,
     enumerate_pure_rules,
     induced_joint,
 )
 from helpers import (
     breakpoint_commitment,
+    cpds_equal,
     expected_utility_from_joint,
     fraction_support_enumeration,
     loop_action_values,
@@ -963,38 +962,28 @@ def test_behavioral_size_guard():
         behavioral_nash_small(game)
 
 
-def test_sampling_uniform_and_deterministic(effortville, prisoners, stackelberg):
-    draws = 4000
-    counts = collections.Counter()
-    for seed in range(draws):
-        out = sample_rational_outcome(effortville, seed=seed)
-        key = tuple(
-            sorted((d, tuple(sorted(out[d].table.items()))) for d in out.decisions())
-        )
-        counts[key] += 1
-    assert len(counts) == 3
-    for n in counts.values():
-        assert abs(n / draws - 1 / 3) < 0.05
-    a = sample_rational_outcome(effortville, seed=123)
-    b = sample_rational_outcome(effortville, seed=123)
-    assert all(a[d].table == b[d].table for d in a.decisions())
-    assert sample_rational_outcome(prisoners, seed=0)["D1"].row(()) == (0.0, 1.0)
-    assert sample_rational_outcome(stackelberg, seed=9)["D1"].row(()) == (1.0, 0.0)
-
-
-def test_sampling_errors_without_pure_equilibrium():
-    with pytest.raises(SolverError, match="no rational outcome"):
-        sample_rational_outcome(matching_pennies(), seed=0)
+def _commitment_value(game, rule):
+    """The leader's value of committing to ``rule``, rebuilt from the
+    primitives: the committed game, the one follower's best responses to
+    it, and the leader-preferred one among them."""
+    leader = game.agent_of(rule.variable)
+    committed = apply_primitive(game, FixMechanism(rule_node(rule.variable), rule))
+    followers = {committed.agent_of(d) for d in committed.free_decisions()}
+    if not followers:
+        return PolicyProfile({}), expected_utility(committed, PolicyProfile({}), leader)
+    [follower] = followers
+    responses = best_responses(committed, follower, PolicyProfile({}))
+    values = [expected_utility(committed, r, leader) for r in responses]
+    best = values.index(max(values))
+    return responses[best], values[best]
 
 
 def test_commitment_values(stackelberg):
     half = TabularCPD("D1", (), {(): (0.5, 0.5)})
-    response, value = commitment_value(stackelberg, 1, half)
+    response, value = _commitment_value(stackelberg, half)
     assert value == pytest.approx(3.5, abs=1e-9)
     assert response["D2"].row(()) == (0.0, 1.0)
-    _, pure_b = commitment_value(
-        stackelberg, 1, stackelberg.delta_rule("D1", "B")
-    )
+    _, pure_b = _commitment_value(stackelberg, stackelberg.delta_rule("D1", "B"))
     assert pure_b == pytest.approx(3.0, abs=1e-9)
 
 
@@ -1019,7 +1008,7 @@ def test_optimal_commitment_grid_flat_leader_takes_lowest_p():
     assert game.n_agents == 2 and game.parents_of("D1") == ()
     grid = [i / 20 for i in range(21)]
     values = [
-        commitment_value(game, 1, TabularCPD("D1", (), {(): (p, 1.0 - p)}))[1]
+        _commitment_value(game, TabularCPD("D1", (), {(): (p, 1.0 - p)}))[1]
         for p in grid
     ]
     best = max(values)
@@ -1082,11 +1071,8 @@ def test_commitment_refuses_a_second_follower_agent():
     parents = {"D1": (), "D2": (), "D3": (), "U1": (), "U2": (), "U3": ()}
     cpds = {f"U{i}": TabularCPD(f"U{i}", (), {(): (1.0,)}) for i in (1, 2, 3)}
     game = CausalGame(3, variables, parents, cpds)
-    half = TabularCPD("D1", (), {(): (0.5, 0.5)})
-    for solve in (lambda: optimal_commitment(game, 1),
-                  lambda: commitment_value(game, 1, half)):
-        with pytest.raises(SolverError, match="at most one follower agent"):
-            solve()
+    with pytest.raises(SolverError, match="at most one follower agent"):
+        optimal_commitment(game, 1)
     with pytest.raises(ValidationError, match="unknown agent index 4"):
         optimal_commitment(game, 4)
 

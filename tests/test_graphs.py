@@ -14,31 +14,28 @@ from causalgames import (
     TabularCPD,
     ValidationError,
     Variable,
-    active_paths,
     apply_primitive,
     build_mechanised_graph,
-    d_separated,
     export_dot,
     incentive_invariant,
-    independent_mechanised_graph,
-    object_graph,
     predicted_edge_removals,
-    r_relevant,
     reachability_paths,
     relevant_mechanisms,
     side_effects,
 )
 from causalgames import graphs
 from causalgames.cli import resolve_game
-from causalgames.graphs import rule_node
+from causalgames.graphs import _arena, _reachable, active_paths, rule_node
 from helpers import (
     chain_to_utility_game,
     dense_to_utility_game,
     full_active_paths,
+    independent_view,
     loop_conditional_independence,
     mechanism_node,
     numeric_conditional_independence,
     object_fixes,
+    object_view,
     path_criterion_removals,
     random_cbn,
     random_game,
@@ -51,37 +48,46 @@ JM_EDGES_INTO_PI_D1 = {"THETA_T", "THETA_U1", "PI_D2"}
 JM_EDGES_INTO_PI_D2 = {"THETA_T", "THETA_U2", "PI_D1"}
 
 
+def _dag_game(graph: nx.DiGraph) -> CausalGame:
+    """A game without tables whose object graph is the DAG ``graph``, so
+    that the searches run on its arena."""
+    return CausalGame(
+        1, tuple(Variable(n, "chance", ("a", "b")) for n in graph),
+        {n: tuple(graph.pred[n]) for n in graph}, {},
+    )
+
+
+def _reached(game, xs, given) -> set:
+    """Every node an active trail from ``xs`` given ``given`` reaches."""
+    return _reachable(_arena(game), set(xs), frozenset(given))[0]
+
+
 def test_d_connection_between_utilities(job_market):
-    g = object_graph(job_market)
-    assert not d_separated(g, {"U2"}, {"U1"}, set())
-    assert d_separated(g, {"U2"}, {"U1"}, {"T", "D2"})
+    assert "U1" in _reached(job_market, {"U2"}, set())
+    assert "U1" not in _reached(job_market, {"U2"}, {"T", "D2"})
 
 
 def test_isolated_nodes_separated():
-    g = nx.DiGraph()
-    g.add_nodes_from(["A", "B", "C"])
-    assert d_separated(g, {"A"}, {"B"}, set())
-    assert d_separated(g, {"A"}, {"B"}, {"C"})
+    game = _dag_game(nx.empty_graph(["A", "B", "C"], create_using=nx.DiGraph))
+    assert "B" not in _reached(game, {"A"}, set())
+    assert "B" not in _reached(game, {"A"}, {"C"})
 
 
 def test_blocked_chain():
-    g = nx.DiGraph([("A", "B"), ("B", "C")])
-    assert active_paths(g, {"A"}, {"C"}, {"B"}) == []
-    assert not d_separated(g, {"A"}, {"C"}, set())
+    game = _dag_game(nx.DiGraph([("A", "B"), ("B", "C")]))
+    assert active_paths(_arena(game), [("THETA_A", "A")], {"C"}, {"B"}) == []
+    assert "A" in _reached(game, {"C"}, set())
 
 
 def test_active_path_witnesses(job_market):
-    g = object_graph(job_market)
-    paths = {p.render() for p in active_paths(g, {"U2"}, {"U1"}, set())}
-    assert "U2 <- T -> U1" in paths
-    assert "U2 <- D2 -> U1" in paths
-    assert active_paths(g, {"U2"}, {"U1"}, {"T", "D2"}) == []
-
-
-def test_unknown_node_rejected(job_market):
-    g = object_graph(job_market)
-    with pytest.raises(ValidationError, match="unknown node"):
-        d_separated(g, {"nope"}, {"U1"}, set())
+    """``U2`` is a collider on every trail from its own mechanism, open
+    only when ``U2`` is observed; ``T`` and ``D2`` then block both links."""
+    arena, start = _arena(job_market), [("THETA_U2", "U2")]
+    assert active_paths(arena, start, {"U1"}, set()) == []
+    paths = {p.render() for p in active_paths(arena, start, {"U1"}, {"U2"})}
+    assert "THETA_U2 -> U2 <- T -> U1" in paths
+    assert "THETA_U2 -> U2 <- D2 -> U1" in paths
+    assert active_paths(arena, start, {"U1"}, {"U2", "T", "D2"}) == []
 
 
 def test_mechanised_graph_signalling(job_market):
@@ -116,11 +122,11 @@ def test_no_decisions_no_inter_mechanism_edges():
 
 
 def test_relevance_answers(job_market):
-    assert r_relevant(job_market, "PI_D1", "PI_D2")
-    assert not r_relevant(job_market, "THETA_U2", "PI_D1")
-    assert r_relevant(job_market, "THETA_T", "PI_D1")
+    assert "PI_D1" in relevant_mechanisms(job_market, "PI_D2")
+    assert "THETA_U2" not in relevant_mechanisms(job_market, "PI_D1")
+    assert "THETA_T" in relevant_mechanisms(job_market, "PI_D1")
     with pytest.raises(ValidationError):
-        r_relevant(job_market, "THETA_T", "THETA_U1")
+        relevant_mechanisms(job_market, "THETA_U1")
 
 
 def test_no_downstream_utility_means_irrelevant():
@@ -137,7 +143,7 @@ def test_no_downstream_utility_means_irrelevant():
     }
     game = CausalGame(1, variables, parents, cpds)
     for mech in ("THETA_U1", "THETA_X"):
-        assert not r_relevant(game, mech, "PI_D1")
+        assert mech not in relevant_mechanisms(game, "PI_D1")
         assert reachability_paths(game, mech, "PI_D1") == []
 
 
@@ -157,8 +163,8 @@ def test_reachability_broken_by_hard_decision_fix(job_market):
     )
     assert reachability_paths(fixed, "PI_D1", "PI_D2") == []
     # the rule node lost its object-level child entirely
-    graph = independent_mechanised_graph(fixed)
-    assert list(graph.successors("PI_D1")) == []
+    dot = export_dot(fixed, "independent_mechanised")
+    assert '"PI_D1" [' in dot and '"PI_D1" -> "D1"' not in dot
 
 
 def test_relevance_iff_paths(job_market, stackelberg):
@@ -175,17 +181,18 @@ def test_relevance_iff_paths(job_market, stackelberg):
                 mech = mechanism_node(game, v.name)
                 if mech == target:
                     continue
-                assert r_relevant(game, mech, target) == bool(
+                assert (mech in relevant_mechanisms(game, target)) == bool(
                     reachability_paths(game, mech, target)
                 )
 
 
 def test_object_restriction_matches_input(job_market):
+    """Inter-mechanism edges join mechanism nodes only, and the mechanised
+    DOT text opens with the object graph's."""
     mg = build_mechanised_graph(job_market)
-    restricted = mg.graph.subgraph(job_market.names())
-    base = object_graph(job_market)
-    assert set(restricted.nodes) == set(base.nodes)
-    assert set(restricted.edges) == set(base.edges)
+    assert not {n for edge in mg.inter_mechanism_edges for n in edge} & set(job_market.names())
+    base = export_dot(job_market, "object").splitlines()[:-1]
+    assert export_dot(job_market, "mechanised").splitlines()[: len(base)] == base
 
 
 def _definition_graph(game):
@@ -216,9 +223,9 @@ def _dot_mechanism_lines(game):
 
 def test_arena_and_views_keep_declaration_order():
     """Variables in declaration order, then each one's mechanism node in the
-    same order: the node order of both networkx views and of the DOT text,
-    on seeded games with object-fixed decisions.  The arena's keys are the
-    variables alone, in declaration order."""
+    same order: the node order of the DOT text, on seeded games with
+    object-fixed decisions.  The arena's keys are the variables alone, in
+    declaration order."""
     for seed in range(60):
         rng = random.Random(f"order:{seed}")
         game = random_rich_game(rng) if seed % 2 else random_multi_decision_game(rng)
@@ -228,21 +235,20 @@ def test_arena_and_views_keep_declaration_order():
             game = apply_primitive(game, FixObject(d, (), TabularCPD.delta(d, dom[0], dom)))
         names = list(game.names())
         mechs = [mechanism_node(game, v) for v in names]
-        arena = graphs._arena(game)
+        arena = _arena(game)
         assert list(arena.pred) == list(arena.succ) == names
-        view = independent_mechanised_graph(game)
-        assert list(view) == names + mechs
+        assert list(graphs._mechanisms(game)) == mechs
         mech_edges = [(mechanism_node(game, v), v) for v in names if v not in game.object_fixed]
-        assert list(view.edges) == [(v, c) for v in names for c in game.children_of(v)] + mech_edges
-        assert list(build_mechanised_graph(game).graph) == names + mechs
         assert _dot_mechanism_lines(game) == (mechs, mech_edges)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
 def test_arena_matches_graph_views(rng, multi, fix):
-    """The arena holds the object graph; the views add every mechanism node
-    and its edge, none into an object-fixed decision."""
+    """The arena holds the object graph; the mechanism nodes add each one's
+    edge into its variable, none into an object-fixed decision; the
+    inter-mechanism edges join mechanism nodes.  The tests' networkx view
+    holds the same graph."""
     game = random_multi_decision_game(rng) if multi else random_game(rng)
     if fix:
         d = rng.choice(game.decisions())
@@ -251,23 +257,20 @@ def test_arena_matches_graph_views(rng, multi, fix):
         assert d in game.object_fixed
     nodes, edges = _definition_graph(game)
     names = set(game.names())
-    base = object_graph(game)
-    arena = graphs._arena(game)
-    assert set(arena.pred) == set(arena.succ) == set(base) == names
+    arena = _arena(game)
+    assert set(arena.pred) == set(arena.succ) == names
     for n in names:
-        assert set(arena.pred[n]) == set(base.pred[n]) == {a for a, b in edges if b == n and a in names}
-        assert set(arena.succ[n]) == set(base.succ[n]) == {b for a, b in edges if a == n}
-    assert set(base.edges) == {(a, b) for a, b in edges if a in names}
-    view = independent_mechanised_graph(game)
-    assert set(view) == nodes
-    for n in nodes:
-        assert set(view.pred[n]) == {a for a, b in edges if b == n}
-        assert set(view.succ[n]) == {b for a, b in edges if a == n}
-    assert set(view.edges) == edges
-    assert not any(view.has_edge(rule_node(d), d) for d in game.object_fixed)
-    mg = build_mechanised_graph(game)
-    assert set(mg.graph) == nodes
-    assert set(mg.graph.edges) == edges | mg.inter_mechanism_edges
+        assert set(arena.pred[n]) == {a for a, b in edges if b == n and a in names}
+        assert set(arena.succ[n]) == {b for a, b in edges if a == n}
+    mechs = graphs._mechanisms(game)
+    assert set(mechs) == nodes - names
+    assert {(m, v) for m, vs in mechs.items() for v in vs} == {
+        (a, b) for a, b in edges if a not in names
+    }
+    view = independent_view(game)
+    assert (set(view), set(view.edges)) == (nodes, edges)
+    inter = build_mechanised_graph(game).inter_mechanism_edges
+    assert {n for edge in inter for n in edge} <= nodes - names
 
 
 def test_d_separation_agrees_with_numeric_oracle_small():
@@ -277,17 +280,17 @@ def test_d_separation_agrees_with_numeric_oracle_small():
     for _ in range(30):
         game = random_cbn(rng)
         joint = induced_joint(game, PolicyProfile({}))
-        g = object_graph(game)
+        view = object_view(game)
         names = list(game.names())
         domains = {n: game.domain(n) for n in names}
         for i, x in enumerate(names):
             for z in names[i + 1:]:
                 rest = [n for n in names if n not in (x, z)]
-                import itertools
-
                 for r in range(len(rest) + 1):
                     for given in itertools.combinations(rest, r):
-                        if d_separated(g, {x}, {z}, set(given)):
+                        separated = z not in _reached(game, {x}, given)
+                        assert separated == nx.is_d_separator(view, {x}, {z}, set(given))
+                        if separated:
                             assert numeric_conditional_independence(
                                 joint.table, names, domains, {x}, {z}, set(given)
                             )
@@ -300,11 +303,7 @@ def test_d_separation_agrees_with_numeric_oracle_small():
 def _graph_query(draw):
     n = draw(st.integers(2, 7))
     nodes = [f"N{i}" for i in range(n)]
-    acyclic = draw(st.booleans())
-    pairs = [
-        (a, b) for i, a in enumerate(nodes) for j, b in enumerate(nodes)
-        if (i < j if acyclic else i != j)
-    ]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
     g = nx.DiGraph(edges)
     g.add_nodes_from(nodes)
@@ -314,18 +313,39 @@ def _graph_query(draw):
     return g, xs, zs, given
 
 
+def _with_mechanisms(g, xs):
+    """``g`` with a parentless node ``M_<x>`` and its edge into ``x`` for
+    each ``x`` in ``xs``, and those edges."""
+    starts = [(f"M_{x}", x) for x in sorted(xs)]
+    mechanised = g.copy()
+    mechanised.add_edges_from(starts)
+    return mechanised, starts
+
+
 @settings(max_examples=400, deadline=None)
 @given(_graph_query())
 def test_d_separated_agrees_with_path_enumeration(query):
+    """A node climbs in the search from ``zs`` exactly when paths from its
+    mechanism's edge exist, and exactly when networkx finds its mechanism
+    d-connected to ``zs``."""
     g, xs, zs, given = query
-    assert d_separated(g, xs, zs, given) == (not active_paths(g, xs, zs, given))
+    arena = _arena(_dag_game(g))
+    climbed = _reachable(arena, zs, frozenset(given))[1]
+    mechanised, starts = _with_mechanisms(g, xs)
+    for m, x in starts:
+        paths = active_paths(arena, [(m, x)], zs, given)
+        connected = not nx.is_d_separator(mechanised, {m}, zs, given)
+        assert (x in climbed) == bool(paths) == connected
 
 
 @settings(max_examples=400, deadline=None)
 @given(_graph_query())
 def test_pruned_paths_match_full_enumeration(query):
     g, xs, zs, given = query
-    assert active_paths(g, xs, zs, given) == full_active_paths(g, xs, zs, given)
+    mechanised, starts = _with_mechanisms(g, xs)
+    assert active_paths(_arena(_dag_game(g)), starts, zs, given) == full_active_paths(
+        mechanised, {m for m, _ in starts}, zs, given
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -339,7 +359,8 @@ def test_two_mark_search_matches_the_state_search(query, data):
     g, xs, _, given = query
     severed = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges)))
                                   if g.number_of_edges() else st.just(set())))
-    reached, climbed = graphs._reachable(g, xs, frozenset(given), severed)
+    arena = _arena(_dag_game(g))
+    reached, climbed = _reachable(arena, xs, frozenset(given), severed)
     assert reached == state_reachable(g, xs, given, severed)
     mechanised = g.copy()
     mechanised.add_edges_from((("M", n), n) for n in g)
@@ -348,13 +369,13 @@ def test_two_mark_search_matches_the_state_search(query, data):
     want = state_reachable(mechanised, xs, given, severed)
     assert reached == want & set(g)
     assert climbed - cut == {n for n in g if ("M", n) in want}
-    assert graphs._reachable(g, xs, frozenset(given), severed) == (reached, climbed)
+    assert _reachable(arena, xs, frozenset(given), severed) == (reached, climbed)
 
 
 def _nx_relevance_tests(game, target):
     """The independent mechanised graph as an ``nx.DiGraph`` and the
     relevance tests of rule node ``target``, built with networkx."""
-    graph = independent_mechanised_graph(game)
+    graph = independent_view(game)
     d = target[len("PI_"):]
     downstream = nx.descendants(graph, d)
     utils = {u for u in game.utilities_of(game.agent_of(d)) if u in downstream}
@@ -391,12 +412,13 @@ def test_arena_paths_match_full_enumeration():
 
 
 def _per_pair_relevant(game, target):
-    """Mechanisms d-connected to a relevance test's targets, asked one by one."""
+    """Mechanisms d-connected to a relevance test's targets, asked one by one
+    of networkx."""
     graph, tests = _nx_relevance_tests(game, target)
     return {
         m
         for m in (mechanism_node(game, v) for v in game.names())
-        if any(not d_separated(graph, {m}, t, cond) for t, cond in tests)
+        if any(not nx.is_d_separator(graph, {m}, t, cond) for t, cond in tests)
     }
 
 
@@ -409,8 +431,8 @@ _GENERATORS = {
 @given(st.randoms(use_true_random=False), st.sampled_from(sorted(_GENERATORS)),
        st.booleans(), st.booleans())
 def test_implicit_mechanisms_match_the_networkx_view(rng, generator, pin, commit):
-    """The searches leave mechanism nodes implicit; on the networkx view
-    ``independent_mechanised_graph``, where every one is a node, each
+    """The searches leave mechanism nodes implicit; on the tests' networkx
+    view of the independent mechanised graph, where every one is a node, each
     (mechanism, rule node) pair gets the same answers: relevance is per-pair
     d-connection, the witness paths are the complete enumeration, and the
     predicted removals of every object fix are the path criterion.  Games
@@ -420,7 +442,7 @@ def test_implicit_mechanisms_match_the_networkx_view(rng, generator, pin, commit
         free = game.free_decisions()
         if wanted and free:
             game = apply_primitive(game, make(game, rng.choice(free)))
-    graph = independent_mechanised_graph(game)
+    graph = independent_view(game)
     mechs = [mechanism_node(game, v) for v in game.names()]
     for d in game.decisions():
         target = rule_node(d)
@@ -429,7 +451,7 @@ def test_implicit_mechanisms_match_the_networkx_view(rng, generator, pin, commit
         for m in mechs:
             paths = [p for t, cond in tests for p in full_active_paths(graph, {m}, t, cond)]
             assert reachability_paths(game, m, target) == paths
-            connected = any(not d_separated(graph, {m}, t, cond) for t, cond in tests)
+            connected = any(not nx.is_d_separator(graph, {m}, t, cond) for t, cond in tests)
             assert (m in relevant) == connected == bool(paths)
     for fix in object_fixes(game, rng):
         assert predicted_edge_removals(game, fix) == path_criterion_removals(game, fix)
@@ -451,9 +473,7 @@ def test_relevant_mechanisms_match_per_pair_tests(job_market, stackelberg):
             target = rule_node(d)
             expected = _per_pair_relevant(game, target)
             assert relevant_mechanisms(game, target) == expected
-            for m in (mechanism_node(game, v) for v in game.names()):
-                assert r_relevant(game, m, target) == (m in expected)
-                seen.add(m in expected)
+            seen |= {m in expected for m in (mechanism_node(game, v) for v in game.names())}
     assert seen == {True, False}
 
 
@@ -491,7 +511,7 @@ def test_incentive_analyses_match_per_pair_relevance(job_market, stackelberg):
 
 def test_relevance_rejects_object_nodes(job_market):
     with pytest.raises(ValidationError, match="unknown mechanism node"):
-        r_relevant(job_market, "T", "PI_D1")
+        reachability_paths(job_market, "T", "PI_D1")
     with pytest.raises(ValidationError, match="unknown mechanism node"):
         reachability_paths(job_market, "THETA_nope", "PI_D1")
 
@@ -556,7 +576,7 @@ def test_yes_no_answers_need_no_path_enumeration(monkeypatch):
         edges, relevance, (removed, added), invariant, dot, predicted = expected[name]
         assert build_mechanised_graph(game).inter_mechanism_edges == edges
         for (mech, target), relevant in relevance.items():
-            assert r_relevant(game, mech, target) == relevant
+            assert (mech in relevant_mechanisms(game, target)) == relevant
         report = side_effects(game, intervention(game))
         assert (report.removed, report.added) == (removed, added)
         assert incentive_invariant(game, intervention(game)) is invariant
@@ -595,7 +615,7 @@ def test_one_open_collider_closure_per_conditioning_set(monkeypatch):
         predicted_edge_removals(game, _hard_fix(game, game.decisions()[-1]))
         for edge in edges:
             reachability_paths(game, *edge)
-        pred = graphs._arena(game).pred
+        pred = _arena(game).pred
         opened = [start for step, start in calls if step is pred]
         assert len(opened) == len(set(opened))
         closures += len(opened)
@@ -641,8 +661,6 @@ def _count_arenas(monkeypatch) -> list:
         built.append(game)
         init(self, game)
 
-    # patched in place: the searches tell an arena from a networkx graph by
-    # its class
     monkeypatch.setattr(graphs._Arena, "__init__", counted)
     return built
 

@@ -22,13 +22,10 @@ from causalgames import (
     RemoveVariable,
     TabularCPD,
     Variable,
-    add_edge,
     apply_all,
     apply_journaled,
     apply_primitive,
     decompose,
-    decompose_fix_object,
-    games_equal,
     incentive_invariant,
     induced_joint,
     invert,
@@ -37,7 +34,6 @@ from causalgames import (
     minimum_intervention_set,
     predicted_edge_removals,
     reachability_paths,
-    remove_edge,
     side_effects,
     tabulate,
     validate_game,
@@ -47,7 +43,9 @@ from causalgames.interventions import as_compound
 from causalgames.model import _dependency_order
 from helpers import (
     agent_view,
+    decompose_fix_object,
     dense_to_utility_game,
+    games_equal,
     is_minimum_hitting_set,
     mechanism_node,
     object_fixes,
@@ -123,7 +121,7 @@ def test_remove_missing_variable_rejected(job_market):
 
 def test_utility_stays_a_leaf(job_market):
     with pytest.raises(InterventionError, match="utility U1 cannot be a parent"):
-        add_edge(job_market, "U1", "U2")
+        apply_primitive(job_market, make_add_edge(job_market, "U1", "U2"))
     coin = TabularCPD("N", ("U1",), {(u,): (0.5, 0.5) for u in job_market.domain("U1")})
     with pytest.raises(InterventionError, match="utility U1 cannot be a parent"):
         apply_primitive(job_market, AddVariable(Variable("N", "chance", ("u", "v")), ("U1",), (), coin))
@@ -302,7 +300,7 @@ def test_non_commutativity_witness(job_market):
 
 
 def test_remove_edge_marginalises(job_market):
-    g2 = remove_edge(job_market, "T", "U2")
+    g2 = apply_primitive(job_market, make_remove_edge(job_market, "T", "U2"))
     assert g2.parents_of("U2") == ("D2",)
     # hand-marginalised with P(T=h)=0.5 over domain (-2, -1, 0, 3)
     assert g2.cpds["U2"].row(("j",)) == pytest.approx((0.5, 0.0, 0.0, 0.5))
@@ -321,23 +319,24 @@ def test_add_then_remove_edge_round_trip(job_market):
         "B": TabularCPD("B", (), {(): (0.6, 0.4)}),
     }
     game = __import__("causalgames").CausalGame(1, variables, {"A": (), "B": ()}, cpds)
-    g2 = add_edge(game, "A", "B")
+    g2 = apply_primitive(game, make_add_edge(game, "A", "B"))
     assert g2.parents_of("B") == ("A",)
-    g3 = remove_edge(g2, "A", "B")
+    g3 = apply_primitive(g2, make_remove_edge(g2, "A", "B"))
     assert games_equal(game, g3)
     # decision target round trip: only the information set changes
-    g4 = remove_edge(add_edge(job_market, "T", "D2"), "T", "D2")
+    seeing = apply_primitive(job_market, make_add_edge(job_market, "T", "D2"))
+    g4 = apply_primitive(seeing, make_remove_edge(seeing, "T", "D2"))
     assert games_equal(job_market, g4)
     # removing a dependency on a free decision demands a replacement table
-    g5 = add_edge(job_market, "D1", "U2")
+    g5 = apply_primitive(job_market, make_add_edge(job_market, "D1", "U2"))
     with pytest.raises(InterventionError, match="replacement"):
-        remove_edge(g5, "D1", "U2")
+        make_remove_edge(g5, "D1", "U2")
 
 
 def test_add_edge_cycle_rejected(job_market):
-    g2 = add_edge(job_market, "T", "D2")
+    g2 = apply_primitive(job_market, make_add_edge(job_market, "T", "D2"))
     with pytest.raises(InterventionError, match="cycle"):
-        add_edge(g2, "D2", "T")
+        apply_primitive(g2, make_add_edge(g2, "D2", "T"))
 
 
 def test_add_existing_edge_rejected(job_market):
@@ -354,7 +353,7 @@ def test_remove_edge_from_decision_source_needs_replacement(job_market):
 
 def test_edge_edits_keep_an_object_fixed_decision_pinned(stackelberg):
     pinned = apply_primitive(stackelberg, hard_fix(stackelberg, "D2", "R"))
-    seeing = add_edge(pinned, "D1", "D2")
+    seeing = apply_primitive(pinned, make_add_edge(pinned, "D1", "D2"))
     assert seeing.object_fixed == {"D2"}
     assert seeing.free_decisions() == ("D1",)
     assert seeing.cpds["D2"].table == {("T",): (0.0, 1.0), ("B",): (0.0, 1.0)}
@@ -362,7 +361,8 @@ def test_edge_edits_keep_an_object_fixed_decision_pinned(stackelberg):
     both = apply_primitive(
         pinned, FixObject("D1", (), TabularCPD.uniform("D1", ("T", "B")))
     )
-    assert games_equal(remove_edge(add_edge(both, "D1", "D2"), "D1", "D2"), both)
+    added = apply_primitive(both, make_add_edge(both, "D1", "D2"))
+    assert games_equal(apply_primitive(added, make_remove_edge(added, "D1", "D2")), both)
     # a free source has no distribution to marginalise over
     with pytest.raises(
         InterventionError, match="cannot marginalise D1 out of D2: D1 is a free decision"
@@ -397,7 +397,7 @@ def test_committed_source_marginalises_under_its_rule():
     rule = game.rule_fixes["D3"]
     assert rule.parents == ("D1",) and game.parents_of("U1a") == ("D3", "D1", "X1")
     old = game.cpds["U1a"]
-    cut = remove_edge(game, "D3", "U1a")
+    cut = apply_primitive(game, make_remove_edge(game, "D3", "U1a"))
     assert cut.parents_of("U1a") == ("D1", "X1") and cut.rule_fixes == game.rule_fixes
     assert validate_game(cut) == []
     for d1, x1 in itertools.product(game.domain("D1"), game.domain("X1")):

@@ -1,8 +1,10 @@
 import argparse
+import ast
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,7 +29,6 @@ from causalgames import (
     TabularCPD,
     ValidationError,
     apply_primitive,
-    games_equal,
     load_scenario,
     parse_game,
     serialize_game,
@@ -38,6 +39,7 @@ from helpers import (
     chain_to_utility_game,
     dense_to_utility_game,
     fan_game,
+    games_equal,
     random_multi_decision_game,
 )
 
@@ -861,6 +863,27 @@ interventions:
     assert game["cpds"]["D2"] == {"B": [0.0, 1.0], "T": [0.0, 1.0]}
 
 
+def test_cli_query_on_a_rewired_realized_decision_is_one_error_line(capsys, tmp_path):
+    """Agent 1 fixes D1's rule over ``(T,)``; agent 2's stage gives D1 the
+    new parent N, so no stage resolves D1 in the final game."""
+    (tmp_path / "jm.game.yaml").write_text(serialize_game(resolve_game("job_market")))
+    scenario = tmp_path / "noise.scenario.yaml"
+    scenario.write_text(
+        """
+game: jm.game.yaml
+interventions:
+  - {label: noise, kind: add_var, name: N, domain: [a, b], children: [D1],
+     rows: {"": [0.5, 0.5]}}
+visibility:
+  2: [noise]
+query: "forall ne: E[1] >= -100"
+"""
+    )
+    code, out, err = run_cli(capsys, "query", str(scenario))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: decision D1 was never resolved by any stage"]
+
+
 def test_cli_mech_graph(capsys):
     code, out, _ = run_cli(capsys, "mech-graph", "job_market")
     assert code == 0
@@ -930,6 +953,37 @@ def test_cli_commands_never_import_networkx():
         ["commit", "stackelberg", "--leader", "1"],
     ]
     assert _loaded_after(commands, ["networkx"]) == set()
+
+
+def test_graph_api_runs_without_networkx():
+    """With networkx unimportable, the package imports and every graph
+    analysis and DOT view runs on ``job_market``."""
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from causalgames import (FixObject, TabularCPD, build_mechanised_graph,\n"
+        "    export_dot, incentive_invariant, minimum_intervention_set,\n"
+        "    predicted_edge_removals, reachability_paths, relevant_mechanisms)\n"
+        "from causalgames.cli import resolve_game\n"
+        "game = resolve_game('job_market')\n"
+        "fix = FixObject('D1', (), TabularCPD.delta('D1', 'g', game.domain('D1')))\n"
+        "assert build_mechanised_graph(game).inter_mechanism_edges\n"
+        "assert 'PI_D1' in relevant_mechanisms(game, 'PI_D2')\n"
+        "assert reachability_paths(game, 'PI_D1', 'PI_D2')\n"
+        "assert predicted_edge_removals(game, fix)\n"
+        "assert minimum_intervention_set(game, 'PI_D1', 'PI_D2') == ('D1',)\n"
+        "assert incentive_invariant(game, fix) is False\n"
+        "for which in ('object', 'mechanised', 'independent_mechanised'):\n"
+        "    assert export_dot(game, which).startswith('digraph G {')\n"
+        "print('ok')\n"
+    )
+    src = str(Path(causalgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 def test_graph_only_commands_never_import_numpy():
@@ -1057,3 +1111,35 @@ def test_readme_library_example_runs():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "True"
+
+
+# Exported only for the benchmark tracer, which patches them by name until
+# the library keeps its own stats record.
+TRACER_EXPORTS = {"BEST_RESPONSE", "RationalityRelation", "JointDistribution", "induced_joint"}
+
+
+def test_every_export_has_a_caller():
+    """Every name ``causalgames`` exports is used by another module of the
+    package, named in README code, or waits on the benchmark tracer."""
+    package = Path(causalgames.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+    readme = (Path(__file__).parents[1] / "README.md").read_text().split("```")
+    # fenced blocks are the odd pieces; inline code spans lie in the others
+    code = readme[1::2] + [span for text in readme[::2] for span in re.findall(r"`([^`]+)`", text)]
+    named = set(re.findall(r"\w+", " ".join(code)))
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert [n for n in exported if n not in used | named | TRACER_EXPORTS] == []

@@ -23,7 +23,7 @@ from causalgames import (
     enumerate_pure_rules,
     evaluate_query,
     expected_utility,
-    independent_mechanised_graph,
+    export_dot,
     induced_joint,
     pure_nash,
     tabulate,
@@ -209,8 +209,8 @@ def test_a_decision_with_a_table_is_object_fixed():
     game = CausalGame(1, variables, parents, cpds)
     assert validate_game(game) == []
     assert game.object_fixed == {"D"} and game.free_decisions() == ("E",)
-    edges = independent_mechanised_graph(game).edges
-    assert ("PI_D", "D") not in edges and ("PI_E", "E") in edges
+    dot = export_dot(game, "independent_mechanised")
+    assert '"PI_D" -> "D"' not in dot and '"PI_E" -> "E"' in dot
     # D is the constant b, so only E = y is an equilibrium; were D free,
     # (a, x) would be one too
     [eq] = pure_nash(game).outcomes
@@ -828,7 +828,7 @@ def test_no_public_callable_overrides_the_numeric_policy():
     ``verify_rational_outcome`` keeps ``eps``: the tests check candidates
     with it at ``VERIFY_EPS`` and at other values."""
     callables = _public_callables()
-    assert "verify_rational_outcome" in callables and "cpds_equal" in callables
+    assert "verify_rational_outcome" in callables and "validate_game" in callables
     knobs = set()
     for name, obj in callables.items():
         try:
