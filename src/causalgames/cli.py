@@ -31,6 +31,7 @@ from .gamefile import (
     load_scenario,
     parse_game,
     parse_scenario,
+    table_rows,
 )
 from .graphs import build_mechanised_graph
 from .interventions import (
@@ -39,7 +40,7 @@ from .interventions import (
     side_effects as compute_side_effects,
     incentive_invariant,
 )
-from .model import GRID_STEP, PROB_EPS, ROUND_DIGITS, SHOWN_EPS
+from .model import PROB_EPS, ROUND_DIGITS, SHOWN_EPS
 from .model import CausalGame, expected_utility, validate_game
 from .queries import QueryJob, classify_visibility, evaluate_query
 
@@ -85,13 +86,6 @@ def _round(x: float) -> float:
     return round(float(x), ROUND_DIGITS)
 
 
-def _rule_dict(rule) -> dict:
-    return {
-        ",".join(str(v) for v in ctx): [_round(p) for p in row]
-        for ctx, row in sorted(rule.table.items(), key=lambda kv: repr(kv[0]))
-    }
-
-
 def _rule_text(game, decision, rule) -> str:
     domain = game.domain(decision)
     parts = []
@@ -112,7 +106,7 @@ def _rule_text(game, decision, rule) -> str:
 def _point(game, profile) -> dict:
     """A profile's rules and every agent's expected utility, as reported."""
     return {
-        "rules": {d: _rule_dict(profile[d]) for d in profile.decisions()},
+        "rules": {d: table_rows(profile[d]) for d in profile.decisions()},
         "payoffs": [
             _round(expected_utility(game, profile, a))
             for a in range(1, game.n_agents + 1)
@@ -205,7 +199,7 @@ def _cmd_intervene(args) -> int:
     data = game_to_dict(game)
     if game.rule_fixes:
         data["rule_fixes"] = {
-            d: _rule_dict(r) for d, r in sorted(game.rule_fixes.items())
+            d: table_rows(r) for d, r in sorted(game.rule_fixes.items())
         }
     if game.object_fixed:
         data["object_fixed"] = sorted(game.object_fixed)
@@ -307,25 +301,21 @@ def _cmd_query(args) -> int:
 
 def _cmd_commit(args) -> int:
     game = resolve_game(args.game)
-    mode = "grid" if args.grid else "exact"
-    rule, value = optimal_commitment(
-        game, args.leader, mode=mode, grid_step=args.step
-    )
+    rule, value = optimal_commitment(game, args.leader)
     decision = rule.variable
     domain = game.domain(decision)
-    ctx = game.contexts(decision)[0]
-    p = rule.row(ctx)[0]
+    [(p, q)] = rule.table.values()  # the leader decision's one context
     _emit(
         args,
         {
             "decision": decision,
-            "rule": _rule_dict(rule),
+            "rule": table_rows(rule),
             "leader_payoff": _round(value),
-            "mode": mode,
+            "mode": "exact",  # one solver; the key stays for the schema
         },
         [
             f"optimal commitment on {decision}: "
-            f"P({domain[0]})={_round(p)}, P({domain[1]})={_round(1 - p)}",
+            f"P({domain[0]})={_round(p)}, P({domain[1]})={_round(q)}",
             f"leader payoff: {_round(value)}",
         ],
     )
@@ -398,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commit", help="optimal commitment for a leader")
     p.add_argument("game")
     p.add_argument("--leader", type=int, required=True)
-    p.add_argument("--grid", action="store_true")
-    p.add_argument("--step", type=float, default=GRID_STEP)
     p.set_defaults(func=_cmd_commit)
     return parser
 

@@ -13,9 +13,9 @@ sub-matrix of one array per decision, all of them row-reduced together,
 and underdetermined solutions are reported as parametric families with
 interval parameters; candidates' corners are verified from the same
 coefficients (each payoff is bilinear in the two rules), ``STABLE_CHUNK``
-corners at a time, with no further contraction.  Exact commitment reads
-the same interval routine (``_bounds``): a follower response's
-best-response inequalities are affine in the one commitment probability.
+corners at a time, with no further contraction.  Commitment reads the
+same interval routine (``_bounds``): a follower response's best-response
+inequalities are affine in the one commitment probability.
 Rule-fixed (committed) and object-fixed decisions are constants throughout;
 only free decisions are strategic, and every solver's rationality relation
 is best response.
@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
 from .model import (
-    COEFF_EPS, COMMIT_EPS, ENUM_BUDGET, EQ_EPS, GRID_STEP, PIVOT_EPS,
-    ROUND_DIGITS, SAME_POINT_EPS, STABLE_CHUNK, VERIFY_EPS,
+    COEFF_EPS, COMMIT_EPS, EQ_EPS, PIVOT_EPS, ROUND_DIGITS, SAME_POINT_EPS,
+    STABLE_CHUNK, VERIFY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
@@ -166,7 +166,6 @@ class RationalOutcomeSet:
 
     outcomes: tuple[PolicyProfile, ...]
     families: tuple[BehavioralFamily, ...] = ()
-    mode: str = "pure_exhaustive"
 
     def extreme_profiles(self) -> list[PolicyProfile]:
         out = list(self.outcomes)
@@ -204,9 +203,7 @@ def pure_nash(game: CausalGame) -> RationalOutcomeSet:
     """Every pure full profile that is an equilibrium, in enumeration order
     (``_pure_equilibria``)."""
     stacks, at = _pure_equilibria(game)
-    return RationalOutcomeSet(
-        tuple(_profiles(game, stacks, at)), mode="pure_exhaustive"
-    )
+    return RationalOutcomeSet(tuple(_profiles(game, stacks, at)))
 
 
 # -- behavioral equilibria via support enumeration ---------------------------
@@ -419,7 +416,6 @@ def behavioral_nash_small(game: CausalGame) -> RationalOutcomeSet:
     import numpy as np
 
     _check_behavioral_supported(game)
-    mode = "behavioral_support_enum"
     decisions = game.free_decisions()
     slots = [(d, tuple(ctx)) for d in decisions for ctx in game.contexts(d)]
     n = len(slots)
@@ -481,7 +477,7 @@ def behavioral_nash_small(game: CausalGame) -> RationalOutcomeSet:
         )
     kept = np.flatnonzero(solvable & in_range & ~violated.any(1) & fits.all(0))
     if not len(kept):
-        return RationalOutcomeSet((), (), mode=mode)
+        return RationalOutcomeSet(())
     pinned = columns(pivots)[kept]
     free = (support[kept, :n] == 2) & ~pinned
     values = np.where(pinned, columns(value)[kept], support[kept, :n] == 0)
@@ -519,7 +515,7 @@ def behavioral_nash_small(game: CausalGame) -> RationalOutcomeSet:
             families.append(family)
         else:
             points.append(family.instantiate({}))
-    return RationalOutcomeSet(tuple(points), tuple(families), mode=mode)
+    return RationalOutcomeSet(tuple(points), tuple(families))
 
 
 # -- commitment ----------------------------------------------------------------
@@ -542,26 +538,20 @@ def _leader_and_follower(game: CausalGame, leader: int) -> tuple[str, int | None
     return decisions[0], (followers.pop() if followers else None)
 
 
-def optimal_commitment(
-    game: CausalGame,
-    leader: int,
-    mode: str = "exact",
-    grid_step: float = GRID_STEP,
-) -> tuple[TabularCPD, float]:
+def optimal_commitment(game: CausalGame, leader: int) -> tuple[TabularCPD, float]:
     """Best stochastic rule for the leader to commit to, and its value.
 
-    Exact mode is the multiple-LP method of Conitzer & Sandholm (EC 2006)
-    for a one-parameter leader: for each follower pure response, ``_bounds``
-    (the interval routine of support enumeration) intersects its
-    best-response inequalities, affine in the commitment probability, into
-    an interval, and the leader's affine utility is maximised over each
-    interval's closure; candidate maxima at region boundaries implement
-    leader-favourable tie-breaking.  Grid mode sweeps the commitment
-    probability with the given step, which must lie in (0, 1]; a grid of
-    more than ``ENUM_BUDGET`` points raises ``SolverError``.
+    The multiple-LP method of Conitzer & Sandholm (EC 2006) for a
+    one-parameter leader: for each follower pure response, ``_bounds`` (the
+    interval routine of support enumeration) intersects its best-response
+    inequalities, affine in the commitment probability, into an interval,
+    and the leader's affine utility is maximised over each interval's
+    closure; candidate maxima at region boundaries implement
+    leader-favourable tie-breaking.  Without a follower the one response's
+    interval is [0, 1].  Leader values within ``COMMIT_EPS`` are ties, won
+    by the earlier candidate: responses in enumeration order, each interval's
+    low end first.
     """
-    if not 0.0 < grid_step <= 1.0:  # also rejects NaN
-        raise ValidationError(f"grid step must be in (0, 1], got {grid_step!r}")
     dec, follower = _leader_and_follower(game, leader)
     domain = game.domain(dec)
     contexts = game.contexts(dec)
@@ -588,40 +578,11 @@ def optimal_commitment(
         """(slope, intercept at p=0) of a utility, per follower response."""
         return [(v1 - v0, v0) for v0, v1 in zip(*payoff.reshape(2, -1).tolist())]
 
-    if follower is None:
-        [payoff] = payoff_tensors(game, PolicyProfile({}), [leader], stacks)
-        [(slope, intercept)] = affine(payoff)
-        cands = [(0.0, intercept), (1.0, slope + intercept)]
-        p_hat, value = max(cands, key=lambda t: (t[1], -t[0]))
-        return committed_rule(p_hat), value
-
+    # response i is a best response where (f_i - f_j)(p) >= 0 for every j; a
+    # follower-less game's one response is one everywhere, whatever its line
     l_affine, f_affine = map(affine, payoff_tensors(
-        game, PolicyProfile({}), [leader, follower], stacks
+        game, PolicyProfile({}), [leader, follower or leader], stacks
     ))
-
-    if mode == "grid":
-        points = 1.0 / grid_step + 1  # a float: inf for the tiniest steps
-        if points > ENUM_BUDGET:
-            raise SolverError(
-                f"would evaluate {points:.3g} grid points; budget {ENUM_BUDGET:,}"
-            )
-        n = round(1.0 / grid_step)
-        best_p, best_v = 0.0, None
-        for i in range(n + 1):
-            p = i / n
-            f_best = max(a * p + b for a, b in f_affine)
-            value = max(
-                la * p + lb
-                for (la, lb), (fa, fb) in zip(l_affine, f_affine)
-                if fa * p + fb >= f_best - COMMIT_EPS
-            )
-            if best_v is None or value > best_v + COMMIT_EPS:
-                best_p, best_v = p, value
-        return committed_rule(best_p), best_v
-    if mode != "exact":
-        raise ValidationError(f"unknown commitment mode {mode!r}")
-
-    # response i is a best response where (f_i - f_j)(p) >= 0 for every j
     f = np.array(f_affine)
     gap = f[:, None] - f[None]
     slope = np.where(np.abs(gap[..., 0]) <= COMMIT_EPS, 0.0, gap[..., 0])

@@ -272,6 +272,15 @@ def load_game(path: str) -> CausalGame:
     return parse_game(text, path)
 
 
+def table_rows(cpd: TabularCPD) -> dict:
+    """A table's rows as files and reports show them: keyed by comma-joined
+    context, contexts sorted by ``repr``, values rounded to ``ROUND_DIGITS``."""
+    return {
+        _context_key(ctx): [round(p, ROUND_DIGITS) for p in row]
+        for ctx, row in sorted(cpd.table.items(), key=lambda kv: repr(kv[0]))
+    }
+
+
 def game_to_dict(game: CausalGame) -> dict:
     variables = []
     for v in game.variables:
@@ -282,19 +291,13 @@ def game_to_dict(game: CausalGame) -> dict:
         if game.parents_of(v.name):
             entry["parents"] = list(game.parents_of(v.name))
         variables.append(entry)
-    cpds = {}
-    for v in game.variables:
-        if v.name not in game.cpds:
-            continue
-        cpd = game.cpds[v.name]
-        cpds[v.name] = {
-            _context_key(ctx): [round(p, ROUND_DIGITS) for p in cpd.row(ctx)]
-            for ctx in sorted(cpd.table, key=repr)
-        }
     return {
         "agents": game.n_agents,
         "variables": variables,
-        "cpds": cpds,
+        "cpds": {
+            v.name: table_rows(game.cpds[v.name])
+            for v in game.variables if v.name in game.cpds
+        },
         "rationality": "best_response",
     }
 

@@ -47,10 +47,9 @@ COMMIT_EPS = 1e-12  # smaller gaps between commitment utilities are ties
 QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
 SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
-ENUM_BUDGET = 1 << 16  # most rule profiles, grid points or witness paths enumerated
+ENUM_BUDGET = 1 << 16  # most rule profiles or witness paths enumerated
 DIRECT_SPACE = 1 << 12  # most index entries a contraction sums in one einsum, unplanned
 STABLE_CHUNK = 256  # most corners verified at once (memory ~ chunk)
-GRID_STEP = 1e-3  # default step of the commitment probability grid
 
 CHANCE = "chance"
 DECISION = "decision"

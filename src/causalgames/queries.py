@@ -154,10 +154,10 @@ class _Parser:
     event  := NAME '=' value (',' NAME '=' value)*
     """
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, what: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.end = f"end of {what}"  # how messages name the end of the input
 
     def peek(self):
         return self.tokens[self.i]
@@ -169,7 +169,7 @@ class _Parser:
 
     def fail(self, expected):
         kind, value, pos = self.peek()
-        shown = value if kind != "eof" else "end of query"
+        shown = value if kind != "eof" else self.end
         raise QueryError(
             f"parse error at column {pos + 1}: expected {expected}, got {shown!r}"
         )
@@ -194,7 +194,7 @@ class _Parser:
         self.expect("sym", ":")
         body = self.formula(top=True)
         if self.peek()[0] != "eof":
-            self.fail("end of query")
+            self.fail(self.end)
         return Query(mode, body)
 
     def formula(self, top=False):
@@ -305,7 +305,7 @@ class _Parser:
 
 def parse_query(text: str) -> Query:
     """Parse a query string into its AST; errors carry a column position."""
-    return _Parser(text).parse()
+    return _Parser(text, "query").parse()
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -481,6 +481,13 @@ def _rule_decision(prim):
     return None
 
 
+def _layout(variables, decision, parents) -> tuple:
+    """What a rule of ``decision`` over ``parents`` is laid out on: each
+    parent with its domain, then the decision's domain, looked up in
+    ``variables``, a name map."""
+    return tuple((p, variables[p].domain) for p in parents), variables[decision].domain
+
+
 def evaluate_query(job: QueryJob) -> QueryResult:
     """Run the staged evaluator and fold the leaves per the query's mode."""
     query = job.parsed_query()
@@ -495,7 +502,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     # outcomes.
     game = job.game
     plan = []  # per stage: (trace record, realized-rule edits, branches)
-    held = {}  # decision -> parents of the rule the walk holds for it
+    held = {}  # decision -> layout of the rule the walk holds for it
     for idx, stage in enumerate(stages):
         record = {
             "stage": idx,
@@ -520,18 +527,20 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             if decision is not None:
                 if observed:
                     edits.append((decision, prim.cpd))
+                    if prim.cpd is None:
+                        held.pop(decision, None)
+                    else:
+                        held[decision] = _layout(variables, decision, prim.cpd.parents)
                 else:
                     record["suppressed"].append(prim.target)
         game = stage.game
         # a held rule is forgotten once its decision is gone, pinned by an
-        # object fix (which binds), or given other parents than the rule's
-        for d, rule in edits:
-            if rule is None:
-                held.pop(d, None)
-            else:
-                held[d] = rule.parents
+        # object fix (which binds), or laid out otherwise than the rule: other
+        # parents, or other domains of them or of the decision
         stale = [
-            d for d, ps in held.items() if d in game.cpds or game.parents.get(d) != ps
+            d for d, lay in held.items()
+            if d in game.cpds or d not in variables
+            or lay != _layout(variables, d, game.parents_of(d))
         ]
         for d in stale:
             del held[d]
@@ -563,7 +572,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
             else:
                 picked = range(len(outcomes))
             branches = [(k, {d: outcomes[k][d] for d in to_fix}) for k in picked]
-        held.update((d, game.parents_of(d)) for d in to_fix)
+        held.update((d, _layout(variables, d, game.parents_of(d))) for d in to_fix)
         layout.update((id(r), game) for _, rules in branches for r in rules.values())
         plan.append((record, edits, branches))
 
@@ -686,10 +695,10 @@ def classify_visibility(job: QueryJob) -> dict[int, str]:
 
 def _event_assignment(game: CausalGame, event) -> dict:
     if isinstance(event, str):
-        parser = _Parser(event)
+        parser = _Parser(event, "event")
         atoms = parser.event()
         if parser.peek()[0] != "eof":
-            parser.fail("',' or end of event")
+            parser.fail(f"',' or {parser.end}")
     else:
         atoms = tuple((k, str(v)) for k, v in event.items())
     return {var: _resolve_value(game, var, tok) for var, tok in atoms}

@@ -146,12 +146,9 @@ def test_criterion_05_commitment_suite(stackelberg):
     )
     assert evaluate_query(private).verdict == pytest.approx(2.0, abs=1e-9)
 
-    rule, value = optimal_commitment(stackelberg, 1, mode="exact")
+    rule, value = optimal_commitment(stackelberg, 1)
     assert rule.row(())[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert value == pytest.approx(11.0 / 3.0, abs=1e-9)
-    grid_rule, grid_value = optimal_commitment(stackelberg, 1, mode="grid")
-    assert grid_rule.row(())[0] == pytest.approx(2.0 / 3.0, abs=1e-3)
-    assert grid_value == pytest.approx(11.0 / 3.0, abs=1e-3)
     note(5, "mixed commitment 3.5, revealed 3, private 2, optimum (2/3, 11/3)")
 
 

@@ -236,7 +236,6 @@ def test_solvers_build_no_joint(monkeypatch, job_market, prisoners, stackelberg)
     others = PolicyProfile({"D2": prisoners.delta_rule("D2", "D")})
     assert best_responses(prisoners, 1, others)
     optimal_commitment(stackelberg, 1)
-    optimal_commitment(stackelberg, 1, mode="grid")
     behavioral_nash_small(job_market)
     assert calls == []
     model.induced_joint(job_market, pure_nash(job_market).outcomes[0])
@@ -764,7 +763,6 @@ def test_single_agent_argmax_verifies():
 
 def test_behavioral_families_hardworking_town(effortville):
     result = behavioral_nash_small(effortville)
-    assert result.mode == "behavioral_support_enum"
     intervals = sorted(
         (round(p.low, 9), round(p.high, 9))
         for fam in result.families
@@ -993,17 +991,10 @@ def test_optimal_commitment_exact(stackelberg):
     assert value == pytest.approx(11.0 / 3.0, abs=1e-9)
 
 
-def test_optimal_commitment_grid(stackelberg):
-    rule, value = optimal_commitment(stackelberg, 1, mode="grid")
-    exact_rule, exact_value = optimal_commitment(stackelberg, 1)
-    spread = 4.0 - 0.0
-    assert exact_value >= value - 1e-3 * spread
-    assert value == pytest.approx(exact_value, abs=1e-2)
-
-
 def test_optimal_commitment_grid_flat_leader_takes_lowest_p():
     # seed 36 gives a game in which the leader's value does not depend on
-    # the commitment; its affine form still moves in the last digits
+    # the commitment; its affine form still moves in the last digits, which
+    # the exact solver ties within COMMIT_EPS at the lowest p of the grid
     game = random_game(random.Random(36))
     assert game.n_agents == 2 and game.parents_of("D1") == ()
     grid = [i / 20 for i in range(21)]
@@ -1013,9 +1004,8 @@ def test_optimal_commitment_grid_flat_leader_takes_lowest_p():
     ]
     best = max(values)
     assert best - min(values) <= 1e-15
-    lowest = min(p for p, v in zip(grid, values) if v >= best - COMMIT_EPS)
-    rule, value = optimal_commitment(game, 1, mode="grid", grid_step=0.05)
-    assert rule.row(())[0] == lowest == 0.0
+    rule, value = optimal_commitment(game, 1)
+    assert rule.row(())[0] == 0.0
     assert value == pytest.approx(best, abs=COMMIT_EPS)
 
 
@@ -1038,10 +1028,27 @@ def test_optimal_commitment_constant_leader():
     assert value == pytest.approx(2.0, abs=1e-12)
 
 
+def test_follower_less_commitment_ties_within_commit_eps():
+    """Without a follower, leader values within ``COMMIT_EPS`` are ties, as
+    they are with one: the lower probability wins, here p = 0."""
+    variables = (
+        Variable("D1", "decision", ("a", "b"), 1),
+        Variable("U1", "utility", (1.0 + 4e-16, 1.0), 1),
+    )
+    parents = {"D1": (), "U1": ("D1",)}
+    cpds = {"U1": TabularCPD("U1", ("D1",), {("a",): (1.0, 0.0), ("b",): (0.0, 1.0)})}
+    game = CausalGame(1, variables, parents, cpds)
+    assert expected_utility(game, PolicyProfile({"D1": game.delta_rule("D1", "a")}), 1) > 1.0
+    rule, value = optimal_commitment(game, 1)
+    assert rule.row(())[0] == 0.0 and math.copysign(1.0, rule.row(())[0]) > 0
+    assert value == 1.0
+
+
 def test_exact_commitment_matches_breakpoint_oracle():
     """On every seeded game commitment applies to, the exact optimum is the
     breakpoint oracle's, the returned probability earns it and reads as a
-    non-negative zero where it is 0, and no grid point beats it."""
+    non-negative zero where it is 0, and no probability on a grid of 101
+    points earns more by the oracle's reckoning."""
     checked = 0
     for gen, seed in itertools.product((random_game, random_multi_decision_game), range(170)):
         game = gen(random.Random(seed))
@@ -1056,8 +1063,7 @@ def test_exact_commitment_matches_breakpoint_oracle():
             assert 0.0 <= p <= 1.0 and math.copysign(1.0, p) > 0, (gen, seed, p)
             assert value == pytest.approx(best, abs=1e-9), (gen, seed)
             assert value_at(p) == pytest.approx(value, abs=1e-9), (gen, seed)
-            _, grid = optimal_commitment(game, leader, mode="grid", grid_step=0.01)
-            assert grid <= value + 1e-9, (gen, seed)
+            assert max(value_at(i / 100) for i in range(101)) <= value + 1e-9, (gen, seed)
     assert checked >= 150
 
 

@@ -295,24 +295,14 @@ def test_cli_commit_json(capsys):
     payload = json.loads(out)
     assert payload["leader_payoff"] == pytest.approx(11 / 3, abs=1e-9)
     assert payload["rule"][""][0] == pytest.approx(2 / 3, abs=1e-9)
+    assert payload["mode"] == "exact"  # one solver; the key stays for the schema
 
 
-@pytest.mark.parametrize(
-    "step, message",
-    [
-        ("0", "grid step must be in (0, 1]"),
-        ("nan", "grid step must be in (0, 1]"),
-        ("-1", "grid step must be in (0, 1]"),
-        ("1e-300", "grid points; budget"),
-    ],
-)
-def test_cli_commit_rejects_bad_grid_step(capsys, step, message):
-    code, out, err = run_cli(
-        capsys, "commit", "stackelberg", "--leader", "1", "--grid", "--step", step
-    )
-    assert code == 1
+def test_cli_commit_has_no_grid_flag(capsys):
+    code, out, err = run_cli(capsys, "commit", "stackelberg", "--leader", "1", "--grid")
+    assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert "usage:" in err and "unrecognized arguments: --grid" in err
 
 
 def test_cli_min_set(capsys):
@@ -880,6 +870,14 @@ query: "forall ne: E[1] >= -100"
 """
     )
     code, out, err = run_cli(capsys, "query", str(scenario))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: decision D1 was never resolved by any stage"]
+
+
+def test_cli_query_on_a_retyped_parent_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "query", str(SCENARIOS / "retyped_parent.scenario.yaml")
+    )
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: decision D1 was never resolved by any stage"]
 

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -824,9 +825,13 @@ def _public_callables():
 def test_no_public_callable_overrides_the_numeric_policy():
     """Every tolerance is a constant at the top of ``model``: no public
     callable takes one per call, nor a ``relation``, nor an optional
-    ``decision`` that only restates what its other arguments fix.
+    ``decision`` that only restates what its other arguments fix, nor a
+    grid ``step``: commitment has one exact solver, ``optimal_commitment(game,
+    leader)``, and an equilibrium set holds its outcomes and families only.
     ``verify_rational_outcome`` keeps ``eps``: the tests check candidates
     with it at ``VERIFY_EPS`` and at other values."""
+    from causalgames.equilibrium import RationalOutcomeSet
+
     callables = _public_callables()
     assert "verify_rational_outcome" in callables and "validate_game" in callables
     knobs = set()
@@ -837,8 +842,11 @@ def test_no_public_callable_overrides_the_numeric_policy():
             continue
         for p in params:
             optional = p.default is not inspect.Parameter.empty
-            if p.name in ("eps", "tol", "relation") or (
+            if p.name in ("eps", "tol", "relation", "grid_step", "step") or (
                 p.name == "decision" and optional
             ):
                 knobs.add(f"{name}.{p.name}")
     assert knobs == {"verify_rational_outcome.eps"}
+    commit = inspect.signature(callables["optimal_commitment"]).parameters
+    assert list(commit) == ["game", "leader"]
+    assert [f.name for f in dataclasses.fields(RationalOutcomeSet)] == ["outcomes", "families"]

@@ -464,6 +464,40 @@ def test_an_undone_and_redone_parent_keeps_a_realized_rule(
     assert leaves and {leaf.rules["D1"].parents for leaf in leaves} == {parents}
 
 
+def _retyped_t(domain):
+    """``T`` removed, then added back over ``domain`` as a parent of ``D1``
+    alone: D1's parent tuple is ``(T,)`` before and after."""
+    return (
+        ("drop_t", RemoveVariable("T")),
+        ("add_t", AddVariable(
+            Variable("T", "chance", domain), (), ("D1",),
+            cpd=TabularCPD.uniform("T", domain),
+        )),
+    )
+
+
+@pytest.mark.parametrize(
+    "domain, query",
+    [
+        (("h", "l", "m"), "forall ne: E[1] >= -100"),
+        (("h", "l", "m"), "forall ne: 1 >= 0"),
+        (("x", "y"), "forall ne: E[1] >= -100"),
+    ],
+    ids=["new_value", "new_value_no_atom", "renamed_values"],
+)
+def test_a_retyped_parent_forgets_a_realized_rule(job_market, domain, query):
+    """Agent 1 fixes D1's rule over ``T`` in ``(h, l)``; agent 2's stage
+    gives ``T`` other values under the same name, so the rule's layout no
+    longer fits D1 and no later stage resolves it."""
+    job = QueryJob(
+        game=job_market, interventions=_retyped_t(domain),
+        visibility={2: ("drop_t", "add_t")}, query=query,
+    )
+    assert job.decomposition().stages[-1].game.parents_of("D1") == ("T",)
+    with pytest.raises(SolverError, match="^decision D1 was never resolved by any stage$"):
+        evaluate_query(job)
+
+
 # -- environment specification checks ----------------------------------------------------------
 
 
@@ -518,6 +552,23 @@ def test_spec_event_text_is_parsed_as_an_event(job_market, event, column, got):
     assert str(exc.value) == (
         f"parse error at column {column}: expected ',' or end of event, got {got}"
     )
+
+
+@pytest.mark.parametrize(
+    "event, column, expected",
+    [("D2=j,", 6, "name"), ("D2=", 4, "a domain value"), ("D2", 3, "=")],
+)
+def test_spec_event_errors_name_the_end_of_the_event(job_market, event, column, expected):
+    """An event that stops short names its end as the event's; the same
+    text inside a query still names the end of the query."""
+    with pytest.raises(QueryError) as exc:
+        check_spec_env(job_market, [], event)
+    assert str(exc.value) == (
+        f"parse error at column {column}: expected {expected}, got 'end of event'"
+    )
+    with pytest.raises(QueryError) as exc:
+        parse_query(f"sampled: P({event}")
+    assert str(exc.value).endswith(f"expected {expected}, got 'end of query'")
 
 
 # -- leaves and events on the contraction kernel ------------------------------------------
