@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
@@ -40,6 +40,7 @@ from .model import (
     TabularCPD,
     _cpd_tensor,
     _pure_rules,
+    _record,
     _rule_of,
     expectations,
     payoff_tensors,
@@ -119,7 +120,7 @@ def verify_rational_outcome(
     return stable
 
 
-@dataclass(frozen=True)
+@_record
 class FreeParam:
     """A free behavioral parameter with its admissible interval."""
 
@@ -128,7 +129,7 @@ class FreeParam:
     high: float
 
 
-@dataclass(frozen=True)
+@_record
 class BehavioralFamily:
     """A parametric family of equilibria.
 
@@ -160,7 +161,7 @@ class BehavioralFamily:
         return [self.instantiate(dict(zip(names, c))) for c in corners]
 
 
-@dataclass(frozen=True)
+@_record
 class RationalOutcomeSet:
     """Equilibria of a game: point profiles plus parametric families."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping
 
 import yaml
@@ -32,6 +32,7 @@ from .interventions import (
 )
 from .model import (
     DECISION,
+    NEST_DEPTH,
     ROUND_DIGITS,
     UTILITY,
     CausalGame,
@@ -39,6 +40,7 @@ from .model import (
     Variable,
     _is_int,
     _is_real,
+    _record,
     validate_game,
 )
 
@@ -129,9 +131,52 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep=deep)
 
 
+_OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
+_CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
+
+
+def _check_nesting(text):
+    """Refuse collections nested deeper than ``NEST_DEPTH`` before they are
+    composed: libyaml's composer recurses on the C stack and overflows it.
+
+    A level is a flow ``[`` or ``{``, or a block collection; block
+    collections indent further at least every second level, and each
+    starts within a line.  A text under the bound these give, as the
+    bundled files are, costs no scan of its events."""
+    longest = max(map(len, text.split("\n")))
+    if text.count("[") + text.count("{") + 2 * longest + 1 <= NEST_DEPTH:
+        return
+    loader = _Loader(text)
+    try:
+        depth = 0
+        while loader.check_event():
+            event = loader.get_event()
+            if isinstance(event, _OPEN):
+                depth += 1
+                if depth > NEST_DEPTH:
+                    raise yaml.MarkedYAMLError(
+                        problem=f"collections nested more than {NEST_DEPTH} deep",
+                        problem_mark=event.start_mark,
+                    )
+            elif isinstance(event, _CLOSE):
+                depth -= 1
+    finally:
+        loader.dispose()
+
+
 def _load_yaml(text, path):
     try:
+        _check_nesting(text)
         data = yaml.load(text, Loader=_Loader)
+    except yaml.reader.ReaderError as exc:
+        # it has no mark: the reader stops at the character's first occurrence
+        at = text.find(chr(exc.character))
+        raise GameFileError(
+            f"unacceptable character #x{exc.character:04x}: {exc.reason}",
+            path=path,
+            line=text.count("\n", 0, at) + 1,
+            column=at - text.rfind("\n", 0, at),
+        ) from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -263,13 +308,22 @@ def parse_game(text: str, path: str | None = None) -> CausalGame:
     return game
 
 
-def load_game(path: str) -> CausalGame:
+def _read(path: str) -> str:
+    """The text of the file at ``path``; a file that cannot be read or is
+    not UTF-8 is a ``GameFileError`` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise GameFileError(str(exc), path=path) from exc
-    return parse_game(text, path)
+    except UnicodeDecodeError as exc:
+        raise GameFileError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=path
+        ) from exc
+
+
+def load_game(path: str) -> CausalGame:
+    return parse_game(_read(path), path)
 
 
 def table_rows(cpd: TabularCPD) -> dict:
@@ -325,7 +379,7 @@ def serialize_game(game: CausalGame) -> str:
 # -- scenarios -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class Scenario:
     """A game plus labelled interventions, visibility, query, and options."""
 
@@ -499,9 +553,4 @@ def parse_scenario(
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GameFileError(str(exc), path=path) from exc
-    return parse_scenario(text, path, base_dir=os.path.dirname(path) or ".")
+    return parse_scenario(_read(path), path, base_dir=os.path.dirname(path) or ".")

@@ -33,11 +33,10 @@ nodes' relevance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import SolverError, ValidationError
-from .model import CausalGame, DECISION, ENUM_BUDGET
+from .model import CausalGame, DECISION, ENUM_BUDGET, _record
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -96,7 +95,7 @@ def _mechanisms(game: CausalGame, names: Iterable[str] | None = None) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class Path:
     """A non-repeating walk through adjacent nodes.
 
@@ -314,7 +313,7 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     return [p for t, cond in tests for p in active_paths(arena, start, t, cond)]
 
 
-@dataclass(frozen=True)
+@_record
 class RationalityRelation:
     """Best response as a named relation with its relevance test.
 
@@ -332,7 +331,7 @@ class RationalityRelation:
 BEST_RESPONSE = RationalityRelation("best_response", relevant_mechanisms)
 
 
-@dataclass(frozen=True)
+@_record
 class MechanisedGraph:
     """Inter-mechanism relevance edges of a game: with the game's own edges
     and each mechanism's edge into its variable, its mechanised graph."""

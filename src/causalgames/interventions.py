@@ -22,7 +22,7 @@ prefix (the common stage's game, or the base game).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InterventionError, ValidationError
@@ -36,10 +36,18 @@ from .graphs import (
     rule_node,
     variable_of_mechanism,
 )
-from .model import DECISION, CausalGame, TabularCPD, Variable, tabulate, violations
+from .model import (
+    DECISION,
+    CausalGame,
+    TabularCPD,
+    Variable,
+    _record,
+    tabulate,
+    violations,
+)
 
 
-@dataclass(frozen=True)
+@_record
 class FixObject:
     """Replace a variable's parent set and CPD.
 
@@ -59,7 +67,7 @@ class FixObject:
         object.__setattr__(self, "parents", tuple(self.parents))
 
 
-@dataclass(frozen=True)
+@_record
 class FixMechanism:
     """Fix a mechanism node: THETA_<v> gets a new CPD, PI_<d> an imposed rule.
 
@@ -72,7 +80,7 @@ class FixMechanism:
     inverse: Primitive | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class AddVariable:
     """Insert a new variable with the given parents and children.
 
@@ -98,7 +106,7 @@ class AddVariable:
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@_record
 class RemoveVariable:
     """Delete a variable, marginalising it out of its children's CPDs.
 
@@ -116,7 +124,7 @@ class RemoveVariable:
 Primitive = Union[FixObject, FixMechanism, AddVariable, RemoveVariable]
 
 
-@dataclass(frozen=True)
+@_record
 class CompoundIntervention:
     """An ordered list of primitives, applied first to last."""
 
@@ -454,7 +462,7 @@ def make_remove_edge(game: CausalGame, src: str, dst: str) -> FixObject:
 # -- side effects and structural analyses ---------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class SideEffectReport:
     """Inter-mechanism edges removed/added by an intervention."""
 
@@ -545,7 +553,7 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
 # -- decomposition of visible intervention sets ---------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class Stage:
     """One stage of a decomposition: primitives applied, then agents fixing.
 
@@ -559,7 +567,7 @@ class Stage:
     game: CausalGame
 
 
-@dataclass(frozen=True)
+@_record
 class Decomposition:
     """Ordered primitive stages with the agent partition they serve.
 

@@ -22,12 +22,15 @@ keeps the arrays built from it (``_cpd_tensor``), and those are read-only.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import heapq
+import inspect
 import itertools
 import math
-from operator import itemgetter
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import MISSING, FrozenInstanceError, field
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import SolverError, ValidationError
@@ -48,6 +51,7 @@ QUERY_EPS = 1e-9  # slack of query comparisons and spec checks
 SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
 ENUM_BUDGET = 1 << 16  # most rule profiles or witness paths enumerated
+NEST_DEPTH = 200  # most nested collections in a game or scenario file
 DIRECT_SPACE = 1 << 12  # most index entries a contraction sums in one einsum, unplanned
 STABLE_CHUNK = 256  # most corners verified at once (memory ~ chunk)
 
@@ -57,7 +61,138 @@ UTILITY = "utility"
 KINDS = (CHANCE, DECISION, UTILITY)
 
 
-@dataclass(frozen=True)
+class _Factory:
+    """What a signature shows as the default of a field with a default factory."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+def _values(names):
+    """A function from a record to the tuple of its ``names`` attributes."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda obj: (get(obj),)
+    return attrgetter(*names)
+
+
+def _record(cls):
+    """Make ``cls`` a frozen dataclass whose methods are shared, not generated.
+
+    ``dataclass(frozen=True)`` writes the source of six methods per class
+    and ``exec``s it at import; for this package's 32 records that was over
+    a third of the CLI's import time.  Here ``dataclass`` only records the
+    fields, so ``dataclasses.fields`` and ``replace`` work, and closures over
+    precomputed getters do what the generated methods did: ``__init__``
+    (defaults, default factories, then ``__post_init__``, if the class has
+    one, looked up on each call), ``__setattr__`` and ``__delattr__``
+    raising ``FrozenInstanceError``, ``__eq__`` and ``__hash__`` over the
+    compared fields, ``__repr__`` over the shown ones, and a
+    ``__signature__``.  A hand-written ``__init__`` is kept.  Instances keep
+    their ``__dict__``, where some records cache derived values.
+    """
+    documented = cls.__doc__ is not None
+    if not documented:
+        # replaced below: ``dataclass`` would write one from the signature of
+        # ``object.__init__``, and parsing that text compiles ``tokenize``'s
+        # patterns, about 15 ms on the first class
+        cls.__doc__ = cls.__name__
+    cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    specs = [(f.name, f.default, f.default_factory) for f in fields]
+    required = sum(f.default is f.default_factory is MISSING for f in fields)
+    tail = tuple(f.default for f in fields[required:])  # None if a factory gives one
+    tail = None if MISSING in tail else tail
+    compared = _values([f.name for f in fields if f.compare])
+    shown = [f.name for f in fields if f.repr]
+    shown_values = _values(shown)
+
+    def bind(args, kwargs):
+        if tail is not None and not kwargs and required <= len(args) < len(specs):
+            return args + tail[len(args) - required:]
+        if len(args) > len(specs):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(specs)} arguments, {len(args)} given"
+            )
+        values = list(args)
+        for name, default, factory in specs[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif factory is not MISSING:
+                values.append(factory())
+            elif default is not MISSING:
+                values.append(default)
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+        return values
+
+    set_field = object.__setattr__
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if post_init:
+            type(self).__post_init__(self)
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(compared(self))
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        pairs = zip(shown, shown_values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    methods = dict(
+        __setattr__=__setattr__, __delattr__=__delattr__, __eq__=__eq__,
+        __hash__=__hash__, __repr__=__repr__,
+    )
+    if "__init__" not in cls.__dict__:
+        methods["__init__"] = __init__
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__signature__ = inspect.Signature([
+        inspect.Parameter(
+            f.name,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            default=(
+                _Factory() if f.default_factory is not MISSING
+                else inspect.Parameter.empty if f.default is MISSING
+                else f.default
+            ),
+            annotation=f.type,
+        )
+        for f in fields
+    ])
+    if not documented:
+        cls.__doc__ = cls.__name__ + str(cls.__signature__)
+    return cls
+
+
+@_record
 class Variable:
     """A typed variable with a finite ordered domain.
 
@@ -74,7 +209,7 @@ class Variable:
         object.__setattr__(self, "domain", tuple(self.domain))
 
 
-@dataclass(frozen=True)
+@_record
 class TabularCPD:
     """A conditional probability table.
 
@@ -129,7 +264,7 @@ def tabulate(variable: str, parents, domain_of, row) -> TabularCPD:
     return TabularCPD(variable, parents, table)
 
 
-@dataclass(frozen=True)
+@_record
 class PolicyProfile:
     """A (possibly partial) assignment of decision rules to decisions."""
 
@@ -151,7 +286,7 @@ class PolicyProfile:
         return all(d in self.rules for d in game.free_decisions())
 
 
-@dataclass(frozen=True)
+@_record
 class CausalGame:
     """A causal game: agents, a typed DAG, and tabular parameters.
 
@@ -169,13 +304,15 @@ class CausalGame:
     cpds: Mapping[str, TabularCPD]
     rule_fixes: Mapping[str, TabularCPD] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self, "parents", {k: tuple(v) for k, v in self.parents.items()}
-        )
-        object.__setattr__(self, "cpds", dict(self.cpds))
-        object.__setattr__(self, "rule_fixes", dict(self.rule_fixes))
+    def __init__(self, n_agents, variables, parents, cpds, rule_fixes=()):
+        # written out, as games are built on every intervention; every
+        # mapping is copied, so ``rule_fixes`` may default to no pairs
+        set_field = object.__setattr__
+        set_field(self, "n_agents", n_agents)
+        set_field(self, "variables", tuple(variables))
+        set_field(self, "parents", {k: tuple(v) for k, v in parents.items()})
+        set_field(self, "cpds", dict(cpds))
+        set_field(self, "rule_fixes", dict(rule_fixes))
         # name index, built once; the first of duplicate names wins
         by_name: dict[str, Variable] = {}
         children: dict[str, list[str]] = {}
@@ -183,10 +320,8 @@ class CausalGame:
             by_name.setdefault(v.name, v)
             for p in set(self.parents.get(v.name, ())):
                 children.setdefault(p, []).append(v.name)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(
-            self, "_children", {p: tuple(cs) for p, cs in children.items()}
-        )
+        set_field(self, "_by_name", by_name)
+        set_field(self, "_children", {p: tuple(cs) for p, cs in children.items()})
 
     # -- lookups ----------------------------------------------------------
 
@@ -264,7 +399,7 @@ class CausalGame:
         return self.rule_fixes.get(name)
 
 
-@dataclass(frozen=True)
+@_record
 class JointDistribution:
     """A full joint table over every variable of a game."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import field, replace as dc_replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -49,6 +49,7 @@ from .model import (
     PolicyProfile,
     TabularCPD,
     _cpd_tensor,
+    _record,
     _rule_of,
     event_factor,
     expectations,
@@ -59,53 +60,53 @@ from .model import (
 # -- query AST -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class Prob:
     event: tuple  # ((variable, value-token), ...)
 
 
-@dataclass(frozen=True)
+@_record
 class Utility:
     agent: object  # int or "total"
 
 
-@dataclass(frozen=True)
+@_record
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@_record
 class BinOp:
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_record
 class Comparison:
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_record
 class Not:
     body: object
 
 
-@dataclass(frozen=True)
+@_record
 class And:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_record
 class Or:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_record
 class Query:
     mode: str  # "forall" | "exists" | "sampled"
     body: object
@@ -380,7 +381,7 @@ def _atom_value(game, node) -> list:
 # -- jobs ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class QueryJob:
     """Everything needed to evaluate one interventional query."""
 
@@ -415,7 +416,7 @@ class QueryJob:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class Leaf:
     """One evaluated branch: per-stage outcome choices and the formula value."""
 
@@ -424,7 +425,7 @@ class Leaf:
     rules: Mapping[str, TabularCPD]
 
 
-@dataclass(frozen=True)
+@_record
 class QueryResult:
     verdict: object  # bool, float, or None when leaves disagree
     leaves: tuple[Leaf, ...]

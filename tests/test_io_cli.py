@@ -35,6 +35,7 @@ from causalgames import (
     validate_game,
 )
 from causalgames.cli import _job_from_scenario, main, resolve_game
+from causalgames.model import NEST_DEPTH
 from helpers import (
     chain_to_utility_game,
     dense_to_utility_game,
@@ -104,6 +105,76 @@ def test_yaml_error_carries_position(tmp_path):
         load_game(str(bad))
     assert (err.value.line, err.value.column) == (4, 4)
     assert str(err.value).startswith(f"{bad}: line 4, column 4")
+
+
+@pytest.mark.parametrize("kind", ["game", "scenario"])
+def test_file_not_in_utf8_is_one_error_line(capsys, tmp_path, kind):
+    path = tmp_path / f"bad.{kind}.yaml"
+    path.write_bytes(b"agents: \xff\n")
+    loader = {"game": load_game, "scenario": load_scenario}[kind]
+    with pytest.raises(GameFileError, match="not UTF-8 text") as exc:
+        loader(str(path))
+    assert exc.value.path == str(path)
+    command = {"game": "validate", "scenario": "intervene"}[kind]
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 8\n"
+
+
+@pytest.mark.parametrize("name", ["a", "\u00e9"], ids=["ascii", "non_ascii"])
+def test_control_character_is_one_error_line_with_its_position(capsys, tmp_path, name):
+    """The reader's error has no mark: the line and column are where the
+    character stands, counted in characters."""
+    path = tmp_path / "ctl.game.yaml"
+    path.write_text(f'agents: 2\nvariables:\n  - {{name: "{name}\x07"}}\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: line 3, column 14: unacceptable character #x0007: "
+        "control characters are not allowed\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "nesting, column",
+    [
+        ("rationality: " + "[" * 3000 + "]" * 3000, 13 + NEST_DEPTH),
+        ("rationality: " + "[" * 50000 + "]" * 50000, 13 + NEST_DEPTH),
+        ("rationality:\n" + "- " * 50000 + "x", None),
+    ],
+    ids=["flow_3000", "flow_50000", "block_50000"],
+)
+def test_deep_nesting_is_one_error_line(tmp_path, nesting, column):
+    """Nesting past ``NEST_DEPTH`` (the document's mapping is the first
+    level) is refused before it is composed: at 3 000 levels the parent's
+    message raised ``RecursionError``, at 50 000 libyaml's composer
+    overflowed the C stack.  Run as a process so that a crash fails the test."""
+    path = tmp_path / "deep.game.yaml"
+    path.write_text("agents: 1\nvariables: []\ncpds: {}\n" + nesting + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "causalgames.cli", "validate", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(causalgames.__file__).parents[1])},
+    )
+    where = f"line 4, column {column}" if column else f"line 5, column {2 * NEST_DEPTH - 1}"
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: {path}: {where}: collections nested more than {NEST_DEPTH} deep\n"
+    )
+
+
+def test_nesting_within_the_bound_parses(prisoners):
+    """A long line puts a text past the cheap bound, so its events are
+    scanned; ``NEST_DEPTH`` levels pass the scan and the game's own checks
+    answer."""
+    text = serialize_game(prisoners)
+    assert games_equal(parse_game("# " + "x" * 300 + "\n" + text), prisoners)
+    inner = NEST_DEPTH - 1  # below the document's mapping
+    deep = text.replace(
+        "rationality: best_response", "rationality: " + "[" * inner + "]" * inner
+    )
+    with pytest.raises(GameFileError, match="^unsupported rationality"):
+        parse_game(deep)
 
 
 def test_scenario_unfix_round_trip(tmp_path, prisoners):
@@ -1006,6 +1077,31 @@ def test_solver_commands_import_numpy(argv):
 def test_cli_import_loads_every_layer_but_not_numpy():
     layers = [f"causalgames.{layer}" for layer in LAYERS]
     assert _loaded_after([], layers + ["numpy"]) == set(layers)
+
+
+def test_cli_import_generates_no_dataclass_code():
+    """Records get shared methods: importing the CLI makes no ``exec`` call
+    from ``dataclasses.py``, which ``dataclass(frozen=True)`` makes six
+    times per class."""
+    script = (
+        "import builtins, json, sys\n"
+        "real_exec, callers = builtins.exec, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    callers.append(sys._getframe(1).f_code.co_filename)\n"
+        "    return real_exec(*args, **kwargs)\n"
+        "builtins.exec = spy\n"
+        "import causalgames.cli\n"
+        "print(json.dumps(callers))\n"
+    )
+    src = str(Path(causalgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    callers = json.loads(done.stdout)
+    assert [c for c in callers if Path(c).name == "dataclasses.py"] == []
 
 
 def test_cli_exit_codes(capsys):

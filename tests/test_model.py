@@ -850,3 +850,153 @@ def test_no_public_callable_overrides_the_numeric_policy():
     commit = inspect.signature(callables["optimal_commitment"]).parameters
     assert list(commit) == ["game", "leader"]
     assert [f.name for f in dataclasses.fields(RationalOutcomeSet)] == ["outcomes", "families"]
+
+
+# -- records --------------------------------------------------------------------
+
+RECORD_MODULES = ("model", "graphs", "equilibrium", "interventions", "queries", "gamefile")
+
+
+def _record_classes():
+    """Every dataclass a package module defines, by module then name."""
+    found = []
+    for name in RECORD_MODULES:
+        module = importlib.import_module(f"causalgames.{name}")
+        found += [
+            obj for _, obj in sorted(vars(module).items())
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__
+        ]
+    return found
+
+
+def _record_samples():
+    """Record instances reachable from a solve, a staged query, a scenario's
+    interventions and their inverses, a joint, paths and a parsed formula."""
+    from causalgames import (
+        BEST_RESPONSE, AddVariable, FixMechanism, FixObject, RemoveVariable, apply_journaled,
+        behavioral_nash_small, build_mechanised_graph, decompose, parse_query,
+        reachability_paths, side_effects,
+    )
+
+    game = resolve_game("job_market")
+    scenario = resolve_scenario("commitment_revealed")
+    job = _job_from_scenario(scenario, argparse.Namespace(seed=None, epsilon=None))
+    steps = [p for _, c in scenario.interventions for p in c.steps]
+    add = AddVariable(
+        Variable("N", "chance", ("a", "b")), (), ("D1",),
+        cpd=TabularCPD("N", (), {(): (0.5, 0.5)}),
+    )
+    commit = FixMechanism("PI_D1", game.delta_rule("D1", "g"))
+    pin = FixObject("D1", (), TabularCPD.delta("D1", "g", game.domain("D1")))
+    applied = [apply_journaled(game, p)[1] for p in (add, commit, pin)]
+    steps += applied + [p.inverse for p in applied]
+    steps.append(RemoveVariable("N"))
+    roots = [
+        game, scenario, job, evaluate_query(job), BEST_RESPONSE,
+        pure_nash(game), behavioral_nash_small(game), job.decomposition(),
+        decompose(scenario.game, scenario.interventions, scenario.visibility),
+        side_effects(scenario.game, steps[0]), build_mechanised_graph(game),
+        reachability_paths(game, "PI_D1", "PI_D2"), steps,
+        induced_joint(game, pure_nash(game).outcomes[0]),
+        parse_query("forall ne: not P(D2=j) >= 0.5 and E[1] > 1 + 2 * 0.5 or E[total] < 3"),
+    ]
+    samples, seen, todo = {}, set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if dataclasses.is_dataclass(obj):
+            samples.setdefault(type(obj), []).append(obj)
+            todo += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        elif isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, frozenset, set)):
+            todo += obj
+    return samples
+
+
+def _reference(cls):
+    """``cls`` rebuilt by ``make_dataclass(frozen=True)``: the methods
+    ``dataclasses`` generates, over the same fields."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (f.name, f.type, dataclasses.field(
+                default=f.default, default_factory=f.default_factory,
+                compare=f.compare, hash=f.hash, repr=f.repr,
+            ))
+            for f in dataclasses.fields(cls)
+        ],
+        frozen=True,
+    )
+
+
+def _outcome(thunk):
+    try:
+        return "value", thunk()
+    except Exception as exc:  # the two classes must fail alike too
+        return type(exc).__name__, str(exc)
+
+
+def test_records_behave_as_generated_frozen_dataclasses():
+    """Each record agrees with a ``make_dataclass(frozen=True)`` twin on
+    equality, hashing, ``repr``, refused assignment and deletion,
+    ``replace``, defaults, refused arguments, its signature and its
+    docstring."""
+    import ast
+
+    classes = _record_classes()
+    assert len(classes) == 32
+    samples = _record_samples()
+    assert set(classes) <= set(samples), set(classes) - set(samples)
+    for cls in classes:
+        ref = _reference(cls)
+        twin = {id(x): ref(**{f.name: getattr(x, f.name) for f in dataclasses.fields(cls)})
+                for x in samples[cls]}
+        for x in samples[cls]:
+            rx = twin[id(x)]
+            assert repr(x) == repr(rx).replace(ref.__qualname__, cls.__qualname__, 1)
+            assert _outcome(lambda: hash(x)) == _outcome(lambda: hash(rx))
+            for y in samples[cls][:8]:
+                assert (x == y) == (rx == twin[id(y)])
+            assert x.__eq__(rx) is NotImplemented
+            name = dataclasses.fields(cls)[0].name
+            for act in (lambda o: setattr(o, name, None), lambda o: delattr(o, name),
+                        lambda o: setattr(o, "other", None)):
+                assert _outcome(lambda: act(x)) == _outcome(lambda: act(rx))
+                assert _outcome(lambda: act(x))[0] == "FrozenInstanceError"
+            same = replace(x)
+            assert type(same) is cls and same == x
+            assert replace(rx) == rx
+            required = {
+                f.name: getattr(x, f.name) for f in dataclasses.fields(cls)
+                if f.default is f.default_factory is dataclasses.MISSING
+            }
+            shown = repr(ref(**required)).replace(ref.__qualname__, cls.__qualname__, 1)
+            assert repr(cls(**required)) == repr(cls(*required.values())) == shown
+            args = [getattr(x, f.name) for f in dataclasses.fields(cls)]
+            for bad in ({"args": [*args, None]}, {"args": []},
+                        {"args": args, "kwargs": {name: args[0]}},
+                        {"args": args[:1], "kwargs": {"bogus": 1}}):
+                for c in (cls, ref):
+                    call = lambda: c(*bad["args"], **bad.get("kwargs", {}))
+                    assert _outcome(call)[0] == "TypeError"
+        params = inspect.signature(cls).parameters.values()
+        ref_params = inspect.signature(ref).parameters.values()
+        assert [(p.name, repr(p.default)) for p in params] == [
+            (p.name, repr(p.default)) for p in ref_params
+        ]
+        tree = ast.parse(inspect.getsource(inspect.getmodule(cls)))
+        [node] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls.__name__]
+        written = ast.get_docstring(node, clean=False)
+        assert cls.__doc__ == (written if written is not None else ref.__doc__)
+
+
+def test_a_copied_cpd_drops_its_kept_arrays(job_market):
+    cpd = job_market.cpds["U1"]
+    model._cpd_tensor(job_market, "U1", cpd)
+    assert "_arrays" in vars(cpd)
+    copied = copy.deepcopy(cpd)
+    assert "_arrays" not in vars(copied) and copied == cpd
