@@ -135,38 +135,41 @@ _OPEN = (yaml.SequenceStartEvent, yaml.MappingStartEvent)
 _CLOSE = (yaml.SequenceEndEvent, yaml.MappingEndEvent)
 
 
-def _check_nesting(text):
+def _check_events(text):
     """Refuse collections nested deeper than ``NEST_DEPTH`` before they are
     composed: libyaml's composer recurses on the C stack and overflows it.
+    Refuse anchors and aliases too: each alias repeats a whole value, so a
+    few hundred bytes can stand for a value, and a message, of any size.
 
     A level is a flow ``[`` or ``{``, or a block collection; block
     collections indent further at least every second level, and each
-    starts within a line.  A text under the bound these give, as the
-    bundled files are, costs no scan of its events."""
+    starts within a line.  A text under the bound these give and without
+    an ``&``, as the bundled files are, costs no scan of its events."""
     longest = max(map(len, text.split("\n")))
-    if text.count("[") + text.count("{") + 2 * longest + 1 <= NEST_DEPTH:
+    if "&" not in text and (
+        text.count("[") + text.count("{") + 2 * longest + 1 <= NEST_DEPTH
+    ):
         return
     loader = _Loader(text)
     try:
         depth = 0
         while loader.check_event():
             event = loader.get_event()
-            if isinstance(event, _OPEN):
-                depth += 1
-                if depth > NEST_DEPTH:
-                    raise yaml.MarkedYAMLError(
-                        problem=f"collections nested more than {NEST_DEPTH} deep",
-                        problem_mark=event.start_mark,
-                    )
-            elif isinstance(event, _CLOSE):
-                depth -= 1
+            depth += isinstance(event, _OPEN) - isinstance(event, _CLOSE)
+            if depth > NEST_DEPTH:
+                problem = f"collections nested more than {NEST_DEPTH} deep"
+            elif getattr(event, "anchor", None) is not None:
+                problem = "anchors and aliases are not supported"
+            else:
+                continue
+            raise yaml.MarkedYAMLError(problem=problem, problem_mark=event.start_mark)
     finally:
         loader.dispose()
 
 
 def _load_yaml(text, path):
     try:
-        _check_nesting(text)
+        _check_events(text)
         data = yaml.load(text, Loader=_Loader)
     except yaml.reader.ReaderError as exc:
         # it has no mark: the reader stops at the character's first occurrence

@@ -76,34 +76,16 @@ class Const:
 
 
 @_record
-class BinOp:
-    op: str
-    left: object
-    right: object
+class Chain:
+    ops: tuple  # operators of one precedence level, applied left to right
+    operands: tuple  # one more than ops
 
 
 @_record
-class Comparison:
-    op: str
-    left: object
-    right: object
-
-
-@_record
-class Not:
+class Prefix:
+    op: str  # "not" or "-"
+    count: int  # how many times op applies to body
     body: object
-
-
-@_record
-class And:
-    left: object
-    right: object
-
-
-@_record
-class Or:
-    left: object
-    right: object
 
 
 @_record
@@ -131,27 +113,39 @@ def _tokenize(text: str):
             raise QueryError(
                 f"parse error at column {pos + 1}: unexpected {rest[0]!r}"
             )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        pos = m.end()
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "num" and text[start] == "-" and tokens and (
+            tokens[-1][0] != "sym" or tokens[-1][1] in ("]", ")")
+        ):
+            kind, pos = "sym", start + 1  # a '-' after an operand subtracts
+        tokens.append((kind, text[start:pos], start))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
+def _boolean(node) -> bool:
+    """Whether a formula node is a truth value rather than a number."""
+    if isinstance(node, Prefix):
+        return node.op == "not"
+    return isinstance(node, Chain) and node.ops[0] not in ("+", "-", "*")
+
+
 class _Parser:
-    """Recursive-descent parser for the query grammar.
+    """Parser for the query grammar, loosest level first.  It has no
+    parentheses, so a chain of one level's operators is parsed by one loop
+    and a run of prefix operators is counted: no input recurses deeper than
+    the levels.
 
     query  := mode ':' formula
     mode   := 'forall' 'ne' | 'exists' 'ne' | 'sampled'
-    formula:= disjunction | expr            (bare expr allowed at top level)
-    atom   := expr cmp expr
+    formula:= conj ('or' conj)*              (a lone atom may be a bare expr)
+    conj   := neg ('and' neg)*
+    neg    := 'not'* atom
+    atom   := expr [cmp expr]
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := '-' factor | 'P' '(' event ')' | 'E' '[' agent ']' | number
+    factor := '-'* ('P' '(' event ')' | 'E' '[' agent ']' | number)
     event  := NAME '=' value (',' NAME '=' value)*
     """
 
@@ -193,76 +187,64 @@ class _Parser:
         else:
             self.fail("'forall ne', 'exists ne', or 'sampled'")
         self.expect("sym", ":")
-        body = self.formula(top=True)
+
+        def negation():
+            return self.prefixed("not", self.atom)
+
+        body = self.chain(("or",), lambda: self.chain(("and",), negation))
         if self.peek()[0] != "eof":
             self.fail(self.end)
         return Query(mode, body)
 
-    def formula(self, top=False):
-        node = self.conjunction()
-        while self.peek()[:2] == ("name", "or"):
-            self.next()
-            right = self.conjunction()
-            self._require_boolean(node)
-            self._require_boolean(right)
-            node = Or(node, right)
-        if not top:
-            self._require_boolean(node)
-        return node
+    def chain(self, ops, operand):
+        """``operand (op operand)*`` for the operators ``ops`` of one level:
+        a ``Chain``, or the lone operand.  Both operands of ``and`` and
+        ``or`` must be truth values, checked once the right one has parsed."""
+        found, operands = [], [operand()]
+        while self.peek()[1] in ops:
+            found.append(self.next()[1])
+            operands.append(operand())
+            if found[0] in ("and", "or"):
+                self._require_boolean(operands[-2])
+                self._require_boolean(operands[-1])
+        return Chain(tuple(found), tuple(operands)) if found else operands[0]
 
-    def conjunction(self):
-        node = self.negation()
-        while self.peek()[:2] == ("name", "and"):
+    def prefixed(self, op, operand):
+        """A run of the prefix ``op`` before ``operand()``: a ``Prefix`` with
+        the run's length, or the lone operand."""
+        count = 0
+        while self.peek()[1] == op:
             self.next()
-            right = self.negation()
-            self._require_boolean(node)
-            self._require_boolean(right)
-            node = And(node, right)
-        return node
-
-    def negation(self):
-        if self.peek()[:2] == ("name", "not"):
-            self.next()
-            body = self.negation()
+            count += 1
+        body = operand()
+        if not count:
+            return body
+        if op == "not":
             self._require_boolean(body)
-            return Not(body)
-        return self.atom()
+        return Prefix(op, count, body)
 
     def _require_boolean(self, node):
-        if not isinstance(node, (Comparison, Not, And, Or)):
+        if not _boolean(node):
             raise QueryError(
                 "type mismatch: expected a comparison, got a bare expression"
             )
 
     def atom(self):
-        left = self.expr()
+        def expr():
+            return self.chain(("+", "-"), lambda: self.chain(("*",), factor))
+
+        def factor():
+            return self.prefixed("-", self.operand)
+
+        left = expr()
         kind, value, _ = self.peek()
         if kind == "sym" and value in ("<", "<=", "=", ">=", ">"):
             self.next()
-            right = self.expr()
-            return Comparison(value, left, right)
+            return Chain((value,), (left, expr()))
         return left
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] == "sym" and self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[:2] == ("sym", "*"):
-            self.next()
-            node = BinOp("*", node, self.factor())
-        return node
-
-    def factor(self):
-        kind, value, pos = self.peek()
-        if kind == "sym" and value == "-":
-            self.next()
-            inner = self.factor()
-            return BinOp("-", Const(0.0), inner)
+    def operand(self):
+        kind, value, _ = self.peek()
         if kind == "num":
             self.next()
             return Const(float(value))
@@ -279,7 +261,7 @@ class _Parser:
             if k == "name" and v == "total":
                 self.next()
                 agent = "total"
-            elif k == "num" and float(v) == int(float(v)):
+            elif k == "num" and float(v).is_integer():
                 self.next()
                 agent = int(float(v))
             else:
@@ -324,25 +306,31 @@ def _resolve_value(game: CausalGame, variable: str, token: str):
 
 
 def _evaluate(node, atom, eps):
-    """A formula's or expression's value, reading each atom from ``atom``."""
+    """A formula's or expression's value, reading each atom from ``atom``.
+    A chain folds left to right; ``and`` and ``or`` stop at the first
+    operand that decides them, leaving the rest unread."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, (Prob, Utility)):
         return atom(node)
-    if isinstance(node, Not):
-        return not _evaluate(node.body, atom, eps)
-    if isinstance(node, And):
-        return _evaluate(node.left, atom, eps) and _evaluate(node.right, atom, eps)
-    if isinstance(node, Or):
-        return _evaluate(node.left, atom, eps) or _evaluate(node.right, atom, eps)
-    if not isinstance(node, (BinOp, Comparison)):
+    if isinstance(node, Prefix):
+        value = _evaluate(node.body, atom, eps)
+        for _ in range(node.count):
+            value = not value if node.op == "not" else 0.0 - value
+        return value
+    if not isinstance(node, Chain):
         raise QueryError(f"cannot evaluate {node!r} as an expression")
-    a = _evaluate(node.left, atom, eps)
-    b = _evaluate(node.right, atom, eps)
-    return {
-        "+": a + b, "-": a - b, "*": a * b, "=": abs(a - b) <= eps,
-        "<=": a <= b + eps, ">=": a >= b - eps, "<": a < b - eps, ">": a > b + eps,
-    }[node.op]
+    a = _evaluate(node.operands[0], atom, eps)
+    for op, right in zip(node.ops, node.operands[1:]):
+        if op == "and" and not a or op == "or" and a:
+            break
+        b = _evaluate(right, atom, eps)
+        a = {
+            "+": a + b, "-": a - b, "*": a * b, "=": abs(a - b) <= eps,
+            "<=": a <= b + eps, ">=": a >= b - eps, "<": a < b - eps,
+            ">": a > b + eps, "and": b, "or": b,
+        }[op]
+    return a
 
 
 def _at_leaves(game, leaves, value) -> list[float]:
@@ -496,7 +484,6 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     rng = random.Random(job.seed)
     found: list[tuple] = []  # per leaf: (choices, realized rules)
     trace: list[dict] = []
-    layout: dict = {}  # id of a stage rule array -> the stage game it fits
 
     # The stage games do not depend on the branch: each stage's game, held
     # by the decomposition, is solved once and the walk branches over its
@@ -574,7 +561,6 @@ def evaluate_query(job: QueryJob) -> QueryResult:
                 picked = range(len(outcomes))
             branches = [(k, {d: outcomes[k][d] for d in to_fix}) for k in picked]
         held.update((d, _layout(variables, d, game.parents_of(d))) for d in to_fix)
-        layout.update((id(r), game) for _, rules in branches for r in rules.values())
         plan.append((record, edits, branches))
 
     def final_rules(realized):  # resolved against the final game
@@ -623,8 +609,8 @@ def evaluate_query(job: QueryJob) -> QueryResult:
     def table(decision, rule):  # a rule fix is a TabularCPD already
         if isinstance(rule, TabularCPD):
             return rule
-        if id(rule) not in tables:
-            tables[id(rule)] = _rule_of(layout[id(rule)], decision, rule)
+        if id(rule) not in tables:  # a held rule fits the final game's layout
+            tables[id(rule)] = _rule_of(final, decision, rule)
         return tables[id(rule)]
 
     leaves = [
@@ -635,9 +621,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
         for i, (c, r) in enumerate(found)
     ]
     values = [leaf.value for leaf in leaves]
-    bare = not isinstance(
-        query.body, (Comparison, Not, And, Or)
-    )
+    bare = not _boolean(query.body)
     if query.mode == "sampled":
         verdict = values[0]
     elif bare:

@@ -177,6 +177,26 @@ def test_nesting_within_the_bound_parses(prisoners):
         parse_game(deep)
 
 
+def test_yaml_aliases_are_one_error_line(capsys, tmp_path):
+    """Five levels of ten aliases each: the parent's message showed the
+    expanded value, one 580 289-byte line for a 307-byte file."""
+    levels = ["&l0 [" + ", ".join(["x"] * 10) + "]"] + [
+        f"&l{i} [" + ", ".join([f"*l{i - 1}"] * 10) + "]" for i in range(1, 5)
+    ]
+    path = tmp_path / "aliases.game.yaml"
+    path.write_text(
+        "agents: 1\nvariables: []\ncpds: {}\nrationality: [" + ", ".join(levels) + "]\n"
+    )
+    assert path.stat().st_size == 307
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line 4, column 15: anchors and aliases are not supported\n"
+    scenario = tmp_path / "anchor.scenario.yaml"
+    scenario.write_text("game: g\nquery: &q 'sampled: E[1]'\n")
+    with pytest.raises(GameFileError, match="line 2, column 8: anchors and aliases"):
+        load_scenario(str(scenario))
+
+
 def test_scenario_unfix_round_trip(tmp_path, prisoners):
     game_path = tmp_path / "pd.game.yaml"
     game_path.write_text(serialize_game(prisoners))
@@ -853,6 +873,30 @@ def test_cli_queries_reproduce_reference_values(capsys):
         code, out, _ = run_cli(capsys, "query", scenario)
         assert code == 0
         assert f"verdict: {expected}" in out
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "not " * 3000 + "E[1] >= 0",
+        "- " * 3000 + "E[1] <= 100",
+        " + ".join(["E[1]"] * 3000) + " >= -1e9",
+        " and ".join(["E[1] >= -10"] * 3000),
+    ],
+    ids=["not_3000", "minus_3000", "sum_3000", "and_3000"],
+)
+def test_cli_query_length_is_unlimited(capsys, tmp_path, body):
+    """The parent's parser and evaluator recursed once per ``not``, unary
+    ``-`` or binary operator, and these ended in ``RecursionError``."""
+    fixtures = Path(causalgames.__file__).parent / "fixtures"
+    (tmp_path / "pd.game.yaml").write_text(
+        (fixtures / "prisoners_dilemma.game.yaml").read_text()
+    )
+    path = tmp_path / "long.scenario.yaml"
+    path.write_text(f'game: pd.game.yaml\nquery: "forall ne: {body}"\n')
+    code, out, err = run_cli(capsys, "query", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: ")
 
 
 def test_cli_query_seed_stable(capsys):

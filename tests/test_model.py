@@ -948,7 +948,7 @@ def test_records_behave_as_generated_frozen_dataclasses():
     import ast
 
     classes = _record_classes()
-    assert len(classes) == 32
+    assert len(classes) == 29
     samples = _record_samples()
     assert set(classes) <= set(samples), set(classes) - set(samples)
     for cls in classes:

@@ -33,7 +33,7 @@ from causalgames import equilibrium, interventions, model, queries
 from causalgames.cli import _job_from_scenario, main, resolve_scenario
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.model import DECISION, event_factor, expectations, utility_factors
-from causalgames.queries import Comparison, Const, Prob, Utility
+from causalgames.queries import Chain, Const, Prefix, Prob, Utility
 from helpers import (
     brute_force_joint,
     expected_utility_from_joint,
@@ -50,28 +50,50 @@ from helpers import (
 def test_parse_forall_comparison():
     q = parse_query("forall ne: E[1] >= 2")
     assert q.mode == "forall"
-    assert isinstance(q.body, Comparison)
-    assert q.body.op == ">="
-    assert q.body.left == Utility(1)
-    assert q.body.right == Const(2.0)
+    assert isinstance(q.body, Chain)
+    assert q.body.ops == (">=",)
+    assert q.body.operands == (Utility(1), Const(2.0))
 
 
 def test_parse_exists_probability():
     q = parse_query("exists ne: P(D2=j) = 1")
     assert q.mode == "exists"
-    assert q.body.left == Prob((("D2", "j"),))
+    assert q.body.operands[0] == Prob((("D2", "j"),))
 
 
 def test_parse_sampled_total():
     q = parse_query("sampled: E[total] > -5")
     assert q.mode == "sampled"
-    assert q.body.left == Utility("total")
-    assert q.body.right == Const(-5.0)
+    assert q.body.operands == (Utility("total"), Const(-5.0))
+
+
+def test_minus_after_an_operand_subtracts():
+    """A ``-`` right after a number, a name, ``]`` or ``)`` is subtraction;
+    elsewhere it still starts a negative number or a domain value."""
+    diff = Chain(("-",), (Utility(1), Const(1.0)))
+    assert parse_query("forall ne: E[1]-1 >= 0").body == Chain((">=",), (diff, Const(0.0)))
+    assert parse_query("sampled: 2-1").body == Chain(("-",), (Const(2.0), Const(1.0)))
+    assert parse_query("sampled: P(D1=C)-1").body.ops == ("-",)
+    assert parse_query("sampled: E[1]*-2").body == Chain(("*",), (Utility(1), Const(-2.0)))
+    assert parse_query("exists ne: P(D1=-1) = 1").body.operands[0] == Prob((("D1", "-1"),))
 
 
 def test_parse_connectives_and_arithmetic():
     q = parse_query("forall ne: not P(D1=g) > 1 and E[1] + 2 * E[2] <= 10")
     assert q.mode == "forall"
+    # chains of one level are flat, and a run of prefixes is counted
+    body = parse_query("forall ne: not not - - E[1] - 2 + 3 * 4 * 5 < 0 and E[2] = 1").body
+    assert body == Chain(("and",), (
+        Prefix("not", 2, Chain(("<",), (
+            Chain(("-", "+"), (
+                Prefix("-", 2, Utility(1)),
+                Const(2.0),
+                Chain(("*", "*"), (Const(3.0), Const(4.0), Const(5.0))),
+            )),
+            Const(0.0),
+        ))),
+        Chain(("=",), (Utility(2), Const(1.0))),
+    ))
 
 
 def test_parse_errors_carry_position():
@@ -81,6 +103,60 @@ def test_parse_errors_carry_position():
         parse_query("E[1] >= 2")
     with pytest.raises(QueryError, match="comparison"):
         parse_query("forall ne: E[1] and E[2] >= 0")
+    with pytest.raises(QueryError, match="expected an agent index or 'total', got '1e999'"):
+        parse_query("sampled: E[1e999]")
+
+
+_ATOMS = {"E[1]": 1.5, "E[2]": -2.0, "E[total]": -0.5, "P(D1=C)": 0.25, "P(D1=D)": 0.75}
+
+
+@st.composite
+def _formulas(draw):
+    """A formula in the query grammar, or a bare expression, as text: runs
+    of ``not`` and of unary ``-``, and every operator."""
+    def joined(part, ops, most, sep=" "):
+        text = part()
+        for _ in range(draw(st.integers(0, most - 1))):
+            text += sep + draw(st.sampled_from(ops)) + sep + part()
+        return text
+
+    def factor():
+        base = draw(st.sampled_from([*_ATOMS, "2", "0.5", "-3", "1e1"]))
+        return "- " * draw(st.integers(0, 3)) + base
+
+    def expr():
+        sep = draw(st.sampled_from([" ", ""]))
+        return joined(lambda: joined(factor, ["*"], 3, sep), ["+", "-"], 4, sep)
+
+    def negated():
+        cmp = draw(st.sampled_from(["<", "<=", "=", ">=", ">"]))
+        return "not " * draw(st.integers(0, 3)) + f"{expr()} {cmp} {expr()}"
+
+    if draw(st.booleans()):
+        return expr()
+    return joined(lambda: joined(negated, ["and"], 3), ["or"], 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas())
+def test_formulas_evaluate_as_python_does(text):
+    """At epsilon 0 a formula's value is Python's for the same text, whose
+    precedence (or < and < not < comparison < + - < * < unary -) is the
+    grammar's."""
+    want = eval(text.replace(" = ", " == "), {
+        "E": {1: _ATOMS["E[1]"], 2: _ATOMS["E[2]"], "total": _ATOMS["E[total]"]},
+        "total": "total", "C": "C", "D": "D",
+        "P": lambda D1: _ATOMS[f"P(D1={D1})"],
+    })
+    body = parse_query(f"sampled: {text}").body
+    got = queries._evaluate(body, lambda n: _ATOMS[_atom_text(n)], 0.0)
+    assert got == want and isinstance(got, bool) == isinstance(want, bool)
+
+
+def _atom_text(node):
+    if isinstance(node, Prob):
+        return "P(" + ",".join(f"{v}={t}" for v, t in node.event) + ")"
+    return f"E[{node.agent}]"
 
 
 def test_query_rejects_unknown_entities(prisoners):
