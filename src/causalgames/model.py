@@ -16,8 +16,10 @@ their first call, so a program that only reads a game's structure (its
 graphs, interventions and validation) never loads it.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs; nothing here holds shared mutable state.  A CPD
-keeps the arrays built from it (``_cpd_tensor``), and those are read-only.
+function of its inputs.  The one shared mutable state is the cache of
+contraction plans (``_plan``): keyed by factors' labels and shapes only,
+bounded by ``PLAN_CACHE``, and holding no array or value.  A CPD keeps
+the arrays built from it (``_cpd_tensor``), and those are read-only.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ SHOWN_EPS = 1e-12  # a mixed rule's text lists actions with more probability
 ROUND_DIGITS = 12  # digits kept in reported and serialised numbers
 ENUM_BUDGET = 1 << 16  # most rule profiles or witness paths enumerated
 NEST_DEPTH = 200  # most nested collections in a game or scenario file
-DIRECT_SPACE = 1 << 12  # most index entries a contraction sums in one einsum, unplanned
+DIRECT_SPACE = 1 << 12  # most index entries a contraction sums in one einsum, unordered
+PLAN_CACHE = 256  # most contraction plans kept, the least recently used dropped
 STABLE_CHUNK = 256  # most corners verified at once (memory ~ chunk)
 
 CHANCE = "chance"
@@ -840,10 +843,12 @@ def _max_axes() -> int:
     return MAXDIMS
 
 
+_SUBSCRIPTS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"  # numpy's, in order
+
+
 def _max_labels() -> int:
-    """Most labels one einsum carries: an axis each, and its sublist
-    subscripts stop at 52."""
-    return min(52, _max_axes())
+    """Most labels one einsum carries: an axis and a subscript letter each."""
+    return min(len(_SUBSCRIPTS), _max_axes())
 
 
 def _check_axes(count: int, what: str) -> None:
@@ -853,92 +858,112 @@ def _check_axes(count: int, what: str) -> None:
         )
 
 
-def _einsum(parts, out) -> np.ndarray:
-    """Product of the labelled arrays ``parts``, summed onto the labels ``out``.
-
-    Past numpy's operand cap the first operands are multiplied apart, onto
-    the labels that the rest or ``out`` still carry.  A product over more
-    labels than one einsum takes is a ``SolverError``.
-    """
-    import numpy as np
-
-    most = _max_axes() - 1
-    while len(parts) > most:
-        head, parts = parts[:most], parts[most:]
-        need = set(out).union(*(scope for scope, _ in parts))
-        scope = tuple(dict.fromkeys(x for s, _ in head for x in s if x in need))
-        parts = [(scope, _einsum(head, scope)), *parts]
-    ids: dict = {}
-    args = []
-    for scope, array in parts:
-        args += [array, [ids.setdefault(x, len(ids)) for x in scope]]
-    if len(ids) > _max_labels():
-        raise SolverError(
-            f"a contraction step spans {len(ids)} variables; numpy's einsum "
-            f"takes at most {_max_labels()}"
-        )
-    return np.einsum(*args, [ids[x] for x in out])
-
-
 def _contract(factors, keep) -> np.ndarray:
     """Sum every label outside ``keep`` out of the product of ``factors``.
 
     ``factors`` are ``(labels, array)`` pairs, one array axis per label.
-    When the labels span at most ``DIRECT_SPACE`` index entries, one einsum
-    multiplies all factors at once: planning an order costs more than it
-    saves on so little arithmetic.  numpy caps the labels of an einsum (see
-    ``_max_labels``), so larger sets are planned too.  Otherwise variable
-    elimination: the labels go one at a time, each time the one whose
-    summed-out factor is smallest (greedy min-size), and one einsum
-    multiplies just the factors that carry it, so no step sees more labels
-    than that factor and the label being summed.  The result has one axis
-    per ``keep`` label, in order, of length 1 where no factor carries it.
+    The einsum steps come from ``_plan``, made once per signature (each
+    factor's labels and shape, ``keep`` and ``DIRECT_SPACE``) and kept
+    among the last ``PLAN_CACHE``; here they run on the arrays.  The result
+    has one axis per ``keep`` label, in order, of length 1 where no factor
+    carries it.
+    """
+    import numpy as np
+
+    steps, shape = _plan(
+        tuple((scope, array.shape) for scope, array in factors),
+        tuple(keep),
+        DIRECT_SPACE,
+    )
+    live = [array for _, array in factors]
+    for ids, subscripts in steps:
+        operands = [live[i] for i in ids]
+        for i in ids:
+            live[i] = None  # each operand is read once
+        live.append(np.einsum(subscripts, *operands))
+    return live[-1].reshape(shape)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(signature, keep, space) -> tuple:
+    """The einsum steps contracting factors of these ``(labels, shape)``
+    onto ``keep``, and the result's shape.
+
+    A step is ``(ids, subscripts)``: its operands' positions in the list
+    of the factors followed by each earlier step's result, and its einsum
+    subscripts, a letter per label (numpy refuses integer sublists past
+    about 256 characters).  When the labels span at most ``space`` index
+    entries, one step multiplies all factors at once: ordering costs more
+    than it saves on so little arithmetic.  numpy caps the labels of an
+    einsum (see ``_max_labels``), so larger sets are ordered too.
+    Otherwise variable elimination: the labels go one at a time, each time
+    the one whose summed-out factor is smallest (greedy min-size), and one
+    step multiplies just the factors that carry it, so no step sees more
+    labels than that factor and the label being summed.  Past numpy's
+    operand cap the first operands of a step are multiplied apart, onto the
+    labels that the rest or its output still carry.  A step over more
+    labels than one einsum takes is a ``SolverError``.
     """
     size = {}
-    for scope, array in factors:
-        size.update(zip(scope, array.shape))
-    if len(size) > _max_labels() or math.prod(size.values()) > DIRECT_SPACE:
-        factors = _eliminate(factors, keep, size)
-    out = _einsum(factors, [x for x in keep if x in size])
-    return out.reshape([size.get(x, 1) for x in keep])
+    for scope, shape in signature:
+        size.update(zip(scope, shape))
+    steps = []
 
+    def step(parts, out) -> int:
+        """Add the product of ``parts``, ``(id, labels)`` pairs, summed onto
+        the labels ``out``; return its id."""
+        most = _max_axes() - 1
+        while len(parts) > most:
+            head, parts = parts[:most], parts[most:]
+            need = set(out).union(*(scope for _, scope in parts))
+            scope = tuple(dict.fromkeys(x for _, s in head for x in s if x in need))
+            parts = [(step(head, scope), scope), *parts]
+        labels = dict.fromkeys(x for _, s in parts for x in s)
+        if len(labels) > _max_labels():
+            raise SolverError(
+                f"a contraction step spans {len(labels)} variables; numpy's einsum "
+                f"takes at most {_max_labels()}"
+            )
+        letter = dict(zip(labels, _SUBSCRIPTS))
+        subscripts = ",".join("".join(map(letter.get, s)) for _, s in parts)
+        subscripts += "->" + "".join(map(letter.get, out))
+        steps.append((tuple(i for i, _ in parts), subscripts))
+        return len(signature) + len(steps) - 1
 
-def _eliminate(factors, keep, size) -> list[tuple]:
-    """``factors`` with every label outside ``keep`` summed out, in greedy
-    min-size order (see ``_contract``); ``size`` is each label's length."""
-    live = dict(enumerate(factors))
-    holders: dict = {}  # label -> ids of the live factors carrying it, ascending
-    for i, (scope, _) in live.items():
-        for x in scope:
-            holders.setdefault(x, []).append(i)
-    rank = {x: k for k, x in enumerate(holders)}  # ties go to the first seen
+    live = {i: scope for i, (scope, _) in enumerate(signature)}
+    if len(size) > _max_labels() or math.prod(size.values()) > space:
+        holders: dict = {}  # label -> ids of the live factors carrying it, ascending
+        for i, scope in live.items():
+            for x in scope:
+                holders.setdefault(x, []).append(i)
+        rank = {x: k for k, x in enumerate(holders)}  # ties go to the first seen
 
-    def merged_scope(label):
-        return tuple(dict.fromkeys(
-            x for i in holders[label] for x in live[i][0] if x != label
-        ))
+        def merged_scope(label):
+            return tuple(dict.fromkeys(
+                x for i in holders[label] for x in live[i] if x != label
+            ))
 
-    cost = {x: math.prod(size[y] for y in merged_scope(x))
-            for x in holders if x not in keep}
-    heap = [(c, rank[x], x) for x, c in cost.items()]
-    heapq.heapify(heap)
-    new = len(live)
-    while heap:
-        c, _, label = heapq.heappop(heap)
-        if cost.get(label) != c:  # eliminated, or stale
-            continue
-        del cost[label]
-        scope = merged_scope(label)
-        ids = holders.pop(label)
-        live[new] = scope, _einsum([live.pop(i) for i in ids], scope)
-        for x in scope:
-            holders[x] = [i for i in holders[x] if i not in ids] + [new]
-        for x in scope:
-            if x in cost:
-                cost[x] = math.prod(size[y] for y in merged_scope(x))
-                heapq.heappush(heap, (cost[x], rank[x], x))
-        new += 1
-    return list(live.values())
+        cost = {x: math.prod(size[y] for y in merged_scope(x))
+                for x in holders if x not in keep}
+        heap = [(c, rank[x], x) for x, c in cost.items()]
+        heapq.heapify(heap)
+        while heap:
+            c, _, label = heapq.heappop(heap)
+            if cost.get(label) != c:  # eliminated, or stale
+                continue
+            del cost[label]
+            scope = merged_scope(label)
+            ids = holders.pop(label)
+            new = step([(i, live.pop(i)) for i in ids], scope)
+            live[new] = scope
+            for x in scope:
+                holders[x] = [i for i in holders[x] if i not in ids] + [new]
+            for x in scope:
+                if x in cost:
+                    cost[x] = math.prod(size[y] for y in merged_scope(x))
+                    heapq.heappush(heap, (cost[x], rank[x], x))
+    step(list(live.items()), [x for x in keep if x in size])
+    return tuple(steps), tuple(size.get(x, 1) for x in keep)
 
 
 def require_budget(game: CausalGame, decisions) -> None:

@@ -7,19 +7,23 @@ independence is checked numerically on the joint table, d-separation by
 ``networkx`` on graphs rebuilt from a game's definition, and hitting sets
 are verified by exhaustive subset scans.  The ``loop_*`` functions keep
 earlier forms of library code as references for the forms that replaced
-them, and ``reference_pure_rules`` enumerates pure rules apart from the
-solvers' one-hot stacks.
+them, ``unplanned_contract`` is the contraction kernel as it ran before
+its plans were kept, and ``reference_pure_rules`` enumerates pure rules
+apart from the solvers' one-hot stacks.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
+from causalgames import model
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.errors import InterventionError, SolverError
 from causalgames.graphs import (
@@ -532,6 +536,76 @@ def loop_pure_nash(game: CausalGame, eps: float = 1e-7) -> RationalOutcomeSet:
         for profile, eu, keys in tabulated
         if not any(best[a][keys[a]] > eu[a] + eps for a in agents)
     ))
+
+
+def unplanned_contract(factors, keep) -> np.ndarray:
+    """``model._contract`` worked out on every call, the reference for its
+    kept plans: one einsum when the labels span at most
+    ``model.DIRECT_SPACE`` entries (read per call) and fit one einsum,
+    otherwise greedy min-size elimination, each step chunked past numpy's
+    operand cap."""
+    size = {}
+    for scope, array in factors:
+        size.update(zip(scope, array.shape))
+    if len(size) > model._max_labels() or math.prod(size.values()) > model.DIRECT_SPACE:
+        factors = _unplanned_eliminate(factors, keep, size)
+    out = _unplanned_einsum(factors, [x for x in keep if x in size])
+    return out.reshape([size.get(x, 1) for x in keep])
+
+
+def _unplanned_einsum(parts, out) -> np.ndarray:
+    most = model._max_axes() - 1
+    while len(parts) > most:
+        head, parts = parts[:most], parts[most:]
+        need = set(out).union(*(scope for scope, _ in parts))
+        scope = tuple(dict.fromkeys(x for s, _ in head for x in s if x in need))
+        parts = [(scope, _unplanned_einsum(head, scope)), *parts]
+    ids: dict = {}
+    args = []
+    for scope, array in parts:
+        args += [array, [ids.setdefault(x, len(ids)) for x in scope]]
+    if len(ids) > model._max_labels():
+        raise SolverError(
+            f"a contraction step spans {len(ids)} variables; numpy's einsum "
+            f"takes at most {model._max_labels()}"
+        )
+    return np.einsum(*args, [ids[x] for x in out])
+
+
+def _unplanned_eliminate(factors, keep, size) -> list[tuple]:
+    live = dict(enumerate(factors))
+    holders: dict = {}  # label -> ids of the live factors carrying it, ascending
+    for i, (scope, _) in live.items():
+        for x in scope:
+            holders.setdefault(x, []).append(i)
+    rank = {x: k for k, x in enumerate(holders)}  # ties go to the first seen
+
+    def merged_scope(label):
+        return tuple(dict.fromkeys(
+            x for i in holders[label] for x in live[i][0] if x != label
+        ))
+
+    cost = {x: math.prod(size[y] for y in merged_scope(x))
+            for x in holders if x not in keep}
+    heap = [(c, rank[x], x) for x, c in cost.items()]
+    heapq.heapify(heap)
+    new = len(live)
+    while heap:
+        c, _, label = heapq.heappop(heap)
+        if cost.get(label) != c:  # eliminated, or stale
+            continue
+        del cost[label]
+        scope = merged_scope(label)
+        ids = holders.pop(label)
+        live[new] = scope, _unplanned_einsum([live.pop(i) for i in ids], scope)
+        for x in scope:
+            holders[x] = [i for i in holders[x] if i not in ids] + [new]
+        for x in scope:
+            if x in cost:
+                cost[x] = math.prod(size[y] for y in merged_scope(x))
+                heapq.heappush(heap, (cost[x], rank[x], x))
+        new += 1
+    return list(live.values())
 
 
 def numeric_conditional_independence(

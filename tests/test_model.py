@@ -1,9 +1,11 @@
 import argparse
 import copy
 import dataclasses
+import gc
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
 import random
 from dataclasses import replace
@@ -44,6 +46,7 @@ from helpers import (
     random_multi_decision_game,
     random_rich_game,
     reference_pure_rules,
+    unplanned_contract,
 )
 
 
@@ -611,11 +614,77 @@ def test_planned_and_direct_contractions_agree(data):
         factors.append((scope, rng.random([size[x] for x in scope]) + 0.5))
     keep = tuple(data.draw(st.lists(st.sampled_from(labels), unique=True)))
     want = _reference_contraction(factors, keep)
+    steps = []
     for space in (0, 1 << 62):
-        with mock.patch.object(model, "DIRECT_SPACE", space):
+        with mock.patch.object(model, "DIRECT_SPACE", space), \
+                mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
             got = model._contract(factors, keep)
+        steps.append(einsum.call_count)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # ``DIRECT_SPACE`` is in the plan's key, so each setting runs its own
+    # plan: one einsum per summed-out label and one more, or a single one
+    summed = {x for scope, _ in factors for x in scope} - set(keep)
+    assert steps == [len(summed) + 1, 1]
+
+
+def _plan_of(factors, keep):
+    """The plan ``model._contract`` follows for ``factors`` onto ``keep``."""
+    signature = tuple((scope, array.shape) for scope, array in factors)
+    return model._plan(signature, keep, model.DIRECT_SPACE)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` by the garbage collector's
+    references, ``root`` included."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_kept_plans_contract_bit_identically_to_the_unplanned_kernel(data):
+    """Random factor sets, with labels of size 1, kept labels that no factor
+    carries, both label kinds and sometimes more factors than one einsum
+    takes, under ``DIRECT_SPACE`` 0, as set and unbounded: the first
+    contraction plans, the second reuses that plan, the third reuses it on
+    fresh arrays of the same shapes.  Each equals the kernel that plans per
+    call exactly, and the kept plan holds only tuples, ints and strings."""
+    labels = ["a", "b", "c", ("rule", "c"), "d", ("rule", "d"), ("leaf",), "e"]
+    size = {x: data.draw(st.integers(1, 3)) for x in labels}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.one_of(st.integers(1, 6), st.integers(60, 70)))
+    width = len(labels) if n <= 6 else 2  # the reference's sublists stop near 256 characters
+    scopes = [
+        tuple(data.draw(st.lists(st.sampled_from(labels), unique=True, max_size=width)))
+        for _ in range(n)
+    ]
+    keep = tuple(data.draw(st.lists(st.sampled_from(labels), unique=True)))
+    space = data.draw(st.sampled_from([0, model.DIRECT_SPACE, 1 << 62]))
+
+    def draw_factors():
+        return [(s, rng.random([size[x] for x in s]) + 0.5) for s in scopes]
+
+    factors = draw_factors()
+    model._plan.cache_clear()
+    with mock.patch.object(model, "DIRECT_SPACE", space):
+        want = unplanned_contract(factors, keep)
+        cold = model._contract(factors, keep)
+        assert model._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
+        cached = model._contract(factors, keep)
+        fresh = draw_factors()
+        again = model._contract(fresh, keep)
+        assert model._plan.cache_info()[:2] == (2, 1)
+        plan = _plan_of(factors, keep)
+        assert np.array_equal(again, unplanned_contract(fresh, keep))
+    for got in (cold, cached):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert {type(obj) for obj in _reachable(plan)} <= {tuple, int, str}
 
 
 def _one_value_chain_game(links):
@@ -670,11 +739,43 @@ def test_contractions_past_numpys_einsum_limits_are_planned():
 def test_a_step_past_einsums_label_cap_is_a_solver_error():
     """Summing out ``X`` of a 62-child fan multiplies 63 factors over 63
     labels, past the 52 one einsum takes (numpy 1.x refuses ``U``'s
-    63-axis table first)."""
+    63-axis table first).  The error is raised again on a second call:
+    no plan is kept for it."""
     game = fan_game(62)
     assert validate_game(game) == []
-    with pytest.raises(SolverError, match="numpy"):
-        expected_utility(game, PolicyProfile({}), 1)
+    for _ in range(2):
+        with pytest.raises(SolverError, match="numpy"):
+            expected_utility(game, PolicyProfile({}), 1)
+
+
+def test_a_step_past_numpys_sublist_length_is_contracted():
+    """Six one-value roots, each read by every link of a 40-link one-value
+    chain into the utility: one einsum over 47 factors whose integer
+    sublists numpy refuses as too long (about 330 characters)."""
+    ys = [f"Y{i}" for i in range(6)]
+    cs = [f"C{i}" for i in range(40)]
+    parents = {**{y: () for y in ys}, "U": (cs[-1],)}
+    parents.update({c: (*ys, *cs[i - 1:i]) for i, c in enumerate(cs)})
+    cpds = {n: TabularCPD(n, parents[n], {("x",) * len(parents[n]): (1.0,)})
+            for n in ys + cs}
+    cpds["U"] = TabularCPD("U", (cs[-1],), {("x",): (0.25, 0.75)})
+    game = CausalGame(
+        1,
+        tuple(Variable(n, "chance", ("x",)) for n in ys + cs)
+        + (Variable("U", "utility", (0, 1), 1),),
+        parents,
+        cpds,
+    )
+    assert validate_game(game) == []
+    assert expected_utility(game, PolicyProfile({}), 1) == 0.75
+
+
+def test_the_plan_cache_keeps_the_last_plan_cache_plans():
+    model._plan.cache_clear()
+    for n in range(1, model.PLAN_CACHE + 2):
+        model._contract([(("a",), np.ones(n))], ())
+    info = model._plan.cache_info()
+    assert (info.misses, info.currsize) == (model.PLAN_CACHE + 1, model.PLAN_CACHE)
 
 
 @pytest.mark.parametrize("n", [64, 70])
@@ -703,10 +804,18 @@ def test_a_rule_stack_past_numpys_axis_cap_is_a_solver_error():
 
 
 def test_a_step_past_einsums_operand_cap_is_multiplied_in_chunks():
-    assert model._contract([(("a",), np.ones(2))] * 70, ()) == 2.0
+    """Each chunk folds the first ``most`` operands into one, so ``n``
+    operands take ``ceil((n - most) / (most - 1))`` chunks before the
+    step itself: 2 under numpy 1.x (``most`` 31), 1 under 2.x (63)."""
+    most = model._max_axes() - 1
+    ones = [(("a",), np.ones(2))] * 70
     scaled = [(("a",), np.array([1.0, 0.9]))] * 70 + [(("b",), np.arange(3.0))]
+    assert model._contract(ones, ()) == 2.0
     got = model._contract(scaled, ("b",))
     np.testing.assert_allclose(got, (1.0 + 0.9 ** 70) * np.arange(3.0), rtol=1e-12)
+    for factors, keep in ((ones, ()), (scaled, ("b",))):
+        steps, _ = _plan_of(factors, keep)
+        assert len(steps) == 1 + math.ceil((len(factors) - most) / (most - 1))
 
 
 def _two_layouts():
