@@ -192,9 +192,8 @@ def _apply_fix_object(game: CausalGame, p: FixObject):
         raise InterventionError(
             f"cannot rewire committed decision {t}; unfix the rule first"
         )
-    new_game = dc_replace(
-        game, parents={**game.parents, t: p.parents}, cpds=cpds,
-        rule_fixes=rule_fixes,
+    new_game = game._derive(
+        parents={**game.parents, t: p.parents}, cpds=cpds, rule_fixes=rule_fixes
     )
     inverse = FixObject(t, game.parents_of(t), **_restoring(game, t))
     return _checked(new_game, (t,)), inverse
@@ -223,7 +222,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
                 f"{p.target}: a mechanism fix may not change the parent set; "
                 "use an object-level fix"
             )
-        new_game = dc_replace(game, cpds={**game.cpds, var: p.cpd})
+        new_game = game._derive(cpds={**game.cpds, var: p.cpd})
         return _checked(new_game, (var,)), inverse
     # rule node
     if kind != DECISION:
@@ -239,7 +238,7 @@ def _apply_fix_mechanism(game: CausalGame, p: FixMechanism):
         rule_fixes.pop(var)
     else:
         rule_fixes[var] = p.cpd
-    return _checked(dc_replace(game, rule_fixes=rule_fixes), (var,)), inverse
+    return _checked(game._derive(rule_fixes=rule_fixes), (var,)), inverse
 
 
 def _rewire_children(game, p, children, parents, cpds, default, derive):
@@ -317,8 +316,8 @@ def _apply_add_variable(game: CausalGame, p: AddVariable):
     elif p.rule_fix is not None:
         rule_fixes[v.name] = p.rule_fix
     pos = len(game.variables) if p.index is None else p.index
-    new_game = dc_replace(
-        game, variables=game.variables[:pos] + (v,) + game.variables[pos:],
+    new_game = game._derive(
+        variables=game.variables[:pos] + (v,) + game.variables[pos:],
         parents=parents, cpds=cpds, rule_fixes=rule_fixes,
     )
     inverse = RemoveVariable(
@@ -369,8 +368,7 @@ def _apply_remove_variable(game: CausalGame, p: RemoveVariable):
         lambda child: tuple(q for q in game.parents_of(child) if q != t),
         lambda child, order: _marginalise_out(game, child, t, order),
     )
-    new_game = dc_replace(
-        game,
+    new_game = game._derive(
         variables=tuple(x for x in game.variables if x.name != t),
         parents=parents,
         cpds=cpds,

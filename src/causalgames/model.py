@@ -16,10 +16,13 @@ their first call, so a program that only reads a game's structure (its
 graphs, interventions and validation) never loads it.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs.  The one shared mutable state is the cache of
-contraction plans (``_plan``): keyed by factors' labels and shapes only,
-bounded by ``PLAN_CACHE``, and holding no array or value.  A CPD keeps
-the arrays built from it (``_cpd_tensor``), and those are read-only.
+function of its inputs; a game derived from another shares the mappings it
+did not change (see ``CausalGame``).  The shared mutable state is two caches
+keyed by structure alone, each keeping its last ``PLAN_CACHE`` entries: the
+contraction plans (``_plan``), holding no array or value, and the read-only
+pure-rule stacks (``_rule_stack``) of at most ``DIRECT_SPACE`` entries, 8 MB
+in all.  A CPD keeps the arrays built from it (``_cpd_tensor``), and those
+are read-only.
 """
 
 from __future__ import annotations
@@ -299,6 +302,10 @@ class CausalGame:
     ``rule_fixes`` holds externally imposed decision rules (commitments);
     those decisions are no longer strategic but their rule node still governs
     them.  Remaining decisions are "free": rational agents pick their rules.
+
+    A game never changes its mappings in place, and a game derived from it
+    (an intervention's, a query's final game) shares those it leaves
+    unchanged: callers must not mutate ``cpds``, ``parents`` or ``rule_fixes``.
     """
 
     n_agents: int
@@ -308,28 +315,57 @@ class CausalGame:
     rule_fixes: Mapping[str, TabularCPD] = field(default_factory=dict)
 
     def __init__(self, n_agents, variables, parents, cpds, rule_fixes=()):
-        # written out, as games are built on every intervention; every
-        # mapping is copied, so ``rule_fixes`` may default to no pairs
+        # every mapping is copied, so ``rule_fixes`` may default to no pairs;
+        # a game built from another takes ``_derive``, which copies nothing
         set_field = object.__setattr__
         set_field(self, "n_agents", n_agents)
         set_field(self, "variables", tuple(variables))
         set_field(self, "parents", {k: tuple(v) for k, v in parents.items()})
         set_field(self, "cpds", dict(cpds))
         set_field(self, "rule_fixes", dict(rule_fixes))
-        # name index, built once; the first of duplicate names wins
+        self._index()
+
+    def _index(self) -> None:
+        """Build what lookups read off ``variables`` and ``parents``: the
+        name index (the first of duplicate names wins), the children index
+        and the declared names and decisions, in declaration order."""
         by_name: dict[str, Variable] = {}
         children: dict[str, list[str]] = {}
         for v in self.variables:
             by_name.setdefault(v.name, v)
             for p in set(self.parents.get(v.name, ())):
                 children.setdefault(p, []).append(v.name)
-        set_field(self, "_by_name", by_name)
-        set_field(self, "_children", {p: tuple(cs) for p, cs in children.items()})
+        vars(self).update(
+            _by_name=by_name,
+            _children={p: tuple(cs) for p, cs in children.items()},
+            _names=tuple(v.name for v in self.variables),
+            _decisions=tuple(v.name for v in self.variables if v.kind == DECISION),
+        )
+
+    def _derive(self, **changes) -> CausalGame:
+        """``dataclasses.replace(self, **changes)`` without its copies: the
+        new game owns the fresh mappings in ``changes`` and shares every
+        other field with this game, and the index while its ``variables``
+        and ``parents`` are this game's own."""
+        game = object.__new__(CausalGame)
+        state = vars(game)
+        state.update({
+            "n_agents": self.n_agents, "variables": self.variables,
+            "parents": self.parents, "cpds": self.cpds, "rule_fixes": self.rule_fixes,
+        }, **changes)
+        if game.variables is self.variables and game.parents is self.parents:
+            state.update(
+                _by_name=self._by_name, _children=self._children,
+                _names=self._names, _decisions=self._decisions,
+            )
+        else:
+            game._index()
+        return game
 
     # -- lookups ----------------------------------------------------------
 
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return self._names
 
     def variable(self, name: str) -> Variable:
         try:
@@ -356,7 +392,7 @@ class CausalGame:
         return self._children.get(name, ())
 
     def decisions(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables if v.kind == DECISION)
+        return self._decisions
 
     @property
     def object_fixed(self) -> frozenset:
@@ -1000,12 +1036,24 @@ def _pure_rules(game: CausalGame, decision: str) -> np.ndarray:
     """Every pure rule of ``decision``, one-hot and read-only, in
     ``enumerate_pure_rules`` order: rule k plays the base-|dom| digits of k
     over the contexts, first context most significant.  The caller checks
-    the budget."""
+    the budget.  A stack of at most ``DIRECT_SPACE`` entries is shared by
+    every decision of its layout (``_rule_stack``); a larger one is built
+    per call."""
+    n = len(game.domain(decision))
+    dims = tuple(len(game.domain(p)) for p in game.parents_of(decision))
+    _check_axes(len(dims) + 2, f"the rule stack of {decision}")
+    k = math.prod(dims)
+    if n ** k * k * n <= DIRECT_SPACE:
+        return _rule_stack(n, dims)
+    return _rule_stack.__wrapped__(n, dims)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _rule_stack(n: int, dims: tuple) -> np.ndarray:
+    """The read-only one-hot stack of every pure rule of |dom| ``n`` over
+    parents of sizes ``dims`` (see ``_pure_rules``)."""
     import numpy as np
 
-    n = len(game.domain(decision))
-    dims = [len(game.domain(p)) for p in game.parents_of(decision)]
-    _check_axes(len(dims) + 2, f"the rule stack of {decision}")
     k = math.prod(dims)
     # digits by division, not np.indices, which stops at 64 dimensions
     digits = np.arange(n ** k)[:, None] // n ** np.arange(k)[::-1] % n

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import field, replace as dc_replace
+from dataclasses import field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -597,7 +597,7 @@ def evaluate_query(job: QueryJob) -> QueryResult:
 
     # Each P(...) and E[...] is one contraction over all leaves, made when
     # some leaf first reads it; realized rules replace imposed ones.
-    final = dc_replace(game, rule_fixes={})
+    final = game._derive(rule_fixes={})
     leaf_rules = [rules for _, rules in found]
 
     @functools.cache

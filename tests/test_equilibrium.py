@@ -290,7 +290,8 @@ def test_pure_rules_built_only_for_answers(monkeypatch):
     """One agent whose decision sees 4 binary chance variables: 65 536 pure
     rules, inside the budget.  ``pure_nash`` and ``best_responses`` find the
     one rule that copies X0, build a ``TabularCPD`` only for it, and keep
-    the traced peak far below one rule object per pure rule."""
+    the traced peak far below one rule object per pure rule.  The 16 MB
+    rule stack is past the size kept per layout, so none of it stays."""
     binary = ("a", "b")
     names = tuple(f"X{i}" for i in range(4))
     variables = [Variable(x, "chance", binary) for x in names] + [
@@ -318,13 +319,44 @@ def test_pure_rules_built_only_for_answers(monkeypatch):
     try:
         outcomes = pure_nash(game).outcomes
         responses = best_responses(game, 1, PolicyProfile({}))
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [p.rules for p in outcomes] == [{"D": copy_x0}]
     assert [p.rules for p in responses] == [{"D": copy_x0}]
     assert built == ["D", "D"]  # one per returned rule, not one per pure rule
     assert peak < 64 * 2**20
+    assert retained < 2**20
+
+
+def _decision_game(decision, domain, parent_domains):
+    """A game holding only ``decision`` and its chance parents; the rule
+    stacks read nothing else."""
+    parents = tuple(f"{decision}_P{i}" for i in range(len(parent_domains)))
+    variables = [Variable(p, "chance", dom) for p, dom in zip(parents, parent_domains)]
+    variables.append(Variable(decision, "decision", domain, 1))
+    return CausalGame(1, tuple(variables), {decision: parents}, {})
+
+
+def test_rule_stacks_are_shared_per_layout():
+    """Decisions of one layout, |dom| and their parents' sizes, get one
+    read-only stack whatever their names, values and games; a stack past
+    ``DIRECT_SPACE`` entries is built per call and kept by no one."""
+    d = _decision_game("D", ("a", "b"), [(0, 1, 2), ("x", "y")])
+    e = _decision_game("E", (True, False), [("p", "q", "r"), (5, 6)])
+    stack = model._pure_rules(d, "D")
+    assert model._pure_rules(e, "E") is stack
+    assert stack.shape == (2 ** 6, 3, 2, 2) and not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0, 0] = 1.0
+    other = _decision_game("D", ("a", "b"), [("x", "y"), (0, 1, 2)])
+    assert model._pure_rules(other, "D") is not stack  # parent sizes in order
+    wide = _decision_game("W", tuple(range(5)), [(0, 1), (0, 1)])
+    assert 5 ** 4 * 4 * 5 > model.DIRECT_SPACE
+    kept = model._rule_stack.cache_info().currsize
+    first, second = model._pure_rules(wide, "W"), model._pure_rules(wide, "W")
+    assert first is not second and np.array_equal(first, second)
+    assert model._rule_stack.cache_info().currsize == kept
 
 
 def _deep_chain_game(n=1200):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis.stateful import (
 
 from causalgames import (
     AddVariable,
+    CausalGame,
     CompoundIntervention,
     FixMechanism,
     FixObject,
@@ -839,7 +841,10 @@ class InterventionAlgebra(RuleBasedStateMachine):
     equal its remove-then-add rewrite, and a decomposition of a random
     labelled pool must reproduce every agent's view stage by stage.
     Steps the algebra rejects (cycles, committed information sets, missing
-    replacement tables) leave the game as it was.
+    replacement tables) leave the game as it was.  A derived game shares
+    what it did not change with the game it came from, so every game kept
+    must still equal its deep copy taken when it was reached, and the index
+    of the current one must equal a freshly built game's.
     """
 
     @initialize(seed=st.integers(0, 2**32 - 1), rich=st.booleans())
@@ -847,7 +852,8 @@ class InterventionAlgebra(RuleBasedStateMachine):
         self.rng = random.Random(seed)
         self.game = (random_rich_game if rich else random_game)(self.rng)
         self.added = 0
-        self.history = []  # (game before, applied primitive) per step
+        self.snapshot = copy.deepcopy(self.game)
+        self.history = []  # (game before, applied primitive, its snapshot) per step
 
     def _apply(self, prim):
         before = self.game
@@ -866,8 +872,9 @@ class InterventionAlgebra(RuleBasedStateMachine):
                 assert "committed decision" in str(exc)
             else:
                 assert games_equal(staged, after)
-        self.history.append((before, applied))
+        self.history.append((before, applied, self.snapshot))
         self.game = after
+        self.snapshot = copy.deepcopy(after)
 
     @rule(data=st.data())
     def invert_last_steps(self, data):
@@ -875,16 +882,32 @@ class InterventionAlgebra(RuleBasedStateMachine):
         if not self.history:
             return
         k = data.draw(st.integers(1, len(self.history)))
-        earlier = self.history[-k][0]
-        steps = CompoundIntervention(tuple(ap for _, ap in self.history[-k:]))
+        earlier, _, snapshot = self.history[-k]
+        steps = CompoundIntervention(tuple(ap for _, ap, _ in self.history[-k:]))
         restored = apply_all(self.game, [steps.invert()])
         assert games_equal(restored, earlier)
-        self.game = earlier
+        self.game, self.snapshot = earlier, snapshot
         del self.history[-k:]
 
     @invariant()
     def stays_valid(self):
         assert validate_game(self.game) == []
+
+    @invariant()
+    def kept_games_are_unchanged(self):
+        """No step wrote into a mapping an earlier game shares."""
+        for before, _, snapshot in self.history:
+            assert before == snapshot
+        assert self.game == self.snapshot
+
+    @invariant()
+    def index_matches_a_fresh_build(self):
+        g = self.game
+        fresh = CausalGame(g.n_agents, g.variables, g.parents, g.cpds, g.rule_fixes)
+        assert g._by_name == fresh._by_name
+        assert g._children == fresh._children
+        assert g.decisions() == fresh.decisions()
+        assert g.names() == fresh.names()
 
     @invariant()
     def each_decision_is_free_committed_or_pinned(self):

@@ -852,13 +852,13 @@ def test_closed_output_pipe_exits_quietly(json_mode, unbuffered):
     env["PYTHONPATH"] = str(Path(causalgames.__file__).parents[1])
     if unbuffered:  # each print writes at once; otherwise the last flush does
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "causalgames.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    proc.stdout.close()  # before the child can write a byte
-    err = proc.stderr.read()
-    assert proc.wait() == 1
+    ) as proc:  # closes both pipes on the way out
+        proc.stdout.close()  # before the child can write a byte
+        err = proc.stderr.read()
+        assert proc.wait() == 1
     assert err == ""  # no traceback
 
 

@@ -110,6 +110,24 @@ def test_utility_leaf_enforced():
     assert any("leaves" in v for v in report)
 
 
+def test_duplicate_names_stay_listed_and_are_reported():
+    """The name index keeps the first of two variables of one name, but
+    ``names`` lists both, in a built game and in one derived from it, and
+    the validator reports the duplicate in each."""
+    first = Variable("X", "chance", ("a", "b"))
+    variables = (first, Variable("X", "chance", ("c",)), Variable("U", "utility", (0, 1), 1))
+    cpds = {
+        "X": TabularCPD("X", (), {(): (0.5, 0.5)}),
+        "U": TabularCPD("U", (), {(): (1.0, 0.0)}),
+    }
+    game = CausalGame(1, variables, {}, cpds)
+    derived = game._derive(cpds={**cpds, "U": TabularCPD("U", (), {(): (0.0, 1.0)})})
+    for g in (game, derived):
+        assert g.names() == ("X", "X", "U")
+        assert g.variable("X") is first
+        assert "X: duplicate variable name" in validate_game(g)
+
+
 def test_point_mass_joint(stackelberg):
     profile = PolicyProfile(
         {
