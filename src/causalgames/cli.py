@@ -16,12 +16,8 @@ import os
 import sys
 from importlib import resources
 
-from .dot import export_dot
-from .equilibrium import (
-    behavioral_nash_small,
-    optimal_commitment,
-    pure_nash,
-)
+# layers only some commands read: bound unrun, each runs on its first call
+from . import dot, equilibrium, graphs, interventions, queries
 from .errors import GameError
 from .gamefile import (
     OPTIONS,
@@ -33,16 +29,8 @@ from .gamefile import (
     parse_scenario,
     table_rows,
 )
-from .graphs import build_mechanised_graph
-from .interventions import (
-    apply_all,
-    minimum_intervention_set,
-    side_effects as compute_side_effects,
-    incentive_invariant,
-)
 from .model import PROB_EPS, ROUND_DIGITS, SHOWN_EPS
 from .model import CausalGame, expected_utility, validate_game
-from .queries import QueryJob, classify_visibility, evaluate_query
 
 JSON_SCHEMA = "causalgames/1"
 
@@ -136,7 +124,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     game = resolve_game(args.game)
-    result = pure_nash(game)
+    result = equilibrium.pure_nash(game)
     lines = [f"{len(result.outcomes)} pure rational outcome(s):"]
     payload = {"outcomes": [_point(game, p) for p in result.outcomes]}
     for i, (profile, point) in enumerate(zip(result.outcomes, payload["outcomes"]), 1):
@@ -145,7 +133,7 @@ def _cmd_solve(args) -> int:
         )
         lines.append(f"  {i}. {rules_text}  EU={tuple(point['payoffs'])}")
     if args.behavioral:
-        beh = behavioral_nash_small(game)
+        beh = equilibrium.behavioral_nash_small(game)
         payload["behavioral_points"] = [_point(game, p) for p in beh.outcomes]
         payload["families"] = []
         lines.append(f"{len(beh.families)} behavioral famil(ies):")
@@ -177,11 +165,11 @@ def _cmd_solve(args) -> int:
 def _cmd_mech_graph(args) -> int:
     game = resolve_game(args.game)
     if args.json:
-        mg = build_mechanised_graph(game)
+        mg = graphs.build_mechanised_graph(game)
         _emit(
             args,
             {
-                "dot": export_dot(game, args.which, mg),
+                "dot": dot.export_dot(game, args.which, mg),
                 "inter_mechanism_edges": sorted(
                     list(e) for e in mg.inter_mechanism_edges
                 ),
@@ -189,13 +177,15 @@ def _cmd_mech_graph(args) -> int:
             [],
         )
     else:
-        print(export_dot(game, args.which), end="")
+        print(dot.export_dot(game, args.which), end="")
     return 0
 
 
 def _cmd_intervene(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    game = apply_all(scenario.game, [c for _, c in scenario.interventions])
+    game = interventions.apply_all(
+        scenario.game, [c for _, c in scenario.interventions]
+    )
     data = game_to_dict(game)
     if game.rule_fixes:
         data["rule_fixes"] = {
@@ -214,7 +204,7 @@ def _cmd_intervene(args) -> int:
 
 def _cmd_side_effects(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    report = compute_side_effects(
+    report = interventions.side_effects(
         scenario.game, [c for _, c in scenario.interventions]
     )
     removed = sorted(list(e) for e in report.removed)
@@ -229,7 +219,7 @@ def _cmd_side_effects(args) -> int:
 
 def _cmd_min_set(args) -> int:
     game = resolve_game(args.game)
-    result = minimum_intervention_set(game, args.src, args.dst)
+    result = interventions.minimum_intervention_set(game, args.src, args.dst)
     _emit(
         args,
         {"minimum_intervention_set": list(result)},
@@ -240,20 +230,20 @@ def _cmd_min_set(args) -> int:
 
 def _cmd_invariant(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    ok = incentive_invariant(
+    ok = interventions.incentive_invariant(
         scenario.game, [c for _, c in scenario.interventions]
     )
     _emit(args, {"incentive_invariant": ok}, [f"incentive invariant: {ok}"])
     return 0
 
 
-def _job_from_scenario(scenario: Scenario, args) -> QueryJob:
+def _job_from_scenario(scenario: Scenario, args) -> queries.QueryJob:
     if scenario.query is None:
         raise GameError("scenario has no query")
     # parse_scenario typed each option; each sets the job field of its name
     flags = {"seed": args.seed, "epsilon": args.epsilon}
     options = {**scenario.options, **{k: v for k, v in flags.items() if v is not None}}
-    return QueryJob(
+    return queries.QueryJob(
         scenario.game, scenario.interventions, scenario.visibility, scenario.query,
         **options,
     )
@@ -262,8 +252,8 @@ def _job_from_scenario(scenario: Scenario, args) -> QueryJob:
 def _cmd_query(args) -> int:
     scenario = resolve_scenario(args.scenario)
     job = _job_from_scenario(scenario, args)
-    result = evaluate_query(job)
-    tags = classify_visibility(job)
+    result = queries.evaluate_query(job)
+    tags = queries.classify_visibility(job)
     verdict = result.verdict
     if isinstance(verdict, float):
         verdict_out = _round(verdict)
@@ -301,7 +291,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_commit(args) -> int:
     game = resolve_game(args.game)
-    rule, value = optimal_commitment(game, args.leader)
+    rule, value = equilibrium.optimal_commitment(game, args.leader)
     decision = rule.variable
     domain = game.domain(decision)
     [(p, q)] = rule.table.values()  # the leader decision's one context

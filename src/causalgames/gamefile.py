@@ -19,17 +19,9 @@ from typing import Mapping
 
 import yaml
 
+# read by scenarios alone, so parsing a game runs neither
+from . import graphs, interventions
 from .errors import GameFileError, InterventionError, ValidationError
-from .graphs import variable_of_mechanism
-from .interventions import (
-    AddVariable,
-    FixMechanism,
-    FixObject,
-    RemoveVariable,
-    as_compound,
-    make_add_edge,
-    make_remove_edge,
-)
 from .model import (
     DECISION,
     NEST_DEPTH,
@@ -433,11 +425,11 @@ def _build_primitive(game, entry, journaled, path):
         target = str(entry["target"])
         parents = tuple(map(str, _listed(entry, "parents", target, path)))
         cpd = _intervention_cpd(game, target, entry, parents, path)
-        return FixObject(target, parents, cpd)
+        return interventions.FixObject(target, parents, cpd)
     if kind == "fix_mechanism":
         target = str(entry["target"])
         try:
-            var = variable_of_mechanism(target)
+            var = graphs.variable_of_mechanism(target)
         except ValidationError as exc:
             raise GameFileError(str(exc), path=path) from None
         if not game.has_variable(var):
@@ -445,7 +437,7 @@ def _build_primitive(game, entry, journaled, path):
                 f"mechanism target {target!r} names no variable", path=path
             )
         cpd = _intervention_cpd(game, var, entry, game.parents_of(var), path)
-        return FixMechanism(target, cpd)
+        return interventions.FixMechanism(target, cpd)
     if kind == "add_var":
         name = str(entry["name"])
         var_kind = str(entry.get("var_kind", "chance"))
@@ -454,12 +446,15 @@ def _build_primitive(game, entry, journaled, path):
         parents = tuple(map(str, _listed(entry, "parents", name, path)))
         children = tuple(map(str, _listed(entry, "children", name, path)))
         cpd = _intervention_cpd(game, name, entry, parents, path, domain)
-        return AddVariable(variable, parents, children, cpd=cpd)
+        return interventions.AddVariable(variable, parents, children, cpd=cpd)
     if kind == "remove_var":
-        return RemoveVariable(str(entry["name"]))
+        return interventions.RemoveVariable(str(entry["name"]))
     if kind in ("add_edge", "del_edge"):
         src, dst = str(entry["from"]), str(entry["to"])
-        maker = make_add_edge if kind == "add_edge" else make_remove_edge
+        maker = (
+            interventions.make_add_edge if kind == "add_edge"
+            else interventions.make_remove_edge
+        )
         return maker(game, src, dst)
     # unfix
     ref = str(entry["of"])
@@ -486,7 +481,7 @@ def parse_scenario(
     else:
         game = load_game(os.path.join(base_dir, str(data["game"])))
 
-    interventions = []
+    labelled = []
     journaled = {}
     running = game
     for i, entry in enumerate(data.get("interventions", ()) or ()):
@@ -502,12 +497,13 @@ def parse_scenario(
                 f"duplicate intervention label {label!r}", path=path
             )
         try:
-            compound = as_compound(_build_primitive(running, entry, journaled, path))
+            primitive = _build_primitive(running, entry, journaled, path)
+            compound = interventions.as_compound(primitive)
             running, jc = compound.apply(running)
         except InterventionError as exc:
             raise GameFileError(str(exc), path=path) from None
         journaled[label] = jc
-        interventions.append((label, compound))
+        labelled.append((label, compound))
 
     visibility = {}
     seen = data.get("visibility", {}) or {}
@@ -548,7 +544,7 @@ def parse_scenario(
     query = data.get("query")
     return Scenario(
         game,
-        tuple(interventions),
+        tuple(labelled),
         visibility,
         str(query) if query is not None else None,
         options,

@@ -1004,7 +1004,7 @@ def test_cli_mech_graph(capsys):
 
 
 def test_cli_json_mech_graph_builds_once(monkeypatch, capsys):
-    from causalgames import cli, dot, graphs
+    from causalgames import dot, graphs
 
     calls = []
     original = graphs.build_mechanised_graph
@@ -1013,7 +1013,7 @@ def test_cli_json_mech_graph_builds_once(monkeypatch, capsys):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (cli, dot, graphs):
+    for module in (dot, graphs):  # the CLI reads it from ``graphs``
         monkeypatch.setattr(module, "build_mechanised_graph", counted)
     code, out, _ = run_cli(capsys, "--json", "mech-graph", "job_market")
     assert code == 0
@@ -1023,21 +1023,25 @@ def test_cli_json_mech_graph_builds_once(monkeypatch, capsys):
     assert payload["inter_mechanism_edges"]
 
 
-LAYERS = ("gamefile", "model", "equilibrium", "graphs", "interventions",
-          "queries", "dot", "cli")
+LAYERS = ("errors", "gamefile", "model", "equilibrium", "graphs",
+          "interventions", "queries", "dot", "cli")
+# the layers every command reads, which importing the CLI runs
+COMMON_LAYERS = {"errors", "model", "gamefile", "cli"}
 
 
-def _loaded_after(commands, modules, code=0) -> set:
-    """Which of ``modules`` a fresh process has loaded after importing the
-    CLI and running each of ``commands`` through ``main``, each exiting
-    with ``code``."""
+def _modules_after(commands, modules, code=0) -> dict:
+    """Which of ``modules`` a fresh process holds in ``sys.modules`` after
+    importing the CLI and running each of ``commands`` through ``main``,
+    each exiting with ``code``, each mapped to whether its code has run.  A
+    layer registered but not yet run is a lazy module, not a plain one."""
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, types\n"
         "from causalgames.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        assert main(argv) == {code}, argv\n"
-        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
+        f"print(json.dumps({{m: type(sys.modules[m]) is types.ModuleType\n"
+        f"                  for m in {modules!r} if m in sys.modules}}))\n"
     )
     src = str(Path(causalgames.__file__).parents[1])
     done = subprocess.run(
@@ -1046,7 +1050,12 @@ def _loaded_after(commands, modules, code=0) -> set:
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout))
+    return json.loads(done.stdout)
+
+
+def _loaded_after(commands, modules, code=0) -> set:
+    """Which of ``modules`` have run in such a process."""
+    return {m for m, ran in _modules_after(commands, modules, code).items() if ran}
 
 
 GRAPH_ONLY_COMMANDS = [
@@ -1118,15 +1127,57 @@ def test_solver_commands_import_numpy(argv):
     assert _loaded_after([argv], ["numpy"]) == {"numpy"}
 
 
-def test_cli_import_loads_every_layer_but_not_numpy():
+def test_cli_import_registers_every_layer_but_runs_only_the_common_ones():
+    """Every layer is in ``sys.modules`` once the CLI is imported, where the
+    benchmark tracer looks them up; only those every command reads have
+    run."""
     layers = [f"causalgames.{layer}" for layer in LAYERS]
-    assert _loaded_after([], layers + ["numpy"]) == set(layers)
+    assert _modules_after([], layers + ["numpy"]) == {
+        f"causalgames.{layer}": layer in COMMON_LAYERS for layer in LAYERS
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["validate", "job_market"], set()),
+        (["--json", "mech-graph", "job_market"], {"graphs", "dot"}),
+        (["solve", "job_market"], {"equilibrium"}),
+        (["commit", "stackelberg", "--leader", "1"], {"equilibrium"}),
+        (["intervene", "reward_hidden"], {"interventions", "graphs"}),
+        (["side-effects", "reward_hidden"], {"interventions", "graphs"}),
+        (["invariant", "reward_hidden"], {"interventions", "graphs"}),
+        (["min-set", "job_market", "--from", "PI_D1", "--to", "PI_D2"],
+         {"interventions", "graphs"}),
+        (["query", "commitment_revealed"],
+         {"equilibrium", "interventions", "graphs", "queries"}),
+    ],
+    ids=["validate", "mech-graph", "solve", "commit", "intervene",
+         "side-effects", "invariant", "min-set", "query"],
+)
+def test_each_command_runs_only_the_layers_it_reads(argv, layers):
+    assert _loaded_after([argv], [f"causalgames.{m}" for m in LAYERS]) == {
+        f"causalgames.{m}" for m in COMMON_LAYERS | layers
+    }
+
+
+def test_cli_module_runs_without_warnings():
+    """``cli`` is not registered lazily: run as ``-m``, a module already in
+    ``sys.modules`` makes runpy warn."""
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "causalgames.cli",
+         "--json", "validate", "job_market"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(causalgames.__file__).parents[1])},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_cli_import_generates_no_dataclass_code():
-    """Records get shared methods: importing the CLI makes no ``exec`` call
-    from ``dataclasses.py``, which ``dataclass(frozen=True)`` makes six
-    times per class."""
+    """Records get shared methods: importing the CLI and running every
+    layer (by reading each exported name) makes no ``exec`` call from
+    ``dataclasses.py``, which ``dataclass(frozen=True)`` makes six times per
+    class."""
     script = (
         "import builtins, json, sys\n"
         "real_exec, callers = builtins.exec, []\n"
@@ -1135,6 +1186,8 @@ def test_cli_import_generates_no_dataclass_code():
         "    return real_exec(*args, **kwargs)\n"
         "builtins.exec = spy\n"
         "import causalgames.cli\n"
+        "for name in causalgames.__all__:\n"
+        "    getattr(causalgames, name)\n"
         "print(json.dumps(callers))\n"
     )
     src = str(Path(causalgames.__file__).parents[1])
@@ -1274,10 +1327,21 @@ def test_every_export_has_a_caller():
     # fenced blocks are the odd pieces; inline code spans lie in the others
     code = readme[1::2] + [span for text in readme[::2] for span in re.findall(r"`([^`]+)`", text)]
     named = set(re.findall(r"\w+", " ".join(code)))
-    init = ast.parse((package / "__init__.py").read_text())
-    exported = [
-        alias.asname or alias.name
-        for node in init.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    exported = [n for names in causalgames._EXPORTS.values() for n in names]
+    assert len(exported) >= 66
     assert [n for n in exported if n not in used | named | TRACER_EXPORTS] == []
+
+
+def test_every_export_resolves_from_its_layer():
+    """The package reads each exported name from its layer, lists it in
+    ``dir`` and ``__all__``, and refuses a name it does not export."""
+    for layer, names in causalgames._EXPORTS.items():
+        module = getattr(causalgames, layer)
+        for name in names:
+            assert getattr(causalgames, name) is getattr(module, name)
+    assert set(causalgames.__all__) <= set(dir(causalgames))
+    star = {}
+    exec("from causalgames import *", star)
+    assert set(star) - {"__builtins__"} == set(causalgames.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        causalgames.no_such_name
