@@ -467,19 +467,13 @@ def _build_primitive(game, entry, journaled, path):
 
 
 def parse_scenario(
-    text: str,
-    path: str | None = None,
-    base_dir: str = ".",
-    game_loader=None,
+    text: str, path: str | None = None, game_loader=load_game
 ) -> Scenario:
     data = _load_yaml(text, path)
     _reject_unknown(data, SCENARIO_KEYS, "scenario file", path)
     if "game" not in data:
         raise GameFileError("missing 'game' reference", path=path)
-    if game_loader is not None:
-        game = game_loader(str(data["game"]))
-    else:
-        game = load_game(os.path.join(base_dir, str(data["game"])))
+    game = game_loader(str(data["game"]))
 
     labelled = []
     journaled = {}
@@ -552,4 +546,7 @@ def parse_scenario(
 
 
 def load_scenario(path: str) -> Scenario:
-    return parse_scenario(_read(path), path, base_dir=os.path.dirname(path) or ".")
+    base_dir = os.path.dirname(path) or "."
+    return parse_scenario(
+        _read(path), path, lambda ref: load_game(os.path.join(base_dir, ref))
+    )

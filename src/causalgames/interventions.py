@@ -591,15 +591,15 @@ def decompose(
 
     ``interventions`` is a sequence of (label, intervention) pairs in
     application order; ``visibility`` maps each agent to the labels it sees
-    (absent agents see nothing).  The commonly visible labels form stage 0,
-    whose agent set collects everyone seeing exactly the common set; each
-    remaining visibility group gets a stage whose primitives first undo the
-    previous group's non-shared primitives and then apply its own, and whose
-    game is its own interventions applied to the common stage's game.
-    Interventions visible to no one are applied in a trailing agentless
-    stage.  With ``merge_common=False`` the common stage is skipped, groups
-    follow ``agent_order`` directly and each stage undoes everything the
-    previous group applied, its game built from the base game.
+    (absent agents see nothing).  Agents are grouped by visible set, in
+    order of first appearance in ``agent_order``, and one builder makes
+    every stage: one per group, then an agentless one applying the labels
+    no one sees.  A group's primitives undo the previous group's own, then
+    apply its own labels, and its game is those labels applied to the
+    prefix.  With ``merge_common`` the group seeing exactly the common
+    labels comes first, agentless if no one does; its game is the prefix,
+    later groups' own labels omit the common ones and it is never undone.
+    Without it the prefix is the base game and a group applies all it sees.
     """
     labels = [lab for lab, _ in interventions]
     if len(set(labels)) != len(labels):
@@ -607,7 +607,13 @@ def decompose(
     compounds = {lab: as_compound(iv) for lab, iv in interventions}
 
     agents = list(range(1, game.n_agents + 1))
-    vis: dict[int, tuple[str, ...]] = {}
+    for key in visibility:
+        if key not in agents:
+            raise InterventionError(
+                f"visibility keys must be agent indices in 1..{game.n_agents}, "
+                f"got {key!r}"
+            )
+    vis: dict[int, frozenset] = {}
     for a in agents:
         raw = list(visibility.get(a, ()))
         for lab in raw:
@@ -616,84 +622,45 @@ def decompose(
                     f"visibility for agent {a} references unknown "
                     f"intervention {lab!r}"
                 )
-        vis[a] = tuple(lab for lab in labels if lab in set(raw))
+        vis[a] = frozenset(raw)
 
     if agent_order is None:
-        ordered_agents = agents
-    else:
-        if sorted(agent_order) != agents:
-            raise InterventionError("agent_order must enumerate every agent")
-        ordered_agents = list(agent_order)
+        agent_order = agents
+    elif sorted(agent_order) != agents:
+        raise InterventionError("agent_order must enumerate every agent")
 
-    common = [
-        lab for lab in labels if all(lab in vis[a] for a in agents)
-    ] if agents else []
-    common_set = set(common) if merge_common else set()
-
-    # group agents by visible set, ordered by first appearance
-    groups: list[tuple[frozenset, list[int]]] = []
-    for a in ordered_agents:
-        key = frozenset(vis[a])
-        for k, members in groups:
-            if k == key:
-                members.append(a)
-                break
-        else:
-            groups.append((key, [a]))
+    common = frozenset(labels).intersection(*vis.values()) if agents else frozenset()
+    groups: dict[frozenset, list[int]] = {common: []} if merge_common else {}
+    for a in agent_order:
+        groups.setdefault(vis[a], []).append(a)
 
     stages: list[Stage] = []
     agent_stage: dict[int, int] = {}
 
-    def apply_labels(g, labs):
+    def stage(base, own, members, undo):
+        # the undo is listed, not applied: ``base`` is the game it restores
+        prims = [p for _, jc in reversed(undo) for p in jc.invert().steps]
         applied = []
-        prims = []
-        for lab in labs:
-            g, jc = compounds[lab].apply(g)
+        for lab in own:
+            base, jc = compounds[lab].apply(base)
             applied.append((lab, jc))
             prims.extend(jc.steps)
-        return g, applied, prims
+        tags = {(lab, True) for lab, _ in undo} | {(lab, False) for lab in own}
+        agent_stage.update(dict.fromkeys(members, len(stages)))
+        stages.append(Stage(tuple(prims), frozenset(members), frozenset(tags), base))
+        return base, applied
 
-    prefix = game  # every group's stage game is its extras applied to this
-    if merge_common:
-        prefix, _, prims = apply_labels(game, common)
-        stage0_agents = frozenset(
-            a for a in agents if set(vis[a]) == set(common)
-        )
-        stages.append(Stage(
-            tuple(prims), stage0_agents, frozenset((l, False) for l in common),
-            prefix,
-        ))
-        for a in stage0_agents:
-            agent_stage[a] = 0
-        remaining = [
-            (k, m) for k, m in groups if set(k) != set(common)
-        ]
-    else:
-        remaining = groups
+    prefix, shared, undo, running = game, frozenset(), [], game
+    for i, (key, members) in enumerate(groups.items()):
+        own = [lab for lab in labels if lab in key and lab not in shared]
+        running, applied = stage(prefix, own, members, undo)
+        if merge_common and i == 0:
+            prefix, shared = running, key
+        else:
+            undo = applied
 
-    running = prefix
-    prev_extras: list[tuple[str, CompoundIntervention]] = []
-    for key, members in remaining:
-        # the previous group's undo is listed, not applied: it restores prefix
-        prims = [p for _, jc in reversed(prev_extras) for p in jc.invert().steps]
-        tags = {(lab, True) for lab, _ in prev_extras}
-        extras = [lab for lab in labels if lab in key and lab not in common_set]
-        running, prev_extras, extra_prims = apply_labels(prefix, extras)
-        prims.extend(extra_prims)
-        tags.update((lab, False) for lab in extras)
-        stages.append(
-            Stage(tuple(prims), frozenset(members), frozenset(tags), running)
-        )
-        for a in members:
-            agent_stage[a] = len(stages) - 1
-
-    seen_by_someone = set().union(*(set(v) for v in vis.values())) if vis else set()
-    unseen = [lab for lab in labels if lab not in seen_by_someone]
+    seen = set().union(*vis.values())
+    unseen = [lab for lab in labels if lab not in seen]
     if unseen:
-        running, _, prims = apply_labels(running, unseen)
-        stages.append(Stage(
-            tuple(prims), frozenset(), frozenset((l, False) for l in unseen),
-            running,
-        ))
-
+        running, _ = stage(running, unseen, (), [])
     return Decomposition(tuple(stages), agent_stage, tuple(labels), running)

@@ -8,8 +8,9 @@ independence is checked numerically on the joint table, d-separation by
 are verified by exhaustive subset scans.  The ``loop_*`` functions keep
 earlier forms of library code as references for the forms that replaced
 them, ``unplanned_contract`` is the contraction kernel as it ran before
-its plans were kept, and ``reference_pure_rules`` enumerates pure rules
-apart from the solvers' one-hot stacks.
+its plans were kept, ``reference_decompose`` is ``decompose`` as it ran
+with two stage builders, and ``reference_pure_rules`` enumerates pure
+rules apart from the solvers' one-hot stacks.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -37,9 +39,13 @@ from causalgames.graphs import (
 )
 from causalgames.interventions import (
     AddVariable,
+    CompoundIntervention,
+    Decomposition,
     FixObject,
     RemoveVariable,
+    Stage,
     apply_all,
+    as_compound,
 )
 from causalgames.model import (
     COMMIT_EPS,
@@ -1077,6 +1083,116 @@ def agent_view(game, interventions, visibility, agent, merge_common=True):
         ]
         visible = common + [lab for lab in visible if lab not in common]
     return apply_all(game, [pool[lab] for lab in visible])
+
+
+def reference_decompose(
+    game: CausalGame,
+    interventions: Sequence,
+    visibility: Mapping[int, Iterable[str]],
+    agent_order: Sequence[int] | None = None,
+    merge_common: bool = True,
+) -> Decomposition:
+    """``interventions.decompose`` as it ran with two stage builders: the
+    common stage and the prefix built under ``merge_common``, and a second
+    copy of the undo/apply/tag bookkeeping for the group stages and the
+    trailing unseen stage.  It does not check the visibility keys.
+    """
+    labels = [lab for lab, _ in interventions]
+    if len(set(labels)) != len(labels):
+        raise InterventionError("duplicate intervention labels")
+    compounds = {lab: as_compound(iv) for lab, iv in interventions}
+
+    agents = list(range(1, game.n_agents + 1))
+    vis: dict[int, tuple[str, ...]] = {}
+    for a in agents:
+        raw = list(visibility.get(a, ()))
+        for lab in raw:
+            if lab not in compounds:
+                raise InterventionError(
+                    f"visibility for agent {a} references unknown "
+                    f"intervention {lab!r}"
+                )
+        vis[a] = tuple(lab for lab in labels if lab in set(raw))
+
+    if agent_order is None:
+        ordered_agents = agents
+    else:
+        if sorted(agent_order) != agents:
+            raise InterventionError("agent_order must enumerate every agent")
+        ordered_agents = list(agent_order)
+
+    common = [
+        lab for lab in labels if all(lab in vis[a] for a in agents)
+    ] if agents else []
+    common_set = set(common) if merge_common else set()
+
+    # group agents by visible set, ordered by first appearance
+    groups: list[tuple[frozenset, list[int]]] = []
+    for a in ordered_agents:
+        key = frozenset(vis[a])
+        for k, members in groups:
+            if k == key:
+                members.append(a)
+                break
+        else:
+            groups.append((key, [a]))
+
+    stages: list[Stage] = []
+    agent_stage: dict[int, int] = {}
+
+    def apply_labels(g, labs):
+        applied = []
+        prims = []
+        for lab in labs:
+            g, jc = compounds[lab].apply(g)
+            applied.append((lab, jc))
+            prims.extend(jc.steps)
+        return g, applied, prims
+
+    prefix = game  # every group's stage game is its extras applied to this
+    if merge_common:
+        prefix, _, prims = apply_labels(game, common)
+        stage0_agents = frozenset(
+            a for a in agents if set(vis[a]) == set(common)
+        )
+        stages.append(Stage(
+            tuple(prims), stage0_agents, frozenset((l, False) for l in common),
+            prefix,
+        ))
+        for a in stage0_agents:
+            agent_stage[a] = 0
+        remaining = [
+            (k, m) for k, m in groups if set(k) != set(common)
+        ]
+    else:
+        remaining = groups
+
+    running = prefix
+    prev_extras: list[tuple[str, CompoundIntervention]] = []
+    for key, members in remaining:
+        # the previous group's undo is listed, not applied: it restores prefix
+        prims = [p for _, jc in reversed(prev_extras) for p in jc.invert().steps]
+        tags = {(lab, True) for lab, _ in prev_extras}
+        extras = [lab for lab in labels if lab in key and lab not in common_set]
+        running, prev_extras, extra_prims = apply_labels(prefix, extras)
+        prims.extend(extra_prims)
+        tags.update((lab, False) for lab in extras)
+        stages.append(
+            Stage(tuple(prims), frozenset(members), frozenset(tags), running)
+        )
+        for a in members:
+            agent_stage[a] = len(stages) - 1
+
+    seen_by_someone = set().union(*(set(v) for v in vis.values())) if vis else set()
+    unseen = [lab for lab in labels if lab not in seen_by_someone]
+    if unseen:
+        running, _, prims = apply_labels(running, unseen)
+        stages.append(Stage(
+            tuple(prims), frozenset(), frozenset((l, False) for l in unseen),
+            running,
+        ))
+
+    return Decomposition(tuple(stages), agent_stage, tuple(labels), running)
 
 
 def is_minimum_hitting_set(chosen, sets) -> bool:

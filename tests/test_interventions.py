@@ -46,6 +46,7 @@ from causalgames.model import _dependency_order
 from helpers import (
     agent_view,
     decompose_fix_object,
+    reference_decompose,
     dense_to_utility_game,
     games_equal,
     is_minimum_hitting_set,
@@ -783,6 +784,35 @@ def test_decompose_unknown_label_rejected(job_market):
         decompose(job_market, [("env", env)], {1: ("ghost",)})
 
 
+def test_decompose_stray_visibility_key_rejected(job_market):
+    env = [("env", theta_fix(job_market, "T", "h"))]
+    for key in (0, 3, "1", None):
+        with pytest.raises(InterventionError) as exc:
+            decompose(job_market, env, {1: ("env",), key: ()})
+        assert str(exc.value) == (
+            f"visibility keys must be agent indices in 1..2, got {key!r}"
+        )
+
+
+def test_decompose_matches_reference(job_market):
+    """Every visibility of a three-label pool on both agents, in both agent
+    orders and both modes, stages as the two-builder reference does."""
+    pool = [
+        ("env", theta_fix(job_market, "T", "h")),
+        ("force", hard_fix(job_market, "D1", "g")),
+        ("hide", make_remove_edge(job_market, "D1", "D2")),
+    ]
+    subsets = [
+        tuple(lab for (lab, _), kept in zip(pool, keep) if kept)
+        for keep in itertools.product((False, True), repeat=len(pool))
+    ]
+    for seen1, seen2 in itertools.product(subsets, repeat=2):
+        visibility = {1: seen1, 2: seen2}
+        for order, merge_common in itertools.product(([1, 2], [2, 1]), (True, False)):
+            args = (job_market, pool, visibility, order, merge_common)
+            assert decompose(*args) == reference_decompose(*args)
+
+
 def test_decompose_satisfies_agent_views(job_market):
     pool = [
         ("env", theta_fix(job_market, "T", "h")),
@@ -1067,12 +1097,18 @@ class InterventionAlgebra(RuleBasedStateMachine):
         labelled = [(f"i{k}", prim) for k, prim in enumerate(pool)]
         labels = [lab for lab, _ in labelled]
         agents = list(range(1, game.n_agents + 1))
+        # one label, when drawn, is hidden from everyone: an unseen stage
+        hidden = data.draw(st.sampled_from([None, *labels]))
         visibility = {
-            a: tuple(lab for lab in labels if rng.random() < 0.5) for a in agents
+            a: tuple(lab for lab in labels if rng.random() < 0.5 and lab != hidden)
+            for a in agents
         }
         merge_common = data.draw(st.booleans())
         agent_order = _shuffled(rng, agents)
         dec = decompose(game, labelled, visibility, agent_order, merge_common)
+        assert dec == reference_decompose(
+            game, labelled, visibility, agent_order, merge_common
+        )
         staged = game
         for stage in dec.stages:
             for prim in stage.primitives:

@@ -12,6 +12,7 @@ from causalgames import (
     CompoundIntervention,
     FixMechanism,
     FixObject,
+    InterventionError,
     PolicyProfile,
     QueryError,
     QueryJob,
@@ -405,6 +406,16 @@ def test_visibility_tags_interleaved(prisoners):
         query="sampled: E[total]",
     )
     assert classify_visibility(job) == {1: "pre_policy", 2: "interleaved"}
+
+
+def test_visibility_key_naming_no_agent_is_refused():
+    scenario = resolve_scenario("reward_hidden")
+    job = QueryJob(
+        scenario.game, scenario.interventions, {5: ("ghost",)}, scenario.query
+    )
+    with pytest.raises(InterventionError) as exc:
+        evaluate_query(job)
+    assert str(exc.value) == "visibility keys must be agent indices in 1..2, got 5"
 
 
 # -- staged evaluation equivalences ----------------------------------------------------------
