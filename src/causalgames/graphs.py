@@ -5,13 +5,14 @@ variable (``THETA_<v>`` for a CPD, ``PI_<d>`` for a decision rule), an edge
 from each mechanism to its variable, and inter-mechanism edges into rule
 nodes wherever the source mechanism is strategically relevant under best
 response.  The independent mechanised graph drops the inter-mechanism
-edges.  Every search runs on a game's arena, its object graph, built once
-per game on first use; games are immutable, so it never goes stale.  A
-mechanism node has no parents and at most one child, its own variable, so
-it stays implicit: a search reaches it exactly when the ball at that
-variable passes on to the variable's parents, and a path out of it starts
-with its edge into the variable.  Mechanism nodes are named only in answers
-and in the DOT export.
+edges.  Every search runs on a game's arena, made once per game on first
+use: it reads the game's own parent map and children index, without a copy,
+and keeps the caches the searches fill; games are immutable, so it never
+goes stale.  A mechanism node has no parents and at most one child, its own
+variable, so it stays implicit: a search reaches it exactly when the ball
+at that variable passes on to the variable's parents, and a path out of it
+starts with its edge into the variable.  Mechanism nodes are named only in
+answers and in the DOT export.
 
 Every yes/no question is answered by a reachable-set search (Bayes-Ball:
 Shachter 1998; Koller & Friedman, *PGMs*, Alg. 3.1) in time linear in the
@@ -21,7 +22,9 @@ most once from each side.  A trail through a collider is open when the
 collider lies in the ancestral closure of the conditioning set Y, and
 through any other node when that node is outside Y.  d-connection is
 symmetric, so one search from each relevance test's target set (Koller &
-Milch 2003) finds every mechanism relevant to a rule node.
+Milch 2003) finds every mechanism relevant to a rule node.  The test that
+gives nothing opens no collider, so its search only climbs from the
+decision's parents to their ancestors: it runs as that ancestor closure.
 ``active_paths`` enumerates simple paths (Pearl, *Causality*, 2009), which is
 exponential in the worst case; it is used only where the paths themselves
 are the answer: relevance witnesses and minimum intervention sets.  It grows
@@ -59,17 +62,14 @@ def variable_of_mechanism(name: str) -> str:
 
 
 class _Arena:
-    """One game's object graph as ``pred``/``succ`` dicts over the variables,
-    in variable order, and the caches its searches fill.  Mechanism nodes
-    are left implicit: see ``_reachable`` and ``active_paths`` for how a
-    search reaches them."""
+    """One game's object graph and the caches its searches fill.  ``pred``
+    and ``succ`` are the game's own parent map and children index, read
+    without a copy; a name missing from either has no neighbours there.
+    Mechanism nodes are left implicit: see ``_reachable`` and
+    ``active_paths`` for how a search reaches them."""
 
     def __init__(self, game: CausalGame):
-        self.pred, self.succ = pred, succ = {}, {}
-        parents, children = game.parents, game._children
-        for v in game.variables:
-            pred[v.name] = parents.get(v.name, ())
-            succ[v.name] = children.get(v.name, ())
+        self.pred, self.succ = game.parents, game._children
         self.tests = {}  # rule node -> its relevance tests, see _relevance_tests
         self.open = {}  # conditioning set -> its open colliders, see _open_colliders
 
@@ -132,11 +132,12 @@ class Path:
 
 def _closure(step: Mapping, start) -> set:
     """``start`` and every node reached from it along ``step``'s adjacency:
-    along ``pred``, the colliders that leave a trail open given ``start``."""
+    along ``pred``, its ancestors, such as the colliders that leave a trail
+    open given ``start``."""
     closure = set(start)
     stack = list(start)
     while stack:
-        for n in step[stack.pop()]:
+        for n in step.get(stack.pop(), ()):
             if n not in closure:
                 closure.add(n)
                 stack.append(n)
@@ -150,6 +151,17 @@ def _open_colliders(arena: _Arena, given: frozenset) -> set:
     if closure is None:
         closure = arena.open[given] = _closure(arena.pred, given)
     return closure
+
+
+def _sever(arena: _Arena, severed) -> tuple[Mapping, Mapping]:
+    """The arena's ``pred`` and ``succ`` without the edges in ``severed``."""
+    pred, succ = arena.pred, arena.succ
+    if severed:
+        pred, succ = dict(pred), dict(succ)
+        for tail, head in severed:
+            pred[head] = tuple(p for p in pred.get(head, ()) if p != tail)
+            succ[tail] = tuple(c for c in succ.get(tail, ()) if c != head)
+    return pred, succ
 
 
 def _reachable(
@@ -171,13 +183,7 @@ def _reachable(
     edges.
     """
     open_colliders = _open_colliders(arena, given)
-    pred, succ = arena.pred, arena.succ
-    if severed:
-        pred, succ = dict(pred), dict(succ)
-        for tail, head in severed:
-            pred[head] = tuple(p for p in pred[head] if p != tail)
-            # a severed mechanism edge has no tail in an arena
-            succ[tail] = tuple(c for c in succ.get(tail, ()) if c != head)
+    pred, succ = _sever(arena, severed)
     up, down = set(xs), set()
     rising, falling = list(up), []
     while rising or falling:
@@ -188,12 +194,12 @@ def _reachable(
             node = falling.pop()
             climb = node in open_colliders
         if climb:
-            for p in pred[node]:
+            for p in pred.get(node, ()):
                 if p not in up:
                     up.add(p)
                     rising.append(p)
         if node not in given:
-            for c in succ[node]:
+            for c in succ.get(node, ()):
                 if c not in down:
                     down.add(c)
                     falling.append(c)
@@ -230,7 +236,7 @@ def active_paths(arena: _Arena, starts, zs, given) -> list[Path]:
             (arena.succ, FORWARD, onward), (arena.pred, BACKWARD, back)
         ):
             if ok:
-                for nxt in step[here]:
+                for nxt in step.get(here, ()):
                     if nxt not in nodes:
                         stack.append((nodes + (nxt,), arrows + (arrow,)))
         if len(found) + len(stack) > ENUM_BUDGET:
@@ -271,9 +277,13 @@ def _relevance_tests(game: CausalGame, target: str):
 def _relevant(game: CausalGame, target: str, severed=frozenset()) -> frozenset:
     """The mechanism nodes relevant to rule node ``target`` by trails that
     avoid the edges in ``severed``: those of the variables whose searches
-    climb, except an object-fixed decision's and any with a severed edge."""
+    climb, except an object-fixed decision's and any with a severed edge.
+    With nothing given no collider is open, so test (b)'s search climbs from
+    the decision's parents to their ancestors and no further: a closure."""
     arena, tests = _relevance_tests(game, target)
-    climbed = set().union(*(_reachable(arena, t, cond, severed)[1] for t, cond in tests))
+    pred, climbed = _sever(arena, severed)[0], set()
+    for t, cond in tests:
+        climbed |= _reachable(arena, t, cond, severed)[1] if cond else _closure(pred, t)
     return frozenset(
         m for m, vs in _mechanisms(game, climbed).items()
         if vs and (m, vs[0]) not in severed
@@ -295,7 +305,8 @@ def relevant_mechanisms(game: CausalGame, target: str) -> frozenset:
     """Every mechanism node best-response relevant to rule node ``target``.
 
     d-connection is symmetric, so one reachable-set search from each test's
-    target set finds every mechanism it d-connects.  The set may hold
+    target set finds every mechanism it d-connects; for the test that gives
+    nothing, the search is the ancestor closure.  The set may hold
     ``target`` itself; callers building edges skip it.
     """
     return _relevant(game, target)

@@ -327,17 +327,22 @@ class CausalGame:
 
     def _index(self) -> None:
         """Build what lookups read off ``variables`` and ``parents``: the
-        name index (the first of duplicate names wins), the children index
-        and the declared names and decisions, in declaration order."""
+        name index (the first of duplicate names wins), the children index,
+        the declared names and decisions and each agent's utilities, in
+        declaration order."""
         by_name: dict[str, Variable] = {}
         children: dict[str, list[str]] = {}
+        utilities: dict[int, list[str]] = {}
         for v in self.variables:
             by_name.setdefault(v.name, v)
             for p in set(self.parents.get(v.name, ())):
                 children.setdefault(p, []).append(v.name)
+            if v.kind == UTILITY:
+                utilities.setdefault(v.agent, []).append(v.name)
         vars(self).update(
             _by_name=by_name,
             _children={p: tuple(cs) for p, cs in children.items()},
+            _utilities={a: tuple(us) for a, us in utilities.items()},
             _names=tuple(v.name for v in self.variables),
             _decisions=tuple(v.name for v in self.variables if v.kind == DECISION),
         )
@@ -355,8 +360,8 @@ class CausalGame:
         }, **changes)
         if game.variables is self.variables and game.parents is self.parents:
             state.update(
-                _by_name=self._by_name, _children=self._children,
-                _names=self._names, _decisions=self._decisions,
+                _by_name=self._by_name, _children=self._children, _names=self._names,
+                _decisions=self._decisions, _utilities=self._utilities,
             )
         else:
             game._index()
@@ -410,11 +415,7 @@ class CausalGame:
         return tuple(d for d in self.free_decisions() if self.agent_of(d) == agent)
 
     def utilities_of(self, agent: int) -> tuple[str, ...]:
-        return tuple(
-            v.name
-            for v in self.variables
-            if v.kind == UTILITY and v.agent == agent
-        )
+        return self._utilities.get(agent, ())
 
     def contexts(self, name: str) -> list[tuple]:
         """All parent instantiations of ``name``, in deterministic order.

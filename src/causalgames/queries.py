@@ -665,7 +665,7 @@ def classify_visibility(job: QueryJob) -> dict[int, str]:
     tags_by_stage = [s.tags for s in dec.stages]
     out = {}
     for agent, j in dec.agent_stage.items():
-        seen = frozenset().union(*tags_by_stage[: j + 1]) if j >= 0 else frozenset()
+        seen = frozenset().union(*tags_by_stage[: j + 1])
         if not seen:
             out[agent] = "post_policy"
         elif seen == declared:

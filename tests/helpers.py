@@ -9,8 +9,10 @@ are verified by exhaustive subset scans.  The ``loop_*`` functions keep
 earlier forms of library code as references for the forms that replaced
 them, ``unplanned_contract`` is the contraction kernel as it ran before
 its plans were kept, ``reference_decompose`` is ``decompose`` as it ran
-with two stage builders, and ``reference_pure_rules`` enumerates pure
-rules apart from the solvers' one-hot stacks.
+with two stage builders, ``reference_relevant`` is strategic relevance as
+it ran with a reachable-set search for each relevance test, and
+``reference_pure_rules`` enumerates pure rules apart from the solvers'
+one-hot stacks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from causalgames import model
+from causalgames import graphs, model
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.errors import InterventionError, SolverError
 from causalgames.graphs import (
@@ -427,6 +429,20 @@ def random_rich_game(rng: random.Random) -> CausalGame:
     return CausalGame(3, tuple(variables), parents, cpds, rule_fixes)
 
 
+# every generator above as a function of a seeded ``random.Random``;
+# ``random_cbn`` and ``fan_game`` without its decision build no decision
+GAME_GENERATORS = (
+    random_cbn,
+    random_game,
+    random_type_game,
+    random_multi_decision_game,
+    random_rich_game,
+    lambda rng: chain_to_utility_game(rng.randint(1, 6)),
+    lambda rng: fan_game(rng.randint(1, 4), rng.random() < 0.5),
+    lambda rng: dense_to_utility_game(rng.randint(2, 6)),
+)
+
+
 def random_full_profile(rng: random.Random, game: CausalGame) -> PolicyProfile:
     rules = {}
     for d in game.free_decisions():
@@ -746,6 +762,21 @@ def state_reachable(graph, xs, given, severed=frozenset()) -> set:
         if arrived == FORWARD and node in open_colliders:
             stack.extend((p, BACKWARD) for p in pred[node])
     return {node for node, _ in seen}
+
+
+def reference_relevant(game: CausalGame, target: str, severed=frozenset()) -> frozenset:
+    """``graphs._relevant`` as it ran with one reachable-set search per
+    relevance test, test (b), given nothing, included: the mechanism nodes
+    of the variables whose searches climb, except an object-fixed
+    decision's and any with a severed edge."""
+    arena, tests = graphs._relevance_tests(game, target)
+    climbed = set()
+    for t, cond in tests:
+        climbed |= graphs._reachable(arena, t, cond, severed)[1]
+    return frozenset(
+        m for m, vs in graphs._mechanisms(game, climbed).items()
+        if vs and (m, vs[0]) not in severed
+    )
 
 
 def object_fixes(game: CausalGame, rng: random.Random):

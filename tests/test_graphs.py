@@ -27,6 +27,7 @@ from causalgames import graphs
 from causalgames.cli import resolve_game
 from causalgames.graphs import _arena, _reachable, active_paths, rule_node
 from helpers import (
+    GAME_GENERATORS,
     chain_to_utility_game,
     dense_to_utility_game,
     full_active_paths,
@@ -41,6 +42,7 @@ from helpers import (
     random_game,
     random_multi_decision_game,
     random_rich_game,
+    reference_relevant,
     state_reachable,
 )
 
@@ -224,8 +226,8 @@ def _dot_mechanism_lines(game):
 def test_arena_and_views_keep_declaration_order():
     """Variables in declaration order, then each one's mechanism node in the
     same order: the node order of the DOT text, on seeded games with
-    object-fixed decisions.  The arena's keys are the variables alone, in
-    declaration order."""
+    object-fixed decisions.  The arena reads the game's own parent map and
+    children index, not a copy of them."""
     for seed in range(60):
         rng = random.Random(f"order:{seed}")
         game = random_rich_game(rng) if seed % 2 else random_multi_decision_game(rng)
@@ -236,7 +238,9 @@ def test_arena_and_views_keep_declaration_order():
         names = list(game.names())
         mechs = [mechanism_node(game, v) for v in names]
         arena = _arena(game)
-        assert list(arena.pred) == list(arena.succ) == names
+        assert arena.pred is game.parents and arena.succ is game._children
+        dot = export_dot(game, "independent_mechanised").splitlines()
+        assert [ln.split('"')[1] for ln in dot if "[shape=" in ln] == names + mechs
         assert list(graphs._mechanisms(game)) == mechs
         mech_edges = [(mechanism_node(game, v), v) for v in names if v not in game.object_fixed]
         assert _dot_mechanism_lines(game) == (mechs, mech_edges)
@@ -245,10 +249,11 @@ def test_arena_and_views_keep_declaration_order():
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
 def test_arena_matches_graph_views(rng, multi, fix):
-    """The arena holds the object graph; the mechanism nodes add each one's
-    edge into its variable, none into an object-fixed decision; the
-    inter-mechanism edges join mechanism nodes.  The tests' networkx view
-    holds the same graph."""
+    """The arena holds the object graph: each variable's neighbours read
+    through it, a name it does not map having none, are the definition's.
+    The mechanism nodes add each one's edge into its variable, none into an
+    object-fixed decision; the inter-mechanism edges join mechanism nodes.
+    The tests' networkx view holds the same graph."""
     game = random_multi_decision_game(rng) if multi else random_game(rng)
     if fix:
         d = rng.choice(game.decisions())
@@ -258,10 +263,11 @@ def test_arena_matches_graph_views(rng, multi, fix):
     nodes, edges = _definition_graph(game)
     names = set(game.names())
     arena = _arena(game)
-    assert set(arena.pred) == set(arena.succ) == names
+    assert arena.pred is game.parents
+    assert set(arena.pred) <= names and set(arena.succ) <= names
     for n in names:
-        assert set(arena.pred[n]) == {a for a, b in edges if b == n and a in names}
-        assert set(arena.succ[n]) == {b for a, b in edges if a == n}
+        assert set(arena.pred.get(n, ())) == {a for a, b in edges if b == n and a in names}
+        assert set(arena.succ.get(n, ())) == {b for a, b in edges if a == n}
     mechs = graphs._mechanisms(game)
     assert set(mechs) == nodes - names
     assert {(m, v) for m, vs in mechs.items() for v in vs} == {
@@ -599,15 +605,27 @@ def test_predicted_removals_past_the_path_budget(monkeypatch):
     assert predicted == side_effects(game, fix).removed
 
 
+class _CountedFills(dict):
+    """An arena's open-collider cache that records each conditioning set it
+    is filled under."""
+
+    def __init__(self):
+        super().__init__()
+        self.filled = []
+
+    def __setitem__(self, given, colliders):
+        self.filled.append(given)
+        super().__setitem__(given, colliders)
+
+
 def test_one_open_collider_closure_per_conditioning_set(monkeypatch):
-    calls = []
-    closure = graphs._closure
+    init = graphs._Arena.__init__
 
-    def counted(step, start):
-        calls.append((step, frozenset(start)))
-        return closure(step, start)
+    def counted(self, game):
+        init(self, game)
+        self.open = _CountedFills()
 
-    monkeypatch.setattr(graphs, "_closure", counted)
+    monkeypatch.setattr(graphs._Arena, "__init__", counted)
     fixtures = [resolve_game(name) for name in ("job_market", "stackelberg")]
     closures = 0
     for game in fixtures + _seeded_games(random.Random(43), 10):
@@ -615,11 +633,30 @@ def test_one_open_collider_closure_per_conditioning_set(monkeypatch):
         predicted_edge_removals(game, _hard_fix(game, game.decisions()[-1]))
         for edge in edges:
             reachability_paths(game, *edge)
-        pred = _arena(game).pred
-        opened = [start for step, start in calls if step is pred]
+        opened = _arena(game).open.filled
         assert len(opened) == len(set(opened))
         closures += len(opened)
     assert closures
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(GAME_GENERATORS), st.booleans())
+def test_relevance_closure_matches_two_searches(rng, make, fix):
+    """Test (b) as an ancestor closure finds what its reachable-set search
+    found, on seeded games of every generator, with an object-fixed decision
+    or without, and under the severed edges of a hard fix of each decision
+    as ``predicted_edge_removals`` builds them."""
+    game = make(rng)
+    if fix and game.decisions():
+        game = apply_primitive(game, _hard_fix(game, rng.choice(game.decisions())))
+    cuts = [frozenset()] + [
+        frozenset({(w, d) for w in game.parents_of(d)} | {(rule_node(d), d)})
+        for d in game.decisions()
+    ]
+    for d in game.decisions():
+        for severed in cuts:
+            want = reference_relevant(game, rule_node(d), severed)
+            assert graphs._relevant(game, rule_node(d), severed) == want
 
 
 def test_vectorised_independence_oracle_matches_loop_form():

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -838,6 +838,26 @@ def test_decompose_satisfies_agent_views(job_market):
                     job_market, pool, visibility, agent, merge_common
                 )
                 assert games_equal(staged, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_every_agent_stage_indexes_a_stage(rng, multi, merge_common):
+    """Every agent gets a stage, and the stage it gets is one of the
+    decomposition's, so ``classify_visibility`` always reads a prefix of
+    the stages: on seeded games, with object fixes of up to three distinct
+    variables and random visibility, with common labels merged or not."""
+    game = random_multi_decision_game(rng) if multi else random_game(rng)
+    by_target = {}
+    for fix in object_fixes(game, rng):
+        by_target.setdefault(fix.target, []).append(fix)
+    targets = rng.sample(sorted(by_target), min(3, len(by_target)))
+    pool = [(f"i{k}", rng.choice(by_target[t])) for k, t in enumerate(targets)]
+    agents = range(1, game.n_agents + 1)
+    visibility = {a: [lab for lab, _ in pool if rng.random() < 0.5] for a in agents}
+    dec = decompose(game, pool, visibility, merge_common=merge_common)
+    assert set(dec.agent_stage) == set(agents)
+    assert all(0 <= j < len(dec.stages) for j in dec.agent_stage.values())
 
 
 # -- the algebra as a state machine ----------------------------------------------------

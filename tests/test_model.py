@@ -17,12 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalgames import (
+    AddVariable,
     CausalGame,
+    FixMechanism,
     PolicyProfile,
+    RemoveVariable,
     TabularCPD,
     ValidationError,
     Variable,
     apply_all,
+    apply_primitive,
     enumerate_pure_rules,
     evaluate_query,
     expected_utility,
@@ -37,6 +41,7 @@ from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
 from causalgames.errors import SolverError
 from causalgames.model import _check_cpd, violations
 from helpers import (
+    GAME_GENERATORS,
     brute_force_joint,
     expected_utility_from_joint,
     fan_game,
@@ -565,6 +570,36 @@ def test_a_decision_is_free_committed_or_object_fixed(stackelberg):
     report = ["D1: decision has both a table and an imposed rule"]
     assert validate_game(both) == report
     assert violations(both, ["D1"]) == report
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(GAME_GENERATORS))
+def test_utilities_of_is_the_declaration_order_scan(rng, make):
+    """``utilities_of`` lists an agent's utilities in declaration order, and
+    none for an agent that owns no utility, on seeded games and on the games
+    derived from them by adding a utility, removing one or refitting one's
+    table."""
+
+    def scan(game, agent):
+        return tuple(v.name for v in game.variables if v.kind == "utility" and v.agent == agent)
+
+    game = make(rng)
+    owner = rng.randint(1, game.n_agents)
+    reads = rng.choice([v.name for v in game.variables if v.kind != "utility"])
+    added = Variable("U_new", "utility", (0, 1), owner)
+    cpd = TabularCPD.uniform("U_new", (0, 1), (reads,), game.domain)
+    at = rng.randint(0, len(game.variables))
+    games = [game, apply_primitive(game, AddVariable(added, (reads,), (), cpd, index=at))]
+    utilities = [v.name for v in game.variables if v.kind == "utility"]
+    if utilities:
+        u = rng.choice(utilities)
+        games.append(apply_primitive(game, RemoveVariable(u)))
+        games.append(apply_primitive(game, FixMechanism(f"THETA_{u}", game.cpds[u])))
+    for g in games:
+        for agent in range(g.n_agents + 2):
+            assert g.utilities_of(agent) == scan(g, agent)
+    assert game.utilities_of(0) == game.utilities_of(game.n_agents + 1) == ()
+    assert random_rich_game(rng).utilities_of(3) == ()  # agent 3 owns none
 
 
 @pytest.mark.parametrize("rows, report", [
