@@ -125,16 +125,21 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     game = resolve_game(args.game)
     result = equilibrium.pure_nash(game)
-    lines = [f"{len(result.outcomes)} pure rational outcome(s):"]
-    payload = {"outcomes": [_point(game, p) for p in result.outcomes]}
-    for i, (profile, point) in enumerate(zip(result.outcomes, payload["outcomes"]), 1):
-        rules_text = " | ".join(
-            _rule_text(game, d, profile[d]) for d in game.free_decisions()
-        )
-        lines.append(f"  {i}. {rules_text}  EU={tuple(point['payoffs'])}")
+    lines, payload = [], {}
+
+    def points(key, profiles, header):
+        payload[key] = [_point(game, p) for p in profiles]
+        lines.append(f"{len(profiles)} {header}:")
+        for i, (profile, point) in enumerate(zip(profiles, payload[key]), 1):
+            rules_text = " | ".join(
+                _rule_text(game, d, profile[d]) for d in game.free_decisions()
+            )
+            lines.append(f"  {i}. {rules_text}  EU={tuple(point['payoffs'])}")
+
+    points("outcomes", result.outcomes, "pure rational outcome(s)")
     if args.behavioral:
         beh = equilibrium.behavioral_nash_small(game)
-        payload["behavioral_points"] = [_point(game, p) for p in beh.outcomes]
+        points("behavioral_points", beh.outcomes, "behavioral point(s)")
         payload["families"] = []
         lines.append(f"{len(beh.families)} behavioral famil(ies):")
         for fam in beh.families:

@@ -5,10 +5,10 @@ variable (``THETA_<v>`` for a CPD, ``PI_<d>`` for a decision rule), an edge
 from each mechanism to its variable, and inter-mechanism edges into rule
 nodes wherever the source mechanism is strategically relevant under best
 response.  The independent mechanised graph drops the inter-mechanism
-edges.  Every search runs on a game's arena, made once per game on first
-use: it reads the game's own parent map and children index, without a copy,
-and keeps the caches the searches fill; games are immutable, so it never
-goes stale.  A mechanism node has no parents and at most one child, its own
+edges.  Every search reads the game's own parent map and children index,
+without a copy, and the caches it fills are kept on the game, made on first
+use; games are immutable, so they never go stale, and a derived game starts
+without them.  A mechanism node has no parents and at most one child, its own
 variable, so it stays implicit: a search reaches it exactly when the ball
 at that variable passes on to the variable's parents, and a path out of it
 starts with its edge into the variable.  Mechanism nodes are named only in
@@ -29,9 +29,9 @@ decision's parents to their ancestors: it runs as that ancestor closure.
 exponential in the worst case; it is used only where the paths themselves
 are the answer: relevance witnesses and minimum intervention sets.  It grows
 paths, each from a mechanism's edge into its variable, on an explicit stack
-and drops a path at the first node that blocks it.  An arena keeps the open
-colliders of each conditioning set it has searched under, next to its rule
-nodes' relevance tests.
+and drops a path at the first node that blocks it.  A game keeps the open
+colliders of each conditioning set it has been searched under, next to its
+rule nodes' relevance tests.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .errors import SolverError, ValidationError
-from .model import CausalGame, DECISION, ENUM_BUDGET, _record
+from .model import CausalGame, DECISION, ENUM_BUDGET, _closure, _record
 
 FORWARD = "->"
 BACKWARD = "<-"
@@ -59,27 +59,6 @@ def variable_of_mechanism(name: str) -> str:
         if name.startswith(prefix):
             return name[len(prefix):]
     raise ValidationError(f"{name!r} is not a mechanism node name")
-
-
-class _Arena:
-    """One game's object graph and the caches its searches fill.  ``pred``
-    and ``succ`` are the game's own parent map and children index, read
-    without a copy; a name missing from either has no neighbours there.
-    Mechanism nodes are left implicit: see ``_reachable`` and
-    ``active_paths`` for how a search reaches them."""
-
-    def __init__(self, game: CausalGame):
-        self.pred, self.succ = game.parents, game._children
-        self.tests = {}  # rule node -> its relevance tests, see _relevance_tests
-        self.open = {}  # conditioning set -> its open colliders, see _open_colliders
-
-
-def _arena(game: CausalGame) -> _Arena:
-    """The game's arena, built on first use and kept on the game."""
-    arena = vars(game).get("_arena")
-    if arena is None:
-        arena = vars(game)["_arena"] = _Arena(game)
-    return arena
 
 
 def _mechanisms(game: CausalGame, names: Iterable[str] | None = None) -> dict:
@@ -130,32 +109,19 @@ class Path:
         return out
 
 
-def _closure(step: Mapping, start) -> set:
-    """``start`` and every node reached from it along ``step``'s adjacency:
-    along ``pred``, its ancestors, such as the colliders that leave a trail
-    open given ``start``."""
-    closure = set(start)
-    stack = list(start)
-    while stack:
-        for n in step.get(stack.pop(), ()):
-            if n not in closure:
-                closure.add(n)
-                stack.append(n)
-    return closure
-
-
-def _open_colliders(arena: _Arena, given: frozenset) -> set:
+def _open_colliders(game: CausalGame, given: frozenset) -> set:
     """The colliders that leave a trail open given ``given`` (its ancestral
-    closure), computed once per conditioning set of an arena."""
-    closure = arena.open.get(given)
-    if closure is None:
-        closure = arena.open[given] = _closure(arena.pred, given)
-    return closure
+    closure), computed once per conditioning set of a game and kept on it."""
+    kept = vars(game).setdefault("_open", {})
+    if given not in kept:
+        kept[given] = _closure(game.parents, given)
+    return kept[given]
 
 
-def _sever(arena: _Arena, severed) -> tuple[Mapping, Mapping]:
-    """The arena's ``pred`` and ``succ`` without the edges in ``severed``."""
-    pred, succ = arena.pred, arena.succ
+def _sever(game: CausalGame, severed) -> tuple[Mapping, Mapping]:
+    """The game's parent map and children index without the edges in
+    ``severed``."""
+    pred, succ = game.parents, game._children
     if severed:
         pred, succ = dict(pred), dict(succ)
         for tail, head in severed:
@@ -165,7 +131,7 @@ def _sever(arena: _Arena, severed) -> tuple[Mapping, Mapping]:
 
 
 def _reachable(
-    arena: _Arena, xs: set, given: frozenset, severed=frozenset()
+    game: CausalGame, xs: set, given: frozenset, severed=frozenset()
 ) -> tuple[set, set]:
     """Reachable-set search: every node an active trail from ``xs`` reaches,
     and those of them that pass the ball on to their parents.
@@ -182,8 +148,8 @@ def _reachable(
     the whole graph: the trails found are the active trails that avoid those
     edges.
     """
-    open_colliders = _open_colliders(arena, given)
-    pred, succ = _sever(arena, severed)
+    open_colliders = _open_colliders(game, given)
+    pred, succ = _sever(game, severed)
     up, down = set(xs), set()
     rising, falling = list(up), []
     while rising or falling:
@@ -206,7 +172,7 @@ def _reachable(
     return up | down, (up - given) | (down & open_colliders)
 
 
-def active_paths(arena: _Arena, starts, zs, given) -> list[Path]:
+def active_paths(game: CausalGame, starts, zs, given) -> list[Path]:
     """All simple paths from the edges ``starts`` to ``zs`` left unblocked
     by ``given``.
 
@@ -219,7 +185,7 @@ def active_paths(arena: _Arena, starts, zs, given) -> list[Path]:
     """
     stack = [(edge, (FORWARD,)) for edge in starts]
     zs, given = set(zs), frozenset(given)
-    open_colliders = _open_colliders(arena, given)
+    open_colliders = _open_colliders(game, given)
     found = []
     while stack:
         nodes, arrows = stack.pop()
@@ -233,7 +199,7 @@ def active_paths(arena: _Arena, starts, zs, given) -> list[Path]:
         onward = here not in given
         back = here in open_colliders if arrows[-1] == FORWARD else onward
         for step, arrow, ok in (
-            (arena.succ, FORWARD, onward), (arena.pred, BACKWARD, back)
+            (game._children, FORWARD, onward), (game.parents, BACKWARD, back)
         ):
             if ok:
                 for nxt in step.get(here, ()):
@@ -258,20 +224,20 @@ def _relevance_tests(game: CausalGame, target: str):
     independent mechanised graph, it is either (a) d-connected to the
     deciding agent's utility variables downstream of the decision given the
     decision and its parents, or (b) d-connected to the decision's parents
-    given nothing.  Returns the arena and the (targets, conditioning set)
-    pairs whose target set is non-empty, kept on the arena.
+    given nothing.  Returns the (targets, conditioning set) pairs whose
+    target set is non-empty, kept on the game.
     """
-    arena = _arena(game)
-    if target not in arena.tests:
+    kept = vars(game).setdefault("_tests", {})
+    if target not in kept:
         decision = target[3:]
         if not target.startswith("PI_") or game.kind(decision) != DECISION:
             raise ValidationError(f"{target!r} is not a decision-rule node")
-        downstream = _closure(arena.succ, {decision})
+        downstream = _closure(game._children, {decision})
         utils = frozenset(game.utilities_of(game.agent_of(decision))) & downstream
         parents = frozenset(game.parents_of(decision))
         tests = ((utils, parents | {decision}), (parents, frozenset()))
-        arena.tests[target] = [(t, cond) for t, cond in tests if t]
-    return arena, arena.tests[target]
+        kept[target] = [(t, cond) for t, cond in tests if t]
+    return kept[target]
 
 
 def _relevant(game: CausalGame, target: str, severed=frozenset()) -> frozenset:
@@ -280,10 +246,9 @@ def _relevant(game: CausalGame, target: str, severed=frozenset()) -> frozenset:
     climb, except an object-fixed decision's and any with a severed edge.
     With nothing given no collider is open, so test (b)'s search climbs from
     the decision's parents to their ancestors and no further: a closure."""
-    arena, tests = _relevance_tests(game, target)
-    pred, climbed = _sever(arena, severed)[0], set()
-    for t, cond in tests:
-        climbed |= _reachable(arena, t, cond, severed)[1] if cond else _closure(pred, t)
+    pred, climbed = _sever(game, severed)[0], set()
+    for t, cond in _relevance_tests(game, target):
+        climbed |= _reachable(game, t, cond, severed)[1] if cond else _closure(pred, t)
     return frozenset(
         m for m, vs in _mechanisms(game, climbed).items()
         if vs and (m, vs[0]) not in severed
@@ -292,8 +257,7 @@ def _relevant(game: CausalGame, target: str, severed=frozenset()) -> frozenset:
 
 def _start_edges(game: CausalGame, mech: str) -> list:
     """Mechanism node ``mech``'s edge into its variable, as the start edges
-    of ``active_paths`` on the game's arena: none for an object-fixed
-    decision's rule node."""
+    of ``active_paths``: none for an object-fixed decision's rule node."""
     v = mech.partition("_")[2]  # PI_<d> or THETA_<v>; any other name fails below
     edges = _mechanisms(game, [v]) if game.has_variable(v) else {}
     if mech not in edges:
@@ -319,9 +283,9 @@ def reachability_paths(game: CausalGame, mech: str, target: str) -> list[Path]:
     with the conditioning set of the test it witnesses.  Empty exactly when
     ``mech`` is not in ``relevant_mechanisms(game, target)``.
     """
-    arena, tests = _relevance_tests(game, target)
+    tests = _relevance_tests(game, target)
     start = _start_edges(game, mech)
-    return [p for t, cond in tests for p in active_paths(arena, start, t, cond)]
+    return [p for t, cond in tests for p in active_paths(game, start, t, cond)]
 
 
 @_record

@@ -821,7 +821,8 @@ def expectations(
     for value in values:
         total = np.zeros(shape)
         for labels, array in value:
-            parts = [factor(n) for n in _ancestral(game, labels)]
+            ancestral = _closure(game.parents, labels)  # taken in declaration order
+            parts = [factor(n) for n in game.names() if n in ancestral]
             parts.append((labels, array))
             total = total + _contract(parts, keep)
         out.append(total)
@@ -836,8 +837,7 @@ def _cpd_tensor(
     utility's value factor).
 
     Each array is built once per layout, the domains it is laid out over,
-    and kept read-only on the CPD, as the game keeps its arena; a copy of
-    the CPD starts without them.
+    and kept read-only on the CPD; a copy of the CPD starts without them.
     """
     import numpy as np
 
@@ -857,16 +857,18 @@ def _cpd_tensor(
     return array
 
 
-def _ancestral(game: CausalGame, names) -> list[str]:
-    """``names`` and all their ancestors, in declaration order."""
-    seen: set[str] = set()
-    stack = list(names)
+def _closure(step: Mapping, start) -> set:
+    """``start`` and every node reached from it along ``step``'s adjacency:
+    along a game's ``parents``, its ancestors, such as the colliders that
+    leave a trail open given ``start``."""
+    closure = set(start)
+    stack = list(start)
     while stack:
-        n = stack.pop()
-        if n not in seen:
-            seen.add(n)
-            stack.extend(game.parents_of(n))
-    return [n for n in game.names() if n in seen]
+        for n in step.get(stack.pop(), ()):
+            if n not in closure:
+                closure.add(n)
+                stack.append(n)
+    return closure
 
 
 @functools.cache

@@ -769,10 +769,9 @@ def reference_relevant(game: CausalGame, target: str, severed=frozenset()) -> fr
     relevance test, test (b), given nothing, included: the mechanism nodes
     of the variables whose searches climb, except an object-fixed
     decision's and any with a severed edge."""
-    arena, tests = graphs._relevance_tests(game, target)
     climbed = set()
-    for t, cond in tests:
-        climbed |= graphs._reachable(arena, t, cond, severed)[1]
+    for t, cond in graphs._relevance_tests(game, target):
+        climbed |= graphs._reachable(game, t, cond, severed)[1]
     return frozenset(
         m for m, vs in graphs._mechanisms(game, climbed).items()
         if vs and (m, vs[0]) not in severed

@@ -31,7 +31,7 @@ from causalgames import (
     pure_nash,
     verify_rational_outcome,
 )
-from causalgames.graphs import _arena, _reachable
+from causalgames.graphs import _reachable
 from causalgames.queries import QueryJob, evaluate_query
 from helpers import (
     agent_view,
@@ -118,6 +118,9 @@ def test_criterion_04_environment_modification(job_market, effortville):
     assert check_spec_env(job_market, [env], "D2=j")
     assert check_spec_env(job_market, [], "D2=j")
     assert not check_spec_env(job_market, [], "D2=j", include_behavioral=True)
+    # an event may be given as a mapping
+    assert check_spec_env(job_market, [env], {"D2": "j"})
+    assert not check_spec_env(job_market, [], {"D2": "j"}, include_behavioral=True)
     note(4, "three equilibria with the listed payoffs; spec check behaves")
 
 
@@ -251,7 +254,7 @@ def test_criterion_09_d_separation_vs_numeric_oracle():
     for _ in range(200):
         game = random_cbn(rng)
         joint = induced_joint(game, PolicyProfile({}))
-        arena, view = _arena(game), object_view(game)
+        view = object_view(game)
         names = list(game.names())
         domains = {n: game.domain(n) for n in names}
         for i, x in enumerate(names):
@@ -259,7 +262,7 @@ def test_criterion_09_d_separation_vs_numeric_oracle():
                 rest = [n for n in names if n not in (x, z)]
                 for r in range(len(rest) + 1):
                     for given in itertools.combinations(rest, r):
-                        reached = _reachable(arena, {x}, frozenset(given))[0]
+                        reached = _reachable(game, {x}, frozenset(given))[0]
                         separated = z not in reached
                         assert separated == nx.is_d_separator(view, {x}, {z}, set(given))
                         if separated:

@@ -25,7 +25,7 @@ from causalgames import (
 )
 from causalgames import graphs
 from causalgames.cli import resolve_game
-from causalgames.graphs import _arena, _reachable, active_paths, rule_node
+from causalgames.graphs import _reachable, _sever, active_paths, rule_node
 from helpers import (
     GAME_GENERATORS,
     chain_to_utility_game,
@@ -52,7 +52,7 @@ JM_EDGES_INTO_PI_D2 = {"THETA_T", "THETA_U2", "PI_D1"}
 
 def _dag_game(graph: nx.DiGraph) -> CausalGame:
     """A game without tables whose object graph is the DAG ``graph``, so
-    that the searches run on its arena."""
+    that the searches run on it."""
     return CausalGame(
         1, tuple(Variable(n, "chance", ("a", "b")) for n in graph),
         {n: tuple(graph.pred[n]) for n in graph}, {},
@@ -61,7 +61,7 @@ def _dag_game(graph: nx.DiGraph) -> CausalGame:
 
 def _reached(game, xs, given) -> set:
     """Every node an active trail from ``xs`` given ``given`` reaches."""
-    return _reachable(_arena(game), set(xs), frozenset(given))[0]
+    return _reachable(game, set(xs), frozenset(given))[0]
 
 
 def test_d_connection_between_utilities(job_market):
@@ -77,19 +77,19 @@ def test_isolated_nodes_separated():
 
 def test_blocked_chain():
     game = _dag_game(nx.DiGraph([("A", "B"), ("B", "C")]))
-    assert active_paths(_arena(game), [("THETA_A", "A")], {"C"}, {"B"}) == []
+    assert active_paths(game, [("THETA_A", "A")], {"C"}, {"B"}) == []
     assert "A" in _reached(game, {"C"}, set())
 
 
 def test_active_path_witnesses(job_market):
     """``U2`` is a collider on every trail from its own mechanism, open
     only when ``U2`` is observed; ``T`` and ``D2`` then block both links."""
-    arena, start = _arena(job_market), [("THETA_U2", "U2")]
-    assert active_paths(arena, start, {"U1"}, set()) == []
-    paths = {p.render() for p in active_paths(arena, start, {"U1"}, {"U2"})}
+    start = [("THETA_U2", "U2")]
+    assert active_paths(job_market, start, {"U1"}, set()) == []
+    paths = {p.render() for p in active_paths(job_market, start, {"U1"}, {"U2"})}
     assert "THETA_U2 -> U2 <- T -> U1" in paths
     assert "THETA_U2 -> U2 <- D2 -> U1" in paths
-    assert active_paths(arena, start, {"U1"}, {"U2", "T", "D2"}) == []
+    assert active_paths(job_market, start, {"U1"}, {"U2", "T", "D2"}) == []
 
 
 def test_mechanised_graph_signalling(job_market):
@@ -223,10 +223,10 @@ def _dot_mechanism_lines(game):
     return nodes, edges
 
 
-def test_arena_and_views_keep_declaration_order():
+def test_views_keep_declaration_order():
     """Variables in declaration order, then each one's mechanism node in the
     same order: the node order of the DOT text, on seeded games with
-    object-fixed decisions.  The arena reads the game's own parent map and
+    object-fixed decisions.  The searches read the game's own parent map and
     children index, not a copy of them."""
     for seed in range(60):
         rng = random.Random(f"order:{seed}")
@@ -237,8 +237,8 @@ def test_arena_and_views_keep_declaration_order():
             game = apply_primitive(game, FixObject(d, (), TabularCPD.delta(d, dom[0], dom)))
         names = list(game.names())
         mechs = [mechanism_node(game, v) for v in names]
-        arena = _arena(game)
-        assert arena.pred is game.parents and arena.succ is game._children
+        pred, succ = _sever(game, frozenset())
+        assert pred is game.parents and succ is game._children
         dot = export_dot(game, "independent_mechanised").splitlines()
         assert [ln.split('"')[1] for ln in dot if "[shape=" in ln] == names + mechs
         assert list(graphs._mechanisms(game)) == mechs
@@ -248,9 +248,10 @@ def test_arena_and_views_keep_declaration_order():
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
-def test_arena_matches_graph_views(rng, multi, fix):
-    """The arena holds the object graph: each variable's neighbours read
-    through it, a name it does not map having none, are the definition's.
+def test_search_graph_matches_graph_views(rng, multi, fix):
+    """The searches walk the object graph in the game's parent map and
+    children index, read without a copy: each variable's neighbours there, a
+    name neither maps having none, are the definition's.
     The mechanism nodes add each one's edge into its variable, none into an
     object-fixed decision; the inter-mechanism edges join mechanism nodes.
     The tests' networkx view holds the same graph."""
@@ -262,12 +263,12 @@ def test_arena_matches_graph_views(rng, multi, fix):
         assert d in game.object_fixed
     nodes, edges = _definition_graph(game)
     names = set(game.names())
-    arena = _arena(game)
-    assert arena.pred is game.parents
-    assert set(arena.pred) <= names and set(arena.succ) <= names
+    pred, succ = _sever(game, frozenset())
+    assert pred is game.parents and succ is game._children
+    assert set(pred) <= names and set(succ) <= names
     for n in names:
-        assert set(arena.pred.get(n, ())) == {a for a, b in edges if b == n and a in names}
-        assert set(arena.succ.get(n, ())) == {b for a, b in edges if a == n}
+        assert set(pred.get(n, ())) == {a for a, b in edges if b == n and a in names}
+        assert set(succ.get(n, ())) == {b for a, b in edges if a == n}
     mechs = graphs._mechanisms(game)
     assert set(mechs) == nodes - names
     assert {(m, v) for m, vs in mechs.items() for v in vs} == {
@@ -335,11 +336,11 @@ def test_d_separated_agrees_with_path_enumeration(query):
     mechanism's edge exist, and exactly when networkx finds its mechanism
     d-connected to ``zs``."""
     g, xs, zs, given = query
-    arena = _arena(_dag_game(g))
-    climbed = _reachable(arena, zs, frozenset(given))[1]
+    game = _dag_game(g)
+    climbed = _reachable(game, zs, frozenset(given))[1]
     mechanised, starts = _with_mechanisms(g, xs)
     for m, x in starts:
-        paths = active_paths(arena, [(m, x)], zs, given)
+        paths = active_paths(game, [(m, x)], zs, given)
         connected = not nx.is_d_separator(mechanised, {m}, zs, given)
         assert (x in climbed) == bool(paths) == connected
 
@@ -349,7 +350,7 @@ def test_d_separated_agrees_with_path_enumeration(query):
 def test_pruned_paths_match_full_enumeration(query):
     g, xs, zs, given = query
     mechanised, starts = _with_mechanisms(g, xs)
-    assert active_paths(_arena(_dag_game(g)), starts, zs, given) == full_active_paths(
+    assert active_paths(_dag_game(g), starts, zs, given) == full_active_paths(
         mechanised, {m for m, _ in starts}, zs, given
     )
 
@@ -365,8 +366,8 @@ def test_two_mark_search_matches_the_state_search(query, data):
     g, xs, _, given = query
     severed = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges)))
                                   if g.number_of_edges() else st.just(set())))
-    arena = _arena(_dag_game(g))
-    reached, climbed = _reachable(arena, xs, frozenset(given), severed)
+    game = _dag_game(g)
+    reached, climbed = _reachable(game, xs, frozenset(given), severed)
     assert reached == state_reachable(g, xs, given, severed)
     mechanised = g.copy()
     mechanised.add_edges_from((("M", n), n) for n in g)
@@ -375,7 +376,7 @@ def test_two_mark_search_matches_the_state_search(query, data):
     want = state_reachable(mechanised, xs, given, severed)
     assert reached == want & set(g)
     assert climbed - cut == {n for n in g if ("M", n) in want}
-    assert _reachable(arena, xs, frozenset(given), severed) == (reached, climbed)
+    assert _reachable(game, xs, frozenset(given), severed) == (reached, climbed)
 
 
 def _nx_relevance_tests(game, target):
@@ -401,7 +402,7 @@ def _seeded_games(rng, n):
 
 
 def test_arena_paths_match_full_enumeration():
-    """The arena's witness paths equal the complete enumeration on the
+    """The witness paths equal the complete enumeration on the
     ``nx.DiGraph`` of the same independent mechanised graph."""
     found = 0
     for game in _seeded_games(random.Random(41), 24):
@@ -606,36 +607,45 @@ def test_predicted_removals_past_the_path_budget(monkeypatch):
 
 
 class _CountedFills(dict):
-    """An arena's open-collider cache that records each conditioning set it
-    is filled under."""
+    """A game's cache of relevance tests or open colliders that records each
+    key it is filled under."""
 
     def __init__(self):
         super().__init__()
         self.filled = []
 
-    def __setitem__(self, given, colliders):
-        self.filled.append(given)
-        super().__setitem__(given, colliders)
+    def __setitem__(self, key, value):
+        self.filled.append(key)
+        super().__setitem__(key, value)
 
 
-def test_one_open_collider_closure_per_conditioning_set(monkeypatch):
-    init = graphs._Arena.__init__
+_CACHES = ("_tests", "_open")  # per rule node, per conditioning set
 
-    def counted(self, game):
-        init(self, game)
-        self.open = _CountedFills()
 
-    monkeypatch.setattr(graphs._Arena, "__init__", counted)
+def _counted(game: CausalGame) -> CausalGame:
+    """``game``, its searches' caches replaced by ones that count fills."""
+    vars(game).update({name: _CountedFills() for name in _CACHES})
+    return game
+
+
+def _fills(game: CausalGame) -> list:
+    """Each fill of ``game``'s counted caches, as (cache, key) pairs."""
+    return [(name, key) for name in _CACHES for key in vars(game)[name].filled]
+
+
+def test_one_open_collider_closure_per_conditioning_set():
+    """A game fills each rule node's relevance tests and each conditioning
+    set's open colliders at most once, however many searches read them."""
     fixtures = [resolve_game(name) for name in ("job_market", "stackelberg")]
     closures = 0
-    for game in fixtures + _seeded_games(random.Random(43), 10):
+    for game in map(_counted, fixtures + _seeded_games(random.Random(43), 10)):
         edges = build_mechanised_graph(game).inter_mechanism_edges
         predicted_edge_removals(game, _hard_fix(game, game.decisions()[-1]))
         for edge in edges:
             reachability_paths(game, *edge)
-        opened = _arena(game).open.filled
-        assert len(opened) == len(set(opened))
-        closures += len(opened)
+        filled = _fills(game)
+        assert len(filled) == len(set(filled))
+        closures += sum(name == "_open" for name, _ in filled)
     assert closures
 
 
@@ -690,16 +700,19 @@ def test_witness_paths_counted_against_budget(monkeypatch):
     assert len(reachability_paths(dense_to_utility_game(7), "THETA_X0", "PI_D")) == 32
 
 
-def _count_arenas(monkeypatch) -> list:
-    built = []
-    init = graphs._Arena.__init__
+def _count_derived(monkeypatch) -> list:
+    """Each game ``_derive`` makes from here on, with counted caches, and
+    whether it started without any cache of the game it came from."""
+    made = []
+    derive = CausalGame._derive
 
-    def counted(self, game):
-        built.append(game)
-        init(self, game)
+    def counted(self, **changes):
+        game = derive(self, **changes)
+        made.append((game, not set(_CACHES) & set(vars(game))))
+        return _counted(game)
 
-    monkeypatch.setattr(graphs._Arena, "__init__", counted)
-    return built
+    monkeypatch.setattr(CausalGame, "_derive", counted)
+    return made
 
 
 def _hard_fix(game, d="D1"):
@@ -720,37 +733,57 @@ def _pair_answers(game):
     )
 
 
-def test_arena_built_once_per_game(monkeypatch):
-    built = _count_arenas(monkeypatch)
-    game = resolve_game("job_market")
+def test_caches_filled_once_per_game(monkeypatch):
+    """Predicting removals searches the game alone; reporting side effects
+    also searches the intervened game, which fills its own caches."""
+    derived = _count_derived(monkeypatch)
+    game = _counted(resolve_game("job_market"))
     assert predicted_edge_removals(game, _hard_fix(game))
-    assert built == [game]
-    game = resolve_game("job_market")
-    built.clear()
+    assert all(not _fills(g) for g, _ in derived)
+    filled = _fills(game)
+    assert filled and len(filled) == len(set(filled))
+    game = _counted(resolve_game("job_market"))
+    derived.clear()
     report = side_effects(game, _hard_fix(game))
     assert report.removed
-    assert len(built) == 2 and built[0] is game and built[1] is not game
+    searched = [(g, fresh) for g, fresh in derived if _fills(g)]
+    assert len(searched) == 1 and searched[0][1]
+    child = searched[0][0]
+    for g in (game, child):
+        filled = _fills(g)
+        assert filled and len(filled) == len(set(filled))
+    assert all(vars(child)[name] is not vars(game)[name] for name in _CACHES)
 
 
-def test_intervened_game_gets_its_own_arena(monkeypatch):
+def test_intervened_game_fills_its_own_caches(monkeypatch):
     parent = resolve_game("job_market")
     before = _pair_answers(parent)
+    kept = {name: dict(vars(parent)[name]) for name in _CACHES}
+    derived = _count_derived(monkeypatch)
     child = apply_primitive(parent, _hard_fix(parent))
-    built = _count_arenas(monkeypatch)
     answers = _pair_answers(child)
-    assert built == [child]
+    assert [g for g, fresh in derived if fresh and _fills(g)] == [child]
+    filled = _fills(child)
+    assert len(filled) == len(set(filled))
+    assert {name: vars(parent)[name] for name in _CACHES} == kept
     assert answers != before
     fresh = resolve_game("job_market")
     assert answers == _pair_answers(apply_primitive(fresh, _hard_fix(fresh)))
 
 
-def test_deep_copied_game_answers_identically(monkeypatch):
+def test_deep_copied_game_answers_identically():
+    """A deep copy starts with copies of the game's caches and answers from
+    them: answering again fills nothing new."""
     game = resolve_game("job_market")
     answers = _pair_answers(game)
     edges = build_mechanised_graph(game).inter_mechanism_edges
     clone = copy.deepcopy(game)
-    built = _count_arenas(monkeypatch)
+    for name in _CACHES:
+        copied = vars(clone)[name]
+        assert copied == vars(game)[name] and copied is not vars(game)[name]
+        vars(clone)[name] = _CountedFills()
+        dict.update(vars(clone)[name], copied)  # not counted as fills
     assert _pair_answers(clone) == answers
     assert build_mechanised_graph(clone).inter_mechanism_edges == edges
     assert export_dot(clone, "mechanised") == export_dot(game, "mechanised")
-    assert built == []
+    assert _fills(clone) == []

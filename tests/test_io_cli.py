@@ -323,6 +323,29 @@ def test_cli_solve_dilemma(capsys):
     assert "EU=(-2.0, -2.0)" in out
 
 
+@pytest.mark.parametrize("game", ["job_market", "effortville"])
+def test_cli_solve_text_lists_behavioral_points(capsys, game):
+    """The text lists the JSON's behavioral points, one line each formatted
+    like a pure outcome, mixed rules included, before the families."""
+    code, out, _ = run_cli(capsys, "solve", game, "--behavioral")
+    assert code == 0
+    points = json.loads(run_cli(capsys, "--json", "solve", game, "--behavioral")[1])
+    points = points["behavioral_points"]
+    lines = out.splitlines()
+    start = lines.index(f"{len(points)} behavioral point(s):") + 1
+    listed = lines[start:start + len(points)]
+    assert [ln.split(". ", 1)[0] for ln in listed] == [
+        f"  {i}" for i in range(1, len(points) + 1)
+    ]
+    assert [ln.rsplit("  EU=", 1)[1] for ln in listed] == [
+        str(tuple(p["payoffs"])) for p in points
+    ]
+    assert lines[start + len(points)].endswith(" behavioral famil(ies):")
+    if game == "job_market":
+        assert ("  5. D1[h->(0.5*g+0.5*ng) l->ng] | D2[g->j ng->(0.8*j+0.2*nj)]"
+                "  EU=(4.0, 0.5)") in listed
+
+
 def test_cli_solve_json_golden(capsys):
     code, out, _ = run_cli(capsys, "--json", "solve", "prisoners_dilemma")
     assert code == 0

@@ -292,6 +292,27 @@ def test_unseen_commitment_and_unfix_change_nothing(stackelberg):
     assert result.verdict == pytest.approx(plain.verdict)
     assert result.leaf_values == pytest.approx(plain.leaf_values)
     assert result.trace[-1]["suppressed"] == ["PI_D1", "PI_D1"]
+    # a job may hold its query parsed already
+    parsed = QueryJob(game=stackelberg, query=parse_query("forall ne: E[1]"))
+    assert evaluate_query(parsed) == plain
+
+
+def test_commitment_before_the_query_is_the_final_rule(stackelberg):
+    """A decision committed in the game itself, which no stage resolves,
+    takes its imposed rule at every leaf; lifted by a label no agent sees,
+    nothing resolves it."""
+    rule = stackelberg.delta_rule("D1", "B")
+    committed = apply_primitive(stackelberg, FixMechanism("PI_D1", rule))
+    result = evaluate_query(QueryJob(game=committed, query="forall ne: E[1]"))
+    assert result.verdict == pytest.approx(3.0, abs=1e-9)
+    assert [leaf.rules["D1"] for leaf in result.leaves] == [rule]
+    job = QueryJob(
+        game=committed,
+        interventions=(("uncommit", FixMechanism("PI_D1", None)),),
+        query="forall ne: E[1]",
+    )
+    with pytest.raises(SolverError, match=r"^decision D1 was never resolved by any stage$"):
+        evaluate_query(job)
 
 
 def two_stage_job(effortville):
