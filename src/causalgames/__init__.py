@@ -17,13 +17,13 @@ _EXPORTS = {
     ),
     "model": (
         "CHANCE", "DECISION", "UTILITY", "CausalGame", "JointDistribution",
-        "PolicyProfile", "TabularCPD", "Variable", "enumerate_pure_rules",
-        "expected_utility", "induced_joint", "tabulate", "validate_game",
+        "PolicyProfile", "TabularCPD", "Variable", "induced_joint", "param_node",
+        "rule_node", "tabulate", "validate_game",
     ),
+    "kernel": ("enumerate_pure_rules", "expected_utility"),
     "graphs": (
         "BEST_RESPONSE", "MechanisedGraph", "Path", "RationalityRelation",
-        "build_mechanised_graph", "param_node", "reachability_paths",
-        "relevant_mechanisms", "rule_node",
+        "build_mechanised_graph", "reachability_paths", "relevant_mechanisms",
     ),
     "equilibrium": (
         "BehavioralFamily", "RationalOutcomeSet", "behavioral_nash_small",
@@ -41,10 +41,8 @@ _EXPORTS = {
         "QueryJob", "QueryResult", "check_spec_env", "classify_visibility",
         "evaluate_query", "parse_query",
     ),
-    "gamefile": (
-        "Scenario", "load_game", "load_scenario", "parse_game",
-        "parse_scenario", "serialize_game",
-    ),
+    "gamefile": ("load_game", "parse_game", "serialize_game"),
+    "scenarios": ("Scenario", "load_scenario", "parse_scenario"),
     "dot": ("export_dot",),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

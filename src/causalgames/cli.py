@@ -17,20 +17,11 @@ import sys
 from importlib import resources
 
 # layers only some commands read: bound unrun, each runs on its first call
-from . import dot, equilibrium, graphs, interventions, queries
+from . import dot, equilibrium, graphs, interventions, kernel, queries, scenarios
 from .errors import GameError
-from .gamefile import (
-    OPTIONS,
-    Scenario,
-    game_to_dict,
-    load_game,
-    load_scenario,
-    parse_game,
-    parse_scenario,
-    table_rows,
-)
+from .gamefile import game_to_dict, load_game, parse_game, table_rows
 from .model import PROB_EPS, ROUND_DIGITS, SHOWN_EPS
-from .model import CausalGame, expected_utility, validate_game
+from .model import CausalGame, validate_game
 
 JSON_SCHEMA = "causalgames/1"
 
@@ -59,12 +50,12 @@ def resolve_game(arg: str) -> CausalGame:
     raise GameError(f"no such game file or bundled fixture: {arg!r}")
 
 
-def resolve_scenario(arg: str) -> Scenario:
+def resolve_scenario(arg: str) -> scenarios.Scenario:
     if os.path.exists(arg):
-        return load_scenario(arg)
+        return scenarios.load_scenario(arg)
     text = _fixture_text(f"{arg}.scenario.yaml")
     if text is not None:
-        return parse_scenario(
+        return scenarios.parse_scenario(
             text, f"fixture:{arg}", game_loader=_fixture_game_loader
         )
     raise GameError(f"no such scenario file or bundled fixture: {arg!r}")
@@ -96,7 +87,7 @@ def _point(game, profile) -> dict:
     return {
         "rules": {d: table_rows(profile[d]) for d in profile.decisions()},
         "payoffs": [
-            _round(expected_utility(game, profile, a))
+            _round(kernel.expected_utility(game, profile, a))
             for a in range(1, game.n_agents + 1)
         ],
     }
@@ -242,7 +233,7 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
-def _job_from_scenario(scenario: Scenario, args) -> queries.QueryJob:
+def _job_from_scenario(scenario: scenarios.Scenario, args) -> queries.QueryJob:
     if scenario.query is None:
         raise GameError("scenario has no query")
     # parse_scenario typed each option; each sets the job field of its name
@@ -319,7 +310,7 @@ def _cmd_commit(args) -> int:
 
 def _epsilon(text: str) -> float:
     """``--epsilon``'s value, held to the rule of the scenario option."""
-    what, valid = OPTIONS["epsilon"]
+    what, valid = scenarios.OPTIONS["epsilon"]
     with contextlib.suppress(ValueError):
         if valid(value := float(text)):
             return value

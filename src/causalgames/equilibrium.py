@@ -1,8 +1,8 @@
 """Equilibrium computation: best responses, Nash enumeration, commitment.
 
-Every solver reads contractions of the game's factors (``model``), never
+Every solver reads contractions of the game's factors (``kernel``), never
 a joint table.  Pure equilibria, best responses, verification and
-commitment read payoff tensors (``model.payoff_tensors``): each free
+commitment read payoff tensors (``kernel.payoff_tensors``): each free
 decision's pure rules lie on one axis, as one one-hot array, and variable
 elimination gives an agent's expected utility for every rule choice at
 once.  ``TabularCPD`` objects are built only for the rules a solver
@@ -32,20 +32,22 @@ from dataclasses import field
 from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
+from .kernel import (
+    _cpd_tensor,
+    _pure_rules,
+    _rule_of,
+    expectations,
+    payoff_tensors,
+    require_budget,
+    utility_factors,
+)
 from .model import (
     COEFF_EPS, COMMIT_EPS, EQ_EPS, PIVOT_EPS, ROUND_DIGITS, SAME_POINT_EPS,
     STABLE_CHUNK, VERIFY_EPS,
     CausalGame,
     PolicyProfile,
     TabularCPD,
-    _cpd_tensor,
-    _pure_rules,
     _record,
-    _rule_of,
-    expectations,
-    payoff_tensors,
-    require_budget,
-    utility_factors,
 )
 
 if TYPE_CHECKING:

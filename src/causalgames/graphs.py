@@ -39,26 +39,13 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .errors import SolverError, ValidationError
-from .model import CausalGame, DECISION, ENUM_BUDGET, _closure, _record
+from .model import (
+    CausalGame, DECISION, ENUM_BUDGET, _closure, _record, param_node, rule_node,
+    variable_of_mechanism,
+)
 
 FORWARD = "->"
 BACKWARD = "<-"
-
-
-def rule_node(decision: str) -> str:
-    return f"PI_{decision}"
-
-
-def param_node(variable: str) -> str:
-    return f"THETA_{variable}"
-
-
-def variable_of_mechanism(name: str) -> str:
-    """Inverse of the mechanism-node naming scheme."""
-    for prefix in ("PI_", "THETA_"):
-        if name.startswith(prefix):
-            return name[len(prefix):]
-    raise ValidationError(f"{name!r} is not a mechanism node name")
 
 
 def _mechanisms(game: CausalGame, names: Iterable[str] | None = None) -> dict:

@@ -25,24 +25,20 @@ from __future__ import annotations
 from dataclasses import replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
+# read by the structural analyses alone, so applying an intervention runs
+# no graph code
+from . import graphs
 from .errors import InterventionError, ValidationError
-from .graphs import (
-    _mechanisms,
-    _relevant,
-    build_mechanised_graph,
-    param_node,
-    reachability_paths,
-    relevant_mechanisms,
-    rule_node,
-    variable_of_mechanism,
-)
 from .model import (
     DECISION,
     CausalGame,
     TabularCPD,
     Variable,
     _record,
+    param_node,
+    rule_node,
     tabulate,
+    variable_of_mechanism,
     violations,
 )
 
@@ -145,11 +141,17 @@ class CompoundIntervention:
 
 
 def as_compound(x) -> CompoundIntervention:
-    """Coerce a primitive, compound, or iterable of either to a compound."""
+    """Coerce a primitive, compound, or non-string iterable of either to a
+    compound; anything else is an ``InterventionError`` naming its type."""
     if isinstance(x, CompoundIntervention):
         return x
     if isinstance(x, (FixObject, FixMechanism, AddVariable, RemoveVariable)):
         return CompoundIntervention((x,))
+    if isinstance(x, str) or not isinstance(x, Iterable):
+        raise InterventionError(
+            "an intervention must be a primitive, a compound or a list of "
+            f"them, got type {type(x).__name__}"
+        )
     steps: list[Primitive] = []
     for item in x:
         steps.extend(as_compound(item).steps)
@@ -474,9 +476,9 @@ class SideEffectReport:
 
 def side_effects(game: CausalGame, intervention) -> SideEffectReport:
     """Diff of inter-mechanism edges after rebuilding the mechanised graph."""
-    before = build_mechanised_graph(game).inter_mechanism_edges
+    before = graphs.build_mechanised_graph(game).inter_mechanism_edges
     intervened = apply_all(game, [intervention])
-    after = build_mechanised_graph(intervened).inter_mechanism_edges
+    after = graphs.build_mechanised_graph(intervened).inter_mechanism_edges
     return SideEffectReport(before - after, after - before)
 
 
@@ -505,8 +507,8 @@ def predicted_edge_removals(game: CausalGame, p: FixObject) -> set:
     }
     if game.kind(p.target) == DECISION and p.cpd is not None:
         severed.add((rule_node(p.target), p.target))
-    edges = build_mechanised_graph(game).inter_mechanism_edges
-    kept = {t: _relevant(game, t, severed) for t in {t for _, t in edges}}
+    edges = graphs.build_mechanised_graph(game).inter_mechanism_edges
+    kept = {t: graphs._relevant(game, t, severed) for t in {t for _, t in edges}}
     return {(mech, target) for mech, target in edges if mech not in kept[target]}
 
 
@@ -521,7 +523,7 @@ def minimum_intervention_set(
     ``mech`` into its own variable, so one node always hits every path: the
     answer is the first name, in sort order, that all the sets share.
     """
-    paths = reachability_paths(game, mech, target)
+    paths = graphs.reachability_paths(game, mech, target)
     if not paths:
         raise InterventionError(
             f"dependency already absent: no reachability paths from {mech} "
@@ -539,9 +541,9 @@ def incentive_invariant(game: CausalGame, intervention) -> bool:
     """
     intervened = apply_all(game, [intervention])
     # a mechanism is compared only where it keeps its node name
-    mechs = _mechanisms(game).keys() & _mechanisms(intervened).keys()
+    mechs = graphs._mechanisms(game).keys() & graphs._mechanisms(intervened).keys()
     return not any(
-        (relevant_mechanisms(game, t) ^ relevant_mechanisms(intervened, t))
+        (graphs.relevant_mechanisms(game, t) ^ graphs.relevant_mechanisms(intervened, t))
         & (mechs - {t})
         for t in map(rule_node, game.decisions())
         if t in mechs
@@ -615,7 +617,12 @@ def decompose(
             )
     vis: dict[int, frozenset] = {}
     for a in agents:
-        raw = list(visibility.get(a, ()))
+        raw = visibility.get(a, ())
+        if isinstance(raw, str):  # not a sequence of one-letter labels
+            raise InterventionError(
+                f"visibility of agent {a} must be a list of labels, got {raw!r}"
+            )
+        raw = list(raw)
         for lab in raw:
             if lab not in compounds:
                 raise InterventionError(

@@ -15,7 +15,7 @@ fixes of decisions always bind.  Each stage game is solved once and the
 evaluator branches over its outcomes; a leaf is the last game under one
 branch's realized rules.  No joint is built: each ``P(...)`` and ``E[...]``
 is one contraction for all leaves, with the decisions whose rule differs
-between leaves stacked on one leaf axis (``model.expectations``).  Stage
+between leaves stacked on one leaf axis (``kernel.expectations``).  Stage
 rules travel as arrays from the stage solve to that contraction; a
 ``TabularCPD`` is built only for the rules a leaf reports.
 """
@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 
 from .equilibrium import _pure_equilibria, behavioral_nash_small
 from .errors import QueryError, SolverError
-from .graphs import rule_node, variable_of_mechanism
 from .interventions import (
     AddVariable,
     Decomposition,
@@ -41,6 +40,7 @@ from .interventions import (
     apply_all,
     decompose,
 )
+from .kernel import _cpd_tensor, _rule_of, event_factor, expectations, utility_factors
 from .model import (
     DECISION,
     PROB_EPS,
@@ -48,12 +48,9 @@ from .model import (
     CausalGame,
     PolicyProfile,
     TabularCPD,
-    _cpd_tensor,
     _record,
-    _rule_of,
-    event_factor,
-    expectations,
-    utility_factors,
+    rule_node,
+    variable_of_mechanism,
 )
 
 
@@ -387,6 +384,11 @@ class QueryJob:
     def parsed_query(self) -> Query:
         if isinstance(self.query, str):
             return parse_query(self.query)
+        if not isinstance(self.query, Query):
+            raise QueryError(
+                "a query must be text or a parsed Query, got type "
+                f"{type(self.query).__name__}"
+            )
         return self.query
 
     def decomposition(self) -> Decomposition:

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from causalgames import graphs, model
+from causalgames import graphs, kernel, model
 from causalgames.equilibrium import RationalOutcomeSet
 from causalgames.errors import InterventionError, SolverError
 from causalgames.graphs import (
@@ -561,7 +561,7 @@ def loop_pure_nash(game: CausalGame, eps: float = 1e-7) -> RationalOutcomeSet:
 
 
 def unplanned_contract(factors, keep) -> np.ndarray:
-    """``model._contract`` worked out on every call, the reference for its
+    """``kernel._contract`` worked out on every call, the reference for its
     kept plans: one einsum when the labels span at most
     ``model.DIRECT_SPACE`` entries (read per call) and fit one einsum,
     otherwise greedy min-size elimination, each step chunked past numpy's
@@ -569,14 +569,14 @@ def unplanned_contract(factors, keep) -> np.ndarray:
     size = {}
     for scope, array in factors:
         size.update(zip(scope, array.shape))
-    if len(size) > model._max_labels() or math.prod(size.values()) > model.DIRECT_SPACE:
+    if len(size) > kernel._max_labels() or math.prod(size.values()) > model.DIRECT_SPACE:
         factors = _unplanned_eliminate(factors, keep, size)
     out = _unplanned_einsum(factors, [x for x in keep if x in size])
     return out.reshape([size.get(x, 1) for x in keep])
 
 
 def _unplanned_einsum(parts, out) -> np.ndarray:
-    most = model._max_axes() - 1
+    most = kernel._max_axes() - 1
     while len(parts) > most:
         head, parts = parts[:most], parts[most:]
         need = set(out).union(*(scope for scope, _ in parts))
@@ -586,10 +586,10 @@ def _unplanned_einsum(parts, out) -> np.ndarray:
     args = []
     for scope, array in parts:
         args += [array, [ids.setdefault(x, len(ids)) for x in scope]]
-    if len(ids) > model._max_labels():
+    if len(ids) > kernel._max_labels():
         raise SolverError(
             f"a contraction step spans {len(ids)} variables; numpy's einsum "
-            f"takes at most {model._max_labels()}"
+            f"takes at most {kernel._max_labels()}"
         )
     return np.einsum(*args, [ids[x] for x in out])
 

@@ -28,16 +28,14 @@ from causalgames import (
     serialize_game,
     verify_rational_outcome,
 )
-from causalgames import equilibrium, model
+from causalgames import equilibrium, kernel, model
 from causalgames.cli import main
 from causalgames.equilibrium import (
     COMMIT_EPS, EQ_EPS, STABLE_CHUNK, VERIFY_EPS, BehavioralFamily, FreeParam,
     _action_values, _bounds, _coefficients, _verified,
 )
-from causalgames.model import (
-    enumerate_pure_rules,
-    induced_joint,
-)
+from causalgames.kernel import enumerate_pure_rules
+from causalgames.model import induced_joint
 from helpers import (
     breakpoint_commitment,
     cpds_equal,
@@ -344,19 +342,19 @@ def test_rule_stacks_are_shared_per_layout():
     ``DIRECT_SPACE`` entries is built per call and kept by no one."""
     d = _decision_game("D", ("a", "b"), [(0, 1, 2), ("x", "y")])
     e = _decision_game("E", (True, False), [("p", "q", "r"), (5, 6)])
-    stack = model._pure_rules(d, "D")
-    assert model._pure_rules(e, "E") is stack
+    stack = kernel._pure_rules(d, "D")
+    assert kernel._pure_rules(e, "E") is stack
     assert stack.shape == (2 ** 6, 3, 2, 2) and not stack.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0, 0, 0] = 1.0
     other = _decision_game("D", ("a", "b"), [("x", "y"), (0, 1, 2)])
-    assert model._pure_rules(other, "D") is not stack  # parent sizes in order
+    assert kernel._pure_rules(other, "D") is not stack  # parent sizes in order
     wide = _decision_game("W", tuple(range(5)), [(0, 1), (0, 1)])
     assert 5 ** 4 * 4 * 5 > model.DIRECT_SPACE
-    kept = model._rule_stack.cache_info().currsize
-    first, second = model._pure_rules(wide, "W"), model._pure_rules(wide, "W")
+    kept = kernel._rule_stack.cache_info().currsize
+    first, second = kernel._pure_rules(wide, "W"), kernel._pure_rules(wide, "W")
     assert first is not second and np.array_equal(first, second)
-    assert model._rule_stack.cache_info().currsize == kept
+    assert kernel._rule_stack.cache_info().currsize == kept
 
 
 def _deep_chain_game(n=1200):
@@ -746,13 +744,13 @@ def test_behavioral_solve_contracts_once(monkeypatch, job_market, effortville):
     """A support enumeration makes one contraction, the coefficients'; its
     candidates are verified from the same coefficients."""
     calls = []
-    expectations = model.expectations
+    expectations = kernel.expectations
 
     def counted(*args, **kwargs):
         calls.append(args)
         return expectations(*args, **kwargs)
 
-    monkeypatch.setattr(model, "expectations", counted)
+    monkeypatch.setattr(kernel, "expectations", counted)
     monkeypatch.setattr(equilibrium, "expectations", counted)
     games = [job_market, effortville, _indifferent_pair(2, 1)]
     for game in games + [random_type_game(random.Random(s)) for s in range(4)]:

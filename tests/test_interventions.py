@@ -21,6 +21,7 @@ from causalgames import (
     FixObject,
     InterventionError,
     PolicyProfile,
+    QueryJob,
     RemoveVariable,
     TabularCPD,
     Variable,
@@ -28,6 +29,7 @@ from causalgames import (
     apply_journaled,
     apply_primitive,
     decompose,
+    evaluate_query,
     incentive_invariant,
     induced_joint,
     invert,
@@ -792,6 +794,42 @@ def test_decompose_stray_visibility_key_rejected(job_market):
         assert str(exc.value) == (
             f"visibility keys must be agent indices in 1..2, got {key!r}"
         )
+
+
+def test_decompose_refuses_a_bare_string_of_labels(job_market):
+    """A visibility value is a list of labels: a string is not split into
+    one-letter labels, whether or not those name interventions."""
+    pool = [("a", theta_fix(job_market, "T", "h")), ("b", theta_fix(job_market, "T", "l"))]
+    for seen in ("a", "ab", "abc"):
+        with pytest.raises(InterventionError) as exc:
+            decompose(job_market, pool, {1: seen})
+        assert str(exc.value) == (
+            f"visibility of agent 1 must be a list of labels, got {seen!r}"
+        )
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda g: apply_all(g, ["x"]), "str"),
+        (lambda g: incentive_invariant(g, "abc"), "str"),
+        (lambda g: evaluate_query(QueryJob(game=g, interventions=(("l", "x"),))), "str"),
+        (lambda g: apply_all(g, [5]), "int"),
+        (lambda g: apply_all(g, [None]), "NoneType"),
+        (lambda g: side_effects(g, 5), "int"),
+    ],
+    ids=["apply_all-str", "invariant-str", "query-str", "apply_all-int",
+         "apply_all-None", "side_effects-int"],
+)
+def test_what_is_no_intervention_is_refused_by_its_type(job_market, call, kind):
+    """A string is not iterated into one-letter interventions and a value
+    that is neither an intervention nor a list of them is not iterated at
+    all: each is one ``InterventionError`` naming the type, not the value."""
+    with pytest.raises(InterventionError) as exc:
+        call(job_market)
+    assert str(exc.value) == (
+        f"an intervention must be a primitive, a compound or a list of them, got type {kind}"
+    )
 
 
 def test_decompose_matches_reference(job_market):

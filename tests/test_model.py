@@ -36,7 +36,7 @@ from causalgames import (
     tabulate,
     validate_game,
 )
-from causalgames import model
+from causalgames import kernel, model
 from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
 from causalgames.errors import SolverError
 from causalgames.model import _check_cpd, violations
@@ -344,7 +344,7 @@ def test_tabulate_lays_contexts_out_as_the_game_and_the_kernel_do():
             again = tabulate(name, parents, game.domain, row)
             assert list(again.table) == game.contexts(name)
             assert seen == [dict(zip(parents, c)) for c in game.contexts(name)]
-            array = model._cpd_tensor(game, name, cpd)
+            array = kernel._cpd_tensor(game, name, cpd)
             rows = array.reshape(-1, len(game.domain(name))).tolist()
             assert rows == [list(r) for r in again.table.values()]
             checked += bool(parents)
@@ -671,7 +671,7 @@ def test_planned_and_direct_contractions_agree(data):
     for space in (0, 1 << 62):
         with mock.patch.object(model, "DIRECT_SPACE", space), \
                 mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
-            got = model._contract(factors, keep)
+            got = kernel._contract(factors, keep)
         steps.append(einsum.call_count)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -682,9 +682,9 @@ def test_planned_and_direct_contractions_agree(data):
 
 
 def _plan_of(factors, keep):
-    """The plan ``model._contract`` follows for ``factors`` onto ``keep``."""
+    """The plan ``kernel._contract`` follows for ``factors`` onto ``keep``."""
     signature = tuple((scope, array.shape) for scope, array in factors)
-    return model._plan(signature, keep, model.DIRECT_SPACE)
+    return kernel._plan(signature, keep, model.DIRECT_SPACE)
 
 
 def _reachable(root):
@@ -724,15 +724,15 @@ def test_kept_plans_contract_bit_identically_to_the_unplanned_kernel(data):
         return [(s, rng.random([size[x] for x in s]) + 0.5) for s in scopes]
 
     factors = draw_factors()
-    model._plan.cache_clear()
+    kernel._plan.cache_clear()
     with mock.patch.object(model, "DIRECT_SPACE", space):
         want = unplanned_contract(factors, keep)
-        cold = model._contract(factors, keep)
-        assert model._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
-        cached = model._contract(factors, keep)
+        cold = kernel._contract(factors, keep)
+        assert kernel._plan.cache_info()[:2] == (0, 1)  # (hits, misses)
+        cached = kernel._contract(factors, keep)
         fresh = draw_factors()
-        again = model._contract(fresh, keep)
-        assert model._plan.cache_info()[:2] == (2, 1)
+        again = kernel._contract(fresh, keep)
+        assert kernel._plan.cache_info()[:2] == (2, 1)
         plan = _plan_of(factors, keep)
         assert np.array_equal(again, unplanned_contract(fresh, keep))
     for got in (cold, cached):
@@ -786,7 +786,7 @@ def test_contractions_past_numpys_einsum_limits_are_planned():
     [eq] = pure_nash(wide).outcomes
     assert expected_utility(wide, eq, 1) == 1.5
     many = [((x,), np.array([1.0, 0.5])) for x in "ab" for _ in range(35)]
-    assert model._contract(many, ()) == pytest.approx((1.0 + 0.5 ** 35) ** 2, rel=1e-12)
+    assert kernel._contract(many, ()) == pytest.approx((1.0 + 0.5 ** 35) ** 2, rel=1e-12)
 
 
 def test_a_step_past_einsums_label_cap_is_a_solver_error():
@@ -824,10 +824,10 @@ def test_a_step_past_numpys_sublist_length_is_contracted():
 
 
 def test_the_plan_cache_keeps_the_last_plan_cache_plans():
-    model._plan.cache_clear()
+    kernel._plan.cache_clear()
     for n in range(1, model.PLAN_CACHE + 2):
-        model._contract([(("a",), np.ones(n))], ())
-    info = model._plan.cache_info()
+        kernel._contract([(("a",), np.ones(n))], ())
+    info = kernel._plan.cache_info()
     assert (info.misses, info.currsize) == (model.PLAN_CACHE + 1, model.PLAN_CACHE)
 
 
@@ -860,11 +860,11 @@ def test_a_step_past_einsums_operand_cap_is_multiplied_in_chunks():
     """Each chunk folds the first ``most`` operands into one, so ``n``
     operands take ``ceil((n - most) / (most - 1))`` chunks before the
     step itself: 2 under numpy 1.x (``most`` 31), 1 under 2.x (63)."""
-    most = model._max_axes() - 1
+    most = kernel._max_axes() - 1
     ones = [(("a",), np.ones(2))] * 70
     scaled = [(("a",), np.array([1.0, 0.9]))] * 70 + [(("b",), np.arange(3.0))]
-    assert model._contract(ones, ()) == 2.0
-    got = model._contract(scaled, ("b",))
+    assert kernel._contract(ones, ()) == 2.0
+    got = kernel._contract(scaled, ("b",))
     np.testing.assert_allclose(got, (1.0 + 0.9 ** 70) * np.arange(3.0), rtol=1e-12)
     for factors, keep in ((ones, ()), (scaled, ("b",))):
         steps, _ = _plan_of(factors, keep)
@@ -894,7 +894,7 @@ def test_a_shared_cpd_gets_one_array_per_layout():
     for order in (games, games[::-1]):
         for game in order:
             assert expected_utility(game, PolicyProfile({}), 1) == pytest.approx(0.8)
-    first, second = (model._cpd_tensor(g, "Y", shared) for g in games)
+    first, second = (kernel._cpd_tensor(g, "Y", shared) for g in games)
     assert first.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert second.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert len(vars(shared)["_arrays"]) == 2
@@ -903,7 +903,7 @@ def test_a_shared_cpd_gets_one_array_per_layout():
 def test_kept_arrays_are_read_only(job_market):
     pure_nash(job_market)
     kept = [a for cpd in job_market.cpds.values() for a in vars(cpd)["_arrays"].values()]
-    kept += [array for _, array in model.utility_factors(job_market, [1, 2])]
+    kept += [array for _, array in kernel.utility_factors(job_market, [1, 2])]
     assert kept and not any(a.flags.writeable for a in kept)
     with pytest.raises(ValueError, match="read-only"):
         kept[0][...] = 0.0
@@ -929,7 +929,7 @@ def test_no_kept_array_crosses_operations(monkeypatch):
     and within one query the tables are reused."""
     scenario = resolve_scenario("reward_hidden")
     built, calls = [], []
-    tensor = model._cpd_tensor
+    tensor = kernel._cpd_tensor
 
     def counted(*args, **kwargs):
         array = tensor(*args, **kwargs)
@@ -938,7 +938,7 @@ def test_no_kept_array_crosses_operations(monkeypatch):
             built.append(array)
         return array
 
-    monkeypatch.setattr(model, "_cpd_tensor", counted)
+    monkeypatch.setattr(kernel, "_cpd_tensor", counted)
     answers, per_copy = [], []
     for _ in range(2):
         job = _job_from_scenario(copy.deepcopy(scenario), argparse.Namespace(
@@ -1016,7 +1016,7 @@ def test_no_public_callable_overrides_the_numeric_policy():
 
 # -- records --------------------------------------------------------------------
 
-RECORD_MODULES = ("model", "graphs", "equilibrium", "interventions", "queries", "gamefile")
+RECORD_MODULES = ("model", "graphs", "equilibrium", "interventions", "queries", "scenarios")
 
 
 def _record_classes():
@@ -1158,7 +1158,7 @@ def test_records_behave_as_generated_frozen_dataclasses():
 
 def test_a_copied_cpd_drops_its_kept_arrays(job_market):
     cpd = job_market.cpds["U1"]
-    model._cpd_tensor(job_market, "U1", cpd)
+    kernel._cpd_tensor(job_market, "U1", cpd)
     assert "_arrays" in vars(cpd)
     copied = copy.deepcopy(cpd)
     assert "_arrays" not in vars(copied) and copied == cpd

@@ -30,10 +30,11 @@ from causalgames import (
     parse_query,
     pure_nash,
 )
-from causalgames import equilibrium, interventions, model, queries
+from causalgames import equilibrium, interventions, kernel, model, queries
 from causalgames.cli import _job_from_scenario, main, resolve_scenario
 from causalgames.equilibrium import RationalOutcomeSet
-from causalgames.model import DECISION, event_factor, expectations, utility_factors
+from causalgames.kernel import event_factor, expectations, utility_factors
+from causalgames.model import DECISION
 from causalgames.queries import Chain, Const, Prefix, Prob, Utility
 from helpers import (
     brute_force_joint,
@@ -644,6 +645,15 @@ def test_spec_direction_lower(prisoners):
     assert check_spec_env(prisoners, [], "D1=D", direction="lower")
 
 
+@pytest.mark.parametrize("query", [5, None, ["sampled: E[1]"]], ids=["int", "None", "list"])
+def test_query_neither_text_nor_parsed_is_refused(stackelberg, query):
+    with pytest.raises(QueryError) as exc:
+        evaluate_query(QueryJob(game=stackelberg, query=query))
+    assert str(exc.value) == (
+        f"a query must be text or a parsed Query, got type {type(query).__name__}"
+    )
+
+
 @pytest.mark.parametrize(
     "event, column, got",
     [
@@ -841,13 +851,13 @@ def test_queries_make_rule_tables_for_leaves_only(monkeypatch, job_market):
     """A query makes at most one ``TabularCPD`` per distinct leaf rule; a
     spec check makes none."""
     made = []
-    rule_of = model._rule_of
+    rule_of = kernel._rule_of
 
     def counted(*args):
         made.append(rule_of(*args))
         return made[-1]
 
-    for module in (model, equilibrium, queries):
+    for module in (kernel, equilibrium, queries):
         if hasattr(module, "_rule_of"):
             monkeypatch.setattr(module, "_rule_of", counted)
     jobs = [scenario_job(name) for name in SCENARIOS]
