@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import field
 from typing import TYPE_CHECKING
 
 from .errors import SolverError, ValidationError
@@ -47,7 +46,9 @@ from .model import (
     CausalGame,
     PolicyProfile,
     TabularCPD,
+    _check_agent,
     _record,
+    field,
 )
 
 if TYPE_CHECKING:
@@ -75,8 +76,7 @@ def best_responses(
     ``others`` must cover exactly the free decisions not owned by the agent.
     Ties are all returned, in deterministic enumeration order.
     """
-    if not (1 <= agent <= game.n_agents):
-        raise ValidationError(f"unknown agent index {agent}")
+    _check_agent(game, agent)
     needed = set(game.free_decisions()) - set(game.free_decisions_of(agent))
     have = set(others.decisions())
     if have != needed:
@@ -527,8 +527,7 @@ def behavioral_nash_small(game: CausalGame) -> RationalOutcomeSet:
 def _leader_and_follower(game: CausalGame, leader: int) -> tuple[str, int | None]:
     """The leader's one free decision and the one agent owning the other
     free decisions (``None`` when there are none)."""
-    if not (1 <= leader <= game.n_agents):
-        raise ValidationError(f"unknown agent index {leader}")
+    _check_agent(game, leader)
     decisions = game.free_decisions_of(leader)
     if len(decisions) != 1:
         raise SolverError(

@@ -22,7 +22,6 @@ prefix (the common stage's game, or the base game).
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Iterable, Mapping, Sequence, Union
 
 # read by the structural analyses alone, so applying an intervention runs
@@ -35,6 +34,7 @@ from .model import (
     TabularCPD,
     Variable,
     _record,
+    _sequence,
     param_node,
     rule_node,
     tabulate,
@@ -60,7 +60,8 @@ class FixObject:
     inverse: Primitive | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
+        parents = _sequence(self.parents, self.target, "parents", InterventionError)
+        object.__setattr__(self, "parents", parents)
 
 
 @_record
@@ -98,8 +99,9 @@ class AddVariable:
     inverse: Primitive | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "children", tuple(self.children))
+        for key in ("parents", "children"):
+            names = _sequence(getattr(self, key), self.variable.name, key, InterventionError)
+            object.__setattr__(self, key, names)
 
 
 @_record
@@ -403,7 +405,7 @@ def apply_journaled(game: CausalGame, p: Primitive):
     state this application replaced.
     """
     new_game, inverse = _APPLIERS[type(p)](game, p)
-    return new_game, dc_replace(p, inverse=inverse)
+    return new_game, p.__replace__(inverse=inverse)
 
 
 def apply_primitive(game: CausalGame, p: Primitive) -> CausalGame:

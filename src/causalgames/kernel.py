@@ -29,7 +29,7 @@ from . import model
 from .errors import SolverError, ValidationError
 from .model import (
     DECISION, ENUM_BUDGET, PLAN_CACHE, CausalGame, PolicyProfile, TabularCPD,
-    _closure, _factor_cpds,
+    _check_agent, _closure, _factor_cpds,
 )
 
 if TYPE_CHECKING:
@@ -56,8 +56,7 @@ def payoff_tensors(
 def utility_factors(game: CausalGame, agents) -> list[tuple]:
     """The value factors of the agents' utilities: CPD times values."""
     for agent in agents:
-        if not (1 <= agent <= game.n_agents):
-            raise ValidationError(f"unknown agent index {agent}")
+        _check_agent(game, agent)
     return [
         (game.parents_of(u), _cpd_tensor(game, u, game.cpds[u], values=True))
         for agent in agents

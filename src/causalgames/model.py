@@ -16,12 +16,9 @@ did not change (see ``CausalGame``).
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 import itertools
 import math
 import reprlib
-from dataclasses import MISSING, FrozenInstanceError, field
 from operator import attrgetter, itemgetter
 from typing import Mapping
 
@@ -67,11 +64,28 @@ def variable_of_mechanism(name: str) -> str:
     raise ValidationError(f"{name!r} is not a mechanism node name")
 
 
-class _Factory:
-    """What a signature shows as the default of a field with a default factory."""
+_MISSING = object()  # a field without a default
 
-    def __repr__(self):
-        return "<factory>"
+
+class _Field(dict):
+    """The ``dataclasses.field`` options of one record field."""
+
+
+def field(*, default_factory, compare=True):
+    """A record field whose default is ``default_factory()``; with
+    ``compare`` false it takes no part in ``==`` and ``hash``."""
+    return _Field(default_factory=default_factory, compare=compare)
+
+
+class _FromTwin:
+    """A record's class attribute that only introspection reads, read off
+    the record's ``dataclass`` twin."""
+
+    def __init__(self, name, twin):
+        self.name, self.twin = name, twin
+
+    def __get__(self, obj, owner=None):
+        return getattr(self.twin(), self.name)
 
 
 def _values(names):
@@ -83,36 +97,40 @@ def _values(names):
 
 
 def _record(cls):
-    """Make ``cls`` a frozen dataclass whose methods are shared, not generated.
+    """Make ``cls`` a frozen record whose methods are shared, not generated.
 
     ``dataclass(frozen=True)`` writes the source of six methods per class
-    and ``exec``s it at import; for this package's 32 records that was over
-    a third of the CLI's import time.  Here ``dataclass`` only records the
-    fields, so ``dataclasses.fields`` and ``replace`` work, and closures over
-    precomputed getters do what the generated methods did: ``__init__``
-    (defaults, default factories, then ``__post_init__``, if the class has
-    one, looked up on each call), ``__setattr__`` and ``__delattr__``
-    raising ``FrozenInstanceError``, ``__eq__`` and ``__hash__`` over the
-    compared fields, ``__repr__`` over the shown ones, and a
-    ``__signature__``.  A hand-written ``__init__`` is kept.  Instances keep
+    and ``exec``s it at import, and ``dataclasses`` imports ``inspect``.
+    Here the fields are read from the class body (annotations, defaults
+    and ``field`` markers), and closures over precomputed getters do what
+    the generated methods did: ``__init__`` (defaults, default factories,
+    then ``__post_init__``, if the class has one, looked up on each call),
+    ``__setattr__`` and ``__delattr__`` raising ``FrozenInstanceError``,
+    ``__eq__`` and ``__hash__`` over the compared fields, ``__repr__`` and
+    ``__replace__``.  A hand-written ``__init__`` is kept.  Instances keep
     their ``__dict__``, where some records cache derived values.
+
+    The record becomes a dataclass on first introspection: its
+    ``__dataclass_fields__``, ``__dataclass_params__`` and ``__signature__``
+    are those of a ``make_dataclass(frozen=True)`` twin, built on the first
+    read of any of them.
     """
-    documented = cls.__doc__ is not None
-    if not documented:
-        # replaced below: ``dataclass`` would write one from the signature of
-        # ``object.__init__``, and parsing that text compiles ``tokenize``'s
-        # patterns, about 15 ms on the first class
-        cls.__doc__ = cls.__name__
-    cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False)
-    fields = dataclasses.fields(cls)
-    names = tuple(f.name for f in fields)
-    specs = [(f.name, f.default, f.default_factory) for f in fields]
-    required = sum(f.default is f.default_factory is MISSING for f in fields)
-    tail = tuple(f.default for f in fields[required:])  # None if a factory gives one
-    tail = None if MISSING in tail else tail
-    compared = _values([f.name for f in fields if f.compare])
-    shown = [f.name for f in fields if f.repr]
-    shown_values = _values(shown)
+    options = {}
+    for name in cls.__annotations__:
+        given = cls.__dict__.get(name, _MISSING)
+        if isinstance(given, _Field):
+            delattr(cls, name)
+            options[name] = given
+        else:
+            options[name] = {} if given is _MISSING else {"default": given}
+    names = tuple(options)
+    specs = [(n, o.get("default", _MISSING), o.get("default_factory", _MISSING))
+             for n, o in options.items()]
+    required = sum(default is factory is _MISSING for _, default, factory in specs)
+    tail = tuple(default for _, default, _ in specs[required:])  # None if a factory gives one
+    tail = None if _MISSING in tail else tail
+    compared = _values([n for n, o in options.items() if o.get("compare", True)])
+    values = _values(names)
 
     def bind(args, kwargs):
         if tail is not None and not kwargs and required <= len(args) < len(specs):
@@ -125,9 +143,9 @@ def _record(cls):
         for name, default, factory in specs[len(args):]:
             if name in kwargs:
                 values.append(kwargs.pop(name))
-            elif factory is not MISSING:
+            elif factory is not _MISSING:
                 values.append(factory())
-            elif default is not MISSING:
+            elif default is not _MISSING:
                 values.append(default)
             else:
                 raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
@@ -150,11 +168,13 @@ def _record(cls):
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
         if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
@@ -168,33 +188,48 @@ def _record(cls):
 
     @reprlib.recursive_repr()
     def __repr__(self):
-        pairs = zip(shown, shown_values(self))
+        pairs = zip(names, values(self))
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __replace__(self, **changes):
+        return type(self)(**dict(zip(names, values(self)), **changes))
+
+    made = []  # the twin; threads racing to build it all return the first appended
+
+    def twin():
+        if not made:
+            import dataclasses
+            import inspect
+
+            built = dataclasses.make_dataclass(cls.__name__, [
+                (n, cls.__annotations__[n], dataclasses.field(**o)) for n, o in options.items()
+            ], frozen=True)
+            built.__signature__ = inspect.signature(built).replace(
+                return_annotation=inspect.Signature.empty
+            )
+            made.append(built)
+        return made[0]
 
     methods = dict(
         __setattr__=__setattr__, __delattr__=__delattr__, __eq__=__eq__,
-        __hash__=__hash__, __repr__=__repr__,
+        __hash__=__hash__, __repr__=__repr__, __replace__=__replace__,
     )
     if "__init__" not in cls.__dict__:
         methods["__init__"] = __init__
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
-    cls.__signature__ = inspect.Signature([
-        inspect.Parameter(
-            f.name,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            default=(
-                _Factory() if f.default_factory is not MISSING
-                else inspect.Parameter.empty if f.default is MISSING
-                else f.default
-            ),
-            annotation=f.type,
-        )
-        for f in fields
-    ])
-    if not documented:
-        cls.__doc__ = cls.__name__ + str(cls.__signature__)
+    for name in ("__dataclass_fields__", "__dataclass_params__", "__signature__"):
+        setattr(cls, name, _FromTwin(name, twin))
+    cls.__match_args__ = cls.__dict__.get("__match_args__", names)
+    if cls.__doc__ is None:  # the text ``dataclass`` writes from the signature
+        cls.__doc__ = cls.__name__ + "(" + ", ".join(
+            f"{n}: {cls.__annotations__[n]!r}" + (
+                " = <factory>" if "default_factory" in o
+                else f" = {o['default']!r}" if "default" in o else ""
+            )
+            for n, o in options.items()
+        ) + ")"
     return cls
 
 
@@ -212,7 +247,7 @@ class Variable:
     agent: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "domain", _sequence(self.domain, self.name, "domain"))
 
 
 @_record
@@ -230,7 +265,7 @@ class TabularCPD:
     table: Mapping[tuple, tuple[float, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "parents", _sequence(self.parents, self.variable, "parents"))
         object.__setattr__(self, "table", {
             tuple(ctx): tuple(map(float, row)) for ctx, row in self.table.items()
         })
@@ -245,7 +280,7 @@ class TabularCPD:
     @staticmethod
     def delta(variable, value, domain, parents=(), domain_of=None):
         """Degenerate CPD putting mass 1 on ``value`` in every context."""
-        domain = tuple(domain)
+        domain = _sequence(domain, variable, "domain")
         if value not in domain:
             raise ValidationError(
                 f"{variable}: value {value!r} not in domain {domain}"
@@ -256,7 +291,7 @@ class TabularCPD:
 
     @staticmethod
     def uniform(variable, domain, parents=(), domain_of=None):
-        n = len(tuple(domain))
+        n = len(_sequence(domain, variable, "domain"))
         return tabulate(variable, parents, domain_of, lambda _: (1.0 / n,) * n)
 
 
@@ -264,7 +299,7 @@ def tabulate(variable: str, parents, domain_of, row) -> TabularCPD:
     """The CPD of ``variable`` over ``parents`` (``domain_of(p)`` gives their
     domains) with the row ``row({parent: value})`` in each context, contexts
     in ``CausalGame.contexts`` order."""
-    parents = tuple(parents)
+    parents = _sequence(parents, variable, "parents")
     contexts = itertools.product(*map(domain_of, parents))
     table = {c: row(dict(zip(parents, c))) for c in contexts}
     return TabularCPD(variable, parents, table)
@@ -320,7 +355,7 @@ class CausalGame:
         set_field = object.__setattr__
         set_field(self, "n_agents", n_agents)
         set_field(self, "variables", tuple(variables))
-        set_field(self, "parents", {k: tuple(v) for k, v in parents.items()})
+        set_field(self, "parents", {k: _sequence(v, k, "parents") for k, v in parents.items()})
         set_field(self, "cpds", dict(cpds))
         set_field(self, "rule_fixes", dict(rule_fixes))
         self._index()
@@ -564,6 +599,20 @@ def _check_cpd(game: CausalGame, cpd: TabularCPD, name: str) -> list[str]:
 def _is_int(x) -> bool:
     """An ``int`` proper: ``True`` and ``1.5`` number no agent."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_agent(game: CausalGame, agent) -> None:
+    """Refuse ``agent`` unless it is an ``int`` in ``1..game.n_agents``."""
+    if not (_is_int(agent) and 1 <= agent <= game.n_agents):
+        raise ValidationError(f"unknown agent index {agent!r}")
+
+
+def _sequence(value, owner, key, error=ValidationError) -> tuple:
+    """``value`` as a tuple; a bare string is refused, not split into
+    one-letter names or values."""
+    if isinstance(value, str):
+        raise error(f"{owner}: {key!r} must be a sequence, not the string {value!r}")
+    return tuple(value)
 
 
 def _is_real(x) -> bool:

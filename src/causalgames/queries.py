@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -49,6 +48,7 @@ from .model import (
     PolicyProfile,
     TabularCPD,
     _record,
+    field,
     rule_node,
     variable_of_mechanism,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import field
 from typing import Mapping
 
 from . import interventions
@@ -20,7 +19,7 @@ from .gamefile import (
 )
 from .model import (
     CausalGame, TabularCPD, Variable, _is_int, _is_real, _record,
-    variable_of_mechanism,
+    field, variable_of_mechanism,
 )
 
 SCENARIO_KEYS = {"game", "interventions", "visibility", "query", "options"}

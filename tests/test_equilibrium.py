@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 import time
 import tracemalloc
@@ -1111,6 +1112,21 @@ def test_commitment_refuses_a_second_follower_agent():
         optimal_commitment(game, 1)
     with pytest.raises(ValidationError, match="unknown agent index 4"):
         optimal_commitment(game, 4)
+
+
+@pytest.mark.parametrize("agent", ["1", None, True, 1.0, 0, 3])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda g, a: best_responses(g, a, PolicyProfile({})),
+     optimal_commitment,
+     lambda g, a: expected_utility(g, PolicyProfile({}), a)],
+    ids=["best_responses", "optimal_commitment", "expected_utility"],
+)
+def test_an_agent_index_is_an_int_naming_an_agent(stackelberg, entry, agent):
+    """``True`` and ``1.0`` are not agent 1, and a string is refused with
+    the same error as an index out of range, not a ``TypeError``."""
+    with pytest.raises(ValidationError, match=re.escape(f"unknown agent index {agent!r}")):
+        entry(stackelberg, agent)
 
 
 def test_optimal_commitment_rejects_multiple_decisions(job_market):

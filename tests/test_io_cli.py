@@ -1139,6 +1139,16 @@ def test_graph_only_commands_never_import_numpy():
     assert _loaded_after(GRAPH_ONLY_COMMANDS, ["numpy"]) == set()
 
 
+def test_commands_never_import_dataclasses_and_graph_only_ones_nor_inspect():
+    """Records become dataclasses on first introspection, which no command
+    makes; numpy imports ``inspect``, so only the graph-only commands run
+    without it."""
+    assert _loaded_after(GRAPH_ONLY_COMMANDS, ["dataclasses", "inspect"]) == set()
+    solvers = [["solve", "job_market"], ["commit", "stackelberg", "--leader", "1"],
+               ["query", "commitment_revealed"]]
+    assert _loaded_after(solvers, ["dataclasses"]) == set()
+
+
 def test_refused_commitment_never_imports_numpy():
     argv = ["commit", "job_market", "--leader", "1"]  # D1 has two contexts
     assert _loaded_after([argv], ["numpy"], code=1) == set()

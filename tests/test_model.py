@@ -6,8 +6,12 @@ import importlib
 import inspect
 import itertools
 import math
+import pickle
 import pkgutil
 import random
+import re
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -20,6 +24,7 @@ from causalgames import (
     AddVariable,
     CausalGame,
     FixMechanism,
+    FixObject,
     PolicyProfile,
     RemoveVariable,
     TabularCPD,
@@ -38,7 +43,7 @@ from causalgames import (
 )
 from causalgames import kernel, model
 from causalgames.cli import _job_from_scenario, resolve_game, resolve_scenario
-from causalgames.errors import SolverError
+from causalgames.errors import InterventionError, SolverError
 from causalgames.model import _check_cpd, violations
 from helpers import (
     GAME_GENERATORS,
@@ -1154,6 +1159,114 @@ def test_records_behave_as_generated_frozen_dataclasses():
         [node] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls.__name__]
         written = ast.get_docstring(node, clean=False)
         assert cls.__doc__ == (written if written is not None else ref.__doc__)
+
+
+def test_replace_method_matches_dataclasses_replace():
+    """``__replace__``, which ``copy.replace`` calls on Python 3.13, builds
+    what ``dataclasses.replace`` builds, and refuses what it refuses."""
+    for cls, xs in _record_samples().items():
+        first = dataclasses.fields(cls)[0].name
+        for x in xs:
+            for changes in ({}, {first: getattr(xs[-1], first)}, {"bogus": 1}):
+                got = _outcome(lambda: x.__replace__(**changes))
+                assert got == _outcome(lambda: replace(x, **changes))
+                assert got[0] == "TypeError" or type(got[1]) is cls
+
+
+def test_first_introspection_from_threads_matches_an_eager_dataclass():
+    """Threads racing to read a fresh record's fields for the first time all
+    get those an eagerly decorated twin has, and the class is left as it
+    was."""
+
+    def fields_of(cls):
+        return [
+            (f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash,
+             f.compare) for f in dataclasses.fields(cls)
+        ]
+
+    @dataclasses.dataclass(frozen=True)
+    class Eager:
+        name: str
+        table: dict = dataclasses.field(default_factory=dict, compare=False)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            @model._record
+            class Lazy:
+                name: str
+                table: dict = model.field(default_factory=dict, compare=False)
+
+            before = dict(vars(Lazy))
+            start, seen = threading.Barrier(8), []
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(fields_of(Lazy))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [fields_of(Eager)] * 8
+            assert dict(vars(Lazy)) == before
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+def test_records_survive_a_pickle_round_trip(protocol):
+    for cls, xs in _record_samples().items():
+        for x in xs:
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert type(back) is cls and back == x
+
+
+@pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+def test_a_solved_game_answers_alike_after_a_pickle_round_trip(protocol):
+    from causalgames import build_mechanised_graph
+
+    game = resolve_game("job_market")
+    answers = pure_nash(game), build_mechanised_graph(game)
+    back = pickle.loads(pickle.dumps(game, protocol))
+    assert back == game
+    assert (pure_nash(back), build_mechanised_graph(back)) == answers
+
+
+def _added(*, parents=(), children=()):
+    return AddVariable(Variable("N", "chance", ("a", "b")), parents, children)
+
+
+@pytest.mark.parametrize(
+    "build, error, owner, key, value",
+    [
+        (lambda g: Variable("X", "chance", "ab"), ValidationError, "X", "domain", "ab"),
+        (lambda g: TabularCPD("X", "AB", {}), ValidationError, "X", "parents", "AB"),
+        (lambda g: TabularCPD.delta("X", "a", "ab"), ValidationError, "X", "domain", "ab"),
+        (lambda g: TabularCPD.uniform("X", "ab"), ValidationError, "X", "domain", "ab"),
+        (lambda g: CausalGame(g.n_agents, g.variables, {**g.parents, "D2": "D1"}, g.cpds),
+         ValidationError, "D2", "parents", "D1"),
+        (lambda g: apply_all(g, [FixObject("D2", "D1")]),
+         InterventionError, "D2", "parents", "D1"),
+        (lambda g: _added(parents="D1"), InterventionError, "N", "parents", "D1"),
+        (lambda g: _added(children="D1"), InterventionError, "N", "children", "D1"),
+    ],
+    ids=["Variable.domain", "TabularCPD.parents", "TabularCPD.delta", "TabularCPD.uniform",
+         "CausalGame.parents", "FixObject.parents", "AddVariable.parents",
+         "AddVariable.children"],
+)
+def test_a_bare_string_is_refused_where_names_or_values_are_listed(
+    job_market, build, error, owner, key, value
+):
+    """A string is a sequence of one-letter strings: ``"ab"`` given as a
+    domain or a parent list names the field and the string, not ``a``
+    and ``b``."""
+    message = f"{owner}: {key!r} must be a sequence, not the string {value!r}"
+    with pytest.raises(error, match=re.escape(message)):
+        build(job_market)
 
 
 def test_a_copied_cpd_drops_its_kept_arrays(job_market):
