@@ -1247,6 +1247,7 @@ def _added(*, parents=(), children=()):
         (lambda g: TabularCPD("X", "AB", {}), ValidationError, "X", "parents", "AB"),
         (lambda g: TabularCPD.delta("X", "a", "ab"), ValidationError, "X", "domain", "ab"),
         (lambda g: TabularCPD.uniform("X", "ab"), ValidationError, "X", "domain", "ab"),
+        (lambda g: tabulate("X", "AB", g.domain, None), ValidationError, "X", "parents", "AB"),
         (lambda g: CausalGame(g.n_agents, g.variables, {**g.parents, "D2": "D1"}, g.cpds),
          ValidationError, "D2", "parents", "D1"),
         (lambda g: apply_all(g, [FixObject("D2", "D1")]),
@@ -1255,7 +1256,7 @@ def _added(*, parents=(), children=()):
         (lambda g: _added(children="D1"), InterventionError, "N", "children", "D1"),
     ],
     ids=["Variable.domain", "TabularCPD.parents", "TabularCPD.delta", "TabularCPD.uniform",
-         "CausalGame.parents", "FixObject.parents", "AddVariable.parents",
+         "tabulate", "CausalGame.parents", "FixObject.parents", "AddVariable.parents",
          "AddVariable.children"],
 )
 def test_a_bare_string_is_refused_where_names_or_values_are_listed(
